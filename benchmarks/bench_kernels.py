@@ -16,7 +16,7 @@ import time
 
 from chordspec import kernels
 from chordspec.families import k11n2_plus, k1_join_k4_union_k1
-from chordspec.verifier import _q_float
+from chordspec.spectral import q_index
 
 
 def time_call(fn, *args):
@@ -59,20 +59,6 @@ def bench_detector(impls, trials=20000, seed=7):
             assert base == hits, "implementations disagree"
 
 
-def bench_q(impls, trials=20000, seed=9):
-    print(f"single-graph index, {trials} random order-8 graphs")
-    rng = random.Random(seed)
-    cases = [rng.getrandbits(28) for _ in range(trials)]
-    for label, impl in impls:
-        t0 = time.perf_counter()
-        acc = 0.0
-        for m in cases:
-            acc += impl.q_power(8, m)
-        dt = time.perf_counter() - t0
-        print(f"  {label:9s} {dt:8.2f}s  {trials / dt:9.0f} graphs/s  "
-              f"(mean q {acc / trials:.4f})")
-
-
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--full", action="store_true",
@@ -81,15 +67,14 @@ def main() -> None:
 
     impls = kernels.implementations()
     print("available kernels:", ", ".join(label for label, _ in impls))
-    floor6 = _q_float(k1_join_k4_union_k1().graph) - 1e-6
-    floor7 = _q_float(k11n2_plus(7).graph) - 1e-6
+    floor6 = q_index(k1_join_k4_union_k1().graph).q - 1e-6
+    floor7 = q_index(k11n2_plus(7).graph).q - 1e-6
 
     bench_sweep(impls, 6, 0, 1 << 15, floor6)
     bench_sweep(impls, 7, 0, 1 << 18, floor7)
     if args.full:
         bench_sweep(impls, 7, 0, 1 << 21, floor7)
     bench_detector(impls)
-    bench_q(impls)
 
 
 if __name__ == "__main__":

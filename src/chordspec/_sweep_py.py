@@ -7,7 +7,8 @@ defer to the reference searcher in chords.py.
 Soundness contract of sweep_range: a mask may only be dropped when its
 signless Laplacian index is provably below q_floor. Cheap degree bounds
 (q <= 2*maxdeg and q <= max over edges of d(u)+d(v)) go first; the remainder
-is decided by eigenvalue computation with comfortable float margin.
+is decided by one batched dense eigenvalue computation per block of masks,
+with comfortable float margin.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ def sweep_range(n: int, lo: int, hi: int, q_floor: float):
 
     no_isolated = 0
     survivors: list[int] = []
+    diag = np.arange(n)
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)
         masks = np.arange(start, stop, dtype=np.int64)
@@ -48,29 +50,15 @@ def sweep_range(n: int, lo: int, hi: int, q_floor: float):
         cand = ok & (2 * deg.max(axis=1) >= q_floor)
         if cand.any():
             # max over present edges of d(i)+d(j); absent edges contribute 0
-            esum = (deg[:, iarr] + deg[:, jarr]) * bits
-            cand &= esum.max(axis=1) >= q_floor
-        for m in masks[cand]:
-            if _q_eigen(n, int(m)) >= q_floor:
-                survivors.append(int(m))
+            cand &= ((deg[:, iarr] + deg[:, jarr]) * bits).max(axis=1) >= q_floor
+        if cand.any():
+            # stacked Q = A + D of the remaining candidates, one batched solve
+            q = np.zeros((int(cand.sum()), n, n))
+            q[:, iarr, jarr] = q[:, jarr, iarr] = bits[cand]
+            q[:, diag, diag] = deg[cand]
+            top = np.linalg.eigvalsh(q)[:, -1]
+            survivors.extend(masks[cand][top >= q_floor].tolist())
     return no_isolated, survivors
-
-
-def _q_eigen(n: int, mask: int) -> float:
-    a = np.zeros((n, n))
-    b = 0
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> b & 1:
-                a[i, j] = a[j, i] = 1.0
-            b += 1
-    q = a + np.diag(a.sum(axis=1))
-    return float(np.linalg.eigvalsh(q)[-1])
-
-
-def q_power(n: int, mask: int) -> float:
-    """Index of the mask graph; fallback uses the dense symmetric solver."""
-    return _q_eigen(n, mask)
 
 
 def apex_has_config(n: int, mask: int, k: int) -> bool:

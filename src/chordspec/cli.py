@@ -72,16 +72,21 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
+def _jobs(args) -> int:
+    if args.jobs is not None:
+        return args.jobs
+    return int(os.environ.get("CHORDSPEC_JOBS", "1"))
+
+
 def _cmd_verify(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("CHORDSPEC_JOBS", "1"))
     if args.what == "theorem":
         report = verifier.verify_theorem_main(
-            args.n, threshold_offset=args.threshold_offset, jobs=jobs
+            args.n, threshold_offset=args.threshold_offset, jobs=_jobs(args)
         )
     elif args.what == "corollary":
-        report = verifier.verify_corollary(args.n, min_chords=args.min_chords, jobs=jobs)
+        report = verifier.verify_corollary(
+            args.n, min_chords=args.min_chords, jobs=_jobs(args)
+        )
     elif args.what == "appendix":
         report = verifier.verify_appendix(args.n_lo, args.n_hi)
     else:
@@ -140,11 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     va = vsub.add_parser("appendix")
     va.add_argument("--n-lo", type=int, required=True)
     va.add_argument("--n-hi", type=int, required=True)
-    va.add_argument("--jobs", type=int, default=None)
     vp = vsub.add_parser("properties")
     vp.add_argument("--seed", type=int, required=True)
     vp.add_argument("--trials", type=int, required=True)
-    vp.add_argument("--jobs", type=int, default=None)
     v.set_defaults(fn=_cmd_verify)
 
     r = sub.add_parser("report-diff", help="diff two JSON reports (wall time ignored)")

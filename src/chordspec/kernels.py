@@ -16,7 +16,6 @@ else:
 
 IS_COMPILED: bool = _impl.IS_COMPILED
 sweep_range = _impl.sweep_range
-q_power = _impl.q_power
 apex_has_config = _impl.apex_has_config
 chorded_has = _impl.chorded_has
 

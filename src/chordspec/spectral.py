@@ -1,12 +1,11 @@
 """Signless Laplacian spectra: the index q(G), Perron vectors, the degree-based
 eta bound, partition quotient matrices, and exact characteristic polynomials.
 
-Numeric route: power iteration on Q + I per connected component (the shift
-makes the top eigenvalue strictly dominant in modulus, since Q is positive
-semidefinite, so bipartite-style reflected spectra cannot stall the
-iteration). Exact route: integer characteristic polynomials via the
-Faddeev-LeVerrier recurrence and Sturm-chain root isolation, used to resolve
-orderings that floats cannot.
+Numeric route: one dense symmetric eigensolve (numpy ``eigh``) per connected
+component; the Perron vector is the absolute value of the top eigenvector,
+which is simple on a connected component. Exact route: integer
+characteristic polynomials via the Faddeev-LeVerrier recurrence and
+Sturm-chain root isolation, used to resolve orderings that floats cannot.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, bits_to_vertices
+from .graphs import Graph, GraphError
 from .polynomials import (
     EQUAL,
     GREATER,
@@ -26,20 +25,12 @@ from .polynomials import (
     compare_largest_roots,
 )
 
-DEFAULT_TOL = 1e-12
-MAX_ITERATIONS = 10**6
-
-
-class SpectralError(RuntimeError):
-    """Iteration failed to converge (near-degenerate dominant pair)."""
-
 
 @dataclass(frozen=True)
 class SpectralResult:
     q: float
     vector: tuple[float, ...]
     residual: float
-    iterations: int
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
@@ -53,55 +44,26 @@ def signless_laplacian(g: Graph) -> np.ndarray:
     return q
 
 
-def q_index(g: Graph, tol: float = DEFAULT_TOL) -> SpectralResult:
+def q_index(g: Graph) -> SpectralResult:
     """Largest signless Laplacian eigenvalue with its Perron vector.
 
-    Disconnected graphs are handled per component and the max is taken; the
-    returned vector is the Perron vector of the achieving component embedded
-    in R^n (zero elsewhere).
+    One dense symmetric eigensolve per connected component; the max is taken,
+    the first component winning a tie. The returned vector is the Perron
+    vector of the achieving component embedded in R^n (zero elsewhere), and
+    the residual is max |Qx - qx| over that component.
     """
+    Q = signless_laplacian(g).astype(float)
     best_q = -1.0
-    best_vec: list[float] | None = None
-    best_comp: list[int] | None = None
-    best_res = 0.0
-    total_iters = 0
-    for mask in g.component_masks():
-        comp = list(bits_to_vertices(mask))
-        qval, vec, res, iters = _power_component(g, comp, tol)
-        total_iters += iters
-        if qval > best_q + 1e-15:
-            best_q, best_vec, best_comp, best_res = qval, vec, comp, res
-    assert best_vec is not None and best_comp is not None
-    full = [0.0] * g.n
-    for v, x in zip(best_comp, best_vec):
-        full[v] = x
-    return SpectralResult(
-        q=best_q, vector=tuple(full), residual=best_res, iterations=total_iters
-    )
-
-
-def _power_component(g: Graph, comp: list[int], tol: float):
-    m = len(comp)
-    if m == 1:
-        return 0.0, [1.0], 0.0, 0
-    pos = {v: i for i, v in enumerate(comp)}
-    M = np.zeros((m, m))
-    for v in comp:
-        i = pos[v]
-        M[i, i] = g.degree(v) + 1.0  # Q + I shift
-        for w in g.neighbors(v):
-            M[i, pos[w]] = 1.0
-    x = np.full(m, 1.0 / np.sqrt(m))
-    for it in range(1, MAX_ITERATIONS + 1):
-        y = M @ x
-        mu = float(x @ y)
-        res = float(np.max(np.abs(y - mu * x)))
-        if res <= tol:
-            return mu - 1.0, [float(v) for v in x], res, it
-        x = y / np.linalg.norm(y)
-    raise SpectralError(
-        f"power iteration did not reach residual {tol} in {MAX_ITERATIONS} steps"
-    )
+    for comp in g.components():
+        sub = Q[np.ix_(comp, comp)]
+        w, v = np.linalg.eigh(sub)
+        if w[-1] > best_q + 1e-15:
+            best_q, best_comp, best_sub = float(w[-1]), comp, sub
+            best_x = np.abs(v[:, -1])
+    residual = float(np.max(np.abs(best_sub @ best_x - best_q * best_x)))
+    full = np.zeros(g.n)
+    full[list(best_comp)] = best_x
+    return SpectralResult(q=best_q, vector=tuple(full.tolist()), residual=residual)
 
 
 def eta(g: Graph, v: int) -> Fraction:
@@ -230,12 +192,10 @@ def q_exact_compare(g: Graph, h: Graph) -> int:
 
 
 __all__ = [
-    "DEFAULT_TOL",
     "EQUAL",
     "GREATER",
     "LESS",
     "QuotientMatrix",
-    "SpectralError",
     "SpectralResult",
     "charpoly_graph",
     "charpoly_int_matrix",

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from . import chords, kernels
 from .appendix import (
     FIXTURES,
@@ -66,7 +64,6 @@ from .spectral import (
     q_exact_compare,
     q_index,
     quotient_matrix,
-    signless_laplacian,
 )
 
 TIE_BAND = 1e-8  # float gaps below this are resolved exactly
@@ -172,13 +169,6 @@ def enumerate_graphs(
         yield g
 
 
-def _q_float(g: Graph) -> float:
-    """Dense-solver index; the verifier's numeric engine (q_index is the API
-    route and the two are cross-checked in the test suite)."""
-    q = signless_laplacian(g).astype(float)
-    return float(np.linalg.eigvalsh(q)[-1])
-
-
 def _sweep_parallel(n: int, floor: float, jobs: int):
     nbits = n * (n - 1) // 2
     total = 1 << nbits
@@ -229,7 +219,7 @@ def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
         if not skipped:
             continue
         checked += 1
-        qv = _q_float(g)
+        qv = q_index(g).q
         worst = max(worst, qv)
         if qv >= thr:
             ok = False
@@ -254,7 +244,7 @@ def verify_theorem_main(
         raise VerifierError(f"verify_theorem_main supports n in 6..8, got {n}")
     t0 = time.perf_counter()
     ext = extremal_graph(n)
-    thr = _q_float(ext.graph) + threshold_offset
+    thr = q_index(ext.graph).q + threshold_offset
     exact_ties = threshold_offset == 0.0
     no_isolated, survivors = _sweep_parallel(n, thr - SWEEP_MARGIN, jobs)
 
@@ -264,7 +254,7 @@ def verify_theorem_main(
     counterexamples: list[str] = []
     for mask in survivors:
         g = graph_from_mask(n, mask)
-        qv = _q_float(g)
+        qv = q_index(g).q
         if qv < thr - TIE_BAND:
             continue
         if abs(qv - thr) <= TIE_BAND and exact_ties:
@@ -324,7 +314,7 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
         raise VerifierError(f"verify_corollary supports n in 7..8, got {n}")
     t0 = time.perf_counter()
     ext = extremal_graph(n)
-    thr = _q_float(ext.graph)
+    thr = q_index(ext.graph).q
     no_isolated, survivors = _sweep_parallel(n, thr - SWEEP_MARGIN, jobs)
 
     chorded = 0
@@ -332,7 +322,7 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
     counterexamples: list[str] = []
     for mask in survivors:
         g = graph_from_mask(n, mask)
-        qv = _q_float(g)
+        qv = q_index(g).q
         if qv < thr - TIE_BAND:
             continue
         if abs(qv - thr) <= TIE_BAND:
@@ -382,17 +372,17 @@ def replay_counterexample(task: str, g6: str, params: dict) -> bool:
     g = graph6_decode(g6)
     n = g.n
     ext = extremal_graph(n)
-    thr = _q_float(ext.graph)
+    thr = q_index(ext.graph).q
     if task == "theorem":
         thr += params.get("threshold_offset", 0.0)
-        if g.min_degree == 0 or _q_float(g) < thr - TIE_BAND:
+        if g.min_degree == 0 or q_index(g).q < thr - TIE_BAND:
             return False
         return (
             chords.find_k_chords_at_apex(g, 3) is None
             and not is_isomorphic(g, ext.graph)
         )
     if task == "corollary":
-        if g.min_degree == 0 or _q_float(g) <= thr + TIE_BAND:
+        if g.min_degree == 0 or q_index(g).q <= thr + TIE_BAND:
             return False
         return chords.find_chorded_cycle(g, params.get("min_chords", 3)) is None
     raise VerifierError(f"no replay rule for task {task!r}")
@@ -421,7 +411,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
 
     def thr(n: int) -> float:
         if n not in thr_cache:
-            thr_cache[n] = _q_float(k11n2_plus(n).graph)
+            thr_cache[n] = q_index(k11n2_plus(n).graph).q
         return thr_cache[n]
 
     # (b) template/polynomial identities, for every integer order in range

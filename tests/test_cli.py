@@ -90,8 +90,13 @@ def test_malformed_graph6_reports_line(capsys, monkeypatch):
 
 
 def test_unknown_flag_exits_2(capsys):
-    code, _, _ = run(capsys, "q", "--bogus")
-    assert code == 2
+    for argv in (
+        ("q", "--bogus"),
+        # --jobs only parallelises the theorem and corollary sweeps
+        ("verify", "appendix", "--n-lo", "7", "--n-hi", "7", "--jobs", "2"),
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 2, argv
 
 
 def test_bad_detect_parameter_exits_2(capsys, monkeypatch):

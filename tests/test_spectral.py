@@ -85,6 +85,16 @@ def test_q_index_disconnected_takes_component_max():
     assert res.q == pytest.approx(6.0, abs=1e-10)  # clique beats the cycle
     assert all(x == 0 for x in res.vector[4:])
     assert all(x > 0 for x in res.vector[:4])
+    # equal components: the first copy wins the tie and carries the vector
+    res = q_index(disjoint_union(complete(4), complete(4)))
+    assert res.q == pytest.approx(6.0, abs=1e-10)
+    assert all(x > 0 for x in res.vector[:4])
+    assert all(x == 0 for x in res.vector[4:])
+    # an isolated vertex is a component of index 0; the later cycle wins
+    res = q_index(disjoint_union(make_graph(1), cycle(5)))
+    assert res.q == pytest.approx(4.0, abs=1e-10)
+    assert res.vector[0] == 0
+    assert all(x > 0 for x in res.vector[1:])
 
 
 def test_eta_examples():
