@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled sweep kernels against the pure-Python fallback.
+"""Benchmark the compiled sweep kernels against the pure-Python fallback,
+and the exact largest-root comparison that decides near-ties.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 
@@ -13,10 +14,15 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from collections import Counter
 
 from chordspec import kernels
-from chordspec.families import k11n2_plus, k1_join_k4_union_k1
-from chordspec.spectral import q_index
+from chordspec.appendix import appendix_polynomial
+from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
+from chordspec.graphs import graph_from_mask
+from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
+from chordspec.spectral import charpoly_graph, q_index
+from chordspec.verifier import SWEEP_MARGIN, TIE_BAND
 
 
 def time_call(fn, *args):
@@ -59,6 +65,44 @@ def bench_detector(impls, trials=20000, seed=7):
             assert base == hits, "implementations disagree"
 
 
+def appendix_pairs(n_lo=7, n_hi=22):
+    """The fan-width chain pairs verify_appendix compares, g12 then g18."""
+    return [
+        (appendix_polynomial(pid, n, s), appendix_polynomial(pid, n, s + 4))
+        for pid, nmin_off in (("g12", 7), ("g18", 6))
+        for n in range(n_lo, n_hi + 1)
+        for s in range(3, n - nmin_off + 1)
+    ]
+
+
+def tie_pairs(n=6):
+    """(charpoly of a survivor, charpoly of the extremal graph) for every
+    sweep survivor whose float index lies within TIE_BAND of the threshold."""
+    ext = extremal_graph(n).graph
+    thr = q_index(ext).q
+    _, survivors = kernels.sweep_range(n, 0, 1 << (n * (n - 1) // 2), thr - SWEEP_MARGIN)
+    graphs = (graph_from_mask(n, mask) for mask in survivors)
+    ties = [g for g in graphs if abs(q_index(g).q - thr) <= TIE_BAND]
+    target = charpoly_graph(ext)
+    return [(charpoly_graph(g), target) for g in ties]
+
+
+def bench_exact(label, pairs, min_seconds=1.0):
+    """Whole passes of compare_largest_roots over the pairs for at least
+    min_seconds; returns the verdict counts of one pass."""
+    passes = 0
+    t0 = time.perf_counter()
+    while True:
+        verdicts = Counter(compare_largest_roots(a, b) for a, b in pairs)
+        passes += 1
+        dt = time.perf_counter() - t0
+        if dt >= min_seconds:
+            break
+    print(f"  {label:18s} {len(pairs):4d} pairs  {passes * len(pairs) / dt:9.1f} pairs/s"
+          f"  ({passes} passes, {dt:.2f}s)")
+    return verdicts
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--full", action="store_true",
@@ -75,6 +119,14 @@ def main() -> None:
     if args.full:
         bench_sweep(impls, 7, 0, 1 << 21, floor7)
     bench_detector(impls)
+
+    print("exact largest-root comparison (compare_largest_roots)")
+    pairs = appendix_pairs()
+    appendix = bench_exact("appendix 7..22", pairs)
+    # the g18 chain fails at (n, 3) for n = 19..22, as verify appendix pins
+    assert len(pairs) == 196 and len(pairs) - appendix[LESS] == 4, appendix
+    ties = bench_exact("order-6 ties", tie_pairs(6))
+    assert ties == Counter({EQUAL: 30}), ties
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Exact integer-coefficient polynomials with Sturm-chain real-root isolation.
 
 Coefficients are arbitrary-precision Python ints, stored ascending by degree.
-The root machinery only ever evaluates at rational points that are not roots
-(bisection points landing on a root are nudged), so the classic Sturm count
-V(a) - V(b) for the open interval (a, b) applies without endpoint caveats.
+Sturm chains are built with rational remainders; evaluating them is integer
+work: the sign of q(a/b), b > 0, is the sign of the integer
+sum c_i * a^i * b^(deg q - i). With zero signs skipped, the Sturm count
+V(a) - V(b) of a squarefree p counts its roots in (a, b], also when a is a
+root. Bisection points that land on a root are moved off it, so isolating
+intervals have non-root ends.
 """
 
 from __future__ import annotations
@@ -225,6 +228,24 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return chain
 
 
+def _values_at(chain: Sequence[IntPolynomial], num: int, den: int) -> list[int]:
+    """den^k * q(num/den) for each q of degree k in the chain (den > 0).
+
+    Each value is an integer with the sign of q(num/den): the homogenised
+    Horner sum of c_i * num^i * den^(k-i), with no rational arithmetic.
+    """
+    powers = [1]
+    for _ in range(chain[0].degree):
+        powers.append(powers[-1] * den)
+    values = []
+    for q in chain:
+        acc = 0
+        for c, s in zip(reversed(q.coeffs), powers):
+            acc = acc * num + c * s
+        values.append(acc)
+    return values
+
+
 def _variations(values: Iterable) -> int:
     count = 0
     prev = 0
@@ -238,21 +259,26 @@ def _variations(values: Iterable) -> int:
     return count
 
 
+def _variations_at(chain: Sequence[IntPolynomial], x: Fraction) -> int:
+    return _variations(_values_at(chain, x.numerator, x.denominator))
+
+
 def _variations_at_inf(chain: Sequence[IntPolynomial]) -> int:
     return _variations(0 if q.is_zero else q.leading for q in chain)
 
 
 def root_count_above(chain: Sequence[IntPolynomial], a: Fraction) -> int:
-    """Number of distinct real roots in (a, +inf); requires p(a) != 0."""
-    va = _variations(q(a) for q in chain)
-    return va - _variations_at_inf(chain)
+    """Number of distinct real roots in (a, +inf); a may itself be a root."""
+    return _variations_at(chain, a) - _variations_at_inf(chain)
 
 
 def root_count_between(chain: Sequence[IntPolynomial], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b); requires p(a), p(b) != 0."""
-    va = _variations(q(a) for q in chain)
-    vb = _variations(q(b) for q in chain)
-    return va - vb
+    """Number of distinct real roots in (a, b) when p(b) != 0.
+
+    With zero signs skipped, V(a) - V(b) counts the roots of a squarefree p
+    in (a, b], also when a is a root.
+    """
+    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
@@ -262,17 +288,58 @@ def root_bound(p: IntPolynomial) -> Fraction:
     return Fraction(m, lead) + 1
 
 
-def _nonroot(
-    p: IntPolynomial, x: Fraction, lo: Fraction, hi: Fraction, direction: int = 1
-) -> Fraction:
-    """Nudge x (staying inside (lo, hi)) until it is not a root of p."""
-    step = direction * (hi - lo) / (1 << 20)
-    while p(x) == 0:
-        x += step
-        step /= 2
-        if not lo < x < hi:
-            raise ArithmeticError("failed to dodge a polynomial root")
-    return x
+class _Bracket:
+    """Open interval (lo/den, hi/den) around the largest real root of the
+    squarefree chain[0], with the chain's sign variations vlo, vhi at its ends.
+
+    Neither end is a root and no root lies above hi, so vlo - vhi counts the
+    roots inside, and a split point with more variations than vhi has a root
+    above it. Each halving evaluates the chain once, at the split point.
+    """
+
+    __slots__ = ("chain", "lo", "hi", "den", "vlo", "vhi")
+
+    def __init__(self, chain: Sequence[IntPolynomial]):
+        bound = root_bound(chain[0])
+        self.chain = chain
+        self.lo, self.hi = -bound.numerator, bound.numerator
+        self.den = bound.denominator
+        self.vlo = _variations(q.leading * (-1) ** q.degree for q in chain)
+        self.vhi = _variations_at_inf(chain)
+
+    def roots(self) -> int:
+        return self.vlo - self.vhi
+
+    def halve(self) -> None:
+        x, lo, hi, den = self.lo + self.hi, 2 * self.lo, 2 * self.hi, 2 * self.den
+        values = _values_at(self.chain, x, den)
+        while not values[0]:
+            # x is a root: halve the grid step and move x one step up. x stays
+            # at least one step below hi, and each try is a new point closer
+            # to the midpoint, so this ends
+            x, lo, hi, den = 2 * x + 1, 2 * lo, 2 * hi, 2 * den
+            values = _values_at(self.chain, x, den)
+        vx = _variations(values)
+        if vx > self.vhi:
+            self.lo, self.hi, self.vlo = x, hi, vx
+        else:
+            self.lo, self.hi, self.vhi = lo, x, vx
+        self.den = den
+
+    def shrink(self, width: Fraction) -> None:
+        """Halve until exactly one root is inside and hi - lo <= width."""
+        w_num, w_den = width.numerator, width.denominator
+        while self.roots() > 1 or (self.hi - self.lo) * w_den > w_num * self.den:
+            self.halve()
+
+
+def _bracket_largest_root(p: IntPolynomial) -> _Bracket:
+    """Bracket of the largest root of p's squarefree part; ValueError when p
+    is constant or has no real root."""
+    bracket = _Bracket(sturm_chain(squarefree_part(p)))
+    if bracket.roots() == 0:
+        raise ValueError("polynomial without real roots")
+    return bracket
 
 
 def isolate_largest_root(p: IntPolynomial, width: Fraction = Fraction(1, 10**12)):
@@ -281,81 +348,57 @@ def isolate_largest_root(p: IntPolynomial, width: Fraction = Fraction(1, 10**12)
     root. p must be squarefree for termination."""
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    chain = sturm_chain(p)
-    bound = root_bound(p)
-    lo, hi = -bound, bound
-    if root_count_between(chain, lo, hi) == 0:
+    bracket = _Bracket(sturm_chain(p))
+    if bracket.roots() == 0:
         return None
-    # shrink to an interval holding exactly the largest root, then to width
-    while root_count_between(chain, lo, hi) > 1 or hi - lo > width:
-        mid = _nonroot(p, (lo + hi) / 2, lo, hi)
-        if root_count_above(chain, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    bracket.shrink(Fraction(width))
+    return Fraction(bracket.lo, bracket.den), Fraction(bracket.hi, bracket.den)
 
 
 def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact ordering of the largest real roots of p and q.
 
     Both must have at least one real root (true for characteristic polynomials
-    of symmetric matrices). Equality is decided through the common-root factor
-    gcd(p*, q*), so exact ties terminate.
+    of symmetric matrices); identical polynomials are EQUAL once p is checked.
+    Otherwise equality is decided through the common-root factor gcd(p*, q*),
+    so exact ties terminate.
     """
-    sp, sq = squarefree_part(p), squarefree_part(q)
-    g = poly_gcd(sp, sq)
+    bp = _bracket_largest_root(p)
+    if p == q:
+        return EQUAL
+    bq = _bracket_largest_root(q)
+    g = poly_gcd(bp.chain[0], bq.chain[0])
     gchain = sturm_chain(g) if g.degree >= 1 else None
-    cp, cq = sturm_chain(sp), sturm_chain(sq)
-    bp = isolate_largest_root(sp, width=Fraction(1, 1024))
-    bq = isolate_largest_root(sq, width=Fraction(1, 1024))
-    if bp is None or bq is None:
-        raise ValueError("polynomial without real roots")
-    (ap, hp), (aq, hq) = bp, bq
+    bp.shrink(Fraction(1, 1024))
+    bq.shrink(Fraction(1, 1024))
     while True:
-        if hp <= aq:
+        # endpoints compare by cross-multiplying the positive denominators
+        if bp.hi * bq.den <= bq.lo * bp.den:
             return LESS
-        if hq <= ap:
+        if bq.hi * bp.den <= bp.lo * bq.den:
             return GREATER
-        lo, hi = max(ap, aq), min(hp, hq)
-        # endpoints are non-roots of sp resp. sq, and every root of g is a root
-        # of both, so lo and hi cannot be roots of g
-        if gchain is not None and lo < hi:
-            if root_count_between(gchain, lo, hi) >= 1:
+        if gchain is not None:
+            # the intervals overlap in (lo, hi); its ends are non-roots of p*
+            # resp. q*, and every root of g is a root of both, so they are not
+            # roots of g
+            lo = (bp.lo, bp.den) if bp.lo * bq.den >= bq.lo * bp.den else (bq.lo, bq.den)
+            hi = (bp.hi, bp.den) if bp.hi * bq.den <= bq.hi * bp.den else (bq.hi, bq.den)
+            if _variations(_values_at(gchain, *lo)) > _variations(_values_at(gchain, *hi)):
                 # a shared root inside both isolating intervals is the largest
                 # root of each factor, hence of both polynomials
                 return EQUAL
-        # shrink both intervals and retry
-        ap, hp = _halve(sp, cp, ap, hp)
-        aq, hq = _halve(sq, cq, aq, hq)
-
-
-def _halve(p: IntPolynomial, chain, lo: Fraction, hi: Fraction):
-    mid = _nonroot(p, (lo + hi) / 2, lo, hi)
-    if root_count_above(chain, mid) > 0:
-        return mid, hi
-    return lo, mid
+        bp.halve()
+        bq.halve()
 
 
 def count_roots_in_interval(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of p in the open interval (a, b); endpoints are
-    nudged inward if they happen to be roots."""
+    """Distinct real roots of p in the open interval (a, b); a and b may be
+    roots."""
     sp = squarefree_part(p)
-    chain = sturm_chain(sp)
-    a = Fraction(a)
     b = Fraction(b)
-    if sp(a) == 0:
-        a = _nonroot(sp, a + (b - a) / (1 << 30), a, b)
-    if sp(b) == 0:
-        b = _nonroot(sp, b - (b - a) / (1 << 30), a, b, direction=-1)
-    return root_count_between(chain, a, b)
+    return root_count_between(sturm_chain(sp), Fraction(a), b) - (sp(b) == 0)
 
 
 def count_roots_above(p: IntPolynomial, a: Fraction) -> int:
-    """Distinct real roots of p strictly greater than a (a nudged if a root)."""
-    sp = squarefree_part(p)
-    chain = sturm_chain(sp)
-    a = Fraction(a)
-    if sp(a) == 0:
-        a = _nonroot(sp, a + Fraction(1, 1 << 30), a, a + 1)
-    return root_count_above(chain, a)
+    """Distinct real roots of p strictly greater than a; a may be a root."""
+    return root_count_above(sturm_chain(squarefree_part(p)), Fraction(a))

@@ -5,15 +5,29 @@ enumerated generically and chord counts are read off the adjacency relation
 per cycle, with no shared code or reformulation from the searchers under
 test. The permutation-based enumerator cross-validates the DFS enumerator on
 tiny graphs so the faster one can be trusted at n = 7, 8.
+``oracle_compare_largest_roots`` bisects in ``Fraction`` arithmetic with
+Horner evaluation at every point, sharing no evaluation or bisection code
+with the integer routine under test.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
 from chordspec.graphs import Graph
+from chordspec.polynomials import (
+    EQUAL,
+    GREATER,
+    LESS,
+    IntPolynomial,
+    poly_gcd,
+    root_bound,
+    squarefree_part,
+    sturm_chain,
+)
 
 
 def cycles_by_permutation(g: Graph):
@@ -130,3 +144,71 @@ def oracle_q(g: Graph) -> float:
         a[u, v] = a[v, u] = 1.0
     q = a + np.diag(a.sum(axis=1))
     return float(np.linalg.eigvalsh(q)[-1])
+
+
+def _frac_variations(chain, x: Fraction) -> int:
+    signs = [s for s in ((v > 0) - (v < 0) for v in (q(x) for q in chain)) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _frac_count_between(chain, a: Fraction, b: Fraction) -> int:
+    return _frac_variations(chain, a) - _frac_variations(chain, b)
+
+
+def _frac_count_above(chain, a: Fraction) -> int:
+    signs = [s for s in ((q.leading > 0) - (q.leading < 0) for q in chain) if s]
+    at_inf = sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+    return _frac_variations(chain, a) - at_inf
+
+
+def _frac_nonroot(p: IntPolynomial, x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
+    step = (hi - lo) / (1 << 20)
+    while p(x) == 0:
+        x += step
+        step /= 2
+        if not lo < x < hi:
+            raise ArithmeticError("failed to dodge a polynomial root")
+    return x
+
+
+def _frac_halve(p: IntPolynomial, chain, lo: Fraction, hi: Fraction):
+    mid = _frac_nonroot(p, (lo + hi) / 2, lo, hi)
+    if _frac_count_above(chain, mid) > 0:
+        return mid, hi
+    return lo, mid
+
+
+def _frac_isolate(p: IntPolynomial, width: Fraction):
+    chain = sturm_chain(p)
+    bound = root_bound(p)
+    lo, hi = -bound, bound
+    if _frac_count_between(chain, lo, hi) == 0:
+        return None
+    while _frac_count_between(chain, lo, hi) > 1 or hi - lo > width:
+        lo, hi = _frac_halve(p, chain, lo, hi)
+    return lo, hi
+
+
+def oracle_compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
+    """Exact ordering of the largest real roots of p and q, deciding
+    equality through the common-root factor gcd(p*, q*)."""
+    sp, sq = squarefree_part(p), squarefree_part(q)
+    g = poly_gcd(sp, sq)
+    gchain = sturm_chain(g) if g.degree >= 1 else None
+    cp, cq = sturm_chain(sp), sturm_chain(sq)
+    bp = _frac_isolate(sp, Fraction(1, 1024))
+    bq = _frac_isolate(sq, Fraction(1, 1024))
+    if bp is None or bq is None:
+        raise ValueError("polynomial without real roots")
+    (ap, hp), (aq, hq) = bp, bq
+    while True:
+        if hp <= aq:
+            return LESS
+        if hq <= ap:
+            return GREATER
+        lo, hi = max(ap, aq), min(hp, hq)
+        if gchain is not None and lo < hi:
+            if _frac_count_between(gchain, lo, hi) >= 1:
+                return EQUAL
+        ap, hp = _frac_halve(sp, cp, ap, hp)
+        aq, hq = _frac_halve(sq, cq, aq, hq)

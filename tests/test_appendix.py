@@ -13,6 +13,7 @@ from chordspec.appendix import (
 from chordspec.families import k11n2_plus
 from chordspec.polynomials import LESS, IntPolynomial, compare_largest_roots
 from chordspec.spectral import charpoly_int_matrix, q_index, quotient_matrix
+from oracles import oracle_compare_largest_roots
 
 
 def test_threshold_polynomial_and_template():
@@ -146,3 +147,23 @@ def test_threshold_quotient_of_actual_graph():
         assert [[int(e) for e in r] for r in qm.entries] == \
             threshold_quotient_template(n)
         assert abs(qm.spectral_radius() - q_index(g).q) < 1e-8
+
+
+def test_fan_width_chains_agree_with_fraction_oracle():
+    # every g12/g18 pair verify_appendix compares at orders 7..22
+    pairs = [
+        (pid, n, s)
+        for pid, nmin_off in (("g12", 7), ("g18", 6))
+        for n in range(7, 23)
+        for s in range(3, n - nmin_off + 1)
+    ]
+    assert len(pairs) == 196
+    not_less = []
+    for pid, n, s in pairs:
+        a = appendix_polynomial(pid, n, s)
+        b = appendix_polynomial(pid, n, s + 4)
+        got = compare_largest_roots(a, b)
+        assert got == oracle_compare_largest_roots(a, b), (pid, n, s)
+        if got != LESS:
+            not_less.append((pid, n, s))
+    assert not_less == [("g18", n, 3) for n in range(19, 23)]

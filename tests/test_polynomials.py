@@ -1,19 +1,26 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chordspec.polynomials import (
     EQUAL,
     GREATER,
     LESS,
     IntPolynomial,
+    _values_at,
     compare_largest_roots,
     count_roots_above,
     count_roots_in_interval,
     isolate_largest_root,
     poly_gcd,
+    root_count_between,
     squarefree_part,
+    sturm_chain,
 )
+from oracles import oracle_compare_largest_roots
 
 
 def poly(*ascending):
@@ -60,8 +67,17 @@ def test_root_counts():
     assert count_roots_above(p, Fraction(3, 2)) == 1
     assert count_roots_above(p, Fraction(5, 2)) == 0
     assert count_roots_in_interval(p, Fraction(1, 2), Fraction(3, 2)) == 1
-    # endpoint hitting a root is nudged, count stays for the open interval
+    # ends that are roots are excluded from the open interval
     assert count_roots_in_interval(p, 1, 2) == 0
+    assert count_roots_in_interval(p, 1, 3) == 1
+    assert count_roots_above(p, 1) == 1
+
+
+def test_root_counts_at_a_root_end_with_a_root_closer_than_any_fixed_step():
+    p = poly(0, -1, 1 << 31)  # x * (2^31 x - 1): roots 0 and 2^-31
+    assert count_roots_above(p, 0) == 1
+    assert count_roots_in_interval(p, 0, 1) == 1
+    assert count_roots_in_interval(p, -1, Fraction(1, 1 << 31)) == 1
 
 
 def test_isolate_largest_root():
@@ -72,6 +88,14 @@ def test_isolate_largest_root():
     p2 = poly(-4, 0, 1)  # roots -2, 2
     lo2, hi2 = isolate_largest_root(p2)
     assert lo2 < 2 < hi2
+    # bound 2: the first bisection point, 0, is a root, and so is the first
+    # point 1/4 stepped to from it
+    p3 = poly(0, 3, -16, 16)  # x (4x - 1) (4x - 3)
+    lo3, hi3 = isolate_largest_root(p3, Fraction(1, 8))
+    assert lo3 < Fraction(3, 4) < hi3 and hi3 - lo3 <= Fraction(1, 8)
+    assert p3(lo3) != 0 and p3(hi3) != 0
+    assert root_count_between(sturm_chain(p3), lo3, hi3) == 1
+    assert isolate_largest_root(poly(1, 0, 1)) is None
 
 
 def test_compare_largest_roots_orders():
@@ -95,6 +119,69 @@ def test_compare_close_irrational_roots():
     b = poly(-2 * 10**20 + 1, 0, 10**20)
     assert compare_largest_roots(b, a) == LESS
     assert compare_largest_roots(a, b) == GREATER
+
+
+def test_compare_identical_polynomials_still_checks_input():
+    with pytest.raises(ValueError):
+        compare_largest_roots(poly(5), poly(5))
+    with pytest.raises(ValueError):
+        compare_largest_roots(poly(1, 0, 1), poly(1, 0, 1))  # x^2 + 1
+    p = poly(1, 0, 1) * poly(-3, 1)
+    assert compare_largest_roots(p, p) == EQUAL
+
+
+def _random_factor(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return poly(-rng.randint(-6, 6), 1)  # integer root
+    if kind == 1:
+        return poly(-rng.randint(-9, 9), rng.randint(2, 4))  # rational root
+    if kind == 2:
+        return poly(-rng.randint(2, 15), 0, 1)  # +-sqrt(k)
+    return poly(rng.randint(1, 5), rng.randint(-1, 1), 1)  # no real root
+
+
+def _random_real_rooted(rng, shared=None):
+    p = poly(-rng.randint(-6, 6), 1)
+    for _ in range(rng.randint(0, 3)):
+        p = p * _random_factor(rng)
+    if rng.random() < 0.4:
+        f = _random_factor(rng)
+        p = p * f * f  # a repeated factor
+    if shared is not None:
+        p = p * shared
+    return p
+
+
+def test_compare_agrees_with_fraction_oracle_on_random_polynomials():
+    rng = random.Random(20260601)
+    verdicts = {LESS: 0, EQUAL: 0, GREATER: 0}
+    for _ in range(300):
+        shared = None
+        if rng.random() < 0.4:
+            # a common factor whose roots often include both largest roots
+            shared = poly(-rng.randint(4, 8), 1) * _random_factor(rng)
+        p = _random_real_rooted(rng, shared)
+        q = p if rng.random() < 0.05 else _random_real_rooted(rng, shared)
+        got = compare_largest_roots(p, q)
+        assert got == oracle_compare_largest_roots(p, q), (p, q)
+        verdicts[got] += 1
+    assert min(verdicts.values()) >= 30, verdicts
+
+
+@given(
+    st.lists(st.integers(-40, 40), min_size=2, max_size=9),
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_signs_match_fraction_evaluation(coeffs, num, den):
+    p = IntPolynomial(coeffs)
+    assume(p.degree >= 1)
+    chain = sturm_chain(p)
+    x = Fraction(num, den)
+    got = [(v > 0) - (v < 0) for v in _values_at(chain, num, den)]
+    assert got == [(q(x) > 0) - (q(x) < 0) for q in chain]
 
 
 def test_zero_and_constant_guards():
