@@ -1,26 +1,15 @@
-import numpy
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
-if cythonize is not None:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "chordspec._sweep",
-                ["src/chordspec/_sweep.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    # Pure-Python fallback is selected at import time; the package works
-    # without the extension, just slower on the exhaustive sweeps.
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled sweep kernel. It is optional: without a C compiler the package
+# installs without it and runs the pure-Python twin. From a source checkout,
+# chordspec.kernels also compiles this file on first import.
+setup(
+    ext_modules=[
+        Extension(
+            "chordspec._sweep",
+            ["src/chordspec/_sweep.c"],
+            extra_compile_args=["-O3"],
+            optional=True,
+        )
+    ]
+)

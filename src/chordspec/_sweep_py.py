@@ -20,15 +20,32 @@ from .graphs import graph_from_mask, index_pairs
 
 IS_COMPILED = False
 
+MAXN = 11  # edge bitmasks fit 64 bits up to n = 11, as in the compiled kernel
 _BLOCK = 1 << 14
 
 
+def _mask_count(n: int) -> int:
+    """2^C(n,2), the number of edge bitmasks; ValueError unless 1 <= n <= MAXN."""
+    if not 1 <= n <= MAXN:
+        raise ValueError(f"kernels support 1..{MAXN} vertices, got {n}")
+    return 1 << n * (n - 1) // 2
+
+
+def _check_mask(n: int, mask: int) -> None:
+    total = _mask_count(n)
+    if not 0 <= mask < total:
+        raise ValueError(f"mask {mask} outside [0, {total - 1}]")
+
+
 def sweep_range(n: int, lo: int, hi: int, q_floor: float):
-    """Scan edge bitmasks in [lo, hi).
+    """Scan edge bitmasks in [lo, hi), 0 <= lo <= hi <= 2^C(n,2).
 
     Returns (no_isolated_count, survivors): survivors are the masks of graphs
     without isolated vertices whose index is not provably below q_floor.
     """
+    total = _mask_count(n)
+    if not 0 <= lo <= hi <= total:
+        raise ValueError(f"range [{lo}, {hi}) outside [0, {total}]")
     pairs = index_pairs(n)
     nbits = len(pairs)
     incident = np.zeros((n, nbits), dtype=bool)
@@ -63,9 +80,11 @@ def sweep_range(n: int, lo: int, hi: int, q_floor: float):
 
 def apex_has_config(n: int, mask: int, k: int) -> bool:
     """Whether some cycle has k chords at a common vertex."""
+    _check_mask(n, mask)
     return chords.find_k_chords_at_apex(graph_from_mask(n, mask), k) is not None
 
 
 def chorded_has(n: int, mask: int, min_chords: int) -> bool:
     """Whether some cycle carries at least min_chords chords."""
+    _check_mask(n, mask)
     return chords.find_chorded_cycle(graph_from_mask(n, mask), min_chords) is not None

@@ -1,18 +1,95 @@
-"""Hot-kernel dispatch: the compiled extension when available, else the
-pure-Python twin. Set CHORDSPEC_NO_EXT=1 to force the fallback (used by the
-benchmark and the cross-implementation tests)."""
+"""Hot-kernel dispatch: the compiled kernel when it builds, else the
+pure-Python twin in ``_sweep_py``.
+
+On first import the C source ``_sweep.c`` is compiled with the interpreter's
+own compiler command into ``build/kernel/`` at the repository root. The file
+name carries a hash of the source, so an edited source never loads a stale
+build; later imports load the cached file. Without a compiler, or when the
+build fails, an extension built by ``setup.py`` is used if one is installed,
+else the twin; nothing is raised. Set CHORDSPEC_NO_EXT=1 to force the twin.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib.machinery
+import importlib.util
 import os
+import shutil
+import zlib
+from pathlib import Path
 
-if os.environ.get("CHORDSPEC_NO_EXT"):
-    from . import _sweep_py as _impl
-else:
+from . import _sweep_py
+
+SOURCE = Path(__file__).with_name("_sweep.c")
+CACHE = Path(__file__).resolve().parents[2] / "build" / "kernel"
+
+
+def compiler() -> list[str] | None:
+    """The interpreter's command that compiles and links a C file into an
+    extension module, or None when its compiler is not on PATH."""
+    import shlex
+    import sysconfig
+
+    cmd = shlex.split(sysconfig.get_config_var("LDSHARED") or "")
+    if not cmd or shutil.which(cmd[0]) is None:
+        return None
+    return [*cmd, sysconfig.get_config_var("CCSHARED") or "-fPIC", "-O3",
+            "-I" + sysconfig.get_paths()["include"]]
+
+
+def build(source: Path = SOURCE, cache: Path = CACHE):
+    """The compiled kernel from `source`, compiled into `cache` unless a
+    build of the same source is there; None when that cannot be done."""
     try:
-        from . import _sweep as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _sweep_py as _impl
+        # zlib's two 32-bit checksums, not hashlib: zlib is loaded already,
+        # while hashlib maps OpenSSL, about 3.5 MB of RSS in every process
+        code = source.read_bytes()
+        key = f"{zlib.crc32(code):08x}{zlib.adler32(code):08x}"
+        so = cache / f"_sweep-{key}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        if not so.exists() and not _compile(source, so):
+            return None
+        spec = importlib.util.spec_from_file_location("chordspec._sweep", so)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except (OSError, ImportError):
+        return None
+
+
+def _compile(source: Path, so: Path) -> bool:
+    """Compile `source` into `so`. Each process compiles to a file of its own
+    and renames it into place, so processes building at once all load a
+    complete file."""
+    import subprocess
+
+    cmd = compiler()
+    if cmd is None:
+        return False
+    so.parent.mkdir(parents=True, exist_ok=True)
+    tmp = so.with_name(f"{so.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run([*cmd, str(source), "-o", str(tmp)], check=True, capture_output=True)
+        os.replace(tmp, so)
+    except subprocess.CalledProcessError:
+        return False
+    finally:
+        tmp.unlink(missing_ok=True)
+    return True
+
+
+@functools.cache
+def _compiled():
+    """The compiled kernel: built from source, else installed by setup.py."""
+    module = build()
+    if module is None:
+        with contextlib.suppress(ImportError):
+            from . import _sweep as module  # type: ignore[attr-defined]
+    return module
+
+
+_impl = _sweep_py if os.environ.get("CHORDSPEC_NO_EXT") else _compiled() or _sweep_py
 
 IS_COMPILED: bool = _impl.IS_COMPILED
 sweep_range = _impl.sweep_range
@@ -21,14 +98,9 @@ chorded_has = _impl.chorded_has
 
 
 def implementations():
-    """Both kernel implementations, labelled; compiled may be absent."""
-    from . import _sweep_py
-
+    """Both kernel implementations, labelled; compiled is absent when it
+    neither builds nor is installed."""
     out = [("python", _sweep_py)]
-    try:
-        from . import _sweep  # type: ignore[attr-defined]
-
-        out.insert(0, ("compiled", _sweep))
-    except ImportError:
-        pass
+    if _compiled() is not None:
+        out.insert(0, ("compiled", _compiled()))
     return out

@@ -178,7 +178,7 @@ def _sweep_parallel(n: int, floor: float, jobs: int):
 
     chunks = max(jobs * 4, 1)
     step = (total + chunks - 1) // chunks
-    ranges = [(n, k * step, min((k + 1) * step, total), floor) for k in range(chunks)]
+    ranges = [(n, lo, min(lo + step, total), floor) for lo in range(0, total, step)]
     no_isolated = 0
     survivors: list[int] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,4 +1,9 @@
+import os
 import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,17 +13,80 @@ from chordspec.graphs import graph_from_mask
 from oracles import oracle_q
 
 IMPLEMENTATIONS = kernels.implementations()
+PACKAGE = Path(kernels.__file__).parent
 
 
 @pytest.fixture
 def compiled():
-    return pytest.importorskip("chordspec._sweep", reason="extension not built")
+    # only a missing compiler skips: with one on PATH, a kernel that did not
+    # build is a failure
+    if kernels.compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    impl = dict(kernels.implementations()).get("compiled")
+    assert impl is not None, "a C compiler is on PATH but the kernel did not build"
+    return impl
+
+
+def _python(code, *args, pythonpath=PACKAGE.parent, **env):
+    """Start code in a fresh interpreter that imports chordspec from
+    pythonpath; the caller collects it with communicate()."""
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *map(str, args)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(pythonpath), **env},
+    )
 
 
 def test_compiled_extension_is_active_by_default(compiled):
-    assert kernels.IS_COMPILED
+    assert kernels.IS_COMPILED != bool(os.environ.get("CHORDSPEC_NO_EXT"))
     labels = [name for name, _ in kernels.implementations()]
-    assert labels[0] == "compiled" and "python" in labels
+    assert labels == ["compiled", "python"]
+
+
+def test_no_ext_setting_forces_the_python_kernel():
+    proc = _python("from chordspec import kernels; print(kernels.IS_COMPILED)",
+                   CHORDSPEC_NO_EXT="1")
+    assert (proc.communicate(timeout=300), proc.returncode) == (("False\n", ""), 0)
+
+
+def test_edited_source_gets_a_new_cache_entry(compiled, tmp_path):
+    source, cache = tmp_path / "_sweep.c", tmp_path / "cache"
+    shutil.copy(kernels.SOURCE, source)
+    first = Path(kernels.build(source, cache).__file__)
+    built_at = first.stat().st_mtime_ns
+    # unchanged source: the cached file is loaded, not rebuilt
+    assert Path(kernels.build(source, cache).__file__) == first
+    assert first.stat().st_mtime_ns == built_at
+    source.write_text(source.read_text() + "\n/* edited */\n")
+    second = kernels.build(source, cache)
+    assert Path(second.__file__) != first
+    assert sorted(cache.iterdir()) == sorted([first, Path(second.__file__)])
+    assert second.sweep_range(5, 0, 1024, 6.0) == _sweep_py.sweep_range(5, 0, 1024, 6.0)
+
+
+def test_concurrent_builds_into_one_empty_cache_both_load(compiled, tmp_path):
+    cache = tmp_path / "cache"
+    code = ("import sys; from pathlib import Path; from chordspec import kernels; "
+            "m = kernels.build(kernels.SOURCE, Path(sys.argv[1])); "
+            "print(m.sweep_range(5, 0, 1024, 6.0))")
+    procs = [_python(code, cache, CHORDSPEC_NO_EXT="1") for _ in range(2)]
+    outs = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    want = f"{_sweep_py.sweep_range(5, 0, 1024, 6.0)}\n"
+    assert [out for out, _ in outs] == [want, want]
+    # one build in place, no temporary file left behind
+    assert len(list(cache.iterdir())) == 1
+
+
+def test_without_a_compiler_the_import_falls_back_to_python(tmp_path):
+    # a copy of the package, so neither the repository's build cache nor an
+    # extension built in place is found
+    shutil.copytree(PACKAGE, tmp_path / "src" / "chordspec",
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    proc = _python("from chordspec import kernels; print(kernels.IS_COMPILED, kernels.compiler())",
+                   pythonpath=tmp_path / "src", PATH=str(tmp_path / "no-compiler"))
+    assert (proc.communicate(timeout=300), proc.returncode) == (("False None\n", ""), 0)
+    assert not (tmp_path / "build").exists()
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
@@ -79,8 +147,27 @@ def test_chorded_kernel_matches_searcher(compiled):
             assert compiled.chorded_has(n, mask, m) == want, (n, mask, m)
 
 
-def test_kernel_guards(compiled):
-    with pytest.raises(ValueError):
-        compiled.sweep_range(12, 0, 1, 5.0)
-    with pytest.raises(ValueError):
-        compiled.apex_has_config(12, 0, 3)
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_kernel_guards(impl):
+    # n in 1..11; sweep ranges 0 <= lo <= hi <= 2^C(n,2); masks below 2^C(n,2)
+    bad_sweeps = [(0, 0, 1), (12, 0, 1), (5, -3, 2), (5, 3, 2), (5, 0, 1025),
+                  (5, 0, 1 << 70)]
+    for n, lo, hi in bad_sweeps:
+        with pytest.raises(ValueError):
+            impl.sweep_range(n, lo, hi, 5.0)
+    for detector in (impl.apex_has_config, impl.chorded_has):
+        for n, mask in ((0, 0), (12, 0), (5, -1), (5, 1 << 10), (5, 1 << 20)):
+            with pytest.raises(ValueError):
+                detector(n, mask, 3)
+        with pytest.raises(ValueError):
+            detector(5, 1023, 0)
+    # the bounds themselves are accepted
+    assert impl.sweep_range(5, 1023, 1024, 5.0) == (1, [1023])
+    assert impl.sweep_range(5, 7, 7, 5.0) == (0, [])
+    assert impl.sweep_range(1, 0, 1, 0.0) == (0, [])
+    assert impl.apex_has_config(6, (1 << 15) - 1, 3)
+    assert impl.chorded_has(5, (1 << 10) - 1, 3)
+    assert not impl.chorded_has(1, 0, 1)
