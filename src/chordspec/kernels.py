@@ -4,9 +4,10 @@ pure-Python twin in ``_sweep_py``.
 On first import the C source ``_sweep.c`` is compiled with the interpreter's
 own compiler command into ``build/kernel/`` at the repository root. The file
 name carries a hash of the source, so an edited source never loads a stale
-build; later imports load the cached file. Without a compiler, or when the
-build fails, an extension built by ``setup.py`` is used if one is installed,
-else the twin; nothing is raised. Set CHORDSPEC_NO_EXT=1 to force the twin.
+build; later imports load the cached file, and a cached file that will not
+load is compiled again. This is the only way the compiled kernel is built:
+without a compiler, or when the build fails, the twin runs and nothing is
+raised. Set CHORDSPEC_NO_EXT=1 to force the twin.
 """
 
 from __future__ import annotations
@@ -39,56 +40,47 @@ def compiler() -> list[str] | None:
             "-I" + sysconfig.get_paths()["include"]]
 
 
+def _load(so: Path):
+    spec = importlib.util.spec_from_file_location("chordspec._sweep", so)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def build(source: Path = SOURCE, cache: Path = CACHE):
-    """The compiled kernel from `source`, compiled into `cache` unless a
-    build of the same source is there; None when that cannot be done."""
+    """The compiled kernel from `source`: the build of the same source in
+    `cache` when it loads, else a fresh one compiled into `cache`; None when
+    that cannot be done. Each process compiles to a file of its own and
+    renames it into place, so processes building at once all load a complete
+    file."""
     try:
         # zlib's two 32-bit checksums, not hashlib: zlib is loaded already,
         # while hashlib maps OpenSSL, about 3.5 MB of RSS in every process
         code = source.read_bytes()
         key = f"{zlib.crc32(code):08x}{zlib.adler32(code):08x}"
         so = cache / f"_sweep-{key}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
-        if not so.exists() and not _compile(source, so):
+        if so.exists():
+            with contextlib.suppress(ImportError):
+                return _load(so)
+        import subprocess
+
+        cmd = compiler()
+        if cmd is None:
             return None
-        spec = importlib.util.spec_from_file_location("chordspec._sweep", so)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
+        so.parent.mkdir(parents=True, exist_ok=True)
+        tmp = so.with_name(f"{so.name}.{os.getpid()}.tmp")
+        try:
+            if subprocess.run([*cmd, str(source), "-o", str(tmp)], capture_output=True).returncode:
+                return None
+            os.replace(tmp, so)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return _load(so)
     except (OSError, ImportError):
         return None
 
 
-def _compile(source: Path, so: Path) -> bool:
-    """Compile `source` into `so`. Each process compiles to a file of its own
-    and renames it into place, so processes building at once all load a
-    complete file."""
-    import subprocess
-
-    cmd = compiler()
-    if cmd is None:
-        return False
-    so.parent.mkdir(parents=True, exist_ok=True)
-    tmp = so.with_name(f"{so.name}.{os.getpid()}.tmp")
-    try:
-        subprocess.run([*cmd, str(source), "-o", str(tmp)], check=True, capture_output=True)
-        os.replace(tmp, so)
-    except subprocess.CalledProcessError:
-        return False
-    finally:
-        tmp.unlink(missing_ok=True)
-    return True
-
-
-@functools.cache
-def _compiled():
-    """The compiled kernel: built from source, else installed by setup.py."""
-    module = build()
-    if module is None:
-        with contextlib.suppress(ImportError):
-            from . import _sweep as module  # type: ignore[attr-defined]
-    return module
-
-
+_compiled = functools.cache(build)
 _impl = _sweep_py if os.environ.get("CHORDSPEC_NO_EXT") else _compiled() or _sweep_py
 
 IS_COMPILED: bool = _impl.IS_COMPILED
@@ -99,7 +91,7 @@ chorded_has = _impl.chorded_has
 
 def implementations():
     """Both kernel implementations, labelled; compiled is absent when it
-    neither builds nor is installed."""
+    does not build."""
     out = [("python", _sweep_py)]
     if _compiled() is not None:
         out.insert(0, ("compiled", _compiled()))

@@ -1,3 +1,4 @@
+import importlib.machinery
 import os
 import random
 import shutil
@@ -62,6 +63,31 @@ def test_edited_source_gets_a_new_cache_entry(compiled, tmp_path):
     assert Path(second.__file__) != first
     assert sorted(cache.iterdir()) == sorted([first, Path(second.__file__)])
     assert second.sweep_range(5, 0, 1024, 6.0) == _sweep_py.sweep_range(5, 0, 1024, 6.0)
+
+
+def test_cached_file_that_will_not_load_is_compiled_again(compiled, tmp_path):
+    name = Path(kernels.build(kernels.SOURCE, tmp_path / "first").__file__).name
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / name).write_bytes(b"not a shared object")
+    module = kernels.build(kernels.SOURCE, cache)
+    assert Path(module.__file__) == cache / name
+    assert module.sweep_range(5, 0, 1024, 6.0) == _sweep_py.sweep_range(5, 0, 1024, 6.0)
+    assert sorted(cache.iterdir()) == [cache / name]
+
+
+def test_an_extension_beside_a_source_that_fails_to_build_is_not_loaded(compiled, tmp_path):
+    # a working kernel module in the package, as an in-place setup.py build
+    # left it, next to an edited source that no longer compiles: the import
+    # must not load the stale module
+    package = tmp_path / "src" / "chordspec"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    stale = Path(kernels.build(kernels.SOURCE, tmp_path / "stale").__file__)
+    shutil.copy(stale, package / f"_sweep{importlib.machinery.EXTENSION_SUFFIXES[0]}")
+    (package / "_sweep.c").write_text("#error edited into a broken source\n")
+    proc = _python("from chordspec import kernels; print(kernels.IS_COMPILED)",
+                   pythonpath=tmp_path / "src")
+    assert (proc.communicate(timeout=300), proc.returncode) == (("False\n", ""), 0)
 
 
 def test_concurrent_builds_into_one_empty_cache_both_load(compiled, tmp_path):
