@@ -1,9 +1,11 @@
 """Exact integer-coefficient polynomials with Sturm-chain real-root isolation.
 
 Coefficients are arbitrary-precision Python ints, stored ascending by degree.
-Sturm chains are built with rational remainders; evaluating them is integer
-work: the sign of q(a/b), b > 0, is the sign of the integer
-sum c_i * a^i * b^(deg q - i). With zero signs skipped, the Sturm count
+Sturm chains, gcds and squarefree parts are all integer work: remainders come
+from one pseudo-division that scales by |leading coefficient| and so keeps
+the sign of the rational remainder, followed by division by the content (the
+primitive remainder sequence). The sign of q(a/b), b > 0, is the sign of the
+integer sum c_i * a^i * b^(deg q - i). With zero signs skipped, the Sturm count
 V(a) - V(b) of a squarefree p counts its roots in (a, b], also when a is a
 root. Bisection points that land on a root are moved off it, so isolating
 intervals have non-root ends.
@@ -12,6 +14,7 @@ intervals have non-root ends.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 LESS = -1
@@ -126,105 +129,63 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    @staticmethod
-    def monomial(degree: int, coeff: int = 1) -> "IntPolynomial":
-        return IntPolynomial([0] * degree + [coeff])
+
+# -- integer remainder sequences ------------------------------------------
 
 
-X = IntPolynomial.monomial(1)
+def _divide(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of c*a divided by b, for some integer c > 0.
 
-
-# -- rational-coefficient helpers (internal to the Sturm machinery) ---------
-
-
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b over the rationals (both nonempty, b nonzero)."""
+    Ascending integer coefficients, b nonzero; the remainder has degree below
+    deg b. Each step scales by |leading(b)|, so quotient and remainder are
+    positive multiples of the rational ones and keep their signs.
+    """
     r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and any(r):
+    scale = abs(b[-1])
+    quot = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        t = r[-1] if b[-1] > 0 else -r[-1]
+        quot = [scale * c for c in quot]
+        quot[k] = t
+        r = [scale * c for c in r]
+        for i, c in enumerate(b):
+            r[k + i] -= t * c
+        r.pop()
         while r and r[-1] == 0:
             r.pop()
-        if len(r) - 1 < db:
-            break
-        q = r[-1] / lb
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[shift + i] -= q * c
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+    return quot, r
 
 
-def _primitive(fr: Sequence[Fraction]) -> IntPolynomial:
-    """Clear denominators and content; keep the sign of the leading coefficient."""
-    if not fr:
-        return IntPolynomial([])
-    from math import gcd, lcm
-
-    den = 1
-    for c in fr:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in fr]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return IntPolynomial([c // g for c in ints])
+def _primitive(cs: Sequence[int]) -> IntPolynomial:
+    """cs divided by its content; the sign of the leading coefficient is kept."""
+    g = gcd(*cs)
+    return IntPolynomial([c // g for c in cs] if g else [])
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Primitive gcd with positive leading coefficient."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-    while b:
-        a, b = b, _frac_rem(a, b)
-    g = _primitive(a)
-    if not g.is_zero and g.leading < 0:
-        g = -g
-    return g
+    while not q.is_zero:
+        p, q = q, _primitive(_divide(p.coeffs, q.coeffs)[1])
+    g = _primitive(p.coeffs)
+    return -g if not g.is_zero and g.leading < 0 else g
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p with repeated roots collapsed to simple ones (primitive, leading > 0)."""
     if p.degree <= 0:
         raise ValueError("constant polynomial has no squarefree part")
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        q = p
-    else:
-        num = [Fraction(c) for c in p.coeffs]
-        den = [Fraction(c) for c in g.coeffs]
-        # exact division: compute quotient by synthetic long division
-        quot: list[Fraction] = [Fraction(0)] * (len(num) - len(den) + 1)
-        r = list(num)
-        while len(r) >= len(den) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(den):
-                break
-            k = len(r) - len(den)
-            c = r[-1] / den[-1]
-            quot[k] = c
-            for i, d in enumerate(den):
-                r[k + i] -= c * d
-            r.pop()
-        q = _primitive(quot)
-    if q.leading < 0:
-        q = -q
-    return q
+    q = _primitive(_divide(p.coeffs, poly_gcd(p, p.derivative()).coeffs)[0])
+    return -q if q.leading < 0 else q
 
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     chain = [p, p.derivative()]
-    a = [Fraction(c) for c in chain[0].coeffs]
-    b = [Fraction(c) for c in chain[1].coeffs]
-    while b:
-        r = _frac_rem(a, b)
+    while chain[-1].degree > 0:
+        r = _divide(chain[-2].coeffs, chain[-1].coeffs)[1]
         if not r:
             break
-        nxt = -_primitive(r)
-        chain.append(nxt)
-        a, b = b, [Fraction(c) for c in nxt.coeffs]
+        chain.append(-_primitive(r))
     return chain
 
 
@@ -265,11 +226,6 @@ def _variations_at(chain: Sequence[IntPolynomial], x: Fraction) -> int:
 
 def _variations_at_inf(chain: Sequence[IntPolynomial]) -> int:
     return _variations(0 if q.is_zero else q.leading for q in chain)
-
-
-def root_count_above(chain: Sequence[IntPolynomial], a: Fraction) -> int:
-    """Number of distinct real roots in (a, +inf); a may itself be a root."""
-    return _variations_at(chain, a) - _variations_at_inf(chain)
 
 
 def root_count_between(chain: Sequence[IntPolynomial], a: Fraction, b: Fraction) -> int:
@@ -401,4 +357,5 @@ def count_roots_in_interval(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
 
 def count_roots_above(p: IntPolynomial, a: Fraction) -> int:
     """Distinct real roots of p strictly greater than a; a may be a root."""
-    return root_count_above(sturm_chain(squarefree_part(p)), Fraction(a))
+    chain = sturm_chain(squarefree_part(p))
+    return _variations_at(chain, Fraction(a)) - _variations_at_inf(chain)

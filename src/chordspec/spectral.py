@@ -87,10 +87,6 @@ class QuotientMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
     equitable: bool
 
-    @property
-    def dim(self) -> int:
-        return len(self.blocks)
-
     def as_floats(self) -> np.ndarray:
         return np.array([[float(e) for e in row] for row in self.entries])
 

@@ -6,28 +6,21 @@ per cycle, with no shared code or reformulation from the searchers under
 test. The permutation-based enumerator cross-validates the DFS enumerator on
 tiny graphs so the faster one can be trusted at n = 7, 8.
 ``oracle_compare_largest_roots`` bisects in ``Fraction`` arithmetic with
-Horner evaluation at every point, sharing no evaluation or bisection code
-with the integer routine under test.
+Horner evaluation at every point, on Sturm chains, gcds and squarefree parts
+built by rational long division, sharing no remainder, evaluation or
+bisection code with the integer routines under test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 import numpy as np
 
 from chordspec.graphs import Graph
-from chordspec.polynomials import (
-    EQUAL,
-    GREATER,
-    LESS,
-    IntPolynomial,
-    poly_gcd,
-    root_bound,
-    squarefree_part,
-    sturm_chain,
-)
+from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
 
 
 def cycles_by_permutation(g: Graph):
@@ -146,6 +139,96 @@ def oracle_q(g: Graph) -> float:
     return float(np.linalg.eigvalsh(q)[-1])
 
 
+def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a by b over the rationals (both nonempty, b nonzero)."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) - 1 >= db and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < db:
+            break
+        q = r[-1] / lb
+        shift = len(r) - 1 - db
+        for i, c in enumerate(b):
+            r[shift + i] -= q * c
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _frac_primitive(fr) -> IntPolynomial:
+    """Clear denominators and content; keep the sign of the leading coefficient."""
+    if not fr:
+        return IntPolynomial([])
+    den = 1
+    for c in fr:
+        den = lcm(den, c.denominator)
+    ints = [int(c * den) for c in fr]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    return IntPolynomial([c // g for c in ints])
+
+
+def oracle_poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """Primitive gcd with positive leading coefficient, by rational Euclid."""
+    a = [Fraction(c) for c in p.coeffs]
+    b = [Fraction(c) for c in q.coeffs]
+    while b:
+        a, b = b, _frac_rem(a, b)
+    g = _frac_primitive(a)
+    if not g.is_zero and g.leading < 0:
+        g = -g
+    return g
+
+
+def oracle_squarefree_part(p: IntPolynomial) -> IntPolynomial:
+    """p / gcd(p, p') by rational long division, primitive with leading > 0;
+    p itself, up to sign, when the gcd is constant."""
+    if p.degree <= 0:
+        raise ValueError("constant polynomial has no squarefree part")
+    g = oracle_poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        q = p
+    else:
+        num = [Fraction(c) for c in p.coeffs]
+        den = [Fraction(c) for c in g.coeffs]
+        quot: list[Fraction] = [Fraction(0)] * (len(num) - len(den) + 1)
+        r = list(num)
+        while len(r) >= len(den) and any(r):
+            while r and r[-1] == 0:
+                r.pop()
+            if len(r) < len(den):
+                break
+            k = len(r) - len(den)
+            c = r[-1] / den[-1]
+            quot[k] = c
+            for i, d in enumerate(den):
+                r[k + i] -= c * d
+            r.pop()
+        q = _frac_primitive(quot)
+    if q.leading < 0:
+        q = -q
+    return q
+
+
+def oracle_sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """p, p', then the negated primitive parts of the rational remainders."""
+    chain = [p, p.derivative()]
+    a = [Fraction(c) for c in chain[0].coeffs]
+    b = [Fraction(c) for c in chain[1].coeffs]
+    while b:
+        r = _frac_rem(a, b)
+        if not r:
+            break
+        nxt = -_frac_primitive(r)
+        chain.append(nxt)
+        a, b = b, [Fraction(c) for c in nxt.coeffs]
+    return chain
+
+
 def _frac_variations(chain, x: Fraction) -> int:
     signs = [s for s in ((v > 0) - (v < 0) for v in (q(x) for q in chain)) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -179,7 +262,7 @@ def _frac_halve(p: IntPolynomial, chain, lo: Fraction, hi: Fraction):
 
 
 def _frac_isolate(p: IntPolynomial, width: Fraction):
-    chain = sturm_chain(p)
+    chain = oracle_sturm_chain(p)
     bound = root_bound(p)
     lo, hi = -bound, bound
     if _frac_count_between(chain, lo, hi) == 0:
@@ -192,10 +275,10 @@ def _frac_isolate(p: IntPolynomial, width: Fraction):
 def oracle_compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact ordering of the largest real roots of p and q, deciding
     equality through the common-root factor gcd(p*, q*)."""
-    sp, sq = squarefree_part(p), squarefree_part(q)
-    g = poly_gcd(sp, sq)
-    gchain = sturm_chain(g) if g.degree >= 1 else None
-    cp, cq = sturm_chain(sp), sturm_chain(sq)
+    sp, sq = oracle_squarefree_part(p), oracle_squarefree_part(q)
+    g = oracle_poly_gcd(sp, sq)
+    gchain = oracle_sturm_chain(g) if g.degree >= 1 else None
+    cp, cq = oracle_sturm_chain(sp), oracle_sturm_chain(sq)
     bp = _frac_isolate(sp, Fraction(1, 1024))
     bq = _frac_isolate(sq, Fraction(1, 1024))
     if bp is None or bq is None:

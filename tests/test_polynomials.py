@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chordspec.appendix import appendix_polynomial
 from chordspec.polynomials import (
     EQUAL,
     GREATER,
@@ -20,7 +22,12 @@ from chordspec.polynomials import (
     squarefree_part,
     sturm_chain,
 )
-from oracles import oracle_compare_largest_roots
+from oracles import (
+    oracle_compare_largest_roots,
+    oracle_poly_gcd,
+    oracle_squarefree_part,
+    oracle_sturm_chain,
+)
 
 
 def poly(*ascending):
@@ -59,6 +66,8 @@ def test_gcd_and_squarefree():
     assert sf == poly(2, -3, 1)  # (x-1)(x-2)
     g = poly_gcd(p, poly(-1, 1) * poly(-3, 1))
     assert g == poly(-1, 1)
+    assert squarefree_part(poly(-6, 2)) == poly(-3, 1)  # already squarefree
+    assert squarefree_part(poly(6, -2)) == poly(-3, 1)
 
 
 def test_root_counts():
@@ -167,6 +176,61 @@ def test_compare_agrees_with_fraction_oracle_on_random_polynomials():
         assert got == oracle_compare_largest_roots(p, q), (p, q)
         verdicts[got] += 1
     assert min(verdicts.values()) >= 30, verdicts
+
+
+def _primitive_part(p):
+    g = math.gcd(*p.coeffs)
+    return IntPolynomial([c // g for c in p.coeffs])
+
+
+def _random_integer_polynomial(rng):
+    """Non-monic products with repeated factors, leading coefficients of
+    either sign and often a zero constant term, or dense random coefficients."""
+    if rng.random() < 0.3:
+        return IntPolynomial([rng.randint(-50, 50) for _ in range(rng.randint(2, 9))])
+    p = poly(rng.choice((-3, -2, -1, 1, 2, 5)))
+    for _ in range(rng.randint(1, 4)):
+        f = _random_factor(rng)
+        p = p * f * f if rng.random() < 0.3 else p * f
+    if rng.random() < 0.3:
+        p = p * poly(0, rng.choice((-2, 1, 3)))  # zero constant term
+    return p
+
+
+def _assert_remainders_match_oracle(p, *gcd_partners):
+    assert sturm_chain(p) == oracle_sturm_chain(p), p
+    if p.degree >= 1:
+        assert squarefree_part(p) == _primitive_part(oracle_squarefree_part(p)), p
+    for q in gcd_partners:
+        assert poly_gcd(p, q) == oracle_poly_gcd(p, q), (p, q)
+
+
+def test_integer_remainders_match_fraction_oracle():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        p = _random_integer_polynomial(rng)
+        kind = rng.randrange(4)
+        if kind == 0:
+            q = p.derivative()
+        elif kind == 1:
+            q = _random_integer_polynomial(rng)
+        elif kind == 2:
+            q = _random_integer_polynomial(rng) * _random_factor(rng)
+            p = p * _random_factor(rng) * q  # a shared factor
+        else:
+            q = poly()
+        _assert_remainders_match_oracle(p, q)
+    # every closed form the appendix suite builds at orders 7..22: s = 3..n-2
+    # covers the fixtures and both ends of every fan-width chain pair
+    for n in range(7, 23):
+        threshold = appendix_polynomial("g", n)
+        for pid in ["g", "f"] + [f"g{i}" for i in range(1, 19)]:
+            for s in range(3, n - 1) if pid in ("g12", "g18") else [None]:
+                p = appendix_polynomial(pid, n, s)
+                partners = [threshold, p.derivative()]
+                if s is not None:
+                    partners.append(appendix_polynomial(pid, n, s + 4))
+                _assert_remainders_match_oracle(p, *partners)
 
 
 @given(
