@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled sweep kernels against the pure-Python fallback,
-and the exact largest-root comparison that decides near-ties.
+"""Benchmark the compiled sweep kernels (sweep, survivor classification,
+apex detector) against the pure-Python fallback, and the exact largest-root
+comparison that decides near-ties.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 
@@ -43,6 +44,23 @@ def bench_sweep(impls, n, lo, hi, floor):
             base = (cnt, surv)
         else:
             assert base == (cnt, surv), "implementations disagree"
+
+
+def bench_classify(impls, n, lo, hi, thr):
+    """classify on the sweep survivors of [lo, hi), as the theorem runs it."""
+    _, survivors = impls[0][1].sweep_range(n, lo, hi, thr - SWEEP_MARGIN)
+    print(f"classify n={n} survivors of [{lo}, {hi}): {len(survivors)}, "
+          f"cuts threshold +- {TIE_BAND}")
+    base = None
+    for label, impl in impls:
+        dt, out = time_call(impl.classify, n, survivors, thr - TIE_BAND, thr + TIE_BAND,
+                            ("apex_has_config", 3))
+        print(f"  {label:9s} {dt:8.2f}s  {len(survivors) / dt / 1e6:7.3f} Mgraph/s  "
+              f"hits={out[0]} rest={len(out[1])}")
+        if base is None:
+            base = out
+        else:
+            assert base == out, "implementations disagree"
 
 
 def bench_detector(impls, trials=20000, seed=7):
@@ -111,13 +129,15 @@ def main() -> None:
 
     impls = kernels.implementations()
     print("available kernels:", ", ".join(label for label, _ in impls))
-    floor6 = q_index(k1_join_k4_union_k1().graph).q - 1e-6
-    floor7 = q_index(k11n2_plus(7).graph).q - 1e-6
+    floor6 = q_index(k1_join_k4_union_k1().graph).q - SWEEP_MARGIN
+    thr7 = q_index(k11n2_plus(7).graph).q
+    floor7 = thr7 - SWEEP_MARGIN
 
     bench_sweep(impls, 6, 0, 1 << 15, floor6)
     bench_sweep(impls, 7, 0, 1 << 18, floor7)
     if args.full:
         bench_sweep(impls, 7, 0, 1 << 21, floor7)
+    bench_classify(impls, 7, 0, 1 << 18, thr7)
     bench_detector(impls)
 
     print("exact largest-root comparison (compare_largest_roots)")

@@ -1,28 +1,33 @@
 /* Compiled sweep kernels: exhaustive index sweeps over edge-bitmask graph
- * ranges plus boolean chord-configuration tests.
+ * ranges, the classification of their survivors against a tie band, and
+ * boolean chord-configuration tests.
  *
  * Same interface and the same soundness contract as the pure-Python twin in
  * _sweep_py.py: sweep_range may drop a mask only when the signless Laplacian
- * index is provably below q_floor. The upper bound used after the cheap
- * degree filters is Collatz-Wielandt on Q + I with a strictly positive
- * iterate: lambda_max(M) <= max_i (Mx)_i / x_i.
+ * index is provably below q_floor, and classify counts a mask as a hit only
+ * when its index is provably above hi_cut and drops it only when the index is
+ * provably below lo_cut. Both bounds come from one power iterate on Q + I
+ * with a strictly positive vector x: the Collatz-Wielandt ratio
+ * max_i (Mx)_i / x_i bounds the top eigenvalue from above, the Rayleigh
+ * quotient from below.
  *
  * A graph on n vertices is an edge bitmask: bit b is the pair (i, j), i < j,
  * in the order (0,1), (0,2), (1,2), (0,3), ... (graphs.index_pairs). Masks
  * fit 64 bits up to n = 11. Adjacency rows are vertex bitmasks.
  *
- * kernels.py compiles this file on first import; setup.py builds it as the
- * extension chordspec._sweep.
+ * kernels.py compiles this file on first import.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define MAXN 11 /* edge bitmasks fit 64 bits up to n = 11; sweeps use n <= 8 */
 #define MAXB 55 /* MAXN * (MAXN - 1) / 2 edge slots */
 #define CW_ITERATIONS 200
+#define CUT_MARGIN 1e-9 /* a bound must clear its cut by this much */
 
 static int popcount(uint64_t x) { return __builtin_popcountll(x); }
 
@@ -41,11 +46,12 @@ static void mask_adj(int n, uint64_t mask, uint64_t *adj)
             }
 }
 
-/* 1 if the index may reach q_floor (survivor), 0 if it is certainly below.
- * Iterates x <- (Q + I) x / |(Q + I) x| from the all-ones vector: the
- * Collatz-Wielandt ratio max_i y_i / x_i bounds the top eigenvalue of Q + I
- * from above, the Rayleigh quotient from below. */
-static int q_may_reach(int n, const uint64_t *adj, double q_floor)
+/* -1 if the index is certainly below lo_cut, +1 if it is certainly above
+ * hi_cut (lo_cut <= hi_cut), 0 if undecided after the cap. Iterates
+ * x <- (Q + I) x / |(Q + I) x| from the all-ones vector and stops once the
+ * Collatz-Wielandt upper bound or the Rayleigh lower bound clears its cut by
+ * CUT_MARGIN. */
+static int q_side(int n, const uint64_t *adj, double lo_cut, double hi_cut)
 {
     double x[MAXN], y[MAXN], diag[MAXN];
     for (int i = 0; i < n; i++) {
@@ -70,9 +76,9 @@ static int q_may_reach(int n, const uint64_t *adj, double q_floor)
             ray += x[i] * y[i];
             xx += x[i] * x[i];
         }
-        if (ub - 1.0 < q_floor - 1e-9)
-            return 0;
-        if (ray / xx - 1.0 >= q_floor)
+        if (ub - 1.0 < lo_cut - CUT_MARGIN)
+            return -1;
+        if (ray / xx - 1.0 > hi_cut + CUT_MARGIN)
             return 1;
         for (int i = 0; i < n; i++)
             norm2 += y[i] * y[i];
@@ -86,7 +92,7 @@ static int q_may_reach(int n, const uint64_t *adj, double q_floor)
                 x[i] = 1e-250;
         }
     }
-    return 1; /* undecided after the cap: keep it (conservative) */
+    return 0;
 }
 
 /* -- argument checks --------------------------------------------------------
@@ -207,7 +213,7 @@ static PyObject *sweep_range(PyObject *self, PyObject *const *args, Py_ssize_t n
         if (esum < q_floor)
             continue;
         mask_adj(n, mask, adj);
-        if (q_may_reach(n, adj, q_floor)) {
+        if (q_side(n, adj, q_floor, q_floor) >= 0) { /* may reach q_floor */
             PyObject *m = PyLong_FromUnsignedLongLong(mask);
             if (m == NULL || PyList_Append(survivors, m) < 0) {
                 Py_XDECREF(m);
@@ -243,19 +249,11 @@ static int apex_rec(const uint64_t *adj, uint64_t nu, int v, uint64_t visited,
     return 0;
 }
 
-static PyObject *apex_has_config(PyObject *self, PyObject *const *args,
-                                 Py_ssize_t nargs)
+/* Whether some cycle has k chords at a common vertex. */
+static int has_apex(int n, const uint64_t *adj, long k)
 {
-    int n;
-    uint64_t mask, adj[MAXN];
-    long k;
-    if (check_nargs("apex_has_config", nargs, 3) || parse_n(args[0], &n) ||
-        parse_bounded(args[1], mask_count(n) - 1, "mask", &mask) ||
-        parse_positive(args[2], "k", &k))
-        return NULL;
     if (k > n - 3)
-        Py_RETURN_FALSE;
-    mask_adj(n, mask, adj);
+        return 0;
     for (int u = 0; u < n; u++) {
         uint64_t nu = adj[u];
         if (popcount(nu) < k + 2)
@@ -263,10 +261,10 @@ static PyObject *apex_has_config(PyObject *self, PyObject *const *args,
         for (uint64_t cand = nu; cand; cand &= cand - 1) {
             uint64_t low = cand & (~cand + 1);
             if (apex_rec(adj, nu, lowest_bit(low), low | (uint64_t)1 << u, 0, k, 1))
-                Py_RETURN_TRUE;
+                return 1;
         }
     }
-    Py_RETURN_FALSE;
+    return 0;
 }
 
 /* Cycles rooted at their least vertex `root`, entered at `second` and
@@ -292,23 +290,118 @@ static int cycle_rec(const uint64_t *adj, int root, int second, int v,
     return 0;
 }
 
-static PyObject *chorded_has(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* Whether some cycle carries at least min_chords chords. */
+static int has_chorded(int n, const uint64_t *adj, long min_chords)
 {
-    int n;
-    uint64_t mask, adj[MAXN];
-    long min_chords;
-    if (check_nargs("chorded_has", nargs, 3) || parse_n(args[0], &n) ||
-        parse_bounded(args[1], mask_count(n) - 1, "mask", &mask) ||
-        parse_positive(args[2], "min_chords", &min_chords))
-        return NULL;
-    mask_adj(n, mask, adj);
     uint64_t full = ((uint64_t)1 << n) - 1;
     for (int root = 0; root < n; root++) {
         uint64_t allowed = full & ~(((uint64_t)1 << (root + 1)) - 1);
         if (cycle_rec(adj, root, -1, root, (uint64_t)1 << root, 1, allowed, min_chords))
-            Py_RETURN_TRUE;
+            return 1;
     }
-    Py_RETURN_FALSE;
+    return 0;
+}
+
+typedef int (*detector)(int n, const uint64_t *adj, long k);
+
+/* detector(n, mask, k) for one mask, as a Python bool. */
+static PyObject *detect(const char *name, const char *what, detector test,
+                        PyObject *const *args, Py_ssize_t nargs)
+{
+    int n;
+    uint64_t mask, adj[MAXN];
+    long k;
+    if (check_nargs(name, nargs, 3) || parse_n(args[0], &n) ||
+        parse_bounded(args[1], mask_count(n) - 1, "mask", &mask) ||
+        parse_positive(args[2], what, &k))
+        return NULL;
+    mask_adj(n, mask, adj);
+    return PyBool_FromLong(test(n, adj, k));
+}
+
+static PyObject *apex_has_config(PyObject *self, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    return detect("apex_has_config", "k", has_apex, args, nargs);
+}
+
+static PyObject *chorded_has(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    return detect("chorded_has", "min_chords", has_chorded, args, nargs);
+}
+
+/* The corollary's test: three chords at one vertex are three chords on one
+ * cycle, and the apex search is the faster of the two. */
+static int has_chorded_or_apex(int n, const uint64_t *adj, long min_chords)
+{
+    return (min_chords <= 3 && has_apex(n, adj, 3)) || has_chorded(n, adj, min_chords);
+}
+
+/* -- survivor classification ----------------------------------------------- */
+
+static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n;
+    const char *name;
+    PyObject *karg;
+    long k;
+    detector test;
+    if (check_nargs("classify", nargs, 5) || parse_n(args[0], &n))
+        return NULL;
+    double lo_cut = PyFloat_AsDouble(args[2]);
+    if (lo_cut == -1.0 && PyErr_Occurred())
+        return NULL;
+    double hi_cut = PyFloat_AsDouble(args[3]);
+    if (hi_cut == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (!(lo_cut <= hi_cut))
+        return PyErr_Format(PyExc_ValueError, "need lo_cut <= hi_cut, got %R > %R",
+                            args[2], args[3]);
+    if (!PyTuple_Check(args[4]))
+        return PyErr_Format(PyExc_TypeError, "test must be a (name, k) tuple, got %R",
+                            args[4]);
+    if (!PyArg_ParseTuple(args[4], "sO:classify", &name, &karg) ||
+        parse_positive(karg, "k", &k))
+        return NULL;
+    if (strcmp(name, "apex_has_config") == 0)
+        test = has_apex;
+    else if (strcmp(name, "chorded_has") == 0)
+        test = has_chorded_or_apex;
+    else
+        return PyErr_Format(PyExc_ValueError, "no kernel test %R", args[4]);
+
+    PyObject *seq = PySequence_Fast(args[1], "masks must be a sequence");
+    if (seq == NULL)
+        return NULL;
+    PyObject *rest = PyList_New(0);
+    if (rest == NULL) {
+        Py_DECREF(seq);
+        return NULL;
+    }
+    long long hits = 0;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    for (Py_ssize_t t = 0; t < count; t++) {
+        uint64_t mask, adj[MAXN];
+        if (parse_bounded(items[t], mask_count(n) - 1, "mask", &mask))
+            goto fail;
+        mask_adj(n, mask, adj);
+        int side = q_side(n, adj, lo_cut, hi_cut);
+        if (side < 0)
+            continue;
+        if (side > 0 && test(n, adj, k)) {
+            hits++;
+            continue;
+        }
+        if (PyList_Append(rest, items[t]) < 0)
+            goto fail;
+    }
+    Py_DECREF(seq);
+    return Py_BuildValue("(LN)", hits, rest);
+fail:
+    Py_DECREF(seq);
+    Py_DECREF(rest);
+    return NULL;
 }
 
 /* -- module ---------------------------------------------------------------- */
@@ -323,6 +416,9 @@ static PyMethodDef methods[] = {
     {"chorded_has", (PyCFunction)(void (*)(void))chorded_has, METH_FASTCALL,
      "chorded_has(n, mask, min_chords) -> bool\n\n"
      "Whether some cycle carries at least min_chords chords (mask graph)."},
+    {"classify", (PyCFunction)(void (*)(void))classify, METH_FASTCALL,
+     "classify(n, masks, lo_cut, hi_cut, test) -> (hits, rest)\n\n"
+     "Sort masks by index against two cuts; see _sweep_py.classify."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,14 +1,16 @@
 """Pure-Python implementation of the sweep kernels.
 
-Mirrors the compiled extension's interface. The exhaustive q-sweep is
-vectorized with numpy over blocks of edge bitmasks; the per-graph detectors
-defer to the reference searcher in chords.py.
+Mirrors the compiled extension's interface. The exhaustive q-sweep and the
+survivor classification are vectorized with numpy over blocks of edge
+bitmasks; the per-graph detectors defer to the reference searcher in
+chords.py.
 
 Soundness contract of sweep_range: a mask may only be dropped when its
 signless Laplacian index is provably below q_floor. Cheap degree bounds
 (q <= 2*maxdeg and q <= max over edges of d(u)+d(v)) go first; the remainder
 is decided by one batched dense eigenvalue computation per block of masks,
-with comfortable float margin.
+with comfortable float margin. classify takes its index from the same
+batched computation and decides only when it clears a cut by CUT_MARGIN.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .graphs import graph_from_mask, index_pairs
 IS_COMPILED = False
 
 MAXN = 11  # edge bitmasks fit 64 bits up to n = 11, as in the compiled kernel
+CUT_MARGIN = 1e-9  # classify decides only when the index clears a cut by this
 _BLOCK = 1 << 14
 
 
@@ -37,6 +40,32 @@ def _check_mask(n: int, mask: int) -> None:
         raise ValueError(f"mask {mask} outside [0, {total - 1}]")
 
 
+class _Layout:
+    """Edge slots of order n as numpy index arrays."""
+
+    def __init__(self, n: int):
+        pairs = index_pairs(n)
+        self.n = n
+        self.nbits = len(pairs)
+        self.incident = np.zeros((self.nbits, n), dtype=np.int64)
+        for b, (i, j) in enumerate(pairs):
+            self.incident[b, i] = self.incident[b, j] = 1
+        self.iarr = np.array([i for i, _ in pairs], dtype=np.intp)
+        self.jarr = np.array([j for _, j in pairs], dtype=np.intp)
+
+    def bits_and_degrees(self, masks: np.ndarray):
+        bits = (masks[:, None] >> np.arange(self.nbits)) & 1  # (block, nbits)
+        return bits, bits @ self.incident  # (block, n) degrees
+
+    def top_eigenvalues(self, bits: np.ndarray, deg: np.ndarray) -> np.ndarray:
+        """Largest eigenvalue of each Q = A + D, one batched solve."""
+        n, diag = self.n, np.arange(self.n)
+        q = np.zeros((len(bits), n, n))
+        q[:, self.iarr, self.jarr] = q[:, self.jarr, self.iarr] = bits
+        q[:, diag, diag] = deg
+        return np.linalg.eigvalsh(q)[:, -1]
+
+
 def sweep_range(n: int, lo: int, hi: int, q_floor: float):
     """Scan edge bitmasks in [lo, hi), 0 <= lo <= hi <= 2^C(n,2).
 
@@ -46,36 +75,62 @@ def sweep_range(n: int, lo: int, hi: int, q_floor: float):
     total = _mask_count(n)
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"range [{lo}, {hi}) outside [0, {total}]")
-    pairs = index_pairs(n)
-    nbits = len(pairs)
-    incident = np.zeros((n, nbits), dtype=bool)
-    for b, (i, j) in enumerate(pairs):
-        incident[i, b] = incident[j, b] = True
-    iarr = np.array([i for i, _ in pairs])
-    jarr = np.array([j for _, j in pairs])
-
+    layout = _Layout(n)
     no_isolated = 0
     survivors: list[int] = []
-    diag = np.arange(n)
     for start in range(lo, hi, _BLOCK):
-        stop = min(start + _BLOCK, hi)
-        masks = np.arange(start, stop, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(nbits)) & 1  # (block, nbits)
-        deg = bits @ incident.T.astype(np.int64)  # (block, n)
+        masks = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
+        bits, deg = layout.bits_and_degrees(masks)
         ok = deg.min(axis=1) >= 1
         no_isolated += int(ok.sum())
         cand = ok & (2 * deg.max(axis=1) >= q_floor)
         if cand.any():
             # max over present edges of d(i)+d(j); absent edges contribute 0
-            cand &= ((deg[:, iarr] + deg[:, jarr]) * bits).max(axis=1) >= q_floor
+            esum = (deg[:, layout.iarr] + deg[:, layout.jarr]) * bits
+            cand &= esum.max(axis=1) >= q_floor
         if cand.any():
-            # stacked Q = A + D of the remaining candidates, one batched solve
-            q = np.zeros((int(cand.sum()), n, n))
-            q[:, iarr, jarr] = q[:, jarr, iarr] = bits[cand]
-            q[:, diag, diag] = deg[cand]
-            top = np.linalg.eigvalsh(q)[:, -1]
+            top = layout.top_eigenvalues(bits[cand], deg[cand])
             survivors.extend(masks[cand][top >= q_floor].tolist())
     return no_isolated, survivors
+
+
+def classify(n: int, masks, lo_cut: float, hi_cut: float, test):
+    """Sort masks by their index against lo_cut <= hi_cut.
+
+    test is (name, k) naming a detector of this module, "apex_has_config" or
+    "chorded_has". Returns (hits, rest): hits counts the masks whose index is
+    above hi_cut + CUT_MARGIN and whose graph passes test; masks with an
+    index below lo_cut - CUT_MARGIN are dropped; rest lists every other mask
+    in input order.
+    """
+    _mask_count(n)
+    if not lo_cut <= hi_cut:
+        raise ValueError(f"need lo_cut <= hi_cut, got {lo_cut!r} > {hi_cut!r}")
+    if not isinstance(test, tuple):
+        raise TypeError(f"test must be a (name, k) tuple, got {test!r}")
+    name, k = test
+    if name not in ("apex_has_config", "chorded_has"):
+        raise ValueError(f"no kernel test {test!r}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    masks = list(masks)
+    for mask in masks:
+        _check_mask(n, mask)
+    detector = apex_has_config if name == "apex_has_config" else _has_chords
+    layout = _Layout(n)
+    hits = 0
+    rest: list[int] = []
+    for start in range(0, len(masks), _BLOCK):
+        block = masks[start:start + _BLOCK]
+        top = layout.top_eigenvalues(*layout.bits_and_degrees(np.array(block, dtype=np.int64)))
+        for mask, q in zip(block, top.tolist()):
+            if q < lo_cut - CUT_MARGIN:
+                continue
+            if q > hi_cut + CUT_MARGIN and detector(n, mask, k):
+                hits += 1
+            else:
+                rest.append(mask)
+    return hits, rest
 
 
 def apex_has_config(n: int, mask: int, k: int) -> bool:
@@ -88,3 +143,9 @@ def chorded_has(n: int, mask: int, min_chords: int) -> bool:
     """Whether some cycle carries at least min_chords chords."""
     _check_mask(n, mask)
     return chords.find_chorded_cycle(graph_from_mask(n, mask), min_chords) is not None
+
+
+def _has_chords(n: int, mask: int, min_chords: int) -> bool:
+    # three chords at one vertex are three chords on one cycle, and the apex
+    # search is the faster of the two
+    return (min_chords <= 3 and apex_has_config(n, mask, 3)) or chorded_has(n, mask, min_chords)

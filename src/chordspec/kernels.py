@@ -5,9 +5,10 @@ On first import the C source ``_sweep.c`` is compiled with the interpreter's
 own compiler command into ``build/kernel/`` at the repository root. The file
 name carries a hash of the source, so an edited source never loads a stale
 build; later imports load the cached file, and a cached file that will not
-load is compiled again. This is the only way the compiled kernel is built:
-without a compiler, or when the build fails, the twin runs and nothing is
-raised. Set CHORDSPEC_NO_EXT=1 to force the twin.
+load is compiled again. A fresh build removes the builds of other sources.
+This is the only way the compiled kernel is built: without a compiler, or
+when the build fails, the twin runs and nothing is raised. Set
+CHORDSPEC_NO_EXT=1 to force the twin.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def build(source: Path = SOURCE, cache: Path = CACHE):
         # while hashlib maps OpenSSL, about 3.5 MB of RSS in every process
         code = source.read_bytes()
         key = f"{zlib.crc32(code):08x}{zlib.adler32(code):08x}"
-        so = cache / f"_sweep-{key}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        so = cache / f"_sweep-{key}{suffix}"
         if so.exists():
             with contextlib.suppress(ImportError):
                 return _load(so)
@@ -75,7 +77,14 @@ def build(source: Path = SOURCE, cache: Path = CACHE):
             os.replace(tmp, so)
         finally:
             tmp.unlink(missing_ok=True)
-        return _load(so)
+        module = _load(so)
+        # remove the builds of other sources; temporary files of running
+        # builds end in .tmp and are left alone
+        with contextlib.suppress(OSError):
+            for old in cache.glob(f"_sweep-*{suffix}"):
+                if old != so:
+                    old.unlink()
+        return module
     except (OSError, ImportError):
         return None
 
@@ -87,6 +96,7 @@ IS_COMPILED: bool = _impl.IS_COMPILED
 sweep_range = _impl.sweep_range
 apex_has_config = _impl.apex_has_config
 chorded_has = _impl.chorded_has
+classify = _impl.classify
 
 
 def implementations():

@@ -282,6 +282,16 @@ class _Bracket:
             self.lo, self.hi, self.vhi = lo, x, vx
         self.den = den
 
+    def reaches(self, num: int, den: int) -> bool:
+        """Whether chain[0] has a root at or above num/den, a point inside
+        the bracket (den > 0); when it has none, num/den becomes hi."""
+        values = _values_at(self.chain, num, den)
+        vx = _variations(values)
+        if not values[0] or vx > self.vhi:
+            return True
+        self.lo, self.hi, self.den, self.vhi = self.lo * den, num * self.den, self.den * den, vx
+        return False
+
     def shrink(self, width: Fraction) -> None:
         """Halve until exactly one root is inside and hi - lo <= width."""
         w_num, w_den = width.numerator, width.denominator
@@ -325,15 +335,24 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     bq = _bracket_largest_root(q)
     g = poly_gcd(bp.chain[0], bq.chain[0])
     gchain = sturm_chain(g) if g.degree >= 1 else None
-    bp.shrink(Fraction(1, 1024))
-    bq.shrink(Fraction(1, 1024))
+    # every root lies below its polynomial's root bound, the upper end of the
+    # first bracket: a root of the other polynomial at or above the smaller
+    # bound decides, and otherwise that bound caps its bracket too
+    if bp.hi * bq.den < bq.hi * bp.den:
+        if bq.reaches(bp.hi, bp.den):
+            return LESS
+    elif bq.hi * bp.den < bp.hi * bq.den:
+        if bp.reaches(bq.hi, bq.den):
+            return GREATER
     while True:
-        # endpoints compare by cross-multiplying the positive denominators
+        # each bracket holds its largest root and no root above it, so
+        # disjoint brackets decide; endpoints compare by cross-multiplying
+        # the positive denominators
         if bp.hi * bq.den <= bq.lo * bp.den:
             return LESS
         if bq.hi * bp.den <= bp.lo * bq.den:
             return GREATER
-        if gchain is not None:
+        if gchain is not None and bp.roots() == 1 and bq.roots() == 1:
             # the intervals overlap in (lo, hi); its ends are non-roots of p*
             # resp. q*, and every root of g is a root of both, so they are not
             # roots of g

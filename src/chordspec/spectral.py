@@ -10,6 +10,7 @@ Sturm-chain root isolation, used to resolve orderings that floats cannot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -171,8 +172,14 @@ def charpoly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+@functools.lru_cache(maxsize=8)
 def charpoly_graph(g: Graph) -> IntPolynomial:
-    """Exact characteristic polynomial of Q(G)."""
+    """Exact characteristic polynomial of Q(G).
+
+    Memoised on the graph (graphs and polynomials are immutable), so a run
+    that compares every tie with one threshold graph builds its polynomial
+    once.
+    """
     Q = signless_laplacian(g)
     return charpoly_int_matrix(Q.tolist())
 

@@ -1,10 +1,15 @@
 """Exhaustive and randomized verification runs with machine-readable reports.
 
 The exhaustive tasks enumerate every labeled graph on n vertices as an edge
-bitmask (ascending order), push the range through the sweep kernel (which may
-only discard a graph when its index is provably below the threshold), and
-classify the survivors precisely: float eigenvalues away from the threshold,
-exact characteristic-polynomial comparison inside a 1e-8 band.
+bitmask (ascending order) and push it, chunk by chunk, through the sweep
+kernel, which may only discard a graph when its index is provably below the
+threshold. The kernel then classifies the survivors: it counts a graph whose
+index is provably above the 1e-8 tie band around the threshold and that
+passes the task's chord test, and drops one provably below the band. Only
+the masks left over reach Python, which decides them as before: float
+eigenvalues away from the threshold, exact characteristic-polynomial
+comparison inside the band, the reference searchers when the kernel's test
+finds nothing.
 
 The randomized suites are seeded and stratified over edge probabilities
 {0.2, 0.4, 0.6, 0.8}; identical (task, params, seed) inputs produce identical
@@ -56,7 +61,7 @@ from .graphs import (
     make_graph,
     mask_from_graph,
 )
-from .polynomials import EQUAL, LESS, compare_largest_roots
+from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
 from .spectral import (
     charpoly_int_matrix,
     eta,
@@ -169,29 +174,47 @@ def enumerate_graphs(
         yield g
 
 
-def _sweep_parallel(n: int, floor: float, jobs: int):
-    nbits = n * (n - 1) // 2
-    total = 1 << nbits
+CHUNK = 1 << 20  # masks per sweep chunk; bounds the survivors one chunk holds
+
+
+def _classify_chunk(args):
+    """Sweep one mask range and classify its survivors in the kernel:
+    (graphs without isolated vertices, hits, masks left for the Python
+    rules)."""
+    n, lo, hi, thr, test = args
+    no_isolated, survivors = kernels.sweep_range(n, lo, hi, thr - SWEEP_MARGIN)
+    hits, rest = kernels.classify(n, survivors, thr - TIE_BAND, thr + TIE_BAND, test)
+    return no_isolated, hits, rest
+
+
+def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
+    """Every mask of order n through _classify_chunk, in chunks of at most
+    CHUNK masks (at least jobs * 4 chunks, over a process pool, when
+    jobs > 1): (graphs without isolated vertices, hits, the ascending masks
+    left for the Python rules)."""
+    total = 1 << n * (n - 1) // 2
+    step = CHUNK if jobs <= 1 else min(CHUNK, -(-total // (jobs * 4)))
+    chunks = [(n, lo, min(lo + step, total), thr, test) for lo in range(0, total, step)]
     if jobs <= 1:
-        return kernels.sweep_range(n, 0, total, floor)
-    from concurrent.futures import ProcessPoolExecutor
+        results = [_classify_chunk(chunk) for chunk in chunks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
 
-    chunks = max(jobs * 4, 1)
-    step = (total + chunks - 1) // chunks
-    ranges = [(n, lo, min(lo + step, total), floor) for lo in range(0, total, step)]
-    no_isolated = 0
-    survivors: list[int] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for cnt, surv in pool.map(_sweep_chunk, ranges):
-            no_isolated += cnt
-            survivors.extend(surv)
-    survivors.sort()
-    return no_isolated, survivors
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_classify_chunk, chunks))
+    rest = [mask for _, _, left in results for mask in left]
+    return sum(r[0] for r in results), sum(r[1] for r in results), rest
 
 
-def _sweep_chunk(args):
-    n, lo, hi, floor = args
-    return kernels.sweep_range(n, lo, hi, floor)
+def _versus_threshold(g: Graph, ext: Graph, thr: float, exact: bool) -> int:
+    """q(g) against thr: LESS or GREATER by floats outside the tie band;
+    inside it the exact order against q(ext) when exact, else EQUAL."""
+    qv = q_index(g).q
+    if qv < thr - TIE_BAND:
+        return LESS
+    if qv > thr + TIE_BAND:
+        return GREATER
+    return q_exact_compare(g, ext) if exact else EQUAL
 
 
 def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
@@ -246,20 +269,17 @@ def verify_theorem_main(
     ext = extremal_graph(n)
     thr = q_index(ext.graph).q + threshold_offset
     exact_ties = threshold_offset == 0.0
-    no_isolated, survivors = _sweep_parallel(n, thr - SWEEP_MARGIN, jobs)
+    # the kernel counts the graphs clearly above the threshold that carry the
+    # configuration; the tie band and the rest get the rules below
+    no_isolated, configured, rest = _sweep_classified(n, thr, ("apex_has_config", 3), jobs)
 
-    configured = 0
     extremal_hits = 0
     kernel_mismatches = 0
     counterexamples: list[str] = []
-    for mask in survivors:
+    for mask in rest:
         g = graph_from_mask(n, mask)
-        qv = q_index(g).q
-        if qv < thr - TIE_BAND:
+        if _versus_threshold(g, ext.graph, thr, exact_ties) == LESS:
             continue
-        if abs(qv - thr) <= TIE_BAND and exact_ties:
-            if q_exact_compare(g, ext.graph) == LESS:
-                continue
         if kernels.apex_has_config(n, mask, 3):
             configured += 1
             continue
@@ -274,6 +294,7 @@ def verify_theorem_main(
         else:
             counterexamples.append(graph6_encode(g))
 
+    orbit = math.factorial(n) // automorphism_count(ext.graph)
     details = [
         {"name": "threshold", "passed": True, "q_threshold": round(thr, 9)},
         {
@@ -288,10 +309,9 @@ def verify_theorem_main(
         },
         {
             "name": "extremal_orbit_count",
-            "passed": extremal_hits
-            == math.factorial(n) // automorphism_count(ext.graph),
+            "passed": extremal_hits == orbit,
             "hits": extremal_hits,
-            "expected_orbit": math.factorial(n) // automorphism_count(ext.graph),
+            "expected_orbit": orbit,
         },
         _prefilter_spot_check(n, thr),
     ]
@@ -315,26 +335,23 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
     t0 = time.perf_counter()
     ext = extremal_graph(n)
     thr = q_index(ext.graph).q
-    no_isolated, survivors = _sweep_parallel(n, thr - SWEEP_MARGIN, jobs)
+    # the kernel counts the graphs clearly above the threshold with a chorded
+    # cycle; the tie band and the rest get the rules below
+    no_isolated, chorded, rest = _sweep_classified(n, thr, ("chorded_has", min_chords), jobs)
 
-    chorded = 0
     extremal_hits = 0
     counterexamples: list[str] = []
-    for mask in survivors:
+    for mask in rest:
         g = graph_from_mask(n, mask)
-        qv = q_index(g).q
-        if qv < thr - TIE_BAND:
+        order = _versus_threshold(g, ext.graph, thr, True)
+        if order == LESS:
             continue
-        if abs(qv - thr) <= TIE_BAND:
-            order = q_exact_compare(g, ext.graph)
-            if order == LESS:
-                continue
-            if order == EQUAL:
-                # at the threshold the bound q <= q(extremal) already holds;
-                # the extremal graph itself is the stated exception
-                if is_isomorphic(g, ext.graph):
-                    extremal_hits += 1
-                continue
+        if order == EQUAL:
+            # at the threshold the bound q <= q(extremal) already holds;
+            # the extremal graph itself is the stated exception
+            if is_isomorphic(g, ext.graph):
+                extremal_hits += 1
+            continue
         # strictly above the threshold: a chorded cycle must exist
         if min_chords <= 3 and kernels.apex_has_config(n, mask, 3):
             chorded += 1  # three chords at one vertex are three chords

@@ -10,7 +10,9 @@ import pytest
 
 from chordspec import _sweep_py, kernels
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
+from chordspec.families import extremal_graph
 from chordspec.graphs import graph_from_mask
+from chordspec.verifier import TIE_BAND
 from oracles import oracle_q
 
 IMPLEMENTATIONS = kernels.implementations()
@@ -61,7 +63,8 @@ def test_edited_source_gets_a_new_cache_entry(compiled, tmp_path):
     source.write_text(source.read_text() + "\n/* edited */\n")
     second = kernels.build(source, cache)
     assert Path(second.__file__) != first
-    assert sorted(cache.iterdir()) == sorted([first, Path(second.__file__)])
+    # the build of the edited source replaces the old one
+    assert list(cache.iterdir()) == [Path(second.__file__)]
     assert second.sweep_range(5, 0, 1024, 6.0) == _sweep_py.sweep_range(5, 0, 1024, 6.0)
 
 
@@ -197,3 +200,90 @@ def test_kernel_guards(impl):
     assert impl.apex_has_config(6, (1 << 15) - 1, 3)
     assert impl.chorded_has(5, (1 << 10) - 1, 3)
     assert not impl.chorded_has(1, 0, 1)
+
+
+# (lo_cut, hi_cut) per order. Equal cuts at an exact index put its graphs on
+# a tie: q(C4) = 4, q(K_{1,4}) = 5, q(K4) = 6 and q(K2 join 2K2) = 8 are
+# integers, and order 6 also uses the theorem's threshold with and without
+# the verifier's tie band.
+THR6 = oracle_q(extremal_graph(6).graph)
+CUTS = {
+    4: [(4.0, 4.0), (6.0, 6.0), (3.5, 5.0)],
+    5: [(5.0, 5.0), (4.0, 6.0), (6.0, 6.0)],
+    6: [(THR6, THR6), (THR6 - TIE_BAND, THR6 + TIE_BAND), (8.0, 8.0)],
+}
+TESTS = [("apex_has_config", 3), ("chorded_has", 3), ("chorded_has", 2)]
+SEARCHERS = {"apex_has_config": find_k_chords_at_apex, "chorded_has": find_chorded_cycle}
+
+
+def _classify_masks(impl, n, lo_cut):
+    # every mask at orders 4 and 5; at order 6 the sweep survivors a little
+    # below the lower cut, which is what the verifier classifies
+    total = 1 << n * (n - 1) // 2
+    if n < 6:
+        return list(range(total))
+    return impl.sweep_range(n, 0, total, lo_cut - 1e-6)[1]
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_classify_is_sound_against_the_oracle(impl, n):
+    for lo_cut, hi_cut in CUTS[n]:
+        masks = _classify_masks(impl, n, lo_cut)
+        graphs = [graph_from_mask(n, mask) for mask in masks]
+        indices = [oracle_q(g) for g in graphs]
+        for name, k in TESTS:
+            hits, rest = impl.classify(n, masks, lo_cut, hi_cut, (name, k))
+            kept = set(rest)
+            assert rest == [m for m in masks if m in kept]  # input order
+            found = 0
+            for mask, g, q in zip(masks, graphs, indices):
+                if any(abs(q - cut) < 1e-12 for cut in (lo_cut, hi_cut)):
+                    # a tie with a cut is never decided by floats
+                    assert mask in kept, (mask, q)
+                alone = impl.classify(n, [mask], lo_cut, hi_cut, (name, k))
+                if alone == (1, []):
+                    found += 1
+                    assert q > hi_cut and SEARCHERS[name](g, k) is not None, mask
+                elif alone == (0, []):
+                    assert q < lo_cut, (mask, q)
+                else:
+                    assert alone == (0, [mask]) and mask in kept
+            assert found == hits, (lo_cut, hi_cut, name, k)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_classify_implementations_agree(compiled, n):
+    for lo_cut, hi_cut in CUTS[n]:
+        masks = _classify_masks(_sweep_py, n, lo_cut)
+        for test in TESTS:
+            assert (compiled.classify(n, masks, lo_cut, hi_cut, test)
+                    == _sweep_py.classify(n, masks, lo_cut, hi_cut, test))
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_classify_guards(impl):
+    good = ("apex_has_config", 3)
+    for n, masks in ((0, []), (12, []), (5, [-1]), (5, [1 << 10]), (5, [3, 1 << 20])):
+        with pytest.raises(ValueError):
+            impl.classify(n, masks, 5.0, 5.0, good)
+    with pytest.raises(ValueError):
+        impl.classify(5, [1023], 6.0, 5.0, good)  # lo_cut above hi_cut
+    for test in (("q_index", 3), ("apex_has_config", 0), ("chorded_has", -1)):
+        with pytest.raises(ValueError):
+            impl.classify(5, [1023], 5.0, 5.0, test)
+    with pytest.raises(TypeError):
+        impl.classify(5, [1023], 5.0, 5.0, "apex_has_config")
+    # K6 (q = 10) has three chords at a vertex: a hit above the cuts, a drop
+    # below them and left over on a tie; an empty input is empty
+    k6 = (1 << 15) - 1
+    assert impl.classify(6, [k6], 5.0, 6.0, good) == (1, [])
+    assert impl.classify(6, [k6], 11.0, 11.0, good) == (0, [])
+    assert impl.classify(6, [k6], 10.0, 10.0, good) == (0, [k6])
+    assert impl.classify(5, [], 5.0, 5.0, good) == (0, [])

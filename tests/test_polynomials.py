@@ -12,6 +12,7 @@ from chordspec.polynomials import (
     GREATER,
     LESS,
     IntPolynomial,
+    _Bracket,
     _values_at,
     compare_largest_roots,
     count_roots_above,
@@ -128,6 +129,23 @@ def test_compare_close_irrational_roots():
     b = poly(-2 * 10**20 + 1, 0, 10**20)
     assert compare_largest_roots(b, a) == LESS
     assert compare_largest_roots(a, b) == GREATER
+
+
+def test_well_separated_roots_compare_without_halving(monkeypatch):
+    # a root of one polynomial at or above the other's root bound decides
+    # before any bisection
+    halvings = []
+    halve = _Bracket.halve
+    monkeypatch.setattr(_Bracket, "halve", lambda self: halvings.append(1) or halve(self))
+    one = poly(-1, 1)  # root 1, root bound 2
+    cubic = poly(-3, 1) * poly(1, 1) * poly(2, 1)  # largest root 3, root bound 8
+    for p, q in ((one, poly(-100, 1)), (one, poly(-2, 1)), (cubic, poly(-1000, 0, 1))):
+        assert compare_largest_roots(p, q) == LESS
+        assert compare_largest_roots(q, p) == GREATER
+    assert halvings == []
+    # otherwise the smaller bound caps the other bracket, and bisection decides
+    assert compare_largest_roots(one, poly(-2, 0, 1)) == LESS
+    assert halvings
 
 
 def test_compare_identical_polynomials_still_checks_input():
