@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
-apex detector) against the pure-Python fallback, and the exact largest-root
+apex detector) against the pure-Python fallback, the theorem's prefilter
+spot check, exact characteristic polynomials, and the exact largest-root
 comparison that decides near-ties.
 
 Usage: python benchmarks/bench_kernels.py [--full]
@@ -18,12 +19,17 @@ import time
 from collections import Counter
 
 from chordspec import kernels
-from chordspec.appendix import appendix_polynomial
+from chordspec.appendix import (
+    FIXTURES,
+    appendix_polynomial,
+    quotient_template,
+    threshold_quotient_template,
+)
 from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
 from chordspec.graphs import graph_from_mask
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
-from chordspec.spectral import charpoly_graph, q_index
-from chordspec.verifier import SWEEP_MARGIN, TIE_BAND
+from chordspec.spectral import charpoly_graph, charpoly_int_matrix, q_index, signless_laplacian
+from chordspec.verifier import SWEEP_MARGIN, TIE_BAND, _prefilter_spot_check
 
 
 def time_call(fn, *args):
@@ -83,6 +89,57 @@ def bench_detector(impls, trials=20000, seed=7):
             assert base == hits, "implementations disagree"
 
 
+def repeat_for(min_seconds, fn):
+    """Call fn until min_seconds have passed: (calls, seconds, last result)."""
+    calls = 0
+    t0 = time.perf_counter()
+    while True:
+        out = fn()
+        calls += 1
+        dt = time.perf_counter() - t0
+        if dt >= min_seconds:
+            return calls, dt, out
+
+
+def bench_spot_check(min_seconds=1.0):
+    """The theorem's prefilter spot check at order 7, where it draws 20,000
+    masks (1% of 2^21, capped at 20,000)."""
+    n, draws = 7, 20000
+    thr = q_index(extremal_graph(n).graph).q
+    calls, dt, out = repeat_for(min_seconds, lambda: _prefilter_spot_check(n, thr))
+    print(f"prefilter spot check n={n}: {draws} draws, {out['skipped_sampled']} "
+          f"skipped by the degree filters")
+    print(f"  {calls * draws / dt:9.0f} masks/s  ({calls} calls, {dt:.2f}s)")
+    assert out["passed"], out
+
+
+def appendix_templates(n_lo=7, n_hi=22):
+    """The integer quotient templates verify_appendix expands: the threshold
+    template and every fixture's template (each fan width s) per order."""
+    out = []
+    for n in range(n_lo, n_hi + 1):
+        out.append(threshold_quotient_template(n))
+        for fx in FIXTURES:
+            if n < fx.template_min_n:
+                continue
+            svals = [None]
+            if fx.takes_s:
+                svals = range(3, (n - 3 if fx.item == 12 else n - 2) + 1)
+            out.extend(quotient_template(fx.item, n, s) for s in svals)
+    return out
+
+
+def bench_charpoly(label, matrices, min_seconds=1.0):
+    """Whole passes of charpoly_int_matrix over the matrices for at least
+    min_seconds; returns the polynomials of one pass."""
+    calls, dt, polys = repeat_for(
+        min_seconds, lambda: [charpoly_int_matrix(m) for m in matrices])
+    orders = sorted({len(m) for m in matrices})
+    print(f"  {label}: {len(matrices)} matrices (orders {orders[0]}..{orders[-1]})")
+    print(f"  {calls * len(matrices) / dt:9.1f} matrices/s  ({calls} passes, {dt:.2f}s)")
+    return polys
+
+
 def appendix_pairs(n_lo=7, n_hi=22):
     """The fan-width chain pairs verify_appendix compares, g12 then g18."""
     return [
@@ -93,29 +150,26 @@ def appendix_pairs(n_lo=7, n_hi=22):
     ]
 
 
-def tie_pairs(n=6):
-    """(charpoly of a survivor, charpoly of the extremal graph) for every
-    sweep survivor whose float index lies within TIE_BAND of the threshold."""
-    ext = extremal_graph(n).graph
-    thr = q_index(ext).q
+def tie_graphs(n=6):
+    """Every sweep survivor of order n whose float index lies within
+    TIE_BAND of the threshold."""
+    thr = q_index(extremal_graph(n).graph).q
     _, survivors = kernels.sweep_range(n, 0, 1 << (n * (n - 1) // 2), thr - SWEEP_MARGIN)
     graphs = (graph_from_mask(n, mask) for mask in survivors)
-    ties = [g for g in graphs if abs(q_index(g).q - thr) <= TIE_BAND]
-    target = charpoly_graph(ext)
-    return [(charpoly_graph(g), target) for g in ties]
+    return [g for g in graphs if abs(q_index(g).q - thr) <= TIE_BAND]
+
+
+def tie_pairs(n=6):
+    """(charpoly of a tie graph, charpoly of the extremal graph) per tie."""
+    target = charpoly_graph(extremal_graph(n).graph)
+    return [(charpoly_graph(g), target) for g in tie_graphs(n)]
 
 
 def bench_exact(label, pairs, min_seconds=1.0):
     """Whole passes of compare_largest_roots over the pairs for at least
     min_seconds; returns the verdict counts of one pass."""
-    passes = 0
-    t0 = time.perf_counter()
-    while True:
-        verdicts = Counter(compare_largest_roots(a, b) for a, b in pairs)
-        passes += 1
-        dt = time.perf_counter() - t0
-        if dt >= min_seconds:
-            break
+    passes, dt, verdicts = repeat_for(
+        min_seconds, lambda: Counter(compare_largest_roots(a, b) for a, b in pairs))
     print(f"  {label:18s} {len(pairs):4d} pairs  {passes * len(pairs) / dt:9.1f} pairs/s"
           f"  ({passes} passes, {dt:.2f}s)")
     return verdicts
@@ -139,6 +193,16 @@ def main() -> None:
         bench_sweep(impls, 7, 0, 1 << 21, floor7)
     bench_classify(impls, 7, 0, 1 << 18, thr7)
     bench_detector(impls)
+    bench_spot_check()
+
+    print("exact characteristic polynomials (charpoly_int_matrix)")
+    templates = appendix_templates()
+    ties = [signless_laplacian(g).tolist() for g in tie_graphs(6)]
+    polys = bench_charpoly("appendix 7..22 + order-6 ties", templates + ties)
+    assert polys[0] == appendix_polynomial("g", 7), polys[0]
+    # the ties are the 30 labeled copies of the threshold graph
+    assert len(ties) == 30
+    assert set(polys[len(templates):]) == {charpoly_graph(extremal_graph(6).graph)}
 
     print("exact largest-root comparison (compare_largest_roots)")
     pairs = appendix_pairs()

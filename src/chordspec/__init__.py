@@ -37,7 +37,6 @@ from .spectral import (
 )
 from .verifier import (
     Report,
-    enumerate_graphs,
     property_suite,
     verify_appendix,
     verify_corollary,
@@ -66,7 +65,6 @@ __all__ = [
     "charpoly_graph",
     "disjoint_union",
     "edge_counts",
-    "enumerate_graphs",
     "eta",
     "extremal_graph",
     "find_chorded_cycle",

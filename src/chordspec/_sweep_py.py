@@ -11,6 +11,8 @@ signless Laplacian index is provably below q_floor. Cheap degree bounds
 is decided by one batched dense eigenvalue computation per block of masks,
 with comfortable float margin. classify takes its index from the same
 batched computation and decides only when it clears a cut by CUT_MARGIN.
+The mask arithmetic (bits, degrees, stacked Q, batched eigvalsh) is
+``spectral.MaskBatch``, shared with the verifier's prefilter spot check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import chords
-from .graphs import graph_from_mask, index_pairs
+from .graphs import graph_from_mask
+from .spectral import MaskBatch
 
 IS_COMPILED = False
 
@@ -40,32 +43,6 @@ def _check_mask(n: int, mask: int) -> None:
         raise ValueError(f"mask {mask} outside [0, {total - 1}]")
 
 
-class _Layout:
-    """Edge slots of order n as numpy index arrays."""
-
-    def __init__(self, n: int):
-        pairs = index_pairs(n)
-        self.n = n
-        self.nbits = len(pairs)
-        self.incident = np.zeros((self.nbits, n), dtype=np.int64)
-        for b, (i, j) in enumerate(pairs):
-            self.incident[b, i] = self.incident[b, j] = 1
-        self.iarr = np.array([i for i, _ in pairs], dtype=np.intp)
-        self.jarr = np.array([j for _, j in pairs], dtype=np.intp)
-
-    def bits_and_degrees(self, masks: np.ndarray):
-        bits = (masks[:, None] >> np.arange(self.nbits)) & 1  # (block, nbits)
-        return bits, bits @ self.incident  # (block, n) degrees
-
-    def top_eigenvalues(self, bits: np.ndarray, deg: np.ndarray) -> np.ndarray:
-        """Largest eigenvalue of each Q = A + D, one batched solve."""
-        n, diag = self.n, np.arange(self.n)
-        q = np.zeros((len(bits), n, n))
-        q[:, self.iarr, self.jarr] = q[:, self.jarr, self.iarr] = bits
-        q[:, diag, diag] = deg
-        return np.linalg.eigvalsh(q)[:, -1]
-
-
 def sweep_range(n: int, lo: int, hi: int, q_floor: float):
     """Scan edge bitmasks in [lo, hi), 0 <= lo <= hi <= 2^C(n,2).
 
@@ -75,22 +52,19 @@ def sweep_range(n: int, lo: int, hi: int, q_floor: float):
     total = _mask_count(n)
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"range [{lo}, {hi}) outside [0, {total}]")
-    layout = _Layout(n)
     no_isolated = 0
     survivors: list[int] = []
     for start in range(lo, hi, _BLOCK):
-        masks = np.arange(start, min(start + _BLOCK, hi), dtype=np.int64)
-        bits, deg = layout.bits_and_degrees(masks)
+        batch = MaskBatch.of(n, np.arange(start, min(start + _BLOCK, hi), dtype=np.int64))
+        deg = batch.degrees
         ok = deg.min(axis=1) >= 1
         no_isolated += int(ok.sum())
         cand = ok & (2 * deg.max(axis=1) >= q_floor)
         if cand.any():
-            # max over present edges of d(i)+d(j); absent edges contribute 0
-            esum = (deg[:, layout.iarr] + deg[:, layout.jarr]) * bits
-            cand &= esum.max(axis=1) >= q_floor
+            cand &= batch.max_edge_degree_sums() >= q_floor
         if cand.any():
-            top = layout.top_eigenvalues(bits[cand], deg[cand])
-            survivors.extend(masks[cand][top >= q_floor].tolist())
+            kept = batch[cand]
+            survivors.extend(kept.masks[kept.top_eigenvalues() >= q_floor].tolist())
     return no_isolated, survivors
 
 
@@ -117,12 +91,11 @@ def classify(n: int, masks, lo_cut: float, hi_cut: float, test):
     for mask in masks:
         _check_mask(n, mask)
     detector = apex_has_config if name == "apex_has_config" else _has_chords
-    layout = _Layout(n)
     hits = 0
     rest: list[int] = []
     for start in range(0, len(masks), _BLOCK):
         block = masks[start:start + _BLOCK]
-        top = layout.top_eigenvalues(*layout.bits_and_degrees(np.array(block, dtype=np.int64)))
+        top = MaskBatch.of(n, block).top_eigenvalues()
         for mask, q in zip(block, top.tolist()):
             if q < lo_cut - CUT_MARGIN:
                 continue

@@ -3,9 +3,13 @@ eta bound, partition quotient matrices, and exact characteristic polynomials.
 
 Numeric route: one dense symmetric eigensolve (numpy ``eigh``) per connected
 component; the Perron vector is the absolute value of the top eigenvector,
-which is simple on a connected component. Exact route: integer
-characteristic polynomials via the Faddeev-LeVerrier recurrence and
-Sturm-chain root isolation, used to resolve orderings that floats cannot.
+which is simple on a connected component. ``MaskBatch`` is the batched form
+for many labeled graphs of one order given as edge bitmasks: degrees, the
+edge-degree-sum bound, stacked Q and one batched ``eigvalsh``, as numpy
+arrays; the python sweep kernel and the verifier's prefilter spot check both
+use it. Exact route: integer characteristic polynomials via the
+Faddeev-LeVerrier recurrence and Sturm-chain root isolation, used to resolve
+orderings that floats cannot.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, index_pairs
 from .polynomials import (
     EQUAL,
     GREATER,
@@ -65,6 +69,67 @@ def q_index(g: Graph) -> SpectralResult:
     full = np.zeros(g.n)
     full[list(best_comp)] = best_x
     return SpectralResult(q=best_q, vector=tuple(full.tolist()), residual=residual)
+
+
+@functools.cache
+def _edge_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two end vertices of every edge slot of order n, as index arrays,
+    and the (slot, vertex) incidence matrix; read-only, as they are shared."""
+    pairs = index_pairs(n)
+    i = np.array([u for u, _ in pairs], dtype=np.intp)
+    j = np.array([v for _, v in pairs], dtype=np.intp)
+    slots = np.arange(len(pairs))
+    incident = np.zeros((len(pairs), n), dtype=np.int64)
+    incident[slots, i] = incident[slots, j] = 1
+    for a in (i, j, incident):
+        a.setflags(write=False)
+    return i, j, incident
+
+
+@dataclass(frozen=True)
+class MaskBatch:
+    """Labeled graphs of order n given by edge bitmasks, as numpy arrays.
+
+    Bit b of a mask is the edge ``index_pairs(n)[b]``, as in
+    ``graphs.graph_from_mask``. ``bits`` is (k, C(n,2)) and ``degrees`` is
+    (k, n), one row per mask; ``batch[keep]`` selects rows without
+    recomputing them.
+    """
+
+    n: int
+    masks: np.ndarray
+    bits: np.ndarray
+    degrees: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, masks) -> "MaskBatch":
+        masks = np.asarray(masks, dtype=np.int64)
+        i, _, incident = _edge_slots(n)
+        bits = (masks[:, None] >> np.arange(len(i))) & 1
+        return cls(n, masks, bits, bits @ incident)
+
+    def __getitem__(self, keep) -> "MaskBatch":
+        return MaskBatch(self.n, self.masks[keep], self.bits[keep], self.degrees[keep])
+
+    def max_edge_degree_sums(self) -> np.ndarray:
+        """Max over the edges uv of d(u) + d(v), an upper bound on q; 0 for
+        an edgeless graph."""
+        i, j, _ = _edge_slots(self.n)
+        sums = (self.degrees[:, i] + self.degrees[:, j]) * self.bits
+        return sums.max(axis=1, initial=0)
+
+    def signless_laplacians(self) -> np.ndarray:
+        """The stacked Q = A + D, (k, n, n) integers."""
+        i, j, _ = _edge_slots(self.n)
+        diag = np.arange(self.n)
+        q = np.zeros((len(self.masks), self.n, self.n), dtype=np.int64)
+        q[:, i, j] = q[:, j, i] = self.bits
+        q[:, diag, diag] = self.degrees
+        return q
+
+    def top_eigenvalues(self) -> np.ndarray:
+        """The index q of every graph, from one batched ``eigvalsh``."""
+        return np.linalg.eigvalsh(self.signless_laplacians())[:, -1]
 
 
 def eta(g: Graph, v: int) -> Fraction:
@@ -147,27 +212,26 @@ def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> QuotientMatrix
 def charpoly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     """det(xI - A) for an integer matrix, by Faddeev-LeVerrier.
 
-    All arithmetic is arbitrary-precision; the trace divisions are exact by
-    the recurrence's integrality (asserted).
+    All arithmetic is arbitrary-precision: the matrix products are numpy
+    dot products over ``dtype=object`` arrays of Python ints. The trace
+    divisions are exact by the recurrence's integrality (asserted).
     """
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise ValueError("matrix is not square")
-    A = [[int(c) for c in r] for r in rows]
+    A = np.array([[int(c) for c in r] for r in rows], dtype=object).reshape(m, m)
+    diag = np.arange(m)
     coeffs = [0] * (m + 1)
     coeffs[m] = 1
-    M = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    M = np.zeros((m, m), dtype=object)
+    M[diag, diag] = 1
     for k in range(1, m + 1):
-        AM = [
-            [sum(A[i][t] * M[t][j] for t in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-        tr = sum(AM[i][i] for i in range(m))
+        AM = A.dot(M)
+        tr = AM.trace()
         assert tr % k == 0, "Faddeev-LeVerrier trace must divide exactly"
         c = -(tr // k)
         coeffs[m - k] = c
-        for i in range(m):
-            AM[i][i] += c
+        AM[diag, diag] += c
         M = AM
     return IntPolynomial(coeffs)
 
@@ -198,6 +262,7 @@ __all__ = [
     "EQUAL",
     "GREATER",
     "LESS",
+    "MaskBatch",
     "QuotientMatrix",
     "SpectralResult",
     "charpoly_graph",

@@ -9,18 +9,24 @@ tiny graphs so the faster one can be trusted at n = 7, 8.
 Horner evaluation at every point, on Sturm chains, gcds and squarefree parts
 built by rational long division, sharing no remainder, evaluation or
 bisection code with the integer routines under test.
+``oracle_prefilter_spot_check`` and ``oracle_charpoly_int_matrix`` are the
+earlier per-graph and nested-list forms of the verifier's spot check and of
+``spectral.charpoly_int_matrix``, kept as references for the batched ones.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
 
 import numpy as np
 
-from chordspec.graphs import Graph
+from chordspec.graphs import Graph, graph_from_mask, index_pairs
 from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
+from chordspec.spectral import q_index
 
 
 def cycles_by_permutation(g: Graph):
@@ -295,3 +301,63 @@ def oracle_compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
                 return EQUAL
         ap, hp = _frac_halve(sp, cp, ap, hp)
         aq, hq = _frac_halve(sq, cq, aq, hq)
+
+
+def oracle_charpoly_int_matrix(rows) -> IntPolynomial:
+    """det(xI - A) by Faddeev-LeVerrier over nested lists of Python ints."""
+    m = len(rows)
+    if any(len(r) != m for r in rows):
+        raise ValueError("matrix is not square")
+    A = [[int(c) for c in r] for r in rows]
+    coeffs = [0] * (m + 1)
+    coeffs[m] = 1
+    M = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for k in range(1, m + 1):
+        AM = [
+            [sum(A[i][t] * M[t][j] for t in range(m)) for j in range(m)]
+            for i in range(m)
+        ]
+        tr = sum(AM[i][i] for i in range(m))
+        assert tr % k == 0, "Faddeev-LeVerrier trace must divide exactly"
+        c = -(tr // k)
+        coeffs[m - k] = c
+        for i in range(m):
+            AM[i][i] += c
+        M = AM
+    return IntPolynomial(coeffs)
+
+
+def oracle_prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
+    """The verifier's prefilter spot check one drawn graph at a time: same
+    draws, same skip rules, ``q_index`` per skipped graph."""
+    nbits = n * (n - 1) // 2
+    total = 1 << nbits
+    rng = random.Random(seed)
+    sample = min(max(total // 100, 100), 20000)
+    pairs = index_pairs(n)
+    checked = 0
+    worst = -math.inf
+    ok = True
+    for _ in range(sample):
+        mask = rng.randrange(total)
+        g = graph_from_mask(n, mask)
+        degs = g.degrees()
+        if min(degs) == 0:
+            continue
+        skipped = 2 * max(degs) < thr
+        if not skipped:
+            esum = max(degs[i] + degs[j] for b, (i, j) in enumerate(pairs) if mask >> b & 1)
+            skipped = esum < thr
+        if not skipped:
+            continue
+        checked += 1
+        qv = q_index(g).q
+        worst = max(worst, qv)
+        if qv >= thr:
+            ok = False
+    return {
+        "name": "prefilter_spot_check",
+        "passed": ok,
+        "skipped_sampled": checked,
+        "max_q_among_skipped": None if checked == 0 else round(worst, 9),
+    }

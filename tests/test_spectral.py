@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chordspec.appendix import FIXTURES, quotient_template, threshold_quotient_template
 from chordspec.families import (
     complete,
     complete_multipartite,
@@ -14,7 +15,7 @@ from chordspec.families import (
     path,
     star,
 )
-from chordspec.graphs import disjoint_union, join, make_graph
+from chordspec.graphs import disjoint_union, graph_from_mask, join, make_graph
 from chordspec.polynomials import (
     EQUAL,
     GREATER,
@@ -24,6 +25,7 @@ from chordspec.polynomials import (
     squarefree_part,
     )
 from chordspec.spectral import (
+    MaskBatch,
     charpoly_graph,
     charpoly_int_matrix,
     eta,
@@ -33,7 +35,7 @@ from chordspec.spectral import (
     quotient_matrix,
     signless_laplacian,
 )
-from oracles import oracle_q
+from oracles import oracle_charpoly_int_matrix, oracle_q
 
 
 def random_graph(rng, n, p=0.5):
@@ -138,6 +140,31 @@ def test_charpoly_examples():
     assert str(b.charpoly()) == "x^3 - 13x^2 + 40x - 24"
 
 
+def test_charpoly_int_matrix_matches_nested_list_oracle():
+    rng = random.Random(4242)
+    for _ in range(500):
+        m = rng.randint(1, 10)
+        bound = rng.choice((1, 9, 10**6, 10**12))
+        rows = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(m)]
+        assert charpoly_int_matrix(rows) == oracle_charpoly_int_matrix(rows)
+    templates = []
+    for n in range(7, 23):
+        templates.append(threshold_quotient_template(n))
+        for fx in FIXTURES:
+            if n < fx.template_min_n:
+                continue
+            svals = [None]
+            if fx.takes_s:
+                svals = range(3, (n - 3 if fx.item == 12 else n - 2) + 1)
+            templates.extend(quotient_template(fx.item, n, s) for s in svals)
+    for rows in templates:
+        assert charpoly_int_matrix(rows) == oracle_charpoly_int_matrix(rows)
+    assert charpoly_int_matrix([]) == oracle_charpoly_int_matrix([])
+    for bad in ([[1, 2]], [[1, 2], [3]], [[1], [2]]):
+        with pytest.raises(ValueError):
+            charpoly_int_matrix(bad)
+
+
 def test_charpoly_matches_numpy_roots():
     rng = random.Random(23)
     for _ in range(30):
@@ -186,3 +213,40 @@ def test_eta_bounds_q_on_random_graphs():
         assert q_index(g).q <= float(max_eta(g)) + 1e-10
     for g in (cycle(8), complete(6), complete_multipartite(2, 5)):
         assert q_index(g).q == pytest.approx(float(max_eta(g)), abs=1e-9)
+
+
+def test_mask_batch_matches_per_graph_routines():
+    """MaskBatch against graph_from_mask, signless_laplacian and q_index:
+    every mask at orders 1..5, and 2,000 seeded masks at orders 6, 7 and 8
+    drawn at edge densities 0.15, 0.5 and 0.85."""
+    rng = random.Random(606)
+    cases = [(n, range(1 << n * (n - 1) // 2)) for n in range(1, 6)]
+    for n in (6, 7, 8):
+        nbits = n * (n - 1) // 2
+        masks = []
+        for _ in range(2000):
+            p = rng.choice((0.15, 0.5, 0.85))
+            masks.append(sum(1 << b for b in range(nbits) if rng.random() < p))
+        cases.append((n, masks))
+    isolated = disconnected = 0
+    for n, masks in cases:
+        batch = MaskBatch.of(n, masks)
+        assert batch.masks.tolist() == list(masks)
+        esums = batch.max_edge_degree_sums()
+        stacked = batch.signless_laplacians()
+        top = batch.top_eigenvalues()
+        for r, mask in enumerate(masks):
+            g = graph_from_mask(n, mask)
+            degs = g.degrees()
+            isolated += min(degs) == 0
+            disconnected += not g.is_connected()
+            assert tuple(batch.degrees[r].tolist()) == degs
+            assert esums[r] == max((degs[u] + degs[v] for u, v in g.edges()), default=0)
+            assert np.array_equal(stacked[r], signless_laplacian(g))
+            assert abs(top[r] - q_index(g).q) <= 1e-12
+        keep = np.arange(len(masks)) % 3 == 1
+        part = batch[keep]
+        assert part.masks.tolist() == batch.masks[keep].tolist()
+        assert np.array_equal(part.bits, batch.bits[keep])
+        assert np.array_equal(part.degrees, batch.degrees[keep])
+    assert isolated > 1000 and disconnected > 1000

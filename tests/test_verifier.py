@@ -1,20 +1,22 @@
 import pytest
 
-from chordspec.families import complete, cycle, double_star, star, star_plus
+from chordspec.families import complete, cycle, double_star, extremal_graph, star, star_plus
 from chordspec.graphs import (
     disjoint_union,
     graph6_decode,
+    graph_from_mask,
     join,
     make_graph,
     mask_from_graph,
 )
+from chordspec.spectral import q_index
 from chordspec.verifier import (
     DEFAULT_CLAIM_CAPS,
     Report,
     VerifierError,
+    _prefilter_spot_check,
     build_claim_probe,
     classify_component,
-    enumerate_graphs,
     property_suite,
     replay_counterexample,
     report_diff,
@@ -22,21 +24,41 @@ from chordspec.verifier import (
     verify_corollary,
     verify_theorem_main,
 )
+from oracles import oracle_prefilter_spot_check
+
+
+def labeled_graphs(n):
+    """Every labeled graph on n vertices, in ascending edge-bitmask order,
+    as the sweep enumerates them."""
+    return [graph_from_mask(n, m) for m in range(1 << n * (n - 1) // 2)]
 
 
 def test_enumerate_counts():
     for n in (1, 2, 3, 4, 5):
-        assert sum(1 for _ in enumerate_graphs(n)) == 1 << (n * (n - 1) // 2)
-    assert sum(1 for _ in enumerate_graphs(3, no_isolated=True)) == 4
-    assert sum(1 for _ in enumerate_graphs(4, min_edges=5)) == 7  # C(6,5) + C(6,6)
-    assert sum(1 for _ in enumerate_graphs(4, max_edges=1)) == 7
-    with pytest.raises(VerifierError):
-        next(enumerate_graphs(9))
+        graphs = labeled_graphs(n)
+        assert len(graphs) == 1 << (n * (n - 1) // 2)
+        assert len({frozenset(g.edges()) for g in graphs}) == len(graphs)
+    assert sum(1 for g in labeled_graphs(3) if g.min_degree >= 1) == 4
+    assert sum(1 for g in labeled_graphs(4) if g.edge_count >= 5) == 7  # C(6,5) + C(6,6)
+    assert sum(1 for g in labeled_graphs(4) if g.edge_count <= 1) == 7
 
 
 def test_enumerate_ascending_mask_order():
-    masks = [mask_from_graph(g) for g in enumerate_graphs(4)]
+    masks = [mask_from_graph(g) for g in labeled_graphs(4)]
     assert masks == sorted(masks) == list(range(64))
+
+
+THR6 = q_index(extremal_graph(6).graph).q
+THR7 = q_index(extremal_graph(7).graph).q
+
+
+# The paper's thresholds are irrational, so a strict cut and a non-strict one
+# skip the same graphs there; the integer cuts 7 and 8 tell them apart.
+@pytest.mark.parametrize("n, thr", [
+    (6, THR6), (6, THR6 - 0.5), (6, THR6 + 0.3), (7, THR7), (6, 7.0), (6, 8.0),
+], ids=["n6", "n6-0.5", "n6+0.3", "n7", "n6-cut7", "n6-cut8"])
+def test_prefilter_spot_check_matches_per_graph_oracle(n, thr):
+    assert _prefilter_spot_check(n, thr) == oracle_prefilter_spot_check(n, thr)
 
 
 def test_report_json_roundtrip_and_diff():
