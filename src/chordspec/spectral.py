@@ -86,7 +86,7 @@ def _edge_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, incident
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskBatch:
     """Labeled graphs of order n given by edge bitmasks, as numpy arrays.
 
