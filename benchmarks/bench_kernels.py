@@ -18,7 +18,7 @@ import random
 import time
 from collections import Counter
 
-from chordspec import kernels
+from chordspec import kernels, polynomials
 from chordspec.appendix import (
     FIXTURES,
     appendix_polynomial,
@@ -165,13 +165,41 @@ def tie_pairs(n=6):
     return [(charpoly_graph(g), target) for g in tie_graphs(n)]
 
 
+def count_calls(fn, names):
+    """Call fn once with the named chordspec.polynomials functions counted;
+    returns the call count per name."""
+    counts = dict.fromkeys(names, 0)
+    originals = {name: getattr(polynomials, name) for name in names}
+
+    def counted(name):
+        def call(*args):
+            counts[name] += 1
+            return originals[name](*args)
+        return call
+
+    for name in names:
+        setattr(polynomials, name, counted(name))
+    try:
+        fn()
+    finally:
+        for name, original in originals.items():
+            setattr(polynomials, name, original)
+    return counts
+
+
 def bench_exact(label, pairs, min_seconds=1.0):
     """Whole passes of compare_largest_roots over the pairs for at least
-    min_seconds; returns the verdict counts of one pass."""
+    min_seconds, and the Sturm chain evaluations (``_values_at``) and
+    pseudo-divisions (``_divide``) of one pass; returns the verdict counts of
+    one pass."""
     passes, dt, verdicts = repeat_for(
         min_seconds, lambda: Counter(compare_largest_roots(a, b) for a, b in pairs))
+    counts = count_calls(lambda: [compare_largest_roots(a, b) for a, b in pairs],
+                         ("_values_at", "_divide"))
     print(f"  {label:18s} {len(pairs):4d} pairs  {passes * len(pairs) / dt:9.1f} pairs/s"
-          f"  ({passes} passes, {dt:.2f}s)")
+          f"  ({passes} passes, {dt:.2f}s)  per pair: "
+          f"{counts['_values_at'] / len(pairs):.2f} chain evaluations, "
+          f"{counts['_divide'] / len(pairs):.2f} divisions")
     return verdicts
 
 

@@ -4,17 +4,24 @@ Coefficients are arbitrary-precision Python ints, stored ascending by degree.
 Sturm chains, gcds and squarefree parts are all integer work: remainders come
 from one pseudo-division that scales by |leading coefficient| and so keeps
 the sign of the rational remainder, followed by division by the content (the
-primitive remainder sequence). The sign of q(a/b), b > 0, is the sign of the
-integer sum c_i * a^i * b^(deg q - i). With zero signs skipped, the Sturm count
+primitive remainder sequence). The Sturm chain of a primitive p ends in
+gcd(p, p'), so one remainder sequence both tests p for repeated roots and,
+when the last element is constant, is the chain of p's squarefree part.
+
+The sign of q(a/b), b > 0, is the sign of the integer sum
+c_i * a^i * b^(deg q - i). With zero signs skipped, the Sturm count
 V(a) - V(b) of a squarefree p counts its roots in (a, b], also when a is a
-root. Bisection points that land on a root are moved off it, so isolating
-intervals have non-root ends.
+root. A bracket of the largest root is split at any rational point inside
+it: first just above and just below a float estimate of the root (Newton's
+method in plain floats, a hint that never decides anything), then at
+midpoints while the brackets still overlap. Split points that land on a root
+are moved off it, so isolating intervals have non-root ends.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Iterable, Sequence
 
 LESS = -1
@@ -163,20 +170,37 @@ def _primitive(cs: Sequence[int]) -> IntPolynomial:
     return IntPolynomial([c // g for c in cs] if g else [])
 
 
+def _normalised(cs: Sequence[int]) -> IntPolynomial:
+    """cs divided by its content, with a positive leading coefficient."""
+    q = _primitive(cs)
+    return -q if q.leading < 0 else q
+
+
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Primitive gcd with positive leading coefficient."""
     while not q.is_zero:
         p, q = q, _primitive(_divide(p.coeffs, q.coeffs)[1])
-    g = _primitive(p.coeffs)
-    return -g if not g.is_zero and g.leading < 0 else g
+    return _normalised(p.coeffs) if p.coeffs else p
+
+
+def _squarefree_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """Sturm chain of p's squarefree part, which is its first element.
+
+    The chain of the normalised p ends in gcd(p, p') up to a constant; when
+    that end is constant, p is squarefree and the chain is used as it is.
+    Otherwise p is divided by it and the quotient gets its own chain.
+    """
+    if p.degree <= 0:
+        raise ValueError("constant polynomial has no squarefree part")
+    chain = sturm_chain(_normalised(p.coeffs))
+    if chain[-1].degree > 0:
+        chain = sturm_chain(_normalised(_divide(chain[0].coeffs, chain[-1].coeffs)[0]))
+    return chain
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p with repeated roots collapsed to simple ones (primitive, leading > 0)."""
-    if p.degree <= 0:
-        raise ValueError("constant polynomial has no squarefree part")
-    q = _primitive(_divide(p.coeffs, poly_gcd(p, p.derivative()).coeffs)[0])
-    return -q if q.leading < 0 else q
+    return _squarefree_chain(p)[0]
 
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
@@ -244,13 +268,41 @@ def root_bound(p: IntPolynomial) -> Fraction:
     return Fraction(m, lead) + 1
 
 
+def _largest_root_estimate(p: IntPolynomial) -> float:
+    """A float guess at the largest real root of p.
+
+    Newton's method in plain floats from 2 max_k |c_(d-k) / c_d|^(1/k), at
+    least Fujiwara's bound on the roots, from which it descends to the
+    largest root of a real-rooted p. It is only a place to split a bracket,
+    so it may be wrong, and it never raises: coefficients or iterates beyond
+    the float range give nan or inf.
+    """
+    try:
+        cs = [float(c) for c in reversed(p.coeffs)]
+        x = 2 * max((abs(c / cs[0]) ** (1 / k) for k, c in enumerate(cs) if k), default=0.0)
+        for _ in range(100):
+            f = df = 0.0
+            for c in cs:
+                df = df * x + f
+                f = f * x + c
+            step = f / df
+            x -= step
+            if not abs(step) > 1e-12 * abs(x):
+                break
+        return x
+    except (OverflowError, ZeroDivisionError):
+        return float("nan")
+
+
 class _Bracket:
     """Open interval (lo/den, hi/den) around the largest real root of the
     squarefree chain[0], with the chain's sign variations vlo, vhi at its ends.
 
     Neither end is a root and no root lies above hi, so vlo - vhi counts the
     roots inside, and a split point with more variations than vhi has a root
-    above it. Each halving evaluates the chain once, at the split point.
+    above it. That holds at any split point, so a bracket is split wherever a
+    caller likes: at a float estimate of the root (``seed``), at the midpoint
+    (``halve``). Each split evaluates the chain once, at the split point.
     """
 
     __slots__ = ("chain", "lo", "hi", "den", "vlo", "vhi")
@@ -266,13 +318,19 @@ class _Bracket:
     def roots(self) -> int:
         return self.vlo - self.vhi
 
-    def halve(self) -> None:
-        x, lo, hi, den = self.lo + self.hi, 2 * self.lo, 2 * self.hi, 2 * self.den
+    def split(self, num: int, den: int) -> None:
+        """Keep the part above or below num/den (den > 0) that holds the
+        largest root; nothing happens when num/den is not inside."""
+        g = gcd(self.den, den)
+        x, up = num * (self.den // g), den // g
+        lo, hi, den = self.lo * up, self.hi * up, self.den * up
+        if not lo < x < hi:
+            return
         values = _values_at(self.chain, x, den)
         while not values[0]:
             # x is a root: halve the grid step and move x one step up. x stays
-            # at least one step below hi, and each try is a new point closer
-            # to the midpoint, so this ends
+            # at least one step below hi, and each try is a new point less
+            # than one first-grid step above the first one, so this ends
             x, lo, hi, den = 2 * x + 1, 2 * lo, 2 * hi, 2 * den
             values = _values_at(self.chain, x, den)
         vx = _variations(values)
@@ -281,6 +339,18 @@ class _Bracket:
         else:
             self.lo, self.hi, self.vhi = lo, x, vx
         self.den = den
+
+    def halve(self) -> None:
+        self.split(self.lo + self.hi, 2 * self.den)
+
+    def seed(self) -> None:
+        """Split just above, then just below a float estimate r of the root,
+        at r(1 + 1e-9) and r(1 - 1e-9). A good estimate leaves a bracket of
+        relative width 2e-9; a bad one costs at most these two evaluations."""
+        r = _largest_root_estimate(self.chain[0])
+        for x in sorted((r * (1 + 1e-9), r * (1 - 1e-9)), reverse=True):
+            if isfinite(x):
+                self.split(*x.as_integer_ratio())
 
     def reaches(self, num: int, den: int) -> bool:
         """Whether chain[0] has a root at or above num/den, a point inside
@@ -302,7 +372,7 @@ class _Bracket:
 def _bracket_largest_root(p: IntPolynomial) -> _Bracket:
     """Bracket of the largest root of p's squarefree part; ValueError when p
     is constant or has no real root."""
-    bracket = _Bracket(sturm_chain(squarefree_part(p)))
+    bracket = _Bracket(_squarefree_chain(p))
     if bracket.roots() == 0:
         raise ValueError("polynomial without real roots")
     return bracket
@@ -321,37 +391,54 @@ def isolate_largest_root(p: IntPolynomial, width: Fraction = Fraction(1, 10**12)
     return Fraction(bracket.lo, bracket.den), Fraction(bracket.hi, bracket.den)
 
 
+def _apart(bp: _Bracket, bq: _Bracket) -> int | None:
+    """LESS or GREATER when the brackets are disjoint, else None.
+
+    Each bracket holds its largest root and no root above it, so disjoint
+    brackets decide; endpoints compare by cross-multiplying the positive
+    denominators.
+    """
+    if bp.hi * bq.den <= bq.lo * bp.den:
+        return LESS
+    if bq.hi * bp.den <= bp.lo * bq.den:
+        return GREATER
+    return None
+
+
 def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact ordering of the largest real roots of p and q.
 
     Both must have at least one real root (true for characteristic polynomials
     of symmetric matrices); identical polynomials are EQUAL once p is checked.
-    Otherwise equality is decided through the common-root factor gcd(p*, q*),
-    so exact ties terminate.
+    Otherwise both brackets are first split around float estimates of their
+    roots, which decides any pair whose roots are well apart. Equality is
+    decided through the common-root factor gcd(p*, q*), computed only when
+    the seeded brackets overlap, so exact ties terminate.
     """
     bp = _bracket_largest_root(p)
     if p == q:
         return EQUAL
     bq = _bracket_largest_root(q)
-    g = poly_gcd(bp.chain[0], bq.chain[0])
-    gchain = sturm_chain(g) if g.degree >= 1 else None
-    # every root lies below its polynomial's root bound, the upper end of the
-    # first bracket: a root of the other polynomial at or above the smaller
-    # bound decides, and otherwise that bound caps its bracket too
+    bp.seed()
+    bq.seed()
+    verdict = _apart(bp, bq)
+    if verdict is not None:
+        return verdict
+    # every root lies below its bracket's upper end: a root of the other
+    # polynomial at or above the smaller upper end decides, and otherwise that
+    # end caps its bracket too
     if bp.hi * bq.den < bq.hi * bp.den:
         if bq.reaches(bp.hi, bp.den):
             return LESS
     elif bq.hi * bp.den < bp.hi * bq.den:
         if bp.reaches(bq.hi, bq.den):
             return GREATER
+    g = poly_gcd(bp.chain[0], bq.chain[0])
+    gchain = sturm_chain(g) if g.degree >= 1 else None
     while True:
-        # each bracket holds its largest root and no root above it, so
-        # disjoint brackets decide; endpoints compare by cross-multiplying
-        # the positive denominators
-        if bp.hi * bq.den <= bq.lo * bp.den:
-            return LESS
-        if bq.hi * bp.den <= bp.lo * bq.den:
-            return GREATER
+        verdict = _apart(bp, bq)
+        if verdict is not None:
+            return verdict
         if gchain is not None and bp.roots() == 1 and bq.roots() == 1:
             # the intervals overlap in (lo, hi); its ends are non-roots of p*
             # resp. q*, and every root of g is a root of both, so they are not
@@ -369,12 +456,12 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
 def count_roots_in_interval(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
     """Distinct real roots of p in the open interval (a, b); a and b may be
     roots."""
-    sp = squarefree_part(p)
+    chain = _squarefree_chain(p)
     b = Fraction(b)
-    return root_count_between(sturm_chain(sp), Fraction(a), b) - (sp(b) == 0)
+    return root_count_between(chain, Fraction(a), b) - (chain[0](b) == 0)
 
 
 def count_roots_above(p: IntPolynomial, a: Fraction) -> int:
     """Distinct real roots of p strictly greater than a; a may be a root."""
-    chain = sturm_chain(squarefree_part(p))
+    chain = _squarefree_chain(p)
     return _variations_at(chain, Fraction(a)) - _variations_at_inf(chain)

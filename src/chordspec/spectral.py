@@ -39,13 +39,18 @@ class SpectralResult:
 
 
 def signless_laplacian(g: Graph) -> np.ndarray:
-    """Q(G) = A(G) + D(G) as an integer array."""
+    """Q(G) = A(G) + D(G) as an integer array.
+
+    A comes from the adjacency bit rows: each row as little-endian bytes,
+    unpacked to bits in one numpy call (rows fit in 32 bytes up to
+    ``MAX_VERTICES = 256``).
+    """
     n = g.n
-    q = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for v in g.neighbors(u):
-            q[u, v] = 1
-        q[u, u] = g.degree(u)
+    width = (n + 7) // 8
+    rows = b"".join([g.adj_bits(u).to_bytes(width, "little") for u in range(n)])
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(n, width)
+    q = np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
+    q.flat[:: n + 1] = g.degrees()
     return q
 
 
@@ -178,7 +183,9 @@ def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> QuotientMatrix
     """Block-averaged Q(G) over a vertex partition, with an equitability flag.
 
     Equitable means every vertex of block i has the same Q row sum into block
-    j, for all i, j; in that case the quotient shares the index q(G).
+    j, for all i, j; in that case the quotient shares the index q(G). All
+    those row sums come from one integer product of Q with the 0/1
+    block-membership matrix.
     """
     tblocks = tuple(tuple(sorted(b)) for b in blocks)
     seen: set[int] = set()
@@ -191,19 +198,17 @@ def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> QuotientMatrix
     if count != g.n or seen != set(range(g.n)):
         raise GraphError("blocks do not partition the vertex set")
 
-    Q = signless_laplacian(g)
-    m = len(tblocks)
-    entries = []
-    equitable = True
-    for i in range(m):
-        row = []
-        for j in range(m):
-            sums = [int(Q[u, list(tblocks[j])].sum()) for u in tblocks[i]]
-            if any(s != sums[0] for s in sums):
-                equitable = False
-            row.append(Fraction(sum(sums), len(tblocks[i])))
-        entries.append(tuple(row))
-    return QuotientMatrix(blocks=tblocks, entries=tuple(entries), equitable=equitable)
+    member = np.zeros((g.n, len(tblocks)), dtype=np.int64)
+    for j, b in enumerate(tblocks):
+        member[b, j] = 1
+    into = signless_laplacian(g) @ member  # into[u, j]: row sum of u into block j
+    sums = member.T @ into
+    firsts = into[[b[0] for b in tblocks]]
+    equitable = bool((into == member @ firsts).all())
+    entries = tuple(
+        tuple(Fraction(c, len(b)) for c in row) for b, row in zip(tblocks, sums.tolist())
+    )
+    return QuotientMatrix(blocks=tblocks, entries=entries, equitable=equitable)
 
 
 # -- exact characteristic polynomials ---------------------------------------------

@@ -28,6 +28,7 @@ from fractions import Fraction
 from . import chords, kernels
 from .appendix import (
     FIXTURES,
+    Fixture,
     appendix_polynomial,
     fixture_orders,
     quotient_template,
@@ -383,12 +384,16 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     counterexamples: list[str] = []
     examined = 0
 
-    thr_cache: dict[int, float] = {}
+    # the threshold family's graph and index, once per order, and the index
+    # of each fixture graph, once per (item, n, s)
+    thr_graph = {n: k11n2_plus(n).graph for n in range(n_lo, n_hi + 1)}
+    thr = {n: q_index(g).q for n, g in thr_graph.items()}
+    fixture_q: dict[tuple[int, int, int | None], float] = {}
 
-    def thr(n: int) -> float:
-        if n not in thr_cache:
-            thr_cache[n] = q_index(k11n2_plus(n).graph).q
-        return thr_cache[n]
+    def fixture_index(fx: Fixture, n: int, s: int | None) -> float:
+        if (fx.item, n, s) not in fixture_q:
+            fixture_q[fx.item, n, s] = q_index(fx.build(n, s).graph).q
+        return fixture_q[fx.item, n, s]
 
     # (b) template/polynomial identities, for every integer order in range
     poly_checked = 0
@@ -432,18 +437,18 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
                 equit_bad.append((fx.item, n, s))
                 counterexamples.append(graph6_encode(g))
                 continue
-            if len(blocks) == len(quotient_template(fx.item, n, s)):
-                tmpl = quotient_template(fx.item, n, s)
+            tmpl = quotient_template(fx.item, n, s)
+            if len(blocks) == len(tmpl):
                 if [[int(e) for e in row] for row in qm.entries] != tmpl:
                     equit_bad.append((fx.item, n, s, "template-mismatch"))
             lam = qm.spectral_radius()
-            qv = q_index(g).q
+            qv = fixture_q[fx.item, n, s] = q_index(g).q
             if abs(lam - qv) > 1e-8:
                 lam_bad.append((fx.item, n, s, lam - qv))
             # strict index inequality against the threshold family
-            gap = thr(n) - qv
+            gap = thr[n] - qv
             if gap <= TIE_BAND:
-                if q_exact_compare(g, k11n2_plus(n).graph) != LESS:
+                if q_exact_compare(g, thr_graph[n]) != LESS:
                     ineq_bad.append((fx.item, n, s))
                     counterexamples.append(graph6_encode(g))
             elif gap < 0:
@@ -476,7 +481,6 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     # (d) threshold family lower bound, exact rational identity included
     bound_bad = []
     for n in range(n_lo, n_hi + 1):
-        bf = k11n2_plus(n)
         examined += 1
         pt = _threshold_bound_fraction(n)
         gpoly = appendix_polynomial("g", n)
@@ -490,12 +494,12 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
         if charpoly_int_matrix(tq) != gpoly:
             bound_bad.append((n, "template"))
         blocks = [[0, 1], [2, 3], list(range(4, n))]
-        qm = quotient_matrix(bf.graph, blocks)
+        qm = quotient_matrix(thr_graph[n], blocks)
         if not qm.equitable or [[int(e) for e in r] for r in qm.entries] != tq:
             bound_bad.append((n, "partition"))
-        if not q_index(bf.graph).q > float(pt):
+        if not thr[n] > float(pt):
             bound_bad.append((n, "bound"))
-        if abs(qm.spectral_radius() - q_index(bf.graph).q) > 1e-8:
+        if abs(qm.spectral_radius() - thr[n]) > 1e-8:
             bound_bad.append((n, "radius"))
     details.append(
         {
@@ -526,12 +530,11 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
                 continue
             for n, s in fixture_orders(fx, n_lo, n_hi):
                 try:
-                    g_lo = fx.build(n, s).graph
-                    g_hi = fx.build(n, s + 4).graph
+                    q_lo, q_hi = fixture_index(fx, n, s), fixture_index(fx, n, s + 4)
                 except GraphError:
                     continue
                 chain_checked += 1
-                if not q_index(g_lo).q < q_index(g_hi).q:
+                if not q_lo < q_hi:
                     chain_bad.append([n, s, "graphs"])
         details.append(
             {
@@ -842,7 +845,8 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
             if not g.is_connected():
                 continue
             u, v = rng.sample(range(g.n), 2)
-            vec = q_index(g).vector
+            index = q_index(g)
+            vec = index.vector
             if vec[u] < vec[v]:
                 u, v = v, u
             pool = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
@@ -857,7 +861,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         shifted = g.remove_edges((v, w) for w in moved).add_edges(
             (u, w) for w in moved
         )
-        if not _strictly_less(g, shifted, q_index(shifted).q - q_index(g).q):
+        if not _strictly_less(g, shifted, q_index(shifted).q - index.q):
             viol += 1
             counterexamples.append(graph6_encode(g))
     details.append(
@@ -880,11 +884,10 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         if not qm.equitable or abs(qm.spectral_radius() - q_index(built.graph).q) > 1e-8:
             bad.append(fx.item)
     for n in (7, 12, 19):
-        qm = quotient_matrix(
-            k11n2_plus(n).graph, [[0, 1], [2, 3], list(range(4, n))]
-        )
+        g = k11n2_plus(n).graph
+        qm = quotient_matrix(g, [[0, 1], [2, 3], list(range(4, n))])
         checked += 1
-        if not qm.equitable or abs(qm.spectral_radius() - q_index(k11n2_plus(n).graph).q) > 1e-8:
+        if not qm.equitable or abs(qm.spectral_radius() - q_index(g).q) > 1e-8:
             bad.append(("threshold", n))
     details.append(
         {"name": "equitable_quotient_fixtures", "passed": not bad,

@@ -11,7 +11,10 @@ built by rational long division, sharing no remainder, evaluation or
 bisection code with the integer routines under test.
 ``oracle_prefilter_spot_check`` and ``oracle_charpoly_int_matrix`` are the
 earlier per-graph and nested-list forms of the verifier's spot check and of
-``spectral.charpoly_int_matrix``, kept as references for the batched ones.
+``spectral.charpoly_int_matrix``, kept as references for the batched ones;
+``oracle_signless_laplacian`` and ``oracle_quotient_matrix`` are the earlier
+per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
+``spectral.quotient_matrix``.
 """
 
 from __future__ import annotations
@@ -143,6 +146,36 @@ def oracle_q(g: Graph) -> float:
         a[u, v] = a[v, u] = 1.0
     q = a + np.diag(a.sum(axis=1))
     return float(np.linalg.eigvalsh(q)[-1])
+
+
+def oracle_signless_laplacian(g: Graph) -> np.ndarray:
+    """Q(G) = A(G) + D(G), one neighbour at a time."""
+    n = g.n
+    q = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in g.neighbors(u):
+            q[u, v] = 1
+        q[u, u] = g.degree(u)
+    return q
+
+
+def oracle_quotient_matrix(g: Graph, blocks) -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
+    """(entries, equitable) of the block-averaged Q(G), one entry at a time:
+    entry (i, j) averages over block i the Q row sums into block j, and the
+    partition is equitable when those sums agree within every block."""
+    Q = oracle_signless_laplacian(g)
+    tblocks = [sorted(b) for b in blocks]
+    entries = []
+    equitable = True
+    for bi in tblocks:
+        row = []
+        for bj in tblocks:
+            sums = [int(Q[u, bj].sum()) for u in bi]
+            if any(s != sums[0] for s in sums):
+                equitable = False
+            row.append(Fraction(sum(sums), len(bi)))
+        entries.append(tuple(row))
+    return tuple(entries), equitable
 
 
 def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

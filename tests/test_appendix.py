@@ -11,7 +11,7 @@ from chordspec.appendix import (
     threshold_quotient_template,
 )
 from chordspec.families import k11n2_plus
-from chordspec.polynomials import LESS, IntPolynomial, compare_largest_roots
+from chordspec.polynomials import LESS, IntPolynomial, _Bracket, compare_largest_roots
 from chordspec.spectral import charpoly_int_matrix, q_index, quotient_matrix
 from oracles import oracle_compare_largest_roots
 
@@ -149,8 +149,12 @@ def test_threshold_quotient_of_actual_graph():
         assert abs(qm.spectral_radius() - q_index(g).q) < 1e-8
 
 
-def test_fan_width_chains_agree_with_fraction_oracle():
-    # every g12/g18 pair verify_appendix compares at orders 7..22
+def test_fan_width_chains_agree_with_fraction_oracle(monkeypatch):
+    # every g12/g18 pair verify_appendix compares at orders 7..22; the splits
+    # at the float estimates decide each of them without bisection
+    halvings = []
+    halve = _Bracket.halve
+    monkeypatch.setattr(_Bracket, "halve", lambda self: halvings.append(1) or halve(self))
     pairs = [
         (pid, n, s)
         for pid, nmin_off in (("g12", 7), ("g18", 6))
@@ -167,3 +171,4 @@ def test_fan_width_chains_agree_with_fraction_oracle():
         if got != LESS:
             not_less.append((pid, n, s))
     assert not_less == [("g18", n, 3) for n in range(19, 23)]
+    assert halvings == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chordspec import polynomials
 from chordspec.appendix import appendix_polynomial
 from chordspec.polynomials import (
     EQUAL,
@@ -19,6 +20,7 @@ from chordspec.polynomials import (
     count_roots_in_interval,
     isolate_largest_root,
     poly_gcd,
+    root_bound,
     root_count_between,
     squarefree_part,
     sturm_chain,
@@ -132,11 +134,13 @@ def test_compare_close_irrational_roots():
 
 
 def test_well_separated_roots_compare_without_halving(monkeypatch):
-    # a root of one polynomial at or above the other's root bound decides
-    # before any bisection
+    # with the float seeds forced useless, a root of one polynomial at or
+    # above the other's root bound still decides before any bisection
     halvings = []
     halve = _Bracket.halve
     monkeypatch.setattr(_Bracket, "halve", lambda self: halvings.append(1) or halve(self))
+    estimate = polynomials._largest_root_estimate
+    monkeypatch.setattr(polynomials, "_largest_root_estimate", lambda p: math.nan)
     one = poly(-1, 1)  # root 1, root bound 2
     cubic = poly(-3, 1) * poly(1, 1) * poly(2, 1)  # largest root 3, root bound 8
     for p, q in ((one, poly(-100, 1)), (one, poly(-2, 1)), (cubic, poly(-1000, 0, 1))):
@@ -146,6 +150,94 @@ def test_well_separated_roots_compare_without_halving(monkeypatch):
     # otherwise the smaller bound caps the other bracket, and bisection decides
     assert compare_largest_roots(one, poly(-2, 0, 1)) == LESS
     assert halvings
+    # the seeded splits decide that pair without bisecting
+    monkeypatch.setattr(polynomials, "_largest_root_estimate", estimate)
+    halvings.clear()
+    assert compare_largest_roots(one, poly(-2, 0, 1)) == LESS
+    assert halvings == []
+
+
+def _rooted(*roots, extra=poly(1)):
+    """Product of (b x - a) over the rational roots a/b, times extra."""
+    p = extra
+    for r in roots:
+        r = Fraction(r)
+        p = p * poly(-r.numerator, r.denominator)
+    return p
+
+
+# (polynomial, its real roots as floats, descending; at least two)
+_SEEDED_CASES = [
+    (_rooted(1, 2, 5), [5.0, 2.0, 1.0]),
+    (_rooted(5, Fraction(1, 3)), [5.0, 1 / 3]),
+    (_rooted(Fraction(5 * 10**10 + 1, 10**10), -1), [5.0000000001, -1.0]),
+    (_rooted(Fraction(5 * 10**11 - 1, 10**11), 2), [4.99999999999, 2.0]),
+    (_rooted(5, extra=poly(-2, 0, 1)), [5.0, math.sqrt(2), -math.sqrt(2)]),
+    (_rooted(-2, extra=poly(-2, 0, 1)), [math.sqrt(2), -math.sqrt(2), -2.0]),
+    (_rooted(0, -1), [0.0, -1.0]),
+    (_rooted(0, 3, extra=poly(1, 0, 1)), [3.0, 0.0]),
+    (_rooted(Fraction(-7, 2), -4), [-3.5, -4.0]),
+]
+
+
+# estimates to force on the seeding, from the polynomial and its known roots
+_FORCED_ESTIMATES = {
+    "bound": lambda p, roots: float(root_bound(p)),
+    "-bound": lambda p, roots: -float(root_bound(p)),
+    "largest root": lambda p, roots: roots[0],
+    "smallest root": lambda p, roots: roots[-1],
+    "between roots": lambda p, roots: (roots[0] + roots[1]) / 2,
+    "nan": lambda p, roots: math.nan,
+    "inf": lambda p, roots: math.inf,
+    "-inf": lambda p, roots: -math.inf,
+}
+
+
+def test_seeded_comparison_agrees_with_oracle_whatever_the_estimate(monkeypatch):
+    # every case against every case, and against it times (x^3 - 7)(x^2 + 1),
+    # which adds the root 7^(1/3) and a pair of complex roots
+    roots_of = {squarefree_part(p): roots for p, roots in _SEEDED_CASES}
+    pairs = []
+    for p, _ in _SEEDED_CASES:
+        for q, q_roots in _SEEDED_CASES:
+            wider = q * poly(-7, 0, 0, 1) * poly(1, 0, 1)
+            roots_of[squarefree_part(wider)] = sorted(q_roots + [7 ** (1 / 3)], reverse=True)
+            pairs += [(p, q), (p, wider)]
+    want = [oracle_compare_largest_roots(a, b) for a, b in pairs]
+    for label, force in _FORCED_ESTIMATES.items():
+        monkeypatch.setattr(
+            polynomials, "_largest_root_estimate", lambda p: force(p, roots_of[p])
+        )
+        for (a, b), w in zip(pairs, want):
+            assert compare_largest_roots(a, b) == w, (label, a, b)
+            assert compare_largest_roots(b, a) == -w, (label, b, a)
+
+
+def test_estimate_never_raises_on_coefficients_beyond_floats():
+    cases = [
+        # (10^200 x - 1)(10^200 x - 3): leading coefficient 10^400
+        (_rooted(Fraction(1, 10**200), Fraction(3, 10**200)), _rooted(Fraction(2, 10**200))),
+        # a root at 10^310, beyond the float range
+        (_rooted(10**310, 1), _rooted(10**310 + 1)),
+        # x^10 - c x with c = 10^300, 2 * 10^300: the coefficients fit in
+        # floats, the first iterate's tenth power does not
+        (poly(0, -(10**300), *[0] * 8, 1), poly(0, -2 * 10**300, *[0] * 8, 1)),
+    ]
+    for p, q in cases:
+        r = polynomials._largest_root_estimate(squarefree_part(p))
+        assert isinstance(r, float) and not math.isfinite(r), (p, r)
+        want = oracle_compare_largest_roots(p, q)
+        assert compare_largest_roots(p, q) == want, (p, q)
+        assert compare_largest_roots(q, p) == -want, (q, p)
+
+
+def test_estimate_is_close_on_real_rooted_polynomials():
+    for n in (7, 15, 22):
+        for pid in ("g", "g12", "g18"):
+            p = appendix_polynomial(pid, n, 3 if pid != "g" else None)
+            lo, hi = isolate_largest_root(p, Fraction(1, 10**15))
+            r = polynomials._largest_root_estimate(p)
+            assert abs(r - float(lo)) <= 1e-12 * abs(r), (pid, n, r, lo)
 
 
 def test_compare_identical_polynomials_still_checks_input():
@@ -194,6 +286,19 @@ def test_compare_agrees_with_fraction_oracle_on_random_polynomials():
         assert got == oracle_compare_largest_roots(p, q), (p, q)
         verdicts[got] += 1
     assert min(verdicts.values()) >= 30, verdicts
+    # largest roots less than 1e-9 apart: a, a + 1/d or a - 1/d with
+    # d >= 10^10, above every root of the random factors
+    close = {LESS: 0, GREATER: 0}
+    for _ in range(60):
+        a, d = rng.randint(7, 9), rng.randint(10**10, 10**12)
+        p = _random_real_rooted(rng) * poly(-a, 1)
+        q = _random_real_rooted(rng) * poly(-(a * d + rng.choice((-1, 1))), d)
+        if rng.random() < 0.5:
+            p, q = q, p
+        got = compare_largest_roots(p, q)
+        assert got == oracle_compare_largest_roots(p, q), (p, q)
+        close[got] += 1
+    assert min(close.values()) >= 20, close
 
 
 def _primitive_part(p):

@@ -4,7 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chordspec.appendix import FIXTURES, quotient_template, threshold_quotient_template
+from chordspec.appendix import (
+    FIXTURES,
+    fixture_orders,
+    quotient_template,
+    threshold_quotient_template,
+)
 from chordspec.families import (
     complete,
     complete_multipartite,
@@ -35,7 +40,12 @@ from chordspec.spectral import (
     quotient_matrix,
     signless_laplacian,
 )
-from oracles import oracle_charpoly_int_matrix, oracle_q
+from oracles import (
+    oracle_charpoly_int_matrix,
+    oracle_q,
+    oracle_quotient_matrix,
+    oracle_signless_laplacian,
+)
 
 
 def random_graph(rng, n, p=0.5):
@@ -123,6 +133,43 @@ def test_quotient_matrix_examples():
     assert [[int(e) for e in row] for row in p3.entries] == [[1, 1], [2, 2]]
     # a lopsided split is not equitable
     assert not quotient_matrix(path(3), [[0, 1], [2]]).equitable
+
+
+def _random_partition(rng, n):
+    k = rng.randint(1, min(n, 6))
+    labels = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+    rng.shuffle(labels)
+    return [[v for v in range(n) if labels[v] == b] for b in range(k)]
+
+
+def test_signless_laplacian_and_quotients_match_per_entry_oracles():
+    """Seeded random graphs with random, discrete and fixture partitions, and
+    random graphs and cycles (even/odd split) at orders 63, 64, 65, 130 and
+    256, around the byte boundaries of the adjacency rows."""
+    rng = random.Random(808)
+    cases = []
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+        cases += [(g, _random_partition(rng, g.n)), (g, [[v] for v in range(g.n)])]
+    for fx in FIXTURES:
+        for n, s in fixture_orders(fx, 7, 12):
+            blocks = [list(b) for b in fx.partition(n, s)]
+            cases.append((fx.build(n, s).graph, blocks))
+            if len(blocks) > 1 and len(blocks[0]) > 1:
+                blocks[1].append(blocks[0].pop())  # usually no longer equitable
+                cases.append((fx.build(n, s).graph, blocks))
+    for n in (63, 64, 65, 130, 256):
+        g = random_graph(rng, n, 0.3)
+        cases += [(g, _random_partition(rng, n)), (g, _random_partition(rng, n))]
+        cases.append((cycle(n), [list(range(0, n, 2)), list(range(1, n, 2))]))
+    equitable = 0
+    for g, blocks in cases:
+        q = signless_laplacian(g)
+        assert q.dtype == np.int64 and np.array_equal(q, oracle_signless_laplacian(g))
+        qm = quotient_matrix(g, blocks)
+        assert (qm.entries, qm.equitable) == oracle_quotient_matrix(g, blocks), (g, blocks)
+        equitable += qm.equitable
+    assert equitable > 300 and len(cases) - equitable > 150, (equitable, len(cases))
 
 
 def test_quotient_partition_validation():

@@ -1,5 +1,6 @@
 import pytest
 
+from chordspec import verifier
 from chordspec.families import complete, cycle, double_star, extremal_graph, star, star_plus
 from chordspec.graphs import (
     disjoint_union,
@@ -222,6 +223,18 @@ def test_appendix_report_structure():
         verify_appendix(6, 12)
     with pytest.raises(VerifierError):
         verify_appendix(7, 31)
+
+
+def test_appendix_computes_each_index_once(monkeypatch):
+    # the threshold graphs and the fixture graphs each reach q_index once per
+    # call, also where the fan-width chains revisit a fixture graph
+    seen = []
+    index = verifier.q_index
+    monkeypatch.setattr(verifier, "q_index", lambda g: seen.append(g) or index(g))
+    for _ in range(2):
+        seen.clear()
+        verify_appendix(7, 14)
+        assert seen and len(seen) == len(set(seen))
 
 
 def test_appendix_flags_the_false_g18_chain():
