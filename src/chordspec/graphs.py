@@ -109,23 +109,22 @@ class Graph:
 
     # -- connectivity ----------------------------------------------------------
 
-    def component_masks(self) -> list[int]:
-        """Vertex bit masks of connected components, ordered by least vertex."""
-        seen = 0
-        full = (1 << self.n) - 1
+    def component_masks(self, within: int | None = None) -> list[int]:
+        """Vertex bit masks of the connected components of the subgraph
+        induced on the vertex mask `within` (default: every vertex), ordered
+        by least vertex."""
+        left = (1 << self.n) - 1 if within is None else within
         comps = []
-        while seen != full:
-            start = (~seen & full) & -(~seen & full)
-            comp = start
-            frontier = start
+        while left:
+            comp = frontier = left & -left
             while frontier:
                 nxt = 0
                 for v in bits_to_vertices(frontier):
                     nxt |= self._adj[v]
-                frontier = nxt & ~comp
+                frontier = nxt & left & ~comp
                 comp |= frontier
             comps.append(comp)
-            seen |= comp
+            left &= ~comp
         return comps
 
     def components(self) -> list[tuple[int, ...]]:

@@ -18,6 +18,7 @@ reports except for wall_time_ms.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -58,7 +59,7 @@ from .graphs import (
     is_isomorphic,
     join,
     make_graph,
-    mask_from_graph,
+    vertices_to_bits,
 )
 from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
 from .spectral import (
@@ -190,6 +191,15 @@ def _versus_threshold(g: Graph, ext: Graph, thr: float, exact: bool) -> int:
     if qv > thr + TIE_BAND:
         return GREATER
     return q_exact_compare(g, ext) if exact else EQUAL
+
+
+def _strictly_less(g: Graph, h: Graph, gap: float) -> bool:
+    """q(g) < q(h); float when the gap is clear, exact inside the band."""
+    if gap > TIE_BAND:
+        return True
+    if gap < -TIE_BAND:
+        return False
+    return q_exact_compare(g, h) == LESS
 
 
 def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
@@ -384,10 +394,11 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     counterexamples: list[str] = []
     examined = 0
 
-    # the threshold family's graph and index, once per order, and the index
-    # of each fixture graph, once per (item, n, s)
+    # the threshold family's graph and index, once per order, and the
+    # quotient template and index of each fixture graph, once per (item, n, s)
     thr_graph = {n: k11n2_plus(n).graph for n in range(n_lo, n_hi + 1)}
     thr = {n: q_index(g).q for n, g in thr_graph.items()}
+    template = functools.cache(quotient_template)
     fixture_q: dict[tuple[int, int, int | None], float] = {}
 
     def fixture_index(fx: Fixture, n: int, s: int | None) -> float:
@@ -406,7 +417,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
                 smax = n - 3 if fx.item == 12 else n - 2
                 svals = list(range(3, smax + 1))
             for s in svals:
-                got = charpoly_int_matrix(quotient_template(fx.item, n, s))
+                got = charpoly_int_matrix(template(fx.item, n, s))
                 want = appendix_polynomial(fx.poly_id, n, s)
                 poly_checked += 1
                 if got != want:
@@ -437,7 +448,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
                 equit_bad.append((fx.item, n, s))
                 counterexamples.append(graph6_encode(g))
                 continue
-            tmpl = quotient_template(fx.item, n, s)
+            tmpl = template(fx.item, n, s)
             if len(blocks) == len(tmpl):
                 if [[int(e) for e in row] for row in qm.entries] != tmpl:
                     equit_bad.append((fx.item, n, s, "template-mismatch"))
@@ -446,12 +457,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
             if abs(lam - qv) > 1e-8:
                 lam_bad.append((fx.item, n, s, lam - qv))
             # strict index inequality against the threshold family
-            gap = thr[n] - qv
-            if gap <= TIE_BAND:
-                if q_exact_compare(g, thr_graph[n]) != LESS:
-                    ineq_bad.append((fx.item, n, s))
-                    counterexamples.append(graph6_encode(g))
-            elif gap < 0:
+            if not _strictly_less(g, thr_graph[n], thr[n] - qv):
                 ineq_bad.append((fx.item, n, s))
                 counterexamples.append(graph6_encode(g))
     details.append(
@@ -569,27 +575,18 @@ DEFAULT_CLAIM_CAPS = {
 _P_STRATA = (0.2, 0.4, 0.6, 0.8)
 
 
-def _random_mask_graph(rng: random.Random, n: int, p: float) -> Graph:
-    nbits = n * (n - 1) // 2
+def _random_mask(rng: random.Random, n: int, p: float) -> int:
+    """Edge mask of order n with each edge present with probability p."""
     mask = 0
-    for b in range(nbits):
+    for b in range(n * (n - 1) // 2):
         if rng.random() < p:
             mask |= 1 << b
-    return graph_from_mask(n, mask)
+    return mask
 
 
 def _sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     n = rng.randint(n_lo, n_hi)
-    return _random_mask_graph(rng, n, rng.choice(_P_STRATA))
-
-
-def _strictly_less(g: Graph, h: Graph, gap: float) -> bool:
-    """q(g) < q(h); float when the gap is clear, exact inside the band."""
-    if gap > TIE_BAND:
-        return True
-    if gap < -TIE_BAND:
-        return False
-    return q_exact_compare(g, h) == LESS
+    return graph_from_mask(n, _random_mask(rng, n, rng.choice(_P_STRATA)))
 
 
 def classify_component(g: Graph, comp: tuple[int, ...]) -> dict | None:
@@ -597,9 +594,7 @@ def classify_component(g: Graph, comp: tuple[int, ...]) -> dict | None:
     labels): star, double_star, star_plus, c4, c4_plus or k4; None when the
     component falls outside the catalog."""
     m = len(comp)
-    inside = 0
-    for v in comp:
-        inside |= 1 << v
+    inside = vertices_to_bits(g.n, comp)
     deg = {v: (g.adj_bits(v) & inside).bit_count() for v in comp}
     e = sum(deg.values()) // 2
 
@@ -651,10 +646,7 @@ def classify_component(g: Graph, comp: tuple[int, ...]) -> dict | None:
 def _claim1_violation(g: Graph, w: int, comp: tuple[int, ...], info: dict,
                       caps: dict) -> str | None:
     """The first violated degree cap for w against this component, if any."""
-    inside = 0
-    for v in comp:
-        inside |= 1 << v
-    nbr = g.adj_bits(w) & inside
+    nbr = g.adj_bits(w) & vertices_to_bits(g.n, comp)
     d = nbr.bit_count()
     if d == 0:
         return None
@@ -701,10 +693,7 @@ def _claim2_violation(g: Graph, w: int, comps: list[tuple[tuple[int, ...], dict]
                       z0: frozenset[int]) -> str | None:
     hits = []
     for comp, info in comps:
-        inside = 0
-        for v in comp:
-            inside |= 1 << v
-        d = (g.adj_bits(w) & inside).bit_count()
+        d = (g.adj_bits(w) & vertices_to_bits(g.n, comp)).bit_count()
         if d:
             hits.append((comp, info, d))
     nonstar = [h for h in hits if h[1]["kind"] != "star"]
@@ -725,6 +714,31 @@ def _claim2_violation(g: Graph, w: int, comps: list[tuple[tuple[int, ...], dict]
         if any(g.has_edge(w, v) for v in info["leaves"]):
             return "isolated-class neighbor next to a double-star leaf contact"
     return None
+
+
+def _structural_violations(g: Graph, caps: dict) -> tuple[int, int]:
+    """(cap violations, catalog violations) of the structural claims over
+    every apex of g: each component of G[Z+] must be a catalog type, and
+    each vertex of W must respect the claim-1 caps and claim 2."""
+    cap_viol = 0
+    catalog_viol = 0
+    for z in range(g.n):
+        part = apex_partition(g, z)
+        comps = []
+        for cm in g.component_masks(within=vertices_to_bits(g.n, part.Zplus)):
+            comp = tuple(bits_to_vertices(cm))
+            info = classify_component(g, comp)
+            if info is None:
+                catalog_viol += 1
+                continue
+            comps.append((comp, info))
+        for w in part.W:
+            for comp, info in comps:
+                if _claim1_violation(g, w, comp, info, caps) is not None:
+                    cap_viol += 1
+            if _claim2_violation(g, w, comps, part.Z0) is not None:
+                cap_viol += 1
+    return cap_viol, catalog_viol
 
 
 # -- Claim-1 boundary probes ---------------------------------------------------------
@@ -785,6 +799,27 @@ def _battery_details(caps: dict) -> dict:
 # -- the suite runner ------------------------------------------------------------------
 
 
+def _trials(rng: random.Random, trials: int, draw, check, attempts: int = 30):
+    """Run seeded trials: draw(rng) returns a sample, or None to redraw (the
+    trial is skipped after `attempts` draws in a row return None), and
+    check(rng, sample) returns the violating graph or None. Returns
+    (trials run, violating graphs)."""
+    used = 0
+    bad = []
+    for _ in range(trials):
+        for _attempt in range(attempts):
+            sample = draw(rng)
+            if sample is not None:
+                break
+        else:
+            continue
+        used += 1
+        g = check(rng, sample)
+        if g is not None:
+            bad.append(g)
+    return used, bad
+
+
 def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) -> Report:
     """Randomized checks of the supporting lemmas plus the structural claims
     on configuration-free samples. Seeded and deterministic."""
@@ -798,130 +833,98 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     counterexamples: list[str] = []
     examined = 0
 
+    def lemma(name: str, salt: int, draw, check, **equality_failures) -> None:
+        """One lemma's seeded trials, recorded as its detail entry."""
+        nonlocal examined
+        used, bad = _trials(random.Random(seed * 37 + salt), trials, draw, check)
+        examined += used
+        counterexamples.extend(graph6_encode(g) for g in bad)
+        details.append(
+            {"name": name, "passed": not bad and not any(equality_failures.values()),
+             "trials": used, "violations": len(bad), **equality_failures}
+        )
+
     # Adding an edge never lowers the index, and strictly raises it when
     # the larger graph is connected.
-    rng = random.Random(seed * 37 + 101)
-    viol = 0
-    used = 0
-    for _ in range(trials):
-        non_edges: list[tuple[int, int]] = []
-        for _attempt in range(30):
-            g = _sample(rng, 4, 10)
-            non_edges = [
-                (i, j)
-                for i in range(g.n)
-                for j in range(i + 1, g.n)
-                if not g.has_edge(i, j)
-            ]
-            if non_edges:
-                break
-        else:
-            continue
-        used += 1
-        examined += 1
-        f = rng.choice(non_edges)
-        bigger = g.add_edges([f])
+    def draw_with_non_edge(rng):
+        g = _sample(rng, 4, 10)
+        non_edges = [
+            (i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)
+        ]
+        return (g, non_edges) if non_edges else None
+
+    def check_monotone(rng, sample):
+        g, non_edges = sample
+        bigger = g.add_edges([rng.choice(non_edges)])
         q0, q1 = q_index(g).q, q_index(bigger).q
         ok = q1 >= q0 - 1e-10
         if ok and bigger.is_connected():
             ok = _strictly_less(g, bigger, q1 - q0)
-        if not ok:
-            viol += 1
-            counterexamples.append(graph6_encode(g))
-    details.append(
-        {"name": "edge_monotonicity", "passed": viol == 0, "trials": used,
-         "violations": viol}
-    )
+        return None if ok else g
+
+    lemma("edge_monotonicity", 101, draw_with_non_edge, check_monotone)
 
     # Shifting a neighbor set from v onto a vertex with the larger Perron
     # entry strictly raises the index.
-    rng = random.Random(seed * 37 + 202)
-    viol = 0
-    used = 0
-    for _ in range(trials):
+    def draw_shift(rng):
         # redraw until the trial admits a nonempty shift set
-        for _attempt in range(30):
-            g = _sample(rng, 4, 10)
-            if not g.is_connected():
-                continue
-            u, v = rng.sample(range(g.n), 2)
-            index = q_index(g)
-            vec = index.vector
-            if vec[u] < vec[v]:
-                u, v = v, u
-            pool = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
-            if pool:
-                break
-        else:
-            continue
-        used += 1
-        examined += 1
-        size = rng.randint(1, len(pool))
-        moved = rng.sample(pool, size)
+        g = _sample(rng, 4, 10)
+        if not g.is_connected():
+            return None
+        u, v = rng.sample(range(g.n), 2)
+        index = q_index(g)
+        if index.vector[u] < index.vector[v]:
+            u, v = v, u
+        pool = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
+        return (g, index.q, u, v, pool) if pool else None
+
+    def check_shift(rng, sample):
+        g, q, u, v, pool = sample
+        moved = rng.sample(pool, rng.randint(1, len(pool)))
         shifted = g.remove_edges((v, w) for w in moved).add_edges(
             (u, w) for w in moved
         )
-        if not _strictly_less(g, shifted, q_index(shifted).q - index.q):
-            viol += 1
-            counterexamples.append(graph6_encode(g))
-    details.append(
-        {"name": "perron_shift", "passed": viol == 0, "trials": used,
-         "violations": viol}
-    )
+        return None if _strictly_less(g, shifted, q_index(shifted).q - q) else g
+
+    lemma("perron_shift", 202, draw_shift, check_shift)
 
     # Equitable quotient fixtures share the index (smallest valid order of
     # every catalog fixture, plus the threshold family partition).
+    cases = [
+        (fx.item, fx.build(n, s).graph, fx.partition(n, s))
+        for fx in FIXTURES
+        for n, s in fixture_orders(fx, 7, 30)[:1]
+    ] + [
+        (("threshold", n), k11n2_plus(n).graph, [[0, 1], [2, 3], list(range(4, n))])
+        for n in (7, 12, 19)
+    ]
     bad = []
-    checked = 0
-    for fx in FIXTURES:
-        orders = fixture_orders(fx, 7, 30)
-        if not orders:
-            continue
-        n, s = orders[0]
-        built = fx.build(n, s)
-        qm = quotient_matrix(built.graph, fx.partition(n, s))
-        checked += 1
-        if not qm.equitable or abs(qm.spectral_radius() - q_index(built.graph).q) > 1e-8:
-            bad.append(fx.item)
-    for n in (7, 12, 19):
-        g = k11n2_plus(n).graph
-        qm = quotient_matrix(g, [[0, 1], [2, 3], list(range(4, n))])
-        checked += 1
+    for label, g, blocks in cases:
+        qm = quotient_matrix(g, blocks)
         if not qm.equitable or abs(qm.spectral_radius() - q_index(g).q) > 1e-8:
-            bad.append(("threshold", n))
+            bad.append(label)
     details.append(
         {"name": "equitable_quotient_fixtures", "passed": not bad,
-         "checked": checked, "failures": bad}
+         "checked": len(cases), "failures": bad}
     )
 
     # The index is at most the largest degree-average eta(v), with equality
     # on cycles, cliques and complete bipartite graphs. Also the counting
     # form: eta(v) <= n + 2 e(neighborhood) / d(v).
-    rng = random.Random(seed * 37 + 303)
-    viol = 0
-    used = 0
-    for _ in range(trials):
-        for _attempt in range(30):
-            g = _sample(rng, 4, 10)
-            if g.min_degree > 0:
-                break
-        else:
-            continue
-        used += 1
-        examined += 1
-        me = float(max_eta(g))
-        if q_index(g).q > me + 1e-10:
-            viol += 1
-            counterexamples.append(graph6_encode(g))
-            continue
+    def draw_without_isolated(rng):
+        g = _sample(rng, 4, 10)
+        return g if g.min_degree > 0 else None
+
+    def check_eta(rng, g):
+        if q_index(g).q > float(max_eta(g)) + 1e-10:
+            return g
         for v in range(g.n):
-            nb = list(g.neighbors(v))
-            closed = set(nb) | {v}
+            nb = g.neighbors(v)
             inner = sum(1 for i in nb for j in nb if i < j and g.has_edge(i, j))
             if eta(g, v) > g.n + Fraction(2 * inner, g.degree(v)):
-                viol += 1
-                counterexamples.append(graph6_encode(g))
-                break
+                return g
+        return None
+
     eq_bad = []
     for label, g in (
         ("cycle9", cycle(9)),
@@ -932,76 +935,49 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     ):
         if abs(q_index(g).q - float(max_eta(g))) > 1e-9:
             eq_bad.append(label)
-    details.append(
-        {"name": "eta_upper_bound", "passed": viol == 0 and not eq_bad,
-         "trials": used, "violations": viol, "equality_failures": eq_bad}
-    )
+    lemma("eta_upper_bound", 303, draw_without_isolated, check_eta,
+          equality_failures=eq_bad)
 
     # At most c(n-c)/2 edges avoid a longest cycle (c its length).
-    rng = random.Random(seed * 37 + 404)
-    viol = 0
-    used = 0
-    for _ in range(trials):
-        found = None
-        for _attempt in range(30):
-            g = _sample(rng, 4, 12)
-            # quick cyclicity screen before the heavier search
-            if g.edge_count > g.n - len(g.component_masks()):
-                found = chords.longest_cycle(g)
-                if found is not None:
-                    break
-        if found is None:
-            continue
-        used += 1
-        examined += 1
-        c, cyc = found
-        inside = sum(
-            1 for (u, v) in g.edges() if u in set(cyc) and v in set(cyc)
-        )
-        if 2 * (g.edge_count - inside) > c * (g.n - c):
-            viol += 1
-            counterexamples.append(graph6_encode(g))
-    details.append(
-        {"name": "longest_cycle_edge_bound", "passed": viol == 0,
-         "trials": used, "violations": viol}
-    )
+    def draw_cyclic(rng):
+        g = _sample(rng, 4, 12)
+        # quick cyclicity screen before the heavier search
+        if g.edge_count > g.n - len(g.component_masks()):
+            found = chords.longest_cycle(g)
+            if found is not None:
+                return g, found
+        return None
+
+    def check_longest_cycle(rng, sample):
+        g, (c, cyc) = sample
+        on = set(cyc)
+        inside = sum(1 for (u, v) in g.edges() if u in on and v in on)
+        return g if 2 * (g.edge_count - inside) > c * (g.n - c) else None
+
+    lemma("longest_cycle_edge_bound", 404, draw_cyclic, check_longest_cycle)
 
     # Above 4n - 16 edges the three-chord apex configuration is
     # unavoidable (orders 10..14).
-    rng = random.Random(seed * 37 + 505)
-    viol = 0
-    for _ in range(trials):
+    def draw_dense(rng):
         n = rng.randint(10, 14)
         nbits = n * (n - 1) // 2
         e = rng.randint(4 * n - 15, nbits)
-        bits = rng.sample(range(nbits), e)
-        mask = 0
-        for b in bits:
-            mask |= 1 << b
-        g = graph_from_mask(n, mask)
-        examined += 1
+        return graph_from_mask(n, sum(1 << b for b in rng.sample(range(nbits), e)))
+
+    def check_configured(rng, g):
         cert = chords.find_k_chords_at_apex(g, 3)
         if cert is None or not chords.verify_certificate(g, cert, 3, True):
-            viol += 1
-            counterexamples.append(graph6_encode(g))
-    details.append(
-        {"name": "edge_count_forces_configuration", "passed": viol == 0,
-         "trials": trials, "violations": viol}
-    )
+            return g
+        return None
+
+    lemma("edge_count_forces_configuration", 505, draw_dense, check_configured)
 
     # Without a path on k+2 vertices there are at most nk/2 edges, with
     # equality on disjoint unions of (k+1)-cliques.
-    rng = random.Random(seed * 37 + 606)
-    viol = 0
-    for _ in range(trials):
-        g = _sample(rng, 3, 12)
-        examined += 1
+    def check_path_free(rng, g):
         k = chords.max_path_order(g) - 1
-        if k < 1:
-            continue
-        if 2 * g.edge_count > g.n * k:
-            viol += 1
-            counterexamples.append(graph6_encode(g))
+        return g if k >= 1 and 2 * g.edge_count > g.n * k else None
+
     eq_bad2 = []
     for k, copies in ((2, 3), (3, 2), (4, 2)):
         g = complete(k + 1)
@@ -1009,10 +985,8 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
             g = disjoint_union(g, complete(k + 1))
         if 2 * g.edge_count != g.n * k or chords.max_path_order(g) != k + 1:
             eq_bad2.append(f"{copies}x clique{k + 1}")
-    details.append(
-        {"name": "path_free_edge_bound", "passed": viol == 0 and not eq_bad2,
-         "trials": trials, "violations": viol, "equality_failures": eq_bad2}
-    )
+    lemma("path_free_edge_bound", 606, lambda rng: _sample(rng, 3, 12), check_path_free,
+          equality_failures=eq_bad2)
 
     # Threshold family beats n + 2 - 4/(n+2) for 6 <= n <= 40.
     bound_bad = []
@@ -1036,52 +1010,16 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     while accepted < trials and attempts < trials * 40:
         attempts += 1
         n = rng.randint(4, 10)
-        g = _random_mask_graph(rng, n, rng.choice(_P_STRATA))
-        if kernels.apex_has_config(n, mask_from_graph(g), 3):
+        mask = _random_mask(rng, n, rng.choice(_P_STRATA))
+        if kernels.apex_has_config(n, mask, 3):
             continue
         accepted += 1
         examined += 1
-        bad_here = False
-        for z in range(g.n):
-            part = apex_partition(g, z)
-            zp = part.Zplus
-            comps = []
-            sub_masks = []
-            if zp:
-                zp_mask = 0
-                for v in zp:
-                    zp_mask |= 1 << v
-                remaining = zp_mask
-                while remaining:
-                    start = remaining & -remaining
-                    comp = start
-                    frontier = start
-                    while frontier:
-                        nxt = 0
-                        for v in bits_to_vertices(frontier):
-                            nxt |= g.adj_bits(v) & zp_mask
-                        frontier = nxt & ~comp
-                        comp |= frontier
-                    remaining &= ~comp
-                    sub_masks.append(comp)
-            for cm in sub_masks:
-                comp = tuple(bits_to_vertices(cm))
-                info = classify_component(g, comp)
-                if info is None:
-                    catalog_viol += 1
-                    bad_here = True
-                    continue
-                comps.append((comp, info))
-            for w in part.W:
-                for comp, info in comps:
-                    msg = _claim1_violation(g, w, comp, info, caps)
-                    if msg is not None:
-                        claim_viol += 1
-                        bad_here = True
-                if _claim2_violation(g, w, comps, part.Z0) is not None:
-                    claim_viol += 1
-                    bad_here = True
-        if bad_here:
+        g = graph_from_mask(n, mask)
+        cap_here, catalog_here = _structural_violations(g, caps)
+        claim_viol += cap_here
+        catalog_viol += catalog_here
+        if cap_here or catalog_here:
             counterexamples.append(graph6_encode(g))
     details.append(
         {"name": "structural_claims", "passed": claim_viol == 0 and catalog_viol == 0,

@@ -88,6 +88,29 @@ def test_union_examples():
     assert c4k3.n == 7 and c4k3.edge_count == 7
 
 
+def test_component_masks_within_a_vertex_mask():
+    # the components of the subgraph induced on `within` are those of
+    # g.subgraph(...), relabelled back to g's vertices, in the same order
+    rng = random.Random(17)
+    isolated = 0
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.choice((0.1, 0.3, 0.5)))
+        within = rng.getrandbits(n)
+        kept = [v for v in range(n) if within >> v & 1]
+        want = []
+        if kept:
+            for comp in g.subgraph(kept).components():
+                want.append(sum(1 << kept[i] for i in comp))
+        got = g.component_masks(within)
+        assert got == want
+        isolated += sum(1 for m in got if m.bit_count() == 1)
+        assert g.component_masks(0) == []
+        assert g.component_masks(None) == g.component_masks()
+        assert g.component_masks((1 << n) - 1) == g.component_masks()
+    assert isolated > 100
+
+
 def test_edge_counts():
     k4 = complete(4)
     assert edge_counts(k4, range(4), range(4)) == 6
