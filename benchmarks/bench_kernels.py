@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
 apex detector) against the pure-Python fallback, the theorem's prefilter
-spot check, exact characteristic polynomials, and the exact largest-root
-comparison that decides near-ties.
+spot check, the theorem's Python rules on the tie band the kernel leaves,
+exact characteristic polynomials, and the exact largest-root comparison that
+decides near-ties.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 
@@ -29,7 +30,13 @@ from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
 from chordspec.graphs import graph_from_mask
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
 from chordspec.spectral import charpoly_graph, charpoly_int_matrix, q_index, signless_laplacian
-from chordspec.verifier import SWEEP_MARGIN, TIE_BAND, _prefilter_spot_check
+from chordspec.verifier import (
+    SWEEP_MARGIN,
+    TIE_BAND,
+    _prefilter_spot_check,
+    _sweep_classified,
+    _theorem_tail,
+)
 
 
 def time_call(fn, *args):
@@ -113,6 +120,32 @@ def bench_spot_check(min_seconds=1.0):
     assert out["passed"], out
 
 
+def cold_caches():
+    """Forget the memoised characteristic polynomials and Sturm chains, so a
+    pass pays for them as a single verify call does."""
+    charpoly_graph.cache_clear()
+    polynomials._squarefree_chain.cache_clear()
+
+
+def bench_tie_tail(n, min_seconds=1.0):
+    """The theorem's Python rules (``_theorem_tail``) on the masks the kernel
+    leaves at order n: the tie band, which is the labeled copies of the
+    threshold graph. Each pass starts from cold caches."""
+    ext = extremal_graph(n).graph
+    thr = q_index(ext).q
+    _, _, rest = _sweep_classified(n, thr, ("apex_has_config", 3), 1)
+
+    def one_pass():
+        cold_caches()
+        return _theorem_tail(n, rest, ext, thr, True)
+
+    calls, dt, (configured, mismatches, hits, counterexamples) = repeat_for(
+        min_seconds, one_pass)
+    print(f"theorem tie tail n={n}: {len(rest)} masks")
+    print(f"  {calls * len(rest) / dt:9.0f} masks/s  ({calls} passes, {dt:.2f}s)")
+    assert hits == len(rest) and not (configured or mismatches or counterexamples)
+
+
 def appendix_templates(n_lo=7, n_hi=22):
     """The integer quotient templates verify_appendix expands: the threshold
     template and every fixture's template (each fan width s) per order."""
@@ -190,12 +223,15 @@ def count_calls(fn, names):
 def bench_exact(label, pairs, min_seconds=1.0):
     """Whole passes of compare_largest_roots over the pairs for at least
     min_seconds, and the Sturm chain evaluations (``_values_at``) and
-    pseudo-divisions (``_divide``) of one pass; returns the verdict counts of
-    one pass."""
-    passes, dt, verdicts = repeat_for(
-        min_seconds, lambda: Counter(compare_largest_roots(a, b) for a, b in pairs))
-    counts = count_calls(lambda: [compare_largest_roots(a, b) for a, b in pairs],
-                         ("_values_at", "_divide"))
+    pseudo-divisions (``_divide``) of one pass; every pass starts from cold
+    caches. Returns the verdict counts of one pass."""
+
+    def one_pass():
+        cold_caches()
+        return Counter(compare_largest_roots(a, b) for a, b in pairs)
+
+    passes, dt, verdicts = repeat_for(min_seconds, one_pass)
+    counts = count_calls(one_pass, ("_values_at", "_divide"))
     print(f"  {label:18s} {len(pairs):4d} pairs  {passes * len(pairs) / dt:9.1f} pairs/s"
           f"  ({passes} passes, {dt:.2f}s)  per pair: "
           f"{counts['_values_at'] / len(pairs):.2f} chain evaluations, "
@@ -222,6 +258,8 @@ def main() -> None:
     bench_classify(impls, 7, 0, 1 << 18, thr7)
     bench_detector(impls)
     bench_spot_check()
+    bench_tie_tail(6)
+    bench_tie_tail(7)
 
     print("exact characteristic polynomials (charpoly_int_matrix)")
     templates = appendix_templates()

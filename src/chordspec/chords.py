@@ -91,8 +91,11 @@ def find_k_chords_at_apex(g: Graph, k: int) -> Certificate | None:
                     return None
                 # v turns internal on extension unless it is the path start
                 nhits = hits + (1 if (len(path) >= 2 and nu >> v & 1) else 0)
-                for w in bits_to_vertices(adj[v] & ~visited & ~(1 << u)):
-                    found = dfs(w, visited | 1 << w, nhits)
+                step = adj[v] & ~visited  # u is always visited
+                while step:
+                    low = step & -step
+                    step ^= low
+                    found = dfs(low.bit_length() - 1, visited | low, nhits)
                     if found is not None:
                         return found
                 return None
@@ -204,23 +207,21 @@ def verify_certificate(
 def longest_cycle(g: Graph) -> tuple[int, tuple[int, ...]] | None:
     """A maximum-length cycle as (length, vertex sequence); None for forests.
 
-    Plain backtracking over root-canonical paths; fine for the intended
-    n <= 16 regime.
+    Backtracking over root-canonical paths (root the least cycle vertex); a
+    branch stops once its path plus the unvisited vertices of the component
+    above the root cannot beat the best cycle so far, so the first cycle of
+    each length found is the one kept. Fine for the intended n <= 16 regime.
     """
-    n = g.n
-    adj = [g.adj_bits(v) for v in range(n)]
+    adj = [g.adj_bits(v) for v in range(g.n)]
     best: tuple[int, tuple[int, ...]] | None = None
     for mask in g.component_masks():
-        comp_size = mask.bit_count()
-        if comp_size < 3:
-            continue
-        if best is not None and best[0] >= comp_size:
+        if mask.bit_count() < 3:
             continue
         for root in bits_to_vertices(mask):
-            allowed = mask & ~((1 << (root + 1)) - 1)
             path = [root]
 
-            def dfs(v: int, visited: int) -> None:
+            def dfs(v: int, left: int) -> None:
+                # left: the component's vertices above the root off the path
                 nonlocal best
                 if (
                     len(path) >= 3
@@ -229,46 +230,43 @@ def longest_cycle(g: Graph) -> tuple[int, tuple[int, ...]] | None:
                     and (best is None or len(path) > best[0])
                 ):
                     best = (len(path), tuple(path))
-                if best is not None and best[0] >= comp_size:
-                    return
-                for w in bits_to_vertices(adj[v] & allowed & ~visited):
-                    path.append(w)
-                    dfs(w, visited | 1 << w)
+                reach = len(path) + left.bit_count()
+                step = adj[v] & left
+                while step and (best is None or reach > best[0]):
+                    low = step & -step
+                    step ^= low
+                    path.append(low.bit_length() - 1)
+                    dfs(path[-1], left ^ low)
                     path.pop()
-                    if best is not None and best[0] >= comp_size:
-                        return
 
-            dfs(root, 1 << root)
-            if best is not None and best[0] >= comp_size:
-                break
+            dfs(root, mask & ~((1 << (root + 1)) - 1))
     return best
 
 
 def max_path_order(g: Graph) -> int:
-    """Most vertices on any path of G (1 for edgeless nonempty graphs)."""
+    """Most vertices on any path of G (1 for edgeless nonempty graphs).
+
+    A branch stops once its path plus the unvisited vertices of the
+    component cannot beat the longest path so far.
+    """
     if g.n == 0:
         raise GraphError("empty graph has no paths")
-    n = g.n
-    adj = [g.adj_bits(v) for v in range(n)]
+    adj = [g.adj_bits(v) for v in range(g.n)]
     best = 1
+
+    def dfs(v: int, left: int, length: int) -> None:
+        # left: the component's vertices off the path
+        nonlocal best
+        if length > best:
+            best = length
+        reach = length + left.bit_count()
+        step = adj[v] & left
+        while step and reach > best:
+            low = step & -step
+            step ^= low
+            dfs(low.bit_length() - 1, left ^ low, length + 1)
+
     for mask in g.component_masks():
-        comp_size = mask.bit_count()
-        if comp_size <= best:
-            continue
-
-        def dfs(v: int, visited: int, length: int) -> None:
-            nonlocal best
-            if length > best:
-                best = length
-            if best >= comp_size:
-                return
-            for w in bits_to_vertices(adj[v] & ~visited):
-                dfs(w, visited | 1 << w, length + 1)
-                if best >= comp_size:
-                    return
-
         for start in bits_to_vertices(mask):
-            dfs(start, 1 << start, 1)
-            if best >= comp_size:
-                break
+            dfs(start, mask & ~(1 << start), 1)
     return best

@@ -9,7 +9,6 @@ machine word for n <= 64) and the documented cap of n <= 256.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 256
@@ -245,79 +244,73 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     Intended for small orders (n <= 12 or so); an order mismatch is just
     False, not an error.
     """
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
+    return next(_isomorphisms(g, h), None) is not None
+
+
+def automorphism_count(g: Graph) -> int:
+    """|Aut(G)|: the isomorphisms of g onto itself, each found once by the
+    same backtracking search as ``is_isomorphic``."""
+    return sum(1 for _ in _isomorphisms(g, g))
+
+
+def _isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism of g onto h, as the image of each vertex of g.
+
+    Vertices of g are mapped in a fixed order, most-constrained colors first,
+    each onto an unused vertex of h of the same refined color whose
+    adjacency to the images so far matches its own adjacency to the vertices
+    mapped so far.
+    """
+    n = g.n
+    if n != h.n or g.edge_count != h.edge_count:
+        return
     cg, ch = _refine_colors_jointly(g, h)
     if sorted(cg) != sorted(ch):
-        return False
-    n = g.n
-    # map g-vertices in a fixed order, most-constrained colors first
+        return
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(ch[v], []).append(v)
     order = sorted(range(n), key=lambda v: (len(by_color[cg[v]]), v))
     mapping = [-1] * n
-    used = 0
 
-    def extend(idx: int) -> bool:
-        nonlocal used
+    def extend(idx: int, mapped: int, used: int) -> Iterator[tuple[int, ...]]:
+        # mapped: the g-vertices order[:idx] as bits; used: their images
         if idx == n:
-            return True
+            yield tuple(mapping)
+            return
         u = order[idx]
+        # the images of u's neighbours among the mapped vertices
+        want = 0
+        for w in bits_to_vertices(g._adj[u] & mapped):
+            want |= 1 << mapping[w]
         for v in by_color[cg[u]]:
-            if used >> v & 1:
-                continue
-            ok = True
-            for w in order[:idx]:
-                if g.has_edge(u, w) != h.has_edge(v, mapping[w]):
-                    ok = False
-                    break
-            if ok:
+            if not used >> v & 1 and h._adj[v] & used == want:
                 mapping[u] = v
-                used |= 1 << v
-                if extend(idx + 1):
-                    return True
-                used &= ~(1 << v)
-                mapping[u] = -1
-        return False
+                yield from extend(idx + 1, mapped | 1 << u, used | 1 << v)
 
-    return extend(0)
+    yield from extend(0, 0, 0)
 
 
 def _refine_colors_jointly(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
     """Iterated (color, neighbor-color multiset) refinement with ids shared
-    between the two graphs, so equal colors mean equal refinement history."""
+    between the two graphs, so equal colors mean equal refinement history.
+    Each round splits classes or leaves them all as they are, so it stops
+    once the number of classes stops growing."""
     cg = list(g.degrees())
     ch = list(h.degrees())
+    gn = [g.neighbors(v) for v in range(g.n)]
+    hn = [h.neighbors(v) for v in range(h.n)]
+    classes = len(set(cg) | set(ch))
     for _ in range(g.n):
-        kg = [
-            (cg[v], tuple(sorted(cg[w] for w in g.neighbors(v)))) for v in range(g.n)
-        ]
-        kh = [
-            (ch[v], tuple(sorted(ch[w] for w in h.neighbors(v)))) for v in range(h.n)
-        ]
+        kg = [(cg[v], tuple(sorted(cg[w] for w in gn[v]))) for v in range(g.n)]
+        kh = [(ch[v], tuple(sorted(ch[w] for w in hn[v]))) for v in range(h.n)]
         canon = {k: i for i, k in enumerate(sorted(set(kg) | set(kh)))}
-        ng = [canon[k] for k in kg]
-        nh = [canon[k] for k in kh]
-        if ng == cg and nh == ch:
+        cg = [canon[k] for k in kg]
+        ch = [canon[k] for k in kh]
+        if len(canon) == classes:
             break
-        cg, ch = ng, nh
+        classes = len(canon)
     return cg, ch
-
-
-def automorphism_count(g: Graph) -> int:
-    """|Aut(G)| by brute force; for tiny n only (used as a test oracle hook)."""
-    count = 0
-    edges = set()
-    for u, v in g.edges():
-        edges.add((u, v))
-    for perm in permutations(range(g.n)):
-        if all(
-            ((perm[u], perm[v]) in edges or (perm[v], perm[u]) in edges)
-            for (u, v) in edges
-        ):
-            count += 1
-    return count
 
 
 # -- edge-bitmask conventions ---------------------------------------------------

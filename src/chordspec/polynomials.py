@@ -20,6 +20,7 @@ are moved off it, so isolating intervals have non-root ends.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, isfinite
 from typing import Iterable, Sequence
@@ -183,19 +184,22 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     return _normalised(p.coeffs) if p.coeffs else p
 
 
-def _squarefree_chain(p: IntPolynomial) -> list[IntPolynomial]:
+@functools.lru_cache(maxsize=64)
+def _squarefree_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
     """Sturm chain of p's squarefree part, which is its first element.
 
     The chain of the normalised p ends in gcd(p, p') up to a constant; when
     that end is constant, p is squarefree and the chain is used as it is.
     Otherwise p is divided by it and the quotient gets its own chain.
+    Memoised on p (polynomials are immutable), so a run that compares many
+    ties with one threshold polynomial builds its chain once.
     """
     if p.degree <= 0:
         raise ValueError("constant polynomial has no squarefree part")
     chain = sturm_chain(_normalised(p.coeffs))
     if chain[-1].degree > 0:
         chain = sturm_chain(_normalised(_divide(chain[0].coeffs, chain[-1].coeffs)[0]))
-    return chain
+    return tuple(chain)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:

@@ -6,10 +6,11 @@ component; the Perron vector is the absolute value of the top eigenvector,
 which is simple on a connected component. ``MaskBatch`` is the batched form
 for many labeled graphs of one order given as edge bitmasks: degrees, the
 edge-degree-sum bound, stacked Q and one batched ``eigvalsh``, as numpy
-arrays; the python sweep kernel and the verifier's prefilter spot check both
-use it. Exact route: integer characteristic polynomials via the
-Faddeev-LeVerrier recurrence and Sturm-chain root isolation, used to resolve
-orderings that floats cannot.
+arrays; the python sweep kernel, the verifier's prefilter spot check and the
+verifier's tie batch (the float index of every mask the sweep kernel leaves
+for the exact rules, the tie band) all use it. Exact route: integer
+characteristic polynomials via the Faddeev-LeVerrier recurrence and
+Sturm-chain root isolation, used to resolve orderings that floats cannot.
 """
 
 from __future__ import annotations
@@ -60,20 +61,24 @@ def q_index(g: Graph) -> SpectralResult:
     One dense symmetric eigensolve per connected component; the max is taken,
     the first component winning a tie. The returned vector is the Perron
     vector of the achieving component embedded in R^n (zero elsewhere), and
-    the residual is max |Qx - qx| over that component.
+    the residual is max |Qx - qx| over that component. A connected graph is
+    its own component: Q goes to the eigensolver as it is.
     """
     Q = signless_laplacian(g).astype(float)
+    comps = g.components()
     best_q = -1.0
-    for comp in g.components():
-        sub = Q[np.ix_(comp, comp)]
+    for comp in comps:
+        sub = Q if len(comps) == 1 else Q[np.ix_(comp, comp)]
         w, v = np.linalg.eigh(sub)
         if w[-1] > best_q + 1e-15:
             best_q, best_comp, best_sub = float(w[-1]), comp, sub
             best_x = np.abs(v[:, -1])
     residual = float(np.max(np.abs(best_sub @ best_x - best_q * best_x)))
-    full = np.zeros(g.n)
-    full[list(best_comp)] = best_x
-    return SpectralResult(q=best_q, vector=tuple(full.tolist()), residual=residual)
+    if len(comps) > 1:
+        full = np.zeros(g.n)
+        full[list(best_comp)] = best_x
+        best_x = full
+    return SpectralResult(q=best_q, vector=tuple(best_x.tolist()), residual=residual)
 
 
 @functools.cache
@@ -137,16 +142,32 @@ class MaskBatch:
         return np.linalg.eigvalsh(self.signless_laplacians())[:, -1]
 
 
-def eta(g: Graph, v: int) -> Fraction:
-    """d(v) + (sum of neighbor degrees) / d(v), exactly."""
+def _eta_terms(g: Graph, v: int) -> tuple[int, int]:
+    """(d(v)^2 + sum of neighbor degrees, d(v)): eta(v) as a numerator and a
+    positive denominator."""
     d = g.degree(v)
     if d == 0:
         raise GraphError(f"eta undefined on isolated vertex {v}")
-    return Fraction(d) + Fraction(sum(g.degree(u) for u in g.neighbors(v)), d)
+    return d * d + sum(g.degree(u) for u in g.neighbors(v)), d
+
+
+def eta(g: Graph, v: int) -> Fraction:
+    """d(v) + (sum of neighbor degrees) / d(v), exactly."""
+    return Fraction(*_eta_terms(g, v))
 
 
 def max_eta(g: Graph) -> Fraction:
-    return max(eta(g, v) for v in range(g.n) if g.degree(v) > 0)
+    """The largest eta(v) over the non-isolated vertices; the terms compare by
+    cross-multiplication and only the winner becomes a Fraction."""
+    best_num, best_den = 0, 0
+    for v in range(g.n):
+        if g.degree(v) > 0:
+            num, den = _eta_terms(g, v)
+            if not best_den or num * best_den > best_num * den:
+                best_num, best_den = num, den
+    if not best_den:
+        raise GraphError("max_eta undefined on an edgeless graph")
+    return Fraction(best_num, best_den)
 
 
 # -- quotient matrices ----------------------------------------------------------

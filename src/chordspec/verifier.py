@@ -7,9 +7,9 @@ threshold. The kernel then classifies the survivors: it counts a graph whose
 index is provably above the 1e-8 tie band around the threshold and that
 passes the task's chord test, and drops one provably below the band. Only
 the masks left over reach Python, which decides them as before: float
-eigenvalues away from the threshold, exact characteristic-polynomial
-comparison inside the band, the reference searchers when the kernel's test
-finds nothing.
+eigenvalues (one batched eigensolve over all of them) away from the
+threshold, exact characteristic-polynomial comparison inside the band, the
+reference searchers when the kernel's test finds nothing.
 
 The randomized suites are seeded and stratified over edge probabilities
 {0.2, 0.4, 0.6, 0.8}; identical (task, params, seed) inputs produce identical
@@ -65,7 +65,6 @@ from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
 from .spectral import (
     MaskBatch,
     charpoly_int_matrix,
-    eta,
     max_eta,
     q_exact_compare,
     q_index,
@@ -182,10 +181,16 @@ def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     return sum(r[0] for r in results), sum(r[1] for r in results), rest
 
 
-def _versus_threshold(g: Graph, ext: Graph, thr: float, exact: bool) -> int:
-    """q(g) against thr: LESS or GREATER by floats outside the tie band;
-    inside it the exact order against q(ext) when exact, else EQUAL."""
-    qv = q_index(g).q
+def _rest_indices(n: int, rest: list[int]) -> list[float]:
+    """The float index of every mask the kernel left for the Python rules,
+    from one batched eigensolve."""
+    return MaskBatch.of(n, rest).top_eigenvalues().tolist()
+
+
+def _versus_threshold(g: Graph, qv: float, ext: Graph, thr: float, exact: bool) -> int:
+    """q(g), whose float value is qv, against thr: LESS or GREATER by floats
+    outside the tie band; inside it the exact order against q(ext) when
+    exact, else EQUAL."""
     if qv < thr - TIE_BAND:
         return LESS
     if qv > thr + TIE_BAND:
@@ -227,6 +232,33 @@ def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
 # -- Theorem and corollary sweeps ---------------------------------------------------
 
 
+def _theorem_tail(n: int, rest: list[int], ext: Graph, thr: float, exact_ties: bool):
+    """The theorem's rules on the masks the kernel left: graphs below the
+    threshold are dropped, configured ones counted (by the kernel's apex
+    test, else by the reference searcher, which is then a kernel mismatch),
+    copies of ext counted, and any other graph is a counterexample.
+    Returns (configured, kernel mismatches, extremal hits, counterexamples)."""
+    configured = kernel_mismatches = extremal_hits = 0
+    counterexamples: list[str] = []
+    for mask, qv in zip(rest, _rest_indices(n, rest)):
+        g = graph_from_mask(n, mask)
+        if _versus_threshold(g, qv, ext, thr, exact_ties) == LESS:
+            continue
+        if kernels.apex_has_config(n, mask, 3):
+            configured += 1
+            continue
+        # the kernel found nothing; confirm with the reference searcher
+        if chords.find_k_chords_at_apex(g, 3) is not None:
+            kernel_mismatches += 1
+            configured += 1
+            continue
+        if is_isomorphic(g, ext):
+            extremal_hits += 1
+        else:
+            counterexamples.append(graph6_encode(g))
+    return configured, kernel_mismatches, extremal_hits, counterexamples
+
+
 def verify_theorem_main(
     n: int, *, threshold_offset: float = 0.0, jobs: int = 1
 ) -> Report:
@@ -242,27 +274,9 @@ def verify_theorem_main(
     # the kernel counts the graphs clearly above the threshold that carry the
     # configuration; the tie band and the rest get the rules below
     no_isolated, configured, rest = _sweep_classified(n, thr, ("apex_has_config", 3), jobs)
-
-    extremal_hits = 0
-    kernel_mismatches = 0
-    counterexamples: list[str] = []
-    for mask in rest:
-        g = graph_from_mask(n, mask)
-        if _versus_threshold(g, ext.graph, thr, exact_ties) == LESS:
-            continue
-        if kernels.apex_has_config(n, mask, 3):
-            configured += 1
-            continue
-        # the kernel found nothing; confirm with the reference searcher
-        cert = chords.find_k_chords_at_apex(g, 3)
-        if cert is not None:
-            kernel_mismatches += 1
-            configured += 1
-            continue
-        if is_isomorphic(g, ext.graph):
-            extremal_hits += 1
-        else:
-            counterexamples.append(graph6_encode(g))
+    more, kernel_mismatches, extremal_hits, counterexamples = _theorem_tail(
+        n, rest, ext.graph, thr, exact_ties)
+    configured += more
 
     orbit = math.factorial(n) // automorphism_count(ext.graph)
     details = [
@@ -311,9 +325,9 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
 
     extremal_hits = 0
     counterexamples: list[str] = []
-    for mask in rest:
+    for mask, qv in zip(rest, _rest_indices(n, rest)):
         g = graph_from_mask(n, mask)
-        order = _versus_threshold(g, ext.graph, thr, True)
+        order = _versus_threshold(g, qv, ext.graph, thr, True)
         if order == LESS:
             continue
         if order == EQUAL:
@@ -799,6 +813,18 @@ def _battery_details(caps: dict) -> dict:
 # -- the suite runner ------------------------------------------------------------------
 
 
+def _eta_slack(g: Graph, v: int) -> int:
+    """d (n + 2 e(N(v)) / d - eta(v)) = n d + 2 e(N(v)) - d^2 - sum of the
+    neighbor degrees, for d = d(v) > 0: the counting form of the eta bound
+    holds at v exactly when this integer is not negative."""
+    nb, d = g.adj_bits(v), g.degree(v)
+    twice_inner = degree_sum = 0
+    for u in bits_to_vertices(nb):
+        twice_inner += (g.adj_bits(u) & nb).bit_count()
+        degree_sum += g.degree(u)
+    return g.n * d + twice_inner - d * d - degree_sum
+
+
 def _trials(rng: random.Random, trials: int, draw, check, attempts: int = 30):
     """Run seeded trials: draw(rng) returns a sample, or None to redraw (the
     trial is skipped after `attempts` draws in a row return None), and
@@ -918,12 +944,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     def check_eta(rng, g):
         if q_index(g).q > float(max_eta(g)) + 1e-10:
             return g
-        for v in range(g.n):
-            nb = g.neighbors(v)
-            inner = sum(1 for i in nb for j in nb if i < j and g.has_edge(i, j))
-            if eta(g, v) > g.n + Fraction(2 * inner, g.degree(v)):
-                return g
-        return None
+        return g if any(_eta_slack(g, v) < 0 for v in range(g.n)) else None
 
     eq_bad = []
     for label, g in (

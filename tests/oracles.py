@@ -14,7 +14,9 @@ earlier per-graph and nested-list forms of the verifier's spot check and of
 ``spectral.charpoly_int_matrix``, kept as references for the batched ones;
 ``oracle_signless_laplacian`` and ``oracle_quotient_matrix`` are the earlier
 per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
-``spectral.quotient_matrix``.
+``spectral.quotient_matrix``; ``oracle_q_index`` is the earlier form of
+``spectral.q_index``, which cuts every component, even the only one, out of Q.
+``oracle_automorphism_count`` tries all n! vertex permutations.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from chordspec.graphs import Graph, graph_from_mask, index_pairs
 from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
-from chordspec.spectral import q_index
+from chordspec.spectral import SpectralResult, q_index, signless_laplacian
 
 
 def cycles_by_permutation(g: Graph):
@@ -137,6 +139,33 @@ def oracle_isomorphic(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def oracle_automorphism_count(g: Graph) -> int:
+    """|Aut(G)| by brute force over all n! permutations; tiny n only."""
+    edges = {(min(u, v), max(u, v)) for u, v in g.edges()}
+    return sum(
+        1
+        for perm in permutations(range(g.n))
+        if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges)
+    )
+
+
+def oracle_q_index(g: Graph) -> SpectralResult:
+    """q(G), Perron vector and residual with one eigensolve per component,
+    each component cut out of Q and its vector embedded in R^n."""
+    Q = signless_laplacian(g).astype(float)
+    best_q = -1.0
+    for comp in g.components():
+        sub = Q[np.ix_(comp, comp)]
+        w, v = np.linalg.eigh(sub)
+        if w[-1] > best_q + 1e-15:
+            best_q, best_comp, best_sub = float(w[-1]), comp, sub
+            best_x = np.abs(v[:, -1])
+    residual = float(np.max(np.abs(best_sub @ best_x - best_q * best_x)))
+    full = np.zeros(g.n)
+    full[list(best_comp)] = best_x
+    return SpectralResult(q=best_q, vector=tuple(full.tolist()), residual=residual)
 
 
 def oracle_q(g: Graph) -> float:

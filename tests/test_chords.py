@@ -182,6 +182,22 @@ def test_longest_cycle():
                        for i in range(length))
 
 
+def test_longest_cycle_is_the_first_longest_in_search_order():
+    # cycles_by_dfs lists the cycles of a connected graph in the searcher's
+    # own order (least root first, neighbours ascending), so the pruned
+    # search must return the first of the longest ones there
+    rng = random.Random(32)
+    checked = 0
+    while checked < 200:
+        g = random_graph(rng, rng.randint(3, 10), rng.choice((0.3, 0.45, 0.6)))
+        if not g.is_connected():
+            continue
+        cycles = list(cycles_by_dfs(g))
+        want = max(cycles, key=len) if cycles else None
+        assert longest_cycle(g) == (None if want is None else (len(want), want))
+        checked += 1
+
+
 def test_max_path_order():
     for n in (1, 2, 5, 9):
         assert max_path_order(path(n)) == n

@@ -1,25 +1,37 @@
+import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chordspec.families import complete, complete_multipartite, cycle, path, star
+from chordspec.families import (
+    complete,
+    complete_multipartite,
+    cycle,
+    extremal_graph,
+    path,
+    star,
+)
 from chordspec.graphs import (
     Graph6Error,
     GraphError,
     apex_partition,
+    automorphism_count,
     disjoint_union,
     edge_counts,
+    edge_index,
     graph6_decode,
     graph6_encode,
     graph_from_mask,
+    index_pairs,
     is_isomorphic,
     join,
     make_graph,
     mask_from_graph,
 )
-from oracles import oracle_isomorphic
+from oracles import oracle_automorphism_count, oracle_isomorphic
 
 
 def random_graph(rng, n, p=0.5):
@@ -169,6 +181,10 @@ def test_is_isomorphic_examples():
 
     built = join(make_graph(2, [(0, 1)]), make_graph(4, [(0, 1)]))
     assert is_isomorphic(built, k11n2_plus(6).graph)
+    # regular graphs, which colour refinement cannot split: only the
+    # backtracking, one vertex per image, tells them apart
+    assert not is_isomorphic(cycle(6), disjoint_union(cycle(3), cycle(3)))
+    assert not is_isomorphic(cycle(8), disjoint_union(cycle(4), cycle(4)))
 
 
 def test_is_isomorphic_against_bruteforce():
@@ -186,6 +202,53 @@ def test_is_isomorphic_against_bruteforce():
         assert is_isomorphic(g, h) == oracle_isomorphic(g, h)
         agree += 1
     assert agree == 1000
+
+
+def _mask_orbit(n, mask):
+    """Every relabelling of the order-n edge mask, as a set of masks."""
+    edges = [pair for b, pair in enumerate(index_pairs(n)) if mask >> b & 1]
+    return {
+        sum(1 << edge_index(perm[i], perm[j]) for i, j in edges)
+        for perm in permutations(range(n))
+    }
+
+
+def test_automorphism_count_on_every_graph_to_order_6():
+    # every labeled graph up to order 5 against the brute-force count
+    for n in range(1, 6):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = graph_from_mask(n, mask)
+            assert automorphism_count(g) == oracle_automorphism_count(g), (n, mask)
+    # order 6, one isomorphism class at a time: the least mask of the class
+    # and a relabelled copy, both against the brute force count and the
+    # orbit-stabiliser count 6!/|orbit|
+    rng = random.Random(6)
+    seen = set()
+    classes = 0
+    for mask in range(1 << 15):
+        if mask in seen:
+            continue
+        orbit = _mask_orbit(6, mask)
+        seen |= orbit
+        classes += 1
+        want = math.factorial(6) // len(orbit)
+        for m in (mask, rng.choice(sorted(orbit))):
+            g = graph_from_mask(6, m)
+            assert automorphism_count(g) == oracle_automorphism_count(g) == want, m
+    assert classes == 156 and len(seen) == 1 << 15
+
+
+def test_automorphism_count_on_seeded_graphs_and_threshold_orbits():
+    rng = random.Random(78)
+    for n, count in ((7, 12), (8, 3)):
+        for _ in range(count):
+            g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.7)))
+            assert automorphism_count(g) == oracle_automorphism_count(g)
+    # groups known in closed form: S3 x S4 and the dihedral group of order 16
+    assert automorphism_count(complete_multipartite(3, 4)) == 6 * 24
+    assert automorphism_count(cycle(8)) == 16
+    for n, orbit in ((6, 30), (7, 210), (8, 420)):
+        assert math.factorial(n) // automorphism_count(extremal_graph(n).graph) == orbit
 
 
 def test_graph6_fixed_examples():

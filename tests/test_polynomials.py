@@ -247,6 +247,30 @@ def test_compare_identical_polynomials_still_checks_input():
         compare_largest_roots(poly(1, 0, 1), poly(1, 0, 1))  # x^2 + 1
     p = poly(1, 0, 1) * poly(-3, 1)
     assert compare_largest_roots(p, p) == EQUAL
+    # the chain of a polynomial without real roots is memoised like any
+    # other, and a comparison that finds it there still raises
+    rootless = poly(2, 0, 3, 0, 1)  # (x^2 + 1)(x^2 + 2)
+    polynomials._squarefree_chain(rootless)
+    hits = polynomials._squarefree_chain.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            compare_largest_roots(rootless, rootless)
+    assert polynomials._squarefree_chain.cache_info().hits == hits + 2
+
+
+def test_squarefree_chain_is_built_once_per_polynomial(monkeypatch):
+    calls = []
+    chain = polynomials.sturm_chain
+    monkeypatch.setattr(polynomials, "sturm_chain", lambda p: calls.append(p) or chain(p))
+    polynomials._squarefree_chain.cache_clear()
+    p = poly(-3, 1) * poly(1, 1) * poly(-2, 0, 1)
+    q = poly(-2, 1) * poly(5, 1)
+    for _ in range(3):
+        assert compare_largest_roots(p, p) == EQUAL
+        assert compare_largest_roots(p, q) == GREATER
+        assert compare_largest_roots(q, p) == LESS
+    assert calls == [p, q]
+    assert isinstance(polynomials._squarefree_chain(p), tuple)
 
 
 def _random_factor(rng):

@@ -40,9 +40,11 @@ from chordspec.spectral import (
     quotient_matrix,
     signless_laplacian,
 )
+from chordspec.verifier import _eta_slack
 from oracles import (
     oracle_charpoly_int_matrix,
     oracle_q,
+    oracle_q_index,
     oracle_quotient_matrix,
     oracle_signless_laplacian,
 )
@@ -107,6 +109,19 @@ def test_q_index_disconnected_takes_component_max():
     assert res.q == pytest.approx(4.0, abs=1e-10)
     assert res.vector[0] == 0
     assert all(x > 0 for x in res.vector[1:])
+
+
+def test_q_index_matches_the_per_component_route_bit_for_bit():
+    # a connected graph's Q goes to the eigensolver as it is; the values must
+    # equal cutting out its one component, bit for bit (also when it is not
+    # connected, where both take the component route)
+    rng = random.Random(57)
+    connected = 0
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+        connected += g.is_connected()
+        assert q_index(g) == oracle_q_index(g)
+    assert connected >= 200
 
 
 def test_eta_examples():
@@ -260,6 +275,28 @@ def test_eta_bounds_q_on_random_graphs():
         assert q_index(g).q <= float(max_eta(g)) + 1e-10
     for g in (cycle(8), complete(6), complete_multipartite(2, 5)):
         assert q_index(g).q == pytest.approx(float(max_eta(g)), abs=1e-9)
+
+
+def test_integer_eta_matches_the_fraction_route():
+    # eta and max_eta compare integer terms and build one Fraction; the
+    # property suite's counting form of the bound is an integer slack
+    rng = random.Random(303)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.4, 0.6, 0.8)))
+        if g.min_degree == 0:
+            continue
+        etas = []
+        for v in range(g.n):
+            d = g.degree(v)
+            want = Fraction(d) + Fraction(sum(g.degree(u) for u in g.neighbors(v)), d)
+            assert eta(g, v) == want
+            etas.append(want)
+            nb = g.neighbors(v)
+            inner = sum(1 for i in nb for j in nb if i < j and g.has_edge(i, j))
+            assert Fraction(_eta_slack(g, v), d) == g.n + Fraction(2 * inner, d) - want
+        assert max_eta(g) == max(etas)
+    # the slack is 0 exactly when the bound is tight, as on cliques
+    assert all(_eta_slack(complete(5), v) == 0 for v in range(5))
 
 
 def test_mask_batch_matches_per_graph_routines():
