@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
-apex detector) against the pure-Python fallback, the theorem's prefilter
-spot check, the theorem's Python rules on the tie band the kernel leaves,
-exact characteristic polynomials, and the exact largest-root comparison that
-decides near-ties.
+apex detector, longest cycle and longest path) against the pure-Python
+fallback, the theorem's prefilter spot check, the theorem's Python rules on
+the tie band the kernel leaves, exact characteristic polynomials, the exact
+largest-root comparison that decides near-ties, and one end-to-end property
+suite at 10,000 trials.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 
@@ -34,8 +35,10 @@ from chordspec.verifier import (
     SWEEP_MARGIN,
     TIE_BAND,
     _prefilter_spot_check,
+    _sample,
     _sweep_classified,
     _theorem_tail,
+    property_suite,
 )
 
 
@@ -94,6 +97,34 @@ def bench_detector(impls, trials=20000, seed=7):
             base = hits
         else:
             assert base == hits, "implementations disagree"
+
+
+def bench_row_searches(impls, draws=3000, seed=7):
+    """longest_cycle and max_path_order on the property suite's own random
+    graphs of orders 4..12 (each edge present with probability 0.2 to 0.8)."""
+    rng = random.Random(seed)
+    rows = [_sample(rng, 4, 12).rows for _ in range(draws)]
+    print(f"longest cycle and longest path, {draws} random order-4..12 graphs")
+    for name in ("longest_cycle", "max_path_order"):
+        base = None
+        for label, impl in impls:
+            search = getattr(impl, name)
+            t0 = time.perf_counter()
+            out = [search(r) for r in rows]
+            dt = time.perf_counter() - t0
+            print(f"  {name:15s} {label:9s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s")
+            if base is None:
+                base = out
+            else:
+                assert base == out, "implementations disagree"
+
+
+def bench_property_suite(seed=7, trials=10000):
+    """One whole property suite, as `verify properties` runs it."""
+    dt, report = time_call(property_suite, seed, trials)
+    print(f"property suite seed={seed} trials={trials}: {dt:.2f}s  "
+          f"graphs examined={report.graphs_examined}")
+    assert report.passed
 
 
 def repeat_for(min_seconds, fn):
@@ -257,6 +288,7 @@ def main() -> None:
         bench_sweep(impls, 7, 0, 1 << 21, floor7)
     bench_classify(impls, 7, 0, 1 << 18, thr7)
     bench_detector(impls)
+    bench_row_searches(impls)
     bench_spot_check()
     bench_tie_tail(6)
     bench_tie_tail(7)
@@ -277,6 +309,8 @@ def main() -> None:
     assert len(pairs) == 196 and len(pairs) - appendix[LESS] == 4, appendix
     ties = bench_exact("order-6 ties", tie_pairs(6))
     assert ties == Counter({EQUAL: 30}), ties
+
+    bench_property_suite()
 
 
 if __name__ == "__main__":

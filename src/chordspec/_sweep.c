@@ -1,6 +1,7 @@
 /* Compiled sweep kernels: exhaustive index sweeps over edge-bitmask graph
- * ranges, the classification of their survivors against a tie band, and
- * boolean chord-configuration tests.
+ * ranges, the classification of their survivors against a tie band,
+ * boolean chord-configuration tests, and the longest-cycle and
+ * longest-path searches of the property suite.
  *
  * Same interface and the same soundness contract as the pure-Python twin in
  * _sweep_py.py: sweep_range may drop a mask only when the signless Laplacian
@@ -13,7 +14,9 @@
  *
  * A graph on n vertices is an edge bitmask: bit b is the pair (i, j), i < j,
  * in the order (0,1), (0,2), (1,2), (0,3), ... (graphs.index_pairs). Masks
- * fit 64 bits up to n = 11. Adjacency rows are vertex bitmasks.
+ * fit 64 bits up to n = 11. Adjacency rows are vertex bitmasks; the
+ * longest-cycle and longest-path searches take them directly, for graphs of
+ * up to 64 vertices.
  *
  * kernels.py compiles this file on first import.
  */
@@ -337,6 +340,177 @@ static int has_chorded_or_apex(int n, const uint64_t *adj, long min_chords)
     return (min_chords <= 3 && has_apex(n, adj, 3)) || has_chorded(n, adj, min_chords);
 }
 
+/* -- longest cycle and longest path ------------------------------------------
+ * The searches of chords.longest_cycle and chords.max_path_order on a graph
+ * given by its adjacency rows (vertex bitmasks, up to MAXROWS vertices), in
+ * the same order and with the same prune: components by least vertex, roots
+ * and neighbours ascending, and a branch stops once its path plus the
+ * unvisited vertices it may still take cannot beat the best so far. */
+
+#define MAXROWS 64
+
+/* The adjacency rows of a simple graph into rows[0..*n), else ValueError
+ * (TypeError for a row that is not an int). */
+static int parse_rows(PyObject *arg, uint64_t *rows, int *n)
+{
+    PyObject *seq = PySequence_Fast(arg, "rows must be a sequence");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    if (count > MAXROWS) {
+        PyErr_Format(PyExc_ValueError, "kernels support up to %d vertices, got %zd",
+                     MAXROWS, count);
+        goto fail;
+    }
+    for (Py_ssize_t v = 0; v < count; v++) {
+        if (!PyLong_Check(items[v])) {
+            PyErr_Format(PyExc_TypeError, "row %zd is not an int: %R", v, items[v]);
+            goto fail;
+        }
+        rows[v] = PyLong_AsUnsignedLongLong(items[v]);
+        int bad = rows[v] == (uint64_t)-1 && PyErr_Occurred();
+        if (bad) /* negative or wider than 64 bits */
+            PyErr_Clear();
+        if (bad || (count < 64 && rows[v] >> count) || (rows[v] >> v & 1)) {
+            PyErr_Format(PyExc_ValueError, "row %zd = %R is not a row of a simple "
+                         "graph on %zd vertices", v, items[v], count);
+            goto fail;
+        }
+    }
+    Py_DECREF(seq);
+    *n = (int)count;
+    for (int v = 0; v < *n; v++)
+        for (uint64_t nb = rows[v]; nb; nb &= nb - 1)
+            if (!(rows[lowest_bit(nb)] >> v & 1)) {
+                PyErr_Format(PyExc_ValueError, "rows are not symmetric: %d lists %d",
+                             v, lowest_bit(nb));
+                return -1;
+            }
+    return 0;
+fail:
+    Py_DECREF(seq);
+    return -1;
+}
+
+/* The vertex masks of the connected components, ordered by least vertex;
+ * returns their number. */
+static int components(int n, const uint64_t *adj, uint64_t *comps)
+{
+    uint64_t left = n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0;
+    int count = 0;
+    while (left) {
+        uint64_t comp = left & (~left + 1), frontier = comp;
+        while (frontier) {
+            uint64_t next = 0;
+            for (; frontier; frontier &= frontier - 1)
+                next |= adj[lowest_bit(frontier)];
+            frontier = next & left & ~comp;
+            comp |= frontier;
+        }
+        comps[count++] = comp;
+        left &= ~comp;
+    }
+    return count;
+}
+
+typedef struct {
+    const uint64_t *adj;
+    int root, len, best_len; /* best_len 0: no cycle yet */
+    int path[MAXROWS], best[MAXROWS];
+} cycle_search;
+
+/* Extend path[0..len) ending at v; left: the component's vertices above
+ * the root off the path. A closed cycle is counted once, toward the smaller
+ * of the root's two cycle neighbours (path[1] < v). The two recursive
+ * searches are not inlined: gcc -O3 unrolls them into themselves, which
+ * gains nothing measurable here and raises the compiler's peak memory on
+ * the first import by about 2 MB. */
+__attribute__((noinline)) static void longest_cycle_rec(cycle_search *s, int v, uint64_t left)
+{
+    if (s->len >= 3 && (s->adj[v] >> s->root & 1) && s->path[1] < v &&
+        s->len > s->best_len) {
+        s->best_len = s->len;
+        memcpy(s->best, s->path, sizeof(int) * s->len);
+    }
+    int reach = s->len + popcount(left);
+    for (uint64_t step = s->adj[v] & left; step && reach > s->best_len;
+         step &= step - 1) {
+        uint64_t low = step & (~step + 1);
+        s->path[s->len++] = lowest_bit(low);
+        longest_cycle_rec(s, lowest_bit(low), left ^ low);
+        s->len--;
+    }
+}
+
+static PyObject *longest_cycle(PyObject *self, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    uint64_t adj[MAXROWS], comps[MAXROWS];
+    int n;
+    if (check_nargs("longest_cycle", nargs, 1) || parse_rows(args[0], adj, &n))
+        return NULL;
+    cycle_search s = {.adj = adj};
+    int ncomps = components(n, adj, comps);
+    for (int c = 0; c < ncomps; c++) {
+        if (popcount(comps[c]) < 3)
+            continue;
+        for (uint64_t roots = comps[c]; roots; roots &= roots - 1) {
+            s.root = lowest_bit(roots);
+            s.path[0] = s.root;
+            s.len = 1;
+            /* the component's vertices above the root */
+            longest_cycle_rec(&s, s.root, comps[c] & ~(((uint64_t)2 << s.root) - 1));
+        }
+    }
+    if (s.best_len == 0)
+        Py_RETURN_NONE;
+    PyObject *cycle = PyTuple_New(s.best_len);
+    if (cycle == NULL)
+        return NULL;
+    for (int i = 0; i < s.best_len; i++) {
+        PyObject *v = PyLong_FromLong(s.best[i]);
+        if (v == NULL) {
+            Py_DECREF(cycle);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(cycle, i, v);
+    }
+    return Py_BuildValue("(iN)", s.best_len, cycle);
+}
+
+/* Extend a path of `len` vertices ending at v; left: the component's
+ * vertices off the path. */
+__attribute__((noinline)) static void longest_path_rec(const uint64_t *adj, int v, uint64_t left, int len,
+                             int *best)
+{
+    if (len > *best)
+        *best = len;
+    int reach = len + popcount(left);
+    for (uint64_t step = adj[v] & left; step && reach > *best; step &= step - 1) {
+        uint64_t low = step & (~step + 1);
+        longest_path_rec(adj, lowest_bit(low), left ^ low, len + 1, best);
+    }
+}
+
+static PyObject *max_path_order(PyObject *self, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    uint64_t adj[MAXROWS], comps[MAXROWS];
+    int n;
+    if (check_nargs("max_path_order", nargs, 1) || parse_rows(args[0], adj, &n))
+        return NULL;
+    if (n == 0)
+        return PyErr_Format(PyExc_ValueError, "empty graph has no paths");
+    int best = 1, ncomps = components(n, adj, comps);
+    for (int c = 0; c < ncomps; c++)
+        for (uint64_t starts = comps[c]; starts; starts &= starts - 1) {
+            int start = lowest_bit(starts);
+            longest_path_rec(adj, start, comps[c] & ~((uint64_t)1 << start), 1, &best);
+        }
+    return PyLong_FromLong(best);
+}
+
 /* -- survivor classification ----------------------------------------------- */
 
 static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -419,6 +593,12 @@ static PyMethodDef methods[] = {
     {"classify", (PyCFunction)(void (*)(void))classify, METH_FASTCALL,
      "classify(n, masks, lo_cut, hi_cut, test) -> (hits, rest)\n\n"
      "Sort masks by index against two cuts; see _sweep_py.classify."},
+    {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_FASTCALL,
+     "longest_cycle(rows) -> (length, cycle) or None\n\n"
+     "The first longest cycle in search order; see chords.longest_cycle."},
+    {"max_path_order", (PyCFunction)(void (*)(void))max_path_order, METH_FASTCALL,
+     "max_path_order(rows) -> int\n\n"
+     "Most vertices on any path; see chords.max_path_order."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,8 +2,8 @@
 
 Mirrors the compiled extension's interface. The exhaustive q-sweep and the
 survivor classification are vectorized with numpy over blocks of edge
-bitmasks; the per-graph detectors defer to the reference searcher in
-chords.py.
+bitmasks; the per-graph detectors and the longest-cycle and longest-path
+searches defer to the reference searchers in chords.py.
 
 Soundness contract of sweep_range: a mask may only be dropped when its
 signless Laplacian index is provably below q_floor. Cheap degree bounds
@@ -20,12 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import chords
-from .graphs import graph_from_mask
+from .graphs import Graph, bits_to_vertices, graph_from_mask
 from .spectral import MaskBatch
 
 IS_COMPILED = False
 
 MAXN = 11  # edge bitmasks fit 64 bits up to n = 11, as in the compiled kernel
+MAXROWS = 64  # adjacency rows fit 64 bits, as in the compiled kernel
 CUT_MARGIN = 1e-9  # classify decides only when the index clears a cut by this
 _BLOCK = 1 << 14
 
@@ -122,3 +123,31 @@ def _has_chords(n: int, mask: int, min_chords: int) -> bool:
     # three chords at one vertex are three chords on one cycle, and the apex
     # search is the faster of the two
     return (min_chords <= 3 and apex_has_config(n, mask, 3)) or chorded_has(n, mask, min_chords)
+
+
+def _graph_of_rows(rows) -> Graph:
+    """The graph whose adjacency rows (vertex bitmasks) these are; ValueError
+    unless they are the rows of a simple graph on at most MAXROWS vertices."""
+    rows = tuple(rows)
+    n = len(rows)
+    if n > MAXROWS:
+        raise ValueError(f"kernels support up to {MAXROWS} vertices, got {n}")
+    for v, row in enumerate(rows):
+        if not 0 <= row < 1 << n or row >> v & 1:
+            raise ValueError(f"row {v} = {row} is not a row of a simple graph on {n} vertices")
+    for v, row in enumerate(rows):
+        for w in bits_to_vertices(row):
+            if not rows[w] >> v & 1:
+                raise ValueError(f"rows are not symmetric: {v} lists {w}")
+    return Graph(n, rows)
+
+
+def longest_cycle(rows) -> tuple[int, tuple[int, ...]] | None:
+    """The first longest cycle in search order as (length, vertex sequence);
+    None for forests."""
+    return chords.longest_cycle(_graph_of_rows(rows))
+
+
+def max_path_order(rows) -> int:
+    """Most vertices on any path; ValueError for the empty graph."""
+    return chords.max_path_order(_graph_of_rows(rows))

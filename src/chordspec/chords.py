@@ -210,7 +210,10 @@ def longest_cycle(g: Graph) -> tuple[int, tuple[int, ...]] | None:
     Backtracking over root-canonical paths (root the least cycle vertex); a
     branch stops once its path plus the unvisited vertices of the component
     above the root cannot beat the best cycle so far, so the first cycle of
-    each length found is the one kept. Fine for the intended n <= 16 regime.
+    each length found is the one kept. This is the python twin of
+    ``kernels.longest_cycle``, which runs the same search on the adjacency
+    rows of graphs with at most 64 vertices; the search is exponential in
+    the worst case, and the property suite draws orders up to 12.
     """
     adj = [g.adj_bits(v) for v in range(g.n)]
     best: tuple[int, tuple[int, ...]] | None = None
@@ -247,7 +250,8 @@ def max_path_order(g: Graph) -> int:
     """Most vertices on any path of G (1 for edgeless nonempty graphs).
 
     A branch stops once its path plus the unvisited vertices of the
-    component cannot beat the longest path so far.
+    component cannot beat the longest path so far. The python twin of
+    ``kernels.max_path_order``.
     """
     if g.n == 0:
         raise GraphError("empty graph has no paths")

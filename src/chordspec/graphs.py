@@ -35,6 +35,11 @@ class Graph:
     def adj_bits(self, u: int) -> int:
         return self._adj[u]
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Every vertex's adjacency row, as a bit set, in vertex order."""
+        return self._adj
+
     def degree(self, u: int) -> int:
         return self._adj[u].bit_count()
 
@@ -44,10 +49,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self._adj) // 2
-
-    @property
-    def max_degree(self) -> int:
-        return max((a.bit_count() for a in self._adj), default=0)
 
     @property
     def min_degree(self) -> int:

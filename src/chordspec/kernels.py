@@ -97,6 +97,8 @@ sweep_range = _impl.sweep_range
 apex_has_config = _impl.apex_has_config
 chorded_has = _impl.chorded_has
 classify = _impl.classify
+longest_cycle = _impl.longest_cycle
+max_path_order = _impl.max_path_order
 
 
 def implementations():

@@ -8,7 +8,11 @@ for many labeled graphs of one order given as edge bitmasks: degrees, the
 edge-degree-sum bound, stacked Q and one batched ``eigvalsh``, as numpy
 arrays; the python sweep kernel, the verifier's prefilter spot check and the
 verifier's tie batch (the float index of every mask the sweep kernel leaves
-for the exact rules, the tie band) all use it. Exact route: integer
+for the exact rules, the tie band) all use it. ``q_indices`` is the batched
+index of graphs given as ``Graph`` values, of any orders: one batched
+``eigvalsh`` per order over Q stacked from the adjacency rows, as
+``signless_laplacian`` builds it; the property suite's lemmas use it for
+every index that only needs its float value. Exact route: integer
 characteristic polynomials via the Faddeev-LeVerrier recurrence and
 Sturm-chain root isolation, used to resolve orderings that floats cannot.
 """
@@ -39,20 +43,24 @@ class SpectralResult:
     residual: float
 
 
-def signless_laplacian(g: Graph) -> np.ndarray:
-    """Q(G) = A(G) + D(G) as an integer array.
+def _stacked_laplacians(n: int, graphs: Sequence[Graph]) -> np.ndarray:
+    """Q = A + D of graphs of order n, stacked as (k, n, n) integers.
 
     A comes from the adjacency bit rows: each row as little-endian bytes,
-    unpacked to bits in one numpy call (rows fit in 32 bytes up to
-    ``MAX_VERTICES = 256``).
+    all of them unpacked to bits in one numpy call (rows fit in 32 bytes up
+    to ``MAX_VERTICES = 256``); D is the row sums of A.
     """
-    n = g.n
     width = (n + 7) // 8
-    rows = b"".join([g.adj_bits(u).to_bytes(width, "little") for u in range(n)])
-    bits = np.frombuffer(rows, dtype=np.uint8).reshape(n, width)
-    q = np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(np.int64)
-    q.flat[:: n + 1] = g.degrees()
+    data = b"".join([row.to_bytes(width, "little") for g in graphs for row in g.rows])
+    bits = np.frombuffer(data, dtype=np.uint8).reshape(len(graphs), n, width)
+    q = np.unpackbits(bits, axis=2, count=n, bitorder="little").astype(np.int64)
+    q.reshape(len(graphs), n * n)[:, :: n + 1] = q.sum(axis=2)
     return q
+
+
+def signless_laplacian(g: Graph) -> np.ndarray:
+    """Q(G) = A(G) + D(G) as an integer array."""
+    return _stacked_laplacians(g.n, [g])[0]
 
 
 def q_index(g: Graph) -> SpectralResult:
@@ -79,6 +87,21 @@ def q_index(g: Graph) -> SpectralResult:
         full[list(best_comp)] = best_x
         best_x = full
     return SpectralResult(q=best_q, vector=tuple(best_x.tolist()), residual=residual)
+
+
+def q_indices(graphs: Sequence[Graph]) -> list[float]:
+    """The index q of every graph, in input order, from one batched
+    ``eigvalsh`` per order over the graphs' stacked Q. Agrees with
+    ``q_index(g).q`` to rounding; a graph needs at least one vertex."""
+    out = [0.0] * len(graphs)
+    by_order: dict[int, list[int]] = {}
+    for t, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(t)
+    for n, slots in by_order.items():
+        stack = _stacked_laplacians(n, [graphs[t] for t in slots])
+        for t, q in zip(slots, np.linalg.eigvalsh(stack)[:, -1].tolist()):
+            out[t] = q
+    return out
 
 
 @functools.cache
@@ -297,6 +320,7 @@ __all__ = [
     "max_eta",
     "q_exact_compare",
     "q_index",
+    "q_indices",
     "quotient_matrix",
     "signless_laplacian",
 ]

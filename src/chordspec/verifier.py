@@ -68,6 +68,7 @@ from .spectral import (
     max_eta,
     q_exact_compare,
     q_index,
+    q_indices,
     quotient_matrix,
 )
 
@@ -599,8 +600,21 @@ def _random_mask(rng: random.Random, n: int, p: float) -> int:
 
 
 def _sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
+    """A graph of order n_lo..n_hi whose edges are present with a probability
+    drawn from _P_STRATA: the same draws as ``_random_mask``, with the
+    adjacency rows built as the edge bits come."""
     n = rng.randint(n_lo, n_hi)
-    return graph_from_mask(n, _random_mask(rng, n, rng.choice(_P_STRATA)))
+    p = rng.choice(_P_STRATA)
+    rand = rng.random
+    adj = [0] * n
+    for j in range(1, n):
+        row = 0
+        for i in range(j):
+            if rand() < p:
+                row |= 1 << i
+                adj[i] |= 1 << j
+        adj[j] = row
+    return Graph(n, tuple(adj))
 
 
 def classify_component(g: Graph, comp: tuple[int, ...]) -> dict | None:
@@ -825,24 +839,28 @@ def _eta_slack(g: Graph, v: int) -> int:
     return g.n * d + twice_inner - d * d - degree_sum
 
 
+_TRIAL_BATCH = 1024  # samples checked at once; bounds the samples a run holds
+
+
 def _trials(rng: random.Random, trials: int, draw, check, attempts: int = 30):
-    """Run seeded trials: draw(rng) returns a sample, or None to redraw (the
-    trial is skipped after `attempts` draws in a row return None), and
-    check(rng, sample) returns the violating graph or None. Returns
+    """Run seeded trials: draw(rng) makes every generator call of one trial
+    and returns its sample, or None to redraw (the trial is skipped after
+    `attempts` draws in a row return None). check(samples) takes the samples
+    of up to _TRIAL_BATCH trials, in draw order, so that it can batch their
+    eigensolves, and returns the violating graphs among them. Returns
     (trials run, violating graphs)."""
     used = 0
     bad = []
-    for _ in range(trials):
-        for _attempt in range(attempts):
-            sample = draw(rng)
-            if sample is not None:
-                break
-        else:
-            continue
-        used += 1
-        g = check(rng, sample)
-        if g is not None:
-            bad.append(g)
+    for start in range(0, trials, _TRIAL_BATCH):
+        samples = []
+        for _ in range(min(_TRIAL_BATCH, trials - start)):
+            for _attempt in range(attempts):
+                sample = draw(rng)
+                if sample is not None:
+                    samples.append(sample)
+                    break
+        used += len(samples)
+        bad += check(samples)
     return used, bad
 
 
@@ -877,16 +895,18 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         non_edges = [
             (i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)
         ]
-        return (g, non_edges) if non_edges else None
+        return (g, g.add_edges([rng.choice(non_edges)])) if non_edges else None
 
-    def check_monotone(rng, sample):
-        g, non_edges = sample
-        bigger = g.add_edges([rng.choice(non_edges)])
-        q0, q1 = q_index(g).q, q_index(bigger).q
-        ok = q1 >= q0 - 1e-10
-        if ok and bigger.is_connected():
-            ok = _strictly_less(g, bigger, q1 - q0)
-        return None if ok else g
+    def check_monotone(samples):
+        qs = q_indices([g for g, _ in samples] + [bigger for _, bigger in samples])
+        bad = []
+        for (g, bigger), q0, q1 in zip(samples, qs, qs[len(samples):]):
+            ok = q1 >= q0 - 1e-10
+            if ok and bigger.is_connected():
+                ok = _strictly_less(g, bigger, q1 - q0)
+            if not ok:
+                bad.append(g)
+        return bad
 
     lemma("edge_monotonicity", 101, draw_with_non_edge, check_monotone)
 
@@ -902,15 +922,18 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         if index.vector[u] < index.vector[v]:
             u, v = v, u
         pool = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
-        return (g, index.q, u, v, pool) if pool else None
-
-    def check_shift(rng, sample):
-        g, q, u, v, pool = sample
+        if not pool:
+            return None
         moved = rng.sample(pool, rng.randint(1, len(pool)))
         shifted = g.remove_edges((v, w) for w in moved).add_edges(
             (u, w) for w in moved
         )
-        return None if _strictly_less(g, shifted, q_index(shifted).q - q) else g
+        return g, index.q, shifted
+
+    def check_shift(samples):
+        qs = q_indices([shifted for _, _, shifted in samples])
+        return [g for (g, q, shifted), q1 in zip(samples, qs)
+                if not _strictly_less(g, shifted, q1 - q)]
 
     lemma("perron_shift", 202, draw_shift, check_shift)
 
@@ -941,10 +964,10 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         g = _sample(rng, 4, 10)
         return g if g.min_degree > 0 else None
 
-    def check_eta(rng, g):
-        if q_index(g).q > float(max_eta(g)) + 1e-10:
-            return g
-        return g if any(_eta_slack(g, v) < 0 for v in range(g.n)) else None
+    def check_eta(samples):
+        return [g for g, q in zip(samples, q_indices(samples))
+                if q > float(max_eta(g)) + 1e-10
+                or any(_eta_slack(g, v) < 0 for v in range(g.n))]
 
     eq_bad = []
     for label, g in (
@@ -964,16 +987,26 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         g = _sample(rng, 4, 12)
         # quick cyclicity screen before the heavier search
         if g.edge_count > g.n - len(g.component_masks()):
-            found = chords.longest_cycle(g)
+            found = kernels.longest_cycle(g.rows)
             if found is not None:
+                c, cyc = found
+                # the kernel's cycle is a witness: check it before using it
+                if c != len(cyc) or not chords.verify_certificate(
+                        g, chords.Certificate(cyc, ()), 0, False):
+                    raise VerifierError(
+                        f"longest_cycle kernel returned {found!r}, not a cycle of "
+                        f"{graph6_encode(g)}")
                 return g, found
         return None
 
-    def check_longest_cycle(rng, sample):
-        g, (c, cyc) = sample
-        on = set(cyc)
-        inside = sum(1 for (u, v) in g.edges() if u in on and v in on)
-        return g if 2 * (g.edge_count - inside) > c * (g.n - c) else None
+    def check_longest_cycle(samples):
+        bad = []
+        for g, (c, cyc) in samples:
+            on = vertices_to_bits(g.n, cyc)
+            inside = sum((g.adj_bits(v) & on).bit_count() for v in cyc) // 2
+            if 2 * (g.edge_count - inside) > c * (g.n - c):
+                bad.append(g)
+        return bad
 
     lemma("longest_cycle_edge_bound", 404, draw_cyclic, check_longest_cycle)
 
@@ -985,26 +1018,32 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         e = rng.randint(4 * n - 15, nbits)
         return graph_from_mask(n, sum(1 << b for b in rng.sample(range(nbits), e)))
 
-    def check_configured(rng, g):
-        cert = chords.find_k_chords_at_apex(g, 3)
-        if cert is None or not chords.verify_certificate(g, cert, 3, True):
-            return g
-        return None
+    def check_configured(samples):
+        bad = []
+        for g in samples:
+            cert = chords.find_k_chords_at_apex(g, 3)
+            if cert is None or not chords.verify_certificate(g, cert, 3, True):
+                bad.append(g)
+        return bad
 
     lemma("edge_count_forces_configuration", 505, draw_dense, check_configured)
 
     # Without a path on k+2 vertices there are at most nk/2 edges, with
     # equality on disjoint unions of (k+1)-cliques.
-    def check_path_free(rng, g):
-        k = chords.max_path_order(g) - 1
-        return g if k >= 1 and 2 * g.edge_count > g.n * k else None
+    def check_path_free(samples):
+        bad = []
+        for g in samples:
+            k = kernels.max_path_order(g.rows) - 1
+            if k >= 1 and 2 * g.edge_count > g.n * k:
+                bad.append(g)
+        return bad
 
     eq_bad2 = []
     for k, copies in ((2, 3), (3, 2), (4, 2)):
         g = complete(k + 1)
         for _ in range(copies - 1):
             g = disjoint_union(g, complete(k + 1))
-        if 2 * g.edge_count != g.n * k or chords.max_path_order(g) != k + 1:
+        if 2 * g.edge_count != g.n * k or kernels.max_path_order(g.rows) != k + 1:
             eq_bad2.append(f"{copies}x clique{k + 1}")
     lemma("path_free_edge_bound", 606, lambda rng: _sample(rng, 3, 12), check_path_free,
           equality_failures=eq_bad2)

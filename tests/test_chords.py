@@ -5,7 +5,6 @@ from chordspec.chords import (
     find_chorded_cycle,
     find_k_chords_at_apex,
     longest_cycle,
-    max_path_order,
     verify_certificate,
 )
 from chordspec.families import (
@@ -18,14 +17,13 @@ from chordspec.families import (
     path,
     star,
 )
-from chordspec.graphs import disjoint_union, graph_from_mask, join, make_graph
+from chordspec.graphs import graph_from_mask, join, make_graph
 from oracles import (
     cycles_by_dfs,
     cycles_by_permutation,
     oracle_apex_chords,
     oracle_chorded,
     oracle_longest_cycle_length,
-    oracle_longest_path_order,
 )
 
 
@@ -180,34 +178,6 @@ def test_longest_cycle():
             assert len(set(cyc)) == length
             assert all(g.has_edge(cyc[i], cyc[(i + 1) % length])
                        for i in range(length))
-
-
-def test_longest_cycle_is_the_first_longest_in_search_order():
-    # cycles_by_dfs lists the cycles of a connected graph in the searcher's
-    # own order (least root first, neighbours ascending), so the pruned
-    # search must return the first of the longest ones there
-    rng = random.Random(32)
-    checked = 0
-    while checked < 200:
-        g = random_graph(rng, rng.randint(3, 10), rng.choice((0.3, 0.45, 0.6)))
-        if not g.is_connected():
-            continue
-        cycles = list(cycles_by_dfs(g))
-        want = max(cycles, key=len) if cycles else None
-        assert longest_cycle(g) == (None if want is None else (len(want), want))
-        checked += 1
-
-
-def test_max_path_order():
-    for n in (1, 2, 5, 9):
-        assert max_path_order(path(n)) == n
-    assert max_path_order(complete(4)) == 4
-    assert max_path_order(disjoint_union(complete(3), complete(3))) == 3
-    assert max_path_order(make_graph(3)) == 1
-    rng = random.Random(77)
-    for _ in range(150):
-        g = random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.6)))
-        assert max_path_order(g) == oracle_longest_path_order(g)
 
 
 def test_double_star_is_configuration_free_when_hubbed():

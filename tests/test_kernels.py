@@ -10,10 +10,10 @@ import pytest
 
 from chordspec import _sweep_py, kernels
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
-from chordspec.families import extremal_graph
-from chordspec.graphs import graph_from_mask
+from chordspec.families import complete, extremal_graph, path
+from chordspec.graphs import disjoint_union, graph_from_mask, make_graph
 from chordspec.verifier import TIE_BAND
-from oracles import oracle_q
+from oracles import cycles_by_dfs, oracle_longest_path_order, oracle_q
 
 IMPLEMENTATIONS = kernels.implementations()
 PACKAGE = Path(kernels.__file__).parent
@@ -287,3 +287,103 @@ def test_classify_guards(impl):
     assert impl.classify(6, [k6], 11.0, 11.0, good) == (0, [])
     assert impl.classify(6, [k6], 10.0, 10.0, good) == (0, [k6])
     assert impl.classify(5, [], 5.0, 5.0, good) == (0, [])
+
+
+# -- longest cycle and longest path on adjacency rows ------------------------------
+
+
+def random_graph(rng, n, p=0.5):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return make_graph(n, edges)
+
+
+def random_forest(rng, n):
+    """Each vertex joins one earlier vertex, or starts a new tree (an
+    isolated vertex unless a later one joins it)."""
+    return make_graph(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.7])
+
+
+def _row_kernel_inputs():
+    # every labeled graph of order 1..6, then seeded orders 7..12: sparse and
+    # dense random graphs (sparse ones are often disconnected, with isolated
+    # vertices), forests, and disjoint unions of two random graphs
+    for n in range(1, 7):
+        for mask in range(1 << n * (n - 1) // 2):
+            yield graph_from_mask(n, mask)
+    rng = random.Random(58)
+    for n in range(7, 13):
+        for _ in range(60):
+            yield random_graph(rng, n, rng.choice((0.1, 0.2, 0.4, 0.6, 0.8)))
+            yield random_forest(rng, n)
+            cut = rng.randint(1, n - 1)
+            yield disjoint_union(random_graph(rng, cut, 0.6), random_graph(rng, n - cut, 0.6))
+
+
+def test_row_kernels_match_the_python_twin(compiled):
+    for g in _row_kernel_inputs():
+        assert compiled.longest_cycle(g.rows) == _sweep_py.longest_cycle(g.rows), g.rows
+        assert compiled.max_path_order(g.rows) == _sweep_py.max_path_order(g.rows), g.rows
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_row_kernel_guards(impl):
+    # at most 64 vertices; every row a set of other vertices, symmetric
+    bad = [
+        [0] * 65,
+        [1 << 1, 0],  # 0 lists 1, 1 does not list 0
+        [1 << 2, 0],  # vertex 2 does not exist
+        [1],  # a loop
+        [-1, 0],
+        [1 << 64],
+        [0b010, 0b101, 0b000],  # 1 lists 2, 2 lists nothing
+    ]
+    for rows in bad:
+        for search in (impl.longest_cycle, impl.max_path_order):
+            with pytest.raises(ValueError):
+                search(rows)
+    with pytest.raises(ValueError):
+        impl.max_path_order([])
+    assert impl.longest_cycle([]) is None
+    # the bound itself is accepted: the 64-cycle, and a tuple of rows
+    ring = [1 << (v + 1) % 64 | 1 << (v - 1) % 64 for v in range(64)]
+    assert impl.longest_cycle(ring) == (64, tuple(range(64)))
+    assert impl.max_path_order(tuple(ring)) == 64
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_longest_cycle_is_the_first_longest_in_search_order(impl):
+    # cycles_by_dfs lists the cycles of a connected graph in the searcher's
+    # own order (least root first, neighbours ascending), so the pruned
+    # search must return the first of the longest ones there
+    rng = random.Random(32)
+    checked = 0
+    while checked < 200:
+        g = random_graph(rng, rng.randint(3, 10), rng.choice((0.3, 0.45, 0.6)))
+        if not g.is_connected():
+            continue
+        cycles = list(cycles_by_dfs(g))
+        want = max(cycles, key=len) if cycles else None
+        assert impl.longest_cycle(g.rows) == (None if want is None else (len(want), want))
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_max_path_order(impl):
+    for n in (1, 2, 5, 9):
+        assert impl.max_path_order(path(n).rows) == n
+    assert impl.max_path_order(complete(4).rows) == 4
+    assert impl.max_path_order(disjoint_union(complete(3), complete(3)).rows) == 3
+    assert impl.max_path_order(make_graph(3).rows) == 1
+    rng = random.Random(77)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.6)))
+        assert impl.max_path_order(g.rows) == oracle_longest_path_order(g)

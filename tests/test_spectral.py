@@ -37,6 +37,7 @@ from chordspec.spectral import (
     max_eta,
     q_exact_compare,
     q_index,
+    q_indices,
     quotient_matrix,
     signless_laplacian,
 )
@@ -122,6 +123,29 @@ def test_q_index_matches_the_per_component_route_bit_for_bit():
         connected += g.is_connected()
         assert q_index(g) == oracle_q_index(g)
     assert connected >= 200
+
+
+def test_q_indices_match_q_index():
+    # seeded graphs at orders 1..12, edgeless, sparse (disconnected, with
+    # isolated vertices) and dense; one call per order, then one batch that
+    # spans every order in shuffled order
+    rng = random.Random(59)
+    graphs = []
+    for n in range(1, 13):
+        batch = [make_graph(n), disjoint_union(make_graph(1), complete(n - 1)) if n > 1
+                 else make_graph(1)]
+        batch += [random_graph(rng, n, rng.choice((0.1, 0.2, 0.5, 0.8))) for _ in range(25)]
+        want = [q_index(g).q for g in batch]
+        assert q_indices(batch) == pytest.approx(want, rel=0, abs=1e-12)
+        graphs += batch
+    assert sum(not g.is_connected() for g in graphs) >= 50
+    assert sum(0 in g.degrees() for g in graphs) >= 50
+    rng.shuffle(graphs)
+    got = q_indices(graphs)
+    assert got == pytest.approx([q_index(g).q for g in graphs], rel=0, abs=1e-12)
+    # q_index shares the stacked Q with q_indices; the oracle builds its own
+    assert got == pytest.approx([oracle_q(g) for g in graphs], rel=0, abs=1e-12)
+    assert q_indices([]) == []
 
 
 def test_eta_examples():

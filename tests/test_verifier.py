@@ -261,6 +261,30 @@ def test_property_suite_draws_are_pinned(monkeypatch):
     assert trace.hexdigest() == PROPERTY_DRAWS_SEED7
 
 
+def test_property_suite_rejects_a_longest_cycle_that_is_not_a_cycle(monkeypatch):
+    # the kernel's cycle is a witness the suite checks before using it: with
+    # one cycle vertex swapped for a vertex off the cycle and not adjacent to
+    # the vertex before it, the suite must not count the sample
+    longest_cycle = kernels.longest_cycle
+    corrupted = []
+
+    def swapped(rows):
+        found = longest_cycle(rows)
+        if found is None:
+            return found
+        c, cyc = found
+        off = [w for w in range(len(rows)) if w not in cyc and not rows[cyc[0]] >> w & 1]
+        if not off:
+            return found
+        corrupted.append(rows)
+        return c, (cyc[0], off[0]) + cyc[2:]
+
+    monkeypatch.setattr(kernels, "longest_cycle", swapped)
+    with pytest.raises(VerifierError, match="longest_cycle"):
+        property_suite(seed=7, trials=150)
+    assert len(corrupted) == 1
+
+
 def test_property_suite_passes_and_counts():
     rep = property_suite(seed=3, trials=150)
     assert rep.passed
