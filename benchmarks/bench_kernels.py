@@ -2,9 +2,9 @@
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
 apex detector, longest cycle and longest path) against the pure-Python
 fallback, the theorem's prefilter spot check, the theorem's Python rules on
-the tie band the kernel leaves, exact characteristic polynomials, the exact
-largest-root comparison that decides near-ties, and one end-to-end property
-suite at 10,000 trials.
+the tie band the kernel leaves, exact characteristic polynomials (one matrix
+a call and batched), the exact largest-root comparison that decides
+near-ties, and one end-to-end property suite at 10,000 trials.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 
@@ -30,7 +30,13 @@ from chordspec.appendix import (
 from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
 from chordspec.graphs import graph_from_mask
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
-from chordspec.spectral import charpoly_graph, charpoly_int_matrix, q_index, signless_laplacian
+from chordspec.spectral import (
+    charpoly_graph,
+    charpoly_int_matrices,
+    charpoly_int_matrix,
+    q_index,
+    signless_laplacian,
+)
 from chordspec.verifier import (
     SWEEP_MARGIN,
     TIE_BAND,
@@ -194,14 +200,22 @@ def appendix_templates(n_lo=7, n_hi=22):
 
 
 def bench_charpoly(label, matrices, min_seconds=1.0):
-    """Whole passes of charpoly_int_matrix over the matrices for at least
-    min_seconds; returns the polynomials of one pass."""
-    calls, dt, polys = repeat_for(
-        min_seconds, lambda: [charpoly_int_matrix(m) for m in matrices])
+    """Whole passes over the matrices for at least min_seconds, first one
+    charpoly_int_matrix call per matrix, then one charpoly_int_matrices call
+    per pass; both must give the same polynomials, which are returned."""
     orders = sorted({len(m) for m in matrices})
     print(f"  {label}: {len(matrices)} matrices (orders {orders[0]}..{orders[-1]})")
-    print(f"  {calls * len(matrices) / dt:9.1f} matrices/s  ({calls} passes, {dt:.2f}s)")
-    return polys
+    results = []
+    for how, one_pass in (
+        ("one at a time", lambda: [charpoly_int_matrix(m) for m in matrices]),
+        ("batched", lambda: charpoly_int_matrices(matrices)),
+    ):
+        calls, dt, polys = repeat_for(min_seconds, one_pass)
+        print(f"    {how:13s} {calls * len(matrices) / dt:9.1f} matrices/s  "
+              f"({calls} passes, {dt:.2f}s)")
+        results.append(polys)
+    assert results[0] == results[1], "batched and one-at-a-time polynomials differ"
+    return results[1]
 
 
 def appendix_pairs(n_lo=7, n_hi=22):
@@ -293,7 +307,7 @@ def main() -> None:
     bench_tie_tail(6)
     bench_tie_tail(7)
 
-    print("exact characteristic polynomials (charpoly_int_matrix)")
+    print("exact characteristic polynomials (charpoly_int_matrix, charpoly_int_matrices)")
     templates = appendix_templates()
     ties = [signless_laplacian(g).tolist() for g in tie_graphs(6)]
     polys = bench_charpoly("appendix 7..22 + order-6 ties", templates + ties)
@@ -301,6 +315,10 @@ def main() -> None:
     # the ties are the 30 labeled copies of the threshold graph
     assert len(ties) == 30
     assert set(polys[len(templates):]) == {charpoly_graph(extremal_graph(6).graph)}
+    # the theorem's ties take one matrix a call: Q of order 6, and of order 7
+    # for the threshold graph's polynomial
+    bench_charpoly("order-6 ties", ties)
+    bench_charpoly("order-7 threshold graph", [signless_laplacian(extremal_graph(7).graph)])
 
     print("exact largest-root comparison (compare_largest_roots)")
     pairs = appendix_pairs()

@@ -202,11 +202,6 @@ def _squarefree_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
     return tuple(chain)
 
 
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p with repeated roots collapsed to simple ones (primitive, leading > 0)."""
-    return _squarefree_chain(p)[0]
-
-
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
@@ -248,21 +243,8 @@ def _variations(values: Iterable) -> int:
     return count
 
 
-def _variations_at(chain: Sequence[IntPolynomial], x: Fraction) -> int:
-    return _variations(_values_at(chain, x.numerator, x.denominator))
-
-
 def _variations_at_inf(chain: Sequence[IntPolynomial]) -> int:
     return _variations(0 if q.is_zero else q.leading for q in chain)
-
-
-def root_count_between(chain: Sequence[IntPolynomial], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b) when p(b) != 0.
-
-    With zero signs skipped, V(a) - V(b) counts the roots of a squarefree p
-    in (a, b], also when a is a root.
-    """
-    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
@@ -366,12 +348,6 @@ class _Bracket:
         self.lo, self.hi, self.den, self.vhi = self.lo * den, num * self.den, self.den * den, vx
         return False
 
-    def shrink(self, width: Fraction) -> None:
-        """Halve until exactly one root is inside and hi - lo <= width."""
-        w_num, w_den = width.numerator, width.denominator
-        while self.roots() > 1 or (self.hi - self.lo) * w_den > w_num * self.den:
-            self.halve()
-
 
 def _bracket_largest_root(p: IntPolynomial) -> _Bracket:
     """Bracket of the largest root of p's squarefree part; ValueError when p
@@ -380,19 +356,6 @@ def _bracket_largest_root(p: IntPolynomial) -> _Bracket:
     if bracket.roots() == 0:
         raise ValueError("polynomial without real roots")
     return bracket
-
-
-def isolate_largest_root(p: IntPolynomial, width: Fraction = Fraction(1, 10**12)):
-    """Open rational interval (a, b) of length <= width containing exactly the
-    largest real root of p and no other root. Returns None when p has no real
-    root. p must be squarefree for termination."""
-    if p.degree < 1:
-        raise ValueError("need degree >= 1")
-    bracket = _Bracket(sturm_chain(p))
-    if bracket.roots() == 0:
-        return None
-    bracket.shrink(Fraction(width))
-    return Fraction(bracket.lo, bracket.den), Fraction(bracket.hi, bracket.den)
 
 
 def _apart(bp: _Bracket, bq: _Bracket) -> int | None:
@@ -455,17 +418,3 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
                 return EQUAL
         bp.halve()
         bq.halve()
-
-
-def count_roots_in_interval(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of p in the open interval (a, b); a and b may be
-    roots."""
-    chain = _squarefree_chain(p)
-    b = Fraction(b)
-    return root_count_between(chain, Fraction(a), b) - (chain[0](b) == 0)
-
-
-def count_roots_above(p: IntPolynomial, a: Fraction) -> int:
-    """Distinct real roots of p strictly greater than a; a may be a root."""
-    chain = _squarefree_chain(p)
-    return _variations_at(chain, Fraction(a)) - _variations_at_inf(chain)

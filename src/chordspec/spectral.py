@@ -13,13 +13,17 @@ index of graphs given as ``Graph`` values, of any orders: one batched
 ``eigvalsh`` per order over Q stacked from the adjacency rows, as
 ``signless_laplacian`` builds it; the property suite's lemmas use it for
 every index that only needs its float value. Exact route: integer
-characteristic polynomials via the Faddeev-LeVerrier recurrence and
-Sturm-chain root isolation, used to resolve orderings that floats cannot.
+characteristic polynomials by the Faddeev-LeVerrier recurrence, for many
+matrices at once (``charpoly_int_matrices``: one loop per matrix size over
+the stacked matrices, in int64 where a proven bound rules out overflow, else
+on Python ints), and Sturm-chain root isolation, used to resolve orderings
+that floats cannot.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -258,31 +262,76 @@ def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> QuotientMatrix
 # -- exact characteristic polynomials ---------------------------------------------
 
 
-def charpoly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
-    """det(xI - A) for an integer matrix, by Faddeev-LeVerrier.
-
-    All arithmetic is arbitrary-precision: the matrix products are numpy
-    dot products over ``dtype=object`` arrays of Python ints. The trace
-    divisions are exact by the recurrence's integrality (asserted).
-    """
+def _int_entries(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The entries of a square matrix as Python ints; ValueError when it is
+    not square or an entry is not an integer (a float or a Fraction is never
+    truncated)."""
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise ValueError("matrix is not square")
-    A = np.array([[int(c) for c in r] for r in rows], dtype=object).reshape(m, m)
-    diag = np.arange(m)
-    coeffs = [0] * (m + 1)
-    coeffs[m] = 1
-    M = np.zeros((m, m), dtype=object)
-    M[diag, diag] = 1
-    for k in range(1, m + 1):
-        AM = A.dot(M)
-        tr = AM.trace()
-        assert tr % k == 0, "Faddeev-LeVerrier trace must divide exactly"
-        c = -(tr // k)
-        coeffs[m - k] = c
-        AM[diag, diag] += c
-        M = AM
-    return IntPolynomial(coeffs)
+    try:
+        return [[operator.index(c) for c in r] for r in rows]
+    except TypeError:
+        raise ValueError("matrix entries must be integers") from None
+
+
+def _faddeev_leverrier(A: np.ndarray) -> np.ndarray:
+    """Coefficients, ascending, of det(xI - A) for each matrix of a stacked
+    (k, m, m) integer array: row t holds those of A[t]. One loop over the
+    stack, in the array's own dtype; M_1 = I, so A M_1 is A itself."""
+    k, m, _ = A.shape
+    coeffs = np.zeros((k, m + 1), dtype=A.dtype)
+    coeffs[:, m] = 1
+    AM = A.copy()
+    for j in range(1, m + 1):
+        if j > 1:
+            AM = A @ AM
+        diag = AM.reshape(k, m * m)[:, :: m + 1]
+        tr = diag.sum(axis=1)
+        assert not (tr % j).any(), "Faddeev-LeVerrier trace must divide exactly"
+        c = tr // -j
+        coeffs[:, m - j] = c
+        diag += c[:, None]
+    return coeffs
+
+
+def charpoly_int_matrices(matrices: Sequence[Sequence[Sequence[int]]]) -> list[IntPolynomial]:
+    """det(xI - A) for each integer matrix, in input order, by Faddeev-LeVerrier.
+
+    The matrices are grouped by size m, and each group runs one recurrence
+    over its stacked (k, m, m) array: M_1 = I, c_(m-j) = -tr(A M_j) / j (an
+    exact division, asserted), M_(j+1) = A M_j + c_(m-j) I.
+
+    A group runs in int64 when m 2^(m+1) B^m < 2^63, where B is the largest
+    absolute row sum in the group, or 1 if that is smaller; otherwise it runs
+    on Python ints (``dtype=object``). The bound covers every intermediate
+    value. Each eigenvalue has |lambda| <= B, so |c_(m-i)| = |e_i(lambda)| <=
+    C(m, i) B^i, and each entry of A^p is at most B^p in absolute value.
+    M_j = sum over i < j of c_(m-i) A^(j-1-i), so each entry of M_j is at
+    most B^(j-1) sum_i C(m, i) = 2^m B^(j-1). An entry of A M_j sums
+    A_at (M_j)_tb over t: each product and partial sum is at most
+    sum_t |A_at| 2^m B^(j-1) <= 2^m B^j. The trace and its partial sums are
+    at most m 2^m B^j, and a diagonal entry plus c_(m-j) at most
+    2^(m+1) B^j. As j <= m and B >= 1, all are at most m 2^(m+1) B^m.
+    """
+    out: list[IntPolynomial | None] = [None] * len(matrices)
+    groups: dict[int, list[int]] = {}
+    entries = [_int_entries(rows) for rows in matrices]
+    for t, rows in enumerate(entries):
+        groups.setdefault(len(rows), []).append(t)
+    for m, slots in groups.items():
+        stack = [entries[t] for t in slots]
+        bound = max([1] + [sum(map(abs, r)) for rows in stack for r in rows])
+        exact = m * 2 ** (m + 1) * bound**m >= 2**63
+        A = np.array(stack, dtype=object if exact else np.int64).reshape(len(slots), m, m)
+        for t, cs in zip(slots, _faddeev_leverrier(A).tolist()):
+            out[t] = IntPolynomial(cs)
+    return out
+
+
+def charpoly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
+    """det(xI - A) for one integer matrix: ``charpoly_int_matrices([rows])``."""
+    return charpoly_int_matrices([rows])[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -315,6 +364,7 @@ __all__ = [
     "QuotientMatrix",
     "SpectralResult",
     "charpoly_graph",
+    "charpoly_int_matrices",
     "charpoly_int_matrix",
     "eta",
     "max_eta",

@@ -29,7 +29,6 @@ from fractions import Fraction
 from . import chords, kernels
 from .appendix import (
     FIXTURES,
-    Fixture,
     appendix_polynomial,
     fixture_orders,
     quotient_template,
@@ -48,7 +47,6 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    GraphError,
     apex_partition,
     automorphism_count,
     bits_to_vertices,
@@ -64,7 +62,7 @@ from .graphs import (
 from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
 from .spectral import (
     MaskBatch,
-    charpoly_int_matrix,
+    charpoly_int_matrices,
     max_eta,
     q_exact_compare,
     q_index,
@@ -410,76 +408,81 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     examined = 0
 
     # the threshold family's graph and index, once per order, and the
-    # quotient template and index of each fixture graph, once per (item, n, s)
-    thr_graph = {n: k11n2_plus(n).graph for n in range(n_lo, n_hi + 1)}
+    # quotient template of each fixture graph, once per (item, n, s)
+    orders = range(n_lo, n_hi + 1)
+    thr_graph = {n: k11n2_plus(n).graph for n in orders}
     thr = {n: q_index(g).q for n, g in thr_graph.items()}
     template = functools.cache(quotient_template)
-    fixture_q: dict[tuple[int, int, int | None], float] = {}
 
-    def fixture_index(fx: Fixture, n: int, s: int | None) -> float:
-        if (fx.item, n, s) not in fixture_q:
-            fixture_q[fx.item, n, s] = q_index(fx.build(n, s).graph).q
-        return fixture_q[fx.item, n, s]
-
-    # (b) template/polynomial identities, for every integer order in range
-    poly_checked = 0
-    poly_bad = []
+    # (b) template/polynomial identities, for every integer order in range;
+    # one batched call gives these polynomials and those of (d)'s threshold
+    # templates
+    poly_keys = []
     for fx in FIXTURES:
-        lo = max(n_lo, fx.template_min_n)
-        for n in range(lo, n_hi + 1):
+        for n in range(max(n_lo, fx.template_min_n), n_hi + 1):
             svals = [None]
             if fx.takes_s:
                 smax = n - 3 if fx.item == 12 else n - 2
                 svals = list(range(3, smax + 1))
-            for s in svals:
-                got = charpoly_int_matrix(template(fx.item, n, s))
-                want = appendix_polynomial(fx.poly_id, n, s)
-                poly_checked += 1
-                if got != want:
-                    poly_bad.append((fx.item, n, s))
+            poly_keys += [(fx, n, s) for s in svals]
+    thr_template = {n: threshold_quotient_template(n) for n in orders}
+    polys = charpoly_int_matrices(
+        [template(fx.item, n, s) for fx, n, s in poly_keys] + list(thr_template.values())
+    )
+    poly_bad = [
+        (fx.item, n, s)
+        for (fx, n, s), got in zip(poly_keys, polys)
+        if got != appendix_polynomial(fx.poly_id, n, s)
+    ]
+    thr_charpoly = dict(zip(orders, polys[len(poly_keys):]))
     details.append(
         {
             "name": "template_charpoly_identities",
             "passed": not poly_bad,
-            "checked": poly_checked,
+            "checked": len(poly_keys),
             "failures": poly_bad[:10],
         }
     )
 
-    # (a) + (c): graph-level checks at every valid order in range
-    equit_checked = 0
+    # (a) + (c): graph-level checks at every valid order in range; one
+    # batched call gives every fixture graph's index, which (e) reuses
+    fixtures = [
+        (fx, n, s, fx.build(n, s).graph)
+        for fx in FIXTURES
+        for n, s in fixture_orders(fx, n_lo, n_hi)
+    ]
+    fixture_q = {
+        (fx.item, n, s): qv
+        for (fx, n, s, _), qv in zip(fixtures, q_indices([g for *_, g in fixtures]))
+    }
     equit_bad = []
     ineq_bad = []
     lam_bad = []
-    for fx in FIXTURES:
-        for n, s in fixture_orders(fx, n_lo, n_hi):
-            built = fx.build(n, s)
-            g = built.graph
-            examined += 1
-            blocks = fx.partition(n, s)
-            qm = quotient_matrix(g, blocks)
-            equit_checked += 1
-            if not qm.equitable:
-                equit_bad.append((fx.item, n, s))
-                counterexamples.append(graph6_encode(g))
-                continue
-            tmpl = template(fx.item, n, s)
-            if len(blocks) == len(tmpl):
-                if [[int(e) for e in row] for row in qm.entries] != tmpl:
-                    equit_bad.append((fx.item, n, s, "template-mismatch"))
-            lam = qm.spectral_radius()
-            qv = fixture_q[fx.item, n, s] = q_index(g).q
-            if abs(lam - qv) > 1e-8:
-                lam_bad.append((fx.item, n, s, lam - qv))
-            # strict index inequality against the threshold family
-            if not _strictly_less(g, thr_graph[n], thr[n] - qv):
-                ineq_bad.append((fx.item, n, s))
-                counterexamples.append(graph6_encode(g))
+    for fx, n, s, g in fixtures:
+        examined += 1
+        blocks = fx.partition(n, s)
+        qm = quotient_matrix(g, blocks)
+        if not qm.equitable:
+            equit_bad.append((fx.item, n, s))
+            counterexamples.append(graph6_encode(g))
+            continue
+        tmpl = template(fx.item, n, s)
+        if len(blocks) == len(tmpl):
+            if [[int(e) for e in row] for row in qm.entries] != tmpl:
+                equit_bad.append((fx.item, n, s, "template-mismatch"))
+        lam = qm.spectral_radius()
+        qv = fixture_q[fx.item, n, s]
+        if abs(lam - qv) > 1e-8:
+            lam_bad.append((fx.item, n, s, lam - qv))
+        # strict index inequality against the threshold family
+        if not _strictly_less(g, thr_graph[n], thr[n] - qv):
+            ineq_bad.append((fx.item, n, s))
+            counterexamples.append(graph6_encode(g))
     details.append(
         {
             "name": "equitable_partitions",
             "passed": not equit_bad,
-            "checked": equit_checked,
+            "checked": len(fixtures),
             "failures": equit_bad[:10],
         }
     )
@@ -501,7 +504,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
 
     # (d) threshold family lower bound, exact rational identity included
     bound_bad = []
-    for n in range(n_lo, n_hi + 1):
+    for n in orders:
         examined += 1
         pt = _threshold_bound_fraction(n)
         gpoly = appendix_polynomial("g", n)
@@ -511,8 +514,8 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
         )
         if val != want or val >= 0:
             bound_bad.append((n, "g-value"))
-        tq = threshold_quotient_template(n)
-        if charpoly_int_matrix(tq) != gpoly:
+        tq = thr_template[n]
+        if thr_charpoly[n] != gpoly:
             bound_bad.append((n, "template"))
         blocks = [[0, 1], [2, 3], list(range(4, n))]
         qm = quotient_matrix(thr_graph[n], blocks)
@@ -550,12 +553,11 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
             if fx.poly_id != pid:
                 continue
             for n, s in fixture_orders(fx, n_lo, n_hi):
-                try:
-                    q_lo, q_hi = fixture_index(fx, n, s), fixture_index(fx, n, s + 4)
-                except GraphError:
+                # fixture_orders has (n, s + 4) exactly when that graph exists
+                if (fx.item, n, s + 4) not in fixture_q:
                     continue
                 chain_checked += 1
-                if not q_lo < q_hi:
+                if not fixture_q[fx.item, n, s] < fixture_q[fx.item, n, s + 4]:
                     chain_bad.append([n, s, "graphs"])
         details.append(
             {
@@ -827,16 +829,38 @@ def _battery_details(caps: dict) -> dict:
 # -- the suite runner ------------------------------------------------------------------
 
 
-def _eta_slack(g: Graph, v: int) -> int:
-    """d (n + 2 e(N(v)) / d - eta(v)) = n d + 2 e(N(v)) - d^2 - sum of the
-    neighbor degrees, for d = d(v) > 0: the counting form of the eta bound
-    holds at v exactly when this integer is not negative."""
-    nb, d = g.adj_bits(v), g.degree(v)
-    twice_inner = degree_sum = 0
-    for u in bits_to_vertices(nb):
-        twice_inner += (g.adj_bits(u) & nb).bit_count()
-        degree_sum += g.degree(u)
-    return g.n * d + twice_inner - d * d - degree_sum
+def _eta_counts(g: Graph) -> list[tuple[int, int, int]]:
+    """(d(v), the sum of v's neighbour degrees, 2 e(N(v))) for every vertex
+    v, from one walk of each neighbourhood."""
+    rows, deg = g.rows, g.degrees()
+    out = []
+    for nb, d in zip(rows, deg):
+        twice_inner = degree_sum = 0
+        for u in bits_to_vertices(nb):
+            twice_inner += (rows[u] & nb).bit_count()
+            degree_sum += deg[u]
+        out.append((d, degree_sum, twice_inner))
+    return out
+
+
+def _eta_violated(g: Graph, q: float) -> bool:
+    """Whether g, of float index q, breaks the eta bound or its counting form.
+
+    With d = d(v) and S the sum of v's neighbour degrees, eta(v) = (d^2 + S)
+    / d. The bound is q <= max eta(v) over the non-isolated v, up to 1e-10;
+    the largest term is found by cross-multiplication, as ``max_eta`` finds
+    it, and num / den rounds the same quotient as float(max_eta(g)). The
+    counting form, eta(v) <= n + 2 e(N(v)) / d, holds at v exactly when
+    n d + 2 e(N(v)) >= d^2 + S.
+    """
+    best_num, best_den = 0, 1
+    for d, degree_sum, twice_inner in _eta_counts(g):
+        num = d * d + degree_sum
+        if g.n * d + twice_inner < num:
+            return True
+        if num * best_den > best_num * d:
+            best_num, best_den = num, d
+    return q > best_num / best_den + 1e-10
 
 
 _TRIAL_BATCH = 1024  # samples checked at once; bounds the samples a run holds
@@ -965,9 +989,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         return g if g.min_degree > 0 else None
 
     def check_eta(samples):
-        return [g for g, q in zip(samples, q_indices(samples))
-                if q > float(max_eta(g)) + 1e-10
-                or any(_eta_slack(g, v) < 0 for v in range(g.n))]
+        return [g for g, q in zip(samples, q_indices(samples)) if _eta_violated(g, q)]
 
     eq_bad = []
     for label, g in (

@@ -17,6 +17,11 @@ per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
 ``spectral.quotient_matrix``; ``oracle_q_index`` is the earlier form of
 ``spectral.q_index``, which cuts every component, even the only one, out of Q.
 ``oracle_automorphism_count`` tries all n! vertex permutations.
+``oracle_isolate_largest_root`` is the Fraction bisection that
+``oracle_compare_largest_roots`` runs, to a requested width.
+``count_roots_above`` and ``count_roots_in_interval`` are Sturm root counts
+on the package's own integer chains; they check the float index against the
+exact roots and are not themselves under test.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from math import gcd, lcm
 import numpy as np
 
 from chordspec.graphs import Graph, graph_from_mask, index_pairs
+from chordspec import polynomials
 from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
 from chordspec.spectral import SpectralResult, q_index, signless_laplacian
 
@@ -338,6 +344,32 @@ def _frac_isolate(p: IntPolynomial, width: Fraction):
     while _frac_count_between(chain, lo, hi) > 1 or hi - lo > width:
         lo, hi = _frac_halve(p, chain, lo, hi)
     return lo, hi
+
+
+def oracle_isolate_largest_root(p: IntPolynomial, width: Fraction):
+    """Open rational interval (a, b) no wider than width around the largest
+    real root of p, with no other root in it; None when p has no real root."""
+    return _frac_isolate(oracle_squarefree_part(p), width)
+
+
+def _sturm_variations(chain, x: Fraction) -> int:
+    return polynomials._variations(polynomials._values_at(chain, x.numerator, x.denominator))
+
+
+def count_roots_above(p: IntPolynomial, a) -> int:
+    """Distinct real roots of p strictly greater than a; a may be a root."""
+    chain = polynomials._squarefree_chain(p)
+    return _sturm_variations(chain, Fraction(a)) - polynomials._variations_at_inf(chain)
+
+
+def count_roots_in_interval(p: IntPolynomial, a, b) -> int:
+    """Distinct real roots of p in the open interval (a, b); a and b may be
+    roots. With zero signs skipped, V(a) - V(b) counts the roots of the
+    squarefree part in (a, b], also when a is a root."""
+    chain = polynomials._squarefree_chain(p)
+    b = Fraction(b)
+    between = _sturm_variations(chain, Fraction(a)) - _sturm_variations(chain, b)
+    return between - (chain[0](b) == 0)
 
 
 def oracle_compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:

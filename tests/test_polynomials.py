@@ -16,17 +16,15 @@ from chordspec.polynomials import (
     _Bracket,
     _values_at,
     compare_largest_roots,
-    count_roots_above,
-    count_roots_in_interval,
-    isolate_largest_root,
     poly_gcd,
     root_bound,
-    root_count_between,
-    squarefree_part,
     sturm_chain,
 )
 from oracles import (
+    count_roots_above,
+    count_roots_in_interval,
     oracle_compare_largest_roots,
+    oracle_isolate_largest_root,
     oracle_poly_gcd,
     oracle_squarefree_part,
     oracle_sturm_chain,
@@ -35,6 +33,12 @@ from oracles import (
 
 def poly(*ascending):
     return IntPolynomial(ascending)
+
+
+def squarefree_part(p):
+    """p's squarefree part, primitive with a positive leading coefficient:
+    the first element of its memoised Sturm chain."""
+    return polynomials._squarefree_chain(p)[0]
 
 
 def test_arithmetic_and_normalization():
@@ -74,6 +78,7 @@ def test_gcd_and_squarefree():
 
 
 def test_root_counts():
+    # the Sturm root counts with which test_spectral checks the float index
     p = poly(2, -3, 1)  # roots 1, 2
     assert count_roots_above(p, Fraction(0)) == 2
     assert count_roots_above(p, Fraction(3, 2)) == 1
@@ -92,22 +97,22 @@ def test_root_counts_at_a_root_end_with_a_root_closer_than_any_fixed_step():
     assert count_roots_in_interval(p, -1, Fraction(1, 1 << 31)) == 1
 
 
-def test_isolate_largest_root():
-    p = poly(2, -3, 1)
-    lo, hi = isolate_largest_root(p)
-    assert lo < 2 < hi and hi - lo <= Fraction(1, 10**12)
-    # integer largest root gets bracketed, never evaluated on a root endpoint
-    p2 = poly(-4, 0, 1)  # roots -2, 2
-    lo2, hi2 = isolate_largest_root(p2)
-    assert lo2 < 2 < hi2
-    # bound 2: the first bisection point, 0, is a root, and so is the first
-    # point 1/4 stepped to from it
+def test_bracket_halving_steps_off_roots():
+    # p: (x - 1)(x - 2); p2: roots -2, 2, an integer largest root; p3: bound
+    # 2, so the first halving point, 0, is a root, and so is the first point
+    # 1/4 stepped to from it
     p3 = poly(0, 3, -16, 16)  # x (4x - 1) (4x - 3)
-    lo3, hi3 = isolate_largest_root(p3, Fraction(1, 8))
-    assert lo3 < Fraction(3, 4) < hi3 and hi3 - lo3 <= Fraction(1, 8)
-    assert p3(lo3) != 0 and p3(hi3) != 0
-    assert root_count_between(sturm_chain(p3), lo3, hi3) == 1
-    assert isolate_largest_root(poly(1, 0, 1)) is None
+    for p, top in ((poly(2, -3, 1), 2), (poly(-4, 0, 1), 2), (p3, Fraction(3, 4))):
+        bracket = _Bracket(sturm_chain(p))
+        assert bracket.roots() == p.degree
+        while bracket.roots() > 1 or (bracket.hi - bracket.lo) * 8 > bracket.den:
+            bracket.halve()
+            lo, hi = Fraction(bracket.lo, bracket.den), Fraction(bracket.hi, bracket.den)
+            assert p(lo) != 0 and p(hi) != 0, (p, lo, hi)
+            assert lo < top < hi, (p, lo, hi)
+            assert bracket.roots() == count_roots_in_interval(p, lo, hi)
+        assert count_roots_above(p, hi) == 0
+    assert _Bracket(sturm_chain(poly(1, 0, 1))).roots() == 0
 
 
 def test_compare_largest_roots_orders():
@@ -235,7 +240,7 @@ def test_estimate_is_close_on_real_rooted_polynomials():
     for n in (7, 15, 22):
         for pid in ("g", "g12", "g18"):
             p = appendix_polynomial(pid, n, 3 if pid != "g" else None)
-            lo, hi = isolate_largest_root(p, Fraction(1, 10**15))
+            lo, hi = oracle_isolate_largest_root(p, Fraction(1, 10**15))
             r = polynomials._largest_root_estimate(p)
             assert abs(r - float(lo)) <= 1e-12 * abs(r), (pid, n, r, lo)
 

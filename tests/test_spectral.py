@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chordspec import polynomials, spectral, verifier
 from chordspec.appendix import (
     FIXTURES,
     fixture_orders,
@@ -21,17 +22,11 @@ from chordspec.families import (
     star,
 )
 from chordspec.graphs import disjoint_union, graph_from_mask, join, make_graph
-from chordspec.polynomials import (
-    EQUAL,
-    GREATER,
-    LESS,
-    count_roots_above,
-    count_roots_in_interval,
-    squarefree_part,
-    )
+from chordspec.polynomials import EQUAL, GREATER, LESS
 from chordspec.spectral import (
     MaskBatch,
     charpoly_graph,
+    charpoly_int_matrices,
     charpoly_int_matrix,
     eta,
     max_eta,
@@ -41,8 +36,10 @@ from chordspec.spectral import (
     quotient_matrix,
     signless_laplacian,
 )
-from chordspec.verifier import _eta_slack
+from chordspec.verifier import _eta_counts, _eta_violated
 from oracles import (
+    count_roots_above,
+    count_roots_in_interval,
     oracle_charpoly_int_matrix,
     oracle_q,
     oracle_q_index,
@@ -251,6 +248,89 @@ def test_charpoly_int_matrix_matches_nested_list_oracle():
             charpoly_int_matrix(bad)
 
 
+def _largest_int64_row_sum(m):
+    """The largest B with m 2^(m+1) B^m < 2^63: the int64 guard's edge."""
+    def fits(b):
+        return m * 2 ** (m + 1) * b**m < 2**63
+
+    b = int((2**63 / (m * 2 ** (m + 1))) ** (1 / m))
+    while not fits(b):
+        b -= 1
+    while fits(b + 1):
+        b += 1
+    return b
+
+
+def _matrix_with_row_sums(rng, m, b):
+    """An m x m integer matrix, signs mixed, whose every row has absolute
+    sum exactly b."""
+    rows = []
+    for _ in range(m):
+        cuts = sorted(rng.randint(0, b) for _ in range(m - 1))
+        parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [b])]
+        rows.append([rng.choice((-1, 1)) * x for x in parts])
+    return rows
+
+
+def test_charpoly_int_matrices_match_the_oracle_in_shuffled_batches(monkeypatch):
+    dtypes = []
+    run = spectral._faddeev_leverrier
+    monkeypatch.setattr(
+        spectral, "_faddeev_leverrier", lambda A: dtypes.append((A.shape[1], A.dtype)) or run(A)
+    )
+    assert charpoly_int_matrices([]) == [] and dtypes == []
+    rng = random.Random(4243)
+    for _ in range(40):
+        batch = [[]]
+        for _ in range(rng.randint(1, 30)):
+            m = rng.randint(0, 10)
+            bound = rng.choice((1, 9, 22, 10**6, 10**12))
+            batch.append([[rng.randint(-bound, bound) for _ in range(m)] for _ in range(m)])
+        rng.shuffle(batch)
+        dtypes.clear()
+        assert charpoly_int_matrices(batch) == [oracle_charpoly_int_matrix(r) for r in batch]
+        # one recurrence per matrix size
+        assert sorted(m for m, _ in dtypes) == sorted({len(r) for r in batch})
+    # entries up to 10^12 overflow int64 products: those groups run on
+    # Python ints, while a group of small entries stays in int64
+    for m in range(2, 11):
+        big = [[rng.randint(-(10**12), 10**12) for _ in range(m)] for _ in range(m)]
+        small = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+        for rows, want in ((big, object), (small, np.int64)):
+            dtypes.clear()
+            assert charpoly_int_matrices([rows]) == [oracle_charpoly_int_matrix(rows)]
+            assert dtypes == [(m, np.dtype(want))], (m, dtypes)
+    # just under the guard the group runs in int64 and is still exact; one
+    # more in the row sum, and it runs on Python ints
+    for m in range(1, 9):
+        edge = _largest_int64_row_sum(m)
+        for b, want in ((edge, np.int64), (edge + 1, object)):
+            batch = [_matrix_with_row_sums(rng, m, b) for _ in range(3)]
+            batch.append([[b if j == (i + 1) % m else 0 for j in range(m)] for i in range(m)])
+            dtypes.clear()
+            assert charpoly_int_matrices(batch) == [oracle_charpoly_int_matrix(r) for r in batch]
+            assert dtypes == [(m, np.dtype(want))], (m, b, dtypes)
+
+
+def test_charpoly_int_matrices_reject_non_square_and_non_integer_members():
+    good = [[2, 1], [1, 2]]
+    for bad in ([[1, 2]], [[1, 2], [3]], [[1], [2]]):
+        with pytest.raises(ValueError):
+            charpoly_int_matrices([good, bad])
+    # a float or a Fraction entry is refused, never truncated
+    for entry in (1.5, Fraction(3, 2), Fraction(2), 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError):
+            charpoly_int_matrix([[entry]])
+        with pytest.raises(ValueError):
+            charpoly_int_matrices([good, [[1, entry], [entry, 1]]])
+    # ints, bools and numpy integers are integers
+    want = oracle_charpoly_int_matrix(good)
+    assert charpoly_int_matrix([[True, 1], [np.int64(1), np.uint8(2)]]) == \
+        oracle_charpoly_int_matrix([[1, 1], [1, 2]])
+    assert charpoly_int_matrix(np.array(good)) == want
+    assert charpoly_int_matrices([np.array(good, dtype=np.int32), good]) == [want, want]
+
+
 def test_charpoly_matches_numpy_roots():
     rng = random.Random(23)
     for _ in range(30):
@@ -280,7 +360,7 @@ def test_q_index_agrees_with_exact_roots():
         if not g.is_connected():
             continue
         qv = q_index(g).q
-        sf = squarefree_part(charpoly_graph(g))
+        sf = polynomials._squarefree_chain(charpoly_graph(g))[0]
         lo = Fraction(round((qv - 1e-9) * 10**12), 10**12)
         hi = Fraction(round((qv + 1e-9) * 10**12), 10**12)
         if sf(lo) == 0 or sf(hi) == 0:  # endpoint collision: widen a notch
@@ -299,6 +379,13 @@ def test_eta_bounds_q_on_random_graphs():
         assert q_index(g).q <= float(max_eta(g)) + 1e-10
     for g in (cycle(8), complete(6), complete_multipartite(2, 5)):
         assert q_index(g).q == pytest.approx(float(max_eta(g)), abs=1e-9)
+
+
+def _eta_slack(g, v):
+    """d (n + 2 e(N(v)) / d - eta(v)) from the property suite's counts: the
+    counting form of the eta bound holds at v when it is not negative."""
+    d, degree_sum, twice_inner = _eta_counts(g)[v]
+    return g.n * d + twice_inner - d * d - degree_sum
 
 
 def test_integer_eta_matches_the_fraction_route():
@@ -321,6 +408,38 @@ def test_integer_eta_matches_the_fraction_route():
         assert max_eta(g) == max(etas)
     # the slack is 0 exactly when the bound is tight, as on cliques
     assert all(_eta_slack(complete(5), v) == 0 for v in range(5))
+
+
+def test_eta_check_matches_the_fraction_route(monkeypatch):
+    # the property suite's one-walk eta check against max_eta and a slack
+    # taken from the adjacency relation, at the float index and on both
+    # sides of the bound's float edge
+    rng = random.Random(304)
+    cases = [complete(5), cycle(7), complete_multipartite(2, 5)]
+    while len(cases) < 300:
+        g = random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.4, 0.6, 0.8)))
+        if g.min_degree > 0:
+            cases.append(g)
+    flagged = 0
+    for g in cases:
+        slack_ok = True
+        for v in range(g.n):
+            nb = g.neighbors(v)
+            inner = sum(1 for i in nb for j in nb if i < j and g.has_edge(i, j))
+            num = g.degree(v) ** 2 + sum(g.degree(u) for u in nb)
+            slack_ok &= g.n * g.degree(v) + 2 * inner >= num
+        edge = float(max_eta(g)) + 1e-10
+        for q in (q_index(g).q, edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf)):
+            want = q > float(max_eta(g)) + 1e-10 or not slack_ok
+            assert _eta_violated(g, float(q)) == want, (g, q)
+            flagged += want
+    assert flagged == len(cases)  # only the step above the edge breaks the bound
+    # a vertex that breaks the counting form is a violation at any index
+    g = cycle(5)
+    monkeypatch.setattr(verifier, "_eta_counts", lambda g: [(1, g.n, 0)])
+    assert _eta_violated(g, 0.0)
+    monkeypatch.setattr(verifier, "_eta_counts", lambda g: [(1, g.n - 1, 0)])
+    assert not _eta_violated(g, float(g.n)) and _eta_violated(g, g.n + 1e-9)
 
 
 def test_mask_batch_matches_per_graph_routines():

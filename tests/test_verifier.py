@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from chordspec import chords, kernels, verifier
+from chordspec.appendix import FIXTURES, fixture_orders
 from chordspec.families import (
     complete,
     cycle,
@@ -350,6 +351,30 @@ def test_appendix_builds_each_template_once(monkeypatch):
         seen.clear()
         verify_appendix(7, 14)
         assert seen and len(seen) == len(set(seen))
+
+
+def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
+    # every template polynomial comes from at most two batched calls, and
+    # every fixture graph's index from one q_indices call; q_index is left
+    # for the threshold family's graphs
+    batches, index_batches, single = [], [], []
+    charpolys, q_indices, q_index_ = (
+        verifier.charpoly_int_matrices, verifier.q_indices, verifier.q_index)
+    monkeypatch.setattr(verifier, "charpoly_int_matrices",
+                        lambda ms: batches.append(len(ms)) or charpolys(ms))
+    monkeypatch.setattr(verifier, "q_indices",
+                        lambda gs: index_batches.append(list(gs)) or q_indices(gs))
+    monkeypatch.setattr(verifier, "q_index", lambda g: single.append(g) or q_index_(g))
+    report = verify_appendix(7, 14)
+    assert 1 <= len(batches) <= 2
+    # (b)'s templates and (d)'s eight threshold templates
+    checked = next(d["checked"] for d in report.details
+                   if d["name"] == "template_charpoly_identities")
+    assert sum(batches) == checked + 8
+    fixtures = [fx.build(n, s).graph for fx in FIXTURES
+                for n, s in fixture_orders(fx, 7, 14)]
+    assert index_batches == [fixtures]
+    assert single == [k11n2_plus(n).graph for n in range(7, 15)]
 
 
 def test_appendix_flags_the_false_g18_chain():
