@@ -91,7 +91,7 @@ def classify(n: int, masks, lo_cut: float, hi_cut: float, test):
     masks = list(masks)
     for mask in masks:
         _check_mask(n, mask)
-    detector = apex_has_config if name == "apex_has_config" else _has_chords
+    detector = apex_has_config if name == "apex_has_config" else chorded_has
     hits = 0
     rest: list[int] = []
     for start in range(0, len(masks), _BLOCK):
@@ -114,15 +114,16 @@ def apex_has_config(n: int, mask: int, k: int) -> bool:
 
 
 def chorded_has(n: int, mask: int, min_chords: int) -> bool:
-    """Whether some cycle carries at least min_chords chords."""
+    """Whether some cycle carries at least min_chords chords. Three chords
+    at one vertex are three chords on one cycle, and the apex search is the
+    faster of the two, so it goes first when min_chords <= 3."""
     _check_mask(n, mask)
-    return chords.find_chorded_cycle(graph_from_mask(n, mask), min_chords) is not None
-
-
-def _has_chords(n: int, mask: int, min_chords: int) -> bool:
-    # three chords at one vertex are three chords on one cycle, and the apex
-    # search is the faster of the two
-    return (min_chords <= 3 and apex_has_config(n, mask, 3)) or chorded_has(n, mask, min_chords)
+    if min_chords < 1:
+        raise ValueError(f"need min_chords >= 1, got {min_chords}")
+    g = graph_from_mask(n, mask)
+    if min_chords <= 3 and chords.find_k_chords_at_apex(g, 3) is not None:
+        return True
+    return chords.find_chorded_cycle(g, min_chords) is not None
 
 
 def _graph_of_rows(rows) -> Graph:

@@ -205,13 +205,11 @@ def quotient_template(item: int, n: int, s: int | None = None) -> list[list[int]
 class Fixture:
     item: int
     poly_id: str
-    family_label: str
     # builder(n, s) -> BuiltFamily; partition(n, s) -> blocks (only nonempty ones)
     build: Callable[[int, int | None], BuiltFamily]
     partition: Callable[[int, int | None], list[list[int]]]
     order_mod4: int  # valid graph orders: n ≡ order_mod4 (mod 4)
     min_graph_n: int  # smallest order with a valid (possibly pack-free) graph
-    min_full_n: int  # smallest order where every template block is nonempty
     template_min_n: int  # smallest n with all template entries nonnegative
     takes_s: bool = False
 
@@ -242,17 +240,15 @@ def _fix_u(item: int, ui: int, groups: list[list[int]]) -> Fixture:
     return Fixture(
         item=item,
         poly_id=f"g{item}",
-        family_label=f"G{ui}",
         build=build,
         partition=partition,
         order_mod4=seed % 4,
         min_graph_n=max(7, seed),
-        min_full_n=seed + 4,
         template_min_n=seed + 4,
     )
 
 
-def _fix_pack(item: int, label: str, builder, remainder_groups: list[list[int]],
+def _fix_pack(item: int, builder, remainder_groups: list[list[int]],
               remainder_order: int) -> Fixture:
     def build(n: int, s: int | None) -> BuiltFamily:
         return builder(n)
@@ -267,12 +263,10 @@ def _fix_pack(item: int, label: str, builder, remainder_groups: list[list[int]],
     return Fixture(
         item=item,
         poly_id=f"g{item}",
-        family_label=label,
         build=build,
         partition=partition,
         order_mod4=remainder_order % 4,
         min_graph_n=max(remainder_order + 4, 7),
-        min_full_n=max(remainder_order + 4, 7),
         template_min_n=max(remainder_order + 4, 7),
     )
 
@@ -293,9 +287,8 @@ def _g12_fixture() -> Fixture:
         return blocks
 
     return Fixture(
-        item=12, poly_id="g12", family_label="G12", build=build,
-        partition=partition, order_mod4=-1, min_graph_n=10, min_full_n=10,
-        template_min_n=10, takes_s=True,
+        item=12, poly_id="g12", build=build, partition=partition, order_mod4=-1,
+        min_graph_n=10, template_min_n=10, takes_s=True,
     )
 
 
@@ -308,9 +301,8 @@ def _g13_fixture() -> Fixture:
         return [[0], list(range(3, n)), [1], [2]]
 
     return Fixture(
-        item=13, poly_id="g13", family_label="G13", build=build,
-        partition=partition, order_mod4=-1, min_graph_n=7, min_full_n=7,
-        template_min_n=7,
+        item=13, poly_id="g13", build=build, partition=partition, order_mod4=-1,
+        min_graph_n=7, template_min_n=7,
     )
 
 
@@ -332,9 +324,8 @@ def _g18_fixture() -> Fixture:
         return blocks
 
     return Fixture(
-        item=18, poly_id="g18", family_label="K1JoinStarPlusK4s", build=build,
-        partition=partition, order_mod4=-1, min_graph_n=9, min_full_n=9,
-        template_min_n=9, takes_s=True,
+        item=18, poly_id="g18", build=build, partition=partition, order_mod4=-1,
+        min_graph_n=9, template_min_n=9, takes_s=True,
     )
 
 
@@ -356,11 +347,10 @@ def _build_fixtures() -> list[Fixture]:
         _fix_u(11, 11, [[0], [3, 4], [2], [6, 7], [5], [1]]),
         _g12_fixture(),
         _g13_fixture(),
-        _fix_pack(14, "K1JoinK4s", lambda n: k1_join_k4s(n), [[0]], 1),
-        _fix_pack(15, "K1JoinK1K4s", lambda n: k1_join_k1_k4s(n), [[0], [1]], 2),
-        _fix_pack(16, "K1JoinK2K4s", lambda n: k1_join_k2_k4s(n), [[0], [1, 2]], 3),
-        _fix_pack(17, "K1JoinK3K4s", lambda n: k1_join_star_plus_k4s(n, 2),
-                  [[0], [1, 2, 3]], 4),
+        _fix_pack(14, k1_join_k4s, [[0]], 1),
+        _fix_pack(15, k1_join_k1_k4s, [[0], [1]], 2),
+        _fix_pack(16, k1_join_k2_k4s, [[0], [1, 2]], 3),
+        _fix_pack(17, lambda n: k1_join_star_plus_k4s(n, 2), [[0], [1, 2, 3]], 4),
         _g18_fixture(),
     ]
     return fx
@@ -369,16 +359,15 @@ def _build_fixtures() -> list[Fixture]:
 FIXTURES: list[Fixture] = _build_fixtures()
 
 
-def fixture_orders(fx: Fixture, n_lo: int, n_hi: int, require_full: bool = False):
+def fixture_orders(fx: Fixture, n_lo: int, n_hi: int):
     """Valid (n, s) pairs for building fx's graph within [n_lo, n_hi]."""
     out = []
-    floor = fx.min_full_n if require_full else fx.min_graph_n
     if not fx.takes_s:
-        for n in range(max(n_lo, floor), n_hi + 1):
+        for n in range(max(n_lo, fx.min_graph_n), n_hi + 1):
             if fx.order_mod4 < 0 or n % 4 == fx.order_mod4:
                 out.append((n, None))
         return out
-    for n in range(max(n_lo, floor), n_hi + 1):
+    for n in range(max(n_lo, fx.min_graph_n), n_hi + 1):
         for s in range(3, n):
             if fx.item == 12 and not (n >= s + 7 and (n - s - 3) % 4 == 0):
                 continue

@@ -36,23 +36,6 @@ class Certificate:
             parts.append(f"apex={self.apex}")
         return ";".join(parts)
 
-    @staticmethod
-    def from_text(text: str) -> "Certificate":
-        fields = dict(item.split("=", 1) for item in text.strip().split(";"))
-        cycle = tuple(int(v) for v in fields["cycle"].split(","))
-        chords = tuple(
-            (int(a), int(b))
-            for a, b in (pair.split("-") for pair in fields["chords"].split(",") if pair)
-        )
-        apex = int(fields["apex"]) if "apex" in fields else None
-        return Certificate(cycle=cycle, chords=chords, apex=apex)
-
-    def to_json_dict(self) -> dict:
-        d = {"cycle": list(self.cycle), "chords": [list(c) for c in self.chords]}
-        if self.apex is not None:
-            d["apex"] = self.apex
-        return d
-
 
 def find_k_chords_at_apex(g: Graph, k: int) -> Certificate | None:
     """First (in DFS order over ascending vertex indices) cycle with k chords

@@ -8,8 +8,6 @@ logs to stderr. Exit codes: 0 success/pass, 1 verification failure
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
 from . import chords, verifier
@@ -72,20 +70,14 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return args.jobs
-    return int(os.environ.get("CHORDSPEC_JOBS", "1"))
-
-
 def _cmd_verify(args) -> int:
     if args.what == "theorem":
         report = verifier.verify_theorem_main(
-            args.n, threshold_offset=args.threshold_offset, jobs=_jobs(args)
+            args.n, threshold_offset=args.threshold_offset, jobs=args.jobs
         )
     elif args.what == "corollary":
         report = verifier.verify_corollary(
-            args.n, min_chords=args.min_chords, jobs=_jobs(args)
+            args.n, min_chords=args.min_chords, jobs=args.jobs
         )
     elif args.what == "appendix":
         report = verifier.verify_appendix(args.n_lo, args.n_hi)
@@ -137,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     vt = vsub.add_parser("theorem")
     vt.add_argument("--n", type=int, required=True, choices=(6, 7, 8))
     vt.add_argument("--threshold-offset", type=float, default=0.0)
-    vt.add_argument("--jobs", type=int, default=None)
+    vt.add_argument("--jobs", type=int, default=1)
     vc = vsub.add_parser("corollary")
     vc.add_argument("--n", type=int, required=True, choices=(7, 8))
     vc.add_argument("--min-chords", type=int, default=3)
-    vc.add_argument("--jobs", type=int, default=None)
+    vc.add_argument("--jobs", type=int, default=1)
     va = vsub.add_parser("appendix")
     va.add_argument("--n-lo", type=int, required=True)
     va.add_argument("--n-hi", type=int, required=True)

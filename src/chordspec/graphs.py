@@ -96,17 +96,6 @@ class Graph:
             adj[v] &= ~(1 << u)
         return Graph(self.n, tuple(adj))
 
-    def subgraph(self, vertices: Iterable[int]) -> "Graph":
-        """Induced subgraph, relabelled by the sorted vertex order."""
-        vs = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
-        for v in vs:
-            for w in bits_to_vertices(self._adj[v]):
-                if w in pos:
-                    adj[pos[v]] |= 1 << pos[w]
-        return Graph(len(vs), tuple(adj))
-
     # -- connectivity ----------------------------------------------------------
 
     def component_masks(self, within: int | None = None) -> list[int]:
@@ -321,12 +310,6 @@ def _refine_colors_jointly(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
 # canonical sweep order for the exhaustive verifier.
 
 
-def edge_index(i: int, j: int) -> int:
-    if i > j:
-        i, j = j, i
-    return j * (j - 1) // 2 + i
-
-
 def index_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
@@ -341,13 +324,6 @@ def graph_from_mask(n: int, mask: int) -> Graph:
                 adj[j] |= 1 << i
             b += 1
     return Graph(n, tuple(adj))
-
-
-def mask_from_graph(g: Graph) -> int:
-    mask = 0
-    for u, v in g.edges():
-        mask |= 1 << edge_index(u, v)
-    return mask
 
 
 # -- graph6 ---------------------------------------------------------------------

@@ -6,18 +6,18 @@ component; the Perron vector is the absolute value of the top eigenvector,
 which is simple on a connected component. ``MaskBatch`` is the batched form
 for many labeled graphs of one order given as edge bitmasks: degrees, the
 edge-degree-sum bound, stacked Q and one batched ``eigvalsh``, as numpy
-arrays; the python sweep kernel, the verifier's prefilter spot check and the
-verifier's tie batch (the float index of every mask the sweep kernel leaves
-for the exact rules, the tie band) all use it. ``q_indices`` is the batched
-index of graphs given as ``Graph`` values, of any orders: one batched
-``eigvalsh`` per order over Q stacked from the adjacency rows, as
-``signless_laplacian`` builds it; the property suite's lemmas use it for
-every index that only needs its float value. Exact route: integer
-characteristic polynomials by the Faddeev-LeVerrier recurrence, for many
-matrices at once (``charpoly_int_matrices``: one loop per matrix size over
-the stacked matrices, in int64 where a proven bound rules out overflow, else
-on Python ints), and Sturm-chain root isolation, used to resolve orderings
-that floats cannot.
+arrays; the python sweep kernel and the verifier's prefilter spot check use
+it. ``q_indices`` is the batched index of graphs given as ``Graph`` values,
+of any orders: one batched ``eigvalsh`` per order over Q stacked from the
+adjacency rows, as ``signless_laplacian`` builds it; the verifier uses it for
+every index that only needs its float value (the masks the sweep kernel
+leaves for the exact rules, the appendix fixtures, the property suite's
+lemmas). Exact route: integer characteristic polynomials by the
+Faddeev-LeVerrier recurrence, for many matrices at once
+(``charpoly_int_matrices``: one loop per matrix size over the stacked
+matrices, in int64 where a proven bound rules out overflow, else on Python
+ints), and Sturm-chain root isolation, used to resolve orderings that floats
+cannot.
 """
 
 from __future__ import annotations
@@ -206,25 +206,10 @@ class QuotientMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
     equitable: bool
 
-    def as_floats(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries])
-
     def spectral_radius(self) -> float:
         """Perron root of the (nonnegative) quotient matrix."""
-        ev = np.linalg.eigvals(self.as_floats())
+        ev = np.linalg.eigvals(np.array([[float(e) for e in row] for row in self.entries]))
         return float(np.max(ev.real))
-
-    def charpoly(self) -> IntPolynomial:
-        """Exact det(xI - B); entries must be integers."""
-        rows = []
-        for row in self.entries:
-            ints = []
-            for e in row:
-                if e.denominator != 1:
-                    raise GraphError("charpoly needs an integer quotient matrix")
-                ints.append(int(e))
-            rows.append(ints)
-        return charpoly_int_matrix(rows)
 
 
 def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> QuotientMatrix:

@@ -180,12 +180,6 @@ def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     return sum(r[0] for r in results), sum(r[1] for r in results), rest
 
 
-def _rest_indices(n: int, rest: list[int]) -> list[float]:
-    """The float index of every mask the kernel left for the Python rules,
-    from one batched eigensolve."""
-    return MaskBatch.of(n, rest).top_eigenvalues().tolist()
-
-
 def _versus_threshold(g: Graph, qv: float, ext: Graph, thr: float, exact: bool) -> int:
     """q(g), whose float value is qv, against thr: LESS or GREATER by floats
     outside the tie band; inside it the exact order against q(ext) when
@@ -239,8 +233,8 @@ def _theorem_tail(n: int, rest: list[int], ext: Graph, thr: float, exact_ties: b
     Returns (configured, kernel mismatches, extremal hits, counterexamples)."""
     configured = kernel_mismatches = extremal_hits = 0
     counterexamples: list[str] = []
-    for mask, qv in zip(rest, _rest_indices(n, rest)):
-        g = graph_from_mask(n, mask)
+    graphs = [graph_from_mask(n, mask) for mask in rest]
+    for mask, g, qv in zip(rest, graphs, q_indices(graphs)):
         if _versus_threshold(g, qv, ext, thr, exact_ties) == LESS:
             continue
         if kernels.apex_has_config(n, mask, 3):
@@ -324,8 +318,8 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
 
     extremal_hits = 0
     counterexamples: list[str] = []
-    for mask, qv in zip(rest, _rest_indices(n, rest)):
-        g = graph_from_mask(n, mask)
+    graphs = [graph_from_mask(n, mask) for mask in rest]
+    for mask, g, qv in zip(rest, graphs, q_indices(graphs)):
         order = _versus_threshold(g, qv, ext.graph, thr, True)
         if order == LESS:
             continue
@@ -336,13 +330,8 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
                 extremal_hits += 1
             continue
         # strictly above the threshold: a chorded cycle must exist
-        if min_chords <= 3 and kernels.apex_has_config(n, mask, 3):
-            chorded += 1  # three chords at one vertex are three chords
-            continue
-        if kernels.chorded_has(n, mask, min_chords):
-            chorded += 1
-            continue
-        if chords.find_chorded_cycle(g, min_chords) is not None:
+        if (kernels.chorded_has(n, mask, min_chords)
+                or chords.find_chorded_cycle(g, min_chords) is not None):
             chorded += 1
             continue
         counterexamples.append(graph6_encode(g))

@@ -17,6 +17,10 @@ per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
 ``spectral.quotient_matrix``; ``oracle_q_index`` is the earlier form of
 ``spectral.q_index``, which cuts every component, even the only one, out of Q.
 ``oracle_automorphism_count`` tries all n! vertex permutations.
+``mask_from_graph`` (through ``edge_index``) inverts
+``graphs.graph_from_mask`` by the closed-form bit position of each edge, and
+``induced_subgraph`` relabels an induced subgraph; both check the package's
+own mask and component routines.
 ``oracle_isolate_largest_root`` is the Fraction bisection that
 ``oracle_compare_largest_roots`` runs, to a requested width.
 ``count_roots_above`` and ``count_roots_in_interval`` are Sturm root counts
@@ -34,7 +38,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from chordspec.graphs import Graph, graph_from_mask, index_pairs
+from chordspec.graphs import Graph, graph_from_mask, index_pairs, make_graph
 from chordspec import polynomials
 from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
 from chordspec.spectral import SpectralResult, q_index, signless_laplacian
@@ -155,6 +159,27 @@ def oracle_automorphism_count(g: Graph) -> int:
         for perm in permutations(range(g.n))
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges)
     )
+
+
+def edge_index(i: int, j: int) -> int:
+    """The bit of the edge ij in an edge bitmask (``graphs.index_pairs``
+    order), from the closed form j(j-1)/2 + i for i < j."""
+    if i > j:
+        i, j = j, i
+    return j * (j - 1) // 2 + i
+
+
+def mask_from_graph(g: Graph) -> int:
+    """The edge bitmask of g, the inverse of ``graphs.graph_from_mask``."""
+    return sum(1 << edge_index(u, v) for u, v in g.edges())
+
+
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """The subgraph induced on the nonempty `vertices`, relabelled by their
+    sorted order."""
+    vs = sorted(set(vertices))
+    pos = {v: i for i, v in enumerate(vs)}
+    return make_graph(len(vs), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
 
 
 def oracle_q_index(g: Graph) -> SpectralResult:

@@ -101,7 +101,7 @@ def test_fixture_partitions_are_equitable():
 
 def test_fixture_full_templates_match_graph_quotients():
     for fx in FIXTURES:
-        for n, s in fixture_orders(fx, 7, 30, require_full=True)[:2]:
+        for n, s in fixture_orders(fx, fx.template_min_n, 30)[:2]:
             built = fx.build(n, s)
             qm = quotient_matrix(built.graph, fx.partition(n, s))
             tmpl = quotient_template(fx.item, n, s)

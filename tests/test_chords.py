@@ -149,14 +149,12 @@ def test_verify_certificate_rejects_corruptions():
     assert not verify_certificate(g, sub, 1, True)
 
 
-def test_certificate_serialization_roundtrip():
+def test_certificate_text_form():
     cert = Certificate(cycle=(0, 1, 2, 3, 4, 5), chords=((0, 2), (0, 3), (0, 4)),
                        apex=0)
-    text = cert.to_text()
-    assert text == "cycle=0,1,2,3,4,5;chords=0-2,0-3,0-4;apex=0"
-    assert Certificate.from_text(text) == cert
+    assert cert.to_text() == "cycle=0,1,2,3,4,5;chords=0-2,0-3,0-4;apex=0"
     bare = Certificate(cycle=(0, 1, 2), chords=(), apex=None)
-    assert Certificate.from_text(bare.to_text()) == bare
+    assert bare.to_text() == "cycle=0,1,2;chords="
 
 
 def test_longest_cycle():

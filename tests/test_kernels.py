@@ -165,15 +165,20 @@ def test_apex_kernel_matches_searcher_random_n7(compiled):
         assert compiled.apex_has_config(7, mask, 3) == want
 
 
-def test_chorded_kernel_matches_searcher(compiled):
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_chorded_kernel_matches_searcher(impl):
+    # chorded_has runs the apex search first for m <= 3; the searcher does not
     rng = random.Random(56)
     for _ in range(1500):
         n = rng.randint(4, 8)
         mask = rng.randrange(1 << (n * (n - 1) // 2))
         g = graph_from_mask(n, mask)
-        for m in (2, 3, 4):
+        for m in (1, 2, 3, 4):
             want = find_chorded_cycle(g, m) is not None
-            assert compiled.chorded_has(n, mask, m) == want, (n, mask, m)
+            assert impl.chorded_has(n, mask, m) == want, (n, mask, m)
 
 
 @pytest.mark.parametrize(
@@ -191,8 +196,11 @@ def test_kernel_guards(impl):
         for n, mask in ((0, 0), (12, 0), (5, -1), (5, 1 << 10), (5, 1 << 20)):
             with pytest.raises(ValueError):
                 detector(n, mask, 3)
-        with pytest.raises(ValueError):
-            detector(5, 1023, 0)
+        # k = 0 is refused before any search, also on K6, which has three
+        # chords at a vertex
+        for n, mask in ((5, 1023), (6, (1 << 15) - 1)):
+            with pytest.raises(ValueError):
+                detector(n, mask, 0)
     # the bounds themselves are accepted
     assert impl.sweep_range(5, 1023, 1024, 5.0) == (1, [1023])
     assert impl.sweep_range(5, 7, 7, 5.0) == (0, [])

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,7 +25,6 @@ from chordspec.graphs import (
     graph_from_mask,
     join,
     make_graph,
-    mask_from_graph,
 )
 from chordspec.spectral import q_index
 from chordspec.verifier import (
@@ -42,7 +42,7 @@ from chordspec.verifier import (
     verify_corollary,
     verify_theorem_main,
 )
-from oracles import oracle_prefilter_spot_check
+from oracles import mask_from_graph, oracle_prefilter_spot_check
 
 
 def labeled_graphs(n):
@@ -104,14 +104,14 @@ def test_theorem_n6_fixture():
     (7, ("chorded_has", 3)),
 ], ids=["theorem-6", "theorem-7", "corollary-7"])
 def test_rest_indices_match_q_index(n, test):
-    # the one batched eigensolve over the masks the kernel leaves gives the
-    # same float index as q_index on each graph
+    # the one batched eigensolve over the graphs of the masks the kernel
+    # leaves gives the same float index as q_index on each graph
     thr = q_index(extremal_graph(n).graph).q
     _, _, rest = verifier._sweep_classified(n, thr, test, 1)
     assert len(rest) == {6: 30, 7: 210}[n]
-    got = verifier._rest_indices(n, rest)
-    for mask, qv in zip(rest, got, strict=True):
-        assert abs(qv - q_index(graph_from_mask(n, mask)).q) <= 1e-12
+    graphs = [graph_from_mask(n, mask) for mask in rest]
+    for g, qv in zip(graphs, verifier.q_indices(graphs), strict=True):
+        assert abs(qv - q_index(g).q) <= 1e-12
 
 
 def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
@@ -419,7 +419,21 @@ def test_jobs_parallel_matches_serial():
     assert a == b
 
 
-EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+EXPECTED = PERFBENCH / "expected"
+
+
+def test_benchmark_layers_resolve():
+    # the benchmark's tracer looks every LAYERS entry up by name, so each
+    # must stay a callable of its chordspec module; the script is loaded,
+    # not run
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.LAYERS
+    for module, fn in bench.LAYERS:
+        target = getattr(importlib.import_module(f"chordspec.{module}"), fn, None)
+        assert callable(target), f"{module}.{fn}"
 
 
 @pytest.mark.parametrize("stored, run", [
