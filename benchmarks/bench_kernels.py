@@ -38,7 +38,6 @@ from chordspec.spectral import (
     signless_laplacian,
 )
 from chordspec.verifier import (
-    SWEEP_MARGIN,
     TIE_BAND,
     _prefilter_spot_check,
     _sample,
@@ -69,16 +68,14 @@ def bench_sweep(impls, n, lo, hi, floor):
 
 
 def bench_classify(impls, n, lo, hi, thr):
-    """classify on the sweep survivors of [lo, hi), as the theorem runs it."""
-    _, survivors = impls[0][1].sweep_range(n, lo, hi, thr - SWEEP_MARGIN)
-    print(f"classify n={n} survivors of [{lo}, {hi}): {len(survivors)}, "
-          f"cuts threshold +- {TIE_BAND}")
+    """classify on the masks in [lo, hi), as the theorem runs it."""
+    print(f"classify n={n} masks=[{lo}, {hi}), cuts threshold +- {TIE_BAND}")
     base = None
     for label, impl in impls:
-        dt, out = time_call(impl.classify, n, survivors, thr - TIE_BAND, thr + TIE_BAND,
+        dt, out = time_call(impl.classify, n, lo, hi, thr - TIE_BAND, thr + TIE_BAND,
                             ("apex_has_config", 3))
-        print(f"  {label:9s} {dt:8.2f}s  {len(survivors) / dt / 1e6:7.3f} Mgraph/s  "
-              f"hits={out[0]} rest={len(out[1])}")
+        print(f"  {label:9s} {dt:8.2f}s  {(hi - lo) / dt / 1e6:7.2f} Mmask/s  "
+              f"no-isolated={out[0]} hits={out[1]} rest={len(out[2])}")
         if base is None:
             base = out
         else:
@@ -232,7 +229,7 @@ def tie_graphs(n=6):
     """Every sweep survivor of order n whose float index lies within
     TIE_BAND of the threshold."""
     thr = q_index(extremal_graph(n).graph).q
-    _, survivors = kernels.sweep_range(n, 0, 1 << (n * (n - 1) // 2), thr - SWEEP_MARGIN)
+    _, survivors = kernels.sweep_range(n, 0, 1 << (n * (n - 1) // 2), thr - TIE_BAND)
     graphs = (graph_from_mask(n, mask) for mask in survivors)
     return [g for g in graphs if abs(q_index(g).q - thr) <= TIE_BAND]
 
@@ -292,9 +289,10 @@ def main() -> None:
 
     impls = kernels.implementations()
     print("available kernels:", ", ".join(label for label, _ in impls))
-    floor6 = q_index(k1_join_k4_union_k1().graph).q - SWEEP_MARGIN
+    # sweep floors at the lower edge of the tie band, where classify cuts
+    floor6 = q_index(k1_join_k4_union_k1().graph).q - TIE_BAND
     thr7 = q_index(k11n2_plus(7).graph).q
-    floor7 = thr7 - SWEEP_MARGIN
+    floor7 = thr7 - TIE_BAND
 
     bench_sweep(impls, 6, 0, 1 << 15, floor6)
     bench_sweep(impls, 7, 0, 1 << 18, floor7)

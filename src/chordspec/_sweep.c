@@ -1,16 +1,16 @@
-/* Compiled sweep kernels: exhaustive index sweeps over edge-bitmask graph
- * ranges, the classification of their survivors against a tie band,
- * boolean chord-configuration tests, and the longest-cycle and
- * longest-path searches of the property suite.
+/* Compiled sweep kernels: one pass over an edge-bitmask graph range that
+ * sorts each graph by its signless Laplacian index against two cuts and
+ * tests the ones above them for a chord configuration, the chord tests on
+ * one graph, and the longest-cycle and longest-path searches of the
+ * property suite.
  *
- * Same interface and the same soundness contract as the pure-Python twin in
- * _sweep_py.py: sweep_range may drop a mask only when the signless Laplacian
- * index is provably below q_floor, and classify counts a mask as a hit only
- * when its index is provably above hi_cut and drops it only when the index is
- * provably below lo_cut. Both bounds come from one power iterate on Q + I
- * with a strictly positive vector x: the Collatz-Wielandt ratio
- * max_i (Mx)_i / x_i bounds the top eigenvalue from above, the Rayleigh
- * quotient from below.
+ * Same interface and soundness contract as the pure-Python twin _sweep_py:
+ * classify drops a mask only when its index is provably below lo_cut, and
+ * counts a hit only when the index is provably above hi_cut and the graph
+ * passes the test; sweep_range is the pass with no test and both cuts at
+ * q_floor. Degree bounds go first, then one power iterate on Q + I with a
+ * strictly positive x: the Collatz-Wielandt ratio max_i (Mx)_i / x_i bounds
+ * the top eigenvalue from above, the Rayleigh quotient from below.
  *
  * A graph on n vertices is an edge bitmask: bit b is the pair (i, j), i < j,
  * in the order (0,1), (0,2), (1,2), (0,3), ... (graphs.index_pairs). Masks
@@ -137,6 +137,20 @@ static int parse_bounded(PyObject *arg, uint64_t limit, const char *what,
 
 static uint64_t mask_count(int n) { return (uint64_t)1 << (n * (n - 1) / 2); }
 
+/* The n, lo and hi of a sweep over [lo, hi), 0 <= lo <= hi <= 2^C(n,2). */
+static int parse_range(PyObject *const *args, int *n, uint64_t *lo, uint64_t *hi)
+{
+    if (parse_n(args[0], n) || parse_bounded(args[1], mask_count(*n), "lo", lo) ||
+        parse_bounded(args[2], mask_count(*n), "hi", hi))
+        return -1;
+    if (*lo > *hi) {
+        PyErr_Format(PyExc_ValueError, "empty range: lo %llu > hi %llu",
+                     (unsigned long long)*lo, (unsigned long long)*hi);
+        return -1;
+    }
+    return 0;
+}
+
 /* At least 1, as the python searchers require. */
 static int parse_positive(PyObject *arg, const char *what, long *out)
 {
@@ -151,6 +165,13 @@ static int parse_positive(PyObject *arg, const char *what, long *out)
     return 0;
 }
 
+/* A Python float (or int) into *out. */
+static int parse_double(PyObject *arg, double *out)
+{
+    *out = PyFloat_AsDouble(arg);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
 static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
     if (nargs == want)
@@ -158,75 +179,6 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments (%zd given)",
                  name, want, nargs);
     return -1;
-}
-
-/* -- sweep ----------------------------------------------------------------- */
-
-static PyObject *sweep_range(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    int n;
-    uint64_t lo, hi;
-    if (check_nargs("sweep_range", nargs, 4) || parse_n(args[0], &n) ||
-        parse_bounded(args[1], mask_count(n), "lo", &lo) ||
-        parse_bounded(args[2], mask_count(n), "hi", &hi))
-        return NULL;
-    if (lo > hi)
-        return PyErr_Format(PyExc_ValueError, "empty range: lo %llu > hi %llu",
-                            (unsigned long long)lo, (unsigned long long)hi);
-    double q_floor = PyFloat_AsDouble(args[3]);
-    if (q_floor == -1.0 && PyErr_Occurred())
-        return NULL;
-
-    uint64_t inc[MAXN] = {0}, adj[MAXN];
-    int bi[MAXB], bj[MAXB], degs[MAXN], b = 0;
-    for (int j = 1; j < n; j++)
-        for (int i = 0; i < j; i++, b++) {
-            inc[i] |= (uint64_t)1 << b;
-            inc[j] |= (uint64_t)1 << b;
-            bi[b] = i;
-            bj[b] = j;
-        }
-
-    long long no_isolated = 0;
-    PyObject *survivors = PyList_New(0);
-    if (survivors == NULL)
-        return NULL;
-    for (uint64_t mask = lo; mask < hi; mask++) {
-        int dmin = n, dmax = 0;
-        for (int i = 0; i < n; i++) {
-            int deg = popcount(mask & inc[i]);
-            degs[i] = deg;
-            if (deg < dmin)
-                dmin = deg;
-            if (deg > dmax)
-                dmax = deg;
-        }
-        if (dmin == 0)
-            continue;
-        no_isolated++;
-        if (2.0 * dmax < q_floor) /* q <= 2 max degree */
-            continue;
-        int esum = 0; /* q <= max over edges ij of d(i) + d(j) */
-        for (uint64_t rest = mask; rest; rest &= rest - 1) {
-            int e = lowest_bit(rest);
-            int d = degs[bi[e]] + degs[bj[e]];
-            if (d > esum)
-                esum = d;
-        }
-        if (esum < q_floor)
-            continue;
-        mask_adj(n, mask, adj);
-        if (q_side(n, adj, q_floor, q_floor) >= 0) { /* may reach q_floor */
-            PyObject *m = PyLong_FromUnsignedLongLong(mask);
-            if (m == NULL || PyList_Append(survivors, m) < 0) {
-                Py_XDECREF(m);
-                Py_DECREF(survivors);
-                return NULL;
-            }
-            Py_DECREF(m);
-        }
-    }
-    return Py_BuildValue("(LN)", no_isolated, survivors);
 }
 
 /* -- chord configuration tests --------------------------------------------- */
@@ -508,30 +460,106 @@ static PyObject *max_path_order(PyObject *self, PyObject *const *args,
     return PyLong_FromLong(best);
 }
 
-/* -- survivor classification ----------------------------------------------- */
+/* -- sweep and classification ---------------------------------------------- */
+
+/* One pass over the masks in [lo, hi): masks with an isolated vertex are
+ * skipped and the others counted in *no_isolated; a mask whose degree
+ * bounds or power iterate put its index below lo_cut is dropped, one above
+ * hi_cut whose graph passes test (never, when test is NULL) is counted in
+ * *hits, and every other mask is listed in the result, ascending. */
+static PyObject *sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi_cut,
+                       detector test, long k, long long *no_isolated, long long *hits)
+{
+    uint64_t inc[MAXN] = {0}, adj[MAXN];
+    int bi[MAXB], bj[MAXB], degs[MAXN], b = 0;
+    for (int j = 1; j < n; j++)
+        for (int i = 0; i < j; i++, b++) {
+            inc[i] |= (uint64_t)1 << b;
+            inc[j] |= (uint64_t)1 << b;
+            bi[b] = i;
+            bj[b] = j;
+        }
+
+    *no_isolated = *hits = 0;
+    PyObject *rest = PyList_New(0);
+    if (rest == NULL)
+        return NULL;
+    for (uint64_t mask = lo; mask < hi; mask++) {
+        int dmin = n, dmax = 0;
+        for (int i = 0; i < n; i++) {
+            int deg = popcount(mask & inc[i]);
+            degs[i] = deg;
+            if (deg < dmin)
+                dmin = deg;
+            if (deg > dmax)
+                dmax = deg;
+        }
+        if (dmin == 0)
+            continue;
+        ++*no_isolated;
+        if (2.0 * dmax < lo_cut) /* q <= 2 max degree */
+            continue;
+        int esum = 0; /* q <= max over edges ij of d(i) + d(j) */
+        for (uint64_t left = mask; left; left &= left - 1) {
+            int e = lowest_bit(left);
+            int d = degs[bi[e]] + degs[bj[e]];
+            if (d > esum)
+                esum = d;
+        }
+        if (esum < lo_cut)
+            continue;
+        mask_adj(n, mask, adj);
+        int side = q_side(n, adj, lo_cut, hi_cut);
+        if (side < 0)
+            continue;
+        if (side > 0 && test != NULL && test(n, adj, k)) {
+            ++*hits;
+            continue;
+        }
+        PyObject *m = PyLong_FromUnsignedLongLong(mask);
+        if (m == NULL || PyList_Append(rest, m) < 0) {
+            Py_XDECREF(m);
+            Py_DECREF(rest);
+            return NULL;
+        }
+        Py_DECREF(m);
+    }
+    return rest;
+}
+
+static PyObject *sweep_range(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n;
+    uint64_t lo, hi;
+    long long no_isolated, hits;
+    double q_floor;
+    if (check_nargs("sweep_range", nargs, 4) || parse_range(args, &n, &lo, &hi) ||
+        parse_double(args[3], &q_floor))
+        return NULL;
+    PyObject *survivors = sweep(n, lo, hi, q_floor, q_floor, NULL, 0, &no_isolated, &hits);
+    return survivors ? Py_BuildValue("(LN)", no_isolated, survivors) : NULL;
+}
 
 static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n;
+    uint64_t lo, hi;
     const char *name;
     PyObject *karg;
     long k;
+    long long no_isolated, hits;
+    double lo_cut, hi_cut;
     detector test;
-    if (check_nargs("classify", nargs, 5) || parse_n(args[0], &n))
-        return NULL;
-    double lo_cut = PyFloat_AsDouble(args[2]);
-    if (lo_cut == -1.0 && PyErr_Occurred())
-        return NULL;
-    double hi_cut = PyFloat_AsDouble(args[3]);
-    if (hi_cut == -1.0 && PyErr_Occurred())
+    if (check_nargs("classify", nargs, 6) || parse_range(args, &n, &lo, &hi) ||
+        parse_double(args[3], &lo_cut) || parse_double(args[4], &hi_cut))
         return NULL;
     if (!(lo_cut <= hi_cut))
         return PyErr_Format(PyExc_ValueError, "need lo_cut <= hi_cut, got %R > %R",
-                            args[2], args[3]);
-    if (!PyTuple_Check(args[4]))
+                            args[3], args[4]);
+    if (!PyTuple_Check(args[5]))
         return PyErr_Format(PyExc_TypeError, "test must be a (name, k) tuple, got %R",
-                            args[4]);
-    if (!PyArg_ParseTuple(args[4], "sO:classify", &name, &karg) ||
+                            args[5]);
+    if (!PyArg_ParseTuple(args[5], "sO:classify", &name, &karg) ||
         parse_positive(karg, "k", &k))
         return NULL;
     if (strcmp(name, "apex_has_config") == 0)
@@ -539,40 +567,9 @@ static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t narg
     else if (strcmp(name, "chorded_has") == 0)
         test = has_chorded;
     else
-        return PyErr_Format(PyExc_ValueError, "no kernel test %R", args[4]);
-
-    PyObject *seq = PySequence_Fast(args[1], "masks must be a sequence");
-    if (seq == NULL)
-        return NULL;
-    PyObject *rest = PyList_New(0);
-    if (rest == NULL) {
-        Py_DECREF(seq);
-        return NULL;
-    }
-    long long hits = 0;
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    for (Py_ssize_t t = 0; t < count; t++) {
-        uint64_t mask, adj[MAXN];
-        if (parse_bounded(items[t], mask_count(n) - 1, "mask", &mask))
-            goto fail;
-        mask_adj(n, mask, adj);
-        int side = q_side(n, adj, lo_cut, hi_cut);
-        if (side < 0)
-            continue;
-        if (side > 0 && test(n, adj, k)) {
-            hits++;
-            continue;
-        }
-        if (PyList_Append(rest, items[t]) < 0)
-            goto fail;
-    }
-    Py_DECREF(seq);
-    return Py_BuildValue("(LN)", hits, rest);
-fail:
-    Py_DECREF(seq);
-    Py_DECREF(rest);
-    return NULL;
+        return PyErr_Format(PyExc_ValueError, "no kernel test %R", args[5]);
+    PyObject *rest = sweep(n, lo, hi, lo_cut, hi_cut, test, k, &no_isolated, &hits);
+    return rest ? Py_BuildValue("(LLN)", no_isolated, hits, rest) : NULL;
 }
 
 /* -- module ---------------------------------------------------------------- */
@@ -588,8 +585,9 @@ static PyMethodDef methods[] = {
      "chorded_has(n, mask, min_chords) -> bool\n\n"
      "Whether some cycle carries at least min_chords chords (mask graph)."},
     {"classify", (PyCFunction)(void (*)(void))classify, METH_FASTCALL,
-     "classify(n, masks, lo_cut, hi_cut, test) -> (hits, rest)\n\n"
-     "Sort masks by index against two cuts; see _sweep_py.classify."},
+     "classify(n, lo, hi, lo_cut, hi_cut, test) -> (no_isolated, hits, rest)\n\n"
+     "Sort the edge bitmasks in [lo, hi) by index against two cuts; see\n"
+     "_sweep_py.classify."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_FASTCALL,
      "longest_cycle(rows) -> (length, cycle) or None\n\n"
      "The first longest cycle in search order; see chords.longest_cycle."},

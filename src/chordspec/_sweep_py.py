@@ -1,18 +1,18 @@
 """Pure-Python implementation of the sweep kernels.
 
-Mirrors the compiled extension's interface. The exhaustive q-sweep and the
-survivor classification are vectorized with numpy over blocks of edge
-bitmasks; the per-graph detectors and the longest-cycle and longest-path
-searches defer to the reference searchers in chords.py.
+Mirrors the compiled extension's interface. The pass over a mask range
+(classify, and sweep_range as its case with no test) is vectorized with
+numpy over blocks of edge bitmasks; the per-graph detectors and the
+longest-cycle and longest-path searches defer to the reference searchers in
+chords.py.
 
-Soundness contract of sweep_range: a mask may only be dropped when its
-signless Laplacian index is provably below q_floor. Cheap degree bounds
-(q <= 2*maxdeg and q <= max over edges of d(u)+d(v)) go first; the remainder
-is decided by one batched dense eigenvalue computation per block of masks,
-with comfortable float margin. classify takes its index from the same
-batched computation and decides only when it clears a cut by CUT_MARGIN.
-The mask arithmetic (bits, degrees, stacked Q, batched eigvalsh) is
-``spectral.MaskBatch``, shared with the verifier's prefilter spot check.
+Soundness contract: a mask may only be dropped when its signless Laplacian
+index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
+and q <= max over edges of d(u)+d(v)) go first; the remainder gets one
+batched dense eigenvalue computation per block of masks, and a cut decides
+only when the index clears it by CUT_MARGIN. The mask arithmetic (bits,
+degrees, stacked Q, batched eigvalsh) is ``spectral.MaskBatch``, shared
+with the verifier's prefilter spot check.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ IS_COMPILED = False
 
 MAXN = 11  # edge bitmasks fit 64 bits up to n = 11, as in the compiled kernel
 MAXROWS = 64  # adjacency rows fit 64 bits, as in the compiled kernel
-CUT_MARGIN = 1e-9  # classify decides only when the index clears a cut by this
+CUT_MARGIN = 1e-9  # a cut decides only when the index clears it by this
 _BLOCK = 1 << 14
 
 
@@ -44,41 +44,56 @@ def _check_mask(n: int, mask: int) -> None:
         raise ValueError(f"mask {mask} outside [0, {total - 1}]")
 
 
+def _sweep(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, detector, k: int):
+    """One pass over the masks in [lo, hi): (no_isolated, hits, rest), as
+    classify returns it; detector None counts no hits."""
+    total = _mask_count(n)
+    if not 0 <= lo <= hi <= total:
+        raise ValueError(f"range [{lo}, {hi}) outside [0, {total}]")
+    no_isolated = hits = 0
+    rest: list[int] = []
+    for start in range(lo, hi, _BLOCK):
+        batch = MaskBatch.of(n, np.arange(start, min(start + _BLOCK, hi), dtype=np.int64))
+        deg = batch.degrees
+        ok = deg.min(axis=1) >= 1
+        no_isolated += int(ok.sum())
+        cand = ok & (2 * deg.max(axis=1) >= lo_cut)
+        if cand.any():
+            cand &= batch.max_edge_degree_sums() >= lo_cut
+        if not cand.any():
+            continue
+        kept = batch[cand]
+        top = kept.top_eigenvalues()
+        above = top >= lo_cut - CUT_MARGIN
+        for mask, q in zip(kept.masks[above].tolist(), top[above].tolist()):
+            if detector is not None and q > hi_cut + CUT_MARGIN and detector(n, mask, k):
+                hits += 1
+            else:
+                rest.append(mask)
+    return no_isolated, hits, rest
+
+
 def sweep_range(n: int, lo: int, hi: int, q_floor: float):
     """Scan edge bitmasks in [lo, hi), 0 <= lo <= hi <= 2^C(n,2).
 
     Returns (no_isolated_count, survivors): survivors are the masks of graphs
     without isolated vertices whose index is not provably below q_floor.
     """
-    total = _mask_count(n)
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"range [{lo}, {hi}) outside [0, {total}]")
-    no_isolated = 0
-    survivors: list[int] = []
-    for start in range(lo, hi, _BLOCK):
-        batch = MaskBatch.of(n, np.arange(start, min(start + _BLOCK, hi), dtype=np.int64))
-        deg = batch.degrees
-        ok = deg.min(axis=1) >= 1
-        no_isolated += int(ok.sum())
-        cand = ok & (2 * deg.max(axis=1) >= q_floor)
-        if cand.any():
-            cand &= batch.max_edge_degree_sums() >= q_floor
-        if cand.any():
-            kept = batch[cand]
-            survivors.extend(kept.masks[kept.top_eigenvalues() >= q_floor].tolist())
+    no_isolated, _, survivors = _sweep(n, lo, hi, q_floor, q_floor, None, 0)
     return no_isolated, survivors
 
 
-def classify(n: int, masks, lo_cut: float, hi_cut: float, test):
-    """Sort masks by their index against lo_cut <= hi_cut.
+def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
+    """Sort the edge bitmasks in [lo, hi) by their index against
+    lo_cut <= hi_cut.
 
     test is (name, k) naming a detector of this module, "apex_has_config" or
-    "chorded_has". Returns (hits, rest): hits counts the masks whose index is
-    above hi_cut + CUT_MARGIN and whose graph passes test; masks with an
-    index below lo_cut - CUT_MARGIN are dropped; rest lists every other mask
-    in input order.
+    "chorded_has". Returns (no_isolated, hits, rest): no_isolated counts the
+    masks of graphs without isolated vertices; of those, hits counts the
+    ones whose index is above hi_cut + CUT_MARGIN and whose graph passes
+    test, masks with an index below lo_cut - CUT_MARGIN are dropped, and
+    rest lists every other mask, ascending.
     """
-    _mask_count(n)
     if not lo_cut <= hi_cut:
         raise ValueError(f"need lo_cut <= hi_cut, got {lo_cut!r} > {hi_cut!r}")
     if not isinstance(test, tuple):
@@ -88,23 +103,8 @@ def classify(n: int, masks, lo_cut: float, hi_cut: float, test):
         raise ValueError(f"no kernel test {test!r}")
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    masks = list(masks)
-    for mask in masks:
-        _check_mask(n, mask)
     detector = apex_has_config if name == "apex_has_config" else chorded_has
-    hits = 0
-    rest: list[int] = []
-    for start in range(0, len(masks), _BLOCK):
-        block = masks[start:start + _BLOCK]
-        top = MaskBatch.of(n, block).top_eigenvalues()
-        for mask, q in zip(block, top.tolist()):
-            if q < lo_cut - CUT_MARGIN:
-                continue
-            if q > hi_cut + CUT_MARGIN and detector(n, mask, k):
-                hits += 1
-            else:
-                rest.append(mask)
-    return hits, rest
+    return _sweep(n, lo, hi, lo_cut, hi_cut, detector, k)
 
 
 def apex_has_config(n: int, mask: int, k: int) -> bool:

@@ -1,11 +1,13 @@
 """Hot-kernel dispatch: the compiled kernel when it builds, else the
 pure-Python twin in ``_sweep_py``.
 
-Both export the same functions: ``sweep_range`` and ``classify`` over
-edge-bitmask ranges and lists, the chord tests ``apex_has_config`` (k chords
-at one cycle vertex) and ``chorded_has`` (a cycle with at least min_chords
-chords, which tries the apex search first for min_chords <= 3) on one mask,
-and ``longest_cycle`` and ``max_path_order`` on adjacency rows.
+Both export the same functions: ``classify``, one pass over an
+edge-bitmask range that drops the graphs provably below a cut and counts
+those provably above it that pass a chord test, and ``sweep_range``, the
+same pass with no test; the chord tests ``apex_has_config`` (k chords at one
+cycle vertex) and ``chorded_has`` (a cycle with at least min_chords chords,
+which tries the apex search first for min_chords <= 3) on one mask; and
+``longest_cycle`` and ``max_path_order`` on adjacency rows.
 
 On first import the C source ``_sweep.c`` is compiled with the interpreter's
 own compiler command into ``build/kernel/`` at the repository root. The file

@@ -1,15 +1,14 @@
 """Exhaustive and randomized verification runs with machine-readable reports.
 
 The exhaustive tasks enumerate every labeled graph on n vertices as an edge
-bitmask (ascending order) and push it, chunk by chunk, through the sweep
-kernel, which may only discard a graph when its index is provably below the
-threshold. The kernel then classifies the survivors: it counts a graph whose
-index is provably above the 1e-8 tie band around the threshold and that
-passes the task's chord test, and drops one provably below the band. Only
-the masks left over reach Python, which decides them as before: float
-eigenvalues (one batched eigensolve over all of them) away from the
-threshold, exact characteristic-polynomial comparison inside the band, the
-reference searchers when the kernel's test finds nothing.
+bitmask (ascending order) and classify it, chunk by chunk, in one kernel
+pass: the kernel drops a graph only when its index is provably below the
+1e-8 tie band around the threshold, and counts one whose index is provably
+above the band and that passes the task's chord test. Only the masks left
+over reach Python, which decides them as before: float eigenvalues (one
+batched eigensolve over all of them) away from the threshold, exact
+characteristic-polynomial comparison inside the band, the reference
+searchers when the kernel's test finds nothing.
 
 The randomized suites are seeded and stratified over edge probabilities
 {0.2, 0.4, 0.6, 0.8}; identical (task, params, seed) inputs produce identical
@@ -23,7 +22,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import chords, kernels
@@ -71,11 +70,10 @@ from .spectral import (
 )
 
 TIE_BAND = 1e-8  # float gaps below this are resolved exactly
-SWEEP_MARGIN = 1e-6  # kernel floor sits this far below the threshold
 
 
 class VerifierError(ValueError):
-    """Unsupported verification parameters."""
+    """Unsupported verification parameters, or a malformed report."""
 
 
 @dataclass
@@ -124,16 +122,17 @@ class Report:
 
     @staticmethod
     def from_json(text: str) -> "Report":
-        raw = json.loads(text)
-        return Report(
-            task=raw["task"],
-            params=raw["params"],
-            graphs_examined=raw["graphs_examined"],
-            counterexamples=list(raw["counterexamples"]),
-            extremal_hits=raw["extremal_hits"],
-            details=list(raw["details"]),
-            wall_time_ms=raw["wall_time_ms"],
-        )
+        """The report a to_json text holds; VerifierError when the text is
+        not JSON or not a report."""
+        try:
+            raw = json.loads(text)
+            return Report(**{f.name: raw[f.name] for f in fields(Report)})
+        except json.JSONDecodeError as exc:
+            raise VerifierError(f"report is not JSON: {exc}") from exc
+        except KeyError as exc:
+            raise VerifierError(f"report has no {exc} field") from exc
+        except TypeError as exc:
+            raise VerifierError("report is not a JSON object") from exc
 
 
 def report_diff(a: Report, b: Report) -> list[str]:
@@ -148,17 +147,14 @@ def report_diff(a: Report, b: Report) -> list[str]:
     return out
 
 
-CHUNK = 1 << 20  # masks per sweep chunk; bounds the survivors one chunk holds
+CHUNK = 1 << 20  # masks per kernel pass; bounds the leftover masks one chunk holds
 
 
 def _classify_chunk(args):
-    """Sweep one mask range and classify its survivors in the kernel:
-    (graphs without isolated vertices, hits, masks left for the Python
-    rules)."""
+    """Classify one mask range in the kernel: (graphs without isolated
+    vertices, hits, masks left for the Python rules)."""
     n, lo, hi, thr, test = args
-    no_isolated, survivors = kernels.sweep_range(n, lo, hi, thr - SWEEP_MARGIN)
-    hits, rest = kernels.classify(n, survivors, thr - TIE_BAND, thr + TIE_BAND, test)
-    return no_isolated, hits, rest
+    return kernels.classify(n, lo, hi, thr - TIE_BAND, thr + TIE_BAND, test)
 
 
 def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
@@ -180,24 +176,15 @@ def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     return sum(r[0] for r in results), sum(r[1] for r in results), rest
 
 
-def _versus_threshold(g: Graph, qv: float, ext: Graph, thr: float, exact: bool) -> int:
-    """q(g), whose float value is qv, against thr: LESS or GREATER by floats
-    outside the tie band; inside it the exact order against q(ext) when
-    exact, else EQUAL."""
-    if qv < thr - TIE_BAND:
+def _order(g: Graph, qg: float, h: Graph, qh: float, exact: bool = True) -> int:
+    """q(g) against q(h), whose float values are qg and qh: LESS or GREATER
+    by floats outside the tie band; inside it the exact order when exact,
+    else EQUAL."""
+    if qg < qh - TIE_BAND:
         return LESS
-    if qv > thr + TIE_BAND:
+    if qg > qh + TIE_BAND:
         return GREATER
-    return q_exact_compare(g, ext) if exact else EQUAL
-
-
-def _strictly_less(g: Graph, h: Graph, gap: float) -> bool:
-    """q(g) < q(h); float when the gap is clear, exact inside the band."""
-    if gap > TIE_BAND:
-        return True
-    if gap < -TIE_BAND:
-        return False
-    return q_exact_compare(g, h) == LESS
+    return q_exact_compare(g, h) if exact else EQUAL
 
 
 def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
@@ -235,7 +222,7 @@ def _theorem_tail(n: int, rest: list[int], ext: Graph, thr: float, exact_ties: b
     counterexamples: list[str] = []
     graphs = [graph_from_mask(n, mask) for mask in rest]
     for mask, g, qv in zip(rest, graphs, q_indices(graphs)):
-        if _versus_threshold(g, qv, ext, thr, exact_ties) == LESS:
+        if _order(g, qv, ext, thr, exact_ties) == LESS:
             continue
         if kernels.apex_has_config(n, mask, 3):
             configured += 1
@@ -260,6 +247,8 @@ def verify_theorem_main(
     a common cycle vertex or is the unique extremal graph."""
     if n not in (6, 7, 8):
         raise VerifierError(f"verify_theorem_main supports n in 6..8, got {n}")
+    if not math.isfinite(threshold_offset):
+        raise VerifierError(f"threshold_offset must be finite, got {threshold_offset}")
     t0 = time.perf_counter()
     ext = extremal_graph(n)
     thr = q_index(ext.graph).q + threshold_offset
@@ -309,6 +298,8 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
     index unless it is the extremal graph."""
     if n not in (7, 8):
         raise VerifierError(f"verify_corollary supports n in 7..8, got {n}")
+    if min_chords < 1:
+        raise VerifierError(f"min_chords must be >= 1, got {min_chords}")
     t0 = time.perf_counter()
     ext = extremal_graph(n)
     thr = q_index(ext.graph).q
@@ -320,7 +311,7 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
     counterexamples: list[str] = []
     graphs = [graph_from_mask(n, mask) for mask in rest]
     for mask, g, qv in zip(rest, graphs, q_indices(graphs)):
-        order = _versus_threshold(g, qv, ext.graph, thr, True)
+        order = _order(g, qv, ext.graph, thr)
         if order == LESS:
             continue
         if order == EQUAL:
@@ -464,7 +455,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
         if abs(lam - qv) > 1e-8:
             lam_bad.append((fx.item, n, s, lam - qv))
         # strict index inequality against the threshold family
-        if not _strictly_less(g, thr_graph[n], thr[n] - qv):
+        if _order(g, qv, thr_graph[n], thr[n]) != LESS:
             ineq_bad.append((fx.item, n, s))
             counterexamples.append(graph6_encode(g))
     details.append(
@@ -916,7 +907,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         for (g, bigger), q0, q1 in zip(samples, qs, qs[len(samples):]):
             ok = q1 >= q0 - 1e-10
             if ok and bigger.is_connected():
-                ok = _strictly_less(g, bigger, q1 - q0)
+                ok = _order(g, q0, bigger, q1) == LESS
             if not ok:
                 bad.append(g)
         return bad
@@ -946,7 +937,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     def check_shift(samples):
         qs = q_indices([shifted for _, _, shifted in samples])
         return [g for (g, q, shifted), q1 in zip(samples, qs)
-                if not _strictly_less(g, shifted, q1 - q)]
+                if _order(g, q, shifted, q1) != LESS]
 
     lemma("perron_shift", 202, draw_shift, check_shift)
 

@@ -1,5 +1,6 @@
 import json
 
+from chordspec import verifier
 from chordspec.cli import main
 from chordspec.families import build_family
 from chordspec.graphs import graph6_encode
@@ -105,6 +106,24 @@ def test_bad_detect_parameter_exits_2(capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
+def test_bad_verify_parameter_exits_2(capsys, monkeypatch):
+    # refused before any sweep, and nothing is written to stdout
+    def no_sweep(*args):
+        raise AssertionError("swept with a bad parameter")
+
+    monkeypatch.setattr(verifier, "_sweep_classified", no_sweep)
+    for argv in (
+        ("corollary", "--n", "7", "--min-chords", "0"),
+        ("corollary", "--n", "7", "--min-chords", "-2"),
+        ("theorem", "--n", "6", "--threshold-offset", "nan"),
+        ("theorem", "--n", "6", "--threshold-offset", "inf"),
+        ("theorem", "--n", "6", "--threshold-offset", "-inf"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error" in err, argv
+
+
 def test_missing_input_file_exits_2(capsys):
     code, _, err = run(capsys, "q", "/nonexistent/file.g6")
     assert code == 2 and "error" in err
@@ -151,6 +170,12 @@ def test_report_diff(tmp_path, capsys):
     b.write_text(out)
     code, out, _ = run(capsys, "report-diff", str(a), str(b))
     assert code == 1 and "counterexamples" in out
+    # a malformed report is an input error, not a difference
+    report = a.read_text()
+    for text, problem in ((report[: len(report) // 2], "not JSON"), ("{}", "'task'")):
+        b.write_text(text)
+        code, out, err = run(capsys, "report-diff", str(a), str(b))
+        assert (code, out) == (2, "") and problem in err, text
 
 
 def test_q_reads_file(tmp_path, capsys):

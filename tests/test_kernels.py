@@ -1,4 +1,6 @@
 import importlib.machinery
+import importlib.util
+import math
 import os
 import random
 import shutil
@@ -181,15 +183,17 @@ def test_chorded_kernel_matches_searcher(impl):
             assert impl.chorded_has(n, mask, m) == want, (n, mask, m)
 
 
+# n outside 1..11, or not 0 <= lo <= hi <= 2^C(n,2)
+BAD_RANGES = [(0, 0, 1), (12, 0, 1), (5, -3, 2), (5, 3, 2), (5, 0, 1025), (5, 0, 1 << 70)]
+
+
 @pytest.mark.parametrize(
     "impl", [impl for _, impl in IMPLEMENTATIONS],
     ids=[label for label, _ in IMPLEMENTATIONS],
 )
 def test_kernel_guards(impl):
     # n in 1..11; sweep ranges 0 <= lo <= hi <= 2^C(n,2); masks below 2^C(n,2)
-    bad_sweeps = [(0, 0, 1), (12, 0, 1), (5, -3, 2), (5, 3, 2), (5, 0, 1025),
-                  (5, 0, 1 << 70)]
-    for n, lo, hi in bad_sweeps:
+    for n, lo, hi in BAD_RANGES:
         with pytest.raises(ValueError):
             impl.sweep_range(n, lo, hi, 5.0)
     for detector in (impl.apex_has_config, impl.chorded_has):
@@ -226,7 +230,7 @@ SEARCHERS = {"apex_has_config": find_k_chords_at_apex, "chorded_has": find_chord
 
 def _classify_masks(impl, n, lo_cut):
     # every mask at orders 4 and 5; at order 6 the sweep survivors a little
-    # below the lower cut, which is what the verifier classifies
+    # below the lower cut, the only masks a pass at lo_cut can keep or count
     total = 1 << n * (n - 1) // 2
     if n < 6:
         return list(range(total))
@@ -239,37 +243,46 @@ def _classify_masks(impl, n, lo_cut):
     ids=[label for label, _ in IMPLEMENTATIONS],
 )
 def test_classify_is_sound_against_the_oracle(impl, n):
+    total = 1 << n * (n - 1) // 2
+    no_isolated = sum(graph_from_mask(n, mask).min_degree > 0 for mask in range(total))
     for lo_cut, hi_cut in CUTS[n]:
         masks = _classify_masks(impl, n, lo_cut)
         graphs = [graph_from_mask(n, mask) for mask in masks]
         indices = [oracle_q(g) for g in graphs]
         for name, k in TESTS:
-            hits, rest = impl.classify(n, masks, lo_cut, hi_cut, (name, k))
+            counted, hits, rest = impl.classify(n, 0, total, lo_cut, hi_cut, (name, k))
+            assert counted == no_isolated
             kept = set(rest)
-            assert rest == [m for m in masks if m in kept]  # input order
+            assert rest == sorted(kept) and kept <= set(masks)  # ascending
             found = 0
             for mask, g, q in zip(masks, graphs, indices):
+                # the pass over [mask, mask + 1) decides the mask as the
+                # pass over the whole range did
+                alone = impl.classify(n, mask, mask + 1, lo_cut, hi_cut, (name, k))
+                assert (alone[2] == [mask]) == (mask in kept), mask
+                if g.min_degree == 0:
+                    assert alone == (0, 0, []), mask
+                    continue
                 if any(abs(q - cut) < 1e-12 for cut in (lo_cut, hi_cut)):
                     # a tie with a cut is never decided by floats
                     assert mask in kept, (mask, q)
-                alone = impl.classify(n, [mask], lo_cut, hi_cut, (name, k))
-                if alone == (1, []):
+                if alone == (1, 1, []):
                     found += 1
                     assert q > hi_cut and SEARCHERS[name](g, k) is not None, mask
-                elif alone == (0, []):
+                elif alone == (1, 0, []):
                     assert q < lo_cut, (mask, q)
                 else:
-                    assert alone == (0, [mask]) and mask in kept
+                    assert alone == (1, 0, [mask]), (mask, alone)
             assert found == hits, (lo_cut, hi_cut, name, k)
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
 def test_classify_implementations_agree(compiled, n):
+    total = 1 << n * (n - 1) // 2
     for lo_cut, hi_cut in CUTS[n]:
-        masks = _classify_masks(_sweep_py, n, lo_cut)
         for test in TESTS:
-            assert (compiled.classify(n, masks, lo_cut, hi_cut, test)
-                    == _sweep_py.classify(n, masks, lo_cut, hi_cut, test))
+            assert (compiled.classify(n, 0, total, lo_cut, hi_cut, test)
+                    == _sweep_py.classify(n, 0, total, lo_cut, hi_cut, test))
 
 
 @pytest.mark.parametrize(
@@ -278,23 +291,39 @@ def test_classify_implementations_agree(compiled, n):
 )
 def test_classify_guards(impl):
     good = ("apex_has_config", 3)
-    for n, masks in ((0, []), (12, []), (5, [-1]), (5, [1 << 10]), (5, [3, 1 << 20])):
+    for n, lo, hi in BAD_RANGES:
         with pytest.raises(ValueError):
-            impl.classify(n, masks, 5.0, 5.0, good)
-    with pytest.raises(ValueError):
-        impl.classify(5, [1023], 6.0, 5.0, good)  # lo_cut above hi_cut
+            impl.classify(n, lo, hi, 5.0, 5.0, good)
+    for lo_cut, hi_cut in ((6.0, 5.0), (math.nan, 5.0), (5.0, math.nan)):
+        with pytest.raises(ValueError):  # lo_cut above hi_cut, or not a number
+            impl.classify(5, 1023, 1024, lo_cut, hi_cut, good)
     for test in (("q_index", 3), ("apex_has_config", 0), ("chorded_has", -1)):
         with pytest.raises(ValueError):
-            impl.classify(5, [1023], 5.0, 5.0, test)
+            impl.classify(5, 1023, 1024, 5.0, 5.0, test)
     with pytest.raises(TypeError):
-        impl.classify(5, [1023], 5.0, 5.0, "apex_has_config")
+        impl.classify(5, 1023, 1024, 5.0, 5.0, "apex_has_config")
     # K6 (q = 10) has three chords at a vertex: a hit above the cuts, a drop
-    # below them and left over on a tie; an empty input is empty
+    # below them and left over on a tie; an empty range is empty
     k6 = (1 << 15) - 1
-    assert impl.classify(6, [k6], 5.0, 6.0, good) == (1, [])
-    assert impl.classify(6, [k6], 11.0, 11.0, good) == (0, [])
-    assert impl.classify(6, [k6], 10.0, 10.0, good) == (0, [k6])
-    assert impl.classify(5, [], 5.0, 5.0, good) == (0, [])
+    assert impl.classify(6, k6, k6 + 1, 5.0, 6.0, good) == (1, 1, [])
+    assert impl.classify(6, k6, k6 + 1, 11.0, 11.0, good) == (1, 0, [])
+    assert impl.classify(6, k6, k6 + 1, 10.0, 10.0, good) == (1, 0, [k6])
+    assert impl.classify(5, 7, 7, 5.0, 5.0, good) == (0, 0, [])
+
+
+def test_kernel_benchmark_runs_on_order_5(capsys):
+    # benchmarks/bench_kernels.py uses private verifier names and the kernel
+    # signatures: load it without running main, then run its sweep and
+    # classify benches on order 5, whose asserts compare the implementations
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.bench_sweep(IMPLEMENTATIONS, 5, 0, 1 << 10, 6.0)
+    bench.bench_classify(IMPLEMENTATIONS, 5, 0, 1 << 10, 6.0)
+    out = capsys.readouterr().out
+    for label, _ in IMPLEMENTATIONS:
+        assert out.count(f"  {label} ") == 2, out
 
 
 # -- longest cycle and longest path on adjacency rows ------------------------------

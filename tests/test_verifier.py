@@ -411,6 +411,23 @@ def test_corollary_min_chords_4_still_passes():
     assert rep.extremal_hits == 210
 
 
+def test_corollary_counterexamples_replay():
+    # at six chords the corollary fails at order 7: 2,310 graphs above the
+    # threshold have no cycle with six chords. A fixed-stride sample of them
+    # must reproduce in isolation
+    params = {"min_chords": 6}
+    rep = verify_corollary(7, **params)
+    assert not rep.passed and len(rep.counterexamples) == 2310
+    assert all(replay_counterexample("corollary", g6, params)
+               for g6 in rep.counterexamples[::77])
+    # a labeled copy of the threshold graph sits on the threshold, and K7
+    # has a cycle with six chords: neither is a counterexample
+    perm = (3, 6, 0, 5, 1, 4, 2)
+    copy = make_graph(7, [(perm[u], perm[v]) for u, v in extremal_graph(7).graph.edges()])
+    for g in (copy, complete(7)):
+        assert not replay_counterexample("corollary", graph6_encode(g), params)
+
+
 def test_jobs_parallel_matches_serial():
     a = verify_theorem_main(6).to_json_dict()
     b = verify_theorem_main(6, jobs=2).to_json_dict()
