@@ -24,7 +24,9 @@ from chordspec import kernels, polynomials
 from chordspec.appendix import (
     FIXTURES,
     appendix_polynomial,
+    fan_chain,
     quotient_template,
+    template_keys,
     threshold_quotient_template,
 )
 from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
@@ -187,12 +189,7 @@ def appendix_templates(n_lo=7, n_hi=22):
     for n in range(n_lo, n_hi + 1):
         out.append(threshold_quotient_template(n))
         for fx in FIXTURES:
-            if n < fx.template_min_n:
-                continue
-            svals = [None]
-            if fx.takes_s:
-                svals = range(3, (n - 3 if fx.item == 12 else n - 2) + 1)
-            out.extend(quotient_template(fx.item, n, s) for s in svals)
+            out.extend(quotient_template(fx.item, n, s) for _, s in template_keys(fx, n, n))
     return out
 
 
@@ -218,10 +215,9 @@ def bench_charpoly(label, matrices, min_seconds=1.0):
 def appendix_pairs(n_lo=7, n_hi=22):
     """The fan-width chain pairs verify_appendix compares, g12 then g18."""
     return [
-        (appendix_polynomial(pid, n, s), appendix_polynomial(pid, n, s + 4))
-        for pid, nmin_off in (("g12", 7), ("g18", 6))
-        for n in range(n_lo, n_hi + 1)
-        for s in range(3, n - nmin_off + 1)
+        (appendix_polynomial(fx.poly_id, n, s), appendix_polynomial(fx.poly_id, n, s + 4))
+        for fx in FIXTURES if fx.s_gap is not None
+        for n, s in fan_chain(template_keys(fx, n_lo, n_hi))
     ]
 
 

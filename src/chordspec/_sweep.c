@@ -172,6 +172,18 @@ static int parse_double(PyObject *arg, double *out)
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
+/* The cuts lo_arg <= hi_arg as doubles; ValueError when they are out of
+ * order or either is NaN. */
+static int parse_cuts(PyObject *lo_arg, PyObject *hi_arg, double *lo_cut, double *hi_cut)
+{
+    if (parse_double(lo_arg, lo_cut) || parse_double(hi_arg, hi_cut))
+        return -1;
+    if (*lo_cut <= *hi_cut)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "need lo_cut <= hi_cut, got %R > %R", lo_arg, hi_arg);
+    return -1;
+}
+
 static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
 {
     if (nargs == want)
@@ -534,7 +546,7 @@ static PyObject *sweep_range(PyObject *self, PyObject *const *args, Py_ssize_t n
     long long no_isolated, hits;
     double q_floor;
     if (check_nargs("sweep_range", nargs, 4) || parse_range(args, &n, &lo, &hi) ||
-        parse_double(args[3], &q_floor))
+        parse_cuts(args[3], args[3], &q_floor, &q_floor))
         return NULL;
     PyObject *survivors = sweep(n, lo, hi, q_floor, q_floor, NULL, 0, &no_isolated, &hits);
     return survivors ? Py_BuildValue("(LN)", no_isolated, survivors) : NULL;
@@ -551,11 +563,8 @@ static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t narg
     double lo_cut, hi_cut;
     detector test;
     if (check_nargs("classify", nargs, 6) || parse_range(args, &n, &lo, &hi) ||
-        parse_double(args[3], &lo_cut) || parse_double(args[4], &hi_cut))
+        parse_cuts(args[3], args[4], &lo_cut, &hi_cut))
         return NULL;
-    if (!(lo_cut <= hi_cut))
-        return PyErr_Format(PyExc_ValueError, "need lo_cut <= hi_cut, got %R > %R",
-                            args[3], args[4]);
     if (!PyTuple_Check(args[5]))
         return PyErr_Format(PyExc_TypeError, "test must be a (name, k) tuple, got %R",
                             args[5]);

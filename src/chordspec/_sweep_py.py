@@ -11,8 +11,8 @@ index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
 and q <= max over edges of d(u)+d(v)) go first; the remainder gets one
 batched dense eigenvalue computation per block of masks, and a cut decides
 only when the index clears it by CUT_MARGIN. The mask arithmetic (bits,
-degrees, stacked Q, batched eigvalsh) is ``spectral.MaskBatch``, shared
-with the verifier's prefilter spot check.
+degrees, the degree bounds, stacked Q, batched eigvalsh) is
+``spectral.MaskBatch``, shared with the verifier's prefilter spot check.
 """
 
 from __future__ import annotations
@@ -50,16 +50,14 @@ def _sweep(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, detector, k: 
     total = _mask_count(n)
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"range [{lo}, {hi}) outside [0, {total}]")
+    if not lo_cut <= hi_cut:
+        raise ValueError(f"need lo_cut <= hi_cut, got {lo_cut!r} > {hi_cut!r}")
     no_isolated = hits = 0
     rest: list[int] = []
     for start in range(lo, hi, _BLOCK):
         batch = MaskBatch.of(n, np.arange(start, min(start + _BLOCK, hi), dtype=np.int64))
-        deg = batch.degrees
-        ok = deg.min(axis=1) >= 1
+        ok, cand = batch.degree_cut(lo_cut)
         no_isolated += int(ok.sum())
-        cand = ok & (2 * deg.max(axis=1) >= lo_cut)
-        if cand.any():
-            cand &= batch.max_edge_degree_sums() >= lo_cut
         if not cand.any():
             continue
         kept = batch[cand]
@@ -78,6 +76,7 @@ def sweep_range(n: int, lo: int, hi: int, q_floor: float):
 
     Returns (no_isolated_count, survivors): survivors are the masks of graphs
     without isolated vertices whose index is not provably below q_floor.
+    ValueError when q_floor is NaN.
     """
     no_isolated, _, survivors = _sweep(n, lo, hi, q_floor, q_floor, None, 0)
     return no_isolated, survivors
@@ -94,8 +93,6 @@ def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
     test, masks with an index below lo_cut - CUT_MARGIN are dropped, and
     rest lists every other mask, ascending.
     """
-    if not lo_cut <= hi_cut:
-        raise ValueError(f"need lo_cut <= hi_cut, got {lo_cut!r} > {hi_cut!r}")
     if not isinstance(test, tuple):
         raise TypeError(f"test must be a (name, k) tuple, got {test!r}")
     name, k = test

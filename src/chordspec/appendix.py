@@ -1,12 +1,18 @@
 """Closed-form characteristic polynomials and equitable-partition fixtures for
 the catalog families.
 
-Each fixture ties together: a catalog family builder, the block partition of
-its vertex set (under the builders' fixed vertex layout), the integer quotient
-matrix as a template in n (and s), and the closed-form characteristic
-polynomial of that template. The template/polynomial identities hold for every
-integer n large enough to keep entries nonnegative, not just orders where the
-graph itself exists, and the fixture tests exploit that.
+``FIXTURES`` is the one table of catalog items 1..18. Each entry ties a
+catalog family builder to the block partition of its vertex set (under the
+builders' fixed vertex layout), whose integer quotient matrix is
+``quotient_template`` in n (and the fan width s), and whose characteristic
+polynomial is the closed form ``g<item>``. The builders alone decide at
+which orders (n, s) a graph exists, and ``fixture_graphs`` yields the graphs
+they accept. The template/polynomial identities hold at every integer order,
+not just those, and are checked at the ``template_keys``: every order from
+the entry's ``template_min_n`` on, at the widths ``Fixture.widths`` gives.
+The fan-width chains compare (n, s) with (n, s + 4), over ``fan_chain`` of
+either set of keys. ``threshold_partition`` and
+``threshold_quotient_template`` do the same for the threshold family.
 
 Polynomial ids: ``g`` (threshold family K+_{1,1,n-2}), ``g1``..``g18``
 (catalog quotients), ``f`` (the degree-4 cofactor of g7), ``h1`` and ``h2``
@@ -21,12 +27,13 @@ from typing import Callable
 
 from .families import (
     BuiltFamily,
+    FamilyError,
     g_graph,
     k1_join_k1_k4s,
     k1_join_k2_k4s,
     k1_join_k4s,
     k1_join_star_plus_k4s,
-        u_order,
+    u_order,
 )
 from .polynomials import IntPolynomial
 
@@ -152,6 +159,11 @@ def threshold_quotient_template(n: int) -> list[list[int]]:
     return [[n, 2, n - 4], [2, 4, 0], [2, 0, 2]]
 
 
+def threshold_partition(n: int) -> list[list[int]]:
+    """The blocks of ``threshold_quotient_template(n)`` in ``k11n2_plus(n)``."""
+    return [[0, 1], [2, 3], list(range(4, n))]
+
+
 def quotient_template(item: int, n: int, s: int | None = None) -> list[list[int]]:
     """Integer quotient template for fixture ``item`` (1..18) at order n."""
     t = {
@@ -203,175 +215,110 @@ def quotient_template(item: int, n: int, s: int | None = None) -> list[list[int]
 
 @dataclass(frozen=True)
 class Fixture:
+    """Catalog item ``item``: ``build(n, s)`` is its graph and ``partition(n, s)``
+    the nonempty blocks of its equitable partition, in template order. The
+    orders at which the graph exists are the builder's to decide; the
+    template identities are checked at every order from ``template_min_n``
+    on, at fan widths 3..n - s_gap for the two fan families."""
+
     item: int
-    poly_id: str
-    # builder(n, s) -> BuiltFamily; partition(n, s) -> blocks (only nonempty ones)
     build: Callable[[int, int | None], BuiltFamily]
     partition: Callable[[int, int | None], list[list[int]]]
-    order_mod4: int  # valid graph orders: n ≡ order_mod4 (mod 4)
-    min_graph_n: int  # smallest order with a valid (possibly pack-free) graph
-    template_min_n: int  # smallest n with all template entries nonnegative
-    takes_s: bool = False
+    # first order whose graph has every template block nonempty (one K4 pack,
+    # at fan width 3 for the fan families), and at least 7, where the closed
+    # forms start; item 13 has no pack block
+    template_min_n: int
+    s_gap: int | None = None
+
+    @property
+    def poly_id(self) -> str:
+        return f"g{self.item}"
+
+    def widths(self, n: int) -> list[int | None]:
+        """The fan widths checked at order n; [None] for the families without one."""
+        return [None] if self.s_gap is None else list(range(3, n - self.s_gap + 1))
 
 
-def _seed_partition(groups: list[list[int]], seed_order: int, n: int) -> list[list[int]]:
-    """Append the K4-pack block (vertices seed_order..n-1) when nonempty."""
-    blocks = [list(b) for b in groups if b]
-    pack = list(range(seed_order, n))
-    out = [blocks[0]]
-    rest = blocks[1:]
-    # pack block sits immediately before the w block by template convention
-    out.extend(rest[:-1])
-    if pack:
-        out.append(pack)
-    out.append(rest[-1])
-    return out
+def _packs(first: int, n: int) -> list[list[int]]:
+    """The K4-pack block, vertices first..n-1, when there is one."""
+    return [list(range(first, n))] if first < n else []
 
 
-def _fix_u(item: int, ui: int, groups: list[list[int]]) -> Fixture:
-    seed = u_order(ui)
-
-    def build(n: int, s: int | None) -> BuiltFamily:
-        return g_graph(ui, n)
-
-    def partition(n: int, s: int | None) -> list[list[int]]:
-        return _seed_partition(groups, seed, n)
-
+def _seed(item: int, seed: int, *groups: list[int]) -> Fixture:
+    """G_seed: the seed's groups with the pack block just before w's, the last."""
+    order = u_order(seed)
     return Fixture(
-        item=item,
-        poly_id=f"g{item}",
-        build=build,
-        partition=partition,
-        order_mod4=seed % 4,
-        min_graph_n=max(7, seed),
-        template_min_n=seed + 4,
+        item, lambda n, s: g_graph(seed, n),
+        lambda n, s: [list(b) for b in (*groups[:-1], *_packs(order, n), groups[-1])],
+        template_min_n=order + 4,
     )
 
 
-def _fix_pack(item: int, builder, remainder_groups: list[list[int]],
-              remainder_order: int) -> Fixture:
-    def build(n: int, s: int | None) -> BuiltFamily:
-        return builder(n)
-
-    def partition(n: int, s: int | None) -> list[list[int]]:
-        blocks = [list(b) for b in remainder_groups]
-        pack = list(range(remainder_order, n))
-        if pack:
-            blocks.append(pack)
-        return blocks
-
+def _hub(item: int, build: Callable[[int], BuiltFamily], *groups: list[int]) -> Fixture:
+    """A hub joined to K4 packs and a small remainder: its groups, then the packs."""
+    order = sum(map(len, groups))
     return Fixture(
-        item=item,
-        poly_id=f"g{item}",
-        build=build,
-        partition=partition,
-        order_mod4=remainder_order % 4,
-        min_graph_n=max(remainder_order + 4, 7),
-        template_min_n=max(remainder_order + 4, 7),
+        item, lambda n, s: build(n),
+        lambda n, s: [list(b) for b in (*groups, *_packs(order, n))],
+        template_min_n=max(order + 4, 7),
     )
 
 
-def _g12_fixture() -> Fixture:
-    def build(n: int, s: int | None) -> BuiltFamily:
-        assert s is not None
-        return g_graph(12, n, s)
-
-    def partition(n: int, s: int | None) -> list[list[int]]:
-        assert s is not None
-        leaves = list(range(3, s + 3))
-        blocks = [[0], leaves, [2]]
-        pack = list(range(s + 3, n))
-        if pack:
-            blocks.append(pack)
-        blocks.append([1])
-        return blocks
-
-    return Fixture(
-        item=12, poly_id="g12", build=build, partition=partition, order_mod4=-1,
-        min_graph_n=10, template_min_n=10, takes_s=True,
-    )
-
-
-def _g13_fixture() -> Fixture:
-    def build(n: int, s: int | None) -> BuiltFamily:
-        return g_graph(13, n)
-
-    def partition(n: int, s: int | None) -> list[list[int]]:
-        # layout: 3-class {0,1,2} with edge (0,1); big class 3..n-1
-        return [[0], list(range(3, n)), [1], [2]]
-
-    return Fixture(
-        item=13, poly_id="g13", build=build, partition=partition, order_mod4=-1,
-        min_graph_n=7, template_min_n=7,
-    )
+FIXTURES: list[Fixture] = [
+    # quotient fixtures 1..11 pair with the seed whose structure matches the
+    # template block pattern (the seed index is not always the item index:
+    # items 2, 3 and 5 pair with seeds 5, 2 and 3)
+    _seed(1, 1, [0], [2, 3, 4, 5], [1]),
+    _seed(2, 5, [0], [6, 7, 8], [2, 3, 4, 5], [1]),
+    _seed(3, 2, [0], [2, 4], [3, 5], [1]),
+    _seed(4, 4, [0], [6], [2, 4], [3, 5], [1]),
+    _seed(5, 3, [0], [6], [2, 3, 4, 5], [1]),
+    _seed(6, 6, [0], [6, 7, 8], [3, 5], [2, 4], [1]),
+    _seed(7, 7, [0], [2, 3, 4], [5, 6, 7], [1]),
+    _seed(8, 8, [0], [5], [2, 3, 4], [1]),
+    _seed(9, 9, [0], [3, 4], [2], [5], [1]),
+    _seed(10, 10, [0], [3, 4], [2], [6], [5], [1]),
+    _seed(11, 11, [0], [3, 4], [2], [6, 7], [5], [1]),
+    # z, the s leaves, the star center, the packs, w
+    Fixture(12, lambda n, s: g_graph(12, n, s),
+            lambda n, s: [[0], list(range(3, s + 3)), [2], *_packs(s + 3, n), [1]],
+            template_min_n=10, s_gap=3),
+    # the 3-class {0, 1, 2} with edge 0-1, and the big class 3..n-1
+    Fixture(13, lambda n, s: g_graph(13, n),
+            lambda n, s: [[0], list(range(3, n)), [1], [2]], template_min_n=7),
+    _hub(14, k1_join_k4s, [0]),
+    _hub(15, k1_join_k1_k4s, [0], [1]),
+    _hub(16, k1_join_k2_k4s, [0], [1, 2]),
+    _hub(17, lambda n: k1_join_star_plus_k4s(n, 2), [0], [1, 2, 3]),
+    # apex, star center, the edge pair, the plain leaves, the packs
+    Fixture(18, k1_join_star_plus_k4s,
+            lambda n, s: [[0], [1], [2, 3], list(range(4, s + 2)), *_packs(s + 2, n)],
+            template_min_n=9, s_gap=2),
+]
 
 
-def _g18_fixture() -> Fixture:
-    def build(n: int, s: int | None) -> BuiltFamily:
-        assert s is not None
-        return k1_join_star_plus_k4s(n, s)
-
-    def partition(n: int, s: int | None) -> list[list[int]]:
-        assert s is not None
-        # apex 0; star center 1; edge pair 2,3; plain leaves 4..s+1; packs after
-        blocks = [[0], [1], [2, 3]]
-        plain = list(range(4, s + 2))
-        if plain:
-            blocks.append(plain)
-        pack = list(range(s + 2, n))
-        if pack:
-            blocks.append(pack)
-        return blocks
-
-    return Fixture(
-        item=18, poly_id="g18", build=build, partition=partition, order_mod4=-1,
-        min_graph_n=9, template_min_n=9, takes_s=True,
-    )
+def template_keys(fx: Fixture, n_lo: int, n_hi: int) -> list[tuple[int, int | None]]:
+    """The (n, s) at which fx's template identity is checked within [n_lo, n_hi]."""
+    return [(n, s) for n in range(max(n_lo, fx.template_min_n), n_hi + 1)
+            for s in fx.widths(n)]
 
 
-def _build_fixtures() -> list[Fixture]:
-    fx = [
-        # quotient fixtures 1..11 pair with the seed whose structure matches
-        # the template block pattern (the seed index is not always the item
-        # index: items 2, 3 and 5 pair with seeds 5, 2 and 3)
-        _fix_u(1, 1, [[0], [2, 3, 4, 5], [1]]),
-        _fix_u(2, 5, [[0], [6, 7, 8], [2, 3, 4, 5], [1]]),
-        _fix_u(3, 2, [[0], [2, 4], [3, 5], [1]]),
-        _fix_u(4, 4, [[0], [6], [2, 4], [3, 5], [1]]),
-        _fix_u(5, 3, [[0], [6], [2, 3, 4, 5], [1]]),
-        _fix_u(6, 6, [[0], [6, 7, 8], [3, 5], [2, 4], [1]]),
-        _fix_u(7, 7, [[0], [2, 3, 4], [5, 6, 7], [1]]),
-        _fix_u(8, 8, [[0], [5], [2, 3, 4], [1]]),
-        _fix_u(9, 9, [[0], [3, 4], [2], [5], [1]]),
-        _fix_u(10, 10, [[0], [3, 4], [2], [6], [5], [1]]),
-        _fix_u(11, 11, [[0], [3, 4], [2], [6, 7], [5], [1]]),
-        _g12_fixture(),
-        _g13_fixture(),
-        _fix_pack(14, k1_join_k4s, [[0]], 1),
-        _fix_pack(15, k1_join_k1_k4s, [[0], [1]], 2),
-        _fix_pack(16, k1_join_k2_k4s, [[0], [1, 2]], 3),
-        _fix_pack(17, lambda n: k1_join_star_plus_k4s(n, 2), [[0], [1, 2, 3]], 4),
-        _g18_fixture(),
-    ]
-    return fx
+def fan_chain(keys) -> list[tuple[int, int]]:
+    """The (n, s) among keys whose (n, s + 4) is among them too: the pairs
+    a fan-width chain compares."""
+    keys = list(keys)
+    have = set(keys)
+    return [(n, s) for n, s in keys if (n, s + 4) in have]
 
 
-FIXTURES: list[Fixture] = _build_fixtures()
-
-
-def fixture_orders(fx: Fixture, n_lo: int, n_hi: int):
-    """Valid (n, s) pairs for building fx's graph within [n_lo, n_hi]."""
-    out = []
-    if not fx.takes_s:
-        for n in range(max(n_lo, fx.min_graph_n), n_hi + 1):
-            if fx.order_mod4 < 0 or n % 4 == fx.order_mod4:
-                out.append((n, None))
-        return out
-    for n in range(max(n_lo, fx.min_graph_n), n_hi + 1):
-        for s in range(3, n):
-            if fx.item == 12 and not (n >= s + 7 and (n - s - 3) % 4 == 0):
+def fixture_graphs(fx: Fixture, n_lo: int, n_hi: int):
+    """Yield (n, s, graph) for every order n in [n_lo, n_hi] and width s in
+    fx.widths(n) at which fx's builder accepts, ascending, building each
+    graph once."""
+    for n in range(n_lo, n_hi + 1):
+        for s in fx.widths(n):
+            try:
+                built = fx.build(n, s)
+            except FamilyError:
                 continue
-            if fx.item == 18 and not (n >= s + 6 and (n - s - 2) % 4 == 0):
-                continue
-            out.append((n, s))
-    return out
+            yield n, s, built.graph

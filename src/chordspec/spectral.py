@@ -155,6 +155,17 @@ class MaskBatch:
         sums = (self.degrees[:, i] + self.degrees[:, j]) * self.bits
         return sums.max(axis=1, initial=0)
 
+    def degree_cut(self, cut: float) -> tuple[np.ndarray, np.ndarray]:
+        """(no_isolated, reach): the rows whose graph has no isolated vertex,
+        and those of them whose degree bounds on q, 2 max degree and the
+        largest edge-degree sum, both reach cut. A graph of the first set
+        outside the second has q < cut."""
+        no_isolated = self.degrees.min(axis=1) >= 1
+        reach = no_isolated & (2 * self.degrees.max(axis=1) >= cut)
+        if reach.any():
+            reach &= self.max_edge_degree_sums() >= cut
+        return no_isolated, reach
+
     def signless_laplacians(self) -> np.ndarray:
         """The stacked Q = A + D, (k, n, n) integers."""
         i, j, _ = _edge_slots(self.n)

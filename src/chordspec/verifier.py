@@ -29,8 +29,11 @@ from . import chords, kernels
 from .appendix import (
     FIXTURES,
     appendix_polynomial,
-    fixture_orders,
+    fan_chain,
+    fixture_graphs,
     quotient_template,
+    template_keys,
+    threshold_partition,
     threshold_quotient_template,
 )
 from .families import (
@@ -196,11 +199,8 @@ def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
     rng = random.Random(seed)
     sample = min(max(total // 100, 100), 20000)
     batch = MaskBatch.of(n, [rng.randrange(total) for _ in range(sample)])
-    deg = batch.degrees
-    skipped = (deg.min(axis=1) >= 1) & (
-        (2 * deg.max(axis=1) < thr) | (batch.max_edge_degree_sums() < thr)
-    )
-    top = batch[skipped].top_eigenvalues()
+    no_isolated, reach = batch.degree_cut(thr)
+    top = batch[no_isolated & ~reach].top_eigenvalues()
     return {
         "name": "prefilter_spot_check",
         "passed": bool((top < thr).all()),
@@ -397,14 +397,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     # (b) template/polynomial identities, for every integer order in range;
     # one batched call gives these polynomials and those of (d)'s threshold
     # templates
-    poly_keys = []
-    for fx in FIXTURES:
-        for n in range(max(n_lo, fx.template_min_n), n_hi + 1):
-            svals = [None]
-            if fx.takes_s:
-                smax = n - 3 if fx.item == 12 else n - 2
-                svals = list(range(3, smax + 1))
-            poly_keys += [(fx, n, s) for s in svals]
+    poly_keys = [(fx, n, s) for fx in FIXTURES for n, s in template_keys(fx, n_lo, n_hi)]
     thr_template = {n: threshold_quotient_template(n) for n in orders}
     polys = charpoly_int_matrices(
         [template(fx.item, n, s) for fx, n, s in poly_keys] + list(thr_template.values())
@@ -427,9 +420,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     # (a) + (c): graph-level checks at every valid order in range; one
     # batched call gives every fixture graph's index, which (e) reuses
     fixtures = [
-        (fx, n, s, fx.build(n, s).graph)
-        for fx in FIXTURES
-        for n, s in fixture_orders(fx, n_lo, n_hi)
+        (fx, n, s, g) for fx in FIXTURES for n, s, g in fixture_graphs(fx, n_lo, n_hi)
     ]
     fixture_q = {
         (fx.item, n, s): qv
@@ -497,8 +488,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
         tq = thr_template[n]
         if thr_charpoly[n] != gpoly:
             bound_bad.append((n, "template"))
-        blocks = [[0, 1], [2, 3], list(range(4, n))]
-        qm = quotient_matrix(thr_graph[n], blocks)
+        qm = quotient_matrix(thr_graph[n], threshold_partition(n))
         if not qm.equitable or [[int(e) for e in r] for r in qm.entries] != tq:
             bound_bad.append((n, "partition"))
         if not thr[n] > float(pt):
@@ -515,35 +505,30 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     )
 
     # (e) fan-width monotone chains, exact on the closed forms and float on
-    # the graphs where both orders exist. The two families get separate
+    # the fixture graphs whose width s + 4 exists too. The two families get separate
     # entries: the star-fan chain (g12) holds on the whole range, while the
     # hub-star-pack chain (g18) is genuinely false for small s, and the
     # report says so rather than papering over it.
-    for pid, nmin_off in (("g12", 7), ("g18", 6)):
-        chain_checked = 0
+    for fx in FIXTURES:
+        if fx.s_gap is None:
+            continue
+        pid = fx.poly_id
         chain_bad = []
-        for n in range(n_lo, n_hi + 1):
-            for s in range(3, n - nmin_off + 1):
-                chain_checked += 1
-                a = appendix_polynomial(pid, n, s)
-                b = appendix_polynomial(pid, n, s + 4)
-                if compare_largest_roots(a, b) != LESS:
-                    chain_bad.append([n, s])
-        for fx in FIXTURES:
-            if fx.poly_id != pid:
-                continue
-            for n, s in fixture_orders(fx, n_lo, n_hi):
-                # fixture_orders has (n, s + 4) exactly when that graph exists
-                if (fx.item, n, s + 4) not in fixture_q:
-                    continue
-                chain_checked += 1
-                if not fixture_q[fx.item, n, s] < fixture_q[fx.item, n, s + 4]:
-                    chain_bad.append([n, s, "graphs"])
+        closed = fan_chain(template_keys(fx, n_lo, n_hi))
+        for n, s in closed:
+            a = appendix_polynomial(pid, n, s)
+            b = appendix_polynomial(pid, n, s + 4)
+            if compare_largest_roots(a, b) != LESS:
+                chain_bad.append([n, s])
+        graphs = fan_chain((n, s) for item, n, s in fixture_q if item == fx.item)
+        for n, s in graphs:
+            if not fixture_q[fx.item, n, s] < fixture_q[fx.item, n, s + 4]:
+                chain_bad.append([n, s, "graphs"])
         details.append(
             {
                 "name": f"fan_width_monotone_chain_{pid}",
                 "passed": not chain_bad,
-                "checked": chain_checked,
+                "checked": len(closed) + len(graphs),
                 "violations": chain_bad,
             }
         )
@@ -944,11 +929,11 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     # Equitable quotient fixtures share the index (smallest valid order of
     # every catalog fixture, plus the threshold family partition).
     cases = [
-        (fx.item, fx.build(n, s).graph, fx.partition(n, s))
+        (fx.item, g, fx.partition(n, s))
         for fx in FIXTURES
-        for n, s in fixture_orders(fx, 7, 30)[:1]
+        for n, s, g in [next(fixture_graphs(fx, 7, 30))]
     ] + [
-        (("threshold", n), k11n2_plus(n).graph, [[0, 1], [2, 3], list(range(4, n))])
+        (("threshold", n), k11n2_plus(n).graph, threshold_partition(n))
         for n in (7, 12, 19)
     ]
     bad = []

@@ -23,6 +23,10 @@ per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
 own mask and component routines.
 ``oracle_isolate_largest_root`` is the Fraction bisection that
 ``oracle_compare_largest_roots`` runs, to a requested width.
+``oracle_fixture_orders``, ``oracle_template_keys`` and ``oracle_fan_chain``
+restate, per catalog item, the orders and fan widths that the appendix
+fixtures once spelled out field by field, as references for the single
+fixture table that decides them now.
 ``count_roots_above`` and ``count_roots_in_interval`` are Sturm root counts
 on the package's own integer chains; they check the float index against the
 exact roots and are not themselves under test.
@@ -480,3 +484,53 @@ def oracle_prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dic
         "skipped_sampled": checked,
         "max_q_among_skipped": None if checked == 0 else round(worst, 9),
     }
+
+
+# The catalog fixtures' orders as the appendix first stated them, per item:
+# (min_graph_n, order_mod4, template_min_n). The graph exists at the orders
+# n >= min_graph_n with n == order_mod4 (mod 4), every order for -1; the fan
+# families 12 and 18 take the widths s by the rules in oracle_fixture_orders.
+_FIXTURE_ORDERS = {
+    1: (7, 2, 10), 2: (9, 1, 13), 3: (7, 2, 10), 4: (7, 3, 11), 5: (7, 3, 11),
+    6: (9, 1, 13), 7: (8, 0, 12), 8: (7, 2, 10), 9: (7, 2, 10), 10: (7, 3, 11),
+    11: (8, 0, 12), 12: (10, -1, 10), 13: (7, -1, 7), 14: (7, 1, 7),
+    15: (7, 2, 7), 16: (7, 3, 7), 17: (8, 0, 8), 18: (9, -1, 9),
+}
+
+
+def oracle_fixture_orders(item: int, n_lo: int, n_hi: int) -> list:
+    """The (n, s) within [n_lo, n_hi] at which catalog item's graph exists."""
+    min_graph_n, order_mod4, _ = _FIXTURE_ORDERS[item]
+    out = []
+    for n in range(max(n_lo, min_graph_n), n_hi + 1):
+        if item not in (12, 18):
+            if order_mod4 < 0 or n % 4 == order_mod4:
+                out.append((n, None))
+            continue
+        for s in range(3, n):
+            if item == 12 and not (n >= s + 7 and (n - s - 3) % 4 == 0):
+                continue
+            if item == 18 and not (n >= s + 6 and (n - s - 2) % 4 == 0):
+                continue
+            out.append((n, s))
+    return out
+
+
+def oracle_template_keys(item: int, n_lo: int, n_hi: int) -> list:
+    """The (n, s) within [n_lo, n_hi] at which catalog item's template
+    identity is checked: every order from template_min_n, at the widths
+    3..n - 3 for item 12 and 3..n - 2 for item 18."""
+    out = []
+    for n in range(max(n_lo, _FIXTURE_ORDERS[item][2]), n_hi + 1):
+        svals = [None]
+        if item in (12, 18):
+            svals = list(range(3, (n - 3 if item == 12 else n - 2) + 1))
+        out += [(n, s) for s in svals]
+    return out
+
+
+def oracle_fan_chain(item: int, n_lo: int, n_hi: int) -> list:
+    """The (n, s) within [n_lo, n_hi] whose closed forms at s and s + 4 the
+    fan-width chain of item 12 or 18 compares."""
+    nmin_off = {12: 7, 18: 6}[item]
+    return [(n, s) for n in range(n_lo, n_hi + 1) for s in range(3, n - nmin_off + 1)]

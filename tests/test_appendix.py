@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -6,14 +7,22 @@ from chordspec.appendix import (
     FIXTURES,
     AppendixError,
     appendix_polynomial,
-    fixture_orders,
+    fan_chain,
+    fixture_graphs,
     quotient_template,
+    template_keys,
+    threshold_partition,
     threshold_quotient_template,
 )
 from chordspec.families import k11n2_plus
 from chordspec.polynomials import LESS, IntPolynomial, _Bracket, compare_largest_roots
 from chordspec.spectral import charpoly_int_matrix, q_index, quotient_matrix
-from oracles import oracle_compare_largest_roots
+from oracles import (
+    oracle_compare_largest_roots,
+    oracle_fan_chain,
+    oracle_fixture_orders,
+    oracle_template_keys,
+)
 
 
 def test_threshold_polynomial_and_template():
@@ -71,14 +80,30 @@ def test_g7_factors_through_x_minus_six():
 
 def test_templates_match_polynomials_everywhere():
     for fx in FIXTURES:
-        for n in range(fx.template_min_n, 31):
-            svals = [None]
-            if fx.takes_s:
-                svals = list(range(3, (n - 3 if fx.item == 12 else n - 2) + 1))
-            for s in svals:
-                tmpl = quotient_template(fx.item, n, s)
-                assert charpoly_int_matrix(tmpl) == \
-                    appendix_polynomial(fx.poly_id, n, s), (fx.item, n, s)
+        for n, s in template_keys(fx, 7, 30):
+            tmpl = quotient_template(fx.item, n, s)
+            assert charpoly_int_matrix(tmpl) == \
+                appendix_polynomial(fx.poly_id, n, s), (fx.item, n, s)
+
+
+def test_fixture_orders_and_widths_match_the_reference_rules():
+    # the builders' own range checks give the graph orders, and the fixture
+    # table the template widths and chains, exactly as the per-item rules did
+    for fx in FIXTURES:
+        for n_lo in range(7, 31):
+            for n_hi in range(n_lo, 31):
+                orders = [(n, s) for n, s, _ in fixture_graphs(fx, n_lo, n_hi)]
+                assert orders == oracle_fixture_orders(fx.item, n_lo, n_hi), \
+                    (fx.item, n_lo, n_hi)
+                keys = template_keys(fx, n_lo, n_hi)
+                assert keys == oracle_template_keys(fx.item, n_lo, n_hi), \
+                    (fx.item, n_lo, n_hi)
+                if fx.s_gap is None:
+                    continue
+                assert fan_chain(keys) == oracle_fan_chain(fx.item, n_lo, n_hi)
+                assert fan_chain(orders) == [
+                    (n, s) for n, s in orders if (n, s + 4) in orders
+                ]
 
 
 def test_third_derivative_leading_terms():
@@ -90,20 +115,18 @@ def test_third_derivative_leading_terms():
 
 def test_fixture_partitions_are_equitable():
     for fx in FIXTURES:
-        orders = fixture_orders(fx, 7, 30)[:2]
+        orders = list(islice(fixture_graphs(fx, 7, 30), 2))
         assert orders, fx.item
-        for n, s in orders:
-            built = fx.build(n, s)
-            qm = quotient_matrix(built.graph, fx.partition(n, s))
+        for n, s, g in orders:
+            qm = quotient_matrix(g, fx.partition(n, s))
             assert qm.equitable, (fx.item, n, s)
-            assert abs(qm.spectral_radius() - q_index(built.graph).q) < 1e-8
+            assert abs(qm.spectral_radius() - q_index(g).q) < 1e-8
 
 
 def test_fixture_full_templates_match_graph_quotients():
     for fx in FIXTURES:
-        for n, s in fixture_orders(fx, fx.template_min_n, 30)[:2]:
-            built = fx.build(n, s)
-            qm = quotient_matrix(built.graph, fx.partition(n, s))
+        for n, s, g in islice(fixture_graphs(fx, fx.template_min_n, 30), 2):
+            qm = quotient_matrix(g, fx.partition(n, s))
             tmpl = quotient_template(fx.item, n, s)
             assert [[int(e) for e in row] for row in qm.entries] == tmpl, fx.item
 
@@ -142,7 +165,8 @@ def test_bad_parameters():
 def test_threshold_quotient_of_actual_graph():
     for n in (7, 10, 19):
         g = k11n2_plus(n).graph
-        qm = quotient_matrix(g, [[0, 1], [2, 3], list(range(4, n))])
+        assert threshold_partition(n) == [[0, 1], [2, 3], list(range(4, n))]
+        qm = quotient_matrix(g, threshold_partition(n))
         assert qm.equitable
         assert [[int(e) for e in r] for r in qm.entries] == \
             threshold_quotient_template(n)
@@ -156,10 +180,9 @@ def test_fan_width_chains_agree_with_fraction_oracle(monkeypatch):
     halve = _Bracket.halve
     monkeypatch.setattr(_Bracket, "halve", lambda self: halvings.append(1) or halve(self))
     pairs = [
-        (pid, n, s)
-        for pid, nmin_off in (("g12", 7), ("g18", 6))
-        for n in range(7, 23)
-        for s in range(3, n - nmin_off + 1)
+        (fx.poly_id, n, s)
+        for fx in FIXTURES if fx.s_gap is not None
+        for n, s in fan_chain(template_keys(fx, 7, 22))
     ]
     assert len(pairs) == 196
     not_less = []

@@ -14,7 +14,7 @@ from chordspec import _sweep_py, kernels
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.families import complete, extremal_graph, path
 from chordspec.graphs import disjoint_union, graph_from_mask, make_graph
-from chordspec.verifier import TIE_BAND
+from chordspec.verifier import TIE_BAND, verify_appendix
 from oracles import cycles_by_dfs, oracle_longest_path_order, oracle_q
 
 IMPLEMENTATIONS = kernels.implementations()
@@ -192,10 +192,13 @@ BAD_RANGES = [(0, 0, 1), (12, 0, 1), (5, -3, 2), (5, 3, 2), (5, 0, 1025), (5, 0,
     ids=[label for label, _ in IMPLEMENTATIONS],
 )
 def test_kernel_guards(impl):
-    # n in 1..11; sweep ranges 0 <= lo <= hi <= 2^C(n,2); masks below 2^C(n,2)
+    # n in 1..11; sweep ranges 0 <= lo <= hi <= 2^C(n,2); a floor that is a
+    # number; masks below 2^C(n,2)
     for n, lo, hi in BAD_RANGES:
         with pytest.raises(ValueError):
             impl.sweep_range(n, lo, hi, 5.0)
+    with pytest.raises(ValueError):  # a NaN floor is no cut
+        impl.sweep_range(5, 0, 1024, math.nan)
     for detector in (impl.apex_has_config, impl.chorded_has):
         for n, mask in ((0, 0), (12, 0), (5, -1), (5, 1 << 10), (5, 1 << 20)):
             with pytest.raises(ValueError):
@@ -314,7 +317,8 @@ def test_classify_guards(impl):
 def test_kernel_benchmark_runs_on_order_5(capsys):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
-    # classify benches on order 5, whose asserts compare the implementations
+    # classify benches on order 5, whose asserts compare the implementations,
+    # and expand its appendix templates at orders 7..8
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -324,6 +328,11 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
         assert out.count(f"  {label} ") == 2, out
+    # the templates it times are verify_appendix's, plus one threshold
+    # template per order
+    checked = next(d["checked"] for d in verify_appendix(7, 8).details
+                   if d["name"] == "template_charpoly_identities")
+    assert len(bench.appendix_templates(7, 8)) == checked + 2
 
 
 # -- longest cycle and longest path on adjacency rows ------------------------------

@@ -7,8 +7,9 @@ import pytest
 from chordspec import polynomials, spectral, verifier
 from chordspec.appendix import (
     FIXTURES,
-    fixture_orders,
+    fixture_graphs,
     quotient_template,
+    template_keys,
     threshold_quotient_template,
 )
 from chordspec.families import (
@@ -188,12 +189,12 @@ def test_signless_laplacian_and_quotients_match_per_entry_oracles():
         g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
         cases += [(g, _random_partition(rng, g.n)), (g, [[v] for v in range(g.n)])]
     for fx in FIXTURES:
-        for n, s in fixture_orders(fx, 7, 12):
+        for n, s, g in fixture_graphs(fx, 7, 12):
             blocks = [list(b) for b in fx.partition(n, s)]
-            cases.append((fx.build(n, s).graph, blocks))
+            cases.append((g, blocks))
             if len(blocks) > 1 and len(blocks[0]) > 1:
                 blocks[1].append(blocks[0].pop())  # usually no longer equitable
-                cases.append((fx.build(n, s).graph, blocks))
+                cases.append((g, blocks))
     for n in (63, 64, 65, 130, 256):
         g = random_graph(rng, n, 0.3)
         cases += [(g, _random_partition(rng, n)), (g, _random_partition(rng, n))]
@@ -235,12 +236,8 @@ def test_charpoly_int_matrix_matches_nested_list_oracle():
     for n in range(7, 23):
         templates.append(threshold_quotient_template(n))
         for fx in FIXTURES:
-            if n < fx.template_min_n:
-                continue
-            svals = [None]
-            if fx.takes_s:
-                svals = range(3, (n - 3 if fx.item == 12 else n - 2) + 1)
-            templates.extend(quotient_template(fx.item, n, s) for s in svals)
+            templates.extend(quotient_template(fx.item, n, s)
+                             for _, s in template_keys(fx, n, n))
     for rows in templates:
         assert charpoly_int_matrix(rows) == oracle_charpoly_int_matrix(rows)
     assert charpoly_int_matrix([]) == oracle_charpoly_int_matrix([])

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from chordspec import chords, kernels, verifier
-from chordspec.appendix import FIXTURES, fixture_orders
+from chordspec.appendix import FIXTURES, fixture_graphs
 from chordspec.families import (
     complete,
     cycle,
@@ -371,8 +371,7 @@ def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
     checked = next(d["checked"] for d in report.details
                    if d["name"] == "template_charpoly_identities")
     assert sum(batches) == checked + 8
-    fixtures = [fx.build(n, s).graph for fx in FIXTURES
-                for n, s in fixture_orders(fx, 7, 14)]
+    fixtures = [g for fx in FIXTURES for *_, g in fixture_graphs(fx, 7, 14)]
     assert index_batches == [fixtures]
     assert single == [k11n2_plus(n).graph for n in range(7, 15)]
 
