@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
 apex detector, longest cycle and longest path) against the pure-Python
-fallback, the theorem's prefilter spot check, the theorem's Python rules on
-the tie band the kernel leaves, exact characteristic polynomials (one matrix
+fallback, the theorem's prefilter spot check, the theorem's and the
+corollary's Python tails on the tie band the kernel leaves, exact characteristic polynomials (one matrix
 a call and batched), the exact largest-root comparison that decides
 near-ties, and one end-to-end property suite at 10,000 trials.
 
@@ -30,7 +30,7 @@ from chordspec.appendix import (
     threshold_quotient_template,
 )
 from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
-from chordspec.graphs import graph_from_mask
+from chordspec.graphs import graph_from_mask, is_isomorphic
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
 from chordspec.spectral import (
     charpoly_graph,
@@ -40,11 +40,13 @@ from chordspec.spectral import (
     signless_laplacian,
 )
 from chordspec.verifier import (
+    _SWEPT_ORDERS,
     TIE_BAND,
     _prefilter_spot_check,
     _sample,
     _sweep_classified,
-    _theorem_tail,
+    _sweep_rule,
+    _tail,
     property_suite,
 )
 
@@ -59,7 +61,7 @@ def bench_sweep(impls, n, lo, hi, floor):
     print(f"sweep n={n} masks=[{lo}, {hi}) floor={floor:.4f}")
     base = None
     for label, impl in impls:
-        dt, (cnt, surv) = time_call(impl.sweep_range, n, lo, hi, floor)
+        dt, (cnt, _, surv) = time_call(impl.classify, n, lo, hi, floor, floor, None)
         rate = (hi - lo) / dt / 1e6
         print(f"  {label:9s} {dt:8.2f}s  {rate:7.2f} Mmask/s  "
               f"no-isolated={cnt} survivors={len(surv)}")
@@ -157,29 +159,30 @@ def bench_spot_check(min_seconds=1.0):
 
 
 def cold_caches():
-    """Forget the memoised characteristic polynomials and Sturm chains, so a
-    pass pays for them as a single verify call does."""
-    charpoly_graph.cache_clear()
+    """Forget the memoised Sturm chains, so a pass pays for them as a single
+    verify call does."""
     polynomials._squarefree_chain.cache_clear()
 
 
 def bench_tie_tail(n, min_seconds=1.0):
-    """The theorem's Python rules (``_theorem_tail``) on the masks the kernel
-    leaves at order n: the tie band, which is the labeled copies of the
-    threshold graph. Each pass starts from cold caches."""
-    ext = extremal_graph(n).graph
-    thr = q_index(ext).q
-    _, _, rest = _sweep_classified(n, thr, ("apex_has_config", 3), 1)
+    """The theorem's and the corollary's Python tails (``_tail``) on the
+    masks the kernel leaves at order n, for each task that sweeps n: the tie
+    band, which is the labeled copies of the threshold graph, all settled by
+    one verdict. Each pass starts from cold caches."""
+    for task, test in (("theorem", ("apex_has_config", 3)), ("corollary", ("chorded_has", 3))):
+        if n not in _SWEPT_ORDERS[task]:
+            continue
+        ext, thr, rule = _sweep_rule(task, n, {})
+        _, _, rest = _sweep_classified(n, thr, test, 1)
 
-    def one_pass():
-        cold_caches()
-        return _theorem_tail(n, rest, ext, thr, True)
+        def one_pass():
+            cold_caches()
+            return _tail(n, rest, ext, rule)
 
-    calls, dt, (configured, mismatches, hits, counterexamples) = repeat_for(
-        min_seconds, one_pass)
-    print(f"theorem tie tail n={n}: {len(rest)} masks")
-    print(f"  {calls * len(rest) / dt:9.0f} masks/s  ({calls} passes, {dt:.2f}s)")
-    assert hits == len(rest) and not (configured or mismatches or counterexamples)
+        calls, dt, (verdicts, counterexamples) = repeat_for(min_seconds, one_pass)
+        print(f"{task} tie tail n={n}: {len(rest)} masks")
+        print(f"  {calls * len(rest) / dt:9.0f} masks/s  ({calls} passes, {dt:.2f}s)")
+        assert verdicts == {"extremal": len(rest)} and not counterexamples, verdicts
 
 
 def appendix_templates(n_lo=7, n_hi=22):
@@ -222,12 +225,15 @@ def appendix_pairs(n_lo=7, n_hi=22):
 
 
 def tie_graphs(n=6):
-    """Every sweep survivor of order n whose float index lies within
-    TIE_BAND of the threshold."""
-    thr = q_index(extremal_graph(n).graph).q
-    _, survivors = kernels.sweep_range(n, 0, 1 << (n * (n - 1) // 2), thr - TIE_BAND)
-    graphs = (graph_from_mask(n, mask) for mask in survivors)
-    return [g for g in graphs if abs(q_index(g).q - thr) <= TIE_BAND]
+    """The graphs of the masks the theorem's kernel pass leaves at order n:
+    the tie band, every labeled copy of the threshold graph."""
+    ext = extremal_graph(n).graph
+    thr = q_index(ext).q
+    _, _, rest = kernels.classify(n, 0, 1 << (n * (n - 1) // 2), thr - TIE_BAND,
+                                  thr + TIE_BAND, ("apex_has_config", 3))
+    graphs = [graph_from_mask(n, mask) for mask in rest]
+    assert all(is_isomorphic(g, ext) for g in graphs)
+    return graphs
 
 
 def tie_pairs(n=6):

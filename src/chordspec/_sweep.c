@@ -7,8 +7,8 @@
  * Same interface and soundness contract as the pure-Python twin _sweep_py:
  * classify drops a mask only when its index is provably below lo_cut, and
  * counts a hit only when the index is provably above hi_cut and the graph
- * passes the test; sweep_range is the pass with no test and both cuts at
- * q_floor. Degree bounds go first, then one power iterate on Q + I with a
+ * passes the test (never, when the test is None; kernels.sweep_range is
+ * that pass with both cuts at one floor). Degree bounds go first, then one power iterate on Q + I with a
  * strictly positive x: the Collatz-Wielandt ratio max_i (Mx)_i / x_i bounds
  * the top eigenvalue from above, the Rayleigh quotient from below.
  *
@@ -539,44 +539,33 @@ static PyObject *sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi
     return rest;
 }
 
-static PyObject *sweep_range(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    int n;
-    uint64_t lo, hi;
-    long long no_isolated, hits;
-    double q_floor;
-    if (check_nargs("sweep_range", nargs, 4) || parse_range(args, &n, &lo, &hi) ||
-        parse_cuts(args[3], args[3], &q_floor, &q_floor))
-        return NULL;
-    PyObject *survivors = sweep(n, lo, hi, q_floor, q_floor, NULL, 0, &no_isolated, &hits);
-    return survivors ? Py_BuildValue("(LN)", no_isolated, survivors) : NULL;
-}
-
 static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n;
     uint64_t lo, hi;
     const char *name;
     PyObject *karg;
-    long k;
+    long k = 0;
     long long no_isolated, hits;
     double lo_cut, hi_cut;
-    detector test;
+    detector test = NULL;
     if (check_nargs("classify", nargs, 6) || parse_range(args, &n, &lo, &hi) ||
         parse_cuts(args[3], args[4], &lo_cut, &hi_cut))
         return NULL;
-    if (!PyTuple_Check(args[5]))
-        return PyErr_Format(PyExc_TypeError, "test must be a (name, k) tuple, got %R",
-                            args[5]);
-    if (!PyArg_ParseTuple(args[5], "sO:classify", &name, &karg) ||
-        parse_positive(karg, "k", &k))
-        return NULL;
-    if (strcmp(name, "apex_has_config") == 0)
-        test = has_apex;
-    else if (strcmp(name, "chorded_has") == 0)
-        test = has_chorded;
-    else
-        return PyErr_Format(PyExc_ValueError, "no kernel test %R", args[5]);
+    if (args[5] != Py_None) {
+        if (!PyTuple_Check(args[5]))
+            return PyErr_Format(PyExc_TypeError,
+                                "test must be a (name, k) tuple or None, got %R", args[5]);
+        if (!PyArg_ParseTuple(args[5], "sO:classify", &name, &karg) ||
+            parse_positive(karg, "k", &k))
+            return NULL;
+        if (strcmp(name, "apex_has_config") == 0)
+            test = has_apex;
+        else if (strcmp(name, "chorded_has") == 0)
+            test = has_chorded;
+        else
+            return PyErr_Format(PyExc_ValueError, "no kernel test %R", args[5]);
+    }
     PyObject *rest = sweep(n, lo, hi, lo_cut, hi_cut, test, k, &no_isolated, &hits);
     return rest ? Py_BuildValue("(LLN)", no_isolated, hits, rest) : NULL;
 }
@@ -584,9 +573,6 @@ static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t narg
 /* -- module ---------------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
-    {"sweep_range", (PyCFunction)(void (*)(void))sweep_range, METH_FASTCALL,
-     "sweep_range(n, lo, hi, q_floor) -> (no_isolated, survivors)\n\n"
-     "Scan edge bitmasks in [lo, hi); see _sweep_py.sweep_range."},
     {"apex_has_config", (PyCFunction)(void (*)(void))apex_has_config, METH_FASTCALL,
      "apex_has_config(n, mask, k) -> bool\n\n"
      "Whether some cycle has k chords at a common vertex (mask graph)."},
@@ -595,8 +581,8 @@ static PyMethodDef methods[] = {
      "Whether some cycle carries at least min_chords chords (mask graph)."},
     {"classify", (PyCFunction)(void (*)(void))classify, METH_FASTCALL,
      "classify(n, lo, hi, lo_cut, hi_cut, test) -> (no_isolated, hits, rest)\n\n"
-     "Sort the edge bitmasks in [lo, hi) by index against two cuts; see\n"
-     "_sweep_py.classify."},
+     "Sort the edge bitmasks in [lo, hi) by index against two cuts; test is\n"
+     "(name, k) or None. See _sweep_py.classify."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_FASTCALL,
      "longest_cycle(rows) -> (length, cycle) or None\n\n"
      "The first longest cycle in search order; see chords.longest_cycle."},

@@ -1,10 +1,9 @@
 """Pure-Python implementation of the sweep kernels.
 
 Mirrors the compiled extension's interface. The pass over a mask range
-(classify, and sweep_range as its case with no test) is vectorized with
-numpy over blocks of edge bitmasks; the per-graph detectors and the
-longest-cycle and longest-path searches defer to the reference searchers in
-chords.py.
+(classify, with a chord test or None) is vectorized with numpy over blocks
+of edge bitmasks; the per-graph detectors and the longest-cycle and
+longest-path searches defer to the reference searchers in chords.py.
 
 Soundness contract: a mask may only be dropped when its signless Laplacian
 index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
@@ -71,30 +70,22 @@ def _sweep(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, detector, k: 
     return no_isolated, hits, rest
 
 
-def sweep_range(n: int, lo: int, hi: int, q_floor: float):
-    """Scan edge bitmasks in [lo, hi), 0 <= lo <= hi <= 2^C(n,2).
-
-    Returns (no_isolated_count, survivors): survivors are the masks of graphs
-    without isolated vertices whose index is not provably below q_floor.
-    ValueError when q_floor is NaN.
-    """
-    no_isolated, _, survivors = _sweep(n, lo, hi, q_floor, q_floor, None, 0)
-    return no_isolated, survivors
-
-
 def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
     """Sort the edge bitmasks in [lo, hi) by their index against
     lo_cut <= hi_cut.
 
     test is (name, k) naming a detector of this module, "apex_has_config" or
-    "chorded_has". Returns (no_isolated, hits, rest): no_isolated counts the
-    masks of graphs without isolated vertices; of those, hits counts the
-    ones whose index is above hi_cut + CUT_MARGIN and whose graph passes
-    test, masks with an index below lo_cut - CUT_MARGIN are dropped, and
-    rest lists every other mask, ascending.
+    "chorded_has", or None for no test. Returns (no_isolated, hits, rest):
+    no_isolated counts the masks of graphs without isolated vertices; of
+    those, hits counts the ones whose index is above hi_cut + CUT_MARGIN and
+    whose graph passes test (none when test is None), masks with an index
+    below lo_cut - CUT_MARGIN are dropped, and rest lists every other mask,
+    ascending. ValueError when a cut is NaN.
     """
+    if test is None:
+        return _sweep(n, lo, hi, lo_cut, hi_cut, None, 0)
     if not isinstance(test, tuple):
-        raise TypeError(f"test must be a (name, k) tuple, got {test!r}")
+        raise TypeError(f"test must be a (name, k) tuple or None, got {test!r}")
     name, k = test
     if name not in ("apex_has_config", "chorded_has"):
         raise ValueError(f"no kernel test {test!r}")

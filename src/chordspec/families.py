@@ -23,7 +23,6 @@ class FamilyError(GraphError):
 @dataclass(frozen=True)
 class BuiltFamily:
     graph: Graph
-    apex: int | None = None
 
 
 # -- classics ----------------------------------------------------------------
@@ -87,18 +86,19 @@ def c4_plus() -> Graph:
 def k11n2_plus(n: int) -> BuiltFamily:
     """K_{1,1,n-2} with one extra edge inside the large class.
 
-    Layout: 0, 1 universal (and adjacent); 2, 3 the extra edge; 4.. the rest.
-    Apex 0 is returned (a universal vertex).
+    Layout: 0, 1 universal (and adjacent), vertex 0 the apex; 2, 3 the extra
+    edge; 4.. the rest.
     """
     _need(n >= 4, f"K11n2Plus needs n >= 4, got {n}")
     g = join(make_graph(2, [(0, 1)]), make_graph(n - 2, [(0, 1)]))
-    return BuiltFamily(g, apex=0)
+    return BuiltFamily(g)
 
 
 def k1_join_k4_union_k1() -> BuiltFamily:
-    """K1 v (K4 u K1) on 6 vertices, the n = 6 threshold graph. Apex 0."""
+    """K1 v (K4 u K1) on 6 vertices, the n = 6 threshold graph; the K1
+    joined to the rest is vertex 0, the apex."""
     body = disjoint_union(complete(4), make_graph(1))
-    return BuiltFamily(join(make_graph(1), body), apex=0)
+    return BuiltFamily(join(make_graph(1), body))
 
 
 def extremal_graph(n: int) -> BuiltFamily:
@@ -167,11 +167,11 @@ def u_graph(i: int, s: int | None = None) -> BuiltFamily:
     """Seed graph U_i; U12 takes the fan width s and has order s + 3... + w."""
     if i == 12:
         _need(s is not None and s >= 3, f"U12 needs s >= 3, got {s}")
-        return BuiltFamily(_u12(s), apex=0)
+        return BuiltFamily(_u12(s))
     _need(i in _U_SEEDS, f"unknown seed index {i}")
     _need(s is None, f"U{i} takes no s parameter")
     n, edges = _U_SEEDS[i]
-    return BuiltFamily(make_graph(n, edges), apex=0)
+    return BuiltFamily(make_graph(n, edges))
 
 
 def _u12(s: int) -> Graph:
@@ -209,20 +209,20 @@ def g_graph(i: int, n: int, s: int | None = None) -> BuiltFamily:
     if i == 13:
         _need(n >= 7, f"G13 needs n >= 7, got {n}")
         g = complete_multipartite(3, n - 3).add_edges([(0, 1)])
-        return BuiltFamily(g, apex=0)
+        return BuiltFamily(g)
     if i == 12:
         _need(s is not None and s >= 3, f"G12 needs s >= 3, got {s}")
         _need(n >= s + 7, f"G12 needs n >= s + 7, got n={n}, s={s}")
         base = u_order(12, s)
         _need((n - base) % 4 == 0, f"G12 needs n == s + 3 (mod 4), got n={n}, s={s}")
         built = u_graph(12, s)
-        return BuiltFamily(_with_k4_packs(built.graph, 0, (n - base) // 4), apex=0)
+        return BuiltFamily(_with_k4_packs(built.graph, 0, (n - base) // 4))
     _need(s is None, f"G{i} takes no s parameter")
     base = u_order(i)
     _need(n >= 7 and n >= base, f"G{i} needs n >= max(7, {base}), got {n}")
     _need((n - base) % 4 == 0, f"G{i} needs n == {base % 4} (mod 4), got {n}")
     built = u_graph(i)
-    return BuiltFamily(_with_k4_packs(built.graph, 0, (n - base) // 4), apex=0)
+    return BuiltFamily(_with_k4_packs(built.graph, 0, (n - base) // 4))
 
 
 # -- hub joined to K4 packs plus a small remainder ------------------------------
@@ -232,21 +232,21 @@ def k1_join_k4s(n: int) -> BuiltFamily:
     """K1 v ((n-1)/4) K4; requires n == 1 (mod 4)."""
     _need(n >= 5 and n % 4 == 1, f"K1JoinK4s needs n == 1 (mod 4), n >= 5, got {n}")
     g = _with_k4_packs(make_graph(1), 0, (n - 1) // 4)
-    return BuiltFamily(g, apex=0)
+    return BuiltFamily(g)
 
 
 def k1_join_k1_k4s(n: int) -> BuiltFamily:
     """K1 v (K1 u ((n-2)/4) K4); requires n == 2 (mod 4)."""
     _need(n >= 6 and n % 4 == 2, f"K1JoinK1K4s needs n == 2 (mod 4), n >= 6, got {n}")
     g = join(make_graph(1), make_graph(1))
-    return BuiltFamily(_with_k4_packs(g, 0, (n - 2) // 4), apex=0)
+    return BuiltFamily(_with_k4_packs(g, 0, (n - 2) // 4))
 
 
 def k1_join_k2_k4s(n: int) -> BuiltFamily:
     """K1 v (K2 u ((n-3)/4) K4); requires n == 3 (mod 4)."""
     _need(n >= 7 and n % 4 == 3, f"K1JoinK2K4s needs n == 3 (mod 4), n >= 7, got {n}")
     g = join(make_graph(1), make_graph(2, [(0, 1)]))
-    return BuiltFamily(_with_k4_packs(g, 0, (n - 3) // 4), apex=0)
+    return BuiltFamily(_with_k4_packs(g, 0, (n - 3) // 4))
 
 
 def k1_join_star_plus_k4s(n: int, s: int) -> BuiltFamily:
@@ -260,7 +260,7 @@ def k1_join_star_plus_k4s(n: int, s: int) -> BuiltFamily:
     _need((n - s - 2) % 4 == 0,
           f"K1JoinStarPlusK4s needs n == s + 2 (mod 4), got n={n}, s={s}")
     g = join(make_graph(1), star_plus(s))
-    return BuiltFamily(_with_k4_packs(g, 0, (n - s - 2) // 4), apex=0)
+    return BuiltFamily(_with_k4_packs(g, 0, (n - s - 2) // 4))
 
 
 def _need(cond: bool, msg: str) -> None:

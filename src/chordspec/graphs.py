@@ -314,6 +314,11 @@ def index_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+def mask_of(g: Graph) -> int:
+    """The edge bitmask of g, the inverse of ``graph_from_mask``."""
+    return sum(1 << b for b, (i, j) in enumerate(index_pairs(g.n)) if g.has_edge(i, j))
+
+
 def graph_from_mask(n: int, mask: int) -> Graph:
     adj = [0] * n
     b = 0

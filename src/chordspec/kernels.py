@@ -3,11 +3,12 @@ pure-Python twin in ``_sweep_py``.
 
 Both export the same functions: ``classify``, one pass over an
 edge-bitmask range that drops the graphs provably below a cut and counts
-those provably above it that pass a chord test, and ``sweep_range``, the
-same pass with no test; the chord tests ``apex_has_config`` (k chords at one
-cycle vertex) and ``chorded_has`` (a cycle with at least min_chords chords,
-which tries the apex search first for min_chords <= 3) on one mask; and
-``longest_cycle`` and ``max_path_order`` on adjacency rows.
+those provably above it that pass a chord test (or none, given no test);
+the chord tests ``apex_has_config`` (k chords at one cycle vertex) and
+``chorded_has`` (a cycle with at least min_chords chords, which tries the
+apex search first for min_chords <= 3) on one mask; and ``longest_cycle``
+and ``max_path_order`` on adjacency rows. ``sweep_range`` below is the pass
+with no test, written once over ``classify``.
 
 On first import the C source ``_sweep.c`` is compiled with the interpreter's
 own compiler command into ``build/kernel/`` at the repository root. The file
@@ -101,12 +102,19 @@ _compiled = functools.cache(build)
 _impl = _sweep_py if os.environ.get("CHORDSPEC_NO_EXT") else _compiled() or _sweep_py
 
 IS_COMPILED: bool = _impl.IS_COMPILED
-sweep_range = _impl.sweep_range
 apex_has_config = _impl.apex_has_config
 chorded_has = _impl.chorded_has
 classify = _impl.classify
 longest_cycle = _impl.longest_cycle
 max_path_order = _impl.max_path_order
+
+
+def sweep_range(n: int, lo: int, hi: int, q_floor: float):
+    """(no_isolated, survivors) over the edge bitmasks in [lo, hi): the
+    survivors are the masks of graphs without isolated vertices whose index
+    is not provably below q_floor. ValueError when q_floor is NaN."""
+    no_isolated, _, survivors = classify(n, lo, hi, q_floor, q_floor, None)
+    return no_isolated, survivors
 
 
 def implementations():

@@ -330,14 +330,8 @@ def charpoly_int_matrix(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     return charpoly_int_matrices([rows])[0]
 
 
-@functools.lru_cache(maxsize=8)
 def charpoly_graph(g: Graph) -> IntPolynomial:
-    """Exact characteristic polynomial of Q(G).
-
-    Memoised on the graph (graphs and polynomials are immutable), so a run
-    that compares every tie with one threshold graph builds its polynomial
-    once.
-    """
+    """Exact characteristic polynomial of Q(G)."""
     Q = signless_laplacian(g)
     return charpoly_int_matrix(Q.tolist())
 

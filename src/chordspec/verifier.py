@@ -22,6 +22,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -59,6 +60,7 @@ from .graphs import (
     is_isomorphic,
     join,
     make_graph,
+    mask_of,
     vertices_to_bits,
 )
 from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
@@ -212,31 +214,79 @@ def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
 # -- Theorem and corollary sweeps ---------------------------------------------------
 
 
-def _theorem_tail(n: int, rest: list[int], ext: Graph, thr: float, exact_ties: bool):
-    """The theorem's rules on the masks the kernel left: graphs below the
-    threshold are dropped, configured ones counted (by the kernel's apex
-    test, else by the reference searcher, which is then a kernel mismatch),
-    copies of ext counted, and any other graph is a counterexample.
-    Returns (configured, kernel mismatches, extremal hits, counterexamples)."""
-    configured = kernel_mismatches = extremal_hits = 0
-    counterexamples: list[str] = []
+def _theorem_rule(n: int, mask: int, g: Graph, qv: float, ext: Graph, thr: float,
+                  exact: bool) -> str:
+    """The theorem's verdict on g, of edge bitmask mask and float index qv:
+    "below" the threshold thr (ties with it decided exactly when exact),
+    "configured" by the kernel's apex test, "mismatch" when only the
+    reference searcher finds the configuration, "extremal" for a copy of ext,
+    else "counterexample"."""
+    if _order(g, qv, ext, thr, exact) == LESS:
+        return "below"
+    if kernels.apex_has_config(n, mask, 3):
+        return "configured"
+    if chords.find_k_chords_at_apex(g, 3) is not None:
+        return "mismatch"
+    return "extremal" if is_isomorphic(g, ext) else "counterexample"
+
+
+def _corollary_rule(n: int, mask: int, g: Graph, qv: float, ext: Graph, thr: float,
+                    min_chords: int) -> str:
+    """The corollary's verdict on g: "below" the threshold thr; at it
+    (decided exactly) "extremal" for a copy of ext, the stated exception,
+    else "equal", which the bound q <= thr already allows; above it
+    "chorded" when the kernel's test or the reference searcher finds a cycle
+    with min_chords chords, else "counterexample"."""
+    order = _order(g, qv, ext, thr)
+    if order == LESS:
+        return "below"
+    if order == EQUAL:
+        return "extremal" if is_isomorphic(g, ext) else "equal"
+    if (kernels.chorded_has(n, mask, min_chords)
+            or chords.find_chorded_cycle(g, min_chords) is not None):
+        return "chorded"
+    return "counterexample"
+
+
+_SWEPT_ORDERS = {"theorem": (6, 7, 8), "corollary": (7, 8)}
+
+
+def _sweep_rule(task: str, n: int, params: dict):
+    """(ext, thr, rule) of the theorem or corollary sweep at order n with
+    the report's params: the extremal graph, the threshold and the task's
+    rule as rule(n, mask, g, qv, ext). VerifierError for a task, order or
+    parameter that no sweep runs."""
+    if n not in _SWEPT_ORDERS.get(task, ()):
+        raise VerifierError(f"no {task} sweep at order {n}")
+    ext = extremal_graph(n).graph
+    thr = q_index(ext).q
+    if task == "theorem":
+        offset = params.get("threshold_offset", 0.0)
+        if not math.isfinite(offset):
+            raise VerifierError(f"threshold_offset must be finite, got {offset}")
+        thr += offset
+        return ext, thr, functools.partial(_theorem_rule, thr=thr, exact=offset == 0.0)
+    min_chords = params.get("min_chords", 3)
+    if min_chords < 1:
+        raise VerifierError(f"min_chords must be >= 1, got {min_chords}")
+    return ext, thr, functools.partial(_corollary_rule, thr=thr, min_chords=min_chords)
+
+
+def _tail(n: int, rest: list[int], ext: Graph, rule) -> tuple[Counter, list[str]]:
+    """The task's rule on the masks the kernel left. A labeled copy of ext
+    has ext's Q-spectrum and chord configurations, so it takes the verdict
+    of ext itself, decided once; every other graph gets the rule with its
+    float index (one batched eigensolve over all of them). Returns (the count
+    of each verdict, the counterexamples as graph6)."""
     graphs = [graph_from_mask(n, mask) for mask in rest]
-    for mask, g, qv in zip(rest, graphs, q_indices(graphs)):
-        if _order(g, qv, ext, thr, exact_ties) == LESS:
-            continue
-        if kernels.apex_has_config(n, mask, 3):
-            configured += 1
-            continue
-        # the kernel found nothing; confirm with the reference searcher
-        if chords.find_k_chords_at_apex(g, 3) is not None:
-            kernel_mismatches += 1
-            configured += 1
-            continue
-        if is_isomorphic(g, ext):
-            extremal_hits += 1
-        else:
-            counterexamples.append(graph6_encode(g))
-    return configured, kernel_mismatches, extremal_hits, counterexamples
+    others = [(mask, g) for mask, g in zip(rest, graphs) if not is_isomorphic(g, ext)]
+    qs = q_indices([ext] + [g for _, g in others])
+    verdicts = dict.fromkeys(rest, rule(n, mask_of(ext), ext, qs[0], ext))
+    for (mask, g), qv in zip(others, qs[1:]):
+        verdicts[mask] = rule(n, mask, g, qv, ext)
+    counterexamples = [graph6_encode(g) for mask, g in zip(rest, graphs)
+                       if verdicts[mask] == "counterexample"]
+    return Counter(verdicts.values()), counterexamples
 
 
 def verify_theorem_main(
@@ -245,22 +295,16 @@ def verify_theorem_main(
     """Exhaustive check at order n: every labeled graph without isolated
     vertices whose index reaches the threshold either carries three chords at
     a common cycle vertex or is the unique extremal graph."""
-    if n not in (6, 7, 8):
-        raise VerifierError(f"verify_theorem_main supports n in 6..8, got {n}")
-    if not math.isfinite(threshold_offset):
-        raise VerifierError(f"threshold_offset must be finite, got {threshold_offset}")
     t0 = time.perf_counter()
-    ext = extremal_graph(n)
-    thr = q_index(ext.graph).q + threshold_offset
-    exact_ties = threshold_offset == 0.0
+    ext, thr, rule = _sweep_rule("theorem", n, {"threshold_offset": threshold_offset})
     # the kernel counts the graphs clearly above the threshold that carry the
-    # configuration; the tie band and the rest get the rules below
+    # configuration; the tie band and the rest get the rule
     no_isolated, configured, rest = _sweep_classified(n, thr, ("apex_has_config", 3), jobs)
-    more, kernel_mismatches, extremal_hits, counterexamples = _theorem_tail(
-        n, rest, ext.graph, thr, exact_ties)
-    configured += more
+    verdicts, counterexamples = _tail(n, rest, ext, rule)
+    configured += verdicts["configured"] + verdicts["mismatch"]
+    extremal_hits = verdicts["extremal"]
 
-    orbit = math.factorial(n) // automorphism_count(ext.graph)
+    orbit = math.factorial(n) // automorphism_count(ext)
     details = [
         {"name": "threshold", "passed": True, "q_threshold": round(thr, 9)},
         {
@@ -270,8 +314,8 @@ def verify_theorem_main(
         },
         {
             "name": "kernel_agrees_with_searcher",
-            "passed": kernel_mismatches == 0,
-            "mismatches": kernel_mismatches,
+            "passed": verdicts["mismatch"] == 0,
+            "mismatches": verdicts["mismatch"],
         },
         {
             "name": "extremal_orbit_count",
@@ -296,43 +340,19 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
     """Exhaustive check at order n: a graph without isolated vertices and
     without a cycle carrying min_chords chords cannot beat the threshold
     index unless it is the extremal graph."""
-    if n not in (7, 8):
-        raise VerifierError(f"verify_corollary supports n in 7..8, got {n}")
-    if min_chords < 1:
-        raise VerifierError(f"min_chords must be >= 1, got {min_chords}")
     t0 = time.perf_counter()
-    ext = extremal_graph(n)
-    thr = q_index(ext.graph).q
+    ext, thr, rule = _sweep_rule("corollary", n, {"min_chords": min_chords})
     # the kernel counts the graphs clearly above the threshold with a chorded
-    # cycle; the tie band and the rest get the rules below
+    # cycle; the tie band and the rest get the rule
     no_isolated, chorded, rest = _sweep_classified(n, thr, ("chorded_has", min_chords), jobs)
-
-    extremal_hits = 0
-    counterexamples: list[str] = []
-    graphs = [graph_from_mask(n, mask) for mask in rest]
-    for mask, g, qv in zip(rest, graphs, q_indices(graphs)):
-        order = _order(g, qv, ext.graph, thr)
-        if order == LESS:
-            continue
-        if order == EQUAL:
-            # at the threshold the bound q <= q(extremal) already holds;
-            # the extremal graph itself is the stated exception
-            if is_isomorphic(g, ext.graph):
-                extremal_hits += 1
-            continue
-        # strictly above the threshold: a chorded cycle must exist
-        if (kernels.chorded_has(n, mask, min_chords)
-                or chords.find_chorded_cycle(g, min_chords) is not None):
-            chorded += 1
-            continue
-        counterexamples.append(graph6_encode(g))
+    verdicts, counterexamples = _tail(n, rest, ext, rule)
 
     details = [
         {"name": "threshold", "passed": True, "q_threshold": round(thr, 9)},
         {
             "name": "no_counterexamples",
             "passed": not counterexamples,
-            "chorded_graphs": chorded,
+            "chorded_graphs": chorded + verdicts["chorded"],
         },
     ]
     return Report(
@@ -340,32 +360,20 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
         params={"n": n, "min_chords": min_chords},
         graphs_examined=no_isolated,
         counterexamples=sorted(counterexamples),
-        extremal_hits=extremal_hits,
+        extremal_hits=verdicts["extremal"],
         details=details,
         wall_time_ms=(time.perf_counter() - t0) * 1000,
     )
 
 
 def replay_counterexample(task: str, g6: str, params: dict) -> bool:
-    """Re-check a recorded counterexample in isolation; True means it still
-    violates the condition it was reported for."""
+    """Re-check a recorded counterexample in isolation through the rule of
+    the sweep that reported it; True means it still violates the condition
+    it was reported for. VerifierError for a task or order no sweep runs."""
     g = graph6_decode(g6)
-    n = g.n
-    ext = extremal_graph(n)
-    thr = q_index(ext.graph).q
-    if task == "theorem":
-        thr += params.get("threshold_offset", 0.0)
-        if g.min_degree == 0 or q_index(g).q < thr - TIE_BAND:
-            return False
-        return (
-            chords.find_k_chords_at_apex(g, 3) is None
-            and not is_isomorphic(g, ext.graph)
-        )
-    if task == "corollary":
-        if g.min_degree == 0 or q_index(g).q <= thr + TIE_BAND:
-            return False
-        return chords.find_chorded_cycle(g, params.get("min_chords", 3)) is None
-    raise VerifierError(f"no replay rule for task {task!r}")
+    ext, _, rule = _sweep_rule(task, g.n, params)
+    # the sweeps skip graphs with an isolated vertex
+    return g.min_degree > 0 and rule(g.n, mask_of(g), g, q_index(g).q, ext) == "counterexample"
 
 
 # -- appendix identities --------------------------------------------------------------

@@ -44,9 +44,7 @@ SEED_TABLE = {
 
 def test_seed_fixture_table():
     for i, (n, e, degs) in SEED_TABLE.items():
-        built = u_graph(i)
-        assert built.apex == 0
-        g = built.graph
+        g = u_graph(i).graph
         assert g.n == n == u_order(i)
         assert g.edge_count == e
         assert tuple(sorted(g.degrees(), reverse=True)) == degs
@@ -165,7 +163,7 @@ def test_build_family_strings():
     assert build_family("Complete:n=5").graph.edge_count == 10
     assert build_family("Cycle:n=9").graph.n == 9
     b = build_family("G12:n=10,s=3")
-    assert b.graph.n == 10 and b.apex == 0
+    assert b.graph.n == 10
     assert build_family("K11n2Plus:n=7").graph.n == 7
     assert build_family("CompleteMultipartite:parts=2,2,2").graph.edge_count == 12
     assert build_family("K1JoinK4UnionK1").graph.n == 6
@@ -181,4 +179,3 @@ def test_build_family_strings():
 
 def test_built_family_type():
     assert isinstance(build_family("Star:s=3"), BuiltFamily)
-    assert build_family("Star:s=3").apex is None

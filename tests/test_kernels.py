@@ -67,7 +67,8 @@ def test_edited_source_gets_a_new_cache_entry(compiled, tmp_path):
     assert Path(second.__file__) != first
     # the build of the edited source replaces the old one
     assert list(cache.iterdir()) == [Path(second.__file__)]
-    assert second.sweep_range(5, 0, 1024, 6.0) == _sweep_py.sweep_range(5, 0, 1024, 6.0)
+    assert (second.classify(5, 0, 1024, 6.0, 6.0, None)
+            == _sweep_py.classify(5, 0, 1024, 6.0, 6.0, None))
 
 
 def test_cached_file_that_will_not_load_is_compiled_again(compiled, tmp_path):
@@ -77,7 +78,8 @@ def test_cached_file_that_will_not_load_is_compiled_again(compiled, tmp_path):
     (cache / name).write_bytes(b"not a shared object")
     module = kernels.build(kernels.SOURCE, cache)
     assert Path(module.__file__) == cache / name
-    assert module.sweep_range(5, 0, 1024, 6.0) == _sweep_py.sweep_range(5, 0, 1024, 6.0)
+    assert (module.classify(5, 0, 1024, 6.0, 6.0, None)
+            == _sweep_py.classify(5, 0, 1024, 6.0, 6.0, None))
     assert sorted(cache.iterdir()) == [cache / name]
 
 
@@ -99,11 +101,11 @@ def test_concurrent_builds_into_one_empty_cache_both_load(compiled, tmp_path):
     cache = tmp_path / "cache"
     code = ("import sys; from pathlib import Path; from chordspec import kernels; "
             "m = kernels.build(kernels.SOURCE, Path(sys.argv[1])); "
-            "print(m.sweep_range(5, 0, 1024, 6.0))")
+            "print(m.classify(5, 0, 1024, 6.0, 6.0, None))")
     procs = [_python(code, cache, CHORDSPEC_NO_EXT="1") for _ in range(2)]
     outs = [proc.communicate(timeout=300) for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], outs
-    want = f"{_sweep_py.sweep_range(5, 0, 1024, 6.0)}\n"
+    want = f"{_sweep_py.classify(5, 0, 1024, 6.0, 6.0, None)}\n"
     assert [out for out, _ in outs] == [want, want]
     # one build in place, no temporary file left behind
     assert len(list(cache.iterdir())) == 1
@@ -125,10 +127,10 @@ def test_sweep_implementations_agree(compiled, n):
     nbits = n * (n - 1) // 2
     total = 1 << nbits
     for floor in (3.0, 5.5, 7.2):
-        got_c = compiled.sweep_range(n, 0, total, floor)
-        got_py = _sweep_py.sweep_range(n, 0, total, floor)
+        got_c = compiled.classify(n, 0, total, floor, floor, None)
+        got_py = _sweep_py.classify(n, 0, total, floor, floor, None)
         assert got_c[0] == got_py[0]
-        assert got_c[1] == got_py[1]
+        assert got_c[2] == got_py[2]
 
 
 @pytest.mark.parametrize(
@@ -140,7 +142,7 @@ def test_sweep_soundness_never_drops_high_q(impl):
     n = 5
     total = 1 << 10
     floor = 6.0
-    _, survivors = impl.sweep_range(n, 0, total, floor)
+    _, _, survivors = impl.classify(n, 0, total, floor, floor, None)
     surv = set(survivors)
     for mask in range(total):
         g = graph_from_mask(n, mask)
@@ -148,6 +150,16 @@ def test_sweep_soundness_never_drops_high_q(impl):
             continue
         if oracle_q(g) >= floor:
             assert mask in surv, mask
+
+
+def test_sweep_range_is_classify_without_a_test():
+    # the one sweep_range, over the kernel that runs
+    for floor in (3.0, 6.0):
+        no_isolated, hits, rest = kernels.classify(5, 0, 1024, floor, floor, None)
+        assert hits == 0
+        assert kernels.sweep_range(5, 0, 1024, floor) == (no_isolated, rest)
+    with pytest.raises(ValueError):
+        kernels.sweep_range(5, 0, 1024, math.nan)
 
 
 def test_apex_kernel_matches_searcher_exhaustively(compiled):
@@ -196,9 +208,9 @@ def test_kernel_guards(impl):
     # number; masks below 2^C(n,2)
     for n, lo, hi in BAD_RANGES:
         with pytest.raises(ValueError):
-            impl.sweep_range(n, lo, hi, 5.0)
+            impl.classify(n, lo, hi, 5.0, 5.0, None)
     with pytest.raises(ValueError):  # a NaN floor is no cut
-        impl.sweep_range(5, 0, 1024, math.nan)
+        impl.classify(5, 0, 1024, math.nan, math.nan, None)
     for detector in (impl.apex_has_config, impl.chorded_has):
         for n, mask in ((0, 0), (12, 0), (5, -1), (5, 1 << 10), (5, 1 << 20)):
             with pytest.raises(ValueError):
@@ -209,9 +221,9 @@ def test_kernel_guards(impl):
             with pytest.raises(ValueError):
                 detector(n, mask, 0)
     # the bounds themselves are accepted
-    assert impl.sweep_range(5, 1023, 1024, 5.0) == (1, [1023])
-    assert impl.sweep_range(5, 7, 7, 5.0) == (0, [])
-    assert impl.sweep_range(1, 0, 1, 0.0) == (0, [])
+    assert impl.classify(5, 1023, 1024, 5.0, 5.0, None) == (1, 0, [1023])
+    assert impl.classify(5, 7, 7, 5.0, 5.0, None) == (0, 0, [])
+    assert impl.classify(1, 0, 1, 0.0, 0.0, None) == (0, 0, [])
     assert impl.apex_has_config(6, (1 << 15) - 1, 3)
     assert impl.chorded_has(5, (1 << 10) - 1, 3)
     assert not impl.chorded_has(1, 0, 1)
@@ -237,7 +249,7 @@ def _classify_masks(impl, n, lo_cut):
     total = 1 << n * (n - 1) // 2
     if n < 6:
         return list(range(total))
-    return impl.sweep_range(n, 0, total, lo_cut - 1e-6)[1]
+    return impl.classify(n, 0, total, lo_cut - 1e-6, lo_cut - 1e-6, None)[2]
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
@@ -318,7 +330,8 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
     # classify benches on order 5, whose asserts compare the implementations,
-    # and expand its appendix templates at orders 7..8
+    # one pass of its order-6 tie tail, whose asserts check the verdicts, and
+    # expand its appendix templates at orders 7..8
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -328,6 +341,8 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
         assert out.count(f"  {label} ") == 2, out
+    bench.bench_tie_tail(6, min_seconds=0)
+    assert "theorem tie tail n=6: 30 masks" in capsys.readouterr().out
     # the templates it times are verify_appendix's, plus one threshold
     # template per order
     checked = next(d["checked"] for d in verify_appendix(7, 8).details

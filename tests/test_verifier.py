@@ -114,11 +114,12 @@ def test_rest_indices_match_q_index(n, test):
         assert abs(qv - q_index(g).q) <= 1e-12
 
 
-def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
-    # the sweep's tie band at order 6 is the 30 labeled copies of the
-    # threshold graph; each is still decided exactly, tested by the kernel's
-    # apex test and the searcher, and matched by isomorphism, but the only
-    # q_index call is the one for the threshold itself
+def _count_tail_calls(monkeypatch, kernel_test, searcher):
+    """Count the verifier's calls of q_index, q_exact_compare,
+    graph_from_mask and is_isomorphic, and of the kernel chord test and the
+    reference searcher as the verifier calls them (the python kernel calls
+    the searchers too, through its own reference): (counts by name, masks
+    the kernel test saw, graphs the searcher saw)."""
     calls = {name: 0 for name in (
         "q_index", "q_exact_compare", "graph_from_mask", "is_isomorphic")}
     for name in calls:
@@ -129,19 +130,63 @@ def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(verifier, name, counted)
-    # the apex test and the searcher as the verifier calls them (the python
-    # kernel calls the searcher too, through its own reference)
     tested, searched = [], []
-    apex = kernels.apex_has_config
-    monkeypatch.setattr(kernels, "apex_has_config",
-                        lambda n, mask, k: tested.append(mask) or apex(n, mask, k))
-    search = chords.find_k_chords_at_apex
+    test = getattr(kernels, kernel_test)
+    monkeypatch.setattr(kernels, kernel_test,
+                        lambda n, mask, k: tested.append(mask) or test(n, mask, k))
+    search = getattr(chords, searcher)
     monkeypatch.setattr(verifier, "chords", SimpleNamespace(
-        find_k_chords_at_apex=lambda g, k: searched.append(g) or search(g, k)))
+        **{searcher: lambda g, k: searched.append(g) or search(g, k)}))
+    return calls, tested, searched
+
+
+def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
+    # the sweep's tie band at order 6 is the 30 labeled copies of the
+    # threshold graph; each is matched by isomorphism and takes the verdict
+    # of the threshold graph itself, which is decided once: one exact
+    # comparison, one kernel apex test and one searcher call. The only
+    # q_index call is the one for the threshold
+    calls, tested, searched = _count_tail_calls(
+        monkeypatch, "apex_has_config", "find_k_chords_at_apex")
     assert verify_theorem_main(6).extremal_hits == 30
-    assert calls == {"q_index": 1, "q_exact_compare": 30, "graph_from_mask": 30,
-                     "is_isomorphic": 30}
-    assert len(tested) == len(searched) == 30
+    assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 30,
+                     "is_isomorphic": 31}
+    assert tested == [mask_from_graph(extremal_graph(6).graph)]
+    assert searched == [extremal_graph(6).graph]
+
+
+def test_corollary_settles_its_ties_once(monkeypatch):
+    # at order 7 the corollary's tie band is the 210 copies of the threshold
+    # graph: one exact comparison decides that the class sits on the
+    # threshold, where no chord test runs
+    calls, tested, searched = _count_tail_calls(
+        monkeypatch, "chorded_has", "find_chorded_cycle")
+    assert verify_corollary(7).extremal_hits == 210
+    assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 210,
+                     "is_isomorphic": 211}
+    assert tested == searched == []
+
+
+@pytest.mark.parametrize("offset", [0.0, -0.5])
+def test_replay_agrees_with_the_tail_on_every_leftover_mask(offset):
+    # replay runs the sweep's own rule: over every mask the kernel leaves at
+    # order 6, it reports exactly the counterexamples the tail reports
+    params = {"threshold_offset": offset}
+    thr = q_index(extremal_graph(6).graph).q + offset
+    _, _, rest = verifier._sweep_classified(6, thr, ("apex_has_config", 3), 1)
+    found = set(verify_theorem_main(6, threshold_offset=offset).counterexamples)
+    assert len(found) == {0.0: 0, -0.5: 15}[offset]
+    replayed = {g6 for g6 in (graph6_encode(graph_from_mask(6, m)) for m in rest)
+                if replay_counterexample("theorem", g6, params)}
+    assert replayed == found
+
+
+def test_replay_refuses_orders_its_task_does_not_sweep():
+    for task, n in (("theorem", 5), ("theorem", 9), ("corollary", 6), ("corollary", 9)):
+        with pytest.raises(VerifierError):
+            replay_counterexample(task, graph6_encode(complete(n)), {})
+    with pytest.raises(VerifierError):
+        replay_counterexample("appendix", graph6_encode(complete(7)), {})
 
 
 def test_theorem_deterministic_modulo_wall_time():
