@@ -13,10 +13,10 @@
  * the top eigenvalue from above, the Rayleigh quotient from below.
  *
  * A graph on n vertices is an edge bitmask: bit b is the pair (i, j), i < j,
- * in the order (0,1), (0,2), (1,2), (0,3), ... (graphs.index_pairs). Masks
- * fit 64 bits up to n = 11. Adjacency rows are vertex bitmasks; the
- * longest-cycle and longest-path searches take them directly, for graphs of
- * up to 64 vertices.
+ * in the order (0,1), (0,2), (1,2), (0,3), ... (graphs.index_pairs), as the
+ * slot table slot_i/slot_j holds it. Masks fit 64 bits up to n = 11.
+ * Adjacency rows are vertex bitmasks; the longest-cycle and longest-path
+ * searches take them directly, for graphs of up to 64 vertices.
  *
  * kernels.py compiles this file on first import.
  */
@@ -36,17 +36,19 @@ static int popcount(uint64_t x) { return __builtin_popcountll(x); }
 
 static int lowest_bit(uint64_t x) { return __builtin_ctzll(x); }
 
+/* Edge slot b is the pair (slot_i[b], slot_j[b]); the first C(n,2) slots
+ * are those of order n. Filled once, in PyInit__sweep. */
+static int slot_i[MAXB], slot_j[MAXB];
+
 static void mask_adj(int n, uint64_t mask, uint64_t *adj)
 {
-    int b = 0;
     for (int i = 0; i < n; i++)
         adj[i] = 0;
-    for (int j = 1; j < n; j++)
-        for (int i = 0; i < j; i++, b++)
-            if (mask >> b & 1) {
-                adj[i] |= (uint64_t)1 << j;
-                adj[j] |= (uint64_t)1 << i;
-            }
+    for (; mask; mask &= mask - 1) {
+        int b = lowest_bit(mask);
+        adj[slot_i[b]] |= (uint64_t)1 << slot_j[b];
+        adj[slot_j[b]] |= (uint64_t)1 << slot_i[b];
+    }
 }
 
 /* -1 if the index is certainly below lo_cut, +1 if it is certainly above
@@ -482,15 +484,12 @@ static PyObject *max_path_order(PyObject *self, PyObject *const *args,
 static PyObject *sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi_cut,
                        detector test, long k, long long *no_isolated, long long *hits)
 {
-    uint64_t inc[MAXN] = {0}, adj[MAXN];
-    int bi[MAXB], bj[MAXB], degs[MAXN], b = 0;
-    for (int j = 1; j < n; j++)
-        for (int i = 0; i < j; i++, b++) {
-            inc[i] |= (uint64_t)1 << b;
-            inc[j] |= (uint64_t)1 << b;
-            bi[b] = i;
-            bj[b] = j;
-        }
+    uint64_t inc[MAXN] = {0}, adj[MAXN]; /* inc[i]: the slots at vertex i */
+    int degs[MAXN];
+    for (int b = 0; b < n * (n - 1) / 2; b++) {
+        inc[slot_i[b]] |= (uint64_t)1 << b;
+        inc[slot_j[b]] |= (uint64_t)1 << b;
+    }
 
     *no_isolated = *hits = 0;
     PyObject *rest = PyList_New(0);
@@ -514,7 +513,7 @@ static PyObject *sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi
         int esum = 0; /* q <= max over edges ij of d(i) + d(j) */
         for (uint64_t left = mask; left; left &= left - 1) {
             int e = lowest_bit(left);
-            int d = degs[bi[e]] + degs[bj[e]];
+            int d = degs[slot_i[e]] + degs[slot_j[e]];
             if (d > esum)
                 esum = d;
         }
@@ -602,6 +601,11 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__sweep(void)
 {
+    for (int j = 1, b = 0; j < MAXN; j++)
+        for (int i = 0; i < j; i++, b++) {
+            slot_i[b] = i;
+            slot_j[b] = j;
+        }
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddObjectRef(m, "IS_COMPILED", Py_True) < 0)
         Py_CLEAR(m);

@@ -127,11 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification task (JSON report)")
     vsub = v.add_subparsers(dest="what", required=True)
     vt = vsub.add_parser("theorem")
-    vt.add_argument("--n", type=int, required=True, choices=(6, 7, 8))
+    vt.add_argument("--n", type=int, required=True,
+                    choices=verifier._SWEPT_ORDERS["theorem"])
     vt.add_argument("--threshold-offset", type=float, default=0.0)
     vt.add_argument("--jobs", type=int, default=1)
     vc = vsub.add_parser("corollary")
-    vc.add_argument("--n", type=int, required=True, choices=(7, 8))
+    vc.add_argument("--n", type=int, required=True,
+                    choices=verifier._SWEPT_ORDERS["corollary"])
     vc.add_argument("--min-chords", type=int, default=3)
     vc.add_argument("--jobs", type=int, default=1)
     va = vsub.add_parser("appendix")
@@ -158,11 +160,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader stopped reading (`... | head`); an OSError, so caught first
+        return EXIT_OK
     except (_InputError, GraphError, verifier.VerifierError, OSError) as exc:
         print(f"chordspec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ machine word for n <= 64) and the documented cap of n <= 256.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -305,13 +306,15 @@ def _refine_colors_jointly(g: Graph, h: Graph) -> tuple[list[int], list[int]]:
 
 # -- edge-bitmask conventions ---------------------------------------------------
 
-# Pair (i, j) with i < j maps to bit j*(j-1)/2 + i: increasing j, then i.
-# This is the graph6 bit order, and enumeration in ascending mask order is the
-# canonical sweep order for the exhaustive verifier.
 
-
-def index_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
+@functools.cache
+def index_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The edge slots of order n: bit b of an edge bitmask is the pair
+    ``index_pairs(n)[b]``. Pair (i, j) with i < j is bit j*(j-1)/2 + i:
+    increasing j, then i. This is the graph6 bit order, and enumeration in
+    ascending mask order is the canonical sweep order for the exhaustive
+    verifier. Every mask conversion reads this one table."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
 
 
 def mask_of(g: Graph) -> int:
@@ -320,14 +323,17 @@ def mask_of(g: Graph) -> int:
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
+    """The graph of order n whose edges are the set bits of mask; GraphError
+    for a bit at or past the C(n, 2) edge slots."""
+    pairs = index_pairs(n)
+    if mask < 0 or mask >> len(pairs):
+        raise GraphError(f"mask {mask:#x} has a bit outside the {len(pairs)} "
+                         f"edge slots of order {n}")
     adj = [0] * n
-    b = 0
-    for j in range(1, n):
-        for i in range(j):
-            if mask >> b & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            b += 1
+    for b in bits_to_vertices(mask):
+        i, j = pairs[b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     return Graph(n, tuple(adj))
 
 
@@ -335,7 +341,9 @@ def graph_from_mask(n: int, mask: int) -> Graph:
 
 
 def graph6_encode(g: Graph) -> str:
-    """Standard graph6: size header, then upper-triangle bits packed 6 per byte."""
+    """Standard graph6: the size header, then the edge bitmask packed six
+    slots per character, slot 0 first and each character's first slot as
+    its high bit, zero-padded to whole characters."""
     n = g.n
     if n <= 62:
         head = chr(63 + n)
@@ -343,19 +351,9 @@ def graph6_encode(g: Graph) -> str:
         head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
     else:
         raise Graph6Error(f"order {n} too large for graph6")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = val << 1 | b
-        chars.append(chr(63 + val))
-    return head + "".join(chars)
+    width = (n * (n - 1) // 2 + 5) // 6 * 6
+    bits = f"{mask_of(g):0{width}b}"[::-1]  # slot b is bits[b]
+    return head + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, width, 6))
 
 
 def graph6_decode(text: str) -> Graph:
@@ -383,17 +381,8 @@ def graph6_decode(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise Graph6Error(f"graph6 length mismatch: got {len(body)} groups, need {need}")
-    bits = []
-    for d in body:
-        bits.extend((d >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bits = "".join(f"{d:06b}" for d in body)  # slot b is bits[b]
+    mask = int("0" + bits[::-1], 2)
+    if mask >> nbits:
         raise Graph6Error("graph6 trailing padding bits are nonzero")
-    adj = [0] * n
-    b = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[b]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            b += 1
-    return Graph(n, tuple(adj))
+    return graph_from_mask(n, mask)

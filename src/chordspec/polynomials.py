@@ -191,8 +191,10 @@ def _squarefree_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
     The chain of the normalised p ends in gcd(p, p') up to a constant; when
     that end is constant, p is squarefree and the chain is used as it is.
     Otherwise p is divided by it and the quotient gets its own chain.
-    Memoised on p (polynomials are immutable), so a run that compares many
-    ties with one threshold polynomial builds its chain once.
+    Memoised on p (polynomials are immutable). The appendix's fan-width
+    chain compares each closed form at width s + 4 twice, as the wider end
+    of the pair (n, s) and the narrower end of (n, s + 4), and builds its
+    chain once.
     """
     if p.degree <= 0:
         raise ValueError("constant polynomial has no squarefree part")

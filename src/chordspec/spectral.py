@@ -341,9 +341,11 @@ def q_exact_compare(g: Graph, h: Graph) -> int:
 
     Goes through integer characteristic polynomials of Q and Sturm-chain
     isolation of the largest roots, so exact ties (including equality between
-    non-isomorphic graphs) are decided correctly.
+    non-isomorphic graphs) are decided correctly. Equal graphs share one
+    polynomial.
     """
-    return compare_largest_roots(charpoly_graph(g), charpoly_graph(h))
+    p = charpoly_graph(g)
+    return compare_largest_roots(p, p if h == g else charpoly_graph(h))
 
 
 __all__ = [

@@ -57,6 +57,7 @@ from .graphs import (
     graph6_decode,
     graph6_encode,
     graph_from_mask,
+    index_pairs,
     is_isomorphic,
     join,
     make_graph,
@@ -166,7 +167,9 @@ def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     """Every mask of order n through _classify_chunk, in chunks of at most
     CHUNK masks (at least jobs * 4 chunks, over a process pool, when
     jobs > 1): (graphs without isolated vertices, hits, the ascending masks
-    left for the Python rules)."""
+    left for the Python rules). VerifierError for jobs below 1."""
+    if jobs < 1:
+        raise VerifierError(f"jobs must be >= 1, got {jobs}")
     total = 1 << n * (n - 1) // 2
     step = CHUNK if jobs <= 1 else min(CHUNK, -(-total // (jobs * 4)))
     chunks = [(n, lo, min(lo + step, total), thr, test) for lo in range(0, total, step)]
@@ -404,17 +407,15 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
 
     # (b) template/polynomial identities, for every integer order in range;
     # one batched call gives these polynomials and those of (d)'s threshold
-    # templates
+    # templates. The closed forms, keyed by (item, n, s), serve (e) too
     poly_keys = [(fx, n, s) for fx in FIXTURES for n, s in template_keys(fx, n_lo, n_hi)]
+    closed_form = {(fx.item, n, s): appendix_polynomial(fx.poly_id, n, s)
+                   for fx, n, s in poly_keys}
     thr_template = {n: threshold_quotient_template(n) for n in orders}
     polys = charpoly_int_matrices(
         [template(fx.item, n, s) for fx, n, s in poly_keys] + list(thr_template.values())
     )
-    poly_bad = [
-        (fx.item, n, s)
-        for (fx, n, s), got in zip(poly_keys, polys)
-        if got != appendix_polynomial(fx.poly_id, n, s)
-    ]
+    poly_bad = [key for key, got in zip(closed_form, polys) if got != closed_form[key]]
     thr_charpoly = dict(zip(orders, polys[len(poly_keys):]))
     details.append(
         {
@@ -426,18 +427,17 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     )
 
     # (a) + (c): graph-level checks at every valid order in range; one
-    # batched call gives every fixture graph's index, which (e) reuses
+    # batched call gives every fixture graph's index, and (e) reuses each
+    # graph with its index
     fixtures = [
         (fx, n, s, g) for fx in FIXTURES for n, s, g in fixture_graphs(fx, n_lo, n_hi)
     ]
-    fixture_q = {
-        (fx.item, n, s): qv
-        for (fx, n, s, _), qv in zip(fixtures, q_indices([g for *_, g in fixtures]))
-    }
+    qs = q_indices([g for *_, g in fixtures])
+    fixture_q = {(fx.item, n, s): (g, qv) for (fx, n, s, g), qv in zip(fixtures, qs)}
     equit_bad = []
     ineq_bad = []
     lam_bad = []
-    for fx, n, s, g in fixtures:
+    for (fx, n, s, g), qv in zip(fixtures, qs):
         examined += 1
         blocks = fx.partition(n, s)
         qm = quotient_matrix(g, blocks)
@@ -450,7 +450,6 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
             if [[int(e) for e in row] for row in qm.entries] != tmpl:
                 equit_bad.append((fx.item, n, s, "template-mismatch"))
         lam = qm.spectral_radius()
-        qv = fixture_q[fx.item, n, s]
         if abs(lam - qv) > 1e-8:
             lam_bad.append((fx.item, n, s, lam - qv))
         # strict index inequality against the threshold family
@@ -512,29 +511,28 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
         }
     )
 
-    # (e) fan-width monotone chains, exact on the closed forms and float on
-    # the fixture graphs whose width s + 4 exists too. The two families get separate
-    # entries: the star-fan chain (g12) holds on the whole range, while the
-    # hub-star-pack chain (g18) is genuinely false for small s, and the
-    # report says so rather than papering over it.
+    # (e) fan-width monotone chains, exact on the closed forms and by _order
+    # on the fixture graphs whose width s + 4 exists too. The two families
+    # get separate entries: the star-fan chain (g12) holds on the whole
+    # range, while the hub-star-pack chain (g18) is genuinely false for
+    # small s, and the report says so rather than papering over it.
     for fx in FIXTURES:
         if fx.s_gap is None:
             continue
-        pid = fx.poly_id
         chain_bad = []
         closed = fan_chain(template_keys(fx, n_lo, n_hi))
         for n, s in closed:
-            a = appendix_polynomial(pid, n, s)
-            b = appendix_polynomial(pid, n, s + 4)
+            a = closed_form[fx.item, n, s]
+            b = closed_form[fx.item, n, s + 4]
             if compare_largest_roots(a, b) != LESS:
                 chain_bad.append([n, s])
         graphs = fan_chain((n, s) for item, n, s in fixture_q if item == fx.item)
         for n, s in graphs:
-            if not fixture_q[fx.item, n, s] < fixture_q[fx.item, n, s + 4]:
+            if _order(*fixture_q[fx.item, n, s], *fixture_q[fx.item, n, s + 4]) != LESS:
                 chain_bad.append([n, s, "graphs"])
         details.append(
             {
-                "name": f"fan_width_monotone_chain_{pid}",
+                "name": f"fan_width_monotone_chain_{fx.poly_id}",
                 "passed": not chain_bad,
                 "checked": len(closed) + len(graphs),
                 "violations": chain_bad,
@@ -576,19 +574,19 @@ def _random_mask(rng: random.Random, n: int, p: float) -> int:
 
 def _sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     """A graph of order n_lo..n_hi whose edges are present with a probability
-    drawn from _P_STRATA: the same draws as ``_random_mask``, with the
-    adjacency rows built as the edge bits come."""
+    drawn from _P_STRATA: the same draws as ``_random_mask``, one per edge
+    slot in ``index_pairs`` order. The adjacency rows are built as the slots
+    are drawn, not from a mask afterwards: the property suite draws thousands
+    of graphs, and ``graph_from_mask(n, _random_mask(...))`` takes about
+    twice as long a draw."""
     n = rng.randint(n_lo, n_hi)
     p = rng.choice(_P_STRATA)
     rand = rng.random
     adj = [0] * n
-    for j in range(1, n):
-        row = 0
-        for i in range(j):
-            if rand() < p:
-                row |= 1 << i
-                adj[i] |= 1 << j
-        adj[j] = row
+    for i, j in index_pairs(n):
+        if rand() < p:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return Graph(n, tuple(adj))
 
 

@@ -17,6 +17,9 @@ per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
 ``spectral.quotient_matrix``; ``oracle_q_index`` is the earlier form of
 ``spectral.q_index``, which cuts every component, even the only one, out of Q.
 ``oracle_automorphism_count`` tries all n! vertex permutations.
+``oracle_graph6_encode`` and ``oracle_graph6_decode`` are the earlier
+bit-by-bit graph6 codec, the reference for ``graphs.graph6_encode`` and
+``graph6_decode``, which pack the edge bitmask.
 ``mask_from_graph`` (through ``edge_index``) inverts
 ``graphs.graph_from_mask`` by the closed-form bit position of each edge, and
 ``induced_subgraph`` relabels an induced subgraph; both check the package's
@@ -184,6 +187,48 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     vs = sorted(set(vertices))
     pos = {v: i for i, v in enumerate(vs)}
     return make_graph(len(vs), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
+
+
+def oracle_graph6_encode(g: Graph) -> str:
+    """graph6 one bit at a time: the size header, then the upper-triangle
+    bits in column order, padded with zeros and packed six per character."""
+    n = g.n
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if g.has_edge(i, j) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    chars = []
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k : k + 6]:
+            val = val << 1 | b
+        chars.append(chr(63 + val))
+    return head + "".join(chars)
+
+
+def oracle_graph6_decode(text: str) -> Graph:
+    """The inverse of ``oracle_graph6_encode`` on well-formed text, one bit
+    at a time."""
+    data = [ord(c) - 63 for c in text.strip()]
+    if data[0] < 63:
+        n, body = data[0], data[1:]
+    else:
+        n, body = data[1] << 12 | data[2] << 6 | data[3], data[4:]
+    bits = [(d >> s) & 1 for d in body for s in (5, 4, 3, 2, 1, 0)]
+    edges = []
+    b = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[b]:
+                edges.append((i, j))
+            b += 1
+    return make_graph(n, edges)
 
 
 def oracle_q_index(g: Graph) -> SpectralResult:

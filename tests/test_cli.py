@@ -124,6 +124,38 @@ def test_bad_verify_parameter_exits_2(capsys, monkeypatch):
         assert "error" in err, argv
 
 
+def test_jobs_below_one_exits_2(capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept with a bad --jobs")
+
+    monkeypatch.setattr(verifier, "_classify_chunk", no_sweep)
+    for argv in (
+        ("theorem", "--n", "6", "--jobs", "0"),
+        ("theorem", "--n", "6", "--jobs", "-4"),
+        ("corollary", "--n", "7", "--jobs", "0"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "jobs" in err, argv
+
+
+def test_broken_pipe_exits_0_quietly(capsys, monkeypatch):
+    # a reader that stops early (`chordspec verify ... | head -1`)
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    import sys
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["verify", "theorem", "--n", "6"])
+    _, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+
+
 def test_missing_input_file_exits_2(capsys):
     code, _, err = run(capsys, "q", "/nonexistent/file.g6")
     assert code == 2 and "error" in err

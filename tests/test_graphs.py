@@ -28,12 +28,15 @@ from chordspec.graphs import (
     is_isomorphic,
     join,
     make_graph,
+    mask_of,
 )
 from oracles import (
     edge_index,
     induced_subgraph,
     mask_from_graph,
     oracle_automorphism_count,
+    oracle_graph6_decode,
+    oracle_graph6_encode,
     oracle_isomorphic,
 )
 
@@ -292,6 +295,39 @@ def test_graph6_long_form_roundtrip():
     assert graph6_decode(graph6_encode(g63)) == g63
 
 
+def test_graph6_matches_the_bitwise_codec():
+    # every labeled graph to order 6, then seeded graphs around the one-word
+    # order, the short/long header boundary and the order cap
+    for n in range(1, 7):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = graph_from_mask(n, mask)
+            text = graph6_encode(g)
+            assert text == oracle_graph6_encode(g), (n, mask)
+            assert graph6_decode(text) == g
+    rng = random.Random(20261018)
+    for n in (7, 30, 62, 63, 256):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = random_graph(rng, n, p)
+            text = graph6_encode(g)
+            assert text == oracle_graph6_encode(g), (n, p)
+            assert graph6_decode(text) == oracle_graph6_decode(text) == g
+
+
+def test_index_pairs_is_one_table_per_order():
+    assert index_pairs(4) == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+    assert index_pairs(7) is index_pairs(7)
+    assert all(b == edge_index(i, j) for b, (i, j) in enumerate(index_pairs(12)))
+
+
+def test_graph_from_mask_refuses_bits_past_its_slots():
+    for n in range(1, 9):
+        nbits = n * (n - 1) // 2
+        assert graph_from_mask(n, (1 << nbits) - 1).edge_count == nbits
+        for bad in (1 << nbits, 1 << nbits + 5 | 1, -1):
+            with pytest.raises(GraphError):
+                graph_from_mask(n, bad)
+
+
 def test_graph6_malformed():
     with pytest.raises(Graph6Error):
         graph6_decode("")
@@ -314,4 +350,4 @@ def test_mask_conversions_roundtrip():
         nbits = n * (n - 1) // 2
         mask = rng.randrange(1 << nbits)
         g = graph_from_mask(n, mask)
-        assert mask_from_graph(g) == mask
+        assert mask_from_graph(g) == mask_of(g) == mask

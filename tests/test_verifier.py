@@ -6,8 +6,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from chordspec import chords, kernels, verifier
-from chordspec.appendix import FIXTURES, fixture_graphs
+from chordspec import chords, kernels, spectral, verifier
+from chordspec.appendix import FIXTURES, fan_chain, fixture_graphs
 from chordspec.families import (
     complete,
     cycle,
@@ -116,20 +116,23 @@ def test_rest_indices_match_q_index(n, test):
 
 def _count_tail_calls(monkeypatch, kernel_test, searcher):
     """Count the verifier's calls of q_index, q_exact_compare,
-    graph_from_mask and is_isomorphic, and of the kernel chord test and the
-    reference searcher as the verifier calls them (the python kernel calls
-    the searchers too, through its own reference): (counts by name, masks
-    the kernel test saw, graphs the searcher saw)."""
-    calls = {name: 0 for name in (
-        "q_index", "q_exact_compare", "graph_from_mask", "is_isomorphic")}
-    for name in calls:
-        fn = getattr(verifier, name)
+    graph_from_mask and is_isomorphic, every characteristic polynomial built
+    for an exact comparison, and the kernel chord test and the reference
+    searcher as the verifier calls them (the python kernel calls the
+    searchers too, through its own reference): (counts by name, masks the
+    kernel test saw, graphs the searcher saw)."""
+    calls = {}
+    for module, name in ((verifier, "q_index"), (verifier, "q_exact_compare"),
+                         (verifier, "graph_from_mask"), (verifier, "is_isomorphic"),
+                         (spectral, "charpoly_int_matrix")):
+        calls[name] = 0
+        fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(verifier, name, counted)
+        monkeypatch.setattr(module, name, counted)
     tested, searched = [], []
     test = getattr(kernels, kernel_test)
     monkeypatch.setattr(kernels, kernel_test,
@@ -145,12 +148,13 @@ def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
     # threshold graph; each is matched by isomorphism and takes the verdict
     # of the threshold graph itself, which is decided once: one exact
     # comparison, one kernel apex test and one searcher call. The only
-    # q_index call is the one for the threshold
+    # q_index call is the one for the threshold, and the exact comparison of
+    # the threshold graph with itself builds one polynomial
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "apex_has_config", "find_k_chords_at_apex")
     assert verify_theorem_main(6).extremal_hits == 30
     assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 30,
-                     "is_isomorphic": 31}
+                     "is_isomorphic": 31, "charpoly_int_matrix": 1}
     assert tested == [mask_from_graph(extremal_graph(6).graph)]
     assert searched == [extremal_graph(6).graph]
 
@@ -163,7 +167,7 @@ def test_corollary_settles_its_ties_once(monkeypatch):
         monkeypatch, "chorded_has", "find_chorded_cycle")
     assert verify_corollary(7).extremal_hits == 210
     assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 210,
-                     "is_isomorphic": 211}
+                     "is_isomorphic": 211, "charpoly_int_matrix": 1}
     assert tested == searched == []
 
 
@@ -419,6 +423,38 @@ def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
     fixtures = [g for fx in FIXTURES for *_, g in fixture_graphs(fx, 7, 14)]
     assert index_batches == [fixtures]
     assert single == [k11n2_plus(n).graph for n in range(7, 15)]
+
+
+def test_appendix_builds_each_closed_form_once(monkeypatch):
+    # the fan-width chains read their closed forms from the identity block
+    seen = []
+    closed_form = verifier.appendix_polynomial
+    monkeypatch.setattr(
+        verifier, "appendix_polynomial", lambda *key: seen.append(key) or closed_form(*key)
+    )
+    verify_appendix(7, 14)
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_appendix_graph_chain_decides_float_ties_exactly(monkeypatch):
+    # one g12 pair's float indices forced 5e-10 apart in the wrong order:
+    # inside the tie band, so the exact comparison orders the pair, and the
+    # chain still holds
+    fx = next(fx for fx in FIXTURES if fx.poly_id == "g12")
+    built = {(n, s): g for n, s, g in fixture_graphs(fx, 14, 14)}
+    n, s = fan_chain(built)[0]
+    narrow, wide = built[n, s], built[n, s + 4]
+    indices = verifier.q_indices
+
+    def forced(graphs):
+        qs = indices(graphs)
+        q_narrow = qs[graphs.index(narrow)]
+        return [q_narrow - 5e-10 if g == wide else q for g, q in zip(graphs, qs)]
+
+    monkeypatch.setattr(verifier, "q_indices", forced)
+    by_name = {d["name"]: d for d in verify_appendix(14, 14).details}
+    assert not by_name["quotient_radius_matches_index"]["passed"]  # forced indeed
+    assert by_name["fan_width_monotone_chain_g12"]["passed"]
 
 
 def test_appendix_flags_the_false_g18_chain():
