@@ -8,15 +8,15 @@
  * classify drops a mask only when its index is provably below lo_cut, and
  * counts a hit only when the index is provably above hi_cut and the graph
  * passes the test (never, when the test is None; kernels.sweep_range is
- * that pass with both cuts at one floor). Degree bounds go first, then one power iterate on Q + I with a
- * strictly positive x: the Collatz-Wielandt ratio max_i (Mx)_i / x_i bounds
- * the top eigenvalue from above, the Rayleigh quotient from below.
+ * that pass with both cuts at one floor). Degree bounds go first, then one
+ * power iterate on Q + I with a strictly positive x: the Collatz-Wielandt
+ * ratio max_i (Mx)_i / x_i bounds the top eigenvalue from above, the
+ * Rayleigh quotient from below.
  *
- * A graph on n vertices is an edge bitmask: bit b is the pair (i, j), i < j,
- * in the order (0,1), (0,2), (1,2), (0,3), ... (graphs.index_pairs), as the
- * slot table slot_i/slot_j holds it. Masks fit 64 bits up to n = 11.
- * Adjacency rows are vertex bitmasks; the longest-cycle and longest-path
- * searches take them directly, for graphs of up to 64 vertices.
+ * Only classify takes edge bitmasks, to name its range: bit b is the pair
+ * (i, j), i < j, in the order (0,1), (0,2), ... (graphs.index_pairs) of the
+ * slot table slot_i/slot_j. Every per-graph call takes adjacency rows
+ * (vertex bitmasks), for graphs of up to MAXROWS vertices.
  *
  * kernels.py compiles this file on first import.
  */
@@ -28,6 +28,7 @@
 #include <string.h>
 
 #define MAXN 11 /* edge bitmasks fit 64 bits up to n = 11; sweeps use n <= 8 */
+#define MAXROWS 64 /* adjacency rows fit 64 bits */
 #define MAXB 55 /* MAXN * (MAXN - 1) / 2 edge slots */
 #define CW_ITERATIONS 200
 #define CUT_MARGIN 1e-9 /* a bound must clear its cut by this much */
@@ -101,9 +102,9 @@ static int q_side(int n, const uint64_t *adj, double lo_cut, double hi_cut)
 }
 
 /* -- argument checks --------------------------------------------------------
- * n must lie in 1..MAXN, masks in [0, 2^C(n,2)) and sweep ranges in
- * 0 <= lo <= hi <= 2^C(n,2); anything else raises ValueError, as in
- * _sweep_py. */
+ * A sweep's n lies in 1..MAXN and its range in 0 <= lo <= hi <= 2^C(n,2),
+ * rows are those of a simple graph and chord counts are ints >= 1; anything
+ * else raises ValueError (TypeError for a wrong type), as in _sweep_py. */
 
 static int parse_n(PyObject *arg, int *n)
 {
@@ -153,17 +154,19 @@ static int parse_range(PyObject *const *args, int *n, uint64_t *lo, uint64_t *hi
     return 0;
 }
 
-/* At least 1, as the python searchers require. */
+/* A chord count of at least 1, as the python searchers require; a count too
+ * large for a long exceeds every graph's chords and is read as LONG_MAX. */
 static int parse_positive(PyObject *arg, const char *what, long *out)
 {
-    long v = PyLong_AsLong(arg);
+    int overflow;
+    long v = PyLong_AsLongAndOverflow(arg, &overflow);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (v < 1) {
-        PyErr_Format(PyExc_ValueError, "need %s >= 1, got %ld", what, v);
+    if (overflow < 0 || (!overflow && v < 1)) {
+        PyErr_Format(PyExc_ValueError, "need %s >= 1, got %R", what, arg);
         return -1;
     }
-    *out = v;
+    *out = overflow ? LONG_MAX : v;
     return 0;
 }
 
@@ -192,6 +195,50 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
         return 0;
     PyErr_Format(PyExc_TypeError, "%s() takes %zd positional arguments (%zd given)",
                  name, want, nargs);
+    return -1;
+}
+
+/* The adjacency rows of a simple graph into rows[0..*n), else ValueError
+ * (TypeError for a row that is not an int). */
+static int parse_rows(PyObject *arg, uint64_t *rows, int *n)
+{
+    PyObject *seq = PySequence_Fast(arg, "rows must be a sequence");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
+    PyObject **items = PySequence_Fast_ITEMS(seq);
+    if (count > MAXROWS) {
+        PyErr_Format(PyExc_ValueError, "kernels support up to %d vertices, got %zd",
+                     MAXROWS, count);
+        goto fail;
+    }
+    for (Py_ssize_t v = 0; v < count; v++) {
+        if (!PyLong_Check(items[v])) {
+            PyErr_Format(PyExc_TypeError, "row %zd is not an int: %R", v, items[v]);
+            goto fail;
+        }
+        rows[v] = PyLong_AsUnsignedLongLong(items[v]);
+        int bad = rows[v] == (uint64_t)-1 && PyErr_Occurred();
+        if (bad) /* negative or wider than 64 bits */
+            PyErr_Clear();
+        if (bad || (count < 64 && rows[v] >> count) || (rows[v] >> v & 1)) {
+            PyErr_Format(PyExc_ValueError, "row %zd = %R is not a row of a simple "
+                         "graph on %zd vertices", v, items[v], count);
+            goto fail;
+        }
+    }
+    Py_DECREF(seq);
+    *n = (int)count;
+    for (int v = 0; v < *n; v++)
+        for (uint64_t nb = rows[v]; nb; nb &= nb - 1)
+            if (!(rows[lowest_bit(nb)] >> v & 1)) {
+                PyErr_Format(PyExc_ValueError, "rows are not symmetric: %d lists %d",
+                             v, lowest_bit(nb));
+                return -1;
+            }
+    return 0;
+fail:
+    Py_DECREF(seq);
     return -1;
 }
 
@@ -266,9 +313,9 @@ static int has_chorded(int n, const uint64_t *adj, long min_chords)
 {
     if (min_chords <= 3 && has_apex(n, adj, 3))
         return 1;
-    uint64_t full = ((uint64_t)1 << n) - 1;
+    uint64_t full = n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0;
     for (int root = 0; root < n; root++) {
-        uint64_t allowed = full & ~(((uint64_t)1 << (root + 1)) - 1);
+        uint64_t allowed = full & ~(((uint64_t)2 << root) - 1);
         if (cycle_rec(adj, root, -1, root, (uint64_t)1 << root, 1, allowed, min_chords))
             return 1;
     }
@@ -277,18 +324,16 @@ static int has_chorded(int n, const uint64_t *adj, long min_chords)
 
 typedef int (*detector)(int n, const uint64_t *adj, long k);
 
-/* detector(n, mask, k) for one mask, as a Python bool. */
+/* detector(rows, k) for one graph, as a Python bool. */
 static PyObject *detect(const char *name, const char *what, detector test,
                         PyObject *const *args, Py_ssize_t nargs)
 {
     int n;
-    uint64_t mask, adj[MAXN];
+    uint64_t adj[MAXROWS];
     long k;
-    if (check_nargs(name, nargs, 3) || parse_n(args[0], &n) ||
-        parse_bounded(args[1], mask_count(n) - 1, "mask", &mask) ||
-        parse_positive(args[2], what, &k))
+    if (check_nargs(name, nargs, 2) || parse_rows(args[0], adj, &n) ||
+        parse_positive(args[1], what, &k))
         return NULL;
-    mask_adj(n, mask, adj);
     return PyBool_FromLong(test(n, adj, k));
 }
 
@@ -309,52 +354,6 @@ static PyObject *chorded_has(PyObject *self, PyObject *const *args, Py_ssize_t n
  * the same order and with the same prune: components by least vertex, roots
  * and neighbours ascending, and a branch stops once its path plus the
  * unvisited vertices it may still take cannot beat the best so far. */
-
-#define MAXROWS 64
-
-/* The adjacency rows of a simple graph into rows[0..*n), else ValueError
- * (TypeError for a row that is not an int). */
-static int parse_rows(PyObject *arg, uint64_t *rows, int *n)
-{
-    PyObject *seq = PySequence_Fast(arg, "rows must be a sequence");
-    if (seq == NULL)
-        return -1;
-    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    if (count > MAXROWS) {
-        PyErr_Format(PyExc_ValueError, "kernels support up to %d vertices, got %zd",
-                     MAXROWS, count);
-        goto fail;
-    }
-    for (Py_ssize_t v = 0; v < count; v++) {
-        if (!PyLong_Check(items[v])) {
-            PyErr_Format(PyExc_TypeError, "row %zd is not an int: %R", v, items[v]);
-            goto fail;
-        }
-        rows[v] = PyLong_AsUnsignedLongLong(items[v]);
-        int bad = rows[v] == (uint64_t)-1 && PyErr_Occurred();
-        if (bad) /* negative or wider than 64 bits */
-            PyErr_Clear();
-        if (bad || (count < 64 && rows[v] >> count) || (rows[v] >> v & 1)) {
-            PyErr_Format(PyExc_ValueError, "row %zd = %R is not a row of a simple "
-                         "graph on %zd vertices", v, items[v], count);
-            goto fail;
-        }
-    }
-    Py_DECREF(seq);
-    *n = (int)count;
-    for (int v = 0; v < *n; v++)
-        for (uint64_t nb = rows[v]; nb; nb &= nb - 1)
-            if (!(rows[lowest_bit(nb)] >> v & 1)) {
-                PyErr_Format(PyExc_ValueError, "rows are not symmetric: %d lists %d",
-                             v, lowest_bit(nb));
-                return -1;
-            }
-    return 0;
-fail:
-    Py_DECREF(seq);
-    return -1;
-}
 
 /* The vertex masks of the connected components, ordered by least vertex;
  * returns their number. */
@@ -573,11 +572,11 @@ static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t narg
 
 static PyMethodDef methods[] = {
     {"apex_has_config", (PyCFunction)(void (*)(void))apex_has_config, METH_FASTCALL,
-     "apex_has_config(n, mask, k) -> bool\n\n"
-     "Whether some cycle has k chords at a common vertex (mask graph)."},
+     "apex_has_config(rows, k) -> bool\n\n"
+     "Whether some cycle has k chords at a common vertex."},
     {"chorded_has", (PyCFunction)(void (*)(void))chorded_has, METH_FASTCALL,
-     "chorded_has(n, mask, min_chords) -> bool\n\n"
-     "Whether some cycle carries at least min_chords chords (mask graph)."},
+     "chorded_has(rows, min_chords) -> bool\n\n"
+     "Whether some cycle carries at least min_chords chords."},
     {"classify", (PyCFunction)(void (*)(void))classify, METH_FASTCALL,
      "classify(n, lo, hi, lo_cut, hi_cut, test) -> (no_isolated, hits, rest)\n\n"
      "Sort the edge bitmasks in [lo, hi) by index against two cuts; test is\n"

@@ -2,8 +2,8 @@
 
 Mirrors the compiled extension's interface. The pass over a mask range
 (classify, with a chord test or None) is vectorized with numpy over blocks
-of edge bitmasks; the per-graph detectors and the longest-cycle and
-longest-path searches defer to the reference searchers in chords.py.
+of edge bitmasks; the per-graph calls take adjacency rows and defer to the
+reference searchers in chords.py.
 
 Soundness contract: a mask may only be dropped when its signless Laplacian
 index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
@@ -15,6 +15,8 @@ degrees, the degree bounds, stacked Q, batched eigvalsh) is
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -30,27 +32,33 @@ CUT_MARGIN = 1e-9  # a cut decides only when the index clears it by this
 _BLOCK = 1 << 14
 
 
-def _mask_count(n: int) -> int:
-    """2^C(n,2), the number of edge bitmasks; ValueError unless 1 <= n <= MAXN."""
+def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
+    """Sort the edge bitmasks in [lo, hi) by their index against
+    lo_cut <= hi_cut.
+
+    test is (name, k) naming a detector of this module, "apex_has_config" or
+    "chorded_has", or None for no test. Returns (no_isolated, hits, rest):
+    no_isolated counts the masks of graphs without isolated vertices; of
+    those, hits counts the ones whose index is above hi_cut + CUT_MARGIN and
+    whose graph passes test (none when test is None), masks with an index
+    below lo_cut - CUT_MARGIN are dropped, and rest lists every other mask,
+    ascending. ValueError when a cut is NaN, TypeError for a malformed test.
+    """
     if not 1 <= n <= MAXN:
         raise ValueError(f"kernels support 1..{MAXN} vertices, got {n}")
-    return 1 << n * (n - 1) // 2
-
-
-def _check_mask(n: int, mask: int) -> None:
-    total = _mask_count(n)
-    if not 0 <= mask < total:
-        raise ValueError(f"mask {mask} outside [0, {total - 1}]")
-
-
-def _sweep(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, detector, k: int):
-    """One pass over the masks in [lo, hi): (no_isolated, hits, rest), as
-    classify returns it; detector None counts no hits."""
-    total = _mask_count(n)
+    total = 1 << n * (n - 1) // 2
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"range [{lo}, {hi}) outside [0, {total}]")
     if not lo_cut <= hi_cut:
         raise ValueError(f"need lo_cut <= hi_cut, got {lo_cut!r} > {hi_cut!r}")
+    detector = k = None
+    if test is not None:
+        if not (isinstance(test, tuple) and len(test) == 2 and isinstance(test[0], str)):
+            raise TypeError(f"test must be a (name, k) tuple or None, got {test!r}")
+        name, k = test
+        if name not in _DETECTORS:
+            raise ValueError(f"no kernel test {test!r}")
+        detector, k = _DETECTORS[name], _chord_count(k, "k")
     no_isolated = hits = 0
     rest: list[int] = []
     for start in range(lo, hi, _BLOCK):
@@ -63,65 +71,57 @@ def _sweep(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, detector, k: 
         top = kept.top_eigenvalues()
         above = top >= lo_cut - CUT_MARGIN
         for mask, q in zip(kept.masks[above].tolist(), top[above].tolist()):
-            if detector is not None and q > hi_cut + CUT_MARGIN and detector(n, mask, k):
+            if (detector is not None and q > hi_cut + CUT_MARGIN
+                    and detector(graph_from_mask(n, mask), k)):
                 hits += 1
             else:
                 rest.append(mask)
     return no_isolated, hits, rest
 
 
-def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
-    """Sort the edge bitmasks in [lo, hi) by their index against
-    lo_cut <= hi_cut.
-
-    test is (name, k) naming a detector of this module, "apex_has_config" or
-    "chorded_has", or None for no test. Returns (no_isolated, hits, rest):
-    no_isolated counts the masks of graphs without isolated vertices; of
-    those, hits counts the ones whose index is above hi_cut + CUT_MARGIN and
-    whose graph passes test (none when test is None), masks with an index
-    below lo_cut - CUT_MARGIN are dropped, and rest lists every other mask,
-    ascending. ValueError when a cut is NaN.
-    """
-    if test is None:
-        return _sweep(n, lo, hi, lo_cut, hi_cut, None, 0)
-    if not isinstance(test, tuple):
-        raise TypeError(f"test must be a (name, k) tuple or None, got {test!r}")
-    name, k = test
-    if name not in ("apex_has_config", "chorded_has"):
-        raise ValueError(f"no kernel test {test!r}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    detector = apex_has_config if name == "apex_has_config" else chorded_has
-    return _sweep(n, lo, hi, lo_cut, hi_cut, detector, k)
+def _chord_count(k, what: str) -> int:
+    """k as an int of at least 1 (a k past every graph's chord count is
+    allowed: the tests answer no); TypeError for a k that is not an int."""
+    if (k := operator.index(k)) < 1:
+        raise ValueError(f"need {what} >= 1, got {k}")
+    return k
 
 
-def apex_has_config(n: int, mask: int, k: int) -> bool:
+def _has_apex(g: Graph, k: int) -> bool:
+    return chords.find_k_chords_at_apex(g, k) is not None
+
+
+def _has_chorded(g: Graph, min_chords: int) -> bool:
+    # three chords at one vertex are three chords on one cycle, and the apex
+    # search is the faster of the two, so it goes first when min_chords <= 3
+    return ((min_chords <= 3 and _has_apex(g, 3))
+            or chords.find_chorded_cycle(g, min_chords) is not None)
+
+
+_DETECTORS = {"apex_has_config": _has_apex, "chorded_has": _has_chorded}
+
+
+def apex_has_config(rows, k: int) -> bool:
     """Whether some cycle has k chords at a common vertex."""
-    _check_mask(n, mask)
-    return chords.find_k_chords_at_apex(graph_from_mask(n, mask), k) is not None
+    return _has_apex(_graph_of_rows(rows), _chord_count(k, "k"))
 
 
-def chorded_has(n: int, mask: int, min_chords: int) -> bool:
-    """Whether some cycle carries at least min_chords chords. Three chords
-    at one vertex are three chords on one cycle, and the apex search is the
-    faster of the two, so it goes first when min_chords <= 3."""
-    _check_mask(n, mask)
-    if min_chords < 1:
-        raise ValueError(f"need min_chords >= 1, got {min_chords}")
-    g = graph_from_mask(n, mask)
-    if min_chords <= 3 and chords.find_k_chords_at_apex(g, 3) is not None:
-        return True
-    return chords.find_chorded_cycle(g, min_chords) is not None
+def chorded_has(rows, min_chords: int) -> bool:
+    """Whether some cycle carries at least min_chords chords."""
+    return _has_chorded(_graph_of_rows(rows), _chord_count(min_chords, "min_chords"))
 
 
 def _graph_of_rows(rows) -> Graph:
     """The graph whose adjacency rows (vertex bitmasks) these are; ValueError
-    unless they are the rows of a simple graph on at most MAXROWS vertices."""
+    unless they are the rows of a simple graph on at most MAXROWS vertices
+    (TypeError for a row that is not an int)."""
     rows = tuple(rows)
     n = len(rows)
     if n > MAXROWS:
         raise ValueError(f"kernels support up to {MAXROWS} vertices, got {n}")
     for v, row in enumerate(rows):
+        if not isinstance(row, int):
+            raise TypeError(f"row {v} is not an int: {row!r}")
         if not 0 <= row < 1 << n or row >> v & 1:
             raise ValueError(f"row {v} = {row} is not a row of a simple graph on {n} vertices")
     for v, row in enumerate(rows):

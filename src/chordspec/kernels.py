@@ -4,11 +4,11 @@ pure-Python twin in ``_sweep_py``.
 Both export the same functions: ``classify``, one pass over an
 edge-bitmask range that drops the graphs provably below a cut and counts
 those provably above it that pass a chord test (or none, given no test);
-the chord tests ``apex_has_config`` (k chords at one cycle vertex) and
-``chorded_has`` (a cycle with at least min_chords chords, which tries the
-apex search first for min_chords <= 3) on one mask; and ``longest_cycle``
-and ``max_path_order`` on adjacency rows. ``sweep_range`` below is the pass
-with no test, written once over ``classify``.
+and, on one graph's adjacency rows (up to 64 vertices), the chord tests
+``apex_has_config`` (k chords at one cycle vertex) and ``chorded_has`` (a
+cycle with at least min_chords chords, which tries the apex search first
+for min_chords <= 3) and the searches ``longest_cycle`` and
+``max_path_order``. ``sweep_range`` below is the pass with no test.
 
 On first import the C source ``_sweep.c`` is compiled with the interpreter's
 own compiler command into ``build/kernel/`` at the repository root. The file

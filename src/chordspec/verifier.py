@@ -61,7 +61,6 @@ from .graphs import (
     is_isomorphic,
     join,
     make_graph,
-    mask_of,
     vertices_to_bits,
 )
 from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
@@ -217,24 +216,21 @@ def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
 # -- Theorem and corollary sweeps ---------------------------------------------------
 
 
-def _theorem_rule(n: int, mask: int, g: Graph, qv: float, ext: Graph, thr: float,
-                  exact: bool) -> str:
-    """The theorem's verdict on g, of edge bitmask mask and float index qv:
-    "below" the threshold thr (ties with it decided exactly when exact),
-    "configured" by the kernel's apex test, "mismatch" when only the
-    reference searcher finds the configuration, "extremal" for a copy of ext,
-    else "counterexample"."""
+def _theorem_rule(g: Graph, qv: float, ext: Graph, thr: float, exact: bool) -> str:
+    """The theorem's verdict on g, of float index qv: "below" the threshold
+    thr (ties with it decided exactly when exact), "configured" by the
+    kernel's apex test, "mismatch" when only the reference searcher finds the
+    configuration, "extremal" for a copy of ext, else "counterexample"."""
     if _order(g, qv, ext, thr, exact) == LESS:
         return "below"
-    if kernels.apex_has_config(n, mask, 3):
+    if kernels.apex_has_config(g.rows, 3):
         return "configured"
     if chords.find_k_chords_at_apex(g, 3) is not None:
         return "mismatch"
     return "extremal" if is_isomorphic(g, ext) else "counterexample"
 
 
-def _corollary_rule(n: int, mask: int, g: Graph, qv: float, ext: Graph, thr: float,
-                    min_chords: int) -> str:
+def _corollary_rule(g: Graph, qv: float, ext: Graph, thr: float, min_chords: int) -> str:
     """The corollary's verdict on g: "below" the threshold thr; at it
     (decided exactly) "extremal" for a copy of ext, the stated exception,
     else "equal", which the bound q <= thr already allows; above it
@@ -245,7 +241,7 @@ def _corollary_rule(n: int, mask: int, g: Graph, qv: float, ext: Graph, thr: flo
         return "below"
     if order == EQUAL:
         return "extremal" if is_isomorphic(g, ext) else "equal"
-    if (kernels.chorded_has(n, mask, min_chords)
+    if (kernels.chorded_has(g.rows, min_chords)
             or chords.find_chorded_cycle(g, min_chords) is not None):
         return "chorded"
     return "counterexample"
@@ -257,8 +253,8 @@ _SWEPT_ORDERS = {"theorem": (6, 7, 8), "corollary": (7, 8)}
 def _sweep_rule(task: str, n: int, params: dict):
     """(ext, thr, rule) of the theorem or corollary sweep at order n with
     the report's params: the extremal graph, the threshold and the task's
-    rule as rule(n, mask, g, qv, ext). VerifierError for a task, order or
-    parameter that no sweep runs."""
+    rule as rule(g, qv, ext). VerifierError for a task, order or parameter
+    that no sweep runs."""
     if n not in _SWEPT_ORDERS.get(task, ()):
         raise VerifierError(f"no {task} sweep at order {n}")
     ext = extremal_graph(n).graph
@@ -284,9 +280,9 @@ def _tail(n: int, rest: list[int], ext: Graph, rule) -> tuple[Counter, list[str]
     graphs = [graph_from_mask(n, mask) for mask in rest]
     others = [(mask, g) for mask, g in zip(rest, graphs) if not is_isomorphic(g, ext)]
     qs = q_indices([ext] + [g for _, g in others])
-    verdicts = dict.fromkeys(rest, rule(n, mask_of(ext), ext, qs[0], ext))
+    verdicts = dict.fromkeys(rest, rule(ext, qs[0], ext))
     for (mask, g), qv in zip(others, qs[1:]):
-        verdicts[mask] = rule(n, mask, g, qv, ext)
+        verdicts[mask] = rule(g, qv, ext)
     counterexamples = [graph6_encode(g) for mask, g in zip(rest, graphs)
                        if verdicts[mask] == "counterexample"]
     return Counter(verdicts.values()), counterexamples
@@ -376,7 +372,7 @@ def replay_counterexample(task: str, g6: str, params: dict) -> bool:
     g = graph6_decode(g6)
     ext, _, rule = _sweep_rule(task, g.n, params)
     # the sweeps skip graphs with an isolated vertex
-    return g.min_degree > 0 and rule(g.n, mask_of(g), g, q_index(g).q, ext) == "counterexample"
+    return g.min_degree > 0 and rule(g, q_index(g).q, ext) == "counterexample"
 
 
 # -- appendix identities --------------------------------------------------------------
@@ -1063,12 +1059,11 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     while accepted < trials and attempts < trials * 40:
         attempts += 1
         n = rng.randint(4, 10)
-        mask = _random_mask(rng, n, rng.choice(_P_STRATA))
-        if kernels.apex_has_config(n, mask, 3):
+        g = graph_from_mask(n, _random_mask(rng, n, rng.choice(_P_STRATA)))
+        if kernels.apex_has_config(g.rows, 3):
             continue
         accepted += 1
         examined += 1
-        g = graph_from_mask(n, mask)
         cap_here, catalog_here = _structural_violations(g, caps)
         claim_viol += cap_here
         catalog_viol += catalog_here

@@ -165,9 +165,10 @@ def test_sweep_range_is_classify_without_a_test():
 def test_apex_kernel_matches_searcher_exhaustively(compiled):
     for n in (4, 5):
         for mask in range(1 << (n * (n - 1) // 2)):
-            want = find_k_chords_at_apex(graph_from_mask(n, mask), 3) is not None
-            assert compiled.apex_has_config(n, mask, 3) == want
-            assert _sweep_py.apex_has_config(n, mask, 3) == want
+            g = graph_from_mask(n, mask)
+            want = find_k_chords_at_apex(g, 3) is not None
+            assert compiled.apex_has_config(g.rows, 3) == want
+            assert _sweep_py.apex_has_config(g.rows, 3) == want
 
 
 def test_apex_kernel_matches_searcher_random_n7(compiled):
@@ -176,7 +177,7 @@ def test_apex_kernel_matches_searcher_random_n7(compiled):
         mask = rng.randrange(1 << 21)
         g = graph_from_mask(7, mask)
         want = find_k_chords_at_apex(g, 3) is not None
-        assert compiled.apex_has_config(7, mask, 3) == want
+        assert compiled.apex_has_config(g.rows, 3) == want
 
 
 @pytest.mark.parametrize(
@@ -192,11 +193,27 @@ def test_chorded_kernel_matches_searcher(impl):
         g = graph_from_mask(n, mask)
         for m in (1, 2, 3, 4):
             want = find_chorded_cycle(g, m) is not None
-            assert impl.chorded_has(n, mask, m) == want, (n, mask, m)
+            assert impl.chorded_has(g.rows, m) == want, (n, mask, m)
 
 
 # n outside 1..11, or not 0 <= lo <= hi <= 2^C(n,2)
 BAD_RANGES = [(0, 0, 1), (12, 0, 1), (5, -3, 2), (5, 3, 2), (5, 0, 1025), (5, 0, 1 << 70)]
+
+
+# rows that are not those of a simple graph on at most 64 vertices
+BAD_ROWS = [
+    [0] * 65,
+    [1 << 1, 0],  # 0 lists 1, 1 does not list 0
+    [1 << 2, 0],  # vertex 2 does not exist
+    [1],  # a loop
+    [-1, 0],
+    [1 << 64],
+    [0b010, 0b101, 0b000],  # 1 lists 2, 2 lists nothing
+]
+# the 64-cycle, and the 64-cycle with three chords at vertex 0
+RING64 = [1 << (v + 1) % 64 | 1 << (v - 1) % 64 for v in range(64)]
+FAN64 = [row | (v in (10, 20, 30)) for v, row in enumerate(RING64)]
+FAN64[0] |= 1 << 10 | 1 << 20 | 1 << 30
 
 
 @pytest.mark.parametrize(
@@ -205,28 +222,56 @@ BAD_RANGES = [(0, 0, 1), (12, 0, 1), (5, -3, 2), (5, 3, 2), (5, 0, 1025), (5, 0,
 )
 def test_kernel_guards(impl):
     # n in 1..11; sweep ranges 0 <= lo <= hi <= 2^C(n,2); a floor that is a
-    # number; masks below 2^C(n,2)
+    # number; the rows of a simple graph on at most 64 vertices; a chord
+    # count that is an int of at least 1
     for n, lo, hi in BAD_RANGES:
         with pytest.raises(ValueError):
             impl.classify(n, lo, hi, 5.0, 5.0, None)
     with pytest.raises(ValueError):  # a NaN floor is no cut
         impl.classify(5, 0, 1024, math.nan, math.nan, None)
+    k5, k6 = complete(5).rows, complete(6).rows
     for detector in (impl.apex_has_config, impl.chorded_has):
-        for n, mask in ((0, 0), (12, 0), (5, -1), (5, 1 << 10), (5, 1 << 20)):
+        for rows in BAD_ROWS:
             with pytest.raises(ValueError):
-                detector(n, mask, 3)
-        # k = 0 is refused before any search, also on K6, which has three
-        # chords at a vertex
-        for n, mask in ((5, 1023), (6, (1 << 15) - 1)):
-            with pytest.raises(ValueError):
-                detector(n, mask, 0)
+                detector(rows, 3)
+        for rows in ([0.0], [0, None]):  # a row that is not an int
+            with pytest.raises(TypeError):
+                detector(rows, 3)
+        # k below 1 is refused before any search, also on K6, which has
+        # three chords at a vertex; so is a k that is not an int
+        for rows in (k5, k6):
+            for k in (0, -1, -(1 << 70)):
+                with pytest.raises(ValueError):
+                    detector(rows, k)
+            with pytest.raises(TypeError):
+                detector(rows, 3.0)
+        # more chords than any graph of the kernel has: no
+        assert not detector(k6, 1 << 70)
+        assert not detector(FAN64, 1 << 70)
+        assert not detector([], 3)
     # the bounds themselves are accepted
     assert impl.classify(5, 1023, 1024, 5.0, 5.0, None) == (1, 0, [1023])
     assert impl.classify(5, 7, 7, 5.0, 5.0, None) == (0, 0, [])
     assert impl.classify(1, 0, 1, 0.0, 0.0, None) == (0, 0, [])
-    assert impl.apex_has_config(6, (1 << 15) - 1, 3)
-    assert impl.chorded_has(5, (1 << 10) - 1, 3)
-    assert not impl.chorded_has(1, 0, 1)
+    assert impl.apex_has_config(k6, 3)
+    assert impl.chorded_has(k5, 3)
+    assert not impl.chorded_has([0], 1)
+    # 64 vertices, the most rows take
+    assert not impl.apex_has_config(RING64, 1)
+    assert not impl.chorded_has(RING64, 1)
+    assert impl.apex_has_config(FAN64, 3) and not impl.apex_has_config(FAN64, 4)
+    assert impl.chorded_has(FAN64, 3) and not impl.chorded_has(FAN64, 4)
+    # a malformed classify test: a tuple of the wrong length or with a name
+    # that is not a str, or a k that is not an int
+    k6_mask = (1 << 15) - 1
+    for test in (("apex_has_config",), ("apex_has_config", 3, 1), (3, 3),
+                 ("apex_has_config", 3.0), ("chorded_has", 3.0)):
+        with pytest.raises(TypeError):
+            impl.classify(6, k6_mask, k6_mask + 1, 5.0, 6.0, test)
+    # a k past every graph's chord count runs and finds no hit
+    for name in ("apex_has_config", "chorded_has"):
+        assert impl.classify(6, k6_mask, k6_mask + 1, 5.0, 6.0, (name, 1 << 70)) \
+            == (1, 0, [k6_mask])
 
 
 # (lo_cut, hi_cut) per order. Equal cuts at an exact index put its graphs on
@@ -329,18 +374,20 @@ def test_classify_guards(impl):
 def test_kernel_benchmark_runs_on_order_5(capsys):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
-    # classify benches on order 5, whose asserts compare the implementations,
-    # one pass of its order-6 tie tail, whose asserts check the verdicts, and
-    # expand its appendix templates at orders 7..8
+    # classify benches on order 5 and its apex detector bench on 200 graphs,
+    # whose asserts compare the implementations, one pass of its order-6 tie
+    # tail, whose asserts check the verdicts, and expand its appendix
+    # templates at orders 7..8
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     bench.bench_sweep(IMPLEMENTATIONS, 5, 0, 1 << 10, 6.0)
     bench.bench_classify(IMPLEMENTATIONS, 5, 0, 1 << 10, 6.0)
+    bench.bench_detector(IMPLEMENTATIONS, trials=200)
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
-        assert out.count(f"  {label} ") == 2, out
+        assert out.count(f"  {label} ") == 3, out
     bench.bench_tie_tail(6, min_seconds=0)
     assert "theorem tie tail n=6: 30 masks" in capsys.readouterr().out
     # the templates it times are verify_appendix's, plus one threshold
@@ -392,16 +439,7 @@ def test_row_kernels_match_the_python_twin(compiled):
 )
 def test_row_kernel_guards(impl):
     # at most 64 vertices; every row a set of other vertices, symmetric
-    bad = [
-        [0] * 65,
-        [1 << 1, 0],  # 0 lists 1, 1 does not list 0
-        [1 << 2, 0],  # vertex 2 does not exist
-        [1],  # a loop
-        [-1, 0],
-        [1 << 64],
-        [0b010, 0b101, 0b000],  # 1 lists 2, 2 lists nothing
-    ]
-    for rows in bad:
+    for rows in BAD_ROWS:
         for search in (impl.longest_cycle, impl.max_path_order):
             with pytest.raises(ValueError):
                 search(rows)
@@ -409,9 +447,8 @@ def test_row_kernel_guards(impl):
         impl.max_path_order([])
     assert impl.longest_cycle([]) is None
     # the bound itself is accepted: the 64-cycle, and a tuple of rows
-    ring = [1 << (v + 1) % 64 | 1 << (v - 1) % 64 for v in range(64)]
-    assert impl.longest_cycle(ring) == (64, tuple(range(64)))
-    assert impl.max_path_order(tuple(ring)) == 64
+    assert impl.longest_cycle(RING64) == (64, tuple(range(64)))
+    assert impl.max_path_order(tuple(RING64)) == 64
 
 
 @pytest.mark.parametrize(
