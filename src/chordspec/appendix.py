@@ -33,7 +33,7 @@ from .families import (
     k1_join_k2_k4s,
     k1_join_k4s,
     k1_join_star_plus_k4s,
-    u_order,
+    u_graph,
 )
 from .polynomials import IntPolynomial
 
@@ -246,7 +246,7 @@ def _packs(first: int, n: int) -> list[list[int]]:
 
 def _seed(item: int, seed: int, *groups: list[int]) -> Fixture:
     """G_seed: the seed's groups with the pack block just before w's, the last."""
-    order = u_order(seed)
+    order = u_graph(seed).graph.n
     return Fixture(
         item, lambda n, s: g_graph(seed, n),
         lambda n, s: [list(b) for b in (*groups[:-1], *_packs(order, n), groups[-1])],

@@ -51,7 +51,7 @@ def find_k_chords_at_apex(g: Graph, k: int) -> Certificate | None:
     n = g.n
     if n < k + 3:
         return None
-    adj = [g.adj_bits(v) for v in range(n)]
+    adj = g.rows
     for u in range(n):
         nu = adj[u]
         if nu.bit_count() < k + 2:
@@ -102,7 +102,7 @@ def find_chorded_cycle(g: Graph, min_chords: int) -> Certificate | None:
     if min_chords < 1:
         raise GraphError(f"need min_chords >= 1, got {min_chords}")
     n = g.n
-    adj = [g.adj_bits(v) for v in range(n)]
+    adj = g.rows
 
     def chords_of(path: list[int]) -> tuple[tuple[int, int], ...] | None:
         m = len(path)
@@ -198,7 +198,7 @@ def longest_cycle(g: Graph) -> tuple[int, tuple[int, ...]] | None:
     rows of graphs with at most 64 vertices; the search is exponential in
     the worst case, and the property suite draws orders up to 12.
     """
-    adj = [g.adj_bits(v) for v in range(g.n)]
+    adj = g.rows
     best: tuple[int, tuple[int, ...]] | None = None
     for mask in g.component_masks():
         if mask.bit_count() < 3:
@@ -238,7 +238,7 @@ def max_path_order(g: Graph) -> int:
     """
     if g.n == 0:
         raise GraphError("empty graph has no paths")
-    adj = [g.adj_bits(v) for v in range(g.n)]
+    adj = g.rows
     best = 1
 
     def dfs(v: int, left: int, length: int) -> None:

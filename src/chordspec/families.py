@@ -1,16 +1,22 @@
 """Named graph families: classics, the threshold extremal graphs, and the
 catalog of hub-plus-clique-pack competitors used by the verifier.
 
-Vertex conventions for the catalog families (U1..U12, G1..G13):
-vertex 0 is the designated hub z, vertex 1 is the outside vertex w, the seed
-body follows, and any K4 packs are appended last, each joined fully to z.
-The seed edge lists are fixture data transcribed once here; the test suite
-pins their orders, sizes and degree sequences.
+Every catalog family but G13 is a small base graph plus (n - |base|)/4 K4
+packs, each joined fully to vertex 0, and exists exactly at the orders
+n >= its minimum with n == |base| (mod 4); ``_with_k4_packs`` applies that
+one rule for all of them. For U1..U12 and G1..G12, vertex 0 is the
+designated hub z, vertex 1 is the outside vertex w, the seed body follows,
+and the packs come last. The seed edge lists are fixture data transcribed
+once here; the test suite pins their orders, sizes and degree sequences.
+
+``_REGISTRY`` has one row per family name, U_i and G_i included: its builder
+and the parameters it takes. ``build_family`` and ``family_names`` read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import combinations
 
 from .graphs import Graph, GraphError, disjoint_union, join, make_graph
@@ -49,6 +55,7 @@ def star(s: int) -> Graph:
     return make_graph(s + 1, ((0, i) for i in range(1, s + 1)))
 
 
+@cache  # the base of K1JoinStarPlusK4s, asked for at every order tried
 def star_plus(s: int) -> Graph:
     """K+_{1,s}: the star plus one edge between leaves 1 and 2."""
     _need(s >= 2, f"StarPlus needs s >= 2, got {s}")
@@ -163,104 +170,75 @@ _U_SEEDS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {
 }
 
 
+@cache  # the appendix asks for each base at every order it tries
 def u_graph(i: int, s: int | None = None) -> BuiltFamily:
-    """Seed graph U_i; U12 takes the fan width s and has order s + 3... + w."""
+    """Seed graph U_i; U12 takes the fan width s and has order s + 3."""
     if i == 12:
         _need(s is not None and s >= 3, f"U12 needs s >= 3, got {s}")
-        return BuiltFamily(_u12(s))
+        # star center 2 with leaves 3..s+2; z adjacent to center and leaves;
+        # w adjacent to every leaf
+        leaves = range(3, s + 3)
+        edges = [(0, 2)] + [(u, v) for v in leaves for u in (0, 1, 2)]
+        return BuiltFamily(make_graph(s + 3, edges))
     _need(i in _U_SEEDS, f"unknown seed index {i}")
     _need(s is None, f"U{i} takes no s parameter")
     n, edges = _U_SEEDS[i]
     return BuiltFamily(make_graph(n, edges))
 
 
-def _u12(s: int) -> Graph:
-    # star center 2 with leaves 3..s+2; z adjacent to center and leaves;
-    # w adjacent to every leaf
-    leaves = range(3, s + 3)
-    edges = [(2, v) for v in leaves]
-    edges += [(0, 2)] + [(0, v) for v in leaves]
-    edges += [(1, v) for v in leaves]
-    return make_graph(s + 3, edges)
-
-
-def u_order(i: int, s: int | None = None) -> int:
-    if i == 12:
-        _need(s is not None and s >= 3, f"U12 needs s >= 3, got {s}")
-        return s + 3
-    _need(i in _U_SEEDS, f"unknown seed index {i}")
-    return _U_SEEDS[i][0]
-
-
-def _with_k4_packs(g: Graph, z: int, packs: int) -> Graph:
-    for _ in range(packs):
-        base = g.n
-        g = disjoint_union(g, complete(4))
-        g = g.add_edges((z, base + t) for t in range(4))
-    return g
+def _with_k4_packs(name: str, base: Graph, n: int, min_n: int) -> BuiltFamily:
+    """base plus (n - |base|)/4 K4 packs joined to vertex 0, refusing every n
+    below min_n (which is at least |base|) or not == |base| (mod 4)."""
+    _need(n >= min_n and (n - base.n) % 4 == 0,
+          f"{name} needs n >= {min_n} and n == {base.n % 4} (mod 4), got {n}")
+    g = base
+    for first in range(base.n, n, 4):
+        g = disjoint_union(g, complete(4)).add_edges((0, first + t) for t in range(4))
+    return BuiltFamily(g)
 
 
 def g_graph(i: int, n: int, s: int | None = None) -> BuiltFamily:
-    """Catalog graph G_i on n vertices: U_i with (n - |U_i|)/4 K4 packs on z.
+    """Catalog graph G_i on n vertices: U_i with (n - |U_i|)/4 K4 packs on z,
+    at n >= 7 (n >= s + 7 for G12).
 
     G13 is K_{3,n-3} plus one edge inside the 3-class (no packs; apex is a
     vertex of the 3-class covering everything but one other class vertex).
     """
     if i == 13:
+        _need(s is None, "G13 takes no s parameter")
         _need(n >= 7, f"G13 needs n >= 7, got {n}")
-        g = complete_multipartite(3, n - 3).add_edges([(0, 1)])
-        return BuiltFamily(g)
-    if i == 12:
-        _need(s is not None and s >= 3, f"G12 needs s >= 3, got {s}")
-        _need(n >= s + 7, f"G12 needs n >= s + 7, got n={n}, s={s}")
-        base = u_order(12, s)
-        _need((n - base) % 4 == 0, f"G12 needs n == s + 3 (mod 4), got n={n}, s={s}")
-        built = u_graph(12, s)
-        return BuiltFamily(_with_k4_packs(built.graph, 0, (n - base) // 4))
-    _need(s is None, f"G{i} takes no s parameter")
-    base = u_order(i)
-    _need(n >= 7 and n >= base, f"G{i} needs n >= max(7, {base}), got {n}")
-    _need((n - base) % 4 == 0, f"G{i} needs n == {base % 4} (mod 4), got {n}")
-    built = u_graph(i)
-    return BuiltFamily(_with_k4_packs(built.graph, 0, (n - base) // 4))
+        return BuiltFamily(complete_multipartite(3, n - 3).add_edges([(0, 1)]))
+    base = u_graph(i, s).graph
+    return _with_k4_packs(f"G{i}", base, n, base.n + 4 if i == 12 else max(7, base.n))
 
 
 # -- hub joined to K4 packs plus a small remainder ------------------------------
 
 
 def k1_join_k4s(n: int) -> BuiltFamily:
-    """K1 v ((n-1)/4) K4; requires n == 1 (mod 4)."""
-    _need(n >= 5 and n % 4 == 1, f"K1JoinK4s needs n == 1 (mod 4), n >= 5, got {n}")
-    g = _with_k4_packs(make_graph(1), 0, (n - 1) // 4)
-    return BuiltFamily(g)
+    """K1 v ((n-1)/4) K4; requires n == 1 (mod 4), n >= 5."""
+    return _with_k4_packs("K1JoinK4s", make_graph(1), n, 5)
 
 
 def k1_join_k1_k4s(n: int) -> BuiltFamily:
-    """K1 v (K1 u ((n-2)/4) K4); requires n == 2 (mod 4)."""
-    _need(n >= 6 and n % 4 == 2, f"K1JoinK1K4s needs n == 2 (mod 4), n >= 6, got {n}")
-    g = join(make_graph(1), make_graph(1))
-    return BuiltFamily(_with_k4_packs(g, 0, (n - 2) // 4))
+    """K1 v (K1 u ((n-2)/4) K4); requires n == 2 (mod 4), n >= 6."""
+    return _with_k4_packs("K1JoinK1K4s", complete(2), n, 6)
 
 
 def k1_join_k2_k4s(n: int) -> BuiltFamily:
-    """K1 v (K2 u ((n-3)/4) K4); requires n == 3 (mod 4)."""
-    _need(n >= 7 and n % 4 == 3, f"K1JoinK2K4s needs n == 3 (mod 4), n >= 7, got {n}")
-    g = join(make_graph(1), make_graph(2, [(0, 1)]))
-    return BuiltFamily(_with_k4_packs(g, 0, (n - 3) // 4))
+    """K1 v (K2 u ((n-3)/4) K4); requires n == 3 (mod 4), n >= 7."""
+    return _with_k4_packs("K1JoinK2K4s", complete(3), n, 7)
 
 
 def k1_join_star_plus_k4s(n: int, s: int) -> BuiltFamily:
-    """K1 v (K+_{1,s} u ((n-s-2)/4) K4); requires 2 <= s <= n - 6.
+    """K1 v (K+_{1,s} u ((n-s-2)/4) K4); requires s >= 2, n >= s + 6 and
+    n == s + 2 (mod 4).
 
     Layout: apex 0; star center 1; leaves 2..s+1 with extra edge 2-3;
     K4 packs appended.
     """
-    _need(s >= 2, f"K1JoinStarPlusK4s needs s >= 2, got {s}")
-    _need(n >= s + 6, f"K1JoinStarPlusK4s needs n >= s + 6, got n={n}, s={s}")
-    _need((n - s - 2) % 4 == 0,
-          f"K1JoinStarPlusK4s needs n == s + 2 (mod 4), got n={n}, s={s}")
-    g = join(make_graph(1), star_plus(s))
-    return BuiltFamily(_with_k4_packs(g, 0, (n - s - 2) // 4))
+    return _with_k4_packs("K1JoinStarPlusK4s", join(make_graph(1), star_plus(s)),
+                          n, s + 6)
 
 
 def _need(cond: bool, msg: str) -> None:
@@ -270,78 +248,75 @@ def _need(cond: bool, msg: str) -> None:
 
 # -- string registry for the CLI -------------------------------------------------
 
+# name -> (builder, parameter names), in the order `family --list` prints.
 _REGISTRY = {
-    "Complete": (complete, ("n",)),
-    "Path": (path, ("n",)),
-    "Cycle": (cycle, ("n",)),
-    "Star": (star, ("s",)),
-    "StarPlus": (star_plus, ("s",)),
-    "DoubleStar": (double_star, ("n1", "n2")),
     "C4Plus": (c4_plus, ()),
-    "K11n2Plus": (k11n2_plus, ("n",)),
-    "K1JoinK4UnionK1": (k1_join_k4_union_k1, ()),
+    "Complete": (complete, ("n",)),
+    "CompleteMultipartite": (complete_multipartite, ("parts",)),
+    "Cycle": (cycle, ("n",)),
+    "DoubleStar": (double_star, ("n1", "n2")),
     "Extremal": (extremal_graph, ("n",)),
-    "K1JoinK4s": (k1_join_k4s, ("n",)),
+    "K11n2Plus": (k11n2_plus, ("n",)),
     "K1JoinK1K4s": (k1_join_k1_k4s, ("n",)),
     "K1JoinK2K4s": (k1_join_k2_k4s, ("n",)),
+    "K1JoinK4UnionK1": (k1_join_k4_union_k1, ()),
+    "K1JoinK4s": (k1_join_k4s, ("n",)),
     "K1JoinStarPlusK4s": (k1_join_star_plus_k4s, ("n", "s")),
+    "Path": (path, ("n",)),
+    "Star": (star, ("s",)),
+    "StarPlus": (star_plus, ("s",)),
 }
+_REGISTRY |= {f"U{i}": (partial(u_graph, i), ("s",) if i == 12 else ())
+              for i in range(1, 13)}
+_REGISTRY |= {f"G{i}": (partial(g_graph, i), ("n", "s") if i == 12 else ("n",))
+              for i in range(1, 14)}
+
+_LIST_PARAM = "parts"  # the one parameter that takes a comma-separated list
 
 
 def family_names() -> list[str]:
-    names = sorted(_REGISTRY)
-    names.append("CompleteMultipartite (parts=a,b,...)")
-    names.sort()
-    names += [f"U{i}" for i in range(1, 12)] + ["U12 (s=...)"]
-    names += [f"G{i} (n=...)" for i in range(1, 12)]
-    names += ["G12 (n=...,s=...)", "G13 (n=...)"]
+    """Every registered family, with the parameters its spec takes."""
+    names = []
+    for name, (_, argnames) in _REGISTRY.items():
+        shown = ",".join("parts=a,b,..." if a == _LIST_PARAM else f"{a}=..."
+                         for a in argnames)
+        names.append(f"{name} ({shown})" if shown else name)
     return names
 
 
 def build_family(spec: str) -> BuiltFamily:
-    """Build from a CLI spec string like ``G12:n=10,s=3`` or ``Cycle:n=9``."""
+    """Build from a CLI spec string like ``G12:n=10,s=3``, ``Cycle:n=9`` or
+    ``CompleteMultipartite:parts=2,2,2``. The family must take exactly the
+    parameters given, each once."""
     name, _, paramstr = spec.partition(":")
     name = name.strip()
-
-    if name == "CompleteMultipartite":
-        # class sizes separated by commas: CompleteMultipartite:parts=2,2,2
-        key, _, raw = paramstr.partition("=")
-        if key.strip() != "parts" or not raw.strip():
-            raise FamilyError("CompleteMultipartite needs parts=a,b,...")
-        try:
-            sizes = [int(p) for p in raw.split(",")]
-        except ValueError as exc:
-            raise FamilyError(f"non-integer class size in {spec!r}") from exc
-        return BuiltFamily(complete_multipartite(*sizes))
-
-    params: dict[str, int] = {}
-    if paramstr.strip():
-        for item in paramstr.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise FamilyError(f"bad family parameter {item!r} in {spec!r}")
-            try:
-                params[key.strip()] = int(val)
-            except ValueError as exc:
-                raise FamilyError(f"non-integer parameter in {spec!r}") from exc
-
-    if name.startswith("U") and name[1:].isdigit():
-        i = int(name[1:])
-        return u_graph(i, params.get("s"))
-    if name.startswith("G") and name[1:].isdigit():
-        i = int(name[1:])
-        if "n" not in params:
-            raise FamilyError(f"{name} needs n=...")
-        return g_graph(i, params["n"], params.get("s"))
-
     if name not in _REGISTRY:
         raise FamilyError(f"unknown family {name!r}")
     fn, argnames = _REGISTRY[name]
+
+    params: dict[str, list[int]] = {}
+    key = None
+    for item in paramstr.split(",") if paramstr.strip() else ():
+        if "=" in item:
+            key, _, val = item.partition("=")
+            key = key.strip()
+            if key in params:
+                raise FamilyError(f"parameter {key!r} given twice in {spec!r}")
+            params[key] = []
+        elif key == _LIST_PARAM:
+            val = item
+        else:
+            raise FamilyError(f"bad family parameter {item!r} in {spec!r}")
+        try:
+            params[key].append(int(val))
+        except ValueError as exc:
+            raise FamilyError(f"non-integer parameter in {spec!r}") from exc
+
     missing = [a for a in argnames if a not in params]
     extra = [a for a in params if a not in argnames]
     if missing or extra:
         raise FamilyError(
             f"{name} takes parameters {argnames}; missing {missing}, extra {extra}"
         )
-    out = fn(*(params[a] for a in argnames))
+    out = fn(*(v for a in argnames for v in params[a]))
     return out if isinstance(out, BuiltFamily) else BuiltFamily(out)

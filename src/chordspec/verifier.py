@@ -54,6 +54,7 @@ from .graphs import (
     automorphism_count,
     bits_to_vertices,
     disjoint_union,
+    edge_counts,
     graph6_decode,
     graph6_encode,
     graph_from_mask,
@@ -559,21 +560,12 @@ DEFAULT_CLAIM_CAPS = {
 _P_STRATA = (0.2, 0.4, 0.6, 0.8)
 
 
-def _random_mask(rng: random.Random, n: int, p: float) -> int:
-    """Edge mask of order n with each edge present with probability p."""
-    mask = 0
-    for b in range(n * (n - 1) // 2):
-        if rng.random() < p:
-            mask |= 1 << b
-    return mask
-
-
 def _sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     """A graph of order n_lo..n_hi whose edges are present with a probability
-    drawn from _P_STRATA: the same draws as ``_random_mask``, one per edge
-    slot in ``index_pairs`` order. The adjacency rows are built as the slots
-    are drawn, not from a mask afterwards: the property suite draws thousands
-    of graphs, and ``graph_from_mask(n, _random_mask(...))`` takes about
+    drawn from _P_STRATA: one ``rng.random()`` per edge slot, in
+    ``index_pairs`` order. The adjacency rows are built as the slots are
+    drawn, not from an edge mask afterwards: the property suite draws
+    thousands of graphs, and going through ``graph_from_mask`` takes about
     twice as long a draw."""
     n = rng.randint(n_lo, n_hi)
     p = rng.choice(_P_STRATA)
@@ -991,9 +983,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     def check_longest_cycle(samples):
         bad = []
         for g, (c, cyc) in samples:
-            on = vertices_to_bits(g.n, cyc)
-            inside = sum((g.adj_bits(v) & on).bit_count() for v in cyc) // 2
-            if 2 * (g.edge_count - inside) > c * (g.n - c):
+            if 2 * (g.edge_count - edge_counts(g, cyc, cyc)) > c * (g.n - c):
                 bad.append(g)
         return bad
 
@@ -1051,27 +1041,29 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     )
 
     # Structural claims on configuration-free samples.
-    rng = random.Random(seed * 37 + 707)
-    claim_viol = 0
-    catalog_viol = 0
-    accepted = 0
-    attempts = 0
-    while accepted < trials and attempts < trials * 40:
-        attempts += 1
-        n = rng.randint(4, 10)
-        g = graph_from_mask(n, _random_mask(rng, n, rng.choice(_P_STRATA)))
-        if kernels.apex_has_config(g.rows, 3):
-            continue
-        accepted += 1
-        examined += 1
-        cap_here, catalog_here = _structural_violations(g, caps)
-        claim_viol += cap_here
-        catalog_viol += catalog_here
-        if cap_here or catalog_here:
-            counterexamples.append(graph6_encode(g))
+    def draw_free(rng):
+        g = _sample(rng, 4, 10)
+        return None if kernels.apex_has_config(g.rows, 3) else g
+
+    claim_viol = catalog_viol = 0
+
+    def check_structure(samples):
+        nonlocal claim_viol, catalog_viol
+        bad = []
+        for g in samples:
+            cap_here, catalog_here = _structural_violations(g, caps)
+            claim_viol += cap_here
+            catalog_viol += catalog_here
+            if cap_here or catalog_here:
+                bad.append(g)
+        return bad
+
+    used, bad = _trials(random.Random(seed * 37 + 707), trials, draw_free, check_structure)
+    examined += used
+    counterexamples.extend(graph6_encode(g) for g in bad)
     details.append(
         {"name": "structural_claims", "passed": claim_viol == 0 and catalog_viol == 0,
-         "trials": accepted, "cap_violations": claim_viol,
+         "trials": used, "cap_violations": claim_viol,
          "catalog_violations": catalog_viol}
     )
     details.append(_battery_details(caps))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chordspec import verifier
 from chordspec.cli import main
 from chordspec.families import build_family
@@ -82,6 +84,24 @@ def test_bad_family_exits_2(capsys):
     code, _, err = run(capsys, "family", "Bogus:n=3")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("spec, named", [
+    ("U3:n=99", "'n'"), ("G13:n=9,s=5", "'s'"), ("G5:n=13,x=1", "'x'"),
+    ("Cycle:n=9,n=10", "'n' given twice"),
+])
+def test_family_parameter_it_does_not_take_exits_2(capsys, spec, named):
+    code, out, err = run(capsys, "family", spec)
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_family_list_shows_parameters(capsys):
+    code, out, _ = run(capsys, "family", "--list")
+    assert code == 0
+    lines = out.splitlines()
+    assert "Complete (n=...)" in lines and "K1JoinStarPlusK4s (n=...,s=...)" in lines
+    assert lines.index("StarPlus (s=...)") + 1 == lines.index("U1")
 
 
 def test_malformed_graph6_reports_line(capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 
 from chordspec.families import (
@@ -22,9 +25,9 @@ from chordspec.families import (
     star,
     star_plus,
     u_graph,
-    u_order,
 )
-from chordspec.graphs import is_isomorphic, join, make_graph
+from chordspec import families
+from chordspec.graphs import graph6_encode, is_isomorphic, join, make_graph
 
 # hand-derived (order, size, sorted degree sequence) for the seed graphs
 SEED_TABLE = {
@@ -45,7 +48,7 @@ SEED_TABLE = {
 def test_seed_fixture_table():
     for i, (n, e, degs) in SEED_TABLE.items():
         g = u_graph(i).graph
-        assert g.n == n == u_order(i)
+        assert g.n == n
         assert g.edge_count == e
         assert tuple(sorted(g.degrees(), reverse=True)) == degs
         # hub and outside vertex are never adjacent in a seed
@@ -97,7 +100,7 @@ def test_extremal_graphs():
 
 @pytest.mark.parametrize("i", range(1, 12))
 def test_g_graphs_grow_by_quads(i):
-    base = u_order(i)
+    base = u_graph(i).graph.n
     for packs in (0, 1, 2):
         n = base + 4 * packs
         if n < 7:
@@ -123,6 +126,8 @@ def test_g_graph_parameter_validation():
         g_graph(12, 9, s=3)  # needs n >= s + 7
     with pytest.raises(FamilyError):
         g_graph(12, 11, s=3)  # 11 - 6 not a multiple of 4
+    with pytest.raises(FamilyError):
+        g_graph(13, 9, s=5)  # G13 has no fan width
 
 
 def test_g12_matches_quotient_row_sums():
@@ -175,6 +180,72 @@ def test_build_family_strings():
     with pytest.raises(FamilyError):
         build_family("Cycle:n=x")
     assert any(name.startswith("G12") for name in family_names())
+
+
+@pytest.mark.parametrize("spec, word", [
+    ("U3:n=99", "extra ['n']"),
+    ("G13:n=9,s=5", "extra ['s']"),
+    ("G5:n=13,x=1", "extra ['x']"),
+    ("U12:s=4,n=7", "extra ['n']"),
+    ("Cycle:n=9,n=10", "given twice"),
+    ("CompleteMultipartite:parts=2,parts=3", "given twice"),
+    ("Cycle:n=9,5", "bad family parameter"),
+])
+def test_build_family_refuses_parameters_the_family_does_not_take(spec, word):
+    with pytest.raises(FamilyError, match=re.escape(word)):
+        build_family(spec)
+
+
+def test_family_names_list_every_registered_spec_with_its_parameters():
+    names = family_names()
+    assert names[:3] == ["C4Plus", "Complete (n=...)", "CompleteMultipartite (parts=a,b,...)"]
+    assert names[15:17] == ["U1", "U2"]
+    assert names[26:29] == ["U12 (s=...)", "G1 (n=...)", "G2 (n=...)"]
+    assert names[-2:] == ["G12 (n=...,s=...)", "G13 (n=...)"]
+    assert len(names) == 15 + 12 + 13
+
+
+def _catalog_cases():
+    """(builder, args) for every builder at n <= 30 and s <= 27."""
+    for n in range(31):
+        for name in ("complete", "path", "cycle", "k11n2_plus", "extremal_graph",
+                     "k1_join_k4s", "k1_join_k1_k4s", "k1_join_k2_k4s"):
+            yield name, (n,)
+        for i in (*range(1, 12), 13):
+            yield "g_graph", (i, n)
+        for s in range(28):
+            yield "g_graph", (12, n, s)
+            yield "k1_join_star_plus_k4s", (n, s)
+            yield "double_star", (n, s)
+    for s in range(28):
+        yield "star", (s,)
+        yield "star_plus", (s,)
+        yield "u_graph", (12, s)
+    for i in range(1, 12):
+        yield "u_graph", (i,)
+    yield "c4_plus", ()
+    yield "k1_join_k4_union_k1", ()
+
+
+CATALOG_DIGEST = "0cdedcb6f65d0435c69b22e38dba856dbcff4c85c0d11f641e270961399c43c4"
+
+
+def test_every_catalog_graph_is_pinned():
+    # a digest over (builder, args, graph6 or "refused"): every builder
+    # returns the same graph, vertex labels included, and refuses the same
+    # parameters
+    trace = hashlib.sha256()
+    count = 0
+    for name, args in _catalog_cases():
+        try:
+            out = getattr(families, name)(*args)
+            val = graph6_encode(getattr(out, "graph", out))
+        except FamilyError:
+            val = "refused"
+        trace.update(f"{name}{args}={val}\n".encode())
+        count += 1
+    assert count == 3321
+    assert trace.hexdigest() == CATALOG_DIGEST
 
 
 def test_built_family_type():
