@@ -10,7 +10,8 @@ Usage: python benchmarks/bench_kernels.py [--full]
 
 --full adds a complete order-7 sweep for both implementations (the fallback
 takes a couple of minutes there; the default compares on order 6 plus an
-order-7 slice).
+order-7 slice). The theorem's classify pass is also timed on an order-8
+slice of 2^22 masks, with the compiled kernel only.
 """
 
 from __future__ import annotations
@@ -302,6 +303,11 @@ def main() -> None:
     if args.full:
         bench_sweep(impls, 7, 0, 1 << 21, floor7)
     bench_classify(impls, 7, 0, 1 << 18, thr7)
+    # an order-8 slice of 2^22 masks, compiled only: the python kernel would
+    # take about 25 s there
+    compiled = [(label, impl) for label, impl in impls if label == "compiled"]
+    if compiled:
+        bench_classify(compiled, 8, 40 << 22, 41 << 22, q_index(k11n2_plus(8).graph).q)
     bench_detector(impls)
     bench_row_searches(impls)
     bench_spot_check()

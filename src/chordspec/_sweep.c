@@ -15,8 +15,10 @@
  *
  * Only classify takes edge bitmasks, to name its range: bit b is the pair
  * (i, j), i < j, in the order (0,1), (0,2), ... (graphs.index_pairs) of the
- * slot table slot_i/slot_j. Every per-graph call takes adjacency rows
- * (vertex bitmasks), for graphs of up to MAXROWS vertices.
+ * slot table slot_i/slot_j. The sweep holds each graph as adjacency rows
+ * (vertex bitmasks) only, flipping through that table the slots in which a
+ * mask differs from the one before. Every per-graph call takes adjacency
+ * rows too, for graphs of up to MAXROWS vertices.
  *
  * kernels.py compiles this file on first import.
  */
@@ -41,39 +43,30 @@ static int lowest_bit(uint64_t x) { return __builtin_ctzll(x); }
  * are those of order n. Filled once, in PyInit__sweep. */
 static int slot_i[MAXB], slot_j[MAXB];
 
-static void mask_adj(int n, uint64_t mask, uint64_t *adj)
-{
-    for (int i = 0; i < n; i++)
-        adj[i] = 0;
-    for (; mask; mask &= mask - 1) {
-        int b = lowest_bit(mask);
-        adj[slot_i[b]] |= (uint64_t)1 << slot_j[b];
-        adj[slot_j[b]] |= (uint64_t)1 << slot_i[b];
-    }
-}
-
 /* -1 if the index is certainly below lo_cut, +1 if it is certainly above
  * hi_cut (lo_cut <= hi_cut), 0 if undecided after the cap. Iterates
  * x <- (Q + I) x / |(Q + I) x| from the all-ones vector and stops once the
  * Collatz-Wielandt upper bound or the Rayleigh lower bound clears its cut by
  * CUT_MARGIN. */
-static int q_side(int n, const uint64_t *adj, double lo_cut, double hi_cut)
+static int q_side(int n, const uint64_t *adj, const int *degs, double lo_cut,
+                  double hi_cut)
 {
     double x[MAXN], y[MAXN], diag[MAXN];
     for (int i = 0; i < n; i++) {
         x[i] = 1.0;
-        diag[i] = popcount(adj[i]) + 1.0; /* Q + I */
+        diag[i] = degs[i] + 1.0; /* Q + I */
     }
     for (int it = 0; it < CW_ITERATIONS; it++) {
         double ub = 0.0, ray = 0.0, xx = 0.0, norm2 = 0.0;
         for (int i = 0; i < n; i++) {
-            /* the row of Q + I in ascending column order; zero entries
-             * would add exactly +0.0 and are skipped */
+            /* the nonzero entries of row i of Q + I, in ascending column
+             * order; a zero entry would add exactly +0.0 */
             y[i] = 0.0;
-            for (int j = 0; j < n; j++) {
+            for (uint64_t row = adj[i] | (uint64_t)1 << i; row; row &= row - 1) {
+                int j = lowest_bit(row);
                 if (j == i)
                     y[i] += diag[i] * x[j];
-                else if (adj[i] >> j & 1)
+                else
                     y[i] += x[j];
             }
             double ratio = y[i] / x[i];
@@ -479,30 +472,34 @@ static PyObject *max_path_order(PyObject *self, PyObject *const *args,
  * skipped and the others counted in *no_isolated; a mask whose degree
  * bounds or power iterate put its index below lo_cut is dropped, one above
  * hi_cut whose graph passes test (never, when test is NULL) is counted in
- * *hits, and every other mask is listed in the result, ascending. */
+ * *hits, and every other mask is listed in the result, ascending. Every
+ * stage reads adj, the rows of the current mask: the first mask flips all
+ * of lo's bits, each later one the trailing bits that changed (two on
+ * average). */
 static PyObject *sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi_cut,
                        detector test, long k, long long *no_isolated, long long *hits)
 {
-    uint64_t inc[MAXN] = {0}, adj[MAXN]; /* inc[i]: the slots at vertex i */
+    uint64_t adj[MAXN] = {0}, held = 0; /* adj: the rows of mask held */
     int degs[MAXN];
-    for (int b = 0; b < n * (n - 1) / 2; b++) {
-        inc[slot_i[b]] |= (uint64_t)1 << b;
-        inc[slot_j[b]] |= (uint64_t)1 << b;
-    }
 
     *no_isolated = *hits = 0;
     PyObject *rest = PyList_New(0);
     if (rest == NULL)
         return NULL;
     for (uint64_t mask = lo; mask < hi; mask++) {
+        for (uint64_t flip = mask ^ held; flip; flip &= flip - 1) {
+            int b = lowest_bit(flip);
+            adj[slot_i[b]] ^= (uint64_t)1 << slot_j[b];
+            adj[slot_j[b]] ^= (uint64_t)1 << slot_i[b];
+        }
+        held = mask;
         int dmin = n, dmax = 0;
         for (int i = 0; i < n; i++) {
-            int deg = popcount(mask & inc[i]);
-            degs[i] = deg;
-            if (deg < dmin)
-                dmin = deg;
-            if (deg > dmax)
-                dmax = deg;
+            degs[i] = popcount(adj[i]);
+            if (degs[i] < dmin)
+                dmin = degs[i];
+            if (degs[i] > dmax)
+                dmax = degs[i];
         }
         if (dmin == 0)
             continue;
@@ -510,16 +507,15 @@ static PyObject *sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi
         if (2.0 * dmax < lo_cut) /* q <= 2 max degree */
             continue;
         int esum = 0; /* q <= max over edges ij of d(i) + d(j) */
-        for (uint64_t left = mask; left; left &= left - 1) {
-            int e = lowest_bit(left);
-            int d = degs[slot_i[e]] + degs[slot_j[e]];
-            if (d > esum)
-                esum = d;
-        }
+        for (int i = 0; i < n; i++) /* each edge once, from its lower end */
+            for (uint64_t up = adj[i] & ~(((uint64_t)2 << i) - 1); up; up &= up - 1) {
+                int d = degs[i] + degs[lowest_bit(up)];
+                if (d > esum)
+                    esum = d;
+            }
         if (esum < lo_cut)
             continue;
-        mask_adj(n, mask, adj);
-        int side = q_side(n, adj, lo_cut, hi_cut);
+        int side = q_side(n, adj, degs, lo_cut, hi_cut);
         if (side < 0)
             continue;
         if (side > 0 && test != NULL && test(n, adj, k)) {

@@ -21,7 +21,10 @@ EXIT_USAGE = 2
 
 
 def _read_graphs(path: str | None) -> list[Graph]:
-    stream = sys.stdin if path in (None, "-") else open(path)
+    # a file decodes as stdin does, so a byte that is not text reaches the
+    # graph6 parser and is reported with its line
+    stream = (sys.stdin if path in (None, "-")
+              else open(path, encoding="utf-8", errors="surrogateescape"))
     graphs = []
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -89,7 +92,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report_diff(args) -> int:
-    with open(args.a) as fa, open(args.b) as fb:
+    with open(args.a, "rb") as fa, open(args.b, "rb") as fb:
         ra = verifier.Report.from_json(fa.read())
         rb = verifier.Report.from_json(fb.read())
     diffs = verifier.report_diff(ra, rb)

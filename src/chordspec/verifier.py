@@ -127,18 +127,42 @@ class Report:
         return "\n".join(lines)
 
     @staticmethod
-    def from_json(text: str) -> "Report":
-        """The report a to_json text holds; VerifierError when the text is
-        not JSON or not a report."""
+    def from_json(text: str | bytes) -> "Report":
+        """The report a to_json text (or its UTF-8 bytes) holds;
+        VerifierError when the text is not JSON or not a report, or a field
+        has the wrong JSON type."""
         try:
             raw = json.loads(text)
-            return Report(**{f.name: raw[f.name] for f in fields(Report)})
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
             raise VerifierError(f"report is not JSON: {exc}") from exc
-        except KeyError as exc:
-            raise VerifierError(f"report has no {exc} field") from exc
-        except TypeError as exc:
-            raise VerifierError("report is not a JSON object") from exc
+        if not isinstance(raw, dict):
+            raise VerifierError("report is not a JSON object")
+        for f in fields(Report):
+            if f.name not in raw:
+                raise VerifierError(f"report has no {f.name!r} field")
+            kind, item = _REPORT_FIELD_TYPES[f.name]
+            value = raw[f.name]
+            if not _of_json_type(value, kind) or (
+                    item and not all(_of_json_type(v, item) for v in value)):
+                raise VerifierError(f"report field {f.name!r} has the wrong JSON type")
+        return Report(**{f.name: raw[f.name] for f in fields(Report)})
+
+
+# the JSON type of each report field, and of the items of a list field
+_REPORT_FIELD_TYPES = {
+    "task": (str, None),
+    "params": (dict, None),
+    "graphs_examined": (int, None),
+    "counterexamples": (list, str),
+    "extremal_hits": (int, None),
+    "details": (list, dict),
+    "wall_time_ms": ((int, float), None),
+}
+
+
+def _of_json_type(value, kind) -> bool:
+    # JSON's true and false are no numbers, though Python's bool is an int
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def report_diff(a: Report, b: Report) -> list[str]:

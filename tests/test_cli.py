@@ -104,10 +104,17 @@ def test_family_list_shows_parameters(capsys):
     assert lines.index("StarPlus (s=...)") + 1 == lines.index("U1")
 
 
-def test_malformed_graph6_reports_line(capsys, monkeypatch):
+def test_malformed_graph6_reports_line(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "q", stdin="Bw\n???bad\n", monkeypatch=monkeypatch)
     assert code == 2
     assert "line 2" in err
+    # a byte that is not text, in a file as on stdin
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"Bw\n\xff\n")
+    for command in ("q", "detect"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert "chordspec: error: line 2: graph6 byte" in err, command
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -222,12 +229,26 @@ def test_report_diff(tmp_path, capsys):
     b.write_text(out)
     code, out, _ = run(capsys, "report-diff", str(a), str(b))
     assert code == 1 and "counterexamples" in out
-    # a malformed report is an input error, not a difference
+    # a malformed report is an input error, not a difference, on either side
     report = a.read_text()
-    for text, problem in ((report[: len(report) // 2], "not JSON"), ("{}", "'task'")):
-        b.write_text(text)
-        code, out, err = run(capsys, "report-diff", str(a), str(b))
-        assert (code, out) == (2, "") and problem in err, text
+    good = tmp_path / "good.json"
+    good.write_text(report)
+    fields = json.loads(report)
+    for text, problem in (
+        (report[: len(report) // 2], "not JSON"),
+        ("{}", "'task'"),
+        ("[]", "not a JSON object"),
+        (b"\xff", "not JSON"),  # not UTF-8
+        (json.dumps({**fields, "details": [1]}), "'details'"),
+        (json.dumps({**fields, "wall_time_ms": "x"}), "'wall_time_ms'"),
+        (json.dumps({**fields, "graphs_examined": True}), "'graphs_examined'"),
+        (json.dumps({**fields, "counterexamples": [0]}), "'counterexamples'"),
+    ):
+        b.write_bytes(text if isinstance(text, bytes) else text.encode())
+        for pair in ((b, good), (good, b)):
+            code, out, err = run(capsys, "report-diff", *map(str, pair))
+            assert (code, out) == (2, "") and problem in err, text
+            assert err.startswith("chordspec: error: "), text
 
 
 def test_q_reads_file(tmp_path, capsys):

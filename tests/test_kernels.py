@@ -274,15 +274,29 @@ def test_kernel_guards(impl):
             == (1, 0, [k6_mask])
 
 
+# The compiled sweep carries each mask's rows over from the mask before, so
+# ranges that start mid-way, and ranges that cross a multiple of a large
+# power of two, where many trailing bits flip at once, are checked at orders
+# 7 and 8 with the theorem's cuts: (n, lo, hi, the multiple crossed).
+SLICE7 = (7, 123457, 123457 + (1 << 16), 1 << 17)
+SLICE8 = (8, (40 << 22) - 5 - (1 << 19), (40 << 22) + (1 << 19), 5 << 25)
+
+
+def _theorem_cuts(n):
+    thr = oracle_q(extremal_graph(n).graph)
+    return thr - TIE_BAND, thr + TIE_BAND
+
+
 # (lo_cut, hi_cut) per order. Equal cuts at an exact index put its graphs on
 # a tie: q(C4) = 4, q(K_{1,4}) = 5, q(K4) = 6 and q(K2 join 2K2) = 8 are
 # integers, and order 6 also uses the theorem's threshold with and without
-# the verifier's tie band.
+# the verifier's tie band; order 7, swept only on SLICE7, uses the band.
 THR6 = oracle_q(extremal_graph(6).graph)
 CUTS = {
     4: [(4.0, 4.0), (6.0, 6.0), (3.5, 5.0)],
     5: [(5.0, 5.0), (4.0, 6.0), (6.0, 6.0)],
-    6: [(THR6, THR6), (THR6 - TIE_BAND, THR6 + TIE_BAND), (8.0, 8.0)],
+    6: [(THR6, THR6), _theorem_cuts(6), (8.0, 8.0)],
+    7: [_theorem_cuts(7)],
 }
 TESTS = [("apex_has_config", 3), ("chorded_has", 3), ("chorded_has", 2)]
 SEARCHERS = {"apex_has_config": find_k_chords_at_apex, "chorded_has": find_chorded_cycle}
@@ -336,13 +350,35 @@ def test_classify_is_sound_against_the_oracle(impl, n):
             assert found == hits, (lo_cut, hi_cut, name, k)
 
 
-@pytest.mark.parametrize("n", (4, 5, 6))
-def test_classify_implementations_agree(compiled, n):
-    total = 1 << n * (n - 1) // 2
+@pytest.mark.parametrize(
+    "n, lo, hi", [(n, 0, 1 << n * (n - 1) // 2) for n in (4, 5, 6)] + [SLICE7[:3]],
+    ids=("4", "5", "6", "7-slice"),
+)
+def test_classify_implementations_agree(compiled, n, lo, hi):
     for lo_cut, hi_cut in CUTS[n]:
         for test in TESTS:
-            assert (compiled.classify(n, 0, total, lo_cut, hi_cut, test)
-                    == _sweep_py.classify(n, 0, total, lo_cut, hi_cut, test))
+            assert (compiled.classify(n, lo, hi, lo_cut, hi_cut, test)
+                    == _sweep_py.classify(n, lo, hi, lo_cut, hi_cut, test))
+
+
+def _in_pieces(impl, n, bounds, lo_cut, hi_cut, test):
+    """classify over consecutive ranges, the results added up."""
+    parts = [impl.classify(n, lo, hi, lo_cut, hi_cut, test)
+             for lo, hi in zip(bounds, bounds[1:])]
+    return (sum(p[0] for p in parts), sum(p[1] for p in parts),
+            [mask for p in parts for mask in p[2]])
+
+
+@pytest.mark.parametrize("n, lo, hi, edge", (SLICE7, SLICE8), ids=("n7", "n8"))
+def test_classify_over_a_range_equals_its_pieces(compiled, n, lo, hi, edge):
+    # singletons and short pieces at both ends, and one piece that starts
+    # just before the edge and crosses it
+    bounds = [lo, lo + 1, lo + 3, edge - 1, edge + 2, hi - 1, hi]
+    cuts = _theorem_cuts(n)
+    for test in (("apex_has_config", 3), None):
+        whole = compiled.classify(n, lo, hi, *cuts, test)
+        assert whole[1] + len(whole[2]) > 0
+        assert _in_pieces(compiled, n, bounds, *cuts, test) == whole
 
 
 @pytest.mark.parametrize(
@@ -485,3 +521,44 @@ def test_max_path_order(impl):
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.6)))
         assert impl.max_path_order(g.rows) == oracle_longest_path_order(g)
+
+
+# -- the compiled kernel under the undefined-behaviour sanitizer ------------------
+
+# Loads the kernel built at argv[1] and prints what each call of argv[2]
+# returns, or the name of the error it raises.
+SANITIZED_CHILD = """
+import ast, importlib.util, sys
+spec = importlib.util.spec_from_file_location("_sweep", sys.argv[1])
+kernel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(kernel)
+for name, args in ast.literal_eval(sys.argv[2]):
+    try:
+        print(repr(getattr(kernel, name)(*args)))
+    except (TypeError, ValueError) as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
+    # a trap aborts the process, so each build runs in a child of its own
+    so = tmp_path / f"_sweep{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    build = subprocess.run(
+        [*kernels.compiler(), "-fsanitize=undefined", "-fno-sanitize-recover=all",
+         str(kernels.SOURCE), "-o", str(so)], capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+    calls = []
+    for n, lo, hi in ((6, 0, 1 << 15), SLICE7[:3],
+                      (8, (40 << 22) - (1 << 12), (40 << 22) + (1 << 12))):
+        cuts = _theorem_cuts(n)
+        for test in (("apex_has_config", 3), ("chorded_has", 3), None):
+            calls.append(("classify", (n, lo, hi, *cuts, test)))
+    for rows in (RING64, FAN64, *BAD_ROWS):
+        for name in ("apex_has_config", "chorded_has"):
+            calls.append((name, (rows, 3)))
+        calls += [("longest_cycle", (rows,)), ("max_path_order", (rows,))]
+    runs = [_python(SANITIZED_CHILD, path, repr(calls))
+            for path in (so, Path(compiled.__file__))]
+    (sanitized, sanitized_err), (regular, _) = [run.communicate(timeout=300) for run in runs]
+    assert [run.returncode for run in runs] == [0, 0], sanitized_err
+    assert sanitized == regular and len(sanitized.splitlines()) == len(calls)
