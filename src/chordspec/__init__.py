@@ -11,7 +11,6 @@ from .chords import (
 )
 from .families import BuiltFamily, FamilyError, build_family, extremal_graph
 from .graphs import (
-    ApexPartition,
     Graph,
     Graph6Error,
     GraphError,
@@ -26,7 +25,6 @@ from .graphs import (
 )
 from .polynomials import EQUAL, GREATER, LESS, IntPolynomial
 from .spectral import (
-    QuotientMatrix,
     SpectralResult,
     charpoly_graph,
     eta,
@@ -46,7 +44,6 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApexPartition",
     "BuiltFamily",
     "Certificate",
     "EQUAL",
@@ -57,7 +54,6 @@ __all__ = [
     "FamilyError",
     "IntPolynomial",
     "LESS",
-    "QuotientMatrix",
     "Report",
     "SpectralResult",
     "apex_partition",

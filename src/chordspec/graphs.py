@@ -9,7 +9,6 @@ machine word for n <= 64) and the documented cap of n <= 256.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 256
@@ -32,9 +31,6 @@ class Graph:
         self._adj = adj
 
     # -- queries -------------------------------------------------------------
-
-    def adj_bits(self, u: int) -> int:
-        return self._adj[u]
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -195,35 +191,18 @@ def vertices_to_bits(n: int, vs: Iterable[int]) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class ApexPartition:
-    """Vertex split around an apex z: its neighborhood Z, the rest W,
-    and Z itself split by having neighbors inside Z (Zplus) or not (Z0)."""
-
-    z: int
-    Z: frozenset[int]
-    W: frozenset[int]
-    Z0: frozenset[int]
-    Zplus: frozenset[int]
-
-
-def apex_partition(g: Graph, z: int) -> ApexPartition:
+def apex_partition(g: Graph, z: int) -> tuple[int, int, int]:
+    """The vertex split around an apex z, as bit masks (z0, zplus, w): z's
+    neighbourhood is z0 | zplus, where z0 holds the neighbours with no
+    neighbour inside it, and w is every vertex outside it other than z."""
     if not 0 <= z < g.n:
         raise GraphError(f"apex {z} out of range")
     zbits = g._adj[z]
-    full = (1 << g.n) - 1
-    wbits = full & ~zbits & ~(1 << z)
     z0 = 0
     for v in bits_to_vertices(zbits):
         if not (g._adj[v] & zbits):
             z0 |= 1 << v
-    return ApexPartition(
-        z=z,
-        Z=frozenset(bits_to_vertices(zbits)),
-        W=frozenset(bits_to_vertices(wbits)),
-        Z0=frozenset(bits_to_vertices(z0)),
-        Zplus=frozenset(bits_to_vertices(zbits & ~z0)),
-    )
+    return z0, zbits & ~z0, (1 << g.n) - 1 & ~zbits & ~(1 << z)
 
 
 # -- isomorphism ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Signless Laplacian spectra: the index q(G), Perron vectors, the degree-based
-eta bound, partition quotient matrices, and exact characteristic polynomials.
+eta bound, equitable quotient matrices and their Perron roots, and exact
+characteristic polynomials.
 
 Numeric route: one dense symmetric eigensolve (numpy ``eigh``) per connected
 component; the Perron vector is the absolute value of the top eigenvector,
@@ -211,25 +212,14 @@ def max_eta(g: Graph) -> Fraction:
 # -- quotient matrices ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    blocks: tuple[tuple[int, ...], ...]
-    entries: tuple[tuple[Fraction, ...], ...]
-    equitable: bool
-
-    def spectral_radius(self) -> float:
-        """Perron root of the (nonnegative) quotient matrix."""
-        ev = np.linalg.eigvals(np.array([[float(e) for e in row] for row in self.entries]))
-        return float(np.max(ev.real))
-
-
-def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> QuotientMatrix:
-    """Block-averaged Q(G) over a vertex partition, with an equitability flag.
+def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> list[list[int]] | None:
+    """The quotient of Q(G) over a vertex partition, as integer rows, when
+    the partition is equitable; None when it is not.
 
     Equitable means every vertex of block i has the same Q row sum into block
-    j, for all i, j; in that case the quotient shares the index q(G). All
-    those row sums come from one integer product of Q with the 0/1
-    block-membership matrix.
+    j, for all i, j; that sum is entry (i, j), and the quotient then shares
+    the index q(G). All those row sums come from one integer product of Q
+    with the 0/1 block-membership matrix.
     """
     tblocks = tuple(tuple(sorted(b)) for b in blocks)
     seen: set[int] = set()
@@ -246,13 +236,13 @@ def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> QuotientMatrix
     for j, b in enumerate(tblocks):
         member[b, j] = 1
     into = signless_laplacian(g) @ member  # into[u, j]: row sum of u into block j
-    sums = member.T @ into
     firsts = into[[b[0] for b in tblocks]]
-    equitable = bool((into == member @ firsts).all())
-    entries = tuple(
-        tuple(Fraction(c, len(b)) for c in row) for b, row in zip(tblocks, sums.tolist())
-    )
-    return QuotientMatrix(blocks=tblocks, entries=entries, equitable=equitable)
+    return firsts.tolist() if (into == member @ firsts).all() else None
+
+
+def perron_root(matrix: Sequence[Sequence[int]]) -> float:
+    """Perron root of a nonnegative square matrix, such as a quotient."""
+    return float(np.linalg.eigvals(np.array(matrix, dtype=float)).real.max())
 
 
 # -- exact characteristic polynomials ---------------------------------------------
@@ -353,13 +343,13 @@ __all__ = [
     "GREATER",
     "LESS",
     "MaskBatch",
-    "QuotientMatrix",
     "SpectralResult",
     "charpoly_graph",
     "charpoly_int_matrices",
     "charpoly_int_matrix",
     "eta",
     "max_eta",
+    "perron_root",
     "q_exact_compare",
     "q_index",
     "q_indices",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -62,13 +63,13 @@ from .graphs import (
     is_isomorphic,
     join,
     make_graph,
-    vertices_to_bits,
 )
 from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
 from .spectral import (
     MaskBatch,
     charpoly_int_matrices,
     max_eta,
+    perron_root,
     q_exact_compare,
     q_index,
     q_indices,
@@ -191,9 +192,14 @@ def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     """Every mask of order n through _classify_chunk, in chunks of at most
     CHUNK masks (at least jobs * 4 chunks, over a process pool, when
     jobs > 1): (graphs without isolated vertices, hits, the ascending masks
-    left for the Python rules). VerifierError for jobs below 1."""
+    left for the Python rules). jobs is capped at the CPUs this process may
+    run on, as the pool starts all its workers at once. VerifierError for
+    jobs below 1."""
     if jobs < 1:
         raise VerifierError(f"jobs must be >= 1, got {jobs}")
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs = min(jobs, cpus)
     total = 1 << n * (n - 1) // 2
     step = CHUNK if jobs <= 1 else min(CHUNK, -(-total // (jobs * 4)))
     chunks = [(n, lo, min(lo + step, total), thr, test) for lo in range(0, total, step)]
@@ -462,15 +468,14 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
         examined += 1
         blocks = fx.partition(n, s)
         qm = quotient_matrix(g, blocks)
-        if not qm.equitable:
+        if qm is None:
             equit_bad.append((fx.item, n, s))
             counterexamples.append(graph6_encode(g))
             continue
         tmpl = template(fx.item, n, s)
-        if len(blocks) == len(tmpl):
-            if [[int(e) for e in row] for row in qm.entries] != tmpl:
-                equit_bad.append((fx.item, n, s, "template-mismatch"))
-        lam = qm.spectral_radius()
+        if len(blocks) == len(tmpl) and qm != tmpl:
+            equit_bad.append((fx.item, n, s, "template-mismatch"))
+        lam = perron_root(qm)
         if abs(lam - qv) > 1e-8:
             lam_bad.append((fx.item, n, s, lam - qv))
         # strict index inequality against the threshold family
@@ -517,11 +522,11 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
         if thr_charpoly[n] != gpoly:
             bound_bad.append((n, "template"))
         qm = quotient_matrix(thr_graph[n], threshold_partition(n))
-        if not qm.equitable or [[int(e) for e in r] for r in qm.entries] != tq:
+        if qm != tq:
             bound_bad.append((n, "partition"))
         if not thr[n] > float(pt):
             bound_bad.append((n, "bound"))
-        if abs(qm.spectral_radius() - thr[n]) > 1e-8:
+        if qm is None or abs(perron_root(qm) - thr[n]) > 1e-8:
             bound_bad.append((n, "radius"))
     details.append(
         {
@@ -602,70 +607,57 @@ def _sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def classify_component(g: Graph, comp: tuple[int, ...]) -> dict | None:
-    """Catalog type of a connected induced subgraph (vertices keep their
-    labels): star, double_star, star_plus, c4, c4_plus or k4; None when the
-    component falls outside the catalog."""
-    m = len(comp)
-    inside = vertices_to_bits(g.n, comp)
-    deg = {v: (g.adj_bits(v) & inside).bit_count() for v in comp}
-    e = sum(deg.values()) // 2
+def classify_component(g: Graph, comp: int) -> dict | None:
+    """Catalog type of the connected subgraph induced on the vertex mask comp
+    (vertices keep their labels): star, double_star, star_plus, c4, c4_plus
+    or k4; None when the component falls outside the catalog. A single
+    vertex (center) is named by its label, a vertex group by its mask."""
+    m = comp.bit_count()
+    by_deg = [0] * m  # by_deg[d]: the vertices with d neighbours in comp
+    e = 0
+    for v in bits_to_vertices(comp):
+        d = (g.rows[v] & comp).bit_count()
+        by_deg[d] |= 1 << v
+        e += d
+    e //= 2
+    top = by_deg[m - 1]  # the vertices joined to every other one
+    center = (top & -top).bit_length() - 1  # the least of them, if any
 
     if e == m - 1:  # tree
-        dmax = max(deg.values())
-        if dmax == m - 1:
-            center = max(comp, key=lambda v: (deg[v], -v)) if m >= 2 else comp[0]
-            leaves = tuple(v for v in comp if v != center)
-            return {"kind": "star", "s": m - 1, "center": center, "leaves": leaves}
-        centers = [v for v in comp if deg[v] >= 2]
-        if len(centers) == 2 and g.has_edge(*centers):
-            if all(deg[v] == 1 for v in comp if v not in centers):
-                leaves = tuple(v for v in comp if v not in centers)
-                return {
-                    "kind": "double_star",
-                    "centers": tuple(centers),
-                    "leaves": leaves,
-                    "total_leaves": m - 2,
-                }
+        if top:
+            return {"kind": "star", "s": m - 1, "center": center,
+                    "leaves": comp & ~(1 << center)}
+        centers = comp & ~by_deg[1]  # a tree on m >= 2 vertices has none isolated
+        if centers.bit_count() == 2 and g.has_edge(*bits_to_vertices(centers)):
+            return {"kind": "double_star", "centers": centers,
+                    "leaves": by_deg[1], "total_leaves": m - 2}
         return None
     if e == m:  # unicyclic
         if m == 3:
-            return {"kind": "star_plus", "s": 2, "center": None, "pendants": ()}
-        if m == 4 and all(d == 2 for d in deg.values()):
+            return {"kind": "star_plus", "s": 2, "center": None, "pendants": 0}
+        if m == 4 and by_deg[2] == comp:
             return {"kind": "c4"}
-        dmax = max(deg.values())
-        if dmax == m - 1:
-            center = next(v for v in comp if deg[v] == m - 1)
-            pair = tuple(v for v in comp if v != center and deg[v] == 2)
-            pendants = tuple(v for v in comp if v != center and deg[v] == 1)
-            if len(pair) == 2 and g.has_edge(*pair):
-                return {
-                    "kind": "star_plus",
-                    "s": m - 1,
-                    "center": center,
-                    "pair": pair,
-                    "pendants": pendants,
-                }
+        pair = by_deg[2]  # m >= 4, so a center (m - 1 neighbours) is not in it
+        if top and pair.bit_count() == 2 and g.has_edge(*bits_to_vertices(pair)):
+            return {"kind": "star_plus", "s": m - 1, "center": center,
+                    "pair": pair, "pendants": by_deg[1]}
         return None
     if m == 4 and e == 5:
-        deg2 = tuple(v for v in comp if deg[v] == 2)
-        deg3 = tuple(v for v in comp if deg[v] == 3)
-        return {"kind": "c4_plus", "deg2": deg2, "deg3": deg3}
+        return {"kind": "c4_plus", "deg2": by_deg[2], "deg3": by_deg[3]}
     if m == 4 and e == 6:
         return {"kind": "k4"}
     return None
 
 
-def _claim1_violation(g: Graph, w: int, comp: tuple[int, ...], info: dict,
-                      caps: dict) -> str | None:
+def _claim1_violation(g: Graph, w: int, comp: int, info: dict, caps: dict) -> str | None:
     """The first violated degree cap for w against this component, if any."""
-    nbr = g.adj_bits(w) & vertices_to_bits(g.n, comp)
+    nbr = g.rows[w] & comp
     d = nbr.bit_count()
     if d == 0:
         return None
     kind = info["kind"]
     if kind == "star":
-        if info["s"] >= 3 and g.has_edge(w, info["center"]):
+        if info["s"] >= 3 and nbr >> info["center"] & 1:
             if d > caps["big_star_center"]:
                 return f"big star with center hit: degree {d}"
         return None
@@ -674,7 +666,7 @@ def _claim1_violation(g: Graph, w: int, comp: tuple[int, ...], info: dict,
             return None
         if d > caps["double_star"]:
             return f"double star: degree {d}"
-        leaf_hits = sum(1 for v in info["leaves"] if nbr >> v & 1)
+        leaf_hits = (nbr & info["leaves"]).bit_count()
         if leaf_hits > 1:
             return f"double star: {leaf_hits} leaf neighbors"
         return None
@@ -683,16 +675,16 @@ def _claim1_violation(g: Graph, w: int, comp: tuple[int, ...], info: dict,
             return None
         if d > caps["star_plus"]:
             return f"star-plus: degree {d}"
-        pendant_hits = sum(1 for v in info["pendants"] if nbr >> v & 1)
+        pendant_hits = (nbr & info["pendants"]).bit_count()
         if pendant_hits > 1:
             return f"star-plus: {pendant_hits} pendant neighbors"
-        if g.has_edge(w, info["center"]) and d != 1:
+        if nbr >> info["center"] & 1 and d != 1:
             return f"star-plus: center hit with degree {d}"
         return None
     if kind == "c4_plus":
         if d > caps["c4_plus"]:
             return f"c4-plus: degree {d}"
-        if d == 2 and any(nbr >> v & 1 for v in info["deg3"]):
+        if d == 2 and nbr & info["deg3"]:
             return "c4-plus: degree-2 contact off the degree-two pair"
         return None
     if kind == "k4":
@@ -702,30 +694,24 @@ def _claim1_violation(g: Graph, w: int, comp: tuple[int, ...], info: dict,
     return None  # c4 and small stars carry no cap
 
 
-def _claim2_violation(g: Graph, w: int, comps: list[tuple[tuple[int, ...], dict]],
-                      z0: frozenset[int]) -> str | None:
-    hits = []
-    for comp, info in comps:
-        d = (g.adj_bits(w) & vertices_to_bits(g.n, comp)).bit_count()
-        if d:
-            hits.append((comp, info, d))
-    nonstar = [h for h in hits if h[1]["kind"] != "star"]
+def _claim2_violation(g: Graph, w: int, comps: list[tuple[int, dict]], z0: int) -> str | None:
+    row = g.rows[w]
+    hits = [info for comp, info in comps if row & comp]
+    nonstar = [info for info in hits if info["kind"] != "star"]
     if not nonstar:
         return None
     if len(hits) > 1:
         return "neighbors in a second component beside a non-star one"
-    comp, info, d = nonstar[0]
-    z0_hits = sum(1 for v in z0 if g.has_edge(w, v))
-    if z0_hits == 0:
+    if not row & z0:
         return None
+    info = nonstar[0]
     kind = info["kind"]
     if kind in ("c4", "c4_plus", "k4"):
         return "isolated-class neighbor next to a quad-bearing component"
-    if kind == "star_plus" and info["s"] >= 3 and not g.has_edge(w, info["center"]):
+    if kind == "star_plus" and info["s"] >= 3 and not row >> info["center"] & 1:
         return "isolated-class neighbor next to an off-center star-plus contact"
-    if kind == "double_star":
-        if any(g.has_edge(w, v) for v in info["leaves"]):
-            return "isolated-class neighbor next to a double-star leaf contact"
+    if kind == "double_star" and row & info["leaves"]:
+        return "isolated-class neighbor next to a double-star leaf contact"
     return None
 
 
@@ -736,20 +722,19 @@ def _structural_violations(g: Graph, caps: dict) -> tuple[int, int]:
     cap_viol = 0
     catalog_viol = 0
     for z in range(g.n):
-        part = apex_partition(g, z)
+        z0, zplus, w_mask = apex_partition(g, z)
         comps = []
-        for cm in g.component_masks(within=vertices_to_bits(g.n, part.Zplus)):
-            comp = tuple(bits_to_vertices(cm))
+        for comp in g.component_masks(within=zplus):
             info = classify_component(g, comp)
             if info is None:
                 catalog_viol += 1
                 continue
             comps.append((comp, info))
-        for w in part.W:
+        for w in bits_to_vertices(w_mask):
             for comp, info in comps:
                 if _claim1_violation(g, w, comp, info, caps) is not None:
                     cap_viol += 1
-            if _claim2_violation(g, w, comps, part.Z0) is not None:
+            if _claim2_violation(g, w, comps, z0) is not None:
                 cap_viol += 1
     return cap_viol, catalog_viol
 
@@ -957,7 +942,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     bad = []
     for label, g, blocks in cases:
         qm = quotient_matrix(g, blocks)
-        if not qm.equitable or abs(qm.spectral_radius() - q_index(g).q) > 1e-8:
+        if qm is None or abs(perron_root(qm) - q_index(g).q) > 1e-8:
             bad.append(label)
     details.append(
         {"name": "equitable_quotient_fixtures", "passed": not bad,

@@ -16,7 +16,7 @@ from chordspec.appendix import (
 )
 from chordspec.families import k11n2_plus
 from chordspec.polynomials import LESS, IntPolynomial, _Bracket, compare_largest_roots
-from chordspec.spectral import charpoly_int_matrix, q_index, quotient_matrix
+from chordspec.spectral import charpoly_int_matrix, perron_root, q_index, quotient_matrix
 from oracles import (
     oracle_compare_largest_roots,
     oracle_fan_chain,
@@ -119,8 +119,8 @@ def test_fixture_partitions_are_equitable():
         assert orders, fx.item
         for n, s, g in orders:
             qm = quotient_matrix(g, fx.partition(n, s))
-            assert qm.equitable, (fx.item, n, s)
-            assert abs(qm.spectral_radius() - q_index(g).q) < 1e-8
+            assert qm is not None, (fx.item, n, s)
+            assert abs(perron_root(qm) - q_index(g).q) < 1e-8
 
 
 def test_fixture_full_templates_match_graph_quotients():
@@ -128,7 +128,7 @@ def test_fixture_full_templates_match_graph_quotients():
         for n, s, g in islice(fixture_graphs(fx, fx.template_min_n, 30), 2):
             qm = quotient_matrix(g, fx.partition(n, s))
             tmpl = quotient_template(fx.item, n, s)
-            assert [[int(e) for e in row] for row in qm.entries] == tmpl, fx.item
+            assert qm == tmpl, fx.item
 
 
 def test_monotone_chain_sample():
@@ -167,10 +167,9 @@ def test_threshold_quotient_of_actual_graph():
         g = k11n2_plus(n).graph
         assert threshold_partition(n) == [[0, 1], [2, 3], list(range(4, n))]
         qm = quotient_matrix(g, threshold_partition(n))
-        assert qm.equitable
-        assert [[int(e) for e in r] for r in qm.entries] == \
-            threshold_quotient_template(n)
-        assert abs(qm.spectral_radius() - q_index(g).q) < 1e-8
+        assert qm is not None
+        assert qm == threshold_quotient_template(n)
+        assert abs(perron_root(qm) - q_index(g).q) < 1e-8
 
 
 def test_fan_width_chains_agree_with_fraction_oracle(monkeypatch):

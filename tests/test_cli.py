@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -259,3 +261,25 @@ def test_q_reads_file(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert abs(float(lines[0]) - 4.0) < 1e-9  # triangle
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    # the docs must not name API the package no longer has
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_pipelines_print_what_the_readme_states(capsys, monkeypatch):
+    # `chordspec family SPEC | chordspec CMD ...   # OUTPUT` lines
+    lines = re.findall(r"^chordspec family (\S+) \| chordspec ([^#\n]+?) +# (\S+)$",
+                       README.read_text(), re.M)
+    assert [want for *_, want in lines] == ["8.735489498216", "NONE", "4.000000000000"]
+    for spec, cmd, want in lines:
+        code, g6, _ = run(capsys, "family", spec)
+        assert code == 0
+        code, out, _ = run(capsys, *cmd.split(), stdin=g6, monkeypatch=monkeypatch)
+        assert (code, out.strip()) == (0, want), (spec, cmd)

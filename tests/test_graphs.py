@@ -146,27 +146,30 @@ def test_apex_partition_examples():
     from chordspec.families import k11n2_plus
 
     g = k11n2_plus(6).graph
-    part = apex_partition(g, 0)
-    assert not part.W
-    assert len(part.Z) == 5
+    z0, zplus, w = apex_partition(g, 0)
+    assert not w
+    assert (z0 | zplus).bit_count() == 5
     # the second universal vertex sits inside Z and touches everything there,
     # so no neighbor of the apex is isolated within Z
-    assert len(part.Z0) == 0
-    assert part.Zplus == part.Z
+    assert z0 == 0
+    assert zplus == g.rows[0]
 
     # a single hub over (edge + two isolated) does leave two vertices
     # isolated inside the neighborhood
     hub = join(make_graph(1), make_graph(4, [(0, 1)]))
-    p_hub = apex_partition(hub, 0)
-    assert not p_hub.W and len(p_hub.Z) == 4 and len(p_hub.Z0) == 2
+    z0, zplus, w = apex_partition(hub, 0)
+    assert not w and (z0 | zplus).bit_count() == 4 and z0.bit_count() == 2
+    assert z0 == 0b11000 and zplus == 0b00110
 
     s = star(4)
-    p2 = apex_partition(s, 0)
-    assert not p2.W and p2.Z0 == p2.Z
+    z0, zplus, w = apex_partition(s, 0)
+    assert not w and z0 == s.rows[0] and not zplus
 
     c5 = cycle(5)
-    p3 = apex_partition(c5, 0)
-    assert len(p3.Z) == 2 and len(p3.W) == 2 and p3.Z0 == p3.Z
+    z0, zplus, w = apex_partition(c5, 0)
+    assert (z0 | zplus).bit_count() == 2 and w.bit_count() == 2 and z0 == c5.rows[0]
+    with pytest.raises(GraphError):
+        apex_partition(c5, 5)
 
 
 def test_apex_partition_partitions_vertices():
@@ -174,12 +177,17 @@ def test_apex_partition_partitions_vertices():
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 10))
         z = rng.randrange(g.n)
-        part = apex_partition(g, z)
-        assert part.Z | part.W | {z} == set(range(g.n))
-        assert part.Z0 | part.Zplus == part.Z
-        assert not part.Z0 & part.Zplus
-        for v in part.Z0:
-            assert not set(g.neighbors(v)) & part.Z
+        z0, zplus, w = apex_partition(g, z)
+        nbhd = g.rows[z]
+        assert nbhd | w | 1 << z == (1 << g.n) - 1
+        assert not (nbhd | 1 << z) & w
+        assert z0 | zplus == nbhd
+        assert not z0 & zplus
+        for v in range(g.n):
+            if z0 >> v & 1:
+                assert not g.rows[v] & nbhd
+            if zplus >> v & 1:
+                assert g.rows[v] & nbhd
 
 
 def test_is_isomorphic_examples():

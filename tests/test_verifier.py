@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from chordspec.families import (
 from chordspec.graphs import (
     Graph,
     apex_partition,
+    bits_to_vertices,
     disjoint_union,
     graph6_decode,
     graph6_encode,
@@ -223,33 +225,46 @@ def test_theorem_rejects_bad_order():
 
 def test_classify_component_catalog():
     g = star(4)
-    assert classify_component(g, tuple(range(5)))["kind"] == "star"
+    info = classify_component(g, 0b11111)
+    assert info["kind"] == "star"
+    assert info["s"] == 4 and info["center"] == 0 and info["leaves"] == 0b11110
     ds = double_star(2, 3)
-    info = classify_component(ds, tuple(range(7)))
+    info = classify_component(ds, 0b1111111)
     assert info["kind"] == "double_star" and info["total_leaves"] == 5
+    assert info["centers"].bit_count() == 2 and ds.has_edge(*bits_to_vertices(info["centers"]))
+    assert info["leaves"] == 0b1111111 & ~info["centers"]
     sp = star_plus(4)
-    info = classify_component(sp, tuple(range(5)))
+    info = classify_component(sp, 0b11111)
     assert info["kind"] == "star_plus" and info["s"] == 4
-    assert set(info["pair"]) == {1, 2}
-    assert classify_component(complete(3), (0, 1, 2))["kind"] == "star_plus"
-    assert classify_component(cycle(4), (0, 1, 2, 3))["kind"] == "c4"
+    assert info["pair"] == 0b110
+    assert info["center"] == 0 and info["pendants"] == 0b11000
+    assert classify_component(complete(3), 0b111)["kind"] == "star_plus"
+    assert classify_component(cycle(4), 0b1111)["kind"] == "c4"
     from chordspec.families import c4_plus
 
-    assert classify_component(c4_plus(), (0, 1, 2, 3))["kind"] == "c4_plus"
-    assert classify_component(complete(4), (0, 1, 2, 3))["kind"] == "k4"
+    info = classify_component(c4_plus(), 0b1111)
+    assert info["kind"] == "c4_plus"
+    assert info["deg2"].bit_count() == 2 and info["deg3"] == 0b1111 & ~info["deg2"]
+    assert classify_component(complete(4), 0b1111)["kind"] == "k4"
+    # a single vertex and a single edge are stars, centered on the least vertex
+    assert classify_component(make_graph(3), 0b100) == {
+        "kind": "star", "s": 0, "center": 2, "leaves": 0}
+    assert classify_component(make_graph(3, [(1, 2)]), 0b110) == {
+        "kind": "star", "s": 1, "center": 1, "leaves": 0b100}
     # outside the catalog: paths on five vertices, cycles on five vertices
     from chordspec.families import path
 
-    assert classify_component(path(5), tuple(range(5))) is None
-    assert classify_component(cycle(5), tuple(range(5))) is None
+    assert classify_component(path(5), 0b11111) is None
+    assert classify_component(cycle(5), 0b11111) is None
     bull = make_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
-    assert classify_component(bull, tuple(range(5))) is None
+    assert classify_component(bull, 0b11111) is None
 
 
 def test_classify_component_keeps_labels():
     g = disjoint_union(make_graph(2), star_plus(3))
-    info = classify_component(g, (2, 3, 4, 5))
+    info = classify_component(g, 0b111100)
     assert info["kind"] == "star_plus" and info["center"] == 2
+    assert info["pair"] == 0b011000 and info["pendants"] == 0b100000
 
 
 def test_claim_probes_match_hand_analysis():
@@ -266,8 +281,26 @@ def test_structural_claims_hold_on_threshold_graph():
     a universal apex (empty W) and substantively at low-degree apexes."""
     g = k11n2_plus(7).graph
     assert _structural_violations(g, DEFAULT_CLAIM_CAPS) == (0, 0)
-    assert not apex_partition(g, 0).W and not apex_partition(g, 1).W  # universal
-    assert any(apex_partition(g, z).W for z in range(g.n))
+    assert not apex_partition(g, 0)[2] and not apex_partition(g, 1)[2]  # universal
+    assert any(apex_partition(g, z)[2] for z in range(g.n))
+
+
+# sha256 of the per-graph (cap, catalog) violation counts below, taken from
+# the claim checks as they stood when apex partitions were still vertex sets
+STRUCTURAL_COUNTS = "1beabc5aaf92bf3667ee6d9e13cb016c8f76dcb6fe047011d87bf9c4a80bc1fd"
+
+
+def test_structural_violation_counts_are_pinned():
+    """The claim checks, counted on 1,500 seeded draws of order 3..11 under
+    the default caps and under every cap at 0, 1 and 2; the tighter caps
+    make nearly every claim-1 and claim-2 branch fire."""
+    settings = [dict(DEFAULT_CLAIM_CAPS)] + [
+        dict.fromkeys(DEFAULT_CLAIM_CAPS, cap) for cap in (0, 1, 2)]
+    rng = random.Random(20261019)
+    graphs = [verifier._sample(rng, 3, 11) for _ in range(1500)]
+    counts = [[_structural_violations(g, caps) for g in graphs] for caps in settings]
+    assert sum(a + b for row in counts for a, b in row) == 18658
+    assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == STRUCTURAL_COUNTS
 
 
 def test_property_suite_deterministic():
@@ -519,6 +552,39 @@ def test_jobs_parallel_matches_serial():
     a.pop("wall_time_ms")
     b.pop("wall_time_ms")
     assert a == b
+
+
+def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
+    """A job count far above the CPUs asks the pool for no more workers than
+    there are CPUs: the pool forks all its workers at once. The fake pool
+    maps in this process and starts none."""
+    import concurrent.futures
+    import os
+
+    workers = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    a = verify_theorem_main(6).to_json_dict()
+    b = verify_theorem_main(6, jobs=10**6).to_json_dict()
+    a.pop("wall_time_ms")
+    b.pop("wall_time_ms")
+    assert a == b
+    assert all(1 < w <= cpus for w in workers) and len(workers) == (cpus > 1)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
