@@ -3,8 +3,9 @@
 apex detector, longest cycle and longest path) against the pure-Python
 fallback, the theorem's prefilter spot check, the theorem's and the
 corollary's Python tails on the tie band the kernel leaves, exact characteristic polynomials (one matrix
-a call and batched), the exact largest-root comparison that decides
-near-ties, and one end-to-end property suite at 10,000 trials.
+a call and batched), the exact largest-root comparison (with the pairs its
+sign certificate settles and those left to the Sturm chains), and one
+end-to-end property suite at 10,000 trials.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 
@@ -268,9 +269,12 @@ def count_calls(fn, names):
 
 def bench_exact(label, pairs, min_seconds=1.0):
     """Whole passes of compare_largest_roots over the pairs for at least
-    min_seconds, and the Sturm chain evaluations (``_values_at``) and
-    pseudo-divisions (``_divide``) of one pass; every pass starts from cold
-    caches. Returns the verdict counts of one pass."""
+    min_seconds, and the polynomial evaluations (``_values_at``, the sign
+    certificate's and the Sturm chains') and pseudo-divisions (``_divide``)
+    of one pass; every pass starts from cold caches. Also counts the pairs
+    the sign certificate settles and those that go to the Sturm bracket
+    path (``_bracket_largest_root``), which takes identical polynomials too.
+    Returns the verdict counts of one pass."""
 
     def one_pass():
         cold_caches()
@@ -278,10 +282,18 @@ def bench_exact(label, pairs, min_seconds=1.0):
 
     passes, dt, verdicts = repeat_for(min_seconds, one_pass)
     counts = count_calls(one_pass, ("_values_at", "_divide"))
+    cold_caches()
+    chained = sum(
+        count_calls(lambda: compare_largest_roots(a, b), ("_bracket_largest_root",))[
+            "_bracket_largest_root"] > 0
+        for a, b in pairs
+    )
     print(f"  {label:18s} {len(pairs):4d} pairs  {passes * len(pairs) / dt:9.1f} pairs/s"
           f"  ({passes} passes, {dt:.2f}s)  per pair: "
-          f"{counts['_values_at'] / len(pairs):.2f} chain evaluations, "
+          f"{counts['_values_at'] / len(pairs):.2f} evaluations, "
           f"{counts['_divide'] / len(pairs):.2f} divisions")
+    print(f"  {'':18s} settled by the certificate: {len(pairs) - chained}, "
+          f"to the chain: {chained}")
     return verdicts
 
 
@@ -332,6 +344,9 @@ def main() -> None:
     appendix = bench_exact("appendix 7..22", pairs)
     # the g18 chain fails at (n, 3) for n = 19..22, as verify appendix pins
     assert len(pairs) == 196 and len(pairs) - appendix[LESS] == 4, appendix
+    pairs = appendix_pairs(7, 30)
+    appendix = bench_exact("appendix 7..30", pairs)
+    assert len(pairs) == 484 and sum(appendix.values()) == 484, appendix
     ties = bench_exact("order-6 ties", tie_pairs(6))
     assert ties == Counter({EQUAL: 30}), ties
 

@@ -16,6 +16,11 @@ it: first just above and just below a float estimate of the root (Newton's
 method in plain floats, a hint that never decides anything), then at
 midpoints while the brackets still overlap. Split points that land on a root
 are moved off it, so isolating intervals have non-root ends.
+
+Before any chain, a comparison tries a sign certificate at the point x
+halfway between the two estimates: by Descartes' rule of signs, a Taylor
+shift of p at x without sign variations leaves p no root in [x, oo). Pairs
+it does not settle go to the chains.
 """
 
 from __future__ import annotations
@@ -191,10 +196,10 @@ def _squarefree_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
     The chain of the normalised p ends in gcd(p, p') up to a constant; when
     that end is constant, p is squarefree and the chain is used as it is.
     Otherwise p is divided by it and the quotient gets its own chain.
-    Memoised on p (polynomials are immutable). The appendix's fan-width
-    chain compares each closed form at width s + 4 twice, as the wider end
-    of the pair (n, s) and the narrower end of (n, s + 4), and builds its
-    chain once.
+    Memoised on p (polynomials are immutable): a polynomial compared with
+    itself, or in several pairs the sign certificate declines, is checked
+    and isolated through one chain. The appendix's fan-width chain builds
+    none, since the certificate decides each of its pairs.
     """
     if p.degree <= 0:
         raise ValueError("constant polynomial has no squarefree part")
@@ -331,11 +336,10 @@ class _Bracket:
     def halve(self) -> None:
         self.split(self.lo + self.hi, 2 * self.den)
 
-    def seed(self) -> None:
+    def seed(self, r: float) -> None:
         """Split just above, then just below a float estimate r of the root,
         at r(1 + 1e-9) and r(1 - 1e-9). A good estimate leaves a bracket of
         relative width 2e-9; a bad one costs at most these two evaluations."""
-        r = _largest_root_estimate(self.chain[0])
         for x in sorted((r * (1 + 1e-9), r * (1 - 1e-9)), reverse=True):
             if isfinite(x):
                 self.split(*x.as_integer_ratio())
@@ -360,6 +364,35 @@ def _bracket_largest_root(p: IntPolynomial) -> _Bracket:
     return bracket
 
 
+def _taylor_shift(p: IntPolynomial, num: int, den: int) -> list[int]:
+    """Coefficients of den^d * p((num + u) / den) in u, ascending (den > 0):
+    Horner's rule on the sum of c_i * (num + u)^i * den^(d - i)."""
+    shifted: list[int] = []
+    scale = 1
+    for c in reversed(p.coeffs):
+        shifted = [num * a + b for a, b in zip(shifted + [0], [0] + shifted)]
+        shifted[0] += c * scale
+        scale *= den
+    return shifted
+
+
+def _certified_below(p: IntPolynomial, q: IntPolynomial, rp: float, rq: float) -> bool:
+    """Whether three integer sign checks at x = (rp + rq) / 2 put the largest
+    root of p below x and a root of q above it. (1) The Taylor shift of p at
+    x has no sign variation and a nonzero constant term: p has no root in
+    [x, oo). (2) p changes sign in (y, x), y = rp - 1e-9 max(1, |rp|): p has
+    a real root. (3) q(x) lead(q) < 0. False proves nothing."""
+    x, y = (rp + rq) / 2, rp - 1e-9 * max(1.0, abs(rp))
+    if not (isfinite(x) and isfinite(y)):
+        return False
+    num, den = x.as_integer_ratio()
+    lead = p.leading
+    shifted = _taylor_shift(p, num, den)
+    return (shifted[0] != 0 and all(c * lead >= 0 for c in shifted)
+            and _values_at((p,), *y.as_integer_ratio())[0] * lead < 0
+            and _values_at((q,), num, den)[0] * q.leading < 0)
+
+
 def _apart(bp: _Bracket, bq: _Bracket) -> int | None:
     """LESS or GREATER when the brackets are disjoint, else None.
 
@@ -379,17 +412,24 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
 
     Both must have at least one real root (true for characteristic polynomials
     of symmetric matrices); identical polynomials are EQUAL once p is checked.
-    Otherwise both brackets are first split around float estimates of their
-    roots, which decides any pair whose roots are well apart. Equality is
-    decided through the common-root factor gcd(p*, q*), computed only when
-    the seeded brackets overlap, so exact ties terminate.
+    Otherwise a sign certificate halfway between float estimates of the two
+    roots decides pairs whose roots are well apart, with no Sturm chain; the
+    brackets of any other pair are split around the same estimates. Equality
+    is decided through the common-root factor gcd(p*, q*), computed only
+    when the seeded brackets overlap, so exact ties terminate.
     """
-    bp = _bracket_largest_root(p)
     if p == q:
+        _bracket_largest_root(p)
         return EQUAL
+    rp, rq = _largest_root_estimate(p), _largest_root_estimate(q)
+    if rp < rq and _certified_below(p, q, rp, rq):
+        return LESS
+    if rq < rp and _certified_below(q, p, rq, rp):
+        return GREATER
+    bp = _bracket_largest_root(p)
     bq = _bracket_largest_root(q)
-    bp.seed()
-    bq.seed()
+    bp.seed(rp)
+    bq.seed(rq)
     verdict = _apart(bp, bq)
     if verdict is not None:
         return verdict

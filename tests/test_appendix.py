@@ -173,8 +173,8 @@ def test_threshold_quotient_of_actual_graph():
 
 
 def test_fan_width_chains_agree_with_fraction_oracle(monkeypatch):
-    # every g12/g18 pair verify_appendix compares at orders 7..22; the splits
-    # at the float estimates decide each of them without bisection
+    # every g12/g18 pair verify_appendix compares at orders 7..22; the sign
+    # certificate at the float estimates decides each of them without bisection
     halvings = []
     halve = _Bracket.halve
     monkeypatch.setattr(_Bracket, "halve", lambda self: halvings.append(1) or halve(self))

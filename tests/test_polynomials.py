@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chordspec import polynomials
-from chordspec.appendix import appendix_polynomial
+from chordspec.appendix import FIXTURES, appendix_polynomial, fan_chain, template_keys
 from chordspec.polynomials import (
     EQUAL,
     GREATER,
@@ -155,7 +155,7 @@ def test_well_separated_roots_compare_without_halving(monkeypatch):
     # otherwise the smaller bound caps the other bracket, and bisection decides
     assert compare_largest_roots(one, poly(-2, 0, 1)) == LESS
     assert halvings
-    # the seeded splits decide that pair without bisecting
+    # the float estimates decide that pair without bisecting
     monkeypatch.setattr(polynomials, "_largest_root_estimate", estimate)
     halvings.clear()
     assert compare_largest_roots(one, poly(-2, 0, 1)) == LESS
@@ -201,12 +201,18 @@ _FORCED_ESTIMATES = {
 def test_seeded_comparison_agrees_with_oracle_whatever_the_estimate(monkeypatch):
     # every case against every case, and against it times (x^3 - 7)(x^2 + 1),
     # which adds the root 7^(1/3) and a pair of complex roots
-    roots_of = {squarefree_part(p): roots for p, roots in _SEEDED_CASES}
+    # keyed by each polynomial and by its squarefree part: the sign
+    # certificate reads the estimate of the polynomial itself, and the
+    # brackets are seeded with the same one
+    roots_of = {}
+    for p, roots in _SEEDED_CASES:
+        roots_of[p] = roots_of[squarefree_part(p)] = roots
     pairs = []
     for p, _ in _SEEDED_CASES:
         for q, q_roots in _SEEDED_CASES:
             wider = q * poly(-7, 0, 0, 1) * poly(1, 0, 1)
-            roots_of[squarefree_part(wider)] = sorted(q_roots + [7 ** (1 / 3)], reverse=True)
+            wider_roots = sorted(q_roots + [7 ** (1 / 3)], reverse=True)
+            roots_of[wider] = roots_of[squarefree_part(wider)] = wider_roots
             pairs += [(p, q), (p, wider)]
     want = [oracle_compare_largest_roots(a, b) for a, b in pairs]
     for label, force in _FORCED_ESTIMATES.items():
@@ -278,8 +284,92 @@ def test_squarefree_chain_is_built_once_per_polynomial(monkeypatch):
         assert compare_largest_roots(p, p) == EQUAL
         assert compare_largest_roots(p, q) == GREATER
         assert compare_largest_roots(q, p) == LESS
-    assert calls == [p, q]
+    # p against q is settled by the sign certificate, which builds no chain
+    assert calls == [p]
     assert isinstance(polynomials._squarefree_chain(p), tuple)
+
+
+def _bracketed(monkeypatch):
+    """The polynomials compare_largest_roots hands to the Sturm bracket path,
+    in call order; a pair the sign certificate settles adds none."""
+    calls = []
+    bracket = polynomials._bracket_largest_root
+    monkeypatch.setattr(polynomials, "_bracket_largest_root",
+                        lambda p: calls.append(p) or bracket(p))
+    return calls
+
+
+def _force_estimates(monkeypatch, estimates):
+    """Use estimates[p] as the float estimate of p's largest root where given."""
+    estimate = polynomials._largest_root_estimate
+    monkeypatch.setattr(polynomials, "_largest_root_estimate",
+                        lambda p: estimates[p] if p in estimates else estimate(p))
+
+
+def test_certificate_declines_when_q_has_two_roots_above_the_split(monkeypatch):
+    calls = _bracketed(monkeypatch)
+    p = poly(-1, 1)  # root 1
+    one_above = _rooted(2, 6)  # split at 3.5: one root above it
+    two_above = _rooted(5, 6)  # both roots above it: q(3.5) has q's leading sign
+    assert compare_largest_roots(p, one_above) == LESS
+    assert compare_largest_roots(one_above, p) == GREATER
+    assert calls == []
+    assert compare_largest_roots(p, two_above) == LESS
+    assert compare_largest_roots(two_above, p) == GREATER
+    assert calls == [p, two_above, two_above, p]
+
+
+def test_certificate_declines_a_split_point_that_is_a_root(monkeypatch):
+    # estimates forced so that the split point (rp + rq) / 2 is exactly 3
+    calls = _bracketed(monkeypatch)
+    low, high = poly(-1, 1), _rooted(3, 5)  # 3 is a root of high: q(x) = 0
+    _force_estimates(monkeypatch, {low: 1.0, high: 5.0})
+    assert compare_largest_roots(low, high) == LESS
+    assert compare_largest_roots(high, low) == GREATER
+    assert calls == [low, high, high, low]
+    # 3 is the largest root of low: the Taylor shift's constant term is 0
+    calls.clear()
+    low, high = _rooted(1, 3), poly(-5, 1)
+    _force_estimates(monkeypatch, {low: 2.0, high: 4.0})
+    assert compare_largest_roots(low, high) == LESS
+    assert compare_largest_roots(high, low) == GREATER
+    assert calls == [low, high, high, low]
+
+
+def test_certificate_does_not_vouch_for_a_rootless_polynomial(monkeypatch):
+    # the Taylor shift of x^2 + 1 at any x >= 0 has positive coefficients,
+    # and q has a root above x: only the sign change below the estimate
+    # shows that x^2 + 1 has no root, and the bracket path raises
+    rootless, q = poly(1, 0, 1), poly(-5, 1)
+    for r in (-3.0, 0.0, 1.0, 4.0):
+        _force_estimates(monkeypatch, {rootless: r, q: 5.0})
+        with pytest.raises(ValueError):
+            compare_largest_roots(rootless, q)
+        with pytest.raises(ValueError):
+            compare_largest_roots(q, rootless)
+
+
+def test_certificate_settles_every_appendix_fan_chain_pair(monkeypatch):
+    # all g12/g18 pairs verify_appendix compares at orders 7..30, both ways
+    # round: the certificate settles each with no chain and no division, and
+    # agrees with the Sturm path, which runs with the estimates forced to nan
+    pairs = [
+        (appendix_polynomial(fx.poly_id, n, s), appendix_polynomial(fx.poly_id, n, s + 4))
+        for fx in FIXTURES if fx.s_gap is not None
+        for n, s in fan_chain(template_keys(fx, 7, 30))
+    ]
+    assert len(pairs) == 484
+    pairs += [(b, a) for a, b in pairs]
+    calls = _bracketed(monkeypatch)
+    divisions = []
+    divide = polynomials._divide
+    monkeypatch.setattr(polynomials, "_divide", lambda a, b: divisions.append(1) or divide(a, b))
+    got = [compare_largest_roots(a, b) for a, b in pairs]
+    assert calls == [] and divisions == []
+    monkeypatch.setattr(polynomials, "_largest_root_estimate", lambda p: math.nan)
+    assert got == [compare_largest_roots(a, b) for a, b in pairs]
+    assert len(calls) == 2 * len(pairs)
+    assert got.count(GREATER) == got.count(LESS) and EQUAL not in got
 
 
 def _random_factor(rng):

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import random
 from pathlib import Path
 from types import SimpleNamespace
@@ -92,14 +93,33 @@ def test_report_json_roundtrip_and_diff():
     assert diffs and any("counterexamples" in d for d in diffs)
 
 
+def _without_isolated_vertices(n):
+    """Labeled graphs on n vertices without isolated vertices, by
+    inclusion-exclusion: sum_k (-1)^k C(n,k) 2^C(n-k,2)."""
+    return sum((-1) ** k * math.comb(n, k) * 2 ** math.comb(n - k, 2) for k in range(n + 1))
+
+
 def test_theorem_n6_fixture():
     rep = verify_theorem_main(6)
     assert rep.passed
     assert rep.extremal_hits == 30
     assert rep.counterexamples == []
-    # labeled no-isolated graphs on 6 vertices by inclusion-exclusion:
-    # sum_k (-1)^k C(6,k) 2^C(6-k,2) = 32768-6144+960-160+30-6+1
-    assert rep.graphs_examined == 27449
+    assert rep.graphs_examined == _without_isolated_vertices(6)
+
+
+@pytest.mark.parametrize("task, n, jobs", [
+    ("theorem", 6, 2),
+    ("theorem", 7, 1),
+    ("corollary", 7, 2),
+])
+def test_sweeps_examine_every_graph_without_isolated_vertices(task, n, jobs):
+    # a chunking or range bug in the sweep, serial or pooled, would miss or
+    # double-count masks
+    assert [_without_isolated_vertices(k) for k in (6, 7, 8)] == [27449, 1887284, 252522481]
+    run = verify_theorem_main if task == "theorem" else verify_corollary
+    rep = run(n, jobs=jobs)
+    assert rep.passed
+    assert rep.graphs_examined == _without_isolated_vertices(n)
 
 
 @pytest.mark.parametrize("n, test", [
