@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
-apex detector, longest cycle and longest path) against the pure-Python
-fallback, the theorem's prefilter spot check, the theorem's and the
-corollary's Python tails on the tie band the kernel leaves, exact characteristic polynomials (one matrix
-a call and batched), the exact largest-root comparison (with the pairs its
-sign certificate settles and those left to the Sturm chains), and one
-end-to-end property suite at 10,000 trials.
+apex detector, longest cycle, longest path and Perron entry order) against
+the pure-Python fallback, the theorem's prefilter spot check, the theorem's
+and the corollary's Python tails on the tie band the kernel leaves, exact
+characteristic polynomials (one matrix a call and batched), the exact
+largest-root comparison (with the pairs its sign certificate settles and
+those left to the Sturm chains, and exact ties between distinct
+polynomials), and one end-to-end property suite at 10,000 trials.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 
@@ -32,7 +33,7 @@ from chordspec.appendix import (
     threshold_quotient_template,
 )
 from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
-from chordspec.graphs import graph_from_mask, is_isomorphic
+from chordspec.graphs import disjoint_union, graph_from_mask, is_isomorphic, make_graph
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
 from chordspec.spectral import (
     charpoly_graph,
@@ -127,6 +128,30 @@ def bench_row_searches(impls, draws=3000, seed=7):
                 base = out
             else:
                 assert base == out, "implementations disagree"
+
+
+def bench_perron_order(impls, draws=3000, seed=7):
+    """perron_order on the Perron shift's own draws: connected random graphs
+    of orders 4..10 and a random pair of vertices that are not twins. Every
+    decided sign must be the order of eigh's Perron entries (q_index)."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < draws:
+        g = _sample(rng, 4, 10)
+        u, v = rng.sample(range(g.n), 2)
+        if g.is_connected() and g.rows[u] & ~(1 << v) != g.rows[v] & ~(1 << u):
+            cases.append((g, u, v))
+    print(f"Perron entry order, {draws} connected random order-4..10 graphs")
+    for label, impl in impls:
+        t0 = time.perf_counter()
+        out = [impl.perron_order(g.rows, u, v) for g, u, v in cases]
+        dt = time.perf_counter() - t0
+        print(f"  {label:9s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s  "
+              f"undecided={out.count(0) / draws:.1%}")
+        for (g, u, v), order in zip(cases, out):
+            if order:
+                x = q_index(g).vector
+                assert order == (1 if x[u] > x[v] else -1), (g.rows, u, v, order)
 
 
 def bench_property_suite(seed=7, trials=10000):
@@ -240,8 +265,11 @@ def tie_graphs(n=6):
 
 
 def tie_pairs(n=6):
-    """(charpoly of a tie graph, charpoly of the extremal graph) per tie."""
-    target = charpoly_graph(extremal_graph(n).graph)
+    """(charpoly of a tie graph, charpoly of the extremal graph plus an
+    isolated vertex) per tie: the second is x times the first, a distinct
+    polynomial with the same largest root, so every pair is an exact tie
+    that compare_largest_roots settles through the common-factor gcd."""
+    target = charpoly_graph(disjoint_union(extremal_graph(n).graph, make_graph(1)))
     return [(charpoly_graph(g), target) for g in tie_graphs(n)]
 
 
@@ -274,7 +302,7 @@ def bench_exact(label, pairs, min_seconds=1.0):
     of one pass; every pass starts from cold caches. Also counts the pairs
     the sign certificate settles and those that go to the Sturm bracket
     path (``_bracket_largest_root``), which takes identical polynomials too.
-    Returns the verdict counts of one pass."""
+    Returns the verdict counts of one pass and the pass's call counts."""
 
     def one_pass():
         cold_caches()
@@ -294,7 +322,7 @@ def bench_exact(label, pairs, min_seconds=1.0):
           f"{counts['_divide'] / len(pairs):.2f} divisions")
     print(f"  {'':18s} settled by the certificate: {len(pairs) - chained}, "
           f"to the chain: {chained}")
-    return verdicts
+    return verdicts, counts
 
 
 def main() -> None:
@@ -322,6 +350,7 @@ def main() -> None:
         bench_classify(compiled, 8, 40 << 22, 41 << 22, q_index(k11n2_plus(8).graph).q)
     bench_detector(impls)
     bench_row_searches(impls)
+    bench_perron_order(impls)
     bench_spot_check()
     bench_tie_tail(6)
     bench_tie_tail(7)
@@ -341,14 +370,14 @@ def main() -> None:
 
     print("exact largest-root comparison (compare_largest_roots)")
     pairs = appendix_pairs()
-    appendix = bench_exact("appendix 7..22", pairs)
+    appendix, _ = bench_exact("appendix 7..22", pairs)
     # the g18 chain fails at (n, 3) for n = 19..22, as verify appendix pins
     assert len(pairs) == 196 and len(pairs) - appendix[LESS] == 4, appendix
     pairs = appendix_pairs(7, 30)
-    appendix = bench_exact("appendix 7..30", pairs)
+    appendix, _ = bench_exact("appendix 7..30", pairs)
     assert len(pairs) == 484 and sum(appendix.values()) == 484, appendix
-    ties = bench_exact("order-6 ties", tie_pairs(6))
-    assert ties == Counter({EQUAL: 30}), ties
+    ties, counts = bench_exact("order-6 ties", tie_pairs(6))
+    assert ties == Counter({EQUAL: 30}) and counts["_divide"] > 0, (ties, counts)
 
     bench_property_suite()
 

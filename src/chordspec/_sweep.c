@@ -1,8 +1,8 @@
 /* Compiled sweep kernels: one pass over an edge-bitmask graph range that
  * sorts each graph by its signless Laplacian index against two cuts and
  * tests the ones above them for a chord configuration, the chord tests on
- * one graph, and the longest-cycle and longest-path searches of the
- * property suite.
+ * one graph, the longest-cycle and longest-path searches of the property
+ * suite, and the certified Perron entry order of its Perron shift.
  *
  * Same interface and soundness contract as the pure-Python twin _sweep_py:
  * classify drops a mask only when its index is provably below lo_cut, and
@@ -466,6 +466,146 @@ static PyObject *max_path_order(PyObject *self, PyObject *const *args,
     return PyLong_FromLong(best);
 }
 
+/* -- Perron entry order -----------------------------------------------------
+ * The sign of x_u - x_v for the Perron vector x of Q(G), certified from the
+ * top pair of a cyclic Jacobi eigensolve by the rule of
+ * _sweep_py._certified_order, which states the Davis-Kahan argument. Only
+ * the bound on the second eigenvalue differs: there it is eigh's second
+ * value, here the second largest diagonal entry theta_2 of the rotated
+ * matrix plus the Frobenius norm omega of its off-diagonal part when the
+ * sweeps stop (Weyl: each eigenvalue lies within omega of the sorted
+ * diagonal). The rotations are backward stable, so the rounding they add is
+ * within the rule's slack. */
+
+#define PERRON_MAXN 16 /* perron_order decides on graphs of at most this order */
+#define PERRON_MARGIN 1e-9 /* a Perron entry order must clear its bound by this */
+#define JACOBI_SWEEPS 30
+
+/* The two functions below are built at -O2, not at the -O3 of the rest:
+ * at -O3 gcc 12 unrolls and vectorises their loops, which raises the
+ * compiler's peak memory on the first import from 52 to 59 MB (53 MB at
+ * -O2) and gains about a tenth of perron_order's own time, about a
+ * microsecond a call. */
+#define PERRON_OPT __attribute__((noinline, optimize("O2")))
+
+/* (x, y) <- (c x - s y, s x + c y) on n entries spaced stride apart. */
+PERRON_OPT static void rotate(int n, double *x, double *y, int stride, double c, double s)
+{
+    for (int k = 0; k < n * stride; k += stride) {
+        double xk = x[k], yk = y[k];
+        x[k] = c * xk - s * yk;
+        y[k] = s * xk + c * yk;
+    }
+}
+
+/* The certified sign of x_u - x_v (0 on doubt) for a connected graph of
+ * n <= PERRON_MAXN vertices. Cyclic Jacobi on Q rotates each nonzero
+ * off-diagonal entry to zero (Golub and Van Loan, Matrix Computations,
+ * sec. 8.5) until the off-diagonal part is below 1e-13 |Q|_F or
+ * JACOBI_SWEEPS sweeps have run; y is the column of the accumulated
+ * rotations at the largest diagonal entry. */
+PERRON_OPT static int perron_sign(int n, const uint64_t *adj, int u, int v)
+{
+    double a[PERRON_MAXN][PERRON_MAXN], vec[PERRON_MAXN][PERRON_MAXN], y[PERRON_MAXN];
+    double qnorm2 = 0.0, off2;
+    int degs[PERRON_MAXN];
+    for (int i = 0; i < n; i++) {
+        degs[i] = popcount(adj[i]);
+        qnorm2 += (double)degs[i] * degs[i] + degs[i];
+        for (int j = 0; j < n; j++) {
+            a[i][j] = i == j ? degs[i] : (double)(adj[i] >> j & 1);
+            vec[i][j] = i == j;
+        }
+    }
+    for (int sweep = 0;; sweep++) {
+        off2 = 0.0;
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++)
+                if (i != j)
+                    off2 += a[i][j] * a[i][j];
+        if (off2 <= 1e-26 * qnorm2 || sweep == JACOBI_SWEEPS)
+            break;
+        for (int p = 0; p < n - 1; p++)
+            for (int r = p + 1; r < n; r++) {
+                if (a[p][r] == 0.0)
+                    continue;
+                double tau = (a[r][r] - a[p][p]) / (2.0 * a[p][r]);
+                double t = (tau >= 0 ? 1.0 : -1.0) / (fabs(tau) + sqrt(1.0 + tau * tau));
+                double c = 1.0 / sqrt(1.0 + t * t), s = t * c;
+                rotate(n, &a[0][p], &a[0][r], PERRON_MAXN, c, s); /* a <- a J */
+                rotate(n, &vec[0][p], &vec[0][r], PERRON_MAXN, c, s); /* vec <- vec J */
+                rotate(n, a[p], a[r], 1, c, s); /* a <- J' a */
+                a[p][r] = a[r][p] = 0.0;
+            }
+    }
+    int top = 0;
+    for (int i = 1; i < n; i++)
+        if (a[i][i] > a[top][top])
+            top = i;
+    double theta2 = -INFINITY, yy = 0.0, sum = 0.0;
+    for (int i = 0; i < n; i++) {
+        if (i != top && a[i][i] > theta2)
+            theta2 = a[i][i];
+        y[i] = vec[i][top];
+        yy += y[i] * y[i];
+        sum += y[i];
+    }
+    /* the rule of _sweep_py._certified_order, with lambda_2 <= theta2 + omega */
+    double slack = 1e-12 * (1.0 + sqrt(qnorm2)), scale = (sum < 0 ? -1.0 : 1.0) / sqrt(yy);
+    double qy[PERRON_MAXN], rho = 0.0, rr = 0.0;
+    for (int i = 0; i < n; i++)
+        y[i] *= scale;
+    for (int i = 0; i < n; i++) {
+        qy[i] = degs[i] * y[i];
+        for (uint64_t row = adj[i]; row; row &= row - 1)
+            qy[i] += y[lowest_bit(row)];
+        rho += y[i] * qy[i];
+    }
+    for (int i = 0; i < n; i++)
+        rr += (qy[i] - rho * y[i]) * (qy[i] - rho * y[i]);
+    double delta = rho - (theta2 + sqrt(off2) + slack);
+    if (!(delta > 0))
+        return 0;
+    double eta = sqrt(2.0) * (sqrt(rr) + slack) / delta;
+    if (!(eta * sqrt((double)n) < 1))
+        return 0;
+    double d = y[u] - y[v];
+    if (!(fabs(d) > 2 * eta + PERRON_MARGIN))
+        return 0;
+    return d > 0 ? 1 : -1;
+}
+
+/* A vertex of a graph on n vertices into *out, else ValueError (TypeError
+ * for an argument that is not an int). */
+static int parse_vertex(PyObject *arg, int n, const char *what, int *out)
+{
+    int overflow;
+    long x = PyLong_AsLongAndOverflow(arg, &overflow);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow || x < 0 || x >= n) {
+        PyErr_Format(PyExc_ValueError, "%s = %R is not a vertex of a graph on %d vertices",
+                     what, arg, n);
+        return -1;
+    }
+    *out = (int)x;
+    return 0;
+}
+
+static PyObject *perron_order(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t adj[MAXROWS], comps[MAXROWS];
+    int n, u, v;
+    if (check_nargs("perron_order", nargs, 3) || parse_rows(args[0], adj, &n) ||
+        parse_vertex(args[1], n, "u", &u) || parse_vertex(args[2], n, "v", &v))
+        return NULL;
+    if (u == v)
+        return PyErr_Format(PyExc_ValueError, "need u != v, got %d twice", u);
+    if (n > PERRON_MAXN || components(n, adj, comps) > 1)
+        return PyLong_FromLong(0);
+    return PyLong_FromLong(perron_sign(n, adj, u, v));
+}
+
 /* -- sweep and classification ---------------------------------------------- */
 
 /* One pass over the masks in [lo, hi): masks with an isolated vertex are
@@ -583,6 +723,10 @@ static PyMethodDef methods[] = {
     {"max_path_order", (PyCFunction)(void (*)(void))max_path_order, METH_FASTCALL,
      "max_path_order(rows) -> int\n\n"
      "Most vertices on any path; see chords.max_path_order."},
+    {"perron_order", (PyCFunction)(void (*)(void))perron_order, METH_FASTCALL,
+     "perron_order(rows, u, v) -> 1, -1 or 0\n\n"
+     "The certified sign of x_u - x_v for the Perron vector x of Q, or 0;\n"
+     "see _sweep_py.perron_order."},
     {NULL, NULL, 0, NULL},
 };
 

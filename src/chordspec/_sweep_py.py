@@ -3,7 +3,8 @@
 Mirrors the compiled extension's interface. The pass over a mask range
 (classify, with a chord test or None) is vectorized with numpy over blocks
 of edge bitmasks; the per-graph calls take adjacency rows and defer to the
-reference searchers in chords.py.
+reference searchers in chords.py, and perron_order certifies numpy ``eigh``'s
+top pair by the rule the compiled kernel applies to its Jacobi pair.
 
 Soundness contract: a mask may only be dropped when its signless Laplacian
 index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
@@ -22,13 +23,15 @@ import numpy as np
 
 from . import chords
 from .graphs import Graph, bits_to_vertices, graph_from_mask
-from .spectral import MaskBatch
+from .spectral import MaskBatch, signless_laplacian
 
 IS_COMPILED = False
 
 MAXN = 11  # edge bitmasks fit 64 bits up to n = 11, as in the compiled kernel
 MAXROWS = 64  # adjacency rows fit 64 bits, as in the compiled kernel
 CUT_MARGIN = 1e-9  # a cut decides only when the index clears it by this
+PERRON_MAXN = 16  # perron_order decides on graphs of at most this order
+PERRON_MARGIN = 1e-9  # a Perron entry order must clear its bound by this
 _BLOCK = 1 << 14
 
 
@@ -140,3 +143,62 @@ def longest_cycle(rows) -> tuple[int, tuple[int, ...]] | None:
 def max_path_order(rows) -> int:
     """Most vertices on any path; ValueError for the empty graph."""
     return chords.max_path_order(_graph_of_rows(rows))
+
+
+def perron_order(rows, u, v) -> int:
+    """The sign of x_u - x_v for the Perron vector x of Q(G), as 1 or -1,
+    when ``_certified_order`` certifies it from numpy ``eigh``'s top pair; 0
+    on any doubt, and for a disconnected graph or one of more than
+    PERRON_MAXN vertices. ValueError for rows that are not those of a simple
+    graph, u == v or a vertex outside the graph."""
+    g = _graph_of_rows(rows)
+    u, v = operator.index(u), operator.index(v)
+    for name, x in (("u", u), ("v", v)):
+        if not 0 <= x < g.n:
+            raise ValueError(f"{name} = {x} is not a vertex of a graph on {g.n} vertices")
+    if u == v:
+        raise ValueError(f"need u != v, got {u} twice")
+    if g.n > PERRON_MAXN or not g.is_connected():
+        return 0
+    q = signless_laplacian(g).astype(float)
+    w, vecs = np.linalg.eigh(q)
+    # eigh's values are those of a matrix within rounding of Q, which the
+    # certificate's slack covers: lambda_2 <= w[-2] + slack
+    return _certified_order(q, vecs[:, -1], float(w[-2]), u, v)
+
+
+def _certified_order(q: np.ndarray, y: np.ndarray, upper2: float, u: int, v: int) -> int:
+    """The sign of x_u - x_v for the unit Perron vector x of the connected
+    graph's Q (so x > 0 and its eigenvalue is simple), read off an
+    approximate top eigenvector y when a Davis-Kahan bound certifies it,
+    else 0. upper2 bounds the second eigenvalue lambda_2 of Q from above, up
+    to rounding.
+
+    With y a unit vector, rho = y'Qy and r = Qy - rho y, every eigenvalue
+    but the largest lies at distance at least delta = rho - lambda_2 from
+    rho, so the angle phi between y and the line of x has
+    sin phi <= |r| / delta (Davis and Kahan, SIAM J. Numer. Anal. 7, 1970),
+    and y oriented along x is within eta = sqrt(2) |r| / delta of x. When
+    eta sqrt(n) < 1, that orientation is the one with a positive entry sum
+    (x has entry sum at least |x| = 1), and then |y_u - y_v - (x_u - x_v)|
+    <= 2 eta. A slack of 1e-12 (1 + |Q|_F) widens |r| and the bound on
+    lambda_2 against rounding; the sign counts once it clears 2 eta by
+    PERRON_MARGIN. The compiled kernel applies the same rule to its Jacobi
+    pair."""
+    n = len(y)
+    slack = 1e-12 * (1.0 + float(np.sqrt((q * q).sum())))
+    y = y / np.sqrt(y @ y)
+    if y.sum() < 0:
+        y = -y
+    qy = q @ y
+    rho = float(y @ qy)
+    delta = rho - (upper2 + slack)
+    if not delta > 0:
+        return 0
+    eta = np.sqrt(2.0) * (float(np.sqrt(((qy - rho * y) ** 2).sum())) + slack) / delta
+    if not eta * np.sqrt(n) < 1:
+        return 0
+    d = float(y[u] - y[v])
+    if not abs(d) > 2 * eta + PERRON_MARGIN:
+        return 0
+    return 1 if d > 0 else -1

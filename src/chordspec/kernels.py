@@ -7,8 +7,12 @@ those provably above it that pass a chord test (or none, given no test);
 and, on one graph's adjacency rows (up to 64 vertices), the chord tests
 ``apex_has_config`` (k chords at one cycle vertex) and ``chorded_has`` (a
 cycle with at least min_chords chords, which tries the apex search first
-for min_chords <= 3) and the searches ``longest_cycle`` and
-``max_path_order``. ``sweep_range`` below is the pass with no test.
+for min_chords <= 3), the searches ``longest_cycle`` and
+``max_path_order``, and ``perron_order(rows, u, v)``: the sign of
+x_u - x_v for the Perron vector x of Q(G) as 1 or -1 when a Davis-Kahan
+bound certifies it, else 0 (on a tie or a small gap, for a disconnected
+graph and above 16 vertices). ``sweep_range`` below is the pass with no
+test.
 
 On first import the C source ``_sweep.c`` is compiled with the interpreter's
 own compiler command into ``build/kernel/`` at the repository root. The file
@@ -107,6 +111,7 @@ chorded_has = _impl.chorded_has
 classify = _impl.classify
 longest_cycle = _impl.longest_cycle
 max_path_order = _impl.max_path_order
+perron_order = _impl.perron_order
 
 
 def sweep_range(n: int, lo: int, hi: int, q_floor: float):

@@ -910,8 +910,17 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         if not g.is_connected():
             return None
         u, v = rng.sample(range(g.n), 2)
-        index = q_index(g)
-        if index.vector[u] < index.vector[v]:
+        rows = g.rows
+        if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+            # twins: N(u) - v = N(v) - u leaves no shift set either way
+            return None
+        # u takes the larger Perron entry: the kernel's certified order,
+        # else the order of eigh's vector
+        order = kernels.perron_order(rows, u, v)
+        if order == 0:
+            x = q_index(g).vector
+            order = -1 if x[u] < x[v] else 1
+        if order < 0:
             u, v = v, u
         pool = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
         if not pool:
@@ -920,12 +929,12 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         shifted = g.remove_edges((v, w) for w in moved).add_edges(
             (u, w) for w in moved
         )
-        return g, index.q, shifted
+        return g, shifted
 
     def check_shift(samples):
-        qs = q_indices([shifted for _, _, shifted in samples])
-        return [g for (g, q, shifted), q1 in zip(samples, qs)
-                if _order(g, q, shifted, q1) != LESS]
+        qs = q_indices([h for pair in samples for h in pair])
+        return [g for (g, shifted), q0, q1 in zip(samples, qs[::2], qs[1::2])
+                if _order(g, q0, shifted, q1) != LESS]
 
     lemma("perron_shift", 202, draw_shift, check_shift)
 
@@ -1002,9 +1011,14 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     # unavoidable (orders 10..14).
     def draw_dense(rng):
         n = rng.randint(10, 14)
-        nbits = n * (n - 1) // 2
-        e = rng.randint(4 * n - 15, nbits)
-        return graph_from_mask(n, sum(1 << b for b in rng.sample(range(nbits), e)))
+        pairs = index_pairs(n)
+        e = rng.randint(4 * n - 15, len(pairs))
+        adj = [0] * n
+        for b in rng.sample(range(len(pairs)), e):
+            i, j = pairs[b]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return Graph(n, tuple(adj))
 
     def check_configured(samples):
         bad = []

@@ -14,6 +14,8 @@ from chordspec import _sweep_py, kernels
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.families import complete, extremal_graph, path
 from chordspec.graphs import disjoint_union, graph_from_mask, make_graph
+from chordspec.polynomials import EQUAL
+from chordspec.spectral import q_index
 from chordspec.verifier import TIE_BAND, verify_appendix
 from oracles import cycles_by_dfs, oracle_longest_path_order, oracle_q
 
@@ -411,9 +413,11 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
     # classify benches on order 5 and its apex detector bench on 200 graphs,
-    # whose asserts compare the implementations, one pass of its order-6 tie
-    # tail, whose asserts check the verdicts, and expand its appendix
-    # templates at orders 7..8
+    # whose asserts compare the implementations, its Perron entry order
+    # bench on 200 graphs, whose asserts check each decided sign against
+    # eigh, one pass of its order-6 tie tail, whose asserts check the
+    # verdicts, and of its exact order-6 ties, which must reach the gcd, and
+    # expand its appendix templates at orders 7..8
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -421,11 +425,14 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     bench.bench_sweep(IMPLEMENTATIONS, 5, 0, 1 << 10, 6.0)
     bench.bench_classify(IMPLEMENTATIONS, 5, 0, 1 << 10, 6.0)
     bench.bench_detector(IMPLEMENTATIONS, trials=200)
+    bench.bench_perron_order(IMPLEMENTATIONS, draws=200)
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
-        assert out.count(f"  {label} ") == 3, out
+        assert out.count(f"  {label} ") == 4, out
     bench.bench_tie_tail(6, min_seconds=0)
     assert "theorem tie tail n=6: 30 masks" in capsys.readouterr().out
+    ties, counts = bench.bench_exact("order-6 ties", bench.tie_pairs(6), min_seconds=0)
+    assert ties == {EQUAL: 30} and counts["_divide"] > 0, (ties, counts)
     # the templates it times are verify_appendix's, plus one threshold
     # template per order
     checked = next(d["checked"] for d in verify_appendix(7, 8).details
@@ -485,6 +492,67 @@ def test_row_kernel_guards(impl):
     # the bound itself is accepted: the 64-cycle, and a tuple of rows
     assert impl.longest_cycle(RING64) == (64, tuple(range(64)))
     assert impl.max_path_order(tuple(RING64)) == 64
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_perron_order_guards(impl):
+    # the rows of a simple graph, two distinct vertices of it
+    for rows in BAD_ROWS:
+        with pytest.raises(ValueError):
+            impl.perron_order(rows, 0, 1)
+    p5 = path(5).rows
+    for u, v in ((2, 2), (-1, 0), (0, 5), (5, 0), (0, 1 << 70)):
+        with pytest.raises(ValueError):
+            impl.perron_order(p5, u, v)
+    with pytest.raises(ValueError):
+        impl.perron_order([], 0, 1)
+    with pytest.raises(TypeError):
+        impl.perron_order(p5, 1.0, 2)
+    # on the path, the Perron entries rise towards the middle
+    assert impl.perron_order(p5, 2, 0) == 1 and impl.perron_order(p5, 0, 1) == -1
+    assert impl.perron_order(p5, 0, 4) == 0  # mirror images: a tie
+    # no decision on a disconnected graph or above 16 vertices; 16 decide
+    assert impl.perron_order(disjoint_union(path(3), path(4)).rows, 3, 4) == 0
+    assert impl.perron_order(path(17).rows, 8, 0) == 0
+    assert impl.perron_order(RING64, 0, 1) == impl.perron_order(FAN64, 0, 1) == 0
+    assert impl.perron_order(path(16).rows, 7, 0) == 1
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_perron_order_agrees_with_q_index_on_every_small_graph(impl):
+    # every connected graph of 2..7 vertices in the networkx atlas, every
+    # ordered pair of its vertices: a decided sign is the order of
+    # q_index's Perron entries; twins (N(u) - v = N(v) - u) share their
+    # entry and get 0; and every pair whose entries differ by 1e-6 is decided:
+    # the 34,322 ordered pairs with distinct entries, which differ by at
+    # least 1.3e-3 on these graphs
+    nx = pytest.importorskip("networkx")
+    decided = 0
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if n < 2 or not nx.is_connected(atlas_graph):
+            continue
+        g = make_graph(n, list(atlas_graph.edges()))
+        x = q_index(g).vector
+        for u in range(n):
+            for v in range(n):
+                if u == v:
+                    continue
+                order = impl.perron_order(g.rows, u, v)
+                if g.rows[u] & ~(1 << v) == g.rows[v] & ~(1 << u):
+                    assert order == 0, (g.rows, u, v)
+                elif order:
+                    assert order == (1 if x[u] > x[v] else -1), (g.rows, u, v)
+                    decided += 1
+                else:
+                    assert abs(x[u] - x[v]) < 1e-6, (g.rows, u, v)
+    assert decided == 34322
 
 
 @pytest.mark.parametrize(
@@ -556,7 +624,11 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
     for rows in (RING64, FAN64, *BAD_ROWS):
         for name in ("apex_has_config", "chorded_has"):
             calls.append((name, (rows, 3)))
-        calls += [("longest_cycle", (rows,)), ("max_path_order", (rows,))]
+        calls += [("longest_cycle", (rows,)), ("max_path_order", (rows,)),
+                  ("perron_order", (rows, 0, 1))]
+    # graphs the Jacobi eigensolve runs on, up to its 16 vertices
+    for rows in (path(16).rows, complete(7).rows, extremal_graph(10).graph.rows):
+        calls.append(("perron_order", (rows, 0, 5)))
     runs = [_python(SANITIZED_CHILD, path, repr(calls))
             for path in (so, Path(compiled.__file__))]
     (sanitized, sanitized_err), (regular, _) = [run.communicate(timeout=300) for run in runs]

@@ -341,6 +341,31 @@ def test_property_suite_draws_are_pinned(monkeypatch):
     every `_sample` call (the structural claims' draws included), every
     graph the structural claims' apex test sees and every graph the
     configuration searcher sees."""
+    assert _property_draws_digest(monkeypatch) == PROPERTY_DRAWS_SEED7
+
+
+def test_a_flipped_perron_order_moves_the_draw_digest(monkeypatch):
+    # the Perron shift takes its orientation from kernels.perron_order when
+    # that certifies one: the first certified sign, flipped, changes which
+    # neighbours move and so the generator state of every later draw
+    perron_order = kernels.perron_order
+    flipped = []
+
+    def flip_first(rows, u, v):
+        order = perron_order(rows, u, v)
+        if order and not flipped:
+            flipped.append((rows, u, v))
+            return -order
+        return order
+
+    monkeypatch.setattr(kernels, "perron_order", flip_first)
+    assert _property_draws_digest(monkeypatch) != PROPERTY_DRAWS_SEED7
+    assert len(flipped) == 1
+
+
+def _property_draws_digest(monkeypatch):
+    """The digest that PROPERTY_DRAWS_SEED7 pins, of
+    property_suite(seed=7, trials=25), which must pass."""
     trace = hashlib.sha256()
     sample = verifier._sample
     apex_has_config = kernels.apex_has_config
@@ -366,7 +391,7 @@ def test_property_suite_draws_are_pinned(monkeypatch):
     monkeypatch.setattr(kernels, "apex_has_config", traced_apex)
     monkeypatch.setattr(chords, "find_k_chords_at_apex", traced_find)
     assert property_suite(seed=7, trials=25).passed
-    assert trace.hexdigest() == PROPERTY_DRAWS_SEED7
+    return trace.hexdigest()
 
 
 def test_property_suite_rejects_a_longest_cycle_that_is_not_a_cycle(monkeypatch):
