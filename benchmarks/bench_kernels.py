@@ -6,22 +6,27 @@ and the corollary's Python tails on the tie band the kernel leaves, exact
 characteristic polynomials (one matrix a call and batched), the exact
 largest-root comparison (with the pairs its sign certificate settles and
 those left to the Sturm chains, and exact ties between distinct
-polynomials), and one end-to-end property suite at 10,000 trials.
+polynomials), and one end-to-end property suite at 10,000 trials. The
+threaded sweeps run on 1 and 2 worker threads, next to the CPUs this
+process may use: the theorem's whole order-6 sweep (`_sweep_classified`
+with 1 and 2 jobs) and the order-8 slice below, cut into pieces.
 
 Usage: python benchmarks/bench_kernels.py [--full]
 
 --full adds a complete order-7 sweep for both implementations (the fallback
 takes a couple of minutes there; the default compares on order 6 plus an
 order-7 slice). The theorem's classify pass is also timed on an order-8
-slice of 2^22 masks, with the compiled kernel only.
+slice of 2^22 masks, [40 * 2^22, 41 * 2^22), with the compiled kernel only.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import statistics
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 from chordspec import kernels, polynomials
 from chordspec.appendix import (
@@ -50,6 +55,7 @@ from chordspec.verifier import (
     _sweep_classified,
     _sweep_rule,
     _tail,
+    _usable_cpus,
     property_suite,
 )
 
@@ -87,6 +93,55 @@ def bench_classify(impls, n, lo, hi, thr):
             base = out
         else:
             assert base == out, "implementations disagree"
+
+
+def bench_classify_threads(label, impl, n, lo, hi, thr, pieces=8):
+    """classify on the masks in [lo, hi), as the theorem runs it, cut into
+    pieces that 1 and then 2 worker threads take in turn: wall and CPU time
+    of each, and the speed-up of 2 threads over 1."""
+    cuts = thr - TIE_BAND, thr + TIE_BAND
+    bounds = [lo + (hi - lo) * i // pieces for i in range(pieces + 1)]
+
+    def piece(b):
+        return impl.classify(n, b[0], b[1], *cuts, ("apex_has_config", 3))
+
+    print(f"classify n={n} masks=[{lo}, {hi}) in {pieces} pieces, {label}, "
+          f"usable CPUs={_usable_cpus()}")
+    base = None
+    for workers in (1, 2):
+        cpu0, t0 = time.process_time(), time.perf_counter()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            out = list(pool.map(piece, zip(bounds, bounds[1:])))
+        dt, cpu = time.perf_counter() - t0, time.process_time() - cpu0
+        if base is None:
+            base = dt, out
+        else:
+            assert base[1] == out, "thread counts disagree"
+        print(f"  threads={workers} {dt:8.2f}s  cpu {cpu:6.2f}s  {(hi - lo) / dt / 1e6:7.2f} "
+              f"Mmask/s  speed-up {base[0] / dt:4.2f}")
+
+
+def bench_sweep_jobs(n=6, min_seconds=1.0):
+    """The theorem's whole kernel sweep at order n (_sweep_classified) with 1
+    and 2 jobs, repeated for min_seconds each: median time a call."""
+    thr = q_index(extremal_graph(n).graph).q
+    print(f"theorem sweep n={n} (_sweep_classified), usable CPUs={_usable_cpus()}")
+    base = None
+    for jobs in (1, 2):
+        times = []
+
+        def one_call():
+            t0 = time.perf_counter()
+            out = _sweep_classified(n, thr, ("apex_has_config", 3), jobs)
+            times.append(time.perf_counter() - t0)
+            return out
+
+        calls, _, out = repeat_for(min_seconds, one_call)
+        print(f"  jobs={jobs} {statistics.median(times) * 1e3:8.2f} ms a call (median of {calls})")
+        if base is None:
+            base = out
+        else:
+            assert base == out, "job counts disagree"
 
 
 def bench_detector(impls, trials=20000, seed=7):
@@ -347,7 +402,10 @@ def main() -> None:
     # take about 25 s there
     compiled = [(label, impl) for label, impl in impls if label == "compiled"]
     if compiled:
-        bench_classify(compiled, 8, 40 << 22, 41 << 22, q_index(k11n2_plus(8).graph).q)
+        thr8 = q_index(k11n2_plus(8).graph).q
+        bench_classify(compiled, 8, 40 << 22, 41 << 22, thr8)
+        bench_classify_threads(*compiled[0], 8, 40 << 22, 41 << 22, thr8)
+    bench_sweep_jobs(6)
     bench_detector(impls)
     bench_row_searches(impls)
     bench_perron_order(impls)

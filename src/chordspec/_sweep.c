@@ -20,6 +20,8 @@
  * mask differs from the one before. Every per-graph call takes adjacency
  * rows too, for graphs of up to MAXROWS vertices.
  *
+ * classify's pass runs without the GIL, so threads can sweep ranges at once.
+ *
  * kernels.py compiles this file on first import.
  */
 
@@ -27,6 +29,7 @@
 #include <Python.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define MAXN 11 /* edge bitmasks fit 64 bits up to n = 11; sweeps use n <= 8 */
@@ -612,20 +615,23 @@ static PyObject *perron_order(PyObject *self, PyObject *const *args, Py_ssize_t 
  * skipped and the others counted in *no_isolated; a mask whose degree
  * bounds or power iterate put its index below lo_cut is dropped, one above
  * hi_cut whose graph passes test (never, when test is NULL) is counted in
- * *hits, and every other mask is listed in the result, ascending. Every
- * stage reads adj, the rows of the current mask: the first mask flips all
- * of lo's bits, each later one the trailing bits that changed (two on
- * average). */
-static PyObject *sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi_cut,
-                       detector test, long k, long long *no_isolated, long long *hits)
+ * *hits, and every other mask goes into *rest, ascending, a malloc'd buffer
+ * of *len masks that the caller frees. Every stage reads adj, the rows of
+ * the current mask: the first mask flips all of lo's bits, each later one
+ * the trailing bits that changed (two on average). Touches no Python object
+ * and no mutable static, so it runs without the GIL and concurrently.
+ * Returns 0, or -1 when the buffer cannot grow. */
+static int sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi_cut,
+                 detector test, long k, long long *no_isolated, long long *hits,
+                 uint64_t **rest, size_t *len)
 {
     uint64_t adj[MAXN] = {0}, held = 0; /* adj: the rows of mask held */
     int degs[MAXN];
+    size_t cap = 0;
 
     *no_isolated = *hits = 0;
-    PyObject *rest = PyList_New(0);
-    if (rest == NULL)
-        return NULL;
+    *rest = NULL;
+    *len = 0;
     for (uint64_t mask = lo; mask < hi; mask++) {
         for (uint64_t flip = mask ^ held; flip; flip &= flip - 1) {
             int b = lowest_bit(flip);
@@ -662,15 +668,16 @@ static PyObject *sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi
             ++*hits;
             continue;
         }
-        PyObject *m = PyLong_FromUnsignedLongLong(mask);
-        if (m == NULL || PyList_Append(rest, m) < 0) {
-            Py_XDECREF(m);
-            Py_DECREF(rest);
-            return NULL;
+        if (*len == cap) {
+            cap = cap ? 2 * cap : 1024;
+            uint64_t *grown = realloc(*rest, cap * sizeof **rest);
+            if (grown == NULL)
+                return -1;
+            *rest = grown;
         }
-        Py_DECREF(m);
+        (*rest)[(*len)++] = mask;
     }
-    return rest;
+    return 0;
 }
 
 static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -700,7 +707,21 @@ static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t narg
         else
             return PyErr_Format(PyExc_ValueError, "no kernel test %R", args[5]);
     }
-    PyObject *rest = sweep(n, lo, hi, lo_cut, hi_cut, test, k, &no_isolated, &hits);
+    uint64_t *masks;
+    size_t len;
+    int failed;
+    Py_BEGIN_ALLOW_THREADS
+    failed = sweep(n, lo, hi, lo_cut, hi_cut, test, k, &no_isolated, &hits, &masks, &len);
+    Py_END_ALLOW_THREADS
+    PyObject *rest = failed ? PyErr_NoMemory() : PyList_New((Py_ssize_t)len);
+    for (size_t i = 0; rest != NULL && i < len; i++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(masks[i]);
+        if (m == NULL)
+            Py_CLEAR(rest);
+        else
+            PyList_SET_ITEM(rest, (Py_ssize_t)i, m);
+    }
+    free(masks);
     return rest ? Py_BuildValue("(LLN)", no_isolated, hits, rest) : NULL;
 }
 
@@ -716,7 +737,7 @@ static PyMethodDef methods[] = {
     {"classify", (PyCFunction)(void (*)(void))classify, METH_FASTCALL,
      "classify(n, lo, hi, lo_cut, hi_cut, test) -> (no_isolated, hits, rest)\n\n"
      "Sort the edge bitmasks in [lo, hi) by index against two cuts; test is\n"
-     "(name, k) or None. See _sweep_py.classify."},
+     "(name, k) or None. The pass releases the GIL. See _sweep_py.classify."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_FASTCALL,
      "longest_cycle(rows) -> (length, cycle) or None\n\n"
      "The first longest cycle in search order; see chords.longest_cycle."},

@@ -14,6 +14,11 @@ bound certifies it, else 0 (on a tie or a small gap, for a disconnected
 graph and above 16 vertices). ``sweep_range`` below is the pass with no
 test.
 
+The compiled ``classify`` releases the GIL for its pass, so threads that
+classify different ranges run at once; it holds the GIL again only to build
+the list of masks it leaves. The twin runs unchanged on threads too, but
+holds the GIL outside numpy.
+
 On first import the C source ``_sweep.c`` is compiled with the interpreter's
 own compiler command into ``build/kernel/`` at the repository root. The file
 name carries a hash of the source, so an edited source never loads a stale

@@ -188,27 +188,32 @@ def _classify_chunk(args):
     return kernels.classify(n, lo, hi, thr - TIE_BAND, thr + TIE_BAND, test)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     """Every mask of order n through _classify_chunk, in chunks of at most
-    CHUNK masks (at least jobs * 4 chunks, over a process pool, when
+    CHUNK masks (at least jobs * 4 chunks, over jobs worker threads, when
     jobs > 1): (graphs without isolated vertices, hits, the ascending masks
-    left for the Python rules). jobs is capped at the CPUs this process may
-    run on, as the pool starts all its workers at once. VerifierError for
-    jobs below 1."""
+    left for the Python rules). The compiled classify releases the GIL for
+    its pass, so the threads sweep at once; the python twin holds the GIL
+    outside numpy, so its threads mostly take turns. jobs is capped at the
+    CPUs this process may run on. VerifierError for jobs below 1."""
     if jobs < 1:
         raise VerifierError(f"jobs must be >= 1, got {jobs}")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    jobs = min(jobs, cpus)
+    jobs = min(jobs, _usable_cpus())
     total = 1 << n * (n - 1) // 2
     step = CHUNK if jobs <= 1 else min(CHUNK, -(-total // (jobs * 4)))
     chunks = [(n, lo, min(lo + step, total), thr, test) for lo in range(0, total, step)]
     if jobs <= 1:
         results = [_classify_chunk(chunk) for chunk in chunks]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_classify_chunk, chunks))
     rest = [mask for _, _, left in results for mask in left]
     return sum(r[0] for r in results), sum(r[1] for r in results), rest

@@ -1,11 +1,14 @@
 import importlib.machinery
 import importlib.util
+import inspect
 import math
 import os
 import random
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -383,6 +386,82 @@ def test_classify_over_a_range_equals_its_pieces(compiled, n, lo, hi, edge):
         assert _in_pieces(compiled, n, bounds, *cuts, test) == whole
 
 
+def _interleaved(classify, n, lo, hi, lo_cut, hi_cut, test, pieces=8):
+    """classify over [lo, hi) cut into pieces, the even ones on one thread
+    and the odd ones on another, started at once; the results added up in
+    range order. Self-contained: the sanitized child runs its source."""
+    import threading
+
+    bounds = [lo + (hi - lo) * i // pieces for i in range(pieces + 1)]
+    parts = [None] * pieces
+    start = threading.Barrier(2)
+
+    def run(first):
+        start.wait()
+        for i in range(first, pieces, 2):
+            parts[i] = classify(n, bounds[i], bounds[i + 1], lo_cut, hi_cut, test)
+
+    threads = [threading.Thread(target=run, args=(first,)) for first in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return (sum(p[0] for p in parts), sum(p[1] for p in parts),
+            [mask for p in parts for mask in p[2]])
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_classify_from_two_threads_equals_the_serial_pass(impl):
+    n, lo, hi, _ = SLICE7
+    cuts = _theorem_cuts(n)
+    for test in (("apex_has_config", 3), None):
+        serial = impl.classify(n, lo, hi, *cuts, test)
+        assert serial[1] + len(serial[2]) > 0
+        assert _interleaved(impl.classify, n, lo, hi, *cuts, test) == serial
+
+
+def test_classify_releases_the_gil(compiled):
+    # while a worker thread is inside the compiled pass over an order-8
+    # slice, this thread keeps running Python, and stamps the time every
+    # thousand loop turns. Were the GIL held, this thread could run only for
+    # a switch interval at either end of the call: no stamp would fall in
+    # the middle half of a call more than 8 intervals long
+    n, lo = 8, 40 << 22
+    cuts = _theorem_cuts(n)
+    span = []
+
+    def work():
+        span.append(time.perf_counter())
+        compiled.classify(n, lo, lo + (1 << 20), *cuts, ("apex_has_config", 3))
+        span.append(time.perf_counter())
+
+    worker = threading.Thread(target=work)
+    stamps = []
+    worker.start()
+    while worker.is_alive():
+        stamps.append(time.perf_counter())
+        for _ in range(1000):
+            pass
+    worker.join()
+    t0, t1 = span
+    quarter = (t1 - t0) / 4
+    assert t1 - t0 > 8 * sys.getswitchinterval()
+    assert any(t0 + quarter < t < t1 - quarter for t in stamps)
+
+
+def test_classify_lists_more_leftovers_than_its_first_buffer_holds(compiled):
+    # cuts at -inf drop nothing and, with no test, count no hit: every one of
+    # the 27,449 order-6 graphs without isolated vertices is left over, many
+    # times the compiled pass's first buffer of 1024 masks
+    cut = -math.inf
+    whole = compiled.classify(6, 0, 1 << 15, cut, cut, None)
+    assert whole == (27449, 0, whole[2]) and len(whole[2]) == 27449
+    assert whole == _sweep_py.classify(6, 0, 1 << 15, cut, cut, None)
+
+
 @pytest.mark.parametrize(
     "impl", [impl for _, impl in IMPLEMENTATIONS],
     ids=[label for label, _ in IMPLEMENTATIONS],
@@ -412,12 +491,14 @@ def test_classify_guards(impl):
 def test_kernel_benchmark_runs_on_order_5(capsys):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
-    # classify benches on order 5 and its apex detector bench on 200 graphs,
-    # whose asserts compare the implementations, its Perron entry order
-    # bench on 200 graphs, whose asserts check each decided sign against
-    # eigh, one pass of its order-6 tie tail, whose asserts check the
-    # verdicts, and of its exact order-6 ties, which must reach the gcd, and
-    # expand its appendix templates at orders 7..8
+    # classify benches on order 5 (classify also in pieces over 1 and 2
+    # threads) and its apex detector bench on 200 graphs, whose asserts
+    # compare the implementations or the thread counts, one call of its
+    # order-6 sweep with 1 and 2 jobs, whose asserts compare the job counts,
+    # its Perron entry order bench on 200 graphs, whose asserts check each
+    # decided sign against eigh, one pass of its order-6 tie tail, whose
+    # asserts check the verdicts, and of its exact order-6 ties, which must
+    # reach the gcd, and expand its appendix templates at orders 7..8
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -429,6 +510,11 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
         assert out.count(f"  {label} ") == 4, out
+    for label, impl in IMPLEMENTATIONS:
+        bench.bench_classify_threads(label, impl, 5, 0, 1 << 10, 6.0)
+    bench.bench_sweep_jobs(6, min_seconds=0)
+    out = capsys.readouterr().out
+    assert out.count("  threads=2 ") == len(IMPLEMENTATIONS) and "  jobs=2 " in out, out
     bench.bench_tie_tail(6, min_seconds=0)
     assert "theorem tie tail n=6: 30 masks" in capsys.readouterr().out
     ties, counts = bench.bench_exact("order-6 ties", bench.tie_pairs(6), min_seconds=0)
@@ -594,15 +680,18 @@ def test_max_path_order(impl):
 # -- the compiled kernel under the undefined-behaviour sanitizer ------------------
 
 # Loads the kernel built at argv[1] and prints what each call of argv[2]
-# returns, or the name of the error it raises.
-SANITIZED_CHILD = """
+# returns, or the name of the error it raises; a call named "interleaved" is
+# _interleaved over the kernel's classify.
+SANITIZED_CHILD = inspect.getsource(_interleaved) + """
 import ast, importlib.util, sys
 spec = importlib.util.spec_from_file_location("_sweep", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
 for name, args in ast.literal_eval(sys.argv[2]):
+    call = (lambda *a: _interleaved(kernel.classify, *a)) if name == "interleaved" \
+        else getattr(kernel, name)
     try:
-        print(repr(getattr(kernel, name)(*args)))
+        print(repr(call(*args)))
     except (TypeError, ValueError) as exc:
         print(type(exc).__name__)
 """
@@ -621,6 +710,8 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
         cuts = _theorem_cuts(n)
         for test in (("apex_has_config", 3), ("chorded_has", 3), None):
             calls.append(("classify", (n, lo, hi, *cuts, test)))
+        # the same pass from two threads at once, next to the serial one
+        calls.append(("interleaved", calls[-3][1]))
     for rows in (RING64, FAN64, *BAD_ROWS):
         for name in ("apex_has_config", "chorded_has"):
             calls.append((name, (rows, 3)))
@@ -634,3 +725,6 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
     (sanitized, sanitized_err), (regular, _) = [run.communicate(timeout=300) for run in runs]
     assert [run.returncode for run in runs] == [0, 0], sanitized_err
     assert sanitized == regular and len(sanitized.splitlines()) == len(calls)
+    lines = sanitized.splitlines()
+    pairs = [i for i, (name, _) in enumerate(calls) if name == "interleaved"]
+    assert len(pairs) == 3 and all(lines[i] == lines[i - 3] for i in pairs)

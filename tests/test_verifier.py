@@ -333,6 +333,8 @@ def test_property_suite_deterministic():
 
 # sha256 of the draw trace of property_suite(seed=7, trials=25), hashed as below
 PROPERTY_DRAWS_SEED7 = "9628d6accc6326b31cbd86288bc339409a727d82b76a1bb4074171c7bae98e61"
+# sha256 of the Perron shift's (graph, shifted graph) pairs in the same run
+PERRON_SHIFTS_SEED7 = "42f61ae22628055178ffe02ce3e11e48de3704718bc8331fb4d79a0ea2de1188"
 
 
 def test_property_suite_draws_are_pinned(monkeypatch):
@@ -340,34 +342,47 @@ def test_property_suite_draws_are_pinned(monkeypatch):
     draws are pinned here: a digest of the generator state and the graph at
     every `_sample` call (the structural claims' draws included), every
     graph the structural claims' apex test sees and every graph the
-    configuration searcher sees."""
-    assert _property_draws_digest(monkeypatch) == PROPERTY_DRAWS_SEED7
+    verifier hands the configuration searcher; and a digest of the pairs the
+    Perron shift checks."""
+    assert _property_draws_digest(monkeypatch) == (
+        True, PROPERTY_DRAWS_SEED7, PERRON_SHIFTS_SEED7)
 
 
 def test_a_flipped_perron_order_moves_the_draw_digest(monkeypatch):
     # the Perron shift takes its orientation from kernels.perron_order when
-    # that certifies one: the first certified sign, flipped, changes which
-    # neighbours move and so the generator state of every later draw
+    # that certifies one. Either orientation of a non-twin pair moves a
+    # different edge set (or, on one side, none, and the draw is redrawn), so
+    # flipping any one certified sign changes the pairs the shift checks; the
+    # first one also changes the generator state of every later draw. A
+    # flipped shift may lower the index, so the suite may fail
     perron_order = kernels.perron_order
-    flipped = []
+    for target in range(40):
+        certified = []
 
-    def flip_first(rows, u, v):
-        order = perron_order(rows, u, v)
-        if order and not flipped:
-            flipped.append((rows, u, v))
-            return -order
-        return order
+        def flip_one(rows, u, v):
+            order = perron_order(rows, u, v)
+            if order:
+                certified.append((rows, u, v))
+                if len(certified) == target + 1:
+                    return -order
+            return order
 
-    monkeypatch.setattr(kernels, "perron_order", flip_first)
-    assert _property_draws_digest(monkeypatch) != PROPERTY_DRAWS_SEED7
-    assert len(flipped) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "perron_order", flip_one)
+            _, draws, shifts = _property_draws_digest(patch)
+        assert len(certified) > target
+        assert shifts != PERRON_SHIFTS_SEED7, target
+        assert target or draws != PROPERTY_DRAWS_SEED7
 
 
 def _property_draws_digest(monkeypatch):
-    """The digest that PROPERTY_DRAWS_SEED7 pins, of
-    property_suite(seed=7, trials=25), which must pass."""
-    trace = hashlib.sha256()
+    """(passed, the digests that PROPERTY_DRAWS_SEED7 and PERRON_SHIFTS_SEED7
+    pin) of property_suite(seed=7, trials=25). Only the verifier's
+    own calls are traced: the python kernel's apex test reaches the
+    configuration searcher too, untraced, so both kernels give one digest."""
+    trace, shifts = hashlib.sha256(), hashlib.sha256()
     sample = verifier._sample
+    trials = verifier._trials
     apex_has_config = kernels.apex_has_config
     find = chords.find_k_chords_at_apex
 
@@ -387,11 +402,22 @@ def _property_draws_digest(monkeypatch):
         trace.update(f"find {graph6_encode(g)} {k}".encode())
         return find(g, k)
 
+    def traced_trials(rng, count, draw, check, *args):
+        def traced_check(samples):
+            for g, shifted in samples:
+                shifts.update(f"{graph6_encode(g)} {graph6_encode(shifted)}\n".encode())
+            return check(samples)
+
+        shift = draw.__name__ == "draw_shift"
+        return trials(rng, count, draw, traced_check if shift else check, *args)
+
     monkeypatch.setattr(verifier, "_sample", traced_sample)
+    monkeypatch.setattr(verifier, "_trials", traced_trials)
     monkeypatch.setattr(kernels, "apex_has_config", traced_apex)
-    monkeypatch.setattr(chords, "find_k_chords_at_apex", traced_find)
-    assert property_suite(seed=7, trials=25).passed
-    return trace.hexdigest()
+    monkeypatch.setattr(verifier, "chords", SimpleNamespace(
+        **{**vars(chords), "find_k_chords_at_apex": traced_find}))
+    passed = property_suite(seed=7, trials=25).passed
+    return passed, trace.hexdigest(), shifts.hexdigest()
 
 
 def test_property_suite_rejects_a_longest_cycle_that_is_not_a_cycle(monkeypatch):
@@ -600,9 +626,9 @@ def test_jobs_parallel_matches_serial():
 
 
 def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
-    """A job count far above the CPUs asks the pool for no more workers than
-    there are CPUs: the pool forks all its workers at once. The fake pool
-    maps in this process and starts none."""
+    """A job count far above the CPUs asks the pool for no more worker
+    threads than there are CPUs, as more cannot sweep at once. The fake pool
+    maps in the calling thread and starts none."""
     import concurrent.futures
     import os
 
@@ -621,7 +647,7 @@ def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakePool)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     a = verify_theorem_main(6).to_json_dict()
