@@ -6,7 +6,8 @@ and the corollary's Python tails on the tie band the kernel leaves, exact
 characteristic polynomials (one matrix a call and batched), the exact
 largest-root comparison (with the pairs its sign certificate settles and
 those left to the Sturm chains, and exact ties between distinct
-polynomials), and one end-to-end property suite at 10,000 trials. The
+polynomials at orders 6 and 7, with the bracket halvings they take), and
+one end-to-end property suite at 10,000 trials. The
 threaded sweeps run on 1 and 2 worker threads, next to the CPUs this
 process may use: the theorem's whole order-6 sweep (`_sweep_classified`
 with 1 and 2 jobs) and the order-8 slice below, cut into pieces.
@@ -329,10 +330,15 @@ def tie_pairs(n=6):
 
 
 def count_calls(fn, names):
-    """Call fn once with the named chordspec.polynomials functions counted;
-    returns the call count per name."""
+    """Call fn once with the named chordspec.polynomials functions, or
+    methods such as ``_Bracket.halve``, counted; returns the call count per
+    name."""
     counts = dict.fromkeys(names, 0)
-    originals = {name: getattr(polynomials, name) for name in names}
+    owners = {}
+    for name in names:
+        owner, _, attr = name.rpartition(".")
+        owners[name] = (getattr(polynomials, owner) if owner else polynomials), attr
+    originals = {name: getattr(*owners[name]) for name in names}
 
     def counted(name):
         def call(*args):
@@ -341,22 +347,23 @@ def count_calls(fn, names):
         return call
 
     for name in names:
-        setattr(polynomials, name, counted(name))
+        setattr(*owners[name], counted(name))
     try:
         fn()
     finally:
         for name, original in originals.items():
-            setattr(polynomials, name, original)
+            setattr(*owners[name], original)
     return counts
 
 
 def bench_exact(label, pairs, min_seconds=1.0):
     """Whole passes of compare_largest_roots over the pairs for at least
     min_seconds, and the polynomial evaluations (``_values_at``, the sign
-    certificate's and the Sturm chains') and pseudo-divisions (``_divide``)
-    of one pass; every pass starts from cold caches. Also counts the pairs
-    the sign certificate settles and those that go to the Sturm bracket
-    path (``_bracket_largest_root``), which takes identical polynomials too.
+    certificate's and the Sturm chains'), pseudo-divisions (``_divide``) and
+    bracket halvings (``_Bracket.halve``) of one pass; every pass starts
+    from cold caches. Also counts the pairs the sign certificate settles and
+    those that go to the Sturm bracket path (``_bracket_largest_root``),
+    which takes identical polynomials too.
     Returns the verdict counts of one pass and the pass's call counts."""
 
     def one_pass():
@@ -364,7 +371,7 @@ def bench_exact(label, pairs, min_seconds=1.0):
         return Counter(compare_largest_roots(a, b) for a, b in pairs)
 
     passes, dt, verdicts = repeat_for(min_seconds, one_pass)
-    counts = count_calls(one_pass, ("_values_at", "_divide"))
+    counts = count_calls(one_pass, ("_values_at", "_divide", "_Bracket.halve"))
     cold_caches()
     chained = sum(
         count_calls(lambda: compare_largest_roots(a, b), ("_bracket_largest_root",))[
@@ -374,7 +381,8 @@ def bench_exact(label, pairs, min_seconds=1.0):
     print(f"  {label:18s} {len(pairs):4d} pairs  {passes * len(pairs) / dt:9.1f} pairs/s"
           f"  ({passes} passes, {dt:.2f}s)  per pair: "
           f"{counts['_values_at'] / len(pairs):.2f} evaluations, "
-          f"{counts['_divide'] / len(pairs):.2f} divisions")
+          f"{counts['_divide'] / len(pairs):.2f} divisions, "
+          f"{counts['_Bracket.halve'] / len(pairs):.2f} halvings")
     print(f"  {'':18s} settled by the certificate: {len(pairs) - chained}, "
           f"to the chain: {chained}")
     return verdicts, counts
@@ -434,8 +442,9 @@ def main() -> None:
     pairs = appendix_pairs(7, 30)
     appendix, _ = bench_exact("appendix 7..30", pairs)
     assert len(pairs) == 484 and sum(appendix.values()) == 484, appendix
-    ties, counts = bench_exact("order-6 ties", tie_pairs(6))
-    assert ties == Counter({EQUAL: 30}) and counts["_divide"] > 0, (ties, counts)
+    for n, copies in ((6, 30), (7, 210)):
+        ties, counts = bench_exact(f"order-{n} ties", tie_pairs(n))
+        assert ties == Counter({EQUAL: copies}) and counts["_divide"] > 0, (ties, counts)
 
     bench_property_suite()
 

@@ -11,16 +11,15 @@ when the last element is constant, is the chain of p's squarefree part.
 The sign of q(a/b), b > 0, is the sign of the integer sum
 c_i * a^i * b^(deg q - i). With zero signs skipped, the Sturm count
 V(a) - V(b) of a squarefree p counts its roots in (a, b], also when a is a
-root. A bracket of the largest root is split at any rational point inside
-it: first just above and just below a float estimate of the root (Newton's
-method in plain floats, a hint that never decides anything), then at
-midpoints while the brackets still overlap. Split points that land on a root
-are moved off it, so isolating intervals have non-root ends.
+root. A bracket of the largest root starts at the Cauchy root bound and is
+halved while two brackets overlap. A midpoint that lands on a root is moved
+off it, so isolating intervals have non-root ends.
 
 Before any chain, a comparison tries a sign certificate at the point x
-halfway between the two estimates: by Descartes' rule of signs, a Taylor
-shift of p at x without sign variations leaves p no root in [x, oo). Pairs
-it does not settle go to the chains.
+halfway between float estimates of the two largest roots (Newton's method in
+plain floats, a hint that never decides anything): by Descartes' rule of
+signs, a Taylor shift of p at x without sign variations leaves p no root in
+[x, oo). Pairs it does not settle go to the chains.
 """
 
 from __future__ import annotations
@@ -266,9 +265,10 @@ def _largest_root_estimate(p: IntPolynomial) -> float:
 
     Newton's method in plain floats from 2 max_k |c_(d-k) / c_d|^(1/k), at
     least Fujiwara's bound on the roots, from which it descends to the
-    largest root of a real-rooted p. It is only a place to split a bracket,
-    so it may be wrong, and it never raises: coefficients or iterates beyond
-    the float range give nan or inf.
+    largest root of a real-rooted p. It only places the sign certificate's
+    test point, whose integer checks decide, so it may be wrong, and it
+    never raises: coefficients or iterates beyond the float range give nan
+    or inf.
     """
     try:
         cs = [float(c) for c in reversed(p.coeffs)]
@@ -291,11 +291,10 @@ class _Bracket:
     """Open interval (lo/den, hi/den) around the largest real root of the
     squarefree chain[0], with the chain's sign variations vlo, vhi at its ends.
 
-    Neither end is a root and no root lies above hi, so vlo - vhi counts the
-    roots inside, and a split point with more variations than vhi has a root
-    above it. That holds at any split point, so a bracket is split wherever a
-    caller likes: at a float estimate of the root (``seed``), at the midpoint
-    (``halve``). Each split evaluates the chain once, at the split point.
+    It starts at the Cauchy root bound. Neither end is a root and no root
+    lies above hi, so vlo - vhi counts the roots inside, and a midpoint with
+    more variations than vhi has a root above it. Each halving evaluates the
+    chain once, at the midpoint.
     """
 
     __slots__ = ("chain", "lo", "hi", "den", "vlo", "vhi")
@@ -311,14 +310,10 @@ class _Bracket:
     def roots(self) -> int:
         return self.vlo - self.vhi
 
-    def split(self, num: int, den: int) -> None:
-        """Keep the part above or below num/den (den > 0) that holds the
-        largest root; nothing happens when num/den is not inside."""
-        g = gcd(self.den, den)
-        x, up = num * (self.den // g), den // g
-        lo, hi, den = self.lo * up, self.hi * up, self.den * up
-        if not lo < x < hi:
-            return
+    def halve(self) -> None:
+        """Keep the half above or below the midpoint that holds the largest
+        root; a midpoint that is a root is first moved off it."""
+        x, lo, hi, den = self.lo + self.hi, 2 * self.lo, 2 * self.hi, 2 * self.den
         values = _values_at(self.chain, x, den)
         while not values[0]:
             # x is a root: halve the grid step and move x one step up. x stays
@@ -332,27 +327,6 @@ class _Bracket:
         else:
             self.lo, self.hi, self.vhi = lo, x, vx
         self.den = den
-
-    def halve(self) -> None:
-        self.split(self.lo + self.hi, 2 * self.den)
-
-    def seed(self, r: float) -> None:
-        """Split just above, then just below a float estimate r of the root,
-        at r(1 + 1e-9) and r(1 - 1e-9). A good estimate leaves a bracket of
-        relative width 2e-9; a bad one costs at most these two evaluations."""
-        for x in sorted((r * (1 + 1e-9), r * (1 - 1e-9)), reverse=True):
-            if isfinite(x):
-                self.split(*x.as_integer_ratio())
-
-    def reaches(self, num: int, den: int) -> bool:
-        """Whether chain[0] has a root at or above num/den, a point inside
-        the bracket (den > 0); when it has none, num/den becomes hi."""
-        values = _values_at(self.chain, num, den)
-        vx = _variations(values)
-        if not values[0] or vx > self.vhi:
-            return True
-        self.lo, self.hi, self.den, self.vhi = self.lo * den, num * self.den, self.den * den, vx
-        return False
 
 
 def _bracket_largest_root(p: IntPolynomial) -> _Bracket:
@@ -413,10 +387,10 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     Both must have at least one real root (true for characteristic polynomials
     of symmetric matrices); identical polynomials are EQUAL once p is checked.
     Otherwise a sign certificate halfway between float estimates of the two
-    roots decides pairs whose roots are well apart, with no Sturm chain; the
-    brackets of any other pair are split around the same estimates. Equality
-    is decided through the common-root factor gcd(p*, q*), computed only
-    when the seeded brackets overlap, so exact ties terminate.
+    roots decides pairs whose roots are well apart, with no Sturm chain. Any
+    other pair is bisected from the root bounds until the brackets are
+    disjoint or share a root of gcd(p*, q*), the common-root factor of the
+    squarefree parts, so exact ties terminate.
     """
     if p == q:
         _bracket_largest_root(p)
@@ -428,20 +402,6 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
         return GREATER
     bp = _bracket_largest_root(p)
     bq = _bracket_largest_root(q)
-    bp.seed(rp)
-    bq.seed(rq)
-    verdict = _apart(bp, bq)
-    if verdict is not None:
-        return verdict
-    # every root lies below its bracket's upper end: a root of the other
-    # polynomial at or above the smaller upper end decides, and otherwise that
-    # end caps its bracket too
-    if bp.hi * bq.den < bq.hi * bp.den:
-        if bq.reaches(bp.hi, bp.den):
-            return LESS
-    elif bq.hi * bp.den < bp.hi * bq.den:
-        if bp.reaches(bq.hi, bq.den):
-            return GREATER
     g = poly_gcd(bp.chain[0], bq.chain[0])
     gchain = sturm_chain(g) if g.degree >= 1 else None
     while True:

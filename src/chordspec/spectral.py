@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, index_pairs
+from .graphs import Graph, GraphError, bits_to_vertices, index_pairs
 from .polynomials import (
     EQUAL,
     GREATER,
@@ -181,32 +181,45 @@ class MaskBatch:
         return np.linalg.eigvalsh(self.signless_laplacians())[:, -1]
 
 
-def _eta_terms(g: Graph, v: int) -> tuple[int, int]:
-    """(d(v)^2 + sum of neighbor degrees, d(v)): eta(v) as a numerator and a
-    positive denominator."""
-    d = g.degree(v)
-    if d == 0:
-        raise GraphError(f"eta undefined on isolated vertex {v}")
-    return d * d + sum(g.degree(u) for u in g.neighbors(v)), d
+def _eta_counts(g: Graph, v: int) -> tuple[int, int, int]:
+    """(d(v), the sum of v's neighbour degrees, 2 e(N(v))), from one walk of
+    v's neighbourhood. With S the sum, eta(v) = (d^2 + S) / d."""
+    rows = g.rows
+    nb = rows[v]
+    degree_sum = twice_inner = 0
+    for u in bits_to_vertices(nb):
+        degree_sum += rows[u].bit_count()
+        twice_inner += (rows[u] & nb).bit_count()
+    return nb.bit_count(), degree_sum, twice_inner
+
+
+def _largest_eta(counts: Iterable[tuple[int, int, int]]) -> tuple[int, int]:
+    """(d^2 + S, d) of the largest eta among the ``_eta_counts`` with d > 0,
+    compared by cross-multiplication; (0, 0) when there is none."""
+    best_num, best_den = 0, 0
+    for d, degree_sum, _ in counts:
+        if d:
+            num = d * d + degree_sum
+            if not best_den or num * best_den > best_num * d:
+                best_num, best_den = num, d
+    return best_num, best_den
 
 
 def eta(g: Graph, v: int) -> Fraction:
     """d(v) + (sum of neighbor degrees) / d(v), exactly."""
-    return Fraction(*_eta_terms(g, v))
+    d, degree_sum, _ = _eta_counts(g, v)
+    if d == 0:
+        raise GraphError(f"eta undefined on isolated vertex {v}")
+    return Fraction(d * d + degree_sum, d)
 
 
 def max_eta(g: Graph) -> Fraction:
-    """The largest eta(v) over the non-isolated vertices; the terms compare by
-    cross-multiplication and only the winner becomes a Fraction."""
-    best_num, best_den = 0, 0
-    for v in range(g.n):
-        if g.degree(v) > 0:
-            num, den = _eta_terms(g, v)
-            if not best_den or num * best_den > best_num * den:
-                best_num, best_den = num, den
-    if not best_den:
+    """The largest eta(v) over the non-isolated vertices; only the winner
+    becomes a Fraction."""
+    num, den = _largest_eta(_eta_counts(g, v) for v in range(g.n))
+    if not den:
         raise GraphError("max_eta undefined on an edgeless graph")
-    return Fraction(best_num, best_den)
+    return Fraction(num, den)
 
 
 # -- quotient matrices ----------------------------------------------------------

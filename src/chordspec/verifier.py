@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from . import chords, kernels
+from . import chords, kernels, spectral
 from .appendix import (
     FIXTURES,
     appendix_polynomial,
@@ -181,13 +181,6 @@ def report_diff(a: Report, b: Report) -> list[str]:
 CHUNK = 1 << 20  # masks per kernel pass; bounds the leftover masks one chunk holds
 
 
-def _classify_chunk(args):
-    """Classify one mask range in the kernel: (graphs without isolated
-    vertices, hits, masks left for the Python rules)."""
-    n, lo, hi, thr, test = args
-    return kernels.classify(n, lo, hi, thr - TIE_BAND, thr + TIE_BAND, test)
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -195,26 +188,32 @@ def _usable_cpus() -> int:
 
 
 def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
-    """Every mask of order n through _classify_chunk, in chunks of at most
-    CHUNK masks (at least jobs * 4 chunks, over jobs worker threads, when
-    jobs > 1): (graphs without isolated vertices, hits, the ascending masks
-    left for the Python rules). The compiled classify releases the GIL for
-    its pass, so the threads sweep at once; the python twin holds the GIL
-    outside numpy, so its threads mostly take turns. jobs is capped at the
-    CPUs this process may run on. VerifierError for jobs below 1."""
+    """Every mask of order n through kernels.classify, cut at the tie band
+    around thr, in chunks of at most CHUNK masks (at least jobs * 4 chunks,
+    over jobs worker threads, when jobs > 1): (graphs without isolated
+    vertices, hits, the ascending masks left for the Python rules). The
+    compiled classify releases the GIL for its pass, so the threads sweep at
+    once; the python twin holds the GIL outside numpy, so its threads mostly
+    take turns. jobs is capped at the CPUs this process may run on.
+    VerifierError for jobs below 1."""
     if jobs < 1:
         raise VerifierError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, _usable_cpus())
     total = 1 << n * (n - 1) // 2
     step = CHUNK if jobs <= 1 else min(CHUNK, -(-total // (jobs * 4)))
-    chunks = [(n, lo, min(lo + step, total), thr, test) for lo in range(0, total, step)]
+    lo_cut, hi_cut = thr - TIE_BAND, thr + TIE_BAND
+
+    def classify_chunk(lo):
+        return kernels.classify(n, lo, min(lo + step, total), lo_cut, hi_cut, test)
+
+    starts = range(0, total, step)
     if jobs <= 1:
-        results = [_classify_chunk(chunk) for chunk in chunks]
+        results = [classify_chunk(lo) for lo in starts]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_classify_chunk, chunks))
+            results = list(pool.map(classify_chunk, starts))
     rest = [mask for _, _, left in results for mask in left]
     return sum(r[0] for r in results), sum(r[1] for r in results), rest
 
@@ -802,38 +801,21 @@ def _battery_details(caps: dict) -> dict:
 # -- the suite runner ------------------------------------------------------------------
 
 
-def _eta_counts(g: Graph) -> list[tuple[int, int, int]]:
-    """(d(v), the sum of v's neighbour degrees, 2 e(N(v))) for every vertex
-    v, from one walk of each neighbourhood."""
-    rows, deg = g.rows, g.degrees()
-    out = []
-    for nb, d in zip(rows, deg):
-        twice_inner = degree_sum = 0
-        for u in bits_to_vertices(nb):
-            twice_inner += (rows[u] & nb).bit_count()
-            degree_sum += deg[u]
-        out.append((d, degree_sum, twice_inner))
-    return out
-
-
 def _eta_violated(g: Graph, q: float) -> bool:
     """Whether g, of float index q, breaks the eta bound or its counting form.
 
     With d = d(v) and S the sum of v's neighbour degrees, eta(v) = (d^2 + S)
     / d. The bound is q <= max eta(v) over the non-isolated v, up to 1e-10;
-    the largest term is found by cross-multiplication, as ``max_eta`` finds
-    it, and num / den rounds the same quotient as float(max_eta(g)). The
-    counting form, eta(v) <= n + 2 e(N(v)) / d, holds at v exactly when
-    n d + 2 e(N(v)) >= d^2 + S.
+    the largest term is the one ``max_eta`` picks, and num / den rounds the
+    same quotient as float(max_eta(g)). The counting form, eta(v) <= n +
+    2 e(N(v)) / d, holds at v exactly when n d + 2 e(N(v)) >= d^2 + S. Each
+    neighbourhood is walked once.
     """
-    best_num, best_den = 0, 1
-    for d, degree_sum, twice_inner in _eta_counts(g):
-        num = d * d + degree_sum
-        if g.n * d + twice_inner < num:
-            return True
-        if num * best_den > best_num * d:
-            best_num, best_den = num, d
-    return q > best_num / best_den + 1e-10
+    counts = [spectral._eta_counts(g, v) for v in range(g.n)]
+    if any(g.n * d + twice_inner < d * d + degree_sum for d, degree_sum, twice_inner in counts):
+        return True
+    num, den = spectral._largest_eta(counts)
+    return q > num / den + 1e-10
 
 
 _TRIAL_BATCH = 1024  # samples checked at once; bounds the samples a run holds

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from chordspec import verifier
+from chordspec import kernels, verifier
 from chordspec.cli import main
 from chordspec.families import build_family
 from chordspec.graphs import graph6_encode
@@ -157,7 +157,7 @@ def test_jobs_below_one_exits_2(capsys, monkeypatch):
     def no_sweep(*args):
         raise AssertionError("swept with a bad --jobs")
 
-    monkeypatch.setattr(verifier, "_classify_chunk", no_sweep)
+    monkeypatch.setattr(kernels, "classify", no_sweep)
     for argv in (
         ("theorem", "--n", "6", "--jobs", "0"),
         ("theorem", "--n", "6", "--jobs", "-4"),

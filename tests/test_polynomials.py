@@ -138,28 +138,18 @@ def test_compare_close_irrational_roots():
     assert compare_largest_roots(a, b) == GREATER
 
 
-def test_well_separated_roots_compare_without_halving(monkeypatch):
-    # with the float seeds forced useless, a root of one polynomial at or
-    # above the other's root bound still decides before any bisection
-    halvings = []
-    halve = _Bracket.halve
-    monkeypatch.setattr(_Bracket, "halve", lambda self: halvings.append(1) or halve(self))
-    estimate = polynomials._largest_root_estimate
-    monkeypatch.setattr(polynomials, "_largest_root_estimate", lambda p: math.nan)
+def test_separated_roots_compare_with_or_without_estimates(monkeypatch):
+    # the same verdicts with the float estimates forced to nan, where the
+    # brackets decide from the root bounds, and with the real estimates
     one = poly(-1, 1)  # root 1, root bound 2
     cubic = poly(-3, 1) * poly(1, 1) * poly(2, 1)  # largest root 3, root bound 8
-    for p, q in ((one, poly(-100, 1)), (one, poly(-2, 1)), (cubic, poly(-1000, 0, 1))):
-        assert compare_largest_roots(p, q) == LESS
-        assert compare_largest_roots(q, p) == GREATER
-    assert halvings == []
-    # otherwise the smaller bound caps the other bracket, and bisection decides
-    assert compare_largest_roots(one, poly(-2, 0, 1)) == LESS
-    assert halvings
-    # the float estimates decide that pair without bisecting
-    monkeypatch.setattr(polynomials, "_largest_root_estimate", estimate)
-    halvings.clear()
-    assert compare_largest_roots(one, poly(-2, 0, 1)) == LESS
-    assert halvings == []
+    pairs = ((one, poly(-100, 1)), (one, poly(-2, 1)), (cubic, poly(-1000, 0, 1)),
+             (one, poly(-2, 0, 1)))
+    for estimate in (lambda p: math.nan, polynomials._largest_root_estimate):
+        monkeypatch.setattr(polynomials, "_largest_root_estimate", estimate)
+        for p, q in pairs:
+            assert compare_largest_roots(p, q) == LESS
+            assert compare_largest_roots(q, p) == GREATER
 
 
 def _rooted(*roots, extra=poly(1)):
@@ -185,7 +175,8 @@ _SEEDED_CASES = [
 ]
 
 
-# estimates to force on the seeding, from the polynomial and its known roots
+# estimates to force on the sign certificate, from the polynomial and its
+# known roots
 _FORCED_ESTIMATES = {
     "bound": lambda p, roots: float(root_bound(p)),
     "-bound": lambda p, roots: -float(root_bound(p)),
@@ -201,9 +192,9 @@ _FORCED_ESTIMATES = {
 def test_seeded_comparison_agrees_with_oracle_whatever_the_estimate(monkeypatch):
     # every case against every case, and against it times (x^3 - 7)(x^2 + 1),
     # which adds the root 7^(1/3) and a pair of complex roots
-    # keyed by each polynomial and by its squarefree part: the sign
-    # certificate reads the estimate of the polynomial itself, and the
-    # brackets are seeded with the same one
+    # keyed by each polynomial and by its squarefree part. The estimates
+    # reach only the sign certificate, which reads the estimate of the
+    # polynomial itself: a bad one can make it decline, never decide wrong
     roots_of = {}
     for p, roots in _SEEDED_CASES:
         roots_of[p] = roots_of[squarefree_part(p)] = roots

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chordspec import polynomials, spectral, verifier
+from chordspec import polynomials, spectral
 from chordspec.appendix import (
     FIXTURES,
     fixture_graphs,
@@ -38,7 +38,7 @@ from chordspec.spectral import (
     quotient_matrix,
     signless_laplacian,
 )
-from chordspec.verifier import _eta_counts, _eta_violated
+from chordspec.verifier import _eta_violated
 from oracles import (
     count_roots_above,
     count_roots_in_interval,
@@ -390,9 +390,10 @@ def test_eta_bounds_q_on_random_graphs():
 
 
 def _eta_slack(g, v):
-    """d (n + 2 e(N(v)) / d - eta(v)) from the property suite's counts: the
-    counting form of the eta bound holds at v when it is not negative."""
-    d, degree_sum, twice_inner = _eta_counts(g)[v]
+    """d (n + 2 e(N(v)) / d - eta(v)) from the counts the property suite
+    reads: the counting form of the eta bound holds at v when it is not
+    negative."""
+    d, degree_sum, twice_inner = spectral._eta_counts(g, v)
     return g.n * d + twice_inner - d * d - degree_sum
 
 
@@ -444,9 +445,9 @@ def test_eta_check_matches_the_fraction_route(monkeypatch):
     assert flagged == len(cases)  # only the step above the edge breaks the bound
     # a vertex that breaks the counting form is a violation at any index
     g = cycle(5)
-    monkeypatch.setattr(verifier, "_eta_counts", lambda g: [(1, g.n, 0)])
+    monkeypatch.setattr(spectral, "_eta_counts", lambda g, v: (1, g.n, 0))
     assert _eta_violated(g, 0.0)
-    monkeypatch.setattr(verifier, "_eta_counts", lambda g: [(1, g.n - 1, 0)])
+    monkeypatch.setattr(spectral, "_eta_counts", lambda g, v: (1, g.n - 1, 0))
     assert not _eta_violated(g, float(g.n)) and _eta_violated(g, g.n + 1e-9)
 
 

@@ -3,12 +3,13 @@ import importlib.util
 import json
 import math
 import random
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from chordspec import chords, kernels, spectral, verifier
+from chordspec import chords, kernels, polynomials, spectral, verifier
 from chordspec.appendix import FIXTURES, fan_chain, fixture_graphs
 from chordspec.families import (
     complete,
@@ -193,6 +194,44 @@ def test_corollary_settles_its_ties_once(monkeypatch):
     assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 210,
                      "is_isomorphic": 211, "charpoly_int_matrix": 1}
     assert tested == searched == []
+
+
+def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
+    # the traffic that compare_largest_roots's plain bisection rests on: the
+    # theorem at order 6 compares the threshold graph's polynomial with
+    # itself, once; the sign certificate settles each of the appendix's 196
+    # fan-chain pairs at orders 7..22, with no bracket; and every pair that
+    # reaches the brackets (_bracket_largest_root) is identical
+    compare = polynomials.compare_largest_roots
+    bracket = polynomials._bracket_largest_root
+    bracketed = []
+    calls = []  # (p == q, brackets built) per comparison
+
+    def counted(p, q):
+        before = len(bracketed)
+        verdict = compare(p, q)
+        calls.append((p == q, len(bracketed) - before))
+        return verdict
+
+    monkeypatch.setattr(polynomials, "_bracket_largest_root",
+                        lambda p: bracketed.append(p) or bracket(p))
+    callers = [module for name, module in list(sys.modules.items())
+               if name.startswith("chordspec")
+               and getattr(module, "compare_largest_roots", None) is compare]
+    for module in callers:
+        monkeypatch.setattr(module, "compare_largest_roots", counted)
+    traffic = {}
+    for task, run in (("theorem", lambda: verify_theorem_main(6)),
+                      ("appendix", lambda: verify_appendix(7, 22)),
+                      ("properties", lambda: property_suite(7, 150))):
+        calls.clear()
+        bracketed.clear()
+        run()
+        traffic[task] = list(calls)
+        assert sum(built for _, built in calls) == len(bracketed), task
+        assert all(same for same, built in calls if built), (task, calls)
+    assert traffic["theorem"] == [(True, 1)]
+    assert traffic["appendix"] == [(False, 0)] * 196
 
 
 @pytest.mark.parametrize("offset", [0.0, -0.5])
