@@ -7,22 +7,24 @@ characteristic polynomials (one matrix a call and batched), the exact
 largest-root comparison (with the pairs its sign certificate settles and
 those left to the Sturm chains, and exact ties between distinct
 polynomials at orders 6 and 7, with the bracket halvings they take), and
-one end-to-end property suite at 10,000 trials. The
-threaded sweeps run on 1 and 2 worker threads, next to the CPUs this
-process may use: the theorem's whole order-6 sweep (`_sweep_classified`
-with 1 and 2 jobs) and the order-8 slice below, cut into pieces.
+one end-to-end property suite at 10,000 trials.
 
-Usage: python benchmarks/bench_kernels.py [--full]
+The sweeps visit only the degree-sorted masks of their range (852 at order
+6, 15,822 at order 7 and 585,786 at order 8), so their rates are sorted
+graphs per second. The sweep and the theorem's classify pass run over the
+whole of orders 7 and 8 on both implementations, whose results must agree,
+and on 1 and 2 worker threads, next to the CPUs this process may use, with
+the order cut into pieces; so does the theorem's whole order-6 sweep
+(`_sweep_classified` with 1 and 2 jobs). The fallback takes about 20 s a
+pass at order 8.
 
---full adds a complete order-7 sweep for both implementations (the fallback
-takes a couple of minutes there; the default compares on order 6 plus an
-order-7 slice). The theorem's classify pass is also timed on an order-8
-slice of 2^22 masks, [40 * 2^22, 41 * 2^22), with the compiled kernel only.
+Usage: python benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
 
-import argparse
+import functools
+import math
 import random
 import statistics
 import time
@@ -39,7 +41,14 @@ from chordspec.appendix import (
     threshold_quotient_template,
 )
 from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
-from chordspec.graphs import disjoint_union, graph_from_mask, is_isomorphic, make_graph
+from chordspec.graphs import (
+    arrangement_count,
+    arrangement_images,
+    disjoint_union,
+    graph_from_mask,
+    is_isomorphic,
+    make_graph,
+)
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
 from chordspec.spectral import (
     charpoly_graph,
@@ -67,13 +76,21 @@ def time_call(fn, *args):
     return time.perf_counter() - t0, out
 
 
+@functools.cache
+def sorted_count(n, lo, hi):
+    """The degree-sorted masks in [lo, hi), the ones classify visits: its
+    leftovers with both cuts at -inf and no test."""
+    return len(kernels.classify(n, lo, hi, -math.inf, -math.inf, None)[2])
+
+
 def bench_sweep(impls, n, lo, hi, floor):
-    print(f"sweep n={n} masks=[{lo}, {hi}) floor={floor:.4f}")
+    print(f"sweep n={n} masks=[{lo}, {hi}) floor={floor:.4f}, "
+          f"{sorted_count(n, lo, hi)} sorted")
     base = None
     for label, impl in impls:
         dt, (cnt, _, surv) = time_call(impl.classify, n, lo, hi, floor, floor, None)
-        rate = (hi - lo) / dt / 1e6
-        print(f"  {label:9s} {dt:8.2f}s  {rate:7.2f} Mmask/s  "
+        rate = sorted_count(n, lo, hi) / dt
+        print(f"  {label:9s} {dt:8.3f}s  {rate:10.0f} sorted graphs/s  "
               f"no-isolated={cnt} survivors={len(surv)}")
         if base is None:
             base = (cnt, surv)
@@ -88,7 +105,7 @@ def bench_classify(impls, n, lo, hi, thr):
     for label, impl in impls:
         dt, out = time_call(impl.classify, n, lo, hi, thr - TIE_BAND, thr + TIE_BAND,
                             ("apex_has_config", 3))
-        print(f"  {label:9s} {dt:8.2f}s  {(hi - lo) / dt / 1e6:7.2f} Mmask/s  "
+        print(f"  {label:9s} {dt:8.3f}s  {sorted_count(n, lo, hi) / dt:10.0f} sorted graphs/s  "
               f"no-isolated={out[0]} hits={out[1]} rest={len(out[2])}")
         if base is None:
             base = out
@@ -118,8 +135,8 @@ def bench_classify_threads(label, impl, n, lo, hi, thr, pieces=8):
             base = dt, out
         else:
             assert base[1] == out, "thread counts disagree"
-        print(f"  threads={workers} {dt:8.2f}s  cpu {cpu:6.2f}s  {(hi - lo) / dt / 1e6:7.2f} "
-              f"Mmask/s  speed-up {base[0] / dt:4.2f}")
+        print(f"  threads={workers} {dt:8.3f}s  cpu {cpu:6.2f}s  "
+              f"{sorted_count(n, lo, hi) / dt:10.0f} sorted graphs/s  speed-up {base[0] / dt:4.2f}")
 
 
 def bench_sweep_jobs(n=6, min_seconds=1.0):
@@ -250,9 +267,10 @@ def cold_caches():
 
 def bench_tie_tail(n, min_seconds=1.0):
     """The theorem's and the corollary's Python tails (``_tail``) on the
-    masks the kernel leaves at order n, for each task that sweeps n: the tie
-    band, which is the labeled copies of the threshold graph, all settled by
-    one verdict. Each pass starts from cold caches."""
+    sorted masks the kernel leaves at order n, for each task that sweeps n:
+    the tie band, the sorted copies of the threshold graph, which weigh its
+    labeled copies, all settled by one verdict. Each pass starts from cold
+    caches."""
     for task, test in (("theorem", ("apex_has_config", 3)), ("corollary", ("chorded_has", 3))):
         if n not in _SWEPT_ORDERS[task]:
             continue
@@ -264,9 +282,10 @@ def bench_tie_tail(n, min_seconds=1.0):
             return _tail(n, rest, ext, rule)
 
         calls, dt, (verdicts, counterexamples) = repeat_for(min_seconds, one_pass)
-        print(f"{task} tie tail n={n}: {len(rest)} masks")
-        print(f"  {calls * len(rest) / dt:9.0f} masks/s  ({calls} passes, {dt:.2f}s)")
-        assert verdicts == {"extremal": len(rest)} and not counterexamples, verdicts
+        weight = sum(arrangement_count(graph_from_mask(n, mask).degrees()) for mask in rest)
+        print(f"{task} tie tail n={n}: {weight} masks in {len(rest)} sorted")
+        print(f"  {calls * len(rest) / dt:9.0f} sorted masks/s  ({calls} passes, {dt:.2f}s)")
+        assert verdicts == {"extremal": weight} and not counterexamples, verdicts
 
 
 def appendix_templates(n_lo=7, n_hi=22):
@@ -309,13 +328,14 @@ def appendix_pairs(n_lo=7, n_hi=22):
 
 
 def tie_graphs(n=6):
-    """The graphs of the masks the theorem's kernel pass leaves at order n:
-    the tie band, every labeled copy of the threshold graph."""
+    """The labeled graphs of the sorted masks the theorem's kernel pass
+    leaves at order n: the tie band, every labeled copy of the threshold
+    graph."""
     ext = extremal_graph(n).graph
     thr = q_index(ext).q
     _, _, rest = kernels.classify(n, 0, 1 << (n * (n - 1) // 2), thr - TIE_BAND,
                                   thr + TIE_BAND, ("apex_has_config", 3))
-    graphs = [graph_from_mask(n, mask) for mask in rest]
+    graphs = [h for mask in rest for h in arrangement_images(graph_from_mask(n, mask))]
     assert all(is_isomorphic(g, ext) for g in graphs)
     return graphs
 
@@ -389,30 +409,18 @@ def bench_exact(label, pairs, min_seconds=1.0):
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--full", action="store_true",
-                    help="also run the complete order-7 sweep on both paths")
-    args = ap.parse_args()
-
     impls = kernels.implementations()
     print("available kernels:", ", ".join(label for label, _ in impls))
     # sweep floors at the lower edge of the tie band, where classify cuts
     floor6 = q_index(k1_join_k4_union_k1().graph).q - TIE_BAND
-    thr7 = q_index(k11n2_plus(7).graph).q
-    floor7 = thr7 - TIE_BAND
-
     bench_sweep(impls, 6, 0, 1 << 15, floor6)
-    bench_sweep(impls, 7, 0, 1 << 18, floor7)
-    if args.full:
-        bench_sweep(impls, 7, 0, 1 << 21, floor7)
-    bench_classify(impls, 7, 0, 1 << 18, thr7)
-    # an order-8 slice of 2^22 masks, compiled only: the python kernel would
-    # take about 25 s there
-    compiled = [(label, impl) for label, impl in impls if label == "compiled"]
-    if compiled:
-        thr8 = q_index(k11n2_plus(8).graph).q
-        bench_classify(compiled, 8, 40 << 22, 41 << 22, thr8)
-        bench_classify_threads(*compiled[0], 8, 40 << 22, 41 << 22, thr8)
+    for n in (7, 8):
+        thr = q_index(k11n2_plus(n).graph).q
+        total = 1 << n * (n - 1) // 2
+        bench_sweep(impls, n, 0, total, thr - TIE_BAND)
+        bench_classify(impls, n, 0, total, thr)
+        for label, impl in impls:
+            bench_classify_threads(label, impl, n, 0, total, thr)
     bench_sweep_jobs(6)
     bench_detector(impls)
     bench_row_searches(impls)

@@ -1,11 +1,12 @@
-/* Compiled sweep kernels: one pass over an edge-bitmask graph range that
- * sorts each graph by its signless Laplacian index against two cuts and
- * tests the ones above them for a chord configuration, the chord tests on
- * one graph, the longest-cycle and longest-path searches of the property
- * suite, and the certified Perron entry order of its Perron shift.
+/* Compiled sweep kernels: one pass over the degree-sorted graphs of an
+ * edge-bitmask range that sorts each graph by its signless Laplacian index
+ * against two cuts and tests the ones above them for a chord configuration,
+ * the chord tests on one graph, the longest-cycle and longest-path searches
+ * of the property suite, and the certified Perron entry order of its Perron
+ * shift.
  *
  * Same interface and soundness contract as the pure-Python twin _sweep_py:
- * classify drops a mask only when its index is provably below lo_cut, and
+ * classify drops a graph only when its index is provably below lo_cut, and
  * counts a hit only when the index is provably above hi_cut and the graph
  * passes the test (never, when the test is None; kernels.sweep_range is
  * that pass with both cuts at one floor). Degree bounds go first, then one
@@ -14,11 +15,17 @@
  * Rayleigh quotient from below.
  *
  * Only classify takes edge bitmasks, to name its range: bit b is the pair
- * (i, j), i < j, in the order (0,1), (0,2), ... (graphs.index_pairs) of the
- * slot table slot_i/slot_j. The sweep holds each graph as adjacency rows
- * (vertex bitmasks) only, flipping through that table the slots in which a
- * mask differs from the one before. Every per-graph call takes adjacency
- * rows too, for graphs of up to MAXROWS vertices.
+ * (i, j), i < j, in the order (0,1), (0,2), (1,2), ... (graphs.index_pairs),
+ * so row j of a mask, its bits [C(j,2), C(j+1,2)), holds the edges from j
+ * down to 0..j-1. classify visits only the degree-sorted masks, those with
+ * d(0) >= d(1) >= ... >= d(n-1) >= 1, by a depth-first search that fixes
+ * the rows from n-1 down, and counts each with its weight n! / prod_d m_d!
+ * (m_d vertices of degree d): the labeled graphs of its degree multiset
+ * that relabelling it onto each arrangement of its degrees gives. Every
+ * count a sweep makes is invariant under relabelling, so the weighted counts
+ * are those of every mask. The search holds each graph as adjacency rows
+ * (vertex bitmasks); every per-graph call takes adjacency rows too, for
+ * graphs of up to MAXROWS vertices.
  *
  * classify's pass runs without the GIL, so threads can sweep ranges at once.
  *
@@ -34,17 +41,12 @@
 
 #define MAXN 11 /* edge bitmasks fit 64 bits up to n = 11; sweeps use n <= 8 */
 #define MAXROWS 64 /* adjacency rows fit 64 bits */
-#define MAXB 55 /* MAXN * (MAXN - 1) / 2 edge slots */
 #define CW_ITERATIONS 200
 #define CUT_MARGIN 1e-9 /* a bound must clear its cut by this much */
 
 static int popcount(uint64_t x) { return __builtin_popcountll(x); }
 
 static int lowest_bit(uint64_t x) { return __builtin_ctzll(x); }
-
-/* Edge slot b is the pair (slot_i[b], slot_j[b]); the first C(n,2) slots
- * are those of order n. Filled once, in PyInit__sweep. */
-static int slot_i[MAXB], slot_j[MAXB];
 
 /* -1 if the index is certainly below lo_cut, +1 if it is certainly above
  * hi_cut (lo_cut <= hi_cut), 0 if undecided after the cap. Iterates
@@ -609,75 +611,143 @@ static PyObject *perron_order(PyObject *self, PyObject *const *args, Py_ssize_t 
     return PyLong_FromLong(perron_sign(n, adj, u, v));
 }
 
-/* -- sweep and classification ---------------------------------------------- */
+/* -- sorted sweep and classification --------------------------------------- */
 
-/* One pass over the masks in [lo, hi): masks with an isolated vertex are
- * skipped and the others counted in *no_isolated; a mask whose degree
- * bounds or power iterate put its index below lo_cut is dropped, one above
- * hi_cut whose graph passes test (never, when test is NULL) is counted in
- * *hits, and every other mask goes into *rest, ascending, a malloc'd buffer
- * of *len masks that the caller frees. Every stage reads adj, the rows of
- * the current mask: the first mask flips all of lo's bits, each later one
- * the trailing bits that changed (two on average). Touches no Python object
- * and no mutable static, so it runs without the GIL and concurrently.
- * Returns 0, or -1 when the buffer cannot grow. */
+static const long long factorial[MAXN + 1] = {
+    1, 1, 2, 6, 24, 120, 720, 5040, 40320, 362880, 3628800, 39916800,
+};
+
+/* One classify pass: its range, cuts and test, the weighted counts so far,
+ * the leftover masks (a malloc'd buffer of cap masks, len used, that the
+ * caller frees) and the graph the search holds: the rows and degrees of the
+ * vertices placed so far, and the partial degrees of the others. */
+typedef struct {
+    int n;
+    uint64_t lo, hi;
+    double lo_cut, hi_cut;
+    detector test;
+    long k;
+    long long no_isolated, hits;
+    uint64_t *rest;
+    size_t len, cap;
+    uint64_t adj[MAXN];
+    int degs[MAXN];
+} sorted_sweep;
+
+/* n! / prod_d m_d! for the sorted degrees degs[0..n), m_d the length of the
+ * run of degree d: the number of arrangements of these degrees over the
+ * vertices. Each intermediate quotient is an integer. */
+static long long arrangements(int n, const int *degs)
+{
+    long long weight = factorial[n];
+    int start = 0;
+    for (int i = 1; i <= n; i++)
+        if (i == n || degs[i] != degs[start]) {
+            weight /= factorial[i - start];
+            start = i;
+        }
+    return weight;
+}
+
+/* The sorted graph of mask, held in s: counted with its weight in
+ * s->no_isolated; dropped when its degree bounds or power iterate put its
+ * index below lo_cut; counted with its weight in s->hits when it is above
+ * hi_cut and passes the test; else appended to s->rest. Returns 0, or -1
+ * when the buffer cannot grow. */
+static int classify_leaf(sorted_sweep *s, uint64_t mask)
+{
+    int n = s->n;
+    const uint64_t *adj = s->adj;
+    const int *degs = s->degs;
+    long long weight = arrangements(n, degs);
+    s->no_isolated += weight;
+    if (2.0 * degs[0] < s->lo_cut) /* q <= 2 max degree */
+        return 0;
+    int esum = 0; /* q <= max over edges ij of d(i) + d(j) */
+    for (int i = 0; i < n; i++) /* each edge once, from its lower end */
+        for (uint64_t up = adj[i] & ~(((uint64_t)2 << i) - 1); up; up &= up - 1) {
+            int d = degs[i] + degs[lowest_bit(up)];
+            if (d > esum)
+                esum = d;
+        }
+    if (esum < s->lo_cut)
+        return 0;
+    int side = q_side(n, adj, degs, s->lo_cut, s->hi_cut);
+    if (side < 0)
+        return 0;
+    if (side > 0 && s->test != NULL && s->test(n, adj, s->k)) {
+        s->hits += weight;
+        return 0;
+    }
+    if (s->len == s->cap) {
+        s->cap = s->cap ? 2 * s->cap : 1024;
+        uint64_t *grown = realloc(s->rest, s->cap * sizeof *s->rest);
+        if (grown == NULL)
+            return -1;
+        s->rest = grown;
+    }
+    s->rest[s->len++] = mask;
+    return 0;
+}
+
+/* Place row j under rows j+1..n-1, whose bits are prefix: try each value r
+ * of the row, ascending, whose subtree [prefix + r 2^C(j,2), + 2^C(j,2))
+ * meets [lo, hi). Once the row is set d(j) is final: r is pruned when d(j)
+ * is below d(j + 1) (below 1 for j = n - 1), or when some vertex i < j can
+ * no longer reach d(j), as it gains at most j - 1 more edges, one from each
+ * other vertex below j. Below row 0 the mask is complete. Leaves come in
+ * ascending mask order. Returns 0, or -1 when the buffer cannot grow. */
+static int place_row(sorted_sweep *s, int j, uint64_t prefix)
+{
+    int shift = j * (j - 1) / 2, more = j - 1;
+    uint64_t r = s->lo > prefix ? (s->lo - prefix) >> shift : 0;
+    uint64_t end = ((s->hi - prefix - 1) >> shift) + 1;
+    if (end > (uint64_t)1 << j)
+        end = (uint64_t)1 << j;
+    int partial = s->degs[j], floor = j + 1 < s->n ? s->degs[j + 1] : 1;
+    for (; r < end; r++) {
+        int d = partial + popcount(r), reach = d >= floor;
+        for (int i = 0; i < j && reach; i++)
+            reach = s->degs[i] + (int)(r >> i & 1) + more >= d;
+        if (!reach)
+            continue;
+        s->adj[j] ^= r;
+        s->degs[j] = d;
+        for (uint64_t b = r; b; b &= b - 1) {
+            s->adj[lowest_bit(b)] ^= (uint64_t)1 << j;
+            s->degs[lowest_bit(b)]++;
+        }
+        uint64_t base = prefix | r << shift;
+        int failed = j == 0 ? classify_leaf(s, base) : place_row(s, j - 1, base);
+        for (uint64_t b = r; b; b &= b - 1) {
+            s->adj[lowest_bit(b)] ^= (uint64_t)1 << j;
+            s->degs[lowest_bit(b)]--;
+        }
+        s->adj[j] ^= r;
+        if (failed)
+            return -1;
+    }
+    s->degs[j] = partial;
+    return 0;
+}
+
+/* One pass over the degree-sorted masks in [lo, hi): their weighted count
+ * in *no_isolated, the weighted hits in *hits and the leftover masks,
+ * ascending, in *rest, a malloc'd buffer of *len masks that the caller
+ * frees. Touches no Python object and no mutable static, so it runs without
+ * the GIL and concurrently. Returns 0, or -1 when the buffer cannot grow. */
 static int sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi_cut,
                  detector test, long k, long long *no_isolated, long long *hits,
                  uint64_t **rest, size_t *len)
 {
-    uint64_t adj[MAXN] = {0}, held = 0; /* adj: the rows of mask held */
-    int degs[MAXN];
-    size_t cap = 0;
-
-    *no_isolated = *hits = 0;
-    *rest = NULL;
-    *len = 0;
-    for (uint64_t mask = lo; mask < hi; mask++) {
-        for (uint64_t flip = mask ^ held; flip; flip &= flip - 1) {
-            int b = lowest_bit(flip);
-            adj[slot_i[b]] ^= (uint64_t)1 << slot_j[b];
-            adj[slot_j[b]] ^= (uint64_t)1 << slot_i[b];
-        }
-        held = mask;
-        int dmin = n, dmax = 0;
-        for (int i = 0; i < n; i++) {
-            degs[i] = popcount(adj[i]);
-            if (degs[i] < dmin)
-                dmin = degs[i];
-            if (degs[i] > dmax)
-                dmax = degs[i];
-        }
-        if (dmin == 0)
-            continue;
-        ++*no_isolated;
-        if (2.0 * dmax < lo_cut) /* q <= 2 max degree */
-            continue;
-        int esum = 0; /* q <= max over edges ij of d(i) + d(j) */
-        for (int i = 0; i < n; i++) /* each edge once, from its lower end */
-            for (uint64_t up = adj[i] & ~(((uint64_t)2 << i) - 1); up; up &= up - 1) {
-                int d = degs[i] + degs[lowest_bit(up)];
-                if (d > esum)
-                    esum = d;
-            }
-        if (esum < lo_cut)
-            continue;
-        int side = q_side(n, adj, degs, lo_cut, hi_cut);
-        if (side < 0)
-            continue;
-        if (side > 0 && test != NULL && test(n, adj, k)) {
-            ++*hits;
-            continue;
-        }
-        if (*len == cap) {
-            cap = cap ? 2 * cap : 1024;
-            uint64_t *grown = realloc(*rest, cap * sizeof **rest);
-            if (grown == NULL)
-                return -1;
-            *rest = grown;
-        }
-        (*rest)[(*len)++] = mask;
-    }
-    return 0;
+    sorted_sweep s = {.n = n, .lo = lo, .hi = hi, .lo_cut = lo_cut, .hi_cut = hi_cut,
+                      .test = test, .k = k};
+    int failed = lo < hi ? place_row(&s, n - 1, 0) : 0;
+    *no_isolated = s.no_isolated;
+    *hits = s.hits;
+    *rest = s.rest;
+    *len = s.len;
+    return failed;
 }
 
 static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -736,8 +806,9 @@ static PyMethodDef methods[] = {
      "Whether some cycle carries at least min_chords chords."},
     {"classify", (PyCFunction)(void (*)(void))classify, METH_FASTCALL,
      "classify(n, lo, hi, lo_cut, hi_cut, test) -> (no_isolated, hits, rest)\n\n"
-     "Sort the edge bitmasks in [lo, hi) by index against two cuts; test is\n"
-     "(name, k) or None. The pass releases the GIL. See _sweep_py.classify."},
+     "Sort the degree-sorted edge bitmasks in [lo, hi) by index against two\n"
+     "cuts, with weighted counts; test is (name, k) or None. The pass\n"
+     "releases the GIL. See _sweep_py.classify."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_FASTCALL,
      "longest_cycle(rows) -> (length, cycle) or None\n\n"
      "The first longest cycle in search order; see chords.longest_cycle."},
@@ -761,11 +832,6 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__sweep(void)
 {
-    for (int j = 1, b = 0; j < MAXN; j++)
-        for (int i = 0; i < j; i++, b++) {
-            slot_i[b] = i;
-            slot_j[b] = j;
-        }
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddObjectRef(m, "IS_COMPILED", Py_True) < 0)
         Py_CLEAR(m);

@@ -1,29 +1,29 @@
 """Pure-Python implementation of the sweep kernels.
 
 Mirrors the compiled extension's interface. The pass over a mask range
-(classify, with a chord test or None) is vectorized with numpy over blocks
-of edge bitmasks; the per-graph calls take adjacency rows and defer to the
-reference searchers in chords.py, and perron_order certifies numpy ``eigh``'s
-top pair by the rule the compiled kernel applies to its Jacobi pair.
+(classify, with a chord test or None) visits the degree-sorted masks of the
+range by the compiled kernel's depth-first search and counts each with its
+weight; the per-graph calls take adjacency rows and defer to the reference
+searchers in chords.py, and perron_order certifies numpy ``eigh``'s top pair
+by the rule the compiled kernel applies to its Jacobi pair.
 
-Soundness contract: a mask may only be dropped when its signless Laplacian
+Soundness contract: a graph may only be dropped when its signless Laplacian
 index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
-and q <= max over edges of d(u)+d(v)) go first; the remainder gets one
-batched dense eigenvalue computation per block of masks, and a cut decides
-only when the index clears it by CUT_MARGIN. The mask arithmetic (bits,
-degrees, the degree bounds, stacked Q, batched eigvalsh) is
-``spectral.MaskBatch``, shared with the verifier's prefilter spot check.
+and q <= max over edges of d(u)+d(v)) go first; the graphs that pass them
+get one batched dense eigenvalue computation (``spectral.q_indices``) per
+block, and a cut decides only when the index clears it by CUT_MARGIN.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
 
 from . import chords
-from .graphs import Graph, bits_to_vertices, graph_from_mask
-from .spectral import MaskBatch, signless_laplacian
+from .graphs import Graph, arrangement_count, bits_to_vertices
+from .spectral import q_indices, signless_laplacian
 
 IS_COMPILED = False
 
@@ -32,20 +32,26 @@ MAXROWS = 64  # adjacency rows fit 64 bits, as in the compiled kernel
 CUT_MARGIN = 1e-9  # a cut decides only when the index clears it by this
 PERRON_MAXN = 16  # perron_order decides on graphs of at most this order
 PERRON_MARGIN = 1e-9  # a Perron entry order must clear its bound by this
-_BLOCK = 1 << 14
+_BLOCK = 1 << 14  # graphs per batched eigensolve
 
 
 def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
-    """Sort the edge bitmasks in [lo, hi) by their index against
-    lo_cut <= hi_cut.
+    """Sort the degree-sorted edge bitmasks in [lo, hi) by their index
+    against lo_cut <= hi_cut.
 
-    test is (name, k) naming a detector of this module, "apex_has_config" or
+    A mask is degree-sorted when its graph has d(0) >= d(1) >= ... >=
+    d(n-1) >= 1; it stands for the n! / prod_d m_d! labeled graphs (m_d
+    vertices of degree d) that relabelling it onto each arrangement of its
+    degrees gives, its weight (``graphs.arrangement_count``). test is
+    (name, k) naming a detector of this module, "apex_has_config" or
     "chorded_has", or None for no test. Returns (no_isolated, hits, rest):
-    no_isolated counts the masks of graphs without isolated vertices; of
-    those, hits counts the ones whose index is above hi_cut + CUT_MARGIN and
-    whose graph passes test (none when test is None), masks with an index
-    below lo_cut - CUT_MARGIN are dropped, and rest lists every other mask,
-    ascending. ValueError when a cut is NaN, TypeError for a malformed test.
+    no_isolated is the weighted count of the sorted masks; of those, hits is
+    the weighted count of the ones whose index is above hi_cut + CUT_MARGIN
+    and whose graph passes test (none when test is None), masks with an
+    index below lo_cut - CUT_MARGIN are dropped, and rest lists every other
+    sorted mask, ascending. So over a whole order no_isolated is the number
+    of labeled graphs without isolated vertices. ValueError when a cut is
+    NaN, TypeError for a malformed test.
     """
     if not 1 <= n <= MAXN:
         raise ValueError(f"kernels support 1..{MAXN} vertices, got {n}")
@@ -64,22 +70,96 @@ def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
         detector, k = _DETECTORS[name], _chord_count(k, "k")
     no_isolated = hits = 0
     rest: list[int] = []
-    for start in range(lo, hi, _BLOCK):
-        batch = MaskBatch.of(n, np.arange(start, min(start + _BLOCK, hi), dtype=np.int64))
-        ok, cand = batch.degree_cut(lo_cut)
-        no_isolated += int(ok.sum())
-        if not cand.any():
-            continue
-        kept = batch[cand]
-        top = kept.top_eigenvalues()
-        above = top >= lo_cut - CUT_MARGIN
-        for mask, q in zip(kept.masks[above].tolist(), top[above].tolist()):
-            if (detector is not None and q > hi_cut + CUT_MARGIN
-                    and detector(graph_from_mask(n, mask), k)):
-                hits += 1
+    pending: list[tuple[int, Graph, int]] = []  # (mask, graph, weight) for the index
+
+    def decide_pending():
+        nonlocal hits
+        for (mask, g, weight), q in zip(pending, q_indices([g for _, g, _ in pending])):
+            if q < lo_cut - CUT_MARGIN:
+                continue
+            if detector is not None and q > hi_cut + CUT_MARGIN and detector(g, k):
+                hits += weight
             else:
                 rest.append(mask)
+        pending.clear()
+
+    for mask, rows, degs in _sorted_graphs(n, lo, hi):
+        weight = arrangement_count(degs)
+        no_isolated += weight
+        # q <= 2 max degree, and q <= max over edges ij of d(i) + d(j)
+        if 2 * degs[0] < lo_cut or max(
+                degs[i] + degs[j] for i in range(n) for j in bits_to_vertices(rows[i])) < lo_cut:
+            continue
+        pending.append((mask, Graph(n, rows), weight))
+        if len(pending) == _BLOCK:
+            decide_pending()
+    if pending:
+        decide_pending()
     return no_isolated, hits, rest
+
+
+@functools.cache
+def _row_values(j: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(r, its popcount, its set bits) for every value r of row j, ascending."""
+    return tuple((r, r.bit_count(), tuple(bits_to_vertices(r))) for r in range(1 << j))
+
+
+def _sorted_graphs(n: int, lo: int, hi: int):
+    """(mask, rows, degrees) of every degree-sorted mask of order n in
+    [lo, hi), in ascending mask order, by the compiled kernel's search: row
+    j of a mask, its bits [C(j,2), C(j+1,2)), holds the edges from j down to
+    0..j-1, and the rows are fixed from n-1 down. Once row j is set, d(j) is
+    final: a row value is pruned when d(j) is below d(j + 1) (below 1 for
+    j = n - 1), or when some vertex i < j can no longer reach d(j), as it
+    gains at most j - 1 more edges, one from each other vertex below j.
+    Subtrees outside [lo, hi) are skipped."""
+    adj = [0] * n
+    degs = [0] * n
+
+    def place(j, prefix):
+        shift, more = j * (j - 1) // 2, j - 1
+        partial = degs[j]
+        floor = degs[j + 1] if j + 1 < n else 1
+        needs = {}  # d(j) -> need(d(j)); degs[:j] is the same at every r below
+
+        def need(d):
+            # the vertices i < j that reach d only through an edge from j,
+            # as bits; -1 when one cannot reach d at all
+            bits = 0
+            for i in range(j):
+                if degs[i] + 1 + more < d:
+                    return -1
+                if degs[i] + more < d:
+                    bits |= 1 << i
+            return bits
+
+        first = max(lo - prefix, 0) >> shift
+        for r, count, ends in _row_values(j)[first:(hi - prefix - 1 >> shift) + 1]:
+            d = partial + count
+            if d < floor:
+                continue
+            if (bits := needs.get(d)) is None:
+                bits = needs[d] = need(d)
+            if bits < 0 or r & bits != bits:
+                continue
+            adj[j] ^= r
+            degs[j] = d
+            for i in ends:
+                adj[i] ^= 1 << j
+                degs[i] += 1
+            base = prefix | r << shift
+            if j:
+                yield from place(j - 1, base)
+            else:
+                yield base, tuple(adj), tuple(degs)
+            for i in ends:
+                adj[i] ^= 1 << j
+                degs[i] -= 1
+            adj[j] ^= r
+        degs[j] = partial
+
+    if lo < hi:
+        yield from place(n - 1, 0)
 
 
 def _chord_count(k, what: str) -> int:

@@ -9,7 +9,10 @@ machine word for n <= 64) and the documented cap of n <= 256.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator
+import math
+from collections import Counter
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 256
 
@@ -314,6 +317,53 @@ def graph_from_mask(n: int, mask: int) -> Graph:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     return Graph(n, tuple(adj))
+
+
+def arrangement_count(degrees: Sequence[int]) -> int:
+    """n! / prod_d m_d!, with m_d the entries equal to d: the arrangements
+    of this degree sequence over its n vertices. Relabelling a graph onto
+    each arrangement of its degrees gives this many distinct labeled graphs,
+    so it is the weight the sweeps count a degree-sorted mask with."""
+    weight = math.factorial(len(degrees))
+    for run in Counter(degrees).values():
+        weight //= math.factorial(run)
+    return weight
+
+
+def arrangement_images(g: Graph) -> list[Graph]:
+    """The relabellings of g onto every arrangement of its degrees, one per
+    arrangement, ``arrangement_count(g.degrees())`` distinct graphs that
+    include g itself. Each maps the vertices of one degree, in label order,
+    onto that degree's places in the arrangement, in label order; so every
+    labeled graph is the image of exactly one degree-sorted graph."""
+    by_degree: dict[int, list[int]] = {}
+    for v, d in enumerate(g.degrees()):
+        by_degree.setdefault(d, []).append(v)
+    classes = list(by_degree.values())
+    perm = [0] * g.n
+    images = []
+
+    def place(c: int, free: tuple[int, ...]) -> None:
+        if c == len(classes):
+            images.append(_relabel(g, perm))
+            return
+        for spots in combinations(free, len(classes[c])):
+            for v, spot in zip(classes[c], spots):
+                perm[v] = spot
+            taken = set(spots)
+            place(c + 1, tuple(w for w in free if w not in taken))
+
+    place(0, tuple(range(g.n)))
+    return images
+
+
+def _relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """The graph with an edge perm[u] perm[v] for each edge uv of g."""
+    adj = [0] * g.n
+    for u in range(g.n):
+        for v in bits_to_vertices(g.rows[u]):
+            adj[perm[u]] |= 1 << perm[v]
+    return Graph(g.n, tuple(adj))
 
 
 # -- graph6 ---------------------------------------------------------------------

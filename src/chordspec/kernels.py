@@ -1,10 +1,14 @@
 """Hot-kernel dispatch: the compiled kernel when it builds, else the
 pure-Python twin in ``_sweep_py``.
 
-Both export the same functions: ``classify``, one pass over an
-edge-bitmask range that drops the graphs provably below a cut and counts
-those provably above it that pass a chord test (or none, given no test);
-and, on one graph's adjacency rows (up to 64 vertices), the chord tests
+Both export the same functions: ``classify``, one pass over the
+degree-sorted masks of an edge-bitmask range, d(0) >= ... >= d(n-1) >= 1,
+found by a pruned depth-first search over the rows of the mask, that drops
+the graphs provably below a cut and counts those provably above it that
+pass a chord test (or none, given no test), each counted with its weight
+n! / prod_d m_d! (m_d vertices of degree d), the labeled graphs it stands
+for, and that lists the sorted masks it leaves; and, on one graph's
+adjacency rows (up to 64 vertices), the chord tests
 ``apex_has_config`` (k chords at one cycle vertex) and ``chorded_has`` (a
 cycle with at least min_chords chords, which tries the apex search first
 for min_chords <= 3), the searches ``longest_cycle`` and
@@ -120,9 +124,11 @@ perron_order = _impl.perron_order
 
 
 def sweep_range(n: int, lo: int, hi: int, q_floor: float):
-    """(no_isolated, survivors) over the edge bitmasks in [lo, hi): the
-    survivors are the masks of graphs without isolated vertices whose index
-    is not provably below q_floor. ValueError when q_floor is NaN."""
+    """(no_isolated, survivors) over the degree-sorted edge bitmasks in
+    [lo, hi): no_isolated is their weighted count, so over a whole order the
+    number of labeled graphs without isolated vertices, and the survivors
+    are the sorted masks, ascending, whose index is not provably below
+    q_floor. ValueError when q_floor is NaN."""
     no_isolated, _, survivors = classify(n, lo, hi, q_floor, q_floor, None)
     return no_isolated, survivors
 

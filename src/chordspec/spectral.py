@@ -7,13 +7,13 @@ component; the Perron vector is the absolute value of the top eigenvector,
 which is simple on a connected component. ``MaskBatch`` is the batched form
 for many labeled graphs of one order given as edge bitmasks: degrees, the
 edge-degree-sum bound, stacked Q and one batched ``eigvalsh``, as numpy
-arrays; the python sweep kernel and the verifier's prefilter spot check use
-it. ``q_indices`` is the batched index of graphs given as ``Graph`` values,
-of any orders: one batched ``eigvalsh`` per order over Q stacked from the
-adjacency rows, as ``signless_laplacian`` builds it; the verifier uses it for
-every index that only needs its float value (the masks the sweep kernel
-leaves for the exact rules, the appendix fixtures, the property suite's
-lemmas). Exact route: integer characteristic polynomials by the
+arrays; the verifier's prefilter spot check uses it. ``q_indices`` is the
+batched index of graphs given as ``Graph`` values, of any orders: one
+batched ``eigvalsh`` per order over Q stacked from the adjacency rows, as
+``signless_laplacian`` builds it; the python sweep kernel uses it for the
+graphs its degree bounds keep, and the verifier for every index that only
+needs its float value (the masks the sweep kernel leaves for the exact
+rules, the appendix fixtures, the property suite's lemmas). Exact route: integer characteristic polynomials by the
 Faddeev-LeVerrier recurrence, for many matrices at once
 (``charpoly_int_matrices``: one loop per matrix size over the stacked
 matrices, in int64 where a proven bound rules out overflow, else on Python

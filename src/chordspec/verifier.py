@@ -1,14 +1,20 @@
 """Exhaustive and randomized verification runs with machine-readable reports.
 
-The exhaustive tasks enumerate every labeled graph on n vertices as an edge
-bitmask (ascending order) and classify it, chunk by chunk, in one kernel
-pass: the kernel drops a graph only when its index is provably below the
-1e-8 tie band around the threshold, and counts one whose index is provably
-above the band and that passes the task's chord test. Only the masks left
-over reach Python, which decides them as before: float eigenvalues (one
-batched eigensolve over all of them) away from the threshold, exact
+The exhaustive tasks sweep every graph on n vertices without isolated
+vertices through one kernel pass per chunk of the edge-bitmask range. The
+kernel visits only the degree-sorted masks, d(0) >= ... >= d(n-1) >= 1, and
+counts each with its weight n! / prod_d m_d!, the labeled graphs it stands
+for: every count a report holds is invariant under relabelling, so the
+weighted counts are those of every labeled graph, which the sweep checks
+against the closed form. The kernel drops a graph only when its index is
+provably below the 1e-8 tie band around the threshold, and counts one whose
+index is provably above the band and that passes the task's chord test.
+Only the sorted masks left over reach Python, which decides each once and
+counts its verdict with its weight: float eigenvalues (one batched
+eigensolve over all of them) away from the threshold, exact
 characteristic-polynomial comparison inside the band, the reference
-searchers when the kernel's test finds nothing.
+searchers when the kernel's test finds nothing. A counterexample is listed
+as every labeled graph it stands for.
 
 The randomized suites are seeded and stratified over edge probabilities
 {0.2, 0.4, 0.6, 0.8}; identical (task, params, seed) inputs produce identical
@@ -52,6 +58,8 @@ from .families import (
 from .graphs import (
     Graph,
     apex_partition,
+    arrangement_count,
+    arrangement_images,
     automorphism_count,
     bits_to_vertices,
     disjoint_union,
@@ -187,15 +195,23 @@ def _usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
+def _without_isolated_vertices(n: int) -> int:
+    """The labeled graphs on n vertices without isolated vertices, by
+    inclusion-exclusion: sum_k (-1)^k C(n,k) 2^C(n-k,2)."""
+    return sum((-1) ** k * math.comb(n, k) * 2 ** math.comb(n - k, 2) for k in range(n + 1))
+
+
 def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     """Every mask of order n through kernels.classify, cut at the tie band
     around thr, in chunks of at most CHUNK masks (at least jobs * 4 chunks,
     over jobs worker threads, when jobs > 1): (graphs without isolated
-    vertices, hits, the ascending masks left for the Python rules). The
-    compiled classify releases the GIL for its pass, so the threads sweep at
-    once; the python twin holds the GIL outside numpy, so its threads mostly
-    take turns. jobs is capped at the CPUs this process may run on.
-    VerifierError for jobs below 1."""
+    vertices, hits, the ascending degree-sorted masks left for the Python
+    rules), the counts weighted. The compiled classify releases the GIL for
+    its pass, so the threads sweep at once; the python twin holds the GIL
+    outside numpy, so its threads mostly take turns. jobs is capped at the
+    CPUs this process may run on. VerifierError for jobs below 1, and when
+    the weighted count of graphs without isolated vertices is not the
+    closed form's: a range, chunking, prune or weight fault."""
     if jobs < 1:
         raise VerifierError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, _usable_cpus())
@@ -214,8 +230,12 @@ def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(classify_chunk, starts))
+    no_isolated, expected = sum(r[0] for r in results), _without_isolated_vertices(n)
+    if no_isolated != expected:
+        raise VerifierError(f"the order-{n} sweep counted {no_isolated} graphs "
+                            f"without isolated vertices, not {expected}")
     rest = [mask for _, _, left in results for mask in left]
-    return sum(r[0] for r in results), sum(r[1] for r in results), rest
+    return no_isolated, sum(r[1] for r in results), rest
 
 
 def _order(g: Graph, qg: float, h: Graph, qh: float, exact: bool = True) -> int:
@@ -307,20 +327,28 @@ def _sweep_rule(task: str, n: int, params: dict):
 
 
 def _tail(n: int, rest: list[int], ext: Graph, rule) -> tuple[Counter, list[str]]:
-    """The task's rule on the masks the kernel left. A labeled copy of ext
-    has ext's Q-spectrum and chord configurations, so it takes the verdict
-    of ext itself, decided once; every other graph gets the rule with its
-    float index (one batched eigensolve over all of them). Returns (the count
-    of each verdict, the counterexamples as graph6)."""
+    """The task's rule on the degree-sorted masks the kernel left, each
+    decided once. A copy of ext has ext's Q-spectrum and chord
+    configurations, so it takes the verdict of ext itself, decided once;
+    every other graph gets the rule with its float index (one batched
+    eigensolve over all of them). Returns (the count of each verdict, each
+    mask weighted by the labeled graphs it stands for, and the
+    counterexamples as graph6: every labeled graph a counterexample mask
+    stands for, its image under each arrangement of its degrees)."""
     graphs = [graph_from_mask(n, mask) for mask in rest]
-    others = [(mask, g) for mask, g in zip(rest, graphs) if not is_isomorphic(g, ext)]
-    qs = q_indices([ext] + [g for _, g in others])
-    verdicts = dict.fromkeys(rest, rule(ext, qs[0], ext))
-    for (mask, g), qv in zip(others, qs[1:]):
-        verdicts[mask] = rule(g, qv, ext)
-    counterexamples = [graph6_encode(g) for mask, g in zip(rest, graphs)
-                       if verdicts[mask] == "counterexample"]
-    return Counter(verdicts.values()), counterexamples
+    copies = [is_isomorphic(g, ext) for g in graphs]
+    others = [g for g, copy in zip(graphs, copies) if not copy]
+    qs = q_indices([ext] + others)
+    ext_verdict = rule(ext, qs[0], ext)
+    other_verdicts = iter([rule(g, qv, ext) for g, qv in zip(others, qs[1:])])
+    counts = Counter()
+    counterexamples = []
+    for g, copy in zip(graphs, copies):
+        verdict = ext_verdict if copy else next(other_verdicts)
+        counts[verdict] += arrangement_count(g.degrees())
+        if verdict == "counterexample":
+            counterexamples += [graph6_encode(h) for h in arrangement_images(g)]
+    return counts, counterexamples
 
 
 def verify_theorem_main(

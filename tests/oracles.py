@@ -30,6 +30,10 @@ own mask and component routines.
 restate, per catalog item, the orders and fan widths that the appendix
 fixtures once spelled out field by field, as references for the single
 fixture table that decides them now.
+``oracle_classify_labeled`` is the kernel's earlier plain pass, one labeled
+mask after another with unweighted counts, the reference for the
+degree-sorted weighted ``kernels.classify``; ``sorted_mask`` relabels a
+mask onto its degree-sorted form by a stable sort of its degrees.
 ``count_roots_above`` and ``count_roots_in_interval`` are Sturm root counts
 on the package's own integer chains; they check the float index against the
 exact roots and are not themselves under test.
@@ -45,10 +49,11 @@ from math import gcd, lcm
 
 import numpy as np
 
+from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.graphs import Graph, graph_from_mask, index_pairs, make_graph
 from chordspec import polynomials
 from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
-from chordspec.spectral import SpectralResult, q_index, signless_laplacian
+from chordspec.spectral import MaskBatch, SpectralResult, q_index, signless_laplacian
 
 
 def cycles_by_permutation(g: Graph):
@@ -529,6 +534,49 @@ def oracle_prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dic
         "skipped_sampled": checked,
         "max_q_among_skipped": None if checked == 0 else round(worst, 9),
     }
+
+
+def oracle_classify_labeled(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
+    """``kernels.classify``'s earlier plain pass over every labeled mask in
+    [lo, hi), not only the degree-sorted ones, with unweighted counts:
+    (masks of graphs without isolated vertices, hits, the other masks not
+    dropped, ascending). A graph is dropped when its degree bounds or its
+    batched eigenvalue put the index below lo_cut - 1e-9, and a hit when the
+    index is above hi_cut + 1e-9 and the reference searcher for test, a
+    (name, k) pair or None, finds the configuration."""
+    searcher = None
+    if test is not None:
+        name, k = test
+        searcher = {"apex_has_config": find_k_chords_at_apex,
+                    "chorded_has": find_chorded_cycle}[name]
+    no_isolated = hits = 0
+    rest = []
+    for start in range(lo, hi, 1 << 14):
+        batch = MaskBatch.of(n, np.arange(start, min(start + (1 << 14), hi), dtype=np.int64))
+        ok, cand = batch.degree_cut(lo_cut)
+        no_isolated += int(ok.sum())
+        if not cand.any():
+            continue
+        kept = batch[cand]
+        top = kept.top_eigenvalues()
+        above = top >= lo_cut - 1e-9
+        for mask, q in zip(kept.masks[above].tolist(), top[above].tolist()):
+            if (searcher is not None and q > hi_cut + 1e-9
+                    and searcher(graph_from_mask(n, mask), k) is not None):
+                hits += 1
+            else:
+                rest.append(mask)
+    return no_isolated, hits, rest
+
+
+def sorted_mask(n: int, mask: int) -> int:
+    """The mask of the graph relabelled so that its degrees do not increase,
+    vertices of equal degree keeping their order: the degree-sorted mask
+    whose images (``graphs.arrangement_images``) include this one."""
+    g = graph_from_mask(n, mask)
+    order = sorted(range(n), key=lambda v: -g.degree(v))
+    pos = {v: i for i, v in enumerate(order)}
+    return sum(1 << edge_index(pos[u], pos[v]) for u, v in g.edges())
 
 
 # The catalog fixtures' orders as the appendix first stated them, per item:

@@ -18,6 +18,8 @@ from chordspec.graphs import (
     Graph6Error,
     GraphError,
     apex_partition,
+    arrangement_count,
+    arrangement_images,
     automorphism_count,
     disjoint_union,
     edge_counts,
@@ -30,8 +32,11 @@ from chordspec.graphs import (
     make_graph,
     mask_of,
 )
+from chordspec.spectral import q_index
 from oracles import (
     edge_index,
+    oracle_classify_labeled,
+    sorted_mask,
     induced_subgraph,
     mask_from_graph,
     oracle_automorphism_count,
@@ -359,3 +364,44 @@ def test_mask_conversions_roundtrip():
         mask = rng.randrange(1 << nbits)
         g = graph_from_mask(n, mask)
         assert mask_from_graph(g) == mask_of(g) == mask
+
+
+def test_arrangement_images_of_the_order_6_threshold_graph():
+    # K5 plus a pendant edge, mask 2047, degrees (5, 4, 4, 4, 4, 1): its
+    # images are 6! / (1! 4! 1!) = 30 distinct labeled graphs, each a copy of
+    # it, and exactly the 30 masks the plain labeled pass leaves at order 6
+    # with the theorem's cuts
+    g = graph_from_mask(6, 2047)
+    ext = extremal_graph(6).graph
+    assert g.degrees() == (5, 4, 4, 4, 4, 1) and is_isomorphic(g, ext)
+    images = arrangement_images(g)
+    assert arrangement_count(g.degrees()) == len(images) == 30
+    assert len(set(images)) == 30 and g in images
+    assert all(oracle_isomorphic(h, g) for h in images)
+    q = q_index(ext).q
+    _, _, rest = oracle_classify_labeled(6, 0, 1 << 15, q - 1e-8, q + 1e-8,
+                                         ("apex_has_config", 3))
+    assert sorted(mask_of(h) for h in images) == rest
+
+
+def test_arrangement_images_partition_the_labeled_graphs():
+    # over every degree-sorted graph of orders 1..5 (isolated vertices
+    # allowed), the images number the weights, are copies of their graph
+    # with its degrees rearranged, and together are every labeled graph once;
+    # a regular graph is its only image
+    for n in range(1, 6):
+        masks = range(1 << n * (n - 1) // 2)
+        sorted_masks = [m for m in masks if sorted_mask(n, m) == m]
+        seen = []
+        for m in sorted_masks:
+            g = graph_from_mask(n, m)
+            images = arrangement_images(g)
+            assert len(images) == arrangement_count(g.degrees())
+            for h in images:
+                assert sorted(h.degrees()) == sorted(g.degrees()) and is_isomorphic(h, g)
+                assert sorted_mask(n, mask_of(h)) == m
+            seen += [mask_of(h) for h in images]
+        assert sorted(seen) == list(masks)
+    assert arrangement_images(cycle(5)) == [cycle(5)]
+    assert arrangement_count((2,) * 5) == 1 and arrangement_count((3, 1, 1, 1)) == 4
+    assert arrangement_count(()) == 1

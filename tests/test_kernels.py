@@ -1,3 +1,4 @@
+import functools
 import importlib.machinery
 import importlib.util
 import inspect
@@ -16,11 +17,18 @@ import pytest
 from chordspec import _sweep_py, kernels
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.families import complete, extremal_graph, path
-from chordspec.graphs import disjoint_union, graph_from_mask, make_graph
+from chordspec.graphs import arrangement_count, disjoint_union, graph_from_mask, make_graph
 from chordspec.polynomials import EQUAL
 from chordspec.spectral import q_index
-from chordspec.verifier import TIE_BAND, verify_appendix
-from oracles import cycles_by_dfs, oracle_longest_path_order, oracle_q
+from chordspec.verifier import TIE_BAND, _without_isolated_vertices, verify_appendix
+from oracles import (
+    cycles_by_dfs,
+    oracle_apex_chords,
+    oracle_classify_labeled,
+    oracle_longest_path_order,
+    oracle_q,
+    sorted_mask,
+)
 
 IMPLEMENTATIONS = kernels.implementations()
 PACKAGE = Path(kernels.__file__).parent
@@ -143,7 +151,8 @@ def test_sweep_implementations_agree(compiled, n):
     ids=[label for label, _ in IMPLEMENTATIONS],
 )
 def test_sweep_soundness_never_drops_high_q(impl):
-    # every no-isolated graph with q >= floor must be among the survivors
+    # every no-isolated graph with q >= floor must be among the survivors,
+    # which are degree-sorted: through its sorted form
     n = 5
     total = 1 << 10
     floor = 6.0
@@ -154,7 +163,7 @@ def test_sweep_soundness_never_drops_high_q(impl):
         if g.min_degree == 0:
             continue
         if oracle_q(g) >= floor:
-            assert mask in surv, mask
+            assert sorted_mask(n, mask) in surv, mask
 
 
 def test_sweep_range_is_classify_without_a_test():
@@ -279,10 +288,11 @@ def test_kernel_guards(impl):
             == (1, 0, [k6_mask])
 
 
-# The compiled sweep carries each mask's rows over from the mask before, so
+# The sorted sweep skips the subtrees of its search outside its range, so
 # ranges that start mid-way, and ranges that cross a multiple of a large
-# power of two, where many trailing bits flip at once, are checked at orders
-# 7 and 8 with the theorem's cuts: (n, lo, hi, the multiple crossed).
+# power of two, the edge of a subtree of the top rows, are checked at orders
+# 7 and 8 with the theorem's cuts: (n, lo, hi, the multiple crossed). Both
+# hold degree-sorted masks that the pass counts as hits or leaves over.
 SLICE7 = (7, 123457, 123457 + (1 << 16), 1 << 17)
 SLICE8 = (8, (40 << 22) - 5 - (1 << 19), (40 << 22) + (1 << 19), 5 << 25)
 
@@ -307,13 +317,14 @@ TESTS = [("apex_has_config", 3), ("chorded_has", 3), ("chorded_has", 2)]
 SEARCHERS = {"apex_has_config": find_k_chords_at_apex, "chorded_has": find_chorded_cycle}
 
 
-def _classify_masks(impl, n, lo_cut):
-    # every mask at orders 4 and 5; at order 6 the sweep survivors a little
-    # below the lower cut, the only masks a pass at lo_cut can keep or count
+def _classify_masks(n, lo_cut):
+    # every labeled mask at orders 4 and 5; at order 6 the labeled survivors
+    # of the plain pass a little below the lower cut, the only graphs a pass
+    # at lo_cut can keep or count
     total = 1 << n * (n - 1) // 2
     if n < 6:
         return list(range(total))
-    return impl.classify(n, 0, total, lo_cut - 1e-6, lo_cut - 1e-6, None)[2]
+    return oracle_classify_labeled(n, 0, total, lo_cut - 1e-6, lo_cut - 1e-6, None)[2]
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
@@ -325,7 +336,7 @@ def test_classify_is_sound_against_the_oracle(impl, n):
     total = 1 << n * (n - 1) // 2
     no_isolated = sum(graph_from_mask(n, mask).min_degree > 0 for mask in range(total))
     for lo_cut, hi_cut in CUTS[n]:
-        masks = _classify_masks(impl, n, lo_cut)
+        masks = _classify_masks(n, lo_cut)
         graphs = [graph_from_mask(n, mask) for mask in masks]
         indices = [oracle_q(g) for g in graphs]
         for name, k in TESTS:
@@ -335,29 +346,51 @@ def test_classify_is_sound_against_the_oracle(impl, n):
             assert rest == sorted(kept) and kept <= set(masks)  # ascending
             found = 0
             for mask, g, q in zip(masks, graphs, indices):
-                # the pass over [mask, mask + 1) decides the mask as the
-                # pass over the whole range did
-                alone = impl.classify(n, mask, mask + 1, lo_cut, hi_cut, (name, k))
-                assert (alone[2] == [mask]) == (mask in kept), mask
+                # the pass over [m, m + 1), m the mask's sorted form, decides
+                # the graph as the pass over the whole range did, and counts
+                # it with its weight w
+                m, w = sorted_mask(n, mask), arrangement_count(g.degrees())
+                alone = impl.classify(n, m, m + 1, lo_cut, hi_cut, (name, k))
+                assert (alone[2] == [m]) == (m in kept), mask
                 if g.min_degree == 0:
                     assert alone == (0, 0, []), mask
                     continue
                 if any(abs(q - cut) < 1e-12 for cut in (lo_cut, hi_cut)):
                     # a tie with a cut is never decided by floats
-                    assert mask in kept, (mask, q)
-                if alone == (1, 1, []):
+                    assert m in kept, (mask, q)
+                if alone == (w, w, []):
                     found += 1
                     assert q > hi_cut and SEARCHERS[name](g, k) is not None, mask
-                elif alone == (1, 0, []):
+                elif alone == (w, 0, []):
                     assert q < lo_cut, (mask, q)
                 else:
-                    assert alone == (1, 0, [mask]), (mask, alone)
+                    assert alone == (w, 0, [m]), (mask, alone)
             assert found == hits, (lo_cut, hi_cut, name, k)
 
 
+@pytest.mark.parametrize("n", (4, 5, 6))
 @pytest.mark.parametrize(
-    "n, lo, hi", [(n, 0, 1 << n * (n - 1) // 2) for n in (4, 5, 6)] + [SLICE7[:3]],
-    ids=("4", "5", "6", "7-slice"),
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_sorted_pass_weighs_as_the_plain_labeled_pass(impl, n):
+    # over a whole order the sorted pass counts, with weights, what the
+    # plain pass over every labeled mask counts, and leaves over the sorted
+    # forms of the masks the plain pass leaves, which they weigh
+    total = 1 << n * (n - 1) // 2
+    for cuts in CUTS[n]:
+        for test in TESTS + [None]:
+            no_isolated, hits, rest = impl.classify(n, 0, total, *cuts, test)
+            labeled = oracle_classify_labeled(n, 0, total, *cuts, test)
+            assert (no_isolated, hits) == labeled[:2], (cuts, test)
+            assert set(rest) == {sorted_mask(n, mask) for mask in labeled[2]}
+            weights = [arrangement_count(graph_from_mask(n, mask).degrees()) for mask in rest]
+            assert sum(weights) == len(labeled[2]), (cuts, test)
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi", [(n, 0, 1 << n * (n - 1) // 2) for n in (4, 5, 6, 7)] + [SLICE7[:3]],
+    ids=("4", "5", "6", "7", "7-slice"),
 )
 def test_classify_implementations_agree(compiled, n, lo, hi):
     for lo_cut, hi_cut in CUTS[n]:
@@ -424,18 +457,18 @@ def test_classify_from_two_threads_equals_the_serial_pass(impl):
 
 
 def test_classify_releases_the_gil(compiled):
-    # while a worker thread is inside the compiled pass over an order-8
-    # slice, this thread keeps running Python, and stamps the time every
-    # thousand loop turns. Were the GIL held, this thread could run only for
-    # a switch interval at either end of the call: no stamp would fall in
-    # the middle half of a call more than 8 intervals long
-    n, lo = 8, 40 << 22
+    # while a worker thread is inside the compiled pass over all of order 8,
+    # this thread keeps running Python, and stamps the time every thousand
+    # loop turns. Were the GIL held, this thread could run only for a switch
+    # interval at either end of the call: no stamp would fall in the middle
+    # half of a call more than 8 intervals long
+    n = 8
     cuts = _theorem_cuts(n)
     span = []
 
     def work():
         span.append(time.perf_counter())
-        compiled.classify(n, lo, lo + (1 << 20), *cuts, ("apex_has_config", 3))
+        compiled.classify(n, 0, 1 << 28, *cuts, ("apex_has_config", 3))
         span.append(time.perf_counter())
 
     worker = threading.Thread(target=work)
@@ -454,12 +487,51 @@ def test_classify_releases_the_gil(compiled):
 
 def test_classify_lists_more_leftovers_than_its_first_buffer_holds(compiled):
     # cuts at -inf drop nothing and, with no test, count no hit: every one of
-    # the 27,449 order-6 graphs without isolated vertices is left over, many
-    # times the compiled pass's first buffer of 1024 masks
+    # the 15,822 degree-sorted masks of order 7 is left over, many times the
+    # compiled pass's first buffer of 1024 masks, and they weigh the
+    # 1,887,284 graphs without isolated vertices
     cut = -math.inf
-    whole = compiled.classify(6, 0, 1 << 15, cut, cut, None)
-    assert whole == (27449, 0, whole[2]) and len(whole[2]) == 27449
-    assert whole == _sweep_py.classify(6, 0, 1 << 15, cut, cut, None)
+    whole = compiled.classify(7, 0, 1 << 21, cut, cut, None)
+    assert whole == (1887284, 0, whole[2]) and len(whole[2]) == 15822
+    assert whole == _sweep_py.classify(7, 0, 1 << 21, cut, cut, None)
+
+
+@functools.cache
+def _atlas_configuration_free(n):
+    """sum n! / |Aut G| over the graphs G of the networkx atlas on n
+    vertices without isolated vertices and without three chords at a
+    common cycle vertex (brute-force oracle): the labeled such graphs."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    total = 0
+    for atlas_graph in nx.graph_atlas_g():
+        if atlas_graph.number_of_nodes() != n or min(d for _, d in atlas_graph.degree()) == 0:
+            continue
+        if oracle_apex_chords(make_graph(n, list(atlas_graph.edges())), 3):
+            continue
+        automorphisms = sum(1 for _ in GraphMatcher(atlas_graph, atlas_graph).isomorphisms_iter())
+        total += math.factorial(n) // automorphisms
+    return total
+
+
+@pytest.mark.parametrize("n", (6, 7))
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_weighted_leftovers_count_the_atlas_configuration_free_graphs(impl, n):
+    # with both cuts at 0.0 every graph is above them, so the apex test
+    # counts each configured graph as a hit and leaves the others over: the
+    # leftovers, weighted, are the labeled configuration-free graphs without
+    # isolated vertices, which the atlas counts by its classes
+    want = {6: 24371, 7: 1131262}[n]
+    assert _atlas_configuration_free(n) == want
+    total = 1 << n * (n - 1) // 2
+    no_isolated, hits, rest = impl.classify(n, 0, total, 0.0, 0.0, ("apex_has_config", 3))
+    free = sum(arrangement_count(graph_from_mask(n, mask).degrees()) for mask in rest)
+    assert (no_isolated, free, hits) == (_without_isolated_vertices(n), want,
+                                         no_isolated - want)
 
 
 @pytest.mark.parametrize(
@@ -705,8 +777,7 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
          str(kernels.SOURCE), "-o", str(so)], capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
     calls = []
-    for n, lo, hi in ((6, 0, 1 << 15), SLICE7[:3],
-                      (8, (40 << 22) - (1 << 12), (40 << 22) + (1 << 12))):
+    for n, lo, hi in ((6, 0, 1 << 15), (7, 0, 1 << 21), SLICE8[:3]):
         cuts = _theorem_cuts(n)
         for test in (("apex_has_config", 3), ("chorded_has", 3), None):
             calls.append(("classify", (n, lo, hi, *cuts, test)))

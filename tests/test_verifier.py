@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chordspec import chords, kernels, polynomials, spectral, verifier
+from chordspec import _sweep_py, chords, kernels, polynomials, spectral, verifier
 from chordspec.appendix import FIXTURES, fan_chain, fixture_graphs
 from chordspec.families import (
     complete,
@@ -23,6 +23,8 @@ from chordspec.families import (
 from chordspec.graphs import (
     Graph,
     apex_partition,
+    arrangement_count,
+    arrangement_images,
     bits_to_vertices,
     disjoint_union,
     graph6_decode,
@@ -130,11 +132,13 @@ def test_sweeps_examine_every_graph_without_isolated_vertices(task, n, jobs):
 ], ids=["theorem-6", "theorem-7", "corollary-7"])
 def test_rest_indices_match_q_index(n, test):
     # the one batched eigensolve over the graphs of the masks the kernel
-    # leaves gives the same float index as q_index on each graph
+    # leaves gives the same float index as q_index on each graph; the kernel
+    # leaves one sorted mask, the threshold graph, which weighs its 30 or
+    # 210 labeled copies
     thr = q_index(extremal_graph(n).graph).q
     _, _, rest = verifier._sweep_classified(n, thr, test, 1)
-    assert len(rest) == {6: 30, 7: 210}[n]
     graphs = [graph_from_mask(n, mask) for mask in rest]
+    assert [arrangement_count(g.degrees()) for g in graphs] == [{6: 30, 7: 210}[n]]
     for g, qv in zip(graphs, verifier.q_indices(graphs), strict=True):
         assert abs(qv - q_index(g).q) <= 1e-12
 
@@ -169,30 +173,31 @@ def _count_tail_calls(monkeypatch, kernel_test, searcher):
 
 
 def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
-    # the sweep's tie band at order 6 is the 30 labeled copies of the
-    # threshold graph; each is matched by isomorphism and takes the verdict
-    # of the threshold graph itself, which is decided once: one exact
-    # comparison, one kernel apex test and one searcher call. The only
-    # q_index call is the one for the threshold, and the exact comparison of
-    # the threshold graph with itself builds one polynomial
+    # the sweep's tie band at order 6 is one sorted mask that weighs the 30
+    # labeled copies of the threshold graph; it is matched by isomorphism
+    # and takes the verdict of the threshold graph itself, which is decided
+    # once (one more isomorphism test): one exact comparison, one kernel
+    # apex test and one searcher call. The only q_index call is the one for
+    # the threshold, and the exact comparison of the threshold graph with
+    # itself builds one polynomial
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "apex_has_config", "find_k_chords_at_apex")
     assert verify_theorem_main(6).extremal_hits == 30
-    assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 30,
-                     "is_isomorphic": 31, "charpoly_int_matrix": 1}
+    assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 1,
+                     "is_isomorphic": 2, "charpoly_int_matrix": 1}
     assert tested == [extremal_graph(6).graph.rows]
     assert searched == [extremal_graph(6).graph]
 
 
 def test_corollary_settles_its_ties_once(monkeypatch):
-    # at order 7 the corollary's tie band is the 210 copies of the threshold
-    # graph: one exact comparison decides that the class sits on the
-    # threshold, where no chord test runs
+    # at order 7 the corollary's tie band is one sorted mask that weighs the
+    # 210 copies of the threshold graph: one exact comparison decides that
+    # the class sits on the threshold, where no chord test runs
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "chorded_has", "find_chorded_cycle")
     assert verify_corollary(7).extremal_hits == 210
-    assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 210,
-                     "is_isomorphic": 211, "charpoly_int_matrix": 1}
+    assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 1,
+                     "is_isomorphic": 2, "charpoly_int_matrix": 1}
     assert tested == searched == []
 
 
@@ -236,16 +241,73 @@ def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
 
 @pytest.mark.parametrize("offset", [0.0, -0.5])
 def test_replay_agrees_with_the_tail_on_every_leftover_mask(offset):
-    # replay runs the sweep's own rule: over every mask the kernel leaves at
-    # order 6, it reports exactly the counterexamples the tail reports
+    # replay runs the sweep's own rule: over every labeled graph the sorted
+    # masks the kernel leaves at order 6 stand for, it reports exactly the
+    # counterexamples the tail reports
     params = {"threshold_offset": offset}
     thr = q_index(extremal_graph(6).graph).q + offset
     _, _, rest = verifier._sweep_classified(6, thr, ("apex_has_config", 3), 1)
     found = set(verify_theorem_main(6, threshold_offset=offset).counterexamples)
     assert len(found) == {0.0: 0, -0.5: 15}[offset]
-    replayed = {g6 for g6 in (graph6_encode(graph_from_mask(6, m)) for m in rest)
-                if replay_counterexample("theorem", g6, params)}
+    labeled = [graph6_encode(h) for m in rest for h in arrangement_images(graph_from_mask(6, m))]
+    replayed = {g6 for g6 in labeled if replay_counterexample("theorem", g6, params)}
     assert replayed == found
+
+
+def _dropped_last_factor(degrees):
+    # arrangement_count without the factor m! of the last run of m equal
+    # (sorted) degrees
+    return arrangement_count(degrees) * math.factorial(degrees.count(degrees[-1]))
+
+
+# the kernel's weight without the factor of its last run of equal degrees,
+# and its prune with the bound i in place of the j - 1 edges that a vertex
+# i < j can still gain: (source text, its replacement), or for the python
+# weight the function that replaces arrangement_count in the twin
+MUTANTS = {
+    ("compiled", "weight"): ("weight /= factorial[i - start];",
+                             "if (i < n) weight /= factorial[i - start];"),
+    ("compiled", "prune"): ("+ more >= d", "+ i >= d"),
+    ("python", "weight"): _dropped_last_factor,
+    ("python", "prune"): ("+ more <", "+ i <"),
+}
+
+
+def _mutant_classify(kernel, mutation, tmp_path):
+    """classify of the kernel built from its source with the mutation."""
+    edit = MUTANTS[kernel, mutation]
+    if kernel == "compiled":
+        if kernels.compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        source = kernels.SOURCE.read_text()
+        assert edit[0] in source
+        mutant = tmp_path / "_sweep.c"
+        mutant.write_text(source.replace(*edit))
+        return kernels.build(mutant, tmp_path / "cache").classify
+    source = Path(_sweep_py.__file__).read_text()
+    if callable(edit):
+        edit = ("from .graphs import Graph, arrangement_count, bits_to_vertices",
+                "from .graphs import Graph, bits_to_vertices")
+    assert edit[0] in source
+    module = SimpleNamespace(__name__="chordspec._sweep_mutant", __package__="chordspec",
+                             arrangement_count=MUTANTS[kernel, mutation])
+    exec(compile(source.replace(*edit), "_sweep_mutant.py", "exec"), vars(module))
+    return module.classify
+
+
+@pytest.mark.parametrize("kernel, mutation", sorted(MUTANTS),
+                         ids=[f"{k}-{m}" for k, m in sorted(MUTANTS)])
+def test_sweep_coverage_check_catches_a_kernel_mutation(kernel, mutation, monkeypatch, tmp_path):
+    # the sweep's weighted count of graphs without isolated vertices must be
+    # the closed form: a kernel that drops a weight factor or prunes graphs
+    # it must visit fails the run, at each swept order it is run on
+    monkeypatch.setattr(kernels, "classify", _mutant_classify(kernel, mutation, tmp_path))
+    for n, test in ((6, ("apex_has_config", 3)), (7, ("chorded_has", 3))):
+        thr = q_index(extremal_graph(n).graph).q
+        with pytest.raises(VerifierError, match="without isolated vertices"):
+            verifier._sweep_classified(n, thr, test, 1)
+    monkeypatch.undo()
+    assert verifier._sweep_classified(6, THR6, ("apex_has_config", 3), 1)[0] == 27449
 
 
 def test_replay_refuses_orders_its_task_does_not_sweep():
