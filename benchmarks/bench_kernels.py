@@ -59,6 +59,7 @@ from chordspec.spectral import (
 )
 from chordspec.verifier import (
     _SWEPT_ORDERS,
+    CHUNK,
     TIE_BAND,
     _prefilter_spot_check,
     _sample,
@@ -139,11 +140,15 @@ def bench_classify_threads(label, impl, n, lo, hi, thr, pieces=8):
               f"{sorted_count(n, lo, hi) / dt:10.0f} sorted graphs/s  speed-up {base[0] / dt:4.2f}")
 
 
-def bench_sweep_jobs(n=6, min_seconds=1.0):
+def bench_sweep_jobs(n=7, min_seconds=1.0):
     """The theorem's whole kernel sweep at order n (_sweep_classified) with 1
-    and 2 jobs, repeated for min_seconds each: median time a call."""
+    and 2 jobs, repeated for min_seconds each: median time a call. Order 7
+    spans two chunks of CHUNK masks, so its jobs=2 line times the threads;
+    a one-chunk order (n <= 6) runs serially at any job count."""
     thr = q_index(extremal_graph(n).graph).q
-    print(f"theorem sweep n={n} (_sweep_classified), usable CPUs={_usable_cpus()}")
+    chunks = len(range(0, 1 << n * (n - 1) // 2, CHUNK))
+    print(f"theorem sweep n={n} (_sweep_classified), {chunks} chunk(s) of {CHUNK} masks, "
+          f"usable CPUs={_usable_cpus()}")
     base = None
     for jobs in (1, 2):
         times = []
@@ -421,7 +426,7 @@ def main() -> None:
         bench_classify(impls, n, 0, total, thr)
         for label, impl in impls:
             bench_classify_threads(label, impl, n, 0, total, thr)
-    bench_sweep_jobs(6)
+    bench_sweep_jobs()
     bench_detector(impls)
     bench_row_searches(impls)
     bench_perron_order(impls)

@@ -214,10 +214,11 @@ def apex_partition(g: Graph, z: int) -> tuple[int, int, int]:
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Pairwise isomorphism by backtracking over degree-refined classes.
 
-    Intended for small orders (n <= 12 or so); an order mismatch is just
-    False, not an error.
+    Equal graphs (the same adjacency rows) are True at once, as the identity
+    maps one onto the other; any other pair is searched. Intended for small
+    orders (n <= 12 or so); an order mismatch is just False, not an error.
     """
-    return next(_isomorphisms(g, h), None) is not None
+    return g == h or next(_isomorphisms(g, h), None) is not None
 
 
 def automorphism_count(g: Graph) -> int:

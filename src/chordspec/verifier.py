@@ -203,27 +203,28 @@ def _without_isolated_vertices(n: int) -> int:
 
 def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     """Every mask of order n through kernels.classify, cut at the tie band
-    around thr, in chunks of at most CHUNK masks (at least jobs * 4 chunks,
-    over jobs worker threads, when jobs > 1): (graphs without isolated
-    vertices, hits, the ascending degree-sorted masks left for the Python
-    rules), the counts weighted. The compiled classify releases the GIL for
-    its pass, so the threads sweep at once; the python twin holds the GIL
-    outside numpy, so its threads mostly take turns. jobs is capped at the
-    CPUs this process may run on. VerifierError for jobs below 1, and when
-    the weighted count of graphs without isolated vertices is not the
-    closed form's: a range, chunking, prune or weight fault."""
+    around thr, in chunks of CHUNK masks: (graphs without isolated vertices,
+    hits, the ascending degree-sorted masks left for the Python rules), the
+    counts weighted. The chunks go to jobs worker threads when jobs > 1 and
+    the order spans more than one chunk; a one-chunk order (n <= 6) runs in
+    the calling thread, as a pool would cost more than its sweep. The
+    compiled classify releases the GIL for its pass, so the threads sweep at
+    once; the python twin holds the GIL outside numpy, so its threads mostly
+    take turns. jobs is capped at the CPUs this process may run on.
+    VerifierError for jobs below 1, and when the weighted count of graphs
+    without isolated vertices is not the closed form's: a range, chunking,
+    prune or weight fault."""
     if jobs < 1:
         raise VerifierError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, _usable_cpus())
     total = 1 << n * (n - 1) // 2
-    step = CHUNK if jobs <= 1 else min(CHUNK, -(-total // (jobs * 4)))
     lo_cut, hi_cut = thr - TIE_BAND, thr + TIE_BAND
 
     def classify_chunk(lo):
-        return kernels.classify(n, lo, min(lo + step, total), lo_cut, hi_cut, test)
+        return kernels.classify(n, lo, min(lo + CHUNK, total), lo_cut, hi_cut, test)
 
-    starts = range(0, total, step)
-    if jobs <= 1:
+    starts = range(0, total, CHUNK)
+    if jobs <= 1 or len(starts) <= 1:
         results = [classify_chunk(lo) for lo in starts]
     else:
         from concurrent.futures import ThreadPoolExecutor

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chordspec import graphs
 from chordspec.families import (
     complete,
     complete_multipartite,
@@ -223,6 +224,27 @@ def test_is_isomorphic_against_bruteforce():
         assert is_isomorphic(g, h) == oracle_isomorphic(g, h)
         agree += 1
     assert agree == 1000
+
+
+def test_is_isomorphic_searches_only_distinct_graphs(monkeypatch):
+    # a graph and an equal one are isomorphic by the identity, with no
+    # search; a relabelled copy and a graph of the same degrees are still
+    # searched, and agree with the brute-force oracle
+    searched = []
+    search = graphs._isomorphisms
+    monkeypatch.setattr(graphs, "_isomorphisms",
+                        lambda g, h: searched.append((g, h)) or search(g, h))
+    g = extremal_graph(7).graph
+    assert is_isomorphic(g, g) and is_isomorphic(g, make_graph(7, g.edges()))
+    assert searched == []
+    perm = (3, 6, 0, 5, 1, 4, 2)
+    copy = make_graph(7, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert copy != g
+    assert is_isomorphic(g, copy) and oracle_isomorphic(g, copy)
+    assert searched == [(g, copy)]
+    c6, two_triangles = cycle(6), disjoint_union(cycle(3), cycle(3))
+    assert not is_isomorphic(c6, two_triangles) and not oracle_isomorphic(c6, two_triangles)
+    assert searched == [(g, copy), (c6, two_triangles)]
 
 
 def _mask_orbit(n, mask):

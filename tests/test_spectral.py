@@ -17,6 +17,7 @@ from chordspec.families import (
     complete_multipartite,
     cycle,
     double_star,
+    extremal_graph,
     k1_join_k4_union_k1,
     k11n2_plus,
     path,
@@ -354,6 +355,34 @@ def test_q_exact_compare_examples():
     assert q_exact_compare(k11n2_plus(6).graph, k1_join_k4_union_k1().graph) == LESS
     assert q_exact_compare(cycle(5), cycle(7)) == EQUAL
     assert q_exact_compare(complete(5), complete(4)) == GREATER
+
+
+def _count_polynomials(monkeypatch):
+    """Record the rows of every characteristic polynomial spectral builds."""
+    built = []
+    monkeypatch.setattr(spectral, "charpoly_int_matrix",
+                        lambda rows: built.append(rows) or charpoly_int_matrix(rows))
+    return built
+
+
+def test_q_exact_compare_of_a_graph_with_itself_builds_no_polynomial(monkeypatch):
+    # equal rows mean the same Q, hence the same index; an equal graph built
+    # apart is settled as the very same object is
+    built = _count_polynomials(monkeypatch)
+    g = extremal_graph(7).graph
+    assert q_exact_compare(g, g) == EQUAL
+    assert q_exact_compare(g, make_graph(7, g.edges())) == EQUAL
+    assert built == []
+
+
+def test_q_exact_compare_of_a_relabelled_copy_goes_through_the_polynomials(monkeypatch):
+    built = _count_polynomials(monkeypatch)
+    g = extremal_graph(7).graph
+    perm = (3, 6, 0, 5, 1, 4, 2)
+    copy = make_graph(7, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert copy != g
+    assert q_exact_compare(g, copy) == q_exact_compare(copy, g) == EQUAL
+    assert len(built) == 4
 
 
 def test_q_index_agrees_with_exact_roots():

@@ -116,8 +116,9 @@ def test_theorem_n6_fixture():
     ("corollary", 7, 2),
 ])
 def test_sweeps_examine_every_graph_without_isolated_vertices(task, n, jobs):
-    # a chunking or range bug in the sweep, serial or pooled, would miss or
-    # double-count masks
+    # a chunking or range bug in the sweep would miss or double-count
+    # masks: order 6 is one chunk, so it runs serially at any job count,
+    # order 7 serially at jobs 1 and as two chunks on threads at jobs 2
     assert [_without_isolated_vertices(k) for k in (6, 7, 8)] == [27449, 1887284, 252522481]
     run = verify_theorem_main if task == "theorem" else verify_corollary
     rep = run(n, jobs=jobs)
@@ -178,35 +179,38 @@ def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
     # and takes the verdict of the threshold graph itself, which is decided
     # once (one more isomorphism test): one exact comparison, one kernel
     # apex test and one searcher call. The only q_index call is the one for
-    # the threshold, and the exact comparison of the threshold graph with
-    # itself builds one polynomial
+    # the threshold. The leftover mask has the threshold graph's own rows, so
+    # both isomorphism tests and the exact comparison of the threshold graph
+    # with itself are settled by equality, with no polynomial built
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "apex_has_config", "find_k_chords_at_apex")
     assert verify_theorem_main(6).extremal_hits == 30
     assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 1,
-                     "is_isomorphic": 2, "charpoly_int_matrix": 1}
+                     "is_isomorphic": 2, "charpoly_int_matrix": 0}
     assert tested == [extremal_graph(6).graph.rows]
     assert searched == [extremal_graph(6).graph]
 
 
 def test_corollary_settles_its_ties_once(monkeypatch):
     # at order 7 the corollary's tie band is one sorted mask that weighs the
-    # 210 copies of the threshold graph: one exact comparison decides that
-    # the class sits on the threshold, where no chord test runs
+    # 210 copies of the threshold graph: one exact comparison, of the
+    # threshold graph with itself and so settled with no polynomial, decides
+    # that the class sits on the threshold, where no chord test runs
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "chorded_has", "find_chorded_cycle")
     assert verify_corollary(7).extremal_hits == 210
     assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 1,
-                     "is_isomorphic": 2, "charpoly_int_matrix": 1}
+                     "is_isomorphic": 2, "charpoly_int_matrix": 0}
     assert tested == searched == []
 
 
 def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
     # the traffic that compare_largest_roots's plain bisection rests on: the
-    # theorem at order 6 compares the threshold graph's polynomial with
-    # itself, once; the sign certificate settles each of the appendix's 196
-    # fan-chain pairs at orders 7..22, with no bracket; and every pair that
-    # reaches the brackets (_bracket_largest_root) is identical
+    # theorem at order 6 compares only the threshold graph with itself, which
+    # q_exact_compare settles with no polynomial, so no pair reaches it; the
+    # sign certificate settles each of the appendix's 196 fan-chain pairs at
+    # orders 7..22, with no bracket; and every pair that reaches the
+    # brackets (_bracket_largest_root) is identical
     compare = polynomials.compare_largest_roots
     bracket = polynomials._bracket_largest_root
     bracketed = []
@@ -235,7 +239,7 @@ def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
         traffic[task] = list(calls)
         assert sum(built for _, built in calls) == len(bracketed), task
         assert all(same for same, built in calls if built), (task, calls)
-    assert traffic["theorem"] == [(True, 1)]
+    assert traffic["theorem"] == []
     assert traffic["appendix"] == [(False, 0)] * 196
 
 
@@ -719,19 +723,18 @@ def test_corollary_counterexamples_replay():
 
 
 def test_jobs_parallel_matches_serial():
-    a = verify_theorem_main(6).to_json_dict()
-    b = verify_theorem_main(6, jobs=2).to_json_dict()
+    # order 7 spans two chunks, so jobs=2 sweeps them on threads
+    a = verify_theorem_main(7).to_json_dict()
+    b = verify_theorem_main(7, jobs=2).to_json_dict()
     a.pop("wall_time_ms")
     b.pop("wall_time_ms")
     assert a == b
 
 
-def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
-    """A job count far above the CPUs asks the pool for no more worker
-    threads than there are CPUs, as more cannot sweep at once. The fake pool
-    maps in the calling thread and starts none."""
+def _fake_pool(monkeypatch):
+    """Replace the sweep's thread pool by one that maps in the calling
+    thread and starts none; returns the max_workers of each pool built."""
     import concurrent.futures
-    import os
 
     workers = []
 
@@ -749,14 +752,36 @@ def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakePool)
+    return workers
+
+
+def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
+    """A job count far above the CPUs asks the pool for no more worker
+    threads than there are CPUs, as more cannot sweep at once. Order 7 spans
+    two chunks, so it still builds a pool when there is more than one CPU."""
+    import os
+
+    workers = _fake_pool(monkeypatch)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    a = verify_theorem_main(6).to_json_dict()
-    b = verify_theorem_main(6, jobs=10**6).to_json_dict()
+    a = verify_theorem_main(7).to_json_dict()
+    b = verify_theorem_main(7, jobs=10**6).to_json_dict()
     a.pop("wall_time_ms")
     b.pop("wall_time_ms")
     assert a == b
     assert all(1 < w <= cpus for w in workers) and len(workers) == (cpus > 1)
+
+
+def test_a_one_chunk_order_builds_no_pool(monkeypatch):
+    # order 6 is 2^15 masks, one chunk: jobs=2 sweeps it in the calling
+    # thread and gives the serial body
+    workers = _fake_pool(monkeypatch)
+    a = verify_theorem_main(6).to_json_dict()
+    b = verify_theorem_main(6, jobs=2).to_json_dict()
+    a.pop("wall_time_ms")
+    b.pop("wall_time_ms")
+    assert a == b
+    assert workers == []
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
