@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
 apex detector, longest cycle, longest path and Perron entry order) against
-the pure-Python fallback, the theorem's prefilter spot check, the theorem's
-and the corollary's Python tails on the tie band the kernel leaves, exact
-characteristic polynomials (one matrix a call and batched), the exact
+the pure-Python fallback, the theorem's prefilter spot check at orders 6 to
+8 (with the skipped graphs it eigensolves), the theorem's and the
+corollary's Python tails on the tie band the kernel leaves at orders 6 to
+8, exact characteristic polynomials (one matrix a call and batched), the exact
 largest-root comparison (with the pairs its sign certificate settles and
 those left to the Sturm chains, and exact ties between distinct
 polynomials at orders 6 and 7, with the bracket halvings they take), and
@@ -44,6 +45,7 @@ from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
 from chordspec.graphs import (
     arrangement_count,
     arrangement_images,
+    automorphism_count,
     disjoint_union,
     graph_from_mask,
     is_isomorphic,
@@ -51,6 +53,7 @@ from chordspec.graphs import (
 )
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
 from chordspec.spectral import (
+    MaskBatch,
     charpoly_graph,
     charpoly_int_matrices,
     charpoly_int_matrix,
@@ -253,15 +256,38 @@ def repeat_for(min_seconds, fn):
 
 
 def bench_spot_check(min_seconds=1.0):
-    """The theorem's prefilter spot check at order 7, where it draws 20,000
-    masks (1% of 2^21, capped at 20,000)."""
-    n, draws = 7, 20000
-    thr = q_index(extremal_graph(n).graph).q
-    calls, dt, out = repeat_for(min_seconds, lambda: _prefilter_spot_check(n, thr))
-    print(f"prefilter spot check n={n}: {draws} draws, {out['skipped_sampled']} "
-          f"skipped by the degree filters")
-    print(f"  {calls * draws / dt:9.0f} masks/s  ({calls} calls, {dt:.2f}s)")
-    assert out["passed"], out
+    """The theorem's prefilter spot check at orders 6, 7 and 8, where it
+    draws 327, 20,000 and 20,000 masks (1% of 2^C(n,2), at least 100 and at
+    most 20,000): median time a call, and how many of the graphs the degree
+    filters skip it eigensolves."""
+    for n in _SWEPT_ORDERS["theorem"]:
+        thr = q_index(extremal_graph(n).graph).q
+        times = []
+
+        def one_call():
+            t0 = time.perf_counter()
+            out = _prefilter_spot_check(n, thr)
+            times.append(time.perf_counter() - t0)
+            return out
+
+        calls, _, out = repeat_for(min_seconds, one_call)
+        solved = []
+        top_eigenvalues = MaskBatch.top_eigenvalues
+
+        def counted(batch):
+            solved.append(len(batch.masks))
+            return top_eigenvalues(batch)
+
+        MaskBatch.top_eigenvalues = counted
+        try:
+            assert _prefilter_spot_check(n, thr) == out
+        finally:
+            MaskBatch.top_eigenvalues = top_eigenvalues
+        draws = min(max((1 << n * (n - 1) // 2) // 100, 100), 20000)
+        print(f"prefilter spot check n={n}: {draws} draws, {out['skipped_sampled']} "
+              f"skipped by the degree filters, {sum(solved)} eigensolved")
+        print(f"  {statistics.median(times) * 1e3:8.2f} ms a call (median of {calls})")
+        assert out["passed"], out
 
 
 def cold_caches():
@@ -273,9 +299,11 @@ def cold_caches():
 def bench_tie_tail(n, min_seconds=1.0):
     """The theorem's and the corollary's Python tails (``_tail``) on the
     sorted masks the kernel leaves at order n, for each task that sweeps n:
-    the tie band, the sorted copies of the threshold graph, which weigh its
-    labeled copies, all settled by one verdict. Each pass starts from cold
-    caches."""
+    the tie band, decided once per isomorphism class. At orders 6 and 7 it
+    is the threshold graph's one sorted mask, which weighs its labeled
+    copies; at order 8 also the 30 sorted labelings of one graph that ties
+    the threshold exactly. Each pass starts from cold caches."""
+    orbit = math.factorial(n) // automorphism_count(extremal_graph(n).graph)
     for task, test in (("theorem", ("apex_has_config", 3)), ("corollary", ("chorded_has", 3))):
         if n not in _SWEPT_ORDERS[task]:
             continue
@@ -290,7 +318,8 @@ def bench_tie_tail(n, min_seconds=1.0):
         weight = sum(arrangement_count(graph_from_mask(n, mask).degrees()) for mask in rest)
         print(f"{task} tie tail n={n}: {weight} masks in {len(rest)} sorted")
         print(f"  {calls * len(rest) / dt:9.0f} sorted masks/s  ({calls} passes, {dt:.2f}s)")
-        assert verdicts == {"extremal": weight} and not counterexamples, verdicts
+        assert (verdicts["extremal"] == orbit and sum(verdicts.values()) == weight
+                and not counterexamples), verdicts
 
 
 def appendix_templates(n_lo=7, n_hi=22):
@@ -433,6 +462,7 @@ def main() -> None:
     bench_spot_check()
     bench_tie_tail(6)
     bench_tie_tail(7)
+    bench_tie_tail(8)
 
     print("exact characteristic polynomials (charpoly_int_matrix, charpoly_int_matrices)")
     templates = appendix_templates()

@@ -6,7 +6,8 @@ Numeric route: one dense symmetric eigensolve (numpy ``eigh``) per connected
 component; the Perron vector is the absolute value of the top eigenvector,
 which is simple on a connected component. ``MaskBatch`` is the batched form
 for many labeled graphs of one order given as edge bitmasks: degrees, the
-edge-degree-sum bound, stacked Q and one batched ``eigvalsh``, as numpy
+edge-degree-sum bound, the integer Collatz-Wielandt and Rayleigh bounds at
+the degree vector, stacked Q and one batched ``eigvalsh``, as numpy
 arrays; the verifier's prefilter spot check uses it. ``q_indices`` is the
 batched index of graphs given as ``Graph`` values, of any orders: one
 batched ``eigvalsh`` per order over Q stacked from the adjacency rows, as
@@ -149,12 +150,16 @@ class MaskBatch:
     def __getitem__(self, keep) -> "MaskBatch":
         return MaskBatch(self.n, self.masks[keep], self.bits[keep], self.degrees[keep])
 
+    def _edge_degree_sums(self) -> np.ndarray:
+        """d(u) + d(v) at each edge slot uv that holds an edge, 0 at the
+        others: (k, C(n,2))."""
+        i, j, _ = _edge_slots(self.n)
+        return (self.degrees[:, i] + self.degrees[:, j]) * self.bits
+
     def max_edge_degree_sums(self) -> np.ndarray:
         """Max over the edges uv of d(u) + d(v), an upper bound on q; 0 for
         an edgeless graph."""
-        i, j, _ = _edge_slots(self.n)
-        sums = (self.degrees[:, i] + self.degrees[:, j]) * self.bits
-        return sums.max(axis=1, initial=0)
+        return self._edge_degree_sums().max(axis=1, initial=0)
 
     def degree_cut(self, cut: float) -> tuple[np.ndarray, np.ndarray]:
         """(no_isolated, reach): the rows whose graph has no isolated vertex,
@@ -166,6 +171,18 @@ class MaskBatch:
         if reach.any():
             reach &= self.max_edge_degree_sums() >= cut
         return no_isolated, reach
+
+    def degree_vector_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Qd, d'Qd, d'd): the integers of two bounds on q at the degree
+        vector d, which is positive when no vertex is isolated. Qd is (k, n):
+        (Qd)_v = d_v^2 + S_v, with S_v the sum of v's neighbour degrees, so
+        q <= max_v (Qd)_v / d_v (Collatz-Wielandt, the eta bound). d'Qd is
+        the sum over the edges uv of (d_u + d_v)^2 and d'd the sum of the
+        d_v^2, so q >= d'Qd / d'd (Rayleigh)."""
+        _, _, incident = _edge_slots(self.n)
+        sums = self._edge_degree_sums()
+        return (sums @ incident, (sums * sums).sum(axis=1),
+                (self.degrees * self.degrees).sum(axis=1))
 
     def signless_laplacians(self) -> np.ndarray:
         """The stacked Q = A + D, (k, n, n) integers."""

@@ -12,6 +12,11 @@ bisection code with the integer routines under test.
 ``oracle_prefilter_spot_check`` and ``oracle_charpoly_int_matrix`` are the
 earlier per-graph and nested-list forms of the verifier's spot check and of
 ``spectral.charpoly_int_matrix``, kept as references for the batched ones;
+``oracle_spot_check_solving_all`` is the earlier batched spot check, which
+eigensolves every skipped graph, and ``oracle_degree_vector_bounds`` the
+Collatz-Wielandt and Rayleigh bounds at the degree vector in ``Fraction``
+arithmetic, the references for the spot check that eigensolves only the
+graphs those bounds cannot put below the sample's maximum;
 ``oracle_signless_laplacian`` and ``oracle_quotient_matrix`` are the earlier
 per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
 ``spectral.quotient_matrix``; ``oracle_q_index`` is the earlier form of
@@ -534,6 +539,39 @@ def oracle_prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dic
         "skipped_sampled": checked,
         "max_q_among_skipped": None if checked == 0 else round(worst, 9),
     }
+
+
+def oracle_spot_check_solving_all(n: int, thr: float, seed: int = 20240601):
+    """The verifier's prefilter spot check with every skipped graph
+    eigensolved: same draws (``randrange``), same skip rules, one batched
+    ``eigvalsh`` over all of them. Returns (the check's result, the
+    (mask, index) of each skipped graph drawn, in draw order)."""
+    total = 1 << n * (n - 1) // 2
+    rng = random.Random(seed)
+    sample = min(max(total // 100, 100), 20000)
+    batch = MaskBatch.of(n, [rng.randrange(total) for _ in range(sample)])
+    no_isolated, reach = batch.degree_cut(thr)
+    skipped = batch[no_isolated & ~reach]
+    top = skipped.top_eigenvalues()
+    result = {
+        "name": "prefilter_spot_check",
+        "passed": bool((top < thr).all()),
+        "skipped_sampled": len(top),
+        "max_q_among_skipped": round(float(top.max()), 9) if len(top) else None,
+    }
+    return result, list(zip(skipped.masks.tolist(), top.tolist()))
+
+
+def oracle_degree_vector_bounds(g: Graph) -> tuple[Fraction, Fraction]:
+    """(U, L) for a graph without isolated vertices, at its degree vector
+    d: U = max_v (Qd)_v / d_v >= q (Collatz-Wielandt) and L = d'Qd / d'd
+    <= q (Rayleigh), from the entries of Q = D + A one by one."""
+    d = g.degrees()
+    Q = [[d[u] if u == v else int(g.has_edge(u, v)) for v in range(g.n)] for u in range(g.n)]
+    Qd = [sum(Q[u][v] * d[v] for v in range(g.n)) for u in range(g.n)]
+    upper = max(Fraction(Qd[u], d[u]) for u in range(g.n))
+    lower = Fraction(sum(d[u] * Qd[u] for u in range(g.n)), sum(x * x for x in d))
+    return upper, lower
 
 
 def oracle_classify_labeled(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):

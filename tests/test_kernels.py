@@ -568,9 +568,12 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # compare the implementations or the thread counts, one call of its
     # order-6 sweep with 1 and 2 jobs, whose asserts compare the job counts,
     # its Perron entry order bench on 200 graphs, whose asserts check each
-    # decided sign against eigh, one pass of its order-6 tie tail, whose
-    # asserts check the verdicts, and of its exact order-6 ties, which must
-    # reach the gcd, and expand its appendix templates at orders 7..8
+    # decided sign against eigh, one pass of its order-6 and order-8 tie
+    # tails, whose asserts check the verdicts, one call of its spot check
+    # at orders 6, 7 and 8, whose asserts check that the check passes and
+    # that its counted call gives the same result, one pass of its exact
+    # order-6 ties, which must reach the gcd, and expand its appendix
+    # templates at orders 7..8
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -589,6 +592,16 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     assert out.count("  threads=2 ") == len(IMPLEMENTATIONS) and "  jobs=2 " in out, out
     bench.bench_tie_tail(6, min_seconds=0)
     assert "theorem tie tail n=6: 30 masks" in capsys.readouterr().out
+    bench.bench_tie_tail(8, min_seconds=0)
+    out = capsys.readouterr().out
+    for task in ("theorem", "corollary"):
+        assert f"{task} tie tail n=8: 1260 masks in 31 sorted" in out, out
+    bench.bench_spot_check(min_seconds=0)
+    out = capsys.readouterr().out
+    for n, draws, skipped, solved in ((6, 327, 242, 5), (7, 20000, 9357, 184),
+                                      (8, 20000, 7632, 314)):
+        assert (f"spot check n={n}: {draws} draws, {skipped} skipped by the degree "
+                f"filters, {solved} eigensolved") in out, out
     ties, counts = bench.bench_exact("order-6 ties", bench.tie_pairs(6), min_seconds=0)
     assert ties == {EQUAL: 30} and counts["_divide"] > 0, (ties, counts)
     # the templates it times are verify_appendix's, plus one threshold

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,7 +51,12 @@ from chordspec.verifier import (
     verify_corollary,
     verify_theorem_main,
 )
-from oracles import mask_from_graph, oracle_prefilter_spot_check
+from oracles import (
+    mask_from_graph,
+    oracle_degree_vector_bounds,
+    oracle_prefilter_spot_check,
+    oracle_spot_check_solving_all,
+)
 
 
 def labeled_graphs(n):
@@ -76,15 +82,68 @@ def test_enumerate_ascending_mask_order():
 
 THR6 = q_index(extremal_graph(6).graph).q
 THR7 = q_index(extremal_graph(7).graph).q
-
+THR8 = q_index(extremal_graph(8).graph).q
 
 # The paper's thresholds are irrational, so a strict cut and a non-strict one
 # skip the same graphs there; the integer cuts 7 and 8 tell them apart.
-@pytest.mark.parametrize("n, thr", [
+SPOT_CHECK_CUTS = pytest.mark.parametrize("n, thr", [
     (6, THR6), (6, THR6 - 0.5), (6, THR6 + 0.3), (7, THR7), (6, 7.0), (6, 8.0),
-], ids=["n6", "n6-0.5", "n6+0.3", "n7", "n6-cut7", "n6-cut8"])
+    (8, THR8),
+], ids=["n6", "n6-0.5", "n6+0.3", "n7", "n6-cut7", "n6-cut8", "n8"])
+
+
+@SPOT_CHECK_CUTS
 def test_prefilter_spot_check_matches_per_graph_oracle(n, thr):
     assert _prefilter_spot_check(n, thr) == oracle_prefilter_spot_check(n, thr)
+
+
+# the skipped graphs the spot check eigensolves at the theorem's thresholds
+SPOT_CHECK_SOLVED = {6: 5, 7: 184, 8: 314}
+
+
+@SPOT_CHECK_CUTS
+def test_spot_check_eigensolves_every_graph_that_can_hold_the_maximum(monkeypatch, n, thr):
+    # against the check that eigensolves every skipped graph: the same
+    # result, every skipped graph at the maximum among those eigensolved,
+    # and the eigensolved ones exactly those whose Collatz-Wielandt bound U
+    # reaches L*, the largest Rayleigh bound L of the sample (both at the
+    # degree vector, in Fractions). A weaker prune (L* from a smaller L, or
+    # 2 max degree for U) eigensolves more graphs and fails here
+    want, skipped = oracle_spot_check_solving_all(n, thr)
+    solved = []
+    top_eigenvalues = spectral.MaskBatch.top_eigenvalues
+    monkeypatch.setattr(spectral.MaskBatch, "top_eigenvalues",
+                        lambda batch: solved.extend(batch.masks.tolist()) or top_eigenvalues(batch))
+    assert _prefilter_spot_check(n, thr) == want
+    assert skipped, "no skipped graph drawn"
+    top = max(q for _, q in skipped)
+    assert {mask for mask, q in skipped if q >= top - 1e-9} <= set(solved)
+    bounds = {mask: oracle_degree_vector_bounds(graph_from_mask(n, mask)) for mask, _ in skipped}
+    lstar = max(lower for _, lower in bounds.values())
+    assert sorted(solved) == sorted(mask for mask, _ in skipped if bounds[mask][0] >= lstar)
+    if thr in (THR6, THR7, THR8):
+        assert len(solved) == SPOT_CHECK_SOLVED[n]
+
+
+@pytest.mark.parametrize("seed", [20240601, 1, 7, 2001])
+def test_spot_check_draws_equal_randrange(monkeypatch, seed):
+    # one randrange(2^C(n,2)) per draw, k = C(n,2) + 1 bits a value, up to
+    # k = 37 at n = 9: two 32-bit words a value. Seed 2001 keeps too few
+    # values from its first getrandbits call at orders 7 and 8, so the
+    # continuation is covered too
+    calls = []
+    getrandbits = random.Random.getrandbits
+    monkeypatch.setattr(random.Random, "getrandbits",
+                        lambda rng, k: calls.append(k) or getrandbits(rng, k))
+    continued = False
+    for n in range(1, 10):
+        total = 1 << n * (n - 1) // 2
+        calls.clear()
+        got = verifier._spot_check_draws(n, seed).tolist()
+        continued |= len(calls) > 1
+        rng = random.Random(seed)
+        assert got == [rng.randrange(total) for _ in range(min(max(total // 100, 100), 20000))], n
+    assert continued == (seed == 2001)
 
 
 def test_report_json_roundtrip_and_diff():
@@ -204,6 +263,43 @@ def test_corollary_settles_its_ties_once(monkeypatch):
     assert tested == searched == []
 
 
+@pytest.mark.parametrize("task", ["theorem", "corollary"])
+def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
+    # at order 8 the kernel leaves 31 sorted masks: the threshold graph's
+    # (its 420 labeled copies) and the 30 sorted labelings of one graph
+    # with degrees 5,5,5,5,5,5,1,1 whose index ties the threshold exactly.
+    # Their degrees tell them from the threshold graph with no isomorphism
+    # test; the 29 after the first are matched to that first one, which
+    # alone takes the rule: one exact comparison that builds a pair of
+    # polynomials and compares their largest roots, beside the threshold
+    # graph's comparison with itself, settled by equality (deciding each
+    # leftover on its own made 30)
+    kernel_test, searcher = {"theorem": ("apex_has_config", "find_k_chords_at_apex"),
+                             "corollary": ("chorded_has", "find_chorded_cycle")}[task]
+    thr = verifier._sweep_rule(task, 8, {})[1]
+    rest = verifier._sweep_classified(8, thr, (kernel_test, 3), 1)[2]
+    assert sorted({graph_from_mask(8, mask).degrees() for mask in rest}) == [
+        (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)] and len(rest) == 31
+    calls, tested, searched = _count_tail_calls(monkeypatch, kernel_test, searcher)
+    compare = spectral.compare_largest_roots
+    compared = []
+    monkeypatch.setattr(spectral, "compare_largest_roots",
+                        lambda p, q: compared.append((p, q)) or compare(p, q))
+    rep = verify_theorem_main(8) if task == "theorem" else verify_corollary(8)
+    assert rep.passed and rep.extremal_hits == 420
+    assert len(compared) == 1 and compared[0][0] != compared[0][1]
+    ext = extremal_graph(8).graph
+    assert calls == {"q_index": 1, "q_exact_compare": 2, "graph_from_mask": 31,
+                     "is_isomorphic": 1 + 29 + (1 if task == "theorem" else 2),
+                     "charpoly_int_matrix": 2}
+    if task == "theorem":
+        # the threshold graph is extremal and the tie configured, by the kernel
+        assert tested[0] == ext.rows and len(tested) == 2
+        assert searched == [ext]
+    else:
+        assert tested == searched == []
+
+
 def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
     # the traffic that compare_largest_roots's plain bisection rests on: the
     # theorem at order 6 compares only the threshold graph with itself, which
@@ -256,6 +352,25 @@ def test_replay_agrees_with_the_tail_on_every_leftover_mask(offset):
     labeled = [graph6_encode(h) for m in rest for h in arrangement_images(graph_from_mask(6, m))]
     replayed = {g6 for g6 in labeled if replay_counterexample("theorem", g6, params)}
     assert replayed == found
+
+
+@pytest.mark.parametrize("n, offset", [(6, -2.0), (7, -0.5)])
+def test_tail_decides_each_class_as_each_leftover_alone(n, offset):
+    # below a lowered threshold the kernel leaves many classes (204 sorted
+    # masks with 29 degree sequences at order 6, 25 with 10 at order 7):
+    # deciding once per class gives the weighted counts and the
+    # counterexamples, in order, that the rule gives each leftover alone
+    ext, thr, rule = verifier._sweep_rule("theorem", n, {"threshold_offset": offset})
+    _, _, rest = verifier._sweep_classified(n, thr, ("apex_has_config", 3), 1)
+    counts, counterexamples = Counter(), []
+    for mask in rest:
+        g = graph_from_mask(n, mask)
+        verdict = rule(g, q_index(g).q, ext)
+        counts[verdict] += arrangement_count(g.degrees())
+        if verdict == "counterexample":
+            counterexamples += [graph6_encode(h) for h in arrangement_images(g)]
+    assert counts["counterexample"] and counts["extremal"]
+    assert verifier._tail(n, rest, ext, rule) == (counts, counterexamples)
 
 
 def _dropped_last_factor(degrees):
