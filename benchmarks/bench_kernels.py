@@ -312,7 +312,7 @@ def bench_tie_tail(n, min_seconds=1.0):
 
         def one_pass():
             cold_caches()
-            return _tail(n, rest, ext, rule)
+            return _tail(n, rest, ext, thr, rule)
 
         calls, dt, (verdicts, counterexamples) = repeat_for(min_seconds, one_pass)
         weight = sum(arrangement_count(graph_from_mask(n, mask).degrees()) for mask in rest)

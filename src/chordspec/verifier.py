@@ -252,36 +252,6 @@ def _order(g: Graph, qg: float, h: Graph, qh: float, exact: bool = True) -> int:
     return q_exact_compare(g, h) if exact else EQUAL
 
 
-def _spot_check_draws(n: int, seed: int) -> np.ndarray:
-    """The edge masks the prefilter spot check draws at order n, as int64:
-    ``[Random(seed).randrange(total) for _ in range(sample)]`` with total =
-    2^C(n,2) and sample = min(max(total // 100, 100), 20000), taken from
-    getrandbits calls of many draws at once. randrange(total) repeats
-    getrandbits(k), k = total.bit_length(), until the value is below total;
-    getrandbits(k) takes W = ceil(k / 32) 32-bit words, the last shifted
-    right by 32 W - k, and getrandbits(32 W m) returns the words of m such
-    calls, the first in its lowest bits. Needs k <= 64 (n <= 11)."""
-    total = 1 << n * (n - 1) // 2
-    need = min(max(total // 100, 100), 20000)
-    k = total.bit_length()
-    words = -(-k // 32)
-    shifts = np.arange(words, dtype=np.uint64) * np.uint64(32)
-    rng = random.Random(seed)
-    kept = []
-    while need:
-        # a value is kept with probability total / 2^k >= 1/2; a call that
-        # keeps too few is continued by the next, whose words follow on
-        draws = 2 * need + 64
-        raw = rng.getrandbits(32 * words * draws).to_bytes(4 * words * draws, "little")
-        w = np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(draws, words)
-        w[:, -1] >>= np.uint64(32 * words - k)
-        values = (w << shifts).sum(axis=1, dtype=np.uint64)
-        values = values[values < np.uint64(total)][:need]
-        kept.append(values)
-        need -= len(values)
-    return np.concatenate(kept).astype(np.int64)
-
-
 def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
     """Re-check a seeded sample of cheaply skipped graphs by full eigenvalue
     computation: everything the 2*maxdeg / edge-degree-sum filters drop must
@@ -300,7 +270,10 @@ def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
     needs only that L* is the L of one skipped graph, so taking the largest
     by float quotients is sound. eigvalsh decides each matrix on its own,
     so the maximum is the float a solve over every skipped graph gives."""
-    batch = MaskBatch.of(n, _spot_check_draws(n, seed))
+    total = 1 << n * (n - 1) // 2
+    rng = random.Random(seed)
+    sample = min(max(total // 100, 100), 20000)
+    batch = MaskBatch.of(n, [rng.randrange(total) for _ in range(sample)])
     no_isolated, reach = batch.degree_cut(thr)
     skipped = batch[no_isolated & ~reach]
     top = np.empty(0)
@@ -376,45 +349,41 @@ def _sweep_rule(task: str, n: int, params: dict):
     return ext, thr, functools.partial(_corollary_rule, thr=thr, min_chords=min_chords)
 
 
-def _class_key(g: Graph) -> tuple:
-    """An isomorphism invariant of g: the sorted pairs of each vertex's
-    degree and its neighbours' sorted degrees."""
-    degrees = g.degrees()
-    return tuple(sorted((d, tuple(sorted(degrees[u] for u in g.neighbors(v))))
-                        for v, d in enumerate(degrees)))
-
-
-def _tail(n: int, rest: list[int], ext: Graph, rule) -> tuple[Counter, list[str]]:
-    """The task's rule on the degree-sorted masks the kernel left, decided
-    once per isomorphism class. Isomorphic graphs have the same Q-spectrum
-    and chord configurations, so each leftover takes the verdict of the
-    first graph of its class: ext itself for a copy of ext, else the first
-    leftover matched to no earlier class. A leftover is tested for
-    isomorphism only against the classes of its own ``_class_key``, so a
-    tail of many classes makes few tests. Each of these representatives gets
-    the rule with its float index (one batched eigensolve over all of
-    them). Returns (the count of each verdict, each mask weighted by the
-    labeled graphs it stands for, and the counterexamples as graph6: every
-    labeled graph a counterexample mask stands for, its image under each
-    arrangement of its degrees)."""
+def _tail(n: int, rest: list[int], ext: Graph, thr: float, rule) -> tuple[Counter, list[str]]:
+    """The task's rule on the degree-sorted masks the kernel left. A copy of
+    ext has ext's Q-spectrum and chord configurations, so it takes the
+    verdict of ext itself, decided once; every other graph gets the rule
+    with its float index (one batched eigensolve over all of them). Inside
+    the tie band around the threshold thr, where the rule's verdict depends
+    on the graph alone (an exact comparison, or none), a leftover isomorphic
+    to an earlier one there takes that one's verdict, so each class of ties
+    is decided once. Returns (the count of each verdict, each mask weighted
+    by the labeled graphs it stands for, and the counterexamples as graph6:
+    every labeled graph a counterexample mask stands for, its image under
+    each arrangement of its degrees)."""
     graphs = [graph_from_mask(n, mask) for mask in rest]
-    reps = [ext]
-    by_key = {_class_key(ext): [0]}  # the positions in reps of each key's classes
-    classes = []  # the position in reps of each leftover's class
-    for g in graphs:
-        same_key = by_key.setdefault(_class_key(g), [])
-        t = next((t for t in same_key if is_isomorphic(g, reps[t])), None)
-        if t is None:
-            t = len(reps)
-            reps.append(g)
-            same_key.append(t)
-        classes.append(t)
-    verdicts = [rule(r, qv, ext) for r, qv in zip(reps, q_indices(reps))]
+    copies = [is_isomorphic(g, ext) for g in graphs]
+    others = [g for g, copy in zip(graphs, copies) if not copy]
+    qs = q_indices([ext] + others)
+    ext_verdict = rule(ext, qs[0], ext)
+    tied = []  # (graph, verdict) of the first leftover of each class of ties
+
+    def decide(g, qv):
+        if not thr - TIE_BAND <= qv <= thr + TIE_BAND:
+            return rule(g, qv, ext)
+        known = next((v for h, v in tied if is_isomorphic(g, h)), None)
+        if known is None:
+            known = rule(g, qv, ext)
+            tied.append((g, known))
+        return known
+
+    other_verdicts = iter([decide(g, qv) for g, qv in zip(others, qs[1:])])
     counts = Counter()
     counterexamples = []
-    for g, t in zip(graphs, classes):
-        counts[verdicts[t]] += arrangement_count(g.degrees())
-        if verdicts[t] == "counterexample":
+    for g, copy in zip(graphs, copies):
+        verdict = ext_verdict if copy else next(other_verdicts)
+        counts[verdict] += arrangement_count(g.degrees())
+        if verdict == "counterexample":
             counterexamples += [graph6_encode(h) for h in arrangement_images(g)]
     return counts, counterexamples
 
@@ -430,7 +399,7 @@ def verify_theorem_main(
     # the kernel counts the graphs clearly above the threshold that carry the
     # configuration; the tie band and the rest get the rule
     no_isolated, configured, rest = _sweep_classified(n, thr, ("apex_has_config", 3), jobs)
-    verdicts, counterexamples = _tail(n, rest, ext, rule)
+    verdicts, counterexamples = _tail(n, rest, ext, thr, rule)
     configured += verdicts["configured"] + verdicts["mismatch"]
     extremal_hits = verdicts["extremal"]
 
@@ -475,7 +444,7 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
     # the kernel counts the graphs clearly above the threshold with a chorded
     # cycle; the tie band and the rest get the rule
     no_isolated, chorded, rest = _sweep_classified(n, thr, ("chorded_has", min_chords), jobs)
-    verdicts, counterexamples = _tail(n, rest, ext, rule)
+    verdicts, counterexamples = _tail(n, rest, ext, thr, rule)
 
     details = [
         {"name": "threshold", "passed": True, "q_threshold": round(thr, 9)},

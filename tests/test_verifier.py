@@ -125,27 +125,6 @@ def test_spot_check_eigensolves_every_graph_that_can_hold_the_maximum(monkeypatc
         assert len(solved) == SPOT_CHECK_SOLVED[n]
 
 
-@pytest.mark.parametrize("seed", [20240601, 1, 7, 2001])
-def test_spot_check_draws_equal_randrange(monkeypatch, seed):
-    # one randrange(2^C(n,2)) per draw, k = C(n,2) + 1 bits a value, up to
-    # k = 37 at n = 9: two 32-bit words a value. Seed 2001 keeps too few
-    # values from its first getrandbits call at orders 7 and 8, so the
-    # continuation is covered too
-    calls = []
-    getrandbits = random.Random.getrandbits
-    monkeypatch.setattr(random.Random, "getrandbits",
-                        lambda rng, k: calls.append(k) or getrandbits(rng, k))
-    continued = False
-    for n in range(1, 10):
-        total = 1 << n * (n - 1) // 2
-        calls.clear()
-        got = verifier._spot_check_draws(n, seed).tolist()
-        continued |= len(calls) > 1
-        rng = random.Random(seed)
-        assert got == [rng.randrange(total) for _ in range(min(max(total // 100, 100), 20000))], n
-    assert continued == (seed == 2001)
-
-
 def test_report_json_roundtrip_and_diff():
     rep = verify_theorem_main(6)
     back = Report.from_json(rep.to_json())
@@ -268,12 +247,12 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     # at order 8 the kernel leaves 31 sorted masks: the threshold graph's
     # (its 420 labeled copies) and the 30 sorted labelings of one graph
     # with degrees 5,5,5,5,5,5,1,1 whose index ties the threshold exactly.
-    # Their degrees tell them from the threshold graph with no isomorphism
-    # test; the 29 after the first are matched to that first one, which
-    # alone takes the rule: one exact comparison that builds a pair of
-    # polynomials and compares their largest roots, beside the threshold
-    # graph's comparison with itself, settled by equality (deciding each
-    # leftover on its own made 30)
+    # Each is tested against the threshold graph (a copy of it takes its
+    # verdict), and the 29 tied labelings after the first are matched to
+    # that first one, which alone takes the rule: one exact comparison that
+    # builds a pair of polynomials and compares their largest roots, beside
+    # the threshold graph's comparison with itself, settled by equality
+    # (deciding each leftover on its own made 30)
     kernel_test, searcher = {"theorem": ("apex_has_config", "find_k_chords_at_apex"),
                              "corollary": ("chorded_has", "find_chorded_cycle")}[task]
     thr = verifier._sweep_rule(task, 8, {})[1]
@@ -290,7 +269,7 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     assert len(compared) == 1 and compared[0][0] != compared[0][1]
     ext = extremal_graph(8).graph
     assert calls == {"q_index": 1, "q_exact_compare": 2, "graph_from_mask": 31,
-                     "is_isomorphic": 1 + 29 + (1 if task == "theorem" else 2),
+                     "is_isomorphic": 31 + 29 + (1 if task == "theorem" else 2),
                      "charpoly_int_matrix": 2}
     if task == "theorem":
         # the threshold graph is extremal and the tie configured, by the kernel
@@ -354,12 +333,13 @@ def test_replay_agrees_with_the_tail_on_every_leftover_mask(offset):
     assert replayed == found
 
 
-@pytest.mark.parametrize("n, offset", [(6, -2.0), (7, -0.5)])
-def test_tail_decides_each_class_as_each_leftover_alone(n, offset):
+@pytest.mark.parametrize("n, offset", [(6, -2.0), (7, -0.5), (8, 0.0)])
+def test_tail_decides_as_each_leftover_alone(n, offset):
     # below a lowered threshold the kernel leaves many classes (204 sorted
-    # masks with 29 degree sequences at order 6, 25 with 10 at order 7):
-    # deciding once per class gives the weighted counts and the
-    # counterexamples, in order, that the rule gives each leftover alone
+    # masks with 29 degree sequences at order 6, 25 with 10 at order 7),
+    # none in the tie band; at order 8 the 30 tied labelings of one graph
+    # share one verdict. Either way the tail gives the weighted counts and
+    # the counterexamples, in order, that the rule gives each leftover alone
     ext, thr, rule = verifier._sweep_rule("theorem", n, {"threshold_offset": offset})
     _, _, rest = verifier._sweep_classified(n, thr, ("apex_has_config", 3), 1)
     counts, counterexamples = Counter(), []
@@ -369,8 +349,11 @@ def test_tail_decides_each_class_as_each_leftover_alone(n, offset):
         counts[verdict] += arrangement_count(g.degrees())
         if verdict == "counterexample":
             counterexamples += [graph6_encode(h) for h in arrangement_images(g)]
-    assert counts["counterexample"] and counts["extremal"]
-    assert verifier._tail(n, rest, ext, rule) == (counts, counterexamples)
+    if offset:
+        assert counts["counterexample"] and counts["extremal"]
+    else:
+        assert counts == {"extremal": 420, "configured": 840}
+    assert verifier._tail(n, rest, ext, thr, rule) == (counts, counterexamples)
 
 
 def _dropped_last_factor(degrees):
