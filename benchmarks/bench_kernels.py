@@ -304,10 +304,10 @@ def bench_tie_tail(n, min_seconds=1.0):
     copies; at order 8 also the 30 sorted labelings of one graph that ties
     the threshold exactly. Each pass starts from cold caches."""
     orbit = math.factorial(n) // automorphism_count(extremal_graph(n).graph)
-    for task, test in (("theorem", ("apex_has_config", 3)), ("corollary", ("chorded_has", 3))):
+    for task in ("theorem", "corollary"):
         if n not in _SWEPT_ORDERS[task]:
             continue
-        ext, thr, rule = _sweep_rule(task, n, {})
+        ext, thr, test, rule = _sweep_rule(task, n, {})
         _, _, rest = _sweep_classified(n, thr, test, 1)
 
         def one_pass():

@@ -329,10 +329,10 @@ _SWEPT_ORDERS = {"theorem": (6, 7, 8), "corollary": (7, 8)}
 
 
 def _sweep_rule(task: str, n: int, params: dict):
-    """(ext, thr, rule) of the theorem or corollary sweep at order n with
-    the report's params: the extremal graph, the threshold and the task's
-    rule as rule(g, qv, ext). VerifierError for a task, order or parameter
-    that no sweep runs."""
+    """(ext, thr, test, rule) of the theorem or corollary sweep at order n
+    with the report's params: the extremal graph, the threshold, the
+    kernel's chord test as (name, k) and the task's rule as rule(g, qv,
+    ext). VerifierError for a task, order or parameter that no sweep runs."""
     if n not in _SWEPT_ORDERS.get(task, ()):
         raise VerifierError(f"no {task} sweep at order {n}")
     ext = extremal_graph(n).graph
@@ -342,46 +342,38 @@ def _sweep_rule(task: str, n: int, params: dict):
         if not math.isfinite(offset):
             raise VerifierError(f"threshold_offset must be finite, got {offset}")
         thr += offset
-        return ext, thr, functools.partial(_theorem_rule, thr=thr, exact=offset == 0.0)
+        return (ext, thr, ("apex_has_config", 3),
+                functools.partial(_theorem_rule, thr=thr, exact=offset == 0.0))
     min_chords = params.get("min_chords", 3)
     if min_chords < 1:
         raise VerifierError(f"min_chords must be >= 1, got {min_chords}")
-    return ext, thr, functools.partial(_corollary_rule, thr=thr, min_chords=min_chords)
+    return (ext, thr, ("chorded_has", min_chords),
+            functools.partial(_corollary_rule, thr=thr, min_chords=min_chords))
 
 
 def _tail(n: int, rest: list[int], ext: Graph, thr: float, rule) -> tuple[Counter, list[str]]:
-    """The task's rule on the degree-sorted masks the kernel left. A copy of
-    ext has ext's Q-spectrum and chord configurations, so it takes the
-    verdict of ext itself, decided once; every other graph gets the rule
+    """The task's rule on the degree-sorted masks the kernel left, each
     with its float index (one batched eigensolve over all of them). Inside
     the tie band around the threshold thr, where the rule's verdict depends
     on the graph alone (an exact comparison, or none), a leftover isomorphic
     to an earlier one there takes that one's verdict, so each class of ties
-    is decided once. Returns (the count of each verdict, each mask weighted
-    by the labeled graphs it stands for, and the counterexamples as graph6:
-    every labeled graph a counterexample mask stands for, its image under
-    each arrangement of its degrees)."""
+    is decided once; the threshold graph's own leftover is one of them at
+    an unshifted threshold. Returns (the count of each verdict, each mask
+    weighted by the labeled graphs it stands for, and the counterexamples
+    as graph6: every labeled graph a counterexample mask stands for, its
+    image under each arrangement of its degrees)."""
     graphs = [graph_from_mask(n, mask) for mask in rest]
-    copies = [is_isomorphic(g, ext) for g in graphs]
-    others = [g for g, copy in zip(graphs, copies) if not copy]
-    qs = q_indices([ext] + others)
-    ext_verdict = rule(ext, qs[0], ext)
     tied = []  # (graph, verdict) of the first leftover of each class of ties
-
-    def decide(g, qv):
-        if not thr - TIE_BAND <= qv <= thr + TIE_BAND:
-            return rule(g, qv, ext)
-        known = next((v for h, v in tied if is_isomorphic(g, h)), None)
-        if known is None:
-            known = rule(g, qv, ext)
-            tied.append((g, known))
-        return known
-
-    other_verdicts = iter([decide(g, qv) for g, qv in zip(others, qs[1:])])
     counts = Counter()
     counterexamples = []
-    for g, copy in zip(graphs, copies):
-        verdict = ext_verdict if copy else next(other_verdicts)
+    for g, qv in zip(graphs, q_indices(graphs)):
+        if not thr - TIE_BAND <= qv <= thr + TIE_BAND:
+            verdict = rule(g, qv, ext)
+        else:
+            verdict = next((v for h, v in tied if is_isomorphic(g, h)), None)
+            if verdict is None:
+                verdict = rule(g, qv, ext)
+                tied.append((g, verdict))
         counts[verdict] += arrangement_count(g.degrees())
         if verdict == "counterexample":
             counterexamples += [graph6_encode(h) for h in arrangement_images(g)]
@@ -395,10 +387,10 @@ def verify_theorem_main(
     vertices whose index reaches the threshold either carries three chords at
     a common cycle vertex or is the unique extremal graph."""
     t0 = time.perf_counter()
-    ext, thr, rule = _sweep_rule("theorem", n, {"threshold_offset": threshold_offset})
+    ext, thr, test, rule = _sweep_rule("theorem", n, {"threshold_offset": threshold_offset})
     # the kernel counts the graphs clearly above the threshold that carry the
     # configuration; the tie band and the rest get the rule
-    no_isolated, configured, rest = _sweep_classified(n, thr, ("apex_has_config", 3), jobs)
+    no_isolated, configured, rest = _sweep_classified(n, thr, test, jobs)
     verdicts, counterexamples = _tail(n, rest, ext, thr, rule)
     configured += verdicts["configured"] + verdicts["mismatch"]
     extremal_hits = verdicts["extremal"]
@@ -440,10 +432,10 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
     without a cycle carrying min_chords chords cannot beat the threshold
     index unless it is the extremal graph."""
     t0 = time.perf_counter()
-    ext, thr, rule = _sweep_rule("corollary", n, {"min_chords": min_chords})
+    ext, thr, test, rule = _sweep_rule("corollary", n, {"min_chords": min_chords})
     # the kernel counts the graphs clearly above the threshold with a chorded
     # cycle; the tie band and the rest get the rule
-    no_isolated, chorded, rest = _sweep_classified(n, thr, ("chorded_has", min_chords), jobs)
+    no_isolated, chorded, rest = _sweep_classified(n, thr, test, jobs)
     verdicts, counterexamples = _tail(n, rest, ext, thr, rule)
 
     details = [
@@ -470,9 +462,10 @@ def replay_counterexample(task: str, g6: str, params: dict) -> bool:
     the sweep that reported it; True means it still violates the condition
     it was reported for. VerifierError for a task or order no sweep runs."""
     g = graph6_decode(g6)
-    ext, _, rule = _sweep_rule(task, g.n, params)
-    # the sweeps skip graphs with an isolated vertex
-    return g.min_degree > 0 and rule(g, q_index(g).q, ext) == "counterexample"
+    ext, _, _, rule = _sweep_rule(task, g.n, params)
+    # the sweeps skip graphs with an isolated vertex; the index is the
+    # sweep's own float, from the batched eigensolve the tail uses
+    return g.min_degree > 0 and rule(g, q_indices([g])[0], ext) == "counterexample"
 
 
 # -- appendix identities --------------------------------------------------------------

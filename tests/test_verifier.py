@@ -213,18 +213,18 @@ def _count_tail_calls(monkeypatch, kernel_test, searcher):
 
 def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
     # the sweep's tie band at order 6 is one sorted mask that weighs the 30
-    # labeled copies of the threshold graph; it is matched by isomorphism
-    # and takes the verdict of the threshold graph itself, which is decided
-    # once (one more isomorphism test): one exact comparison, one kernel
-    # apex test and one searcher call. The only q_index call is the one for
-    # the threshold. The leftover mask has the threshold graph's own rows, so
-    # both isomorphism tests and the exact comparison of the threshold graph
-    # with itself are settled by equality, with no polynomial built
+    # labeled copies of the threshold graph; it takes the rule once: one
+    # exact comparison, one kernel apex test, one searcher call and the
+    # rule's closing isomorphism test with the threshold graph. The only
+    # q_index call is the one for the threshold. The leftover mask has the
+    # threshold graph's own rows, so that isomorphism test and the exact
+    # comparison of the threshold graph with itself are settled by
+    # equality, with no polynomial built
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "apex_has_config", "find_k_chords_at_apex")
     assert verify_theorem_main(6).extremal_hits == 30
     assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 1,
-                     "is_isomorphic": 2, "charpoly_int_matrix": 0}
+                     "is_isomorphic": 1, "charpoly_int_matrix": 0}
     assert tested == [extremal_graph(6).graph.rows]
     assert searched == [extremal_graph(6).graph]
 
@@ -233,12 +233,13 @@ def test_corollary_settles_its_ties_once(monkeypatch):
     # at order 7 the corollary's tie band is one sorted mask that weighs the
     # 210 copies of the threshold graph: one exact comparison, of the
     # threshold graph with itself and so settled with no polynomial, decides
-    # that the class sits on the threshold, where no chord test runs
+    # that the class sits on the threshold, where no chord test runs and
+    # one isomorphism test, settled by equality, names it extremal
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "chorded_has", "find_chorded_cycle")
     assert verify_corollary(7).extremal_hits == 210
     assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 1,
-                     "is_isomorphic": 2, "charpoly_int_matrix": 0}
+                     "is_isomorphic": 1, "charpoly_int_matrix": 0}
     assert tested == searched == []
 
 
@@ -247,33 +248,44 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     # at order 8 the kernel leaves 31 sorted masks: the threshold graph's
     # (its 420 labeled copies) and the 30 sorted labelings of one graph
     # with degrees 5,5,5,5,5,5,1,1 whose index ties the threshold exactly.
-    # Each is tested against the threshold graph (a copy of it takes its
-    # verdict), and the 29 tied labelings after the first are matched to
-    # that first one, which alone takes the rule: one exact comparison that
-    # builds a pair of polynomials and compares their largest roots, beside
-    # the threshold graph's comparison with itself, settled by equality
-    # (deciding each leftover on its own made 30)
-    kernel_test, searcher = {"theorem": ("apex_has_config", "find_k_chords_at_apex"),
-                             "corollary": ("chorded_has", "find_chorded_cycle")}[task]
-    thr = verifier._sweep_rule(task, 8, {})[1]
-    rest = verifier._sweep_classified(8, thr, (kernel_test, 3), 1)[2]
+    # All 31 sit in the tie band, and each is matched by isomorphism to the
+    # first leftover there of its class, which alone takes the rule: the
+    # rule runs twice, once for the threshold graph and once for the tie.
+    # The first tie compares exactly with the threshold graph, building a
+    # pair of polynomials and comparing their largest roots, beside the
+    # threshold graph's comparison with itself, settled by equality
+    # (deciding each leftover on its own made 30 comparisons). Isomorphism
+    # tests: 29 tied labelings matched to the first, the threshold graph's
+    # one test against the tie, and the rule's closing test with the
+    # threshold graph (the corollary's ties, on the threshold, make one more)
+    _, thr, test, _ = verifier._sweep_rule(task, 8, {})
+    searcher = {"theorem": "find_k_chords_at_apex", "corollary": "find_chorded_cycle"}[task]
+    rest = verifier._sweep_classified(8, thr, test, 1)[2]
     assert sorted({graph_from_mask(8, mask).degrees() for mask in rest}) == [
         (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)] and len(rest) == 31
-    calls, tested, searched = _count_tail_calls(monkeypatch, kernel_test, searcher)
+    calls, tested, searched = _count_tail_calls(monkeypatch, test[0], searcher)
     compare = spectral.compare_largest_roots
     compared = []
     monkeypatch.setattr(spectral, "compare_largest_roots",
                         lambda p, q: compared.append((p, q)) or compare(p, q))
+    rule_name = f"_{task}_rule"
+    rule = getattr(verifier, rule_name)
+    ruled = []
+    monkeypatch.setattr(verifier, rule_name,
+                        lambda g, *args, **kwargs: ruled.append(g) or rule(g, *args, **kwargs))
     rep = verify_theorem_main(8) if task == "theorem" else verify_corollary(8)
     assert rep.passed and rep.extremal_hits == 420
     assert len(compared) == 1 and compared[0][0] != compared[0][1]
     ext = extremal_graph(8).graph
+    assert [g.degrees() for g in ruled] == [
+        (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)]
     assert calls == {"q_index": 1, "q_exact_compare": 2, "graph_from_mask": 31,
-                     "is_isomorphic": 31 + 29 + (1 if task == "theorem" else 2),
+                     "is_isomorphic": 31 if task == "theorem" else 32,
                      "charpoly_int_matrix": 2}
     if task == "theorem":
-        # the threshold graph is extremal and the tie configured, by the kernel
-        assert tested[0] == ext.rows and len(tested) == 2
+        # the tie, first in mask order, is configured by the kernel and the
+        # threshold graph is extremal
+        assert tested[1] == ext.rows and len(tested) == 2
         assert searched == [ext]
     else:
         assert tested == searched == []
@@ -318,16 +330,16 @@ def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
     assert traffic["appendix"] == [(False, 0)] * 196
 
 
-@pytest.mark.parametrize("offset", [0.0, -0.5])
+@pytest.mark.parametrize("offset", [0.0, -0.5, -2.0])
 def test_replay_agrees_with_the_tail_on_every_leftover_mask(offset):
-    # replay runs the sweep's own rule: over every labeled graph the sorted
-    # masks the kernel leaves at order 6 stand for, it reports exactly the
-    # counterexamples the tail reports
+    # replay runs the sweep's own rule on the sweep's own float index: over
+    # every labeled graph the sorted masks the kernel leaves at order 6
+    # stand for, it reports exactly the counterexamples the tail reports
     params = {"threshold_offset": offset}
-    thr = q_index(extremal_graph(6).graph).q + offset
-    _, _, rest = verifier._sweep_classified(6, thr, ("apex_has_config", 3), 1)
+    _, thr, test, _ = verifier._sweep_rule("theorem", 6, params)
+    _, _, rest = verifier._sweep_classified(6, thr, test, 1)
     found = set(verify_theorem_main(6, threshold_offset=offset).counterexamples)
-    assert len(found) == {0.0: 0, -0.5: 15}[offset]
+    assert len(found) == {0.0: 0, -0.5: 15, -2.0: 8895}[offset]
     labeled = [graph6_encode(h) for m in rest for h in arrangement_images(graph_from_mask(6, m))]
     replayed = {g6 for g6 in labeled if replay_counterexample("theorem", g6, params)}
     assert replayed == found
@@ -340,8 +352,8 @@ def test_tail_decides_as_each_leftover_alone(n, offset):
     # none in the tie band; at order 8 the 30 tied labelings of one graph
     # share one verdict. Either way the tail gives the weighted counts and
     # the counterexamples, in order, that the rule gives each leftover alone
-    ext, thr, rule = verifier._sweep_rule("theorem", n, {"threshold_offset": offset})
-    _, _, rest = verifier._sweep_classified(n, thr, ("apex_has_config", 3), 1)
+    ext, thr, test, rule = verifier._sweep_rule("theorem", n, {"threshold_offset": offset})
+    _, _, rest = verifier._sweep_classified(n, thr, test, 1)
     counts, counterexamples = Counter(), []
     for mask in rest:
         g = graph_from_mask(n, mask)
