@@ -4,8 +4,10 @@ apex detector, longest cycle, longest path and Perron entry order) against
 the pure-Python fallback, the theorem's prefilter spot check at orders 6 to
 8 (with the skipped graphs it eigensolves), the theorem's and the
 corollary's Python tails on the tie band the kernel leaves at orders 6 to
-8, exact characteristic polynomials (one matrix a call and batched), the exact
-largest-root comparison (with the pairs its sign certificate settles and
+8, `verify theorem --n 6` through the CLI in one process (its first call,
+which builds the parser and the order's threshold constants, against the
+later ones), exact characteristic polynomials (one matrix a call and
+batched), the exact largest-root comparison (with the pairs its sign certificate settles and
 those left to the Sturm chains, and exact ties between distinct
 polynomials at orders 6 and 7, with the bracket halvings they take), and
 one end-to-end property suite at 10,000 trials.
@@ -25,14 +27,16 @@ Usage: python benchmarks/bench_kernels.py
 from __future__ import annotations
 
 import functools
+import io
 import math
 import random
 import statistics
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 
-from chordspec import kernels, polynomials
+from chordspec import cli, kernels, polynomials
 from chordspec.appendix import (
     FIXTURES,
     appendix_polynomial,
@@ -45,7 +49,6 @@ from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
 from chordspec.graphs import (
     arrangement_count,
     arrangement_images,
-    automorphism_count,
     disjoint_union,
     graph_from_mask,
     is_isomorphic,
@@ -69,8 +72,10 @@ from chordspec.verifier import (
     _sweep_classified,
     _sweep_rule,
     _tail,
+    _threshold_constants,
     _usable_cpus,
     property_suite,
+    verify_theorem_main,
 )
 
 
@@ -148,7 +153,7 @@ def bench_sweep_jobs(n=7, min_seconds=1.0):
     and 2 jobs, repeated for min_seconds each: median time a call. Order 7
     spans two chunks of CHUNK masks, so its jobs=2 line times the threads;
     a one-chunk order (n <= 6) runs serially at any job count."""
-    thr = q_index(extremal_graph(n).graph).q
+    thr = _threshold_constants(n)[1]
     chunks = len(range(0, 1 << n * (n - 1) // 2, CHUNK))
     print(f"theorem sweep n={n} (_sweep_classified), {chunks} chunk(s) of {CHUNK} masks, "
           f"usable CPUs={_usable_cpus()}")
@@ -261,7 +266,7 @@ def bench_spot_check(min_seconds=1.0):
     most 20,000): median time a call, and how many of the graphs the degree
     filters skip it eigensolves."""
     for n in _SWEPT_ORDERS["theorem"]:
-        thr = q_index(extremal_graph(n).graph).q
+        thr = _threshold_constants(n)[1]
         times = []
 
         def one_call():
@@ -303,7 +308,7 @@ def bench_tie_tail(n, min_seconds=1.0):
     is the threshold graph's one sorted mask, which weighs its labeled
     copies; at order 8 also the 30 sorted labelings of one graph that ties
     the threshold exactly. Each pass starts from cold caches."""
-    orbit = math.factorial(n) // automorphism_count(extremal_graph(n).graph)
+    orbit = _threshold_constants(n)[2]
     for task in ("theorem", "corollary"):
         if n not in _SWEPT_ORDERS[task]:
             continue
@@ -320,6 +325,42 @@ def bench_tie_tail(n, min_seconds=1.0):
         print(f"  {calls * len(rest) / dt:9.0f} sorted masks/s  ({calls} passes, {dt:.2f}s)")
         assert (verdicts["extremal"] == orbit and sum(verdicts.values()) == weight
                 and not counterexamples), verdicts
+
+
+def bench_cli(min_seconds=1.0):
+    """`verify theorem --n 6` through ``cli.main`` in this process, its
+    report discarded: the first call, which builds the parser and the
+    order's threshold constants (both caches are emptied first), the median
+    of the later calls, which reuse them, and the median of
+    ``verify_theorem_main(6)`` alone, repeated for min_seconds each."""
+    argv = ["verify", "theorem", "--n", "6"]
+
+    def one_cli_call():
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            t0 = time.perf_counter()
+            code = cli.main(argv)
+            times.append(time.perf_counter() - t0)
+        assert code == 0, code
+
+    cli.build_parser.cache_clear()
+    _threshold_constants.cache_clear()
+    times = []
+    one_cli_call()
+    first = times.pop()
+    calls, _, _ = repeat_for(min_seconds, one_cli_call)
+    later = statistics.median(times)
+    times = []
+
+    def one_verify_call():
+        t0 = time.perf_counter()
+        report = verify_theorem_main(6)
+        times.append(time.perf_counter() - t0)
+        assert report.passed
+
+    verify_calls, _, _ = repeat_for(min_seconds, one_verify_call)
+    print(f"cli verify theorem --n 6: first call {first * 1e3:.2f} ms, later calls "
+          f"{later * 1e3:.2f} ms (median of {calls}), verify_theorem_main(6) alone "
+          f"{statistics.median(times) * 1e3:.2f} ms (median of {verify_calls})")
 
 
 def appendix_templates(n_lo=7, n_hi=22):
@@ -365,8 +406,7 @@ def tie_graphs(n=6):
     """The labeled graphs of the sorted masks the theorem's kernel pass
     leaves at order n: the tie band, every labeled copy of the threshold
     graph."""
-    ext = extremal_graph(n).graph
-    thr = q_index(ext).q
+    ext, thr, _ = _threshold_constants(n)
     _, _, rest = kernels.classify(n, 0, 1 << (n * (n - 1) // 2), thr - TIE_BAND,
                                   thr + TIE_BAND, ("apex_has_config", 3))
     graphs = [h for mask in rest for h in arrangement_images(graph_from_mask(n, mask))]
@@ -463,6 +503,7 @@ def main() -> None:
     bench_tie_tail(6)
     bench_tie_tail(7)
     bench_tie_tail(8)
+    bench_cli()
 
     print("exact characteristic polynomials (charpoly_int_matrix, charpoly_int_matrices)")
     templates = appendix_templates()

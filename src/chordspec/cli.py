@@ -3,11 +3,17 @@
 Graphs travel as graph6 lines on stdin/stdout; JSON reports go to stdout and
 logs to stderr. Exit codes: 0 success/pass, 1 verification failure
 (counterexamples found), 2 usage or input errors.
+
+The parser is built on the first ``main`` call and reused by every later
+call in the process: its tree holds only fixed names, choices and defaults,
+and argparse looks up ``sys.stdout`` and ``sys.stderr`` when it prints.
+Importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import chords, verifier
@@ -101,6 +107,7 @@ def _cmd_report_diff(args) -> int:
     return EXIT_OK if not diffs else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="chordspec",

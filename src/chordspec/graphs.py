@@ -301,8 +301,10 @@ def index_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def mask_of(g: Graph) -> int:
-    """The edge bitmask of g, the inverse of ``graph_from_mask``."""
-    return sum(1 << b for b, (i, j) in enumerate(index_pairs(g.n)) if g.has_edge(i, j))
+    """The edge bitmask of g, the inverse of ``graph_from_mask``: row j's
+    bits below j are the slots of the pairs (i, j), i < j, which start at
+    slot C(j, 2)."""
+    return sum([(row & (1 << j) - 1) << j * (j - 1) // 2 for j, row in enumerate(g.rows)])
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -337,37 +339,42 @@ def arrangement_images(g: Graph) -> list[Graph]:
     include g itself. Each maps the vertices of one degree, in label order,
     onto that degree's places in the arrangement, in label order; so every
     labeled graph is the image of exactly one degree-sorted graph."""
+    n = g.n
     by_degree: dict[int, list[int]] = {}
     for v, d in enumerate(g.degrees()):
         by_degree.setdefault(d, []).append(v)
-    classes = list(by_degree.values())
-    perm = [0] * g.n
+    *heads, last = by_degree.values()
+    neighbours = [tuple(bits_to_vertices(row)) for row in g.rows]
+    at = [0] * n  # the vertex of g at each place of the image
+    bit = [0] * n  # each vertex's place in the image, as a bit
     images = []
 
     def place(c: int, free: tuple[int, ...]) -> None:
-        if c == len(classes):
-            images.append(_relabel(g, perm))
+        if c == len(heads):
+            # the last degree takes the places left; the image's row at a
+            # place holds the places of its vertex's neighbours
+            for v, spot in zip(last, free):
+                at[spot] = v
+                bit[v] = 1 << spot
+            images.append(Graph(n, tuple([sum(map(bit.__getitem__, neighbours[u]))
+                                          for u in at])))
             return
-        for spots in combinations(free, len(classes[c])):
-            for v, spot in zip(classes[c], spots):
-                perm[v] = spot
-            taken = set(spots)
-            place(c + 1, tuple(w for w in free if w not in taken))
+        for spots in combinations(free, len(heads[c])):
+            for v, spot in zip(heads[c], spots):
+                at[spot] = v
+                bit[v] = 1 << spot
+            place(c + 1, tuple(w for w in free if w not in spots))
 
-    place(0, tuple(range(g.n)))
+    place(0, tuple(range(n)))
     return images
 
 
-def _relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """The graph with an edge perm[u] perm[v] for each edge uv of g."""
-    adj = [0] * g.n
-    for u in range(g.n):
-        for v in bits_to_vertices(g.rows[u]):
-            adj[perm[u]] |= 1 << perm[v]
-    return Graph(g.n, tuple(adj))
-
-
 # -- graph6 ---------------------------------------------------------------------
+
+
+# the graph6 character of six slots read as the low bits of an int, the
+# first slot as its high bit
+_GRAPH6_CHAR = [chr(63 + int(f"{v:06b}"[::-1], 2)) for v in range(64)]
 
 
 def graph6_encode(g: Graph) -> str:
@@ -381,9 +388,8 @@ def graph6_encode(g: Graph) -> str:
         head = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
     else:
         raise Graph6Error(f"order {n} too large for graph6")
-    width = (n * (n - 1) // 2 + 5) // 6 * 6
-    bits = f"{mask_of(g):0{width}b}"[::-1]  # slot b is bits[b]
-    return head + "".join(chr(63 + int(bits[k : k + 6], 2)) for k in range(0, width, 6))
+    mask = mask_of(g)
+    return head + "".join([_GRAPH6_CHAR[mask >> k & 63] for k in range(0, n * (n - 1) // 2, 6)])
 
 
 def graph6_decode(text: str) -> Graph:

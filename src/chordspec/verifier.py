@@ -328,15 +328,27 @@ def _corollary_rule(g: Graph, qv: float, ext: Graph, thr: float, min_chords: int
 _SWEPT_ORDERS = {"theorem": (6, 7, 8), "corollary": (7, 8)}
 
 
+@functools.cache
+def _threshold_constants(n: int) -> tuple[Graph, float, int]:
+    """(ext, q, orbit) at a swept order n: the extremal graph, its float
+    index and its n! / |Aut(ext)| labeled copies. They depend on n alone, so
+    each order's are built once per process, on first use; only the inputs
+    of a sweep are kept here, never a verdict."""
+    ext = extremal_graph(n).graph
+    return ext, q_index(ext).q, math.factorial(n) // automorphism_count(ext)
+
+
 def _sweep_rule(task: str, n: int, params: dict):
     """(ext, thr, test, rule) of the theorem or corollary sweep at order n
     with the report's params: the extremal graph, the threshold, the
     kernel's chord test as (name, k) and the task's rule as rule(g, qv,
-    ext). VerifierError for a task, order or parameter that no sweep runs."""
+    ext). The order is validated before its threshold constants are read,
+    and the params (the theorem's threshold_offset, the corollary's
+    min_chords) are applied on every call. VerifierError for a task, order
+    or parameter that no sweep runs."""
     if n not in _SWEPT_ORDERS.get(task, ()):
         raise VerifierError(f"no {task} sweep at order {n}")
-    ext = extremal_graph(n).graph
-    thr = q_index(ext).q
+    ext, thr, _ = _threshold_constants(n)
     if task == "theorem":
         offset = params.get("threshold_offset", 0.0)
         if not math.isfinite(offset):
@@ -394,8 +406,7 @@ def verify_theorem_main(
     verdicts, counterexamples = _tail(n, rest, ext, thr, rule)
     configured += verdicts["configured"] + verdicts["mismatch"]
     extremal_hits = verdicts["extremal"]
-
-    orbit = math.factorial(n) // automorphism_count(ext)
+    orbit = _threshold_constants(n)[2]
     details = [
         {"name": "threshold", "passed": True, "q_threshold": round(thr, 9)},
         {

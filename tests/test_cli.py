@@ -1,10 +1,14 @@
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from chordspec import kernels, verifier
+from chordspec import cli, kernels, verifier
 from chordspec.cli import main
 from chordspec.families import build_family
 from chordspec.graphs import graph6_encode
@@ -283,3 +287,76 @@ def test_readme_pipelines_print_what_the_readme_states(capsys, monkeypatch):
         assert code == 0
         code, out, _ = run(capsys, *cmd.split(), stdin=g6, monkeypatch=monkeypatch)
         assert (code, out.strip()) == (0, want), (spec, cmd)
+
+
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def _fresh_process(argv, stdin=""):
+    """(exit code, stdout, stderr) of one ``chordspec`` run in a new
+    interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordspec.cli", *argv], input=stdin,
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _without_wall_time(out):
+    # a report's body is everything but its wall time; other output as is
+    try:
+        report = json.loads(out)
+    except ValueError:
+        return out
+    if isinstance(report, dict):
+        report.pop("wall_time_ms")
+    return report
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # the first main call builds the ten parsers of the tree, later calls
+    # reuse them; each call, whatever ran before it in the process, gives
+    # what a new process gives: the offset of a previous call does not
+    # stick, a refused option still exits 2 and --help still exits 0
+    monkeypatch.setenv("COLUMNS", "80")  # the same help width in both
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    cli.build_parser.cache_clear()
+    g6 = graph6_encode(build_family("K11n2Plus:n=7").graph)
+    calls = [
+        (("verify", "theorem", "--n", "6", "--threshold-offset", "-0.5"), ""),
+        (("verify", "theorem", "--n", "6"), ""),
+        (("verify", "appendix", "--n-lo", "7", "--n-hi", "7", "--jobs", "2"), ""),
+        (("--help",), ""),
+        (("family", "K11n2Plus:n=7"), ""),
+        (("q",), g6 + "\n"),
+    ]
+    codes, outs = [], []
+    for argv, stdin in calls:
+        code, out, err = run(capsys, *argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert len(built) == 10, argv
+        fresh = _fresh_process(argv, stdin)
+        assert (code, _without_wall_time(out), err) == (
+            fresh[0], _without_wall_time(fresh[1]), fresh[2]), argv
+        codes.append(code)
+        outs.append(out)
+    assert codes == [1, 0, 2, 0, 0, 0]
+    assert json.loads(outs[1])["params"] == {"n": 6, "threshold_offset": 0.0}
+    assert outs[3].startswith("usage: chordspec") and outs[4].strip() == g6
+    assert outs[5].strip() == "8.735489498216"
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)\n"
+            "import chordspec.cli as cli\n"
+            "print(len(built), cli.build_parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")

@@ -348,6 +348,37 @@ def test_graph6_matches_the_bitwise_codec():
             assert graph6_decode(text) == oracle_graph6_decode(text) == g
 
 
+def _graph6_of_edge_mask(g):
+    """graph6 text packed slot by slot from the edge-list bitmask
+    (oracles.mask_from_graph), each character's first slot its high bit."""
+    n, mask = g.n, mask_from_graph(g)
+    head = chr(63 + n) if n <= 62 else "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    chars = []
+    for k in range(0, n * (n - 1) // 2, 6):
+        value = 0
+        for b in range(k, k + 6):
+            value = value << 1 | mask >> b & 1
+        chars.append(chr(63 + value))
+    return head + "".join(chars)
+
+
+def test_graph6_reads_the_mask_off_the_rows():
+    # mask_of reads the rows, not the edge slots one by one: every labeled
+    # graph to order 6, a seeded graph of every order up to the last short
+    # header, and one past it
+    for n in range(1, 7):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = graph_from_mask(n, mask)
+            assert mask_of(g) == mask_from_graph(g) == mask
+            assert graph6_encode(g) == _graph6_of_edge_mask(g), (n, mask)
+    rng = random.Random(20261019)
+    for n in [*range(7, 63), 100]:
+        g = random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
+        assert mask_of(g) == mask_from_graph(g)
+        assert graph6_encode(g) == _graph6_of_edge_mask(g), n
+    assert graph6_encode(g).startswith("~")
+
+
 def test_index_pairs_is_one_table_per_order():
     assert index_pairs(4) == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
     assert index_pairs(7) is index_pairs(7)

@@ -5,6 +5,7 @@ import inspect
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -571,9 +572,10 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # decided sign against eigh, one pass of its order-6 and order-8 tie
     # tails, whose asserts check the verdicts, one call of its spot check
     # at orders 6, 7 and 8, whose asserts check that the check passes and
-    # that its counted call gives the same result, one pass of its exact
-    # order-6 ties, which must reach the gcd, and expand its appendix
-    # templates at orders 7..8
+    # that its counted call gives the same result, one call each of its
+    # order-6 CLI timings, whose asserts check the exit codes and verdicts,
+    # one pass of its exact order-6 ties, which must reach the gcd, and
+    # expand its appendix templates at orders 7..8
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -602,6 +604,11 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
                                       (8, 20000, 7632, 314)):
         assert (f"spot check n={n}: {draws} draws, {skipped} skipped by the degree "
                 f"filters, {solved} eigensolved") in out, out
+    bench.bench_cli(min_seconds=0)
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"cli verify theorem --n 6: first call [0-9.]+ ms, later calls "
+                        r"[0-9.]+ ms \(median of 1\), verify_theorem_main\(6\) alone "
+                        r"[0-9.]+ ms \(median of 1\)\n", out), out
     ties, counts = bench.bench_exact("order-6 ties", bench.tie_pairs(6), min_seconds=0)
     assert ties == {EQUAL: 30} and counts["_divide"] > 0, (ties, counts)
     # the templates it times are verify_appendix's, plus one threshold

@@ -211,22 +211,35 @@ def _count_tail_calls(monkeypatch, kernel_test, searcher):
     return calls, tested, searched
 
 
+def _reset(calls, *seen):
+    """Zero the counts and empty the lists of _count_tail_calls, for a
+    second run in the same process."""
+    calls.update(dict.fromkeys(calls, 0))
+    for items in seen:
+        items.clear()
+
+
 def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
     # the sweep's tie band at order 6 is one sorted mask that weighs the 30
     # labeled copies of the threshold graph; it takes the rule once: one
     # exact comparison, one kernel apex test, one searcher call and the
     # rule's closing isomorphism test with the threshold graph. The only
-    # q_index call is the one for the threshold. The leftover mask has the
+    # q_index call is the one for the threshold, made by the first run of
+    # the process and read by later runs. The leftover mask has the
     # threshold graph's own rows, so that isomorphism test and the exact
     # comparison of the threshold graph with itself are settled by
     # equality, with no polynomial built
+    verifier._threshold_constants.cache_clear()
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "apex_has_config", "find_k_chords_at_apex")
-    assert verify_theorem_main(6).extremal_hits == 30
-    assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 1,
-                     "is_isomorphic": 1, "charpoly_int_matrix": 0}
-    assert tested == [extremal_graph(6).graph.rows]
-    assert searched == [extremal_graph(6).graph]
+    for q_index_calls in (1, 0):
+        _reset(calls, tested, searched)
+        assert verify_theorem_main(6).extremal_hits == 30
+        assert calls == {"q_index": q_index_calls, "q_exact_compare": 1,
+                         "graph_from_mask": 1, "is_isomorphic": 1,
+                         "charpoly_int_matrix": 0}
+        assert tested == [extremal_graph(6).graph.rows]
+        assert searched == [extremal_graph(6).graph]
 
 
 def test_corollary_settles_its_ties_once(monkeypatch):
@@ -234,13 +247,18 @@ def test_corollary_settles_its_ties_once(monkeypatch):
     # 210 copies of the threshold graph: one exact comparison, of the
     # threshold graph with itself and so settled with no polynomial, decides
     # that the class sits on the threshold, where no chord test runs and
-    # one isomorphism test, settled by equality, names it extremal
+    # one isomorphism test, settled by equality, names it extremal. The
+    # threshold's q_index call is made by the first run of the process only
+    verifier._threshold_constants.cache_clear()
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "chorded_has", "find_chorded_cycle")
-    assert verify_corollary(7).extremal_hits == 210
-    assert calls == {"q_index": 1, "q_exact_compare": 1, "graph_from_mask": 1,
-                     "is_isomorphic": 1, "charpoly_int_matrix": 0}
-    assert tested == searched == []
+    for q_index_calls in (1, 0):
+        _reset(calls, tested, searched)
+        assert verify_corollary(7).extremal_hits == 210
+        assert calls == {"q_index": q_index_calls, "q_exact_compare": 1,
+                         "graph_from_mask": 1, "is_isomorphic": 1,
+                         "charpoly_int_matrix": 0}
+        assert tested == searched == []
 
 
 @pytest.mark.parametrize("task", ["theorem", "corollary"])
@@ -257,12 +275,15 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     # (deciding each leftover on its own made 30 comparisons). Isomorphism
     # tests: 29 tied labelings matched to the first, the threshold graph's
     # one test against the tie, and the rule's closing test with the
-    # threshold graph (the corollary's ties, on the threshold, make one more)
+    # threshold graph (the corollary's ties, on the threshold, make one more).
+    # The threshold's q_index call is made by the first run of the process
+    # only
     _, thr, test, _ = verifier._sweep_rule(task, 8, {})
     searcher = {"theorem": "find_k_chords_at_apex", "corollary": "find_chorded_cycle"}[task]
     rest = verifier._sweep_classified(8, thr, test, 1)[2]
     assert sorted({graph_from_mask(8, mask).degrees() for mask in rest}) == [
         (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)] and len(rest) == 31
+    verifier._threshold_constants.cache_clear()
     calls, tested, searched = _count_tail_calls(monkeypatch, test[0], searcher)
     compare = spectral.compare_largest_roots
     compared = []
@@ -273,22 +294,25 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     ruled = []
     monkeypatch.setattr(verifier, rule_name,
                         lambda g, *args, **kwargs: ruled.append(g) or rule(g, *args, **kwargs))
-    rep = verify_theorem_main(8) if task == "theorem" else verify_corollary(8)
-    assert rep.passed and rep.extremal_hits == 420
-    assert len(compared) == 1 and compared[0][0] != compared[0][1]
     ext = extremal_graph(8).graph
-    assert [g.degrees() for g in ruled] == [
-        (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)]
-    assert calls == {"q_index": 1, "q_exact_compare": 2, "graph_from_mask": 31,
-                     "is_isomorphic": 31 if task == "theorem" else 32,
-                     "charpoly_int_matrix": 2}
-    if task == "theorem":
-        # the tie, first in mask order, is configured by the kernel and the
-        # threshold graph is extremal
-        assert tested[1] == ext.rows and len(tested) == 2
-        assert searched == [ext]
-    else:
-        assert tested == searched == []
+    for q_index_calls in (1, 0):
+        _reset(calls, tested, searched, compared, ruled)
+        rep = verify_theorem_main(8) if task == "theorem" else verify_corollary(8)
+        assert rep.passed and rep.extremal_hits == 420
+        assert len(compared) == 1 and compared[0][0] != compared[0][1]
+        assert [g.degrees() for g in ruled] == [
+            (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)]
+        assert calls == {"q_index": q_index_calls, "q_exact_compare": 2,
+                         "graph_from_mask": 31,
+                         "is_isomorphic": 31 if task == "theorem" else 32,
+                         "charpoly_int_matrix": 2}
+        if task == "theorem":
+            # the tie, first in mask order, is configured by the kernel and
+            # the threshold graph is extremal
+            assert tested[1] == ext.rows and len(tested) == 2
+            assert searched == [ext]
+        else:
+            assert tested == searched == []
 
 
 def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
@@ -331,7 +355,7 @@ def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
 
 
 @pytest.mark.parametrize("offset", [0.0, -0.5, -2.0])
-def test_replay_agrees_with_the_tail_on_every_leftover_mask(offset):
+def test_replay_agrees_with_the_tail_on_every_leftover_mask(monkeypatch, offset):
     # replay runs the sweep's own rule on the sweep's own float index: over
     # every labeled graph the sorted masks the kernel leaves at order 6
     # stand for, it reports exactly the counterexamples the tail reports
@@ -341,8 +365,16 @@ def test_replay_agrees_with_the_tail_on_every_leftover_mask(offset):
     found = set(verify_theorem_main(6, threshold_offset=offset).counterexamples)
     assert len(found) == {0.0: 0, -0.5: 15, -2.0: 8895}[offset]
     labeled = [graph6_encode(h) for m in rest for h in arrangement_images(graph_from_mask(6, m))]
+    assert len(labeled) == {0.0: 30, -0.5: 45, -2.0: 8925}[offset]
+    # the replays compute the threshold's index once between them, not once
+    # a replay
+    verifier._threshold_constants.cache_clear()
+    index = verifier.q_index
+    indexed = []
+    monkeypatch.setattr(verifier, "q_index", lambda g: indexed.append(g) or index(g))
     replayed = {g6 for g6 in labeled if replay_counterexample("theorem", g6, params)}
     assert replayed == found
+    assert indexed == [extremal_graph(6).graph]
 
 
 @pytest.mark.parametrize("n, offset", [(6, -2.0), (7, -0.5), (8, 0.0)])
