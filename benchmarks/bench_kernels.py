@@ -56,7 +56,6 @@ from chordspec.graphs import (
 )
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
 from chordspec.spectral import (
-    MaskBatch,
     charpoly_graph,
     charpoly_int_matrices,
     charpoly_int_matrix,
@@ -69,6 +68,7 @@ from chordspec.verifier import (
     TIE_BAND,
     _prefilter_spot_check,
     _sample,
+    _spot_check_draws,
     _sweep_classified,
     _sweep_rule,
     _tail,
@@ -260,39 +260,42 @@ def repeat_for(min_seconds, fn):
             return calls, dt, out
 
 
-def bench_spot_check(min_seconds=1.0):
+def bench_spot_check(impls, min_seconds=1.0):
     """The theorem's prefilter spot check at orders 6, 7 and 8, where it
     draws 327, 20,000 and 20,000 masks (1% of 2^C(n,2), at least 100 and at
-    most 20,000): median time a call, and how many of the graphs the degree
-    filters skip it eigensolves."""
+    most 20,000), through each kernel's degree_skips: how many of the graphs
+    the degree filters skip it eigensolves (the candidates), and the median
+    time a call. Both kernels must give the same result."""
     for n in _SWEPT_ORDERS["theorem"]:
         thr = _threshold_constants(n)[1]
-        times = []
+        draws = _spot_check_draws(n)
+        results = set()
+        for _, impl in impls:
+            skipped, candidates = impl.degree_skips(n, draws, thr)
+            results.add((skipped, tuple(candidates)))
+        assert len(results) == 1, "implementations disagree"
+        print(f"prefilter spot check n={n}: {len(draws)} draws, {skipped} skipped by "
+              f"the degree filters, {len(candidates)} eigensolved")
+        outs = []
+        for label, impl in impls:
+            times = []
 
-        def one_call():
-            t0 = time.perf_counter()
-            out = _prefilter_spot_check(n, thr)
-            times.append(time.perf_counter() - t0)
-            return out
+            def one_call():
+                t0 = time.perf_counter()
+                out = _prefilter_spot_check(n, thr)
+                times.append(time.perf_counter() - t0)
+                return out
 
-        calls, _, out = repeat_for(min_seconds, one_call)
-        solved = []
-        top_eigenvalues = MaskBatch.top_eigenvalues
-
-        def counted(batch):
-            solved.append(len(batch.masks))
-            return top_eigenvalues(batch)
-
-        MaskBatch.top_eigenvalues = counted
-        try:
-            assert _prefilter_spot_check(n, thr) == out
-        finally:
-            MaskBatch.top_eigenvalues = top_eigenvalues
-        draws = min(max((1 << n * (n - 1) // 2) // 100, 100), 20000)
-        print(f"prefilter spot check n={n}: {draws} draws, {out['skipped_sampled']} "
-              f"skipped by the degree filters, {sum(solved)} eigensolved")
-        print(f"  {statistics.median(times) * 1e3:8.2f} ms a call (median of {calls})")
-        assert out["passed"], out
+            kernels.degree_skips, chosen = impl.degree_skips, kernels.degree_skips
+            try:
+                calls, _, out = repeat_for(min_seconds, one_call)
+            finally:
+                kernels.degree_skips = chosen
+            print(f"  {label:9s} {statistics.median(times) * 1e3:8.2f} ms a call "
+                  f"(median of {calls})")
+            assert out["passed"] and out["skipped_sampled"] == skipped, out
+            outs.append(out)
+        assert all(out == outs[0] for out in outs), outs
 
 
 def cold_caches():
@@ -499,7 +502,7 @@ def main() -> None:
     bench_detector(impls)
     bench_row_searches(impls)
     bench_perron_order(impls)
-    bench_spot_check()
+    bench_spot_check(impls)
     bench_tie_tail(6)
     bench_tie_tail(7)
     bench_tie_tail(8)

@@ -14,12 +14,14 @@
  * ratio max_i (Mx)_i / x_i bounds the top eigenvalue from above, the
  * Rayleigh quotient from below.
  *
- * Only classify takes edge bitmasks, to name its range: bit b is the pair
- * (i, j), i < j, in the order (0,1), (0,2), (1,2), ... (graphs.index_pairs),
- * so row j of a mask, its bits [C(j,2), C(j+1,2)), holds the edges from j
- * down to 0..j-1. classify visits only the degree-sorted masks, those with
- * d(0) >= d(1) >= ... >= d(n-1) >= 1, by a depth-first search that fixes
- * the rows from n-1 down, and counts each with its weight n! / prod_d m_d!
+ * classify takes edge bitmasks to name its range, and degree_skips, which
+ * runs classify's degree filter for the prefilter spot check, a list of
+ * them: bit b is the pair (i, j), i < j, in the order (0,1), (0,2), (1,2),
+ * ... (graphs.index_pairs), so row j of a mask, its bits [C(j,2),
+ * C(j+1,2)), holds the edges from j down to 0..j-1. classify visits only
+ * the degree-sorted masks, those with d(0) >= d(1) >= ... >= d(n-1) >= 1,
+ * by a depth-first search that fixes the rows from n-1 down, and counts
+ * each with its weight n! / prod_d m_d!
  * (m_d vertices of degree d): the labeled graphs of its degree multiset
  * that relabelling it onto each arrangement of its degrees gives. Every
  * count a sweep makes is invariant under relabelling, so the weighted counts
@@ -99,10 +101,30 @@ static int q_side(int n, const uint64_t *adj, const int *degs, double lo_cut,
     return 0;
 }
 
+/* Whether a degree bound puts the index below cut: q <= 2 max degree, and
+ * q <= max over edges ij of d(i) + d(j). The degrees need not be sorted. */
+static int degree_skip(int n, const uint64_t *adj, const int *degs, double cut)
+{
+    int top = 0, esum = 0;
+    for (int i = 0; i < n; i++)
+        if (degs[i] > top)
+            top = degs[i];
+    if (2.0 * top < cut)
+        return 1;
+    for (int i = 0; i < n; i++) /* each edge once, from its lower end */
+        for (uint64_t up = adj[i] & ~(((uint64_t)2 << i) - 1); up; up &= up - 1) {
+            int d = degs[i] + degs[lowest_bit(up)];
+            if (d > esum)
+                esum = d;
+        }
+    return esum < cut;
+}
+
 /* -- argument checks --------------------------------------------------------
  * A sweep's n lies in 1..MAXN and its range in 0 <= lo <= hi <= 2^C(n,2),
- * rows are those of a simple graph and chord counts are ints >= 1; anything
- * else raises ValueError (TypeError for a wrong type), as in _sweep_py. */
+ * listed masks in [0, 2^C(n,2)), rows are those of a simple graph and chord
+ * counts are ints >= 1; cuts are numbers, not NaN. Anything else raises
+ * ValueError (TypeError for a wrong type), as in _sweep_py. */
 
 static int parse_n(PyObject *arg, int *n)
 {
@@ -661,16 +683,7 @@ static int classify_leaf(sorted_sweep *s, uint64_t mask)
     const int *degs = s->degs;
     long long weight = arrangements(n, degs);
     s->no_isolated += weight;
-    if (2.0 * degs[0] < s->lo_cut) /* q <= 2 max degree */
-        return 0;
-    int esum = 0; /* q <= max over edges ij of d(i) + d(j) */
-    for (int i = 0; i < n; i++) /* each edge once, from its lower end */
-        for (uint64_t up = adj[i] & ~(((uint64_t)2 << i) - 1); up; up &= up - 1) {
-            int d = degs[i] + degs[lowest_bit(up)];
-            if (d > esum)
-                esum = d;
-        }
-    if (esum < s->lo_cut)
+    if (degree_skip(n, adj, degs, s->lo_cut))
         return 0;
     int side = q_side(n, adj, degs, s->lo_cut, s->hi_cut);
     if (side < 0)
@@ -795,6 +808,93 @@ static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t narg
     return rest ? Py_BuildValue("(LLN)", no_isolated, hits, rest) : NULL;
 }
 
+/* -- degree skips of labeled masks ------------------------------------------ */
+
+/* Of the labeled masks, the graphs without isolated vertices that
+ * degree_skip drops at cut: how many, and those, in draw order, whose
+ * Collatz-Wielandt bound U = max_v (Qd)_v / d_v at the degree vector d
+ * reaches L*, the first largest Rayleigh bound d'Qd / d'd among them by
+ * float quotient, (Qd)_v = d_v^2 + the sum of v's neighbour degrees. U and
+ * L* are compared as fractions, by cross-multiplication. See
+ * _sweep_py.degree_skips. */
+static PyObject *degree_skips(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    int n, degs[MAXN];
+    uint64_t adj[MAXN], mask;
+    double cut, best = 0.0;
+    long long best_dqd = 0, best_dd = 1;
+    if (check_nargs("degree_skips", nargs, 3) || parse_n(args[0], &n) ||
+        parse_double(args[2], &cut))
+        return NULL;
+    if (isnan(cut))
+        return PyErr_Format(PyExc_ValueError, "cut is NaN");
+    if (!PyList_Check(args[1]))
+        return PyErr_Format(PyExc_TypeError, "masks must be a list, got %.200s",
+                            Py_TYPE(args[1])->tp_name);
+    /* ints only: reading one runs no Python code that could change the list */
+    Py_ssize_t count = PyList_GET_SIZE(args[1]), skipped = 0, candidates = 0;
+    typedef struct { uint64_t mask; long long num, den; } skip; /* U = num / den */
+    skip *skips = malloc(count ? count * sizeof *skips : 1);
+    if (skips == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *item = PyList_GET_ITEM(args[1], i);
+        if (!PyLong_Check(item)) {
+            PyErr_Format(PyExc_TypeError, "mask %zd is not an int: %R", i, item);
+            goto fail;
+        }
+        if (parse_bounded(item, mask_count(n) - 1, "mask", &mask))
+            goto fail;
+        /* row j of the mask, its bits [C(j,2), C(j+1,2)), holds the edges
+         * from j down to 0..j-1 */
+        adj[0] = 0;
+        for (int j = 1; j < n; j++) {
+            uint64_t r = mask >> (j * (j - 1) / 2) & (((uint64_t)1 << j) - 1);
+            for (adj[j] = r; r; r &= r - 1)
+                adj[lowest_bit(r)] |= (uint64_t)1 << j;
+        }
+        int isolated = 0;
+        for (int v = 0; v < n; v++)
+            isolated |= (degs[v] = popcount(adj[v])) == 0;
+        if (isolated || !degree_skip(n, adj, degs, cut))
+            continue;
+        long long dqd = 0, dd = 0, num = 0, den = 1;
+        for (int v = 0; v < n; v++) {
+            long long qd = (long long)degs[v] * degs[v];
+            for (uint64_t nb = adj[v]; nb; nb &= nb - 1)
+                qd += degs[lowest_bit(nb)];
+            dqd += degs[v] * qd;
+            dd += (long long)degs[v] * degs[v];
+            if (qd * den > num * degs[v]) {
+                num = qd;
+                den = degs[v];
+            }
+        }
+        if (skipped == 0 || (double)dqd / dd > best) {
+            best = (double)dqd / dd;
+            best_dqd = dqd;
+            best_dd = dd;
+        }
+        skips[skipped++] = (skip){mask, num, den};
+    }
+    for (Py_ssize_t i = 0; i < skipped; i++) /* U >= L*, in place */
+        if (skips[i].num * best_dd >= best_dqd * skips[i].den)
+            skips[candidates++] = skips[i];
+    PyObject *out = PyList_New(candidates);
+    for (Py_ssize_t i = 0; out != NULL && i < candidates; i++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(skips[i].mask);
+        if (m == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, i, m);
+    }
+    free(skips);
+    return out ? Py_BuildValue("(nN)", skipped, out) : NULL;
+fail:
+    free(skips);
+    return NULL;
+}
+
 /* -- module ---------------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
@@ -809,6 +909,10 @@ static PyMethodDef methods[] = {
      "Sort the degree-sorted edge bitmasks in [lo, hi) by index against two\n"
      "cuts, with weighted counts; test is (name, k) or None. The pass\n"
      "releases the GIL. See _sweep_py.classify."},
+    {"degree_skips", (PyCFunction)(void (*)(void))degree_skips, METH_FASTCALL,
+     "degree_skips(n, masks, cut) -> (skipped, candidates)\n\n"
+     "Count the labeled masks classify's degree filter skips at cut, and\n"
+     "list those that can hold their largest index; see _sweep_py."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_FASTCALL,
      "longest_cycle(rows) -> (length, cycle) or None\n\n"
      "The first longest cycle in search order; see chords.longest_cycle."},

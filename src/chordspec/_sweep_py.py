@@ -3,9 +3,11 @@
 Mirrors the compiled extension's interface. The pass over a mask range
 (classify, with a chord test or None) visits the degree-sorted masks of the
 range by the compiled kernel's depth-first search and counts each with its
-weight; the per-graph calls take adjacency rows and defer to the reference
-searchers in chords.py, and perron_order certifies numpy ``eigh``'s top pair
-by the rule the compiled kernel applies to its Jacobi pair.
+weight; degree_skips applies classify's degree filter (``_degree_skip``) to
+a list of labeled masks; the per-graph calls take adjacency rows and defer
+to the reference searchers in chords.py, and perron_order certifies numpy
+``eigh``'s top pair by the rule the compiled kernel applies to its Jacobi
+pair.
 
 Soundness contract: a graph may only be dropped when its signless Laplacian
 index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
@@ -17,12 +19,13 @@ block, and a cut decides only when the index clears it by CUT_MARGIN.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 
 import numpy as np
 
 from . import chords
-from .graphs import Graph, arrangement_count, bits_to_vertices
+from .graphs import Graph, arrangement_count, bits_to_vertices, graph_from_mask
 from .spectral import q_indices, signless_laplacian
 
 IS_COMPILED = False
@@ -86,9 +89,7 @@ def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
     for mask, rows, degs in _sorted_graphs(n, lo, hi):
         weight = arrangement_count(degs)
         no_isolated += weight
-        # q <= 2 max degree, and q <= max over edges ij of d(i) + d(j)
-        if 2 * degs[0] < lo_cut or max(
-                degs[i] + degs[j] for i in range(n) for j in bits_to_vertices(rows[i])) < lo_cut:
+        if _degree_skip(n, rows, degs, lo_cut):
             continue
         pending.append((mask, Graph(n, rows), weight))
         if len(pending) == _BLOCK:
@@ -96,6 +97,48 @@ def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
     if pending:
         decide_pending()
     return no_isolated, hits, rest
+
+
+def _degree_skip(n: int, rows, degs, cut) -> bool:
+    """Whether a degree bound puts the index below cut: q <= 2 max degree,
+    and q <= max over edges ij of d(i) + d(j). The degrees need not be
+    sorted; the graph needs an edge."""
+    return 2 * max(degs) < cut or max(
+        degs[i] + degs[j] for i in range(n) for j in bits_to_vertices(rows[i])) < cut
+
+
+def degree_skips(n: int, masks: list, cut: float) -> tuple[int, list[int]]:
+    """(how many, the candidates) of the labeled edge bitmasks whose graph
+    has no isolated vertex and is skipped by classify's degree filter at
+    cut. The candidates are those masks, in draw order, whose
+    Collatz-Wielandt bound U = max_v (Qd)_v / d_v at the degree vector d
+    reaches L*, the first largest Rayleigh bound d'Qd / d'd among them by
+    float quotient, (Qd)_v = d_v^2 + the sum of v's neighbour degrees: every
+    other one has q <= U < L* <= the index of the graph at L*. ValueError
+    for n outside 1..MAXN, a mask outside [0, 2^C(n,2)) or a NaN cut,
+    TypeError when masks is not a list of ints."""
+    if not 1 <= n <= MAXN:
+        raise ValueError(f"kernels support 1..{MAXN} vertices, got {n}")
+    if math.isnan(cut):
+        raise ValueError("cut is NaN")
+    if not isinstance(masks, list):
+        raise TypeError(f"masks must be a list, got {type(masks).__name__}")
+    skipped = []  # (mask, degrees, Qd) of each skipped graph, in draw order
+    best = None  # (L*, its d'Qd, its d'd)
+    for mask in masks:
+        if not isinstance(mask, int):  # as the compiled kernel, which reads ints only
+            raise TypeError(f"mask is not an int: {mask!r}")
+        rows = graph_from_mask(n, mask).rows  # GraphError is a ValueError
+        degs = [row.bit_count() for row in rows]
+        if min(degs) == 0 or not _degree_skip(n, rows, degs, cut):
+            continue
+        qd = [d * d + sum(degs[u] for u in bits_to_vertices(row)) for d, row in zip(degs, rows)]
+        dqd, dd = sum(map(operator.mul, degs, qd)), sum(d * d for d in degs)
+        if best is None or dqd / dd > best[0]:
+            best = dqd / dd, dqd, dd
+        skipped.append((mask, degs, qd))
+    return len(skipped), [mask for mask, degs, qd in skipped
+                          if any(x * best[2] >= best[1] * d for d, x in zip(degs, qd))]
 
 
 @functools.cache

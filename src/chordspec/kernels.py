@@ -7,8 +7,11 @@ found by a pruned depth-first search over the rows of the mask, that drops
 the graphs provably below a cut and counts those provably above it that
 pass a chord test (or none, given no test), each counted with its weight
 n! / prod_d m_d! (m_d vertices of degree d), the labeled graphs it stands
-for, and that lists the sorted masks it leaves; and, on one graph's
-adjacency rows (up to 64 vertices), the chord tests
+for, and that lists the sorted masks it leaves; ``degree_skips``, which
+applies classify's degree filter to a list of labeled masks and returns how
+many graphs it skips and the skipped masks that can hold their largest
+index (the prefilter spot check's re-check of that filter); and, on one
+graph's adjacency rows (up to 64 vertices), the chord tests
 ``apex_has_config`` (k chords at one cycle vertex) and ``chorded_has`` (a
 cycle with at least min_chords chords, which tries the apex search first
 for min_chords <= 3), the searches ``longest_cycle`` and
@@ -118,6 +121,7 @@ IS_COMPILED: bool = _impl.IS_COMPILED
 apex_has_config = _impl.apex_has_config
 chorded_has = _impl.chorded_has
 classify = _impl.classify
+degree_skips = _impl.degree_skips
 longest_cycle = _impl.longest_cycle
 max_path_order = _impl.max_path_order
 perron_order = _impl.perron_order

@@ -4,27 +4,23 @@ characteristic polynomials.
 
 Numeric route: one dense symmetric eigensolve (numpy ``eigh``) per connected
 component; the Perron vector is the absolute value of the top eigenvector,
-which is simple on a connected component. ``MaskBatch`` is the batched form
-for many labeled graphs of one order given as edge bitmasks: degrees, the
-edge-degree-sum bound, the integer Collatz-Wielandt and Rayleigh bounds at
-the degree vector, stacked Q and one batched ``eigvalsh``, as numpy
-arrays; the verifier's prefilter spot check uses it. ``q_indices`` is the
-batched index of graphs given as ``Graph`` values, of any orders: one
-batched ``eigvalsh`` per order over Q stacked from the adjacency rows, as
+which is simple on a connected component. ``q_indices`` is the batched
+index of graphs given as ``Graph`` values, of any orders: one batched
+``eigvalsh`` per order over Q stacked from the adjacency rows, as
 ``signless_laplacian`` builds it; the python sweep kernel uses it for the
 graphs its degree bounds keep, and the verifier for every index that only
 needs its float value (the masks the sweep kernel leaves for the exact
-rules, the appendix fixtures, the property suite's lemmas). Exact route: integer characteristic polynomials by the
-Faddeev-LeVerrier recurrence, for many matrices at once
-(``charpoly_int_matrices``: one loop per matrix size over the stacked
-matrices, in int64 where a proven bound rules out overflow, else on Python
-ints), and Sturm-chain root isolation, used to resolve orderings that floats
-cannot.
+rules, the graphs the prefilter spot check re-checks, the appendix
+fixtures, the property suite's lemmas). Exact route: integer
+characteristic polynomials by the Faddeev-LeVerrier recurrence, for many
+matrices at once (``charpoly_int_matrices``: one loop per matrix size over
+the stacked matrices, in int64 where a proven bound rules out overflow, else
+on Python ints), and Sturm-chain root isolation, used to resolve orderings
+that floats cannot.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, bits_to_vertices, index_pairs
+from .graphs import Graph, GraphError, bits_to_vertices
 from .polynomials import (
     EQUAL,
     GREATER,
@@ -108,94 +104,6 @@ def q_indices(graphs: Sequence[Graph]) -> list[float]:
         for t, q in zip(slots, np.linalg.eigvalsh(stack)[:, -1].tolist()):
             out[t] = q
     return out
-
-
-@functools.cache
-def _edge_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two end vertices of every edge slot of order n, as index arrays,
-    and the (slot, vertex) incidence matrix; read-only, as they are shared."""
-    pairs = index_pairs(n)
-    i = np.array([u for u, _ in pairs], dtype=np.intp)
-    j = np.array([v for _, v in pairs], dtype=np.intp)
-    slots = np.arange(len(pairs))
-    incident = np.zeros((len(pairs), n), dtype=np.int64)
-    incident[slots, i] = incident[slots, j] = 1
-    for a in (i, j, incident):
-        a.setflags(write=False)
-    return i, j, incident
-
-
-@dataclass(frozen=True, eq=False)
-class MaskBatch:
-    """Labeled graphs of order n given by edge bitmasks, as numpy arrays.
-
-    Bit b of a mask is the edge ``index_pairs(n)[b]``, as in
-    ``graphs.graph_from_mask``. ``bits`` is (k, C(n,2)) and ``degrees`` is
-    (k, n), one row per mask; ``batch[keep]`` selects rows without
-    recomputing them.
-    """
-
-    n: int
-    masks: np.ndarray
-    bits: np.ndarray
-    degrees: np.ndarray
-
-    @classmethod
-    def of(cls, n: int, masks) -> "MaskBatch":
-        masks = np.asarray(masks, dtype=np.int64)
-        i, _, incident = _edge_slots(n)
-        bits = (masks[:, None] >> np.arange(len(i))) & 1
-        return cls(n, masks, bits, bits @ incident)
-
-    def __getitem__(self, keep) -> "MaskBatch":
-        return MaskBatch(self.n, self.masks[keep], self.bits[keep], self.degrees[keep])
-
-    def _edge_degree_sums(self) -> np.ndarray:
-        """d(u) + d(v) at each edge slot uv that holds an edge, 0 at the
-        others: (k, C(n,2))."""
-        i, j, _ = _edge_slots(self.n)
-        return (self.degrees[:, i] + self.degrees[:, j]) * self.bits
-
-    def max_edge_degree_sums(self) -> np.ndarray:
-        """Max over the edges uv of d(u) + d(v), an upper bound on q; 0 for
-        an edgeless graph."""
-        return self._edge_degree_sums().max(axis=1, initial=0)
-
-    def degree_cut(self, cut: float) -> tuple[np.ndarray, np.ndarray]:
-        """(no_isolated, reach): the rows whose graph has no isolated vertex,
-        and those of them whose degree bounds on q, 2 max degree and the
-        largest edge-degree sum, both reach cut. A graph of the first set
-        outside the second has q < cut."""
-        no_isolated = self.degrees.min(axis=1) >= 1
-        reach = no_isolated & (2 * self.degrees.max(axis=1) >= cut)
-        if reach.any():
-            reach &= self.max_edge_degree_sums() >= cut
-        return no_isolated, reach
-
-    def degree_vector_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Qd, d'Qd, d'd): the integers of two bounds on q at the degree
-        vector d, which is positive when no vertex is isolated. Qd is (k, n):
-        (Qd)_v = d_v^2 + S_v, with S_v the sum of v's neighbour degrees, so
-        q <= max_v (Qd)_v / d_v (Collatz-Wielandt, the eta bound). d'Qd is
-        the sum over the edges uv of (d_u + d_v)^2 and d'd the sum of the
-        d_v^2, so q >= d'Qd / d'd (Rayleigh)."""
-        _, _, incident = _edge_slots(self.n)
-        sums = self._edge_degree_sums()
-        return (sums @ incident, (sums * sums).sum(axis=1),
-                (self.degrees * self.degrees).sum(axis=1))
-
-    def signless_laplacians(self) -> np.ndarray:
-        """The stacked Q = A + D, (k, n, n) integers."""
-        i, j, _ = _edge_slots(self.n)
-        diag = np.arange(self.n)
-        q = np.zeros((len(self.masks), self.n, self.n), dtype=np.int64)
-        q[:, i, j] = q[:, j, i] = self.bits
-        q[:, diag, diag] = self.degrees
-        return q
-
-    def top_eigenvalues(self) -> np.ndarray:
-        """The index q of every graph, from one batched ``eigvalsh``."""
-        return np.linalg.eigvalsh(self.signless_laplacians())[:, -1]
 
 
 def _eta_counts(g: Graph, v: int) -> tuple[int, int, int]:
@@ -374,7 +282,6 @@ __all__ = [
     "EQUAL",
     "GREATER",
     "LESS",
-    "MaskBatch",
     "SpectralResult",
     "charpoly_graph",
     "charpoly_int_matrices",

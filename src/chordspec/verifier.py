@@ -33,8 +33,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-import numpy as np
-
 from . import chords, kernels, spectral
 from .appendix import (
     FIXTURES,
@@ -76,7 +74,6 @@ from .graphs import (
 )
 from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
 from .spectral import (
-    MaskBatch,
     charpoly_int_matrices,
     max_eta,
     perron_root,
@@ -252,42 +249,30 @@ def _order(g: Graph, qg: float, h: Graph, qh: float, exact: bool = True) -> int:
     return q_exact_compare(g, h) if exact else EQUAL
 
 
+def _spot_check_draws(n: int, seed: int = 20240601) -> list[int]:
+    """The labeled masks the prefilter spot check draws at order n, by
+    ``randrange``: 1% of the 2^C(n,2), at least 100 and at most 20,000."""
+    total = 1 << n * (n - 1) // 2
+    rng = random.Random(seed)
+    return [rng.randrange(total) for _ in range(min(max(total // 100, 100), 20000))]
+
+
 def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
     """Re-check a seeded sample of cheaply skipped graphs by full eigenvalue
     computation: everything the 2*maxdeg / edge-degree-sum filters drop must
     really sit below the threshold. Reports the skipped graphs drawn and
-    their largest index.
-
-    Only the skipped graphs that can hold that largest index are
-    eigensolved, in one batch. At the degree vector d, which is positive, q
-    lies between the Rayleigh bound L = d'Qd / d'd and the Collatz-Wielandt
-    bound U = max_v (d_v^2 + S_v) / d_v, S_v the sum of v's neighbour
-    degrees, both ratios of integers. With L* the largest L of the skipped
-    graphs, attained by some g*, a graph with U < L* (compared by
-    cross-multiplication) has q <= U < L* <= q(g*), so it neither holds
-    the maximum nor reaches a threshold that the maximum stays below; g*
-    and every graph that can reach the maximum are eigensolved. The bound
-    needs only that L* is the L of one skipped graph, so taking the largest
-    by float quotients is sound. eigvalsh decides each matrix on its own,
-    so the maximum is the float a solve over every skipped graph gives."""
-    total = 1 << n * (n - 1) // 2
-    rng = random.Random(seed)
-    sample = min(max(total // 100, 100), 20000)
-    batch = MaskBatch.of(n, [rng.randrange(total) for _ in range(sample)])
-    no_isolated, reach = batch.degree_cut(thr)
-    skipped = batch[no_isolated & ~reach]
-    top = np.empty(0)
-    if len(skipped.masks):
-        qd, num, den = skipped.degree_vector_bounds()
-        best = np.argmax(num / den)
-        # U >= L* at some v: (Qd)_v den* >= num* d_v
-        can_reach = (qd * den[best] >= num[best] * skipped.degrees).any(axis=1)
-        top = skipped[can_reach].top_eigenvalues()
+    their largest index. The kernel that ran the sweep applies its own
+    degree filter to the draws (``kernels.degree_skips``) and returns the
+    skipped graphs that can hold their largest index; only those are
+    eigensolved, in one batch. eigvalsh decides each matrix on its own, so
+    the maximum is the float a solve over every skipped graph gives."""
+    skipped, candidates = kernels.degree_skips(n, _spot_check_draws(n, seed), thr)
+    top = q_indices([graph_from_mask(n, mask) for mask in candidates])
     return {
         "name": "prefilter_spot_check",
-        "passed": bool((top < thr).all()),
-        "skipped_sampled": len(skipped.masks),
-        "max_q_among_skipped": round(float(top.max()), 9) if len(top) else None,
+        "passed": all(q < thr for q in top),
+        "skipped_sampled": skipped,
+        "max_q_among_skipped": round(max(top), 9) if top else None,
     }
 
 

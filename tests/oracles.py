@@ -12,11 +12,16 @@ bisection code with the integer routines under test.
 ``oracle_prefilter_spot_check`` and ``oracle_charpoly_int_matrix`` are the
 earlier per-graph and nested-list forms of the verifier's spot check and of
 ``spectral.charpoly_int_matrix``, kept as references for the batched ones;
-``oracle_spot_check_solving_all`` is the earlier batched spot check, which
-eigensolves every skipped graph, and ``oracle_degree_vector_bounds`` the
-Collatz-Wielandt and Rayleigh bounds at the degree vector in ``Fraction``
-arithmetic, the references for the spot check that eigensolves only the
-graphs those bounds cannot put below the sample's maximum;
+``MaskBatch`` holds labeled graphs of one order given as edge bitmasks as
+numpy arrays (degrees, the degree filters, the integer bounds at the degree
+vector, stacked Q and one batched ``eigvalsh``), the earlier numpy form of
+the spot check's degree filter and the reference for
+``kernels.degree_skips``; ``oracle_spot_check_solving_all`` is the earlier
+batched spot check on it, which eigensolves every skipped graph, and
+``oracle_degree_vector_bounds`` the Collatz-Wielandt and Rayleigh bounds at
+the degree vector in ``Fraction`` arithmetic, the references for the spot
+check that eigensolves only the graphs those bounds cannot put below the
+sample's maximum;
 ``oracle_signless_laplacian`` and ``oracle_quotient_matrix`` are the earlier
 per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
 ``spectral.quotient_matrix``; ``oracle_q_index`` is the earlier form of
@@ -46,8 +51,10 @@ exact roots and are not themselves under test.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
@@ -58,7 +65,7 @@ from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.graphs import Graph, graph_from_mask, index_pairs, make_graph
 from chordspec import polynomials
 from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
-from chordspec.spectral import MaskBatch, SpectralResult, q_index, signless_laplacian
+from chordspec.spectral import SpectralResult, q_index, signless_laplacian
 
 
 def cycles_by_permutation(g: Graph):
@@ -539,6 +546,94 @@ def oracle_prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dic
         "skipped_sampled": checked,
         "max_q_among_skipped": None if checked == 0 else round(worst, 9),
     }
+
+
+@functools.cache
+def _edge_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two end vertices of every edge slot of order n, as index arrays,
+    and the (slot, vertex) incidence matrix; read-only, as they are shared."""
+    pairs = index_pairs(n)
+    i = np.array([u for u, _ in pairs], dtype=np.intp)
+    j = np.array([v for _, v in pairs], dtype=np.intp)
+    slots = np.arange(len(pairs))
+    incident = np.zeros((len(pairs), n), dtype=np.int64)
+    incident[slots, i] = incident[slots, j] = 1
+    for a in (i, j, incident):
+        a.setflags(write=False)
+    return i, j, incident
+
+
+@dataclass(frozen=True, eq=False)
+class MaskBatch:
+    """Labeled graphs of order n given by edge bitmasks, as numpy arrays.
+
+    Bit b of a mask is the edge ``index_pairs(n)[b]``, as in
+    ``graphs.graph_from_mask``. ``bits`` is (k, C(n,2)) and ``degrees`` is
+    (k, n), one row per mask; ``batch[keep]`` selects rows without
+    recomputing them.
+    """
+
+    n: int
+    masks: np.ndarray
+    bits: np.ndarray
+    degrees: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, masks) -> "MaskBatch":
+        masks = np.asarray(masks, dtype=np.int64)
+        i, _, incident = _edge_slots(n)
+        bits = (masks[:, None] >> np.arange(len(i))) & 1
+        return cls(n, masks, bits, bits @ incident)
+
+    def __getitem__(self, keep) -> "MaskBatch":
+        return MaskBatch(self.n, self.masks[keep], self.bits[keep], self.degrees[keep])
+
+    def _edge_degree_sums(self) -> np.ndarray:
+        """d(u) + d(v) at each edge slot uv that holds an edge, 0 at the
+        others: (k, C(n,2))."""
+        i, j, _ = _edge_slots(self.n)
+        return (self.degrees[:, i] + self.degrees[:, j]) * self.bits
+
+    def max_edge_degree_sums(self) -> np.ndarray:
+        """Max over the edges uv of d(u) + d(v), an upper bound on q; 0 for
+        an edgeless graph."""
+        return self._edge_degree_sums().max(axis=1, initial=0)
+
+    def degree_cut(self, cut: float) -> tuple[np.ndarray, np.ndarray]:
+        """(no_isolated, reach): the rows whose graph has no isolated vertex,
+        and those of them whose degree bounds on q, 2 max degree and the
+        largest edge-degree sum, both reach cut. A graph of the first set
+        outside the second has q < cut."""
+        no_isolated = self.degrees.min(axis=1) >= 1
+        reach = no_isolated & (2 * self.degrees.max(axis=1) >= cut)
+        if reach.any():
+            reach &= self.max_edge_degree_sums() >= cut
+        return no_isolated, reach
+
+    def degree_vector_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Qd, d'Qd, d'd): the integers of two bounds on q at the degree
+        vector d, which is positive when no vertex is isolated. Qd is (k, n):
+        (Qd)_v = d_v^2 + S_v, with S_v the sum of v's neighbour degrees, so
+        q <= max_v (Qd)_v / d_v (Collatz-Wielandt, the eta bound). d'Qd is
+        the sum over the edges uv of (d_u + d_v)^2 and d'd the sum of the
+        d_v^2, so q >= d'Qd / d'd (Rayleigh)."""
+        _, _, incident = _edge_slots(self.n)
+        sums = self._edge_degree_sums()
+        return (sums @ incident, (sums * sums).sum(axis=1),
+                (self.degrees * self.degrees).sum(axis=1))
+
+    def signless_laplacians(self) -> np.ndarray:
+        """The stacked Q = A + D, (k, n, n) integers."""
+        i, j, _ = _edge_slots(self.n)
+        diag = np.arange(self.n)
+        q = np.zeros((len(self.masks), self.n, self.n), dtype=np.int64)
+        q[:, i, j] = q[:, j, i] = self.bits
+        q[:, diag, diag] = self.degrees
+        return q
+
+    def top_eigenvalues(self) -> np.ndarray:
+        """The index q of every graph, from one batched ``eigvalsh``."""
+        return np.linalg.eigvalsh(self.signless_laplacians())[:, -1]
 
 
 def oracle_spot_check_solving_all(n: int, thr: float, seed: int = 20240601):

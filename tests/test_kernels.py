@@ -11,8 +11,10 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chordspec import _sweep_py, kernels
@@ -21,11 +23,19 @@ from chordspec.families import complete, extremal_graph, path
 from chordspec.graphs import arrangement_count, disjoint_union, graph_from_mask, make_graph
 from chordspec.polynomials import EQUAL
 from chordspec.spectral import q_index
-from chordspec.verifier import TIE_BAND, _without_isolated_vertices, verify_appendix
+from chordspec.verifier import (
+    TIE_BAND,
+    _spot_check_draws,
+    _threshold_constants,
+    _without_isolated_vertices,
+    verify_appendix,
+)
 from oracles import (
+    MaskBatch,
     cycles_by_dfs,
     oracle_apex_chords,
     oracle_classify_labeled,
+    oracle_degree_vector_bounds,
     oracle_longest_path_order,
     oracle_q,
     sorted_mask,
@@ -561,6 +571,84 @@ def test_classify_guards(impl):
     assert impl.classify(5, 7, 7, 5.0, 5.0, good) == (0, 0, [])
 
 
+def _oracle_degree_skips(n, masks, cut):
+    # the MaskBatch oracle's skip rule, then U >= L* in Fractions, with L*
+    # the first largest Rayleigh bound by float quotient
+    batch = MaskBatch.of(n, masks)
+    no_isolated, reach = batch.degree_cut(cut)
+    skipped = batch.masks[no_isolated & ~reach].tolist()
+    bounds = [oracle_degree_vector_bounds(graph_from_mask(n, mask)) for mask in skipped]
+    lstar = max((lower for _, lower in bounds), key=float, default=None)
+    return len(skipped), [mask for mask, (upper, _) in zip(skipped, bounds) if upper >= lstar]
+
+
+def _degree_skip_cases():
+    # every mask at orders 1..5; at orders 6..8, 1,500 seeded masks at edge
+    # densities 0.15, 0.5 and 0.85, in draw order with repeats
+    rng = random.Random(3141)
+    for n in range(1, 6):
+        yield n, list(range(1 << n * (n - 1) // 2)), (2.0, 3.0, 4.5, 6.0, 7.5)
+    for n in (6, 7, 8):
+        nbits = n * (n - 1) // 2
+        masks = []
+        for _ in range(1500):
+            p = rng.choice((0.15, 0.5, 0.85))
+            masks.append(sum(1 << b for b in range(nbits) if rng.random() < p))
+        masks += masks[:50]
+        thr = oracle_q(extremal_graph(n).graph)
+        yield n, masks, (thr, thr - 0.5, 7.0, 8.0)
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_degree_skips_match_the_oracle(impl):
+    # the skipped graphs are those without isolated vertices that the degree
+    # filter drops, and the candidates, in draw order, those whose
+    # Collatz-Wielandt bound reaches L*
+    seen = Counter()
+    for n, masks, cuts in _degree_skip_cases():
+        for cut in cuts:
+            got = impl.degree_skips(n, masks, cut)
+            assert got == _oracle_degree_skips(n, masks, cut), (n, cut)
+            seen[n >= 6] += 0 < len(got[1]) < got[0]
+    # at both sizes, cuts whose candidates are a proper part of the skipped
+    assert seen[False] >= 5 and seen[True] >= 5, seen
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_degree_skips_guards(impl):
+    # n in 1..11; a list of ints in [0, 2^C(n,2)); a cut that is a number
+    for n in (0, 12, -1):
+        with pytest.raises(ValueError):
+            impl.degree_skips(n, [0], 5.0)
+    for masks in ([-1], [1 << 10], [3, 1 << 70], [0, -(1 << 70)]):
+        with pytest.raises(ValueError):
+            impl.degree_skips(5, masks, 5.0)
+    with pytest.raises(ValueError):
+        impl.degree_skips(5, [1023], math.nan)
+    for masks in ((1023,), range(4), 1023, None):
+        with pytest.raises(TypeError):
+            impl.degree_skips(5, masks, 5.0)
+    for masks in ([1.0], [1023, "1"], [np.int64(1023)]):
+        with pytest.raises(TypeError):
+            impl.degree_skips(5, masks, 5.0)
+    with pytest.raises(TypeError):
+        impl.degree_skips(5, [1023], "5.0")
+    # the bounds are accepted: one vertex, the last mask of order 11, no
+    # masks; K5 (q = 8) is skipped only above 8, where it is the candidate
+    assert impl.degree_skips(1, [0], 5.0) == (0, [])
+    assert impl.degree_skips(11, [(1 << 55) - 1], 5.0) == (0, [])
+    assert impl.degree_skips(5, [], 5.0) == (0, [])
+    assert impl.degree_skips(5, [1023, 1023], 8.0) == (0, [])
+    assert impl.degree_skips(5, [1023, 1023], 8.5) == (2, [1023, 1023])
+    assert impl.degree_skips(5, [1023], math.inf) == (1, [1023])
+
+
 def test_kernel_benchmark_runs_on_order_5(capsys):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
@@ -571,8 +659,8 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # its Perron entry order bench on 200 graphs, whose asserts check each
     # decided sign against eigh, one pass of its order-6 and order-8 tie
     # tails, whose asserts check the verdicts, one call of its spot check
-    # at orders 6, 7 and 8, whose asserts check that the check passes and
-    # that its counted call gives the same result, one call each of its
+    # at orders 6, 7 and 8 through each kernel, whose asserts check that the
+    # check passes and that the kernels agree, one call each of its
     # order-6 CLI timings, whose asserts check the exit codes and verdicts,
     # one pass of its exact order-6 ties, which must reach the gcd, and
     # expand its appendix templates at orders 7..8
@@ -598,12 +686,14 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     out = capsys.readouterr().out
     for task in ("theorem", "corollary"):
         assert f"{task} tie tail n=8: 1260 masks in 31 sorted" in out, out
-    bench.bench_spot_check(min_seconds=0)
+    bench.bench_spot_check(IMPLEMENTATIONS, min_seconds=0)
     out = capsys.readouterr().out
     for n, draws, skipped, solved in ((6, 327, 242, 5), (7, 20000, 9357, 184),
                                       (8, 20000, 7632, 314)):
         assert (f"spot check n={n}: {draws} draws, {skipped} skipped by the degree "
                 f"filters, {solved} eigensolved") in out, out
+    for label, _ in IMPLEMENTATIONS:
+        assert out.count(f"  {label} ") == 3, out
     bench.bench_cli(min_seconds=0)
     out = capsys.readouterr().out
     assert re.fullmatch(r"cli verify theorem --n 6: first call [0-9.]+ ms, later calls "
@@ -771,15 +861,18 @@ def test_max_path_order(impl):
 
 # -- the compiled kernel under the undefined-behaviour sanitizer ------------------
 
-# Loads the kernel built at argv[1] and prints what each call of argv[2]
-# returns, or the name of the error it raises; a call named "interleaved" is
-# _interleaved over the kernel's classify.
+# Loads the kernel built at argv[1] and prints what each call listed in the
+# file argv[2], one (name, args) a line, returns, or the name of the error it
+# raises; a call named "interleaved" is _interleaved over the kernel's
+# classify. The spot check's draws are too long for one argument, and a line
+# at a time keeps the parse small.
 SANITIZED_CHILD = inspect.getsource(_interleaved) + """
 import ast, importlib.util, sys
 spec = importlib.util.spec_from_file_location("_sweep", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
-for name, args in ast.literal_eval(sys.argv[2]):
+for line in open(sys.argv[2]):
+    name, args = ast.literal_eval(line)
     call = (lambda *a: _interleaved(kernel.classify, *a)) if name == "interleaved" \
         else getattr(kernel, name)
     try:
@@ -811,7 +904,18 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
     # graphs the Jacobi eigensolve runs on, up to its 16 vertices
     for rows in (path(16).rows, complete(7).rows, extremal_graph(10).graph.rows):
         calls.append(("perron_order", (rows, 0, 5)))
-    runs = [_python(SANITIZED_CHILD, path, repr(calls))
+    # the spot check's own draws at the theorem's thresholds and 0.5 below,
+    # and the bad inputs
+    for n in (6, 7, 8):
+        thr = _threshold_constants(n)[1]
+        for cut in (thr, thr - 0.5):
+            calls.append(("degree_skips", (n, _spot_check_draws(n), cut)))
+    for args in ((12, [0], 5.0), (5, [-1], 5.0), (5, [1 << 10], 5.0), (5, (0,), 5.0),
+                 (11, [(1 << 55) - 1], 5.0)):
+        calls.append(("degree_skips", args))
+    listed = tmp_path / "calls.txt"
+    listed.write_text("".join(f"{call!r}\n" for call in calls))
+    runs = [_python(SANITIZED_CHILD, path, listed)
             for path in (so, Path(compiled.__file__))]
     (sanitized, sanitized_err), (regular, _) = [run.communicate(timeout=300) for run in runs]
     assert [run.returncode for run in runs] == [0, 0], sanitized_err

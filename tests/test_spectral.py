@@ -26,7 +26,6 @@ from chordspec.families import (
 from chordspec.graphs import disjoint_union, graph_from_mask, join, make_graph
 from chordspec.polynomials import EQUAL, GREATER, LESS
 from chordspec.spectral import (
-    MaskBatch,
     charpoly_graph,
     charpoly_int_matrices,
     charpoly_int_matrix,
@@ -41,6 +40,7 @@ from chordspec.spectral import (
 )
 from chordspec.verifier import _eta_violated
 from oracles import (
+    MaskBatch,
     count_roots_above,
     count_roots_in_interval,
     oracle_charpoly_int_matrix,

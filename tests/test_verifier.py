@@ -103,26 +103,45 @@ SPOT_CHECK_SOLVED = {6: 5, 7: 184, 8: 314}
 
 @SPOT_CHECK_CUTS
 def test_spot_check_eigensolves_every_graph_that_can_hold_the_maximum(monkeypatch, n, thr):
-    # against the check that eigensolves every skipped graph: the same
-    # result, every skipped graph at the maximum among those eigensolved,
-    # and the eigensolved ones exactly those whose Collatz-Wielandt bound U
-    # reaches L*, the largest Rayleigh bound L of the sample (both at the
-    # degree vector, in Fractions). A weaker prune (L* from a smaller L, or
-    # 2 max degree for U) eigensolves more graphs and fails here
+    # through each kernel twin's degree_skips, against the check that
+    # eigensolves every skipped graph: the same result, every skipped graph
+    # at the maximum among those eigensolved, and the eigensolved ones
+    # exactly the candidates, those whose Collatz-Wielandt bound U reaches
+    # L*, the largest Rayleigh bound L of the sample (both at the degree
+    # vector, in Fractions). A weaker prune (L* from a smaller L, or 2 max
+    # degree for U) eigensolves more graphs and fails here
     want, skipped = oracle_spot_check_solving_all(n, thr)
-    solved = []
-    top_eigenvalues = spectral.MaskBatch.top_eigenvalues
-    monkeypatch.setattr(spectral.MaskBatch, "top_eigenvalues",
-                        lambda batch: solved.extend(batch.masks.tolist()) or top_eigenvalues(batch))
-    assert _prefilter_spot_check(n, thr) == want
     assert skipped, "no skipped graph drawn"
     top = max(q for _, q in skipped)
-    assert {mask for mask, q in skipped if q >= top - 1e-9} <= set(solved)
     bounds = {mask: oracle_degree_vector_bounds(graph_from_mask(n, mask)) for mask, _ in skipped}
     lstar = max(lower for _, lower in bounds.values())
-    assert sorted(solved) == sorted(mask for mask, _ in skipped if bounds[mask][0] >= lstar)
-    if thr in (THR6, THR7, THR8):
-        assert len(solved) == SPOT_CHECK_SOLVED[n]
+    for _, impl in kernels.implementations():
+        solved = []
+
+        def counted(*args, impl=impl):
+            count, candidates = impl.degree_skips(*args)
+            solved.extend(candidates)
+            return count, candidates
+
+        monkeypatch.setattr(kernels, "degree_skips", counted)
+        assert _prefilter_spot_check(n, thr) == want
+        assert {mask for mask, q in skipped if q >= top - 1e-9} <= set(solved)
+        assert sorted(solved) == sorted(mask for mask, _ in skipped if bounds[mask][0] >= lstar)
+        if thr in (THR6, THR7, THR8):
+            assert len(solved) == SPOT_CHECK_SOLVED[n]
+
+
+def test_spot_check_sees_the_degree_filter_that_ran(monkeypatch):
+    # the python twin's degree filter, loosened to skip every graph whose
+    # degree bounds stay below two above the cut, skips graphs above the
+    # threshold: the spot check, which runs that filter, must then fail
+    monkeypatch.setattr(kernels, "degree_skips", _sweep_py.degree_skips)
+    assert _prefilter_spot_check(6, THR6)["passed"]
+    skip = _sweep_py._degree_skip
+    monkeypatch.setattr(_sweep_py, "_degree_skip",
+                        lambda n, rows, degs, cut: skip(n, rows, degs, cut + 2))
+    got = _prefilter_spot_check(6, THR6)
+    assert not got["passed"] and got["max_q_among_skipped"] >= THR6, got
 
 
 def test_report_json_roundtrip_and_diff():
@@ -228,7 +247,8 @@ def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
     # the process and read by later runs. The leftover mask has the
     # threshold graph's own rows, so that isomorphism test and the exact
     # comparison of the threshold graph with itself are settled by
-    # equality, with no polynomial built
+    # equality, with no polynomial built. The spot check builds the graphs
+    # it eigensolves with graph_from_mask too
     verifier._threshold_constants.cache_clear()
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "apex_has_config", "find_k_chords_at_apex")
@@ -236,7 +256,7 @@ def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
         _reset(calls, tested, searched)
         assert verify_theorem_main(6).extremal_hits == 30
         assert calls == {"q_index": q_index_calls, "q_exact_compare": 1,
-                         "graph_from_mask": 1, "is_isomorphic": 1,
+                         "graph_from_mask": 1 + SPOT_CHECK_SOLVED[6], "is_isomorphic": 1,
                          "charpoly_int_matrix": 0}
         assert tested == [extremal_graph(6).graph.rows]
         assert searched == [extremal_graph(6).graph]
@@ -277,7 +297,8 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     # one test against the tie, and the rule's closing test with the
     # threshold graph (the corollary's ties, on the threshold, make one more).
     # The threshold's q_index call is made by the first run of the process
-    # only
+    # only. The theorem's spot check builds the graphs it eigensolves with
+    # graph_from_mask too
     _, thr, test, _ = verifier._sweep_rule(task, 8, {})
     searcher = {"theorem": "find_k_chords_at_apex", "corollary": "find_chorded_cycle"}[task]
     rest = verifier._sweep_classified(8, thr, test, 1)[2]
@@ -303,7 +324,8 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
         assert [g.degrees() for g in ruled] == [
             (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)]
         assert calls == {"q_index": q_index_calls, "q_exact_compare": 2,
-                         "graph_from_mask": 31,
+                         "graph_from_mask":
+                             31 + (SPOT_CHECK_SOLVED[8] if task == "theorem" else 0),
                          "is_isomorphic": 31 if task == "theorem" else 32,
                          "charpoly_int_matrix": 2}
         if task == "theorem":
