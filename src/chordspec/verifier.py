@@ -249,12 +249,15 @@ def _order(g: Graph, qg: float, h: Graph, qh: float, exact: bool = True) -> int:
     return q_exact_compare(g, h) if exact else EQUAL
 
 
-def _spot_check_draws(n: int, seed: int = 20240601) -> list[int]:
+@functools.cache
+def _spot_check_draws(n: int, seed: int = 20240601) -> tuple[int, ...]:
     """The labeled masks the prefilter spot check draws at order n, by
-    ``randrange``: 1% of the 2^C(n,2), at least 100 and at most 20,000."""
+    ``randrange``: 1% of the 2^C(n,2), at least 100 and at most 20,000. They
+    depend on (n, seed) alone, so each sample is drawn once per process, on
+    first use; only the sample is kept here, never a verdict."""
     total = 1 << n * (n - 1) // 2
     rng = random.Random(seed)
-    return [rng.randrange(total) for _ in range(min(max(total // 100, 100), 20000))]
+    return tuple(rng.randrange(total) for _ in range(min(max(total // 100, 100), 20000)))
 
 
 def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
@@ -265,8 +268,10 @@ def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
     degree filter to the draws (``kernels.degree_skips``) and returns the
     skipped graphs that can hold their largest index; only those are
     eigensolved, in one batch. eigvalsh decides each matrix on its own, so
-    the maximum is the float a solve over every skipped graph gives."""
-    skipped, candidates = kernels.degree_skips(n, _spot_check_draws(n, seed), thr)
+    the maximum is the float a solve over every skipped graph gives. The
+    sample is drawn once per process (``_spot_check_draws``); every call
+    checks it afresh at its own cut."""
+    skipped, candidates = kernels.degree_skips(n, list(_spot_check_draws(n, seed)), thr)
     top = q_indices([graph_from_mask(n, mask) for mask in candidates])
     return {
         "name": "prefilter_spot_check",

@@ -658,9 +658,10 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # order-6 sweep with 1 and 2 jobs, whose asserts compare the job counts,
     # its Perron entry order bench on 200 graphs, whose asserts check each
     # decided sign against eigh, one pass of its order-6 and order-8 tie
-    # tails, whose asserts check the verdicts, one call of its spot check
-    # at orders 6, 7 and 8 through each kernel, whose asserts check that the
-    # check passes and that the kernels agree, one call each of its
+    # tails, whose asserts check the verdicts, two calls of its spot check
+    # (the first drawing the sample, the second reusing it) at orders 6, 7
+    # and 8 through each kernel, whose asserts check that the check passes
+    # and that the kernels and the calls agree, one call each of its
     # order-6 CLI timings, whose asserts check the exit codes and verdicts,
     # one pass of its exact order-6 ties, which must reach the gcd, and
     # expand its appendix templates at orders 7..8
@@ -693,7 +694,8 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
         assert (f"spot check n={n}: {draws} draws, {skipped} skipped by the degree "
                 f"filters, {solved} eigensolved") in out, out
     for label, _ in IMPLEMENTATIONS:
-        assert out.count(f"  {label} ") == 3, out
+        assert len(re.findall(rf"^  {label} +first call +[0-9.]+ ms, later calls +[0-9.]+ ms "
+                              rf"\(median of 1\)$", out, re.M)) == 3, out
     bench.bench_cli(min_seconds=0)
     out = capsys.readouterr().out
     assert re.fullmatch(r"cli verify theorem --n 6: first call [0-9.]+ ms, later calls "
@@ -909,7 +911,7 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
     for n in (6, 7, 8):
         thr = _threshold_constants(n)[1]
         for cut in (thr, thr - 0.5):
-            calls.append(("degree_skips", (n, _spot_check_draws(n), cut)))
+            calls.append(("degree_skips", (n, list(_spot_check_draws(n)), cut)))
     for args in ((12, [0], 5.0), (5, [-1], 5.0), (5, [1 << 10], 5.0), (5, (0,), 5.0),
                  (11, [(1 << 55) - 1], 5.0)):
         calls.append(("degree_skips", args))

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import zlib
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -115,6 +116,7 @@ def test_spot_check_eigensolves_every_graph_that_can_hold_the_maximum(monkeypatc
     top = max(q for _, q in skipped)
     bounds = {mask: oracle_degree_vector_bounds(graph_from_mask(n, mask)) for mask, _ in skipped}
     lstar = max(lower for _, lower in bounds.values())
+    verifier._spot_check_draws.cache_clear()
     for _, impl in kernels.implementations():
         solved = []
 
@@ -129,6 +131,52 @@ def test_spot_check_eigensolves_every_graph_that_can_hold_the_maximum(monkeypatc
         assert sorted(solved) == sorted(mask for mask, _ in skipped if bounds[mask][0] >= lstar)
         if thr in (THR6, THR7, THR8):
             assert len(solved) == SPOT_CHECK_SOLVED[n]
+
+
+# crc32 of the default-seed draws at orders 6, 7 and 8, written as decimal
+# masks joined by commas: a faster draw must give these same masks, or the
+# stored bodies that rest on them change
+SPOT_CHECK_DRAWS_CRC32 = {6: 0x03D39C7A, 7: 0xAC267C33, 8: 0x19FA1B88}
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("seed", [20240601, 7])
+def test_spot_check_draws_are_the_seeded_randrange_sample(n, seed):
+    # drawn once per (n, seed) and kept as a tuple, which no caller can
+    # change in the cache; the same masks as fresh randrange draws, cached
+    # or not
+    verifier._spot_check_draws.cache_clear()
+    total = 1 << n * (n - 1) // 2
+    rng = random.Random(seed)
+    fresh = [rng.randrange(total) for _ in range(min(max(total // 100, 100), 20000))]
+    for _ in range(2):
+        draws = verifier._spot_check_draws(n, seed)
+        assert type(draws) is tuple and list(draws) == fresh
+    if seed == 20240601:
+        assert zlib.crc32(",".join(map(str, draws)).encode()) == SPOT_CHECK_DRAWS_CRC32[n]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_a_second_theorem_call_draws_nothing(monkeypatch, n):
+    # the first call of a process draws the sample, 327 masks at order 6
+    # and 20,000 at order 7; a later call draws none and reports the same
+    # body, its spot check still run on the kernel at its own cut
+    verifier._spot_check_draws.cache_clear()
+    randrange = random.Random.randrange
+    drawn = []
+    monkeypatch.setattr(random.Random, "randrange",
+                        lambda self, *args: drawn.append(args) or randrange(self, *args))
+    skips = kernels.degree_skips
+    checked = []
+    monkeypatch.setattr(kernels, "degree_skips",
+                        lambda *args: checked.append(args) or skips(*args))
+    first = verify_theorem_main(n)
+    assert len(drawn) == {6: 327, 7: 20000}[n] and len(checked) == 1
+    drawn.clear()
+    second = verify_theorem_main(n)
+    assert drawn == [] and len(checked) == 2 and checked[0] == checked[1]
+    assert all(type(masks) is list for _, masks, _ in checked)
+    assert report_diff(first, second) == []
 
 
 def test_spot_check_sees_the_degree_filter_that_ran(monkeypatch):
@@ -248,8 +296,10 @@ def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
     # threshold graph's own rows, so that isomorphism test and the exact
     # comparison of the threshold graph with itself are settled by
     # equality, with no polynomial built. The spot check builds the graphs
-    # it eigensolves with graph_from_mask too
+    # it eigensolves with graph_from_mask too, on every run, though only the
+    # first draws its sample
     verifier._threshold_constants.cache_clear()
+    verifier._spot_check_draws.cache_clear()
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "apex_has_config", "find_k_chords_at_apex")
     for q_index_calls in (1, 0):
@@ -298,13 +348,14 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     # threshold graph (the corollary's ties, on the threshold, make one more).
     # The threshold's q_index call is made by the first run of the process
     # only. The theorem's spot check builds the graphs it eigensolves with
-    # graph_from_mask too
+    # graph_from_mask too, on every run, though only the first draws its sample
     _, thr, test, _ = verifier._sweep_rule(task, 8, {})
     searcher = {"theorem": "find_k_chords_at_apex", "corollary": "find_chorded_cycle"}[task]
     rest = verifier._sweep_classified(8, thr, test, 1)[2]
     assert sorted({graph_from_mask(8, mask).degrees() for mask in rest}) == [
         (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)] and len(rest) == 31
     verifier._threshold_constants.cache_clear()
+    verifier._spot_check_draws.cache_clear()
     calls, tested, searched = _count_tail_calls(monkeypatch, test[0], searcher)
     compare = spectral.compare_largest_roots
     compared = []
