@@ -46,7 +46,7 @@ from chordspec.appendix import (
     template_keys,
     threshold_quotient_template,
 )
-from chordspec.families import extremal_graph, k11n2_plus, k1_join_k4_union_k1
+from chordspec.families import extremal_graph
 from chordspec.graphs import (
     arrangement_count,
     arrangement_images,
@@ -497,10 +497,10 @@ def main() -> None:
     impls = kernels.implementations()
     print("available kernels:", ", ".join(label for label, _ in impls))
     # sweep floors at the lower edge of the tie band, where classify cuts
-    floor6 = q_index(k1_join_k4_union_k1().graph).q - TIE_BAND
+    floor6 = _threshold_constants(6)[1] - TIE_BAND
     bench_sweep(impls, 6, 0, 1 << 15, floor6)
     for n in (7, 8):
-        thr = q_index(k11n2_plus(n).graph).q
+        thr = _threshold_constants(n)[1]
         total = 1 << n * (n - 1) // 2
         bench_sweep(impls, n, 0, total, thr - TIE_BAND)
         bench_classify(impls, n, 0, total, thr)

@@ -19,7 +19,7 @@ import sys
 from . import chords, verifier
 from .families import build_family, family_names
 from .graphs import Graph, Graph6Error, GraphError, graph6_decode, graph6_encode
-from .spectral import q_index
+from .spectral import q_indices
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,8 +52,8 @@ class _InputError(Exception):
 
 
 def _cmd_q(args) -> int:
-    for g in _read_graphs(args.input):
-        print(f"{q_index(g).q:.12f}")
+    for q in q_indices(_read_graphs(args.input)):
+        print(f"{q:.12f}")
     return EXIT_OK
 
 

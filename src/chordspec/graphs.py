@@ -116,9 +116,6 @@ class Graph:
             left &= ~comp
         return comps
 
-    def components(self) -> list[tuple[int, ...]]:
-        return [tuple(bits_to_vertices(m)) for m in self.component_masks()]
-
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
 

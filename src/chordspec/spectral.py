@@ -2,16 +2,16 @@
 eta bound, equitable quotient matrices and their Perron roots, and exact
 characteristic polynomials.
 
-Numeric route: one dense symmetric eigensolve (numpy ``eigh``) per connected
-component; the Perron vector is the absolute value of the top eigenvector,
-which is simple on a connected component. ``q_indices`` is the batched
-index of graphs given as ``Graph`` values, of any orders: one batched
-``eigvalsh`` per order over Q stacked from the adjacency rows, as
-``signless_laplacian`` builds it; the python sweep kernel uses it for the
-graphs its degree bounds keep, and the verifier for every index that only
-needs its float value (the masks the sweep kernel leaves for the exact
-rules, the graphs the prefilter spot check re-checks, the appendix
-fixtures, the property suite's lemmas). Exact route: integer
+Numeric route: ``q_indices`` is the one float index routine, for graphs
+given as ``Graph`` values of any orders: one batched ``eigvalsh`` per order
+over Q stacked from the adjacency rows, as ``signless_laplacian`` builds it.
+The python sweep kernel uses it for the graphs its degree bounds keep, and
+the verifier and the CLI for every index they compare, report or print (the
+thresholds, the masks the sweep kernel leaves for the exact rules, the
+graphs the prefilter spot check re-checks, the appendix fixtures, the
+property suite's lemmas). ``q_index`` is one dense ``eigh`` of the whole Q
+for a vector as well: the absolute value of the top eigenvector, which is
+the Perron vector when the graph is connected. Exact route: integer
 characteristic polynomials by the Faddeev-LeVerrier recurrence, for many
 matrices at once (``charpoly_int_matrices``: one loop per matrix size over
 the stacked matrices, in int64 where a proven bound rules out overflow, else
@@ -66,29 +66,20 @@ def signless_laplacian(g: Graph) -> np.ndarray:
 
 
 def q_index(g: Graph) -> SpectralResult:
-    """Largest signless Laplacian eigenvalue with its Perron vector.
+    """Largest signless Laplacian eigenvalue with a unit top eigenvector.
 
-    One dense symmetric eigensolve per connected component; the max is taken,
-    the first component winning a tie. The returned vector is the Perron
-    vector of the achieving component embedded in R^n (zero elsewhere), and
-    the residual is max |Qx - qx| over that component. A connected graph is
-    its own component: Q goes to the eigensolver as it is.
+    One dense symmetric eigensolve (numpy ``eigh``) of the whole Q; the
+    vector is the absolute value of its top eigenvector and the residual is
+    max |Qx - qx|. On a connected graph the top eigenvalue is simple and the
+    vector is the Perron vector; on a disconnected one it is some unit
+    nonnegative top eigenvector, which may spread over the components that
+    share the index.
     """
     Q = signless_laplacian(g).astype(float)
-    comps = g.components()
-    best_q = -1.0
-    for comp in comps:
-        sub = Q if len(comps) == 1 else Q[np.ix_(comp, comp)]
-        w, v = np.linalg.eigh(sub)
-        if w[-1] > best_q + 1e-15:
-            best_q, best_comp, best_sub = float(w[-1]), comp, sub
-            best_x = np.abs(v[:, -1])
-    residual = float(np.max(np.abs(best_sub @ best_x - best_q * best_x)))
-    if len(comps) > 1:
-        full = np.zeros(g.n)
-        full[list(best_comp)] = best_x
-        best_x = full
-    return SpectralResult(q=best_q, vector=tuple(best_x.tolist()), residual=residual)
+    w, v = np.linalg.eigh(Q)
+    q, x = float(w[-1]), np.abs(v[:, -1])
+    residual = float(np.max(np.abs(Q @ x - q * x)))
+    return SpectralResult(q=q, vector=tuple(x.tolist()), residual=residual)
 
 
 def q_indices(graphs: Sequence[Graph]) -> list[float]:

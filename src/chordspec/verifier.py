@@ -249,8 +249,11 @@ def _order(g: Graph, qg: float, h: Graph, qh: float, exact: bool = True) -> int:
     return q_exact_compare(g, h) if exact else EQUAL
 
 
+SPOT_CHECK_SEED = 20240601
+
+
 @functools.cache
-def _spot_check_draws(n: int, seed: int = 20240601) -> tuple[int, ...]:
+def _spot_check_draws(n: int, seed: int = SPOT_CHECK_SEED) -> tuple[int, ...]:
     """The labeled masks the prefilter spot check draws at order n, by
     ``randrange``: 1% of the 2^C(n,2), at least 100 and at most 20,000. They
     depend on (n, seed) alone, so each sample is drawn once per process, on
@@ -260,7 +263,7 @@ def _spot_check_draws(n: int, seed: int = 20240601) -> tuple[int, ...]:
     return tuple(rng.randrange(total) for _ in range(min(max(total // 100, 100), 20000)))
 
 
-def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
+def _prefilter_spot_check(n: int, thr: float) -> dict:
     """Re-check a seeded sample of cheaply skipped graphs by full eigenvalue
     computation: everything the 2*maxdeg / edge-degree-sum filters drop must
     really sit below the threshold. Reports the skipped graphs drawn and
@@ -271,7 +274,7 @@ def _prefilter_spot_check(n: int, thr: float, seed: int = 20240601) -> dict:
     the maximum is the float a solve over every skipped graph gives. The
     sample is drawn once per process (``_spot_check_draws``); every call
     checks it afresh at its own cut."""
-    skipped, candidates = kernels.degree_skips(n, list(_spot_check_draws(n, seed)), thr)
+    skipped, candidates = kernels.degree_skips(n, list(_spot_check_draws(n)), thr)
     top = q_indices([graph_from_mask(n, mask) for mask in candidates])
     return {
         "name": "prefilter_spot_check",
@@ -325,7 +328,7 @@ def _threshold_constants(n: int) -> tuple[Graph, float, int]:
     each order's are built once per process, on first use; only the inputs
     of a sweep are kept here, never a verdict."""
     ext = extremal_graph(n).graph
-    return ext, q_index(ext).q, math.factorial(n) // automorphism_count(ext)
+    return ext, q_indices([ext])[0], math.factorial(n) // automorphism_count(ext)
 
 
 def _sweep_rule(task: str, n: int, params: dict):
@@ -488,11 +491,10 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     counterexamples: list[str] = []
     examined = 0
 
-    # the threshold family's graph and index, once per order, and the
-    # quotient template of each fixture graph, once per (item, n, s)
+    # the threshold family's graph, once per order, and the quotient
+    # template of each fixture graph, once per (item, n, s)
     orders = range(n_lo, n_hi + 1)
     thr_graph = {n: k11n2_plus(n).graph for n in orders}
-    thr = {n: q_index(g).q for n, g in thr_graph.items()}
     template = functools.cache(quotient_template)
 
     # (b) template/polynomial identities, for every integer order in range;
@@ -517,12 +519,13 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
     )
 
     # (a) + (c): graph-level checks at every valid order in range; one
-    # batched call gives every fixture graph's index, and (e) reuses each
-    # graph with its index
+    # batched call gives every fixture graph's index and each order's
+    # threshold, and (e) reuses each graph with its index
     fixtures = [
         (fx, n, s, g) for fx in FIXTURES for n, s, g in fixture_graphs(fx, n_lo, n_hi)
     ]
-    qs = q_indices([g for *_, g in fixtures])
+    qs = q_indices([g for *_, g in fixtures] + list(thr_graph.values()))
+    thr = dict(zip(orders, qs[len(fixtures):]))
     fixture_q = {(fx.item, n, s): (g, qv) for (fx, n, s, g), qv in zip(fixtures, qs)}
     equit_bad = []
     ineq_bad = []
@@ -880,10 +883,10 @@ def _eta_violated(g: Graph, q: float) -> bool:
 _TRIAL_BATCH = 1024  # samples checked at once; bounds the samples a run holds
 
 
-def _trials(rng: random.Random, trials: int, draw, check, attempts: int = 30):
+def _trials(rng: random.Random, trials: int, draw, check):
     """Run seeded trials: draw(rng) makes every generator call of one trial
-    and returns its sample, or None to redraw (the trial is skipped after
-    `attempts` draws in a row return None). check(samples) takes the samples
+    and returns its sample, or None to redraw (the trial is skipped after 30
+    draws in a row return None). check(samples) takes the samples
     of up to _TRIAL_BATCH trials, in draw order, so that it can batch their
     eigensolves, and returns the violating graphs among them. Returns
     (trials run, violating graphs)."""
@@ -892,7 +895,7 @@ def _trials(rng: random.Random, trials: int, draw, check, attempts: int = 30):
     for start in range(0, trials, _TRIAL_BATCH):
         samples = []
         for _ in range(min(_TRIAL_BATCH, trials - start)):
-            for _attempt in range(attempts):
+            for _attempt in range(30):
                 sample = draw(rng)
                 if sample is not None:
                     samples.append(sample)
@@ -995,9 +998,9 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         for n in (7, 12, 19)
     ]
     bad = []
-    for label, g, blocks in cases:
+    for (label, g, blocks), qv in zip(cases, q_indices([g for _, g, _ in cases])):
         qm = quotient_matrix(g, blocks)
-        if qm is None or abs(perron_root(qm) - q_index(g).q) > 1e-8:
+        if qm is None or abs(perron_root(qm) - qv) > 1e-8:
             bad.append(label)
     details.append(
         {"name": "equitable_quotient_fixtures", "passed": not bad,
@@ -1015,14 +1018,11 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         return [g for g, q in zip(samples, q_indices(samples)) if _eta_violated(g, q)]
 
     eq_bad = []
-    for label, g in (
-        ("cycle9", cycle(9)),
-        ("cycle6", cycle(6)),
-        ("clique7", complete(7)),
-        ("bipartite3x4", complete_multipartite(3, 4)),
-        ("bipartite2x5", complete_multipartite(2, 5)),
-    ):
-        if abs(q_index(g).q - float(max_eta(g))) > 1e-9:
+    equalities = [("cycle9", cycle(9)), ("cycle6", cycle(6)), ("clique7", complete(7)),
+                  ("bipartite3x4", complete_multipartite(3, 4)),
+                  ("bipartite2x5", complete_multipartite(2, 5))]
+    for (label, g), qv in zip(equalities, q_indices([g for _, g in equalities])):
+        if abs(qv - float(max_eta(g))) > 1e-9:
             eq_bad.append(label)
     lemma("eta_upper_bound", 303, draw_without_isolated, check_eta,
           equality_failures=eq_bad)
@@ -1098,9 +1098,9 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
 
     # Threshold family beats n + 2 - 4/(n+2) for 6 <= n <= 40.
     bound_bad = []
-    for n in range(6, 41):
+    for n, qv in zip(range(6, 41), q_indices([k11n2_plus(n).graph for n in range(6, 41)])):
         pt = _threshold_bound_fraction(n)
-        if not q_index(k11n2_plus(n).graph).q > float(pt):
+        if not qv > float(pt):
             bound_bad.append(n)
         if appendix_polynomial("g", n)(pt) >= 0:
             bound_bad.append((n, "sign"))

@@ -24,8 +24,9 @@ check that eigensolves only the graphs those bounds cannot put below the
 sample's maximum;
 ``oracle_signless_laplacian`` and ``oracle_quotient_matrix`` are the earlier
 per-neighbour and per-entry forms of ``spectral.signless_laplacian`` and
-``spectral.quotient_matrix``; ``oracle_q_index`` is the earlier form of
-``spectral.q_index``, which cuts every component, even the only one, out of Q.
+``spectral.quotient_matrix``; ``oracle_q_index`` is the earlier
+per-component form of ``spectral.q_index``, which cuts every component, even
+the only one, out of Q and embeds the winner's vector in R^n.
 ``oracle_automorphism_count`` tries all n! vertex permutations.
 ``oracle_graph6_encode`` and ``oracle_graph6_decode`` are the earlier
 bit-by-bit graph6 codec, the reference for ``graphs.graph6_encode`` and
@@ -62,7 +63,7 @@ from math import gcd, lcm
 import numpy as np
 
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
-from chordspec.graphs import Graph, graph_from_mask, index_pairs, make_graph
+from chordspec.graphs import Graph, bits_to_vertices, graph_from_mask, index_pairs, make_graph
 from chordspec import polynomials
 from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
 from chordspec.spectral import SpectralResult, q_index, signless_laplacian
@@ -253,7 +254,7 @@ def oracle_q_index(g: Graph) -> SpectralResult:
     each component cut out of Q and its vector embedded in R^n."""
     Q = signless_laplacian(g).astype(float)
     best_q = -1.0
-    for comp in g.components():
+    for comp in (tuple(bits_to_vertices(m)) for m in g.component_masks()):
         sub = Q[np.ix_(comp, comp)]
         w, v = np.linalg.eigh(sub)
         if w[-1] > best_q + 1e-15:

@@ -22,6 +22,7 @@ from chordspec.graphs import (
     arrangement_count,
     arrangement_images,
     automorphism_count,
+    bits_to_vertices,
     disjoint_union,
     edge_counts,
     graph6_decode,
@@ -126,8 +127,8 @@ def test_component_masks_within_a_vertex_mask():
         kept = [v for v in range(n) if within >> v & 1]
         want = []
         if kept:
-            for comp in induced_subgraph(g, kept).components():
-                want.append(sum(1 << kept[i] for i in comp))
+            for comp in induced_subgraph(g, kept).component_masks():
+                want.append(sum(1 << kept[i] for i in bits_to_vertices(comp)))
         got = g.component_masks(within)
         assert got == want
         isolated += sum(1 for m in got if m.bit_count() == 1)

@@ -249,15 +249,54 @@ def test_rest_indices_match_q_index(n, test):
         assert abs(qv - q_index(g).q) <= 1e-12
 
 
+def test_threshold_leftover_reads_the_threshold_bit_for_bit(monkeypatch):
+    # the threshold and the tail's leftovers come from the same routine:
+    # the float index the tail's batch gives the threshold graph's own
+    # leftover is the threshold itself, so the graph sits in the tie band
+    # at distance 0 from it, not at a rounding error's
+    index = verifier.q_indices
+    solved = []
+
+    def recorded(graphs):
+        qs = index(graphs)
+        solved.append((list(graphs), qs))
+        return qs
+
+    for n in (6, 7):
+        ext, thr, test, rule = verifier._sweep_rule("theorem", n, {})
+        rest = verifier._sweep_classified(n, thr, test, 1)[2]
+        solved.clear()
+        monkeypatch.setattr(verifier, "q_indices", recorded)
+        verifier._tail(n, rest, ext, thr, rule)
+        monkeypatch.undo()
+        [(graphs, qs)] = solved
+        own = [qv for g, qv in zip(graphs, qs) if g == ext]
+        assert [qv.hex() for qv in own] == [verifier._threshold_constants(n)[1].hex()]
+
+
+def test_no_sweep_or_appendix_call_reaches_q_index(monkeypatch):
+    # every float index a sweep or the appendix compares comes from
+    # q_indices, the thresholds too: with the threshold constants emptied,
+    # no call reaches q_index
+    verifier._threshold_constants.cache_clear()
+    index = verifier.q_index
+    indexed = []
+    monkeypatch.setattr(verifier, "q_index", lambda g: indexed.append(g) or index(g))
+    assert verify_theorem_main(6).passed
+    assert verify_corollary(7).passed
+    verify_appendix(7, 14)
+    assert indexed == []
+
+
 def _count_tail_calls(monkeypatch, kernel_test, searcher):
-    """Count the verifier's calls of q_index, q_exact_compare,
+    """Count the verifier's calls of q_indices, q_exact_compare,
     graph_from_mask and is_isomorphic, every characteristic polynomial built
     for an exact comparison, and the kernel chord test and the reference
     searcher as the verifier calls them (the python kernel calls the
     searchers too, through its own reference): (counts by name, adjacency
     rows the kernel test saw, graphs the searcher saw)."""
     calls = {}
-    for module, name in ((verifier, "q_index"), (verifier, "q_exact_compare"),
+    for module, name in ((verifier, "q_indices"), (verifier, "q_exact_compare"),
                          (verifier, "graph_from_mask"), (verifier, "is_isomorphic"),
                          (spectral, "charpoly_int_matrix")):
         calls[name] = 0
@@ -290,9 +329,10 @@ def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
     # the sweep's tie band at order 6 is one sorted mask that weighs the 30
     # labeled copies of the threshold graph; it takes the rule once: one
     # exact comparison, one kernel apex test, one searcher call and the
-    # rule's closing isomorphism test with the threshold graph. The only
-    # q_index call is the one for the threshold, made by the first run of
-    # the process and read by later runs. The leftover mask has the
+    # rule's closing isomorphism test with the threshold graph. Each run
+    # makes one batched q_indices call for the tail and one for the spot
+    # check; the threshold's call is made by the first run of the process
+    # and read by later runs. The leftover mask has the
     # threshold graph's own rows, so that isomorphism test and the exact
     # comparison of the threshold graph with itself are settled by
     # equality, with no polynomial built. The spot check builds the graphs
@@ -302,10 +342,10 @@ def test_theorem_settles_its_ties_without_per_tie_eigensolves(monkeypatch):
     verifier._spot_check_draws.cache_clear()
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "apex_has_config", "find_k_chords_at_apex")
-    for q_index_calls in (1, 0):
+    for q_indices_calls in (3, 2):
         _reset(calls, tested, searched)
         assert verify_theorem_main(6).extremal_hits == 30
-        assert calls == {"q_index": q_index_calls, "q_exact_compare": 1,
+        assert calls == {"q_indices": q_indices_calls, "q_exact_compare": 1,
                          "graph_from_mask": 1 + SPOT_CHECK_SOLVED[6], "is_isomorphic": 1,
                          "charpoly_int_matrix": 0}
         assert tested == [extremal_graph(6).graph.rows]
@@ -317,15 +357,16 @@ def test_corollary_settles_its_ties_once(monkeypatch):
     # 210 copies of the threshold graph: one exact comparison, of the
     # threshold graph with itself and so settled with no polynomial, decides
     # that the class sits on the threshold, where no chord test runs and
-    # one isomorphism test, settled by equality, names it extremal. The
-    # threshold's q_index call is made by the first run of the process only
+    # one isomorphism test, settled by equality, names it extremal. Each
+    # run makes one batched q_indices call for the tail; the threshold's
+    # call is made by the first run of the process only
     verifier._threshold_constants.cache_clear()
     calls, tested, searched = _count_tail_calls(
         monkeypatch, "chorded_has", "find_chorded_cycle")
-    for q_index_calls in (1, 0):
+    for q_indices_calls in (2, 1):
         _reset(calls, tested, searched)
         assert verify_corollary(7).extremal_hits == 210
-        assert calls == {"q_index": q_index_calls, "q_exact_compare": 1,
+        assert calls == {"q_indices": q_indices_calls, "q_exact_compare": 1,
                          "graph_from_mask": 1, "is_isomorphic": 1,
                          "charpoly_int_matrix": 0}
         assert tested == searched == []
@@ -346,9 +387,11 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     # tests: 29 tied labelings matched to the first, the threshold graph's
     # one test against the tie, and the rule's closing test with the
     # threshold graph (the corollary's ties, on the threshold, make one more).
-    # The threshold's q_index call is made by the first run of the process
-    # only. The theorem's spot check builds the graphs it eigensolves with
-    # graph_from_mask too, on every run, though only the first draws its sample
+    # Each run makes one batched q_indices call for the tail, and the
+    # theorem one more for its spot check; the threshold's call is made by
+    # the first run of the process only. The theorem's spot check builds
+    # the graphs it eigensolves with graph_from_mask too, on every run,
+    # though only the first draws its sample
     _, thr, test, _ = verifier._sweep_rule(task, 8, {})
     searcher = {"theorem": "find_k_chords_at_apex", "corollary": "find_chorded_cycle"}[task]
     rest = verifier._sweep_classified(8, thr, test, 1)[2]
@@ -367,14 +410,15 @@ def test_order_8_decides_its_class_of_ties_once(monkeypatch, task):
     monkeypatch.setattr(verifier, rule_name,
                         lambda g, *args, **kwargs: ruled.append(g) or rule(g, *args, **kwargs))
     ext = extremal_graph(8).graph
-    for q_index_calls in (1, 0):
+    spot_check = 1 if task == "theorem" else 0
+    for q_indices_calls in (2 + spot_check, 1 + spot_check):
         _reset(calls, tested, searched, compared, ruled)
         rep = verify_theorem_main(8) if task == "theorem" else verify_corollary(8)
         assert rep.passed and rep.extremal_hits == 420
         assert len(compared) == 1 and compared[0][0] != compared[0][1]
         assert [g.degrees() for g in ruled] == [
             (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)]
-        assert calls == {"q_index": q_index_calls, "q_exact_compare": 2,
+        assert calls == {"q_indices": q_indices_calls, "q_exact_compare": 2,
                          "graph_from_mask":
                              31 + (SPOT_CHECK_SOLVED[8] if task == "theorem" else 0),
                          "is_isomorphic": 31 if task == "theorem" else 32,
@@ -440,14 +484,15 @@ def test_replay_agrees_with_the_tail_on_every_leftover_mask(monkeypatch, offset)
     labeled = [graph6_encode(h) for m in rest for h in arrangement_images(graph_from_mask(6, m))]
     assert len(labeled) == {0.0: 30, -0.5: 45, -2.0: 8925}[offset]
     # the replays compute the threshold's index once between them, not once
-    # a replay
+    # a replay, and each replay its graph's index alone
     verifier._threshold_constants.cache_clear()
-    index = verifier.q_index
+    index = verifier.q_indices
     indexed = []
-    monkeypatch.setattr(verifier, "q_index", lambda g: indexed.append(g) or index(g))
+    monkeypatch.setattr(verifier, "q_indices",
+                        lambda gs: indexed.append(list(gs)) or index(gs))
     replayed = {g6 for g6 in labeled if replay_counterexample("theorem", g6, params)}
     assert replayed == found
-    assert indexed == [extremal_graph(6).graph]
+    assert indexed == [[extremal_graph(6).graph]] + [[graph6_decode(g6)] for g6 in labeled]
 
 
 @pytest.mark.parametrize("n, offset", [(6, -2.0), (7, -0.5), (8, 0.0)])
@@ -764,6 +809,35 @@ def test_property_suite_rejects_a_longest_cycle_that_is_not_a_cycle(monkeypatch)
     assert len(corrupted) == 1
 
 
+def test_q_index_serves_only_the_perron_shift_fallback(monkeypatch):
+    # the suite's float indices all come from q_indices; q_index is called
+    # only where a vector is needed: by draw_shift, on a connected graph,
+    # right after the kernel's perron_order left that graph's pair undecided
+    perron_order = kernels.perron_order
+    last_order = []
+
+    def recorded_order(rows, u, v):
+        order = perron_order(rows, u, v)
+        last_order[:] = [(rows, order)]
+        return order
+
+    index = verifier.q_index
+    indexed = []
+
+    def recorded_index(g):
+        indexed.append((sys._getframe(1).f_code.co_name, g, list(last_order)))
+        return index(g)
+
+    monkeypatch.setattr(kernels, "perron_order", recorded_order)
+    monkeypatch.setattr(verifier, "q_index", recorded_index)
+    assert property_suite(7, 25).passed
+    assert indexed
+    for caller, g, order in indexed:
+        assert caller == "draw_shift"
+        assert g.is_connected()
+        assert order == [(g.rows, 0)]
+
+
 def test_property_suite_passes_and_counts():
     rep = property_suite(seed=3, trials=150)
     assert rep.passed
@@ -806,11 +880,11 @@ def test_appendix_report_structure():
 
 
 def test_appendix_computes_each_index_once(monkeypatch):
-    # the threshold graphs and the fixture graphs each reach q_index once per
-    # call, also where the fan-width chains revisit a fixture graph
+    # the threshold graphs and the fixture graphs each reach q_indices once
+    # per call, also where the fan-width chains revisit a fixture graph
     seen = []
-    index = verifier.q_index
-    monkeypatch.setattr(verifier, "q_index", lambda g: seen.append(g) or index(g))
+    index = verifier.q_indices
+    monkeypatch.setattr(verifier, "q_indices", lambda gs: seen.extend(gs) or index(gs))
     for _ in range(2):
         seen.clear()
         verify_appendix(7, 14)
@@ -833,8 +907,8 @@ def test_appendix_builds_each_template_once(monkeypatch):
 
 def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
     # every template polynomial comes from at most two batched calls, and
-    # every fixture graph's index from one q_indices call; q_index is left
-    # for the threshold family's graphs
+    # every fixture graph's index and each order's threshold from one
+    # q_indices call; q_index is not called
     batches, index_batches, single = [], [], []
     charpolys, q_indices, q_index_ = (
         verifier.charpoly_int_matrices, verifier.q_indices, verifier.q_index)
@@ -850,8 +924,8 @@ def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
                    if d["name"] == "template_charpoly_identities")
     assert sum(batches) == checked + 8
     fixtures = [g for fx in FIXTURES for *_, g in fixture_graphs(fx, 7, 14)]
-    assert index_batches == [fixtures]
-    assert single == [k11n2_plus(n).graph for n in range(7, 15)]
+    assert index_batches == [fixtures + [k11n2_plus(n).graph for n in range(7, 15)]]
+    assert single == []
 
 
 def test_appendix_builds_each_closed_form_once(monkeypatch):
