@@ -121,72 +121,52 @@ static int degree_skip(int n, const uint64_t *adj, const int *degs, double cut)
 }
 
 /* -- argument checks --------------------------------------------------------
- * A sweep's n lies in 1..MAXN and its range in 0 <= lo <= hi <= 2^C(n,2),
- * listed masks in [0, 2^C(n,2)), rows are those of a simple graph and chord
- * counts are ints >= 1; cuts are numbers, not NaN. Anything else raises
- * ValueError (TypeError for a wrong type), as in _sweep_py. */
+ * One rule reads every int argument, parse_int: an int in [lo, hi], else
+ * ValueError, and TypeError for anything that is not an int. A sweep's n
+ * lies in [1, MAXN], its lo in [0, 2^C(n,2)] and its hi in [lo, 2^C(n,2)],
+ * a listed mask in [0, 2^C(n,2)), a vertex in [0, n) and a chord count is
+ * at least 1. Rows are those of a simple graph, and cuts are numbers, not
+ * NaN. The messages are those of _sweep_py. */
 
-static int parse_n(PyObject *arg, int *n)
-{
-    int overflow;
-    long v = PyLong_AsLongAndOverflow(arg, &overflow);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow || v < 1 || v > MAXN) {
-        PyErr_Format(PyExc_ValueError, "kernels support 1..%d vertices, got %R",
-                     MAXN, arg);
-        return -1;
-    }
-    *n = (int)v;
-    return 0;
-}
-
-/* An integer in [0, limit] (inclusive) into *out, else ValueError. */
-static int parse_bounded(PyObject *arg, uint64_t limit, const char *what,
-                         uint64_t *out)
+/* An int in [lo, hi] into *out, else ValueError (TypeError for an argument
+ * that is not an int). With saturate, an int above hi reads as hi: a chord
+ * count too large for a long exceeds every graph's chords. */
+static int parse_int(PyObject *arg, const char *what, long long lo, long long hi,
+                     int saturate, long long *out)
 {
     int overflow;
     long long v = PyLong_AsLongLongAndOverflow(arg, &overflow);
     if (v == -1 && PyErr_Occurred())
         return -1;
-    if (overflow || v < 0 || (uint64_t)v > limit) {
-        PyErr_Format(PyExc_ValueError, "%s %R outside [0, %llu]", what, arg,
-                     (unsigned long long)limit);
+    if (overflow) /* wider than a long long: as far out as one goes */
+        v = overflow < 0 ? LLONG_MIN : LLONG_MAX;
+    if (saturate && v > hi)
+        v = hi;
+    if (v < lo || v > hi) {
+        if (saturate)
+            PyErr_Format(PyExc_ValueError, "need %s >= %lld, got %R", what, lo, arg);
+        else
+            PyErr_Format(PyExc_ValueError, "need %s in [%lld, %lld], got %R", what, lo,
+                         hi, arg);
         return -1;
     }
-    *out = (uint64_t)v;
+    *out = v;
     return 0;
 }
 
-static uint64_t mask_count(int n) { return (uint64_t)1 << (n * (n - 1) / 2); }
+static long long mask_count(int n) { return 1LL << (n * (n - 1) / 2); }
 
-/* The n, lo and hi of a sweep over [lo, hi), 0 <= lo <= hi <= 2^C(n,2). */
+/* The n, lo and hi of a sweep over [lo, hi). */
 static int parse_range(PyObject *const *args, int *n, uint64_t *lo, uint64_t *hi)
 {
-    if (parse_n(args[0], n) || parse_bounded(args[1], mask_count(*n), "lo", lo) ||
-        parse_bounded(args[2], mask_count(*n), "hi", hi))
+    long long v[3];
+    if (parse_int(args[0], "n", 1, MAXN, 0, &v[0]) ||
+        parse_int(args[1], "lo", 0, mask_count((int)v[0]), 0, &v[1]) ||
+        parse_int(args[2], "hi", v[1], mask_count((int)v[0]), 0, &v[2]))
         return -1;
-    if (*lo > *hi) {
-        PyErr_Format(PyExc_ValueError, "empty range: lo %llu > hi %llu",
-                     (unsigned long long)*lo, (unsigned long long)*hi);
-        return -1;
-    }
-    return 0;
-}
-
-/* A chord count of at least 1, as the python searchers require; a count too
- * large for a long exceeds every graph's chords and is read as LONG_MAX. */
-static int parse_positive(PyObject *arg, const char *what, long *out)
-{
-    int overflow;
-    long v = PyLong_AsLongAndOverflow(arg, &overflow);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow < 0 || (!overflow && v < 1)) {
-        PyErr_Format(PyExc_ValueError, "need %s >= 1, got %R", what, arg);
-        return -1;
-    }
-    *out = overflow ? LONG_MAX : v;
+    *n = (int)v[0];
+    *lo = (uint64_t)v[1];
+    *hi = (uint64_t)v[2];
     return 0;
 }
 
@@ -350,11 +330,11 @@ static PyObject *detect(const char *name, const char *what, detector test,
 {
     int n;
     uint64_t adj[MAXROWS];
-    long k;
+    long long k;
     if (check_nargs(name, nargs, 2) || parse_rows(args[0], adj, &n) ||
-        parse_positive(args[1], what, &k))
+        parse_int(args[1], what, 1, LONG_MAX, 1, &k))
         return NULL;
-    return PyBool_FromLong(test(n, adj, k));
+    return PyBool_FromLong(test(n, adj, (long)k));
 }
 
 static PyObject *apex_has_config(PyObject *self, PyObject *const *args,
@@ -602,35 +582,19 @@ PERRON_OPT static int perron_sign(int n, const uint64_t *adj, int u, int v)
     return d > 0 ? 1 : -1;
 }
 
-/* A vertex of a graph on n vertices into *out, else ValueError (TypeError
- * for an argument that is not an int). */
-static int parse_vertex(PyObject *arg, int n, const char *what, int *out)
-{
-    int overflow;
-    long x = PyLong_AsLongAndOverflow(arg, &overflow);
-    if (x == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow || x < 0 || x >= n) {
-        PyErr_Format(PyExc_ValueError, "%s = %R is not a vertex of a graph on %d vertices",
-                     what, arg, n);
-        return -1;
-    }
-    *out = (int)x;
-    return 0;
-}
-
 static PyObject *perron_order(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     uint64_t adj[MAXROWS], comps[MAXROWS];
-    int n, u, v;
+    int n;
+    long long u, v;
     if (check_nargs("perron_order", nargs, 3) || parse_rows(args[0], adj, &n) ||
-        parse_vertex(args[1], n, "u", &u) || parse_vertex(args[2], n, "v", &v))
+        parse_int(args[1], "u", 0, n - 1, 0, &u) || parse_int(args[2], "v", 0, n - 1, 0, &v))
         return NULL;
     if (u == v)
-        return PyErr_Format(PyExc_ValueError, "need u != v, got %d twice", u);
+        return PyErr_Format(PyExc_ValueError, "need u != v, got %lld twice", u);
     if (n > PERRON_MAXN || components(n, adj, comps) > 1)
         return PyLong_FromLong(0);
-    return PyLong_FromLong(perron_sign(n, adj, u, v));
+    return PyLong_FromLong(perron_sign(n, adj, (int)u, (int)v));
 }
 
 /* -- sorted sweep and classification --------------------------------------- */
@@ -744,68 +708,47 @@ static int place_row(sorted_sweep *s, int j, uint64_t prefix)
     return 0;
 }
 
-/* One pass over the degree-sorted masks in [lo, hi): their weighted count
- * in *no_isolated, the weighted hits in *hits and the leftover masks,
- * ascending, in *rest, a malloc'd buffer of *len masks that the caller
- * frees. Touches no Python object and no mutable static, so it runs without
- * the GIL and concurrently. Returns 0, or -1 when the buffer cannot grow. */
-static int sweep(int n, uint64_t lo, uint64_t hi, double lo_cut, double hi_cut,
-                 detector test, long k, long long *no_isolated, long long *hits,
-                 uint64_t **rest, size_t *len)
-{
-    sorted_sweep s = {.n = n, .lo = lo, .hi = hi, .lo_cut = lo_cut, .hi_cut = hi_cut,
-                      .test = test, .k = k};
-    int failed = lo < hi ? place_row(&s, n - 1, 0) : 0;
-    *no_isolated = s.no_isolated;
-    *hits = s.hits;
-    *rest = s.rest;
-    *len = s.len;
-    return failed;
-}
-
 static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int n;
-    uint64_t lo, hi;
-    const char *name;
-    PyObject *karg;
-    long k = 0;
-    long long no_isolated, hits;
-    double lo_cut, hi_cut;
-    detector test = NULL;
-    if (check_nargs("classify", nargs, 6) || parse_range(args, &n, &lo, &hi) ||
-        parse_cuts(args[3], args[4], &lo_cut, &hi_cut))
+    sorted_sweep s = {0};
+    if (check_nargs("classify", nargs, 6) || parse_range(args, &s.n, &s.lo, &s.hi) ||
+        parse_cuts(args[3], args[4], &s.lo_cut, &s.hi_cut))
         return NULL;
-    if (args[5] != Py_None) {
-        if (!PyTuple_Check(args[5]))
+    PyObject *test = args[5];
+    if (test != Py_None) {
+        long long k;
+        if (!PyTuple_Check(test) || PyTuple_GET_SIZE(test) != 2 ||
+            !PyUnicode_Check(PyTuple_GET_ITEM(test, 0)))
             return PyErr_Format(PyExc_TypeError,
-                                "test must be a (name, k) tuple or None, got %R", args[5]);
-        if (!PyArg_ParseTuple(args[5], "sO:classify", &name, &karg) ||
-            parse_positive(karg, "k", &k))
+                                "test must be a (name, k) tuple or None, got %R", test);
+        PyObject *name = PyTuple_GET_ITEM(test, 0);
+        if (parse_int(PyTuple_GET_ITEM(test, 1), "k", 1, LONG_MAX, 1, &k))
             return NULL;
-        if (strcmp(name, "apex_has_config") == 0)
-            test = has_apex;
-        else if (strcmp(name, "chorded_has") == 0)
-            test = has_chorded;
+        s.k = (long)k;
+        if (PyUnicode_CompareWithASCIIString(name, "apex_has_config") == 0)
+            s.test = has_apex;
+        else if (PyUnicode_CompareWithASCIIString(name, "chorded_has") == 0)
+            s.test = has_chorded;
         else
-            return PyErr_Format(PyExc_ValueError, "no kernel test %R", args[5]);
+            return PyErr_Format(PyExc_ValueError, "no kernel test %R", test);
     }
-    uint64_t *masks;
-    size_t len;
-    int failed;
+    /* the pass touches no Python object and no mutable static, so it runs
+     * without the GIL and concurrently */
+    int failed = 0;
     Py_BEGIN_ALLOW_THREADS
-    failed = sweep(n, lo, hi, lo_cut, hi_cut, test, k, &no_isolated, &hits, &masks, &len);
+    if (s.lo < s.hi)
+        failed = place_row(&s, s.n - 1, 0);
     Py_END_ALLOW_THREADS
-    PyObject *rest = failed ? PyErr_NoMemory() : PyList_New((Py_ssize_t)len);
-    for (size_t i = 0; rest != NULL && i < len; i++) {
-        PyObject *m = PyLong_FromUnsignedLongLong(masks[i]);
+    PyObject *rest = failed ? PyErr_NoMemory() : PyList_New((Py_ssize_t)s.len);
+    for (size_t i = 0; rest != NULL && i < s.len; i++) {
+        PyObject *m = PyLong_FromUnsignedLongLong(s.rest[i]);
         if (m == NULL)
             Py_CLEAR(rest);
         else
             PyList_SET_ITEM(rest, (Py_ssize_t)i, m);
     }
-    free(masks);
-    return rest ? Py_BuildValue("(LLN)", no_isolated, hits, rest) : NULL;
+    free(s.rest);
+    return rest ? Py_BuildValue("(LLN)", s.no_isolated, s.hits, rest) : NULL;
 }
 
 /* -- degree skips of labeled masks ------------------------------------------ */
@@ -820,12 +763,13 @@ static PyObject *classify(PyObject *self, PyObject *const *args, Py_ssize_t narg
 static PyObject *degree_skips(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     int n, degs[MAXN];
-    uint64_t adj[MAXN], mask;
+    uint64_t adj[MAXN];
     double cut, best = 0.0;
-    long long best_dqd = 0, best_dd = 1;
-    if (check_nargs("degree_skips", nargs, 3) || parse_n(args[0], &n) ||
+    long long best_dqd = 0, best_dd = 1, order, mask;
+    if (check_nargs("degree_skips", nargs, 3) || parse_int(args[0], "n", 1, MAXN, 0, &order) ||
         parse_double(args[2], &cut))
         return NULL;
+    n = (int)order;
     if (isnan(cut))
         return PyErr_Format(PyExc_ValueError, "cut is NaN");
     if (!PyList_Check(args[1]))
@@ -843,7 +787,7 @@ static PyObject *degree_skips(PyObject *self, PyObject *const *args, Py_ssize_t 
             PyErr_Format(PyExc_TypeError, "mask %zd is not an int: %R", i, item);
             goto fail;
         }
-        if (parse_bounded(item, mask_count(n) - 1, "mask", &mask))
+        if (parse_int(item, "mask", 0, mask_count(n) - 1, 0, &mask))
             goto fail;
         /* row j of the mask, its bits [C(j,2), C(j+1,2)), holds the edges
          * from j down to 0..j-1 */

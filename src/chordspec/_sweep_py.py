@@ -54,23 +54,22 @@ def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
     index below lo_cut - CUT_MARGIN are dropped, and rest lists every other
     sorted mask, ascending. So over a whole order no_isolated is the number
     of labeled graphs without isolated vertices. ValueError when a cut is
-    NaN, TypeError for a malformed test.
+    NaN, TypeError for a malformed test; n, lo and hi are read by ``_int``.
     """
-    if not 1 <= n <= MAXN:
-        raise ValueError(f"kernels support 1..{MAXN} vertices, got {n}")
+    n = _int(n, "n", 1, MAXN)
     total = 1 << n * (n - 1) // 2
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"range [{lo}, {hi}) outside [0, {total}]")
+    lo = _int(lo, "lo", 0, total)
+    hi = _int(hi, "hi", lo, total)
     if not lo_cut <= hi_cut:
         raise ValueError(f"need lo_cut <= hi_cut, got {lo_cut!r} > {hi_cut!r}")
     detector = k = None
     if test is not None:
         if not (isinstance(test, tuple) and len(test) == 2 and isinstance(test[0], str)):
             raise TypeError(f"test must be a (name, k) tuple or None, got {test!r}")
-        name, k = test
+        name, k = test[0], _int(test[1], "k", 1)
         if name not in _DETECTORS:
             raise ValueError(f"no kernel test {test!r}")
-        detector, k = _DETECTORS[name], _chord_count(k, "k")
+        detector = _DETECTORS[name]
     no_isolated = hits = 0
     rest: list[int] = []
     pending: list[tuple[int, Graph, int]] = []  # (mask, graph, weight) for the index
@@ -117,18 +116,18 @@ def degree_skips(n: int, masks: list, cut: float) -> tuple[int, list[int]]:
     other one has q <= U < L* <= the index of the graph at L*. ValueError
     for n outside 1..MAXN, a mask outside [0, 2^C(n,2)) or a NaN cut,
     TypeError when masks is not a list of ints."""
-    if not 1 <= n <= MAXN:
-        raise ValueError(f"kernels support 1..{MAXN} vertices, got {n}")
+    n = _int(n, "n", 1, MAXN)
     if math.isnan(cut):
         raise ValueError("cut is NaN")
     if not isinstance(masks, list):
         raise TypeError(f"masks must be a list, got {type(masks).__name__}")
+    top = (1 << n * (n - 1) // 2) - 1
     skipped = []  # (mask, degrees, Qd) of each skipped graph, in draw order
     best = None  # (L*, its d'Qd, its d'd)
-    for mask in masks:
+    for i, mask in enumerate(masks):
         if not isinstance(mask, int):  # as the compiled kernel, which reads ints only
-            raise TypeError(f"mask is not an int: {mask!r}")
-        rows = graph_from_mask(n, mask).rows  # GraphError is a ValueError
+            raise TypeError(f"mask {i} is not an int: {mask!r}")
+        rows = graph_from_mask(n, _int(mask, "mask", 0, top)).rows
         degs = [row.bit_count() for row in rows]
         if min(degs) == 0 or not _degree_skip(n, rows, degs, cut):
             continue
@@ -205,12 +204,17 @@ def _sorted_graphs(n: int, lo: int, hi: int):
         yield from place(n - 1, 0)
 
 
-def _chord_count(k, what: str) -> int:
-    """k as an int of at least 1 (a k past every graph's chord count is
-    allowed: the tests answer no); TypeError for a k that is not an int."""
-    if (k := operator.index(k)) < 1:
-        raise ValueError(f"need {what} >= 1, got {k}")
-    return k
+def _int(x, what: str, lo: int, hi: int | None = None) -> int:
+    """x as an int in [lo, hi], or of at least lo when hi is None (a chord
+    count past every graph's chords is allowed: the tests answer no), else
+    ValueError, and TypeError for an x that is not an int; the compiled
+    kernel's rule and messages."""
+    i = operator.index(x)
+    if hi is None and i < lo:
+        raise ValueError(f"need {what} >= {lo}, got {x!r}")
+    if hi is not None and not lo <= i <= hi:
+        raise ValueError(f"need {what} in [{lo}, {hi}], got {x!r}")
+    return i
 
 
 def _has_apex(g: Graph, k: int) -> bool:
@@ -229,12 +233,12 @@ _DETECTORS = {"apex_has_config": _has_apex, "chorded_has": _has_chorded}
 
 def apex_has_config(rows, k: int) -> bool:
     """Whether some cycle has k chords at a common vertex."""
-    return _has_apex(_graph_of_rows(rows), _chord_count(k, "k"))
+    return _has_apex(_graph_of_rows(rows), _int(k, "k", 1))
 
 
 def chorded_has(rows, min_chords: int) -> bool:
     """Whether some cycle carries at least min_chords chords."""
-    return _has_chorded(_graph_of_rows(rows), _chord_count(min_chords, "min_chords"))
+    return _has_chorded(_graph_of_rows(rows), _int(min_chords, "min_chords", 1))
 
 
 def _graph_of_rows(rows) -> Graph:
@@ -265,7 +269,10 @@ def longest_cycle(rows) -> tuple[int, tuple[int, ...]] | None:
 
 def max_path_order(rows) -> int:
     """Most vertices on any path; ValueError for the empty graph."""
-    return chords.max_path_order(_graph_of_rows(rows))
+    g = _graph_of_rows(rows)
+    if g.n == 0:  # a plain ValueError, as the compiled kernel raises
+        raise ValueError("empty graph has no paths")
+    return chords.max_path_order(g)
 
 
 def perron_order(rows, u, v) -> int:
@@ -275,10 +282,7 @@ def perron_order(rows, u, v) -> int:
     PERRON_MAXN vertices. ValueError for rows that are not those of a simple
     graph, u == v or a vertex outside the graph."""
     g = _graph_of_rows(rows)
-    u, v = operator.index(u), operator.index(v)
-    for name, x in (("u", u), ("v", v)):
-        if not 0 <= x < g.n:
-            raise ValueError(f"{name} = {x} is not a vertex of a graph on {g.n} vertices")
+    u, v = _int(u, "u", 0, g.n - 1), _int(v, "v", 0, g.n - 1)
     if u == v:
         raise ValueError(f"need u != v, got {u} twice")
     if g.n > PERRON_MAXN or not g.is_connected():

@@ -21,6 +21,13 @@ bound certifies it, else 0 (on a tie or a small gap, for a disconnected
 graph and above 16 vertices). ``sweep_range`` below is the pass with no
 test.
 
+Both read every int argument by one rule: n in [1, 11], a range's lo in
+[0, 2^C(n,2)] and its hi in [lo, 2^C(n,2)], a listed mask in
+[0, 2^C(n,2)), a vertex in [0, n) and a chord count of at least 1 (a
+count above every graph's chords answers no); anything else is a ValueError,
+and an argument that is not an int a TypeError, with the same message
+from both.
+
 The compiled ``classify`` releases the GIL for its pass, so threads that
 classify different ranges run at once; it holds the GIL again only to build
 the list of masks it leaves. The twin runs unchanged on threads too, but

@@ -185,7 +185,9 @@ def report_diff(a: Report, b: Report) -> list[str]:
     return out
 
 
-CHUNK = 1 << 20  # masks per kernel pass; bounds the leftover masks one chunk holds
+# masks per kernel pass: the unit of work of a sweep's worker threads, and
+# the size up to which an order (n <= 6) is one chunk, swept serially
+CHUNK = 1 << 20
 
 
 def _usable_cpus() -> int:

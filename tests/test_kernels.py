@@ -791,6 +791,44 @@ def test_perron_order_guards(impl):
     assert impl.perron_order(path(16).rows, 7, 0) == 1
 
 
+class _Twins:
+    """A kernel whose every call runs on both implementations and gives the
+    compiled one's result or error; `differ` collects the calls on which the
+    two return different values or raise different errors."""
+
+    def __init__(self, compiled):
+        self.compiled, self.calls, self.differ = compiled, 0, []
+
+    def __getattr__(self, name):
+        def call(*args):
+            outcomes = []
+            for impl in (self.compiled, _sweep_py):
+                try:
+                    outcomes.append(getattr(impl, name)(*args))
+                except Exception as exc:
+                    outcomes.append(exc)
+            self.calls += 1
+            seen = [(type(out), str(out)) if isinstance(out, Exception) else out
+                    for out in outcomes]
+            if seen[0] != seen[1]:
+                self.differ.append((name, args, *seen))
+            if isinstance(outcomes[0], Exception):
+                raise outcomes[0]
+            return outcomes[0]
+        return call
+
+
+def test_guards_raise_the_same_error_on_both_kernels(compiled):
+    # every call of the guard tests, bad or good, raises the same exception
+    # type with the same message on both kernels, or returns the same value
+    twins = _Twins(compiled)
+    for guards in (test_kernel_guards, test_classify_guards, test_degree_skips_guards,
+                   test_row_kernel_guards, test_perron_order_guards):
+        guards(twins)
+    assert twins.calls > 100
+    assert twins.differ == [], "\n".join(map(repr, twins.differ))
+
+
 @pytest.mark.parametrize(
     "impl", [impl for _, impl in IMPLEMENTATIONS],
     ids=[label for label, _ in IMPLEMENTATIONS],
@@ -861,6 +899,16 @@ def test_max_path_order(impl):
         assert impl.max_path_order(g.rows) == oracle_longest_path_order(g)
 
 
+def test_kernel_builds_without_warnings(compiled, tmp_path):
+    # the build command of the first import with gcc's common warnings as
+    # errors; unused parameters are the `self` of each module function
+    so = tmp_path / f"_sweep{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    build = subprocess.run(
+        [*kernels.compiler(), "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+         str(kernels.SOURCE), "-o", str(so)], capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
+
+
 # -- the compiled kernel under the undefined-behaviour sanitizer ------------------
 
 # Loads the kernel built at argv[1] and prints what each call listed in the
@@ -913,8 +961,18 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
         for cut in (thr, thr - 0.5):
             calls.append(("degree_skips", (n, list(_spot_check_draws(n)), cut)))
     for args in ((12, [0], 5.0), (5, [-1], 5.0), (5, [1 << 10], 5.0), (5, (0,), 5.0),
-                 (11, [(1 << 55) - 1], 5.0)):
+                 (11, [(1 << 55) - 1], 5.0), (5.0, [0], 5.0)):
         calls.append(("degree_skips", args))
+    # each branch of the int rule: a chord count that saturates and one far
+    # below 1, n above 11 or a float, hi below lo, a vertex below 0 or at n
+    k6, k6_mask = complete(6).rows, (1 << 15) - 1
+    for k in (1 << 70, -(1 << 70)):
+        calls += [("apex_has_config", (k6, k)), ("chorded_has", (k6, k)),
+                  ("classify", (6, k6_mask, k6_mask + 1, 5.0, 6.0, ("apex_has_config", k))),
+                  ("classify", (6, k6_mask, k6_mask + 1, 5.0, 6.0, ("chorded_has", k)))]
+    for n, lo, hi in ((12, 0, 1), (5.0, 0, 1024), (5, 3, 2)):
+        calls.append(("classify", (n, lo, hi, 5.0, 5.0, None)))
+    calls += [("perron_order", (path(5).rows, -1, 0)), ("perron_order", (path(5).rows, 0, 5))]
     listed = tmp_path / "calls.txt"
     listed.write_text("".join(f"{call!r}\n" for call in calls))
     runs = [_python(SANITIZED_CHILD, path, listed)
