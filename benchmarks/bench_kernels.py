@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
-apex detector, longest cycle, longest path and Perron entry order) against
-the pure-Python fallback, the theorem's prefilter spot check at orders 6 to
+apex detector, longest cycle, longest path, Perron entry order, the property
+suite's random graphs and its structural claims) against the pure-Python
+fallback, the theorem's prefilter spot check at orders 6 to
 8 (with the skipped graphs it eigensolves; its first call, which draws the
 sample, against the later ones), the theorem's and the corollary's Python
 tails on the tie band the kernel leaves at orders 6 to 8, `verify theorem
@@ -66,7 +67,9 @@ from chordspec.spectral import (
 from chordspec.verifier import (
     _SWEPT_ORDERS,
     CHUNK,
+    DEFAULT_CLAIM_CAPS,
     TIE_BAND,
+    _P_STRATA,
     _prefilter_spot_check,
     _sample,
     _spot_check_draws,
@@ -239,6 +242,54 @@ def bench_perron_order(impls, draws=3000, seed=7):
             if order:
                 x = q_index(g).vector
                 assert order == (1 if x[u] > x[v] else -1), (g.rows, u, v, order)
+
+
+def bench_random_rows(impls, draws=10000, seed=7):
+    """random_rows on the property suite's own draws: orders 4..10 and edge
+    probabilities from _P_STRATA, as _sample picks them, each implementation
+    drawing its slots from a generator of its own seeded alike; both must
+    give the same graphs and leave their generators in the same state."""
+    picks = random.Random(seed)
+    orders = [(picks.randint(4, 10), picks.choice(_P_STRATA)) for _ in range(draws)]
+    print(f"random graphs, {draws} draws of orders 4..10 "
+          f"({sum(n * (n - 1) // 2 for n, _ in orders)} edge slots)")
+    base = None
+    for label, impl in impls:
+        rng = random.Random(seed)
+        rand = rng.random
+        t0 = time.perf_counter()
+        out = [impl.random_rows(n, rand, p) for n, p in orders]
+        dt = time.perf_counter() - t0
+        print(f"  {label:9s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s")
+        if base is None:
+            base = out, rng.getstate()
+        else:
+            assert base == (out, rng.getstate()), "implementations disagree"
+
+
+def bench_structural(impls, draws=10000, seed=7):
+    """structural_violations on the structural claims' own draws: the
+    configuration-free graphs of orders 4..10 that property_suite(seed)
+    checks, at the default caps."""
+    rng = random.Random(seed * 37 + 707)
+    rows = []
+    while len(rows) < draws:
+        g = _sample(rng, 4, 10)
+        if not kernels.apex_has_config(g.rows, 3):
+            rows.append(g.rows)
+    caps = tuple(DEFAULT_CLAIM_CAPS.values())
+    print(f"structural claims, {draws} configuration-free order-4..10 graphs")
+    base = None
+    for label, impl in impls:
+        t0 = time.perf_counter()
+        out = [impl.structural_violations(r, caps) for r in rows]
+        dt = time.perf_counter() - t0
+        print(f"  {label:9s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s  "
+              f"violations={sum(map(sum, out))}")
+        if base is None:
+            base = out
+        else:
+            assert base == out, "implementations disagree"
 
 
 def bench_property_suite(seed=7, trials=10000):
@@ -510,6 +561,8 @@ def main() -> None:
     bench_detector(impls)
     bench_row_searches(impls)
     bench_perron_order(impls)
+    bench_random_rows(impls)
+    bench_structural(impls)
     bench_spot_check(impls)
     bench_tie_tail(6)
     bench_tie_tail(7)

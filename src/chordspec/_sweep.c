@@ -1,9 +1,9 @@
 /* Compiled sweep kernels: one pass over the degree-sorted graphs of an
  * edge-bitmask range that sorts each graph by its signless Laplacian index
  * against two cuts and tests the ones above them for a chord configuration,
- * the chord tests on one graph, the longest-cycle and longest-path searches
- * of the property suite, and the certified Perron entry order of its Perron
- * shift.
+ * the chord tests on one graph, and for the property suite its random
+ * graphs, its longest-cycle and longest-path searches, the certified Perron
+ * entry order of its Perron shift and the checks of its structural claims.
  *
  * Same interface and soundness contract as the pure-Python twin _sweep_py:
  * classify drops a graph only when its index is provably below lo_cut, and
@@ -49,6 +49,9 @@
 static int popcount(uint64_t x) { return __builtin_popcountll(x); }
 
 static int lowest_bit(uint64_t x) { return __builtin_ctzll(x); }
+
+/* The vertex mask of vertices 0..n-1, n <= MAXROWS. */
+static uint64_t all_vertices(int n) { return n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0; }
 
 /* -1 if the index is certainly below lo_cut, +1 if it is certainly above
  * hi_cut (lo_cut <= hi_cut), 0 if undecided after the cap. Iterates
@@ -124,8 +127,9 @@ static int degree_skip(int n, const uint64_t *adj, const int *degs, double cut)
  * One rule reads every int argument, parse_int: an int in [lo, hi], else
  * ValueError, and TypeError for anything that is not an int. A sweep's n
  * lies in [1, MAXN], its lo in [0, 2^C(n,2)] and its hi in [lo, 2^C(n,2)],
- * a listed mask in [0, 2^C(n,2)), a vertex in [0, n) and a chord count is
- * at least 1. Rows are those of a simple graph, and cuts are numbers, not
+ * a listed mask in [0, 2^C(n,2)), a vertex in [0, n), a chord count is
+ * at least 1, a random graph's order lies in [0, MAXROWS] and a claim cap is
+ * at least 0. Rows are those of a simple graph, and cuts are numbers, not
  * NaN. The messages are those of _sweep_py. */
 
 /* An int in [lo, hi] into *out, else ValueError (TypeError for an argument
@@ -313,9 +317,8 @@ static int has_chorded(int n, const uint64_t *adj, long min_chords)
 {
     if (min_chords <= 3 && has_apex(n, adj, 3))
         return 1;
-    uint64_t full = n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0;
     for (int root = 0; root < n; root++) {
-        uint64_t allowed = full & ~(((uint64_t)2 << root) - 1);
+        uint64_t allowed = all_vertices(n) & ~(((uint64_t)2 << root) - 1);
         if (cycle_rec(adj, root, -1, root, (uint64_t)1 << root, 1, allowed, min_chords))
             return 1;
     }
@@ -355,11 +358,10 @@ static PyObject *chorded_has(PyObject *self, PyObject *const *args, Py_ssize_t n
  * and neighbours ascending, and a branch stops once its path plus the
  * unvisited vertices it may still take cannot beat the best so far. */
 
-/* The vertex masks of the connected components, ordered by least vertex;
- * returns their number. */
-static int components(int n, const uint64_t *adj, uint64_t *comps)
+/* The vertex masks of the connected components of the subgraph induced on
+ * the vertex mask left, ordered by least vertex; returns their number. */
+static int components(const uint64_t *adj, uint64_t left, uint64_t *comps)
 {
-    uint64_t left = n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0;
     int count = 0;
     while (left) {
         uint64_t comp = left & (~left + 1), frontier = comp;
@@ -413,7 +415,7 @@ static PyObject *longest_cycle(PyObject *self, PyObject *const *args,
     if (check_nargs("longest_cycle", nargs, 1) || parse_rows(args[0], adj, &n))
         return NULL;
     cycle_search s = {.adj = adj};
-    int ncomps = components(n, adj, comps);
+    int ncomps = components(adj, all_vertices(n), comps);
     for (int c = 0; c < ncomps; c++) {
         if (popcount(comps[c]) < 3)
             continue;
@@ -464,7 +466,7 @@ static PyObject *max_path_order(PyObject *self, PyObject *const *args,
         return NULL;
     if (n == 0)
         return PyErr_Format(PyExc_ValueError, "empty graph has no paths");
-    int best = 1, ncomps = components(n, adj, comps);
+    int best = 1, ncomps = components(adj, all_vertices(n), comps);
     for (int c = 0; c < ncomps; c++)
         for (uint64_t starts = comps[c]; starts; starts &= starts - 1) {
             int start = lowest_bit(starts);
@@ -592,7 +594,7 @@ static PyObject *perron_order(PyObject *self, PyObject *const *args, Py_ssize_t 
         return NULL;
     if (u == v)
         return PyErr_Format(PyExc_ValueError, "need u != v, got %lld twice", u);
-    if (n > PERRON_MAXN || components(n, adj, comps) > 1)
+    if (n > PERRON_MAXN || components(adj, all_vertices(n), comps) > 1)
         return PyLong_FromLong(0);
     return PyLong_FromLong(perron_sign(n, adj, (int)u, (int)v));
 }
@@ -839,6 +841,212 @@ fail:
     return NULL;
 }
 
+/* -- the property suite's random graphs -------------------------------------- */
+
+/* random_rows(n, rand, p): the adjacency rows of a random graph on n
+ * vertices. The edge slots are drawn in index_pairs order, (0,1), (0,2),
+ * (1,2), ...: one call rand() a slot, which must return a float, and the
+ * slot is an edge when the value is below p. With rand a generator's bound
+ * random method, the graph and the generator's state afterwards are those
+ * of the same loop in Python (_sweep_py.random_rows); an error rand raises
+ * propagates. */
+static PyObject *random_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long n;
+    double p;
+    if (check_nargs("random_rows", nargs, 3) || parse_int(args[0], "n", 0, MAXROWS, 0, &n))
+        return NULL;
+    PyObject *rand = args[1];
+    if (!PyCallable_Check(rand))
+        return PyErr_Format(PyExc_TypeError, "rand must be callable, got %R", rand);
+    if (parse_double(args[2], &p))
+        return NULL;
+    uint64_t adj[MAXROWS] = {0};
+    for (int j = 1; j < n; j++)
+        for (int i = 0; i < j; i++) {
+            PyObject *x = PyObject_CallNoArgs(rand);
+            if (x == NULL)
+                return NULL;
+            if (!PyFloat_Check(x)) {
+                PyErr_Format(PyExc_TypeError, "rand must return a float, got %R", x);
+                Py_DECREF(x);
+                return NULL;
+            }
+            if (PyFloat_AS_DOUBLE(x) < p) {
+                adj[i] |= (uint64_t)1 << j;
+                adj[j] |= (uint64_t)1 << i;
+            }
+            Py_DECREF(x);
+        }
+    PyObject *rows = PyTuple_New((Py_ssize_t)n);
+    for (int v = 0; rows != NULL && v < n; v++) {
+        PyObject *row = PyLong_FromUnsignedLongLong(adj[v]);
+        if (row == NULL)
+            Py_CLEAR(rows);
+        else
+            PyTuple_SET_ITEM(rows, v, row);
+    }
+    return rows;
+}
+
+/* -- structural claims ---------------------------------------------------------
+ * structural_violations(rows, caps): the checks that
+ * _sweep_py.structural_violations states, over every apex z of the graph:
+ * the apex partition (Z0, the neighbours of z with no neighbour among z's
+ * neighbours; Z+, its other neighbours; W, every vertex off z and its
+ * neighbourhood), the components of G[Z+] and the catalog type of each
+ * (_sweep_py.classify_component), then for each w in W the claim-1 caps
+ * against each catalog component and claim 2. caps is a tuple of NCAPS
+ * ints of at least 0, in the order of cap_names (verifier.DEFAULT_CLAIM_CAPS);
+ * a cap above MAXROWS reads as MAXROWS, which no degree exceeds. */
+
+enum { BIG_STAR_CENTER, DOUBLE_STAR_CAP, STAR_PLUS_CAP, C4_PLUS_CAP, K4_CAP, NCAPS };
+static const char *const cap_names[NCAPS] = {"big_star_center", "double_star", "star_plus",
+                                             "c4_plus", "k4"};
+
+/* A catalog component of m vertices (s = m - 1 leaves for a star or a star
+ * plus one edge, m - 2 in all for a double star). center: the least vertex
+ * joined to every other one, for a star and a star plus one edge; leaves:
+ * a double star's leaves, or the pendants of a star plus one edge; deg3:
+ * the degree-3 vertices of a C4 plus a chord. */
+typedef struct {
+    uint64_t mask, leaves, deg3;
+    enum { STAR, DOUBLE_STAR, STAR_PLUS, C4, C4_PLUS, K4 } kind;
+    int m, center;
+} component;
+
+/* The catalog type of the connected subgraph induced on comp into *c, as
+ * _sweep_py.classify_component finds it; 0 when it is outside the catalog. */
+static int catalog_type(const uint64_t *adj, uint64_t comp, component *c)
+{
+    int m = popcount(comp), e = 0;
+    uint64_t deg1 = 0, deg2 = 0, deg3 = 0, top = 0; /* degree 1, 2, 3 and m - 1 in comp */
+    for (uint64_t t = comp; t; t &= t - 1) {
+        int v = lowest_bit(t), d = popcount(adj[v] & comp);
+        uint64_t bit = (uint64_t)1 << v;
+        e += d;
+        if (d == 1)
+            deg1 |= bit;
+        if (d == 2)
+            deg2 |= bit;
+        if (d == 3)
+            deg3 |= bit;
+        if (d == m - 1)
+            top |= bit;
+    }
+    e /= 2;
+    *c = (component){.mask = comp, .m = m, .center = top ? lowest_bit(top) : -1};
+    if (e == m - 1) { /* a tree: a star, or a double star with its centers joined */
+        uint64_t centers = comp & ~deg1;
+        c->kind = top ? STAR : DOUBLE_STAR;
+        c->leaves = deg1;
+        return top || (popcount(centers) == 2 && (adj[lowest_bit(centers)] & centers));
+    }
+    if (e == m) { /* unicyclic: the triangle, C4, or a star plus an edge between leaves */
+        c->kind = m == 4 && deg2 == comp ? C4 : STAR_PLUS;
+        c->leaves = deg1;
+        return m == 3 || c->kind == C4 ||
+               (top && popcount(deg2) == 2 && (adj[lowest_bit(deg2)] & deg2));
+    }
+    c->kind = e == 5 ? C4_PLUS : K4;
+    c->deg3 = deg3;
+    return m == 4 && (e == 5 || e == 6);
+}
+
+/* Whether w, of adjacency row `row`, breaks a claim-1 cap against the
+ * catalog component c. */
+static int claim1_violated(uint64_t row, const component *c, const long long *caps)
+{
+    uint64_t nbr = row & c->mask;
+    int d = popcount(nbr);
+    if (d == 0)
+        return 0;
+    switch (c->kind) {
+    case STAR: /* a big star whose center w reaches */
+        return c->m - 1 >= 3 && (nbr >> c->center & 1) && d > caps[BIG_STAR_CENTER];
+    case DOUBLE_STAR:
+        return c->m - 2 >= 3 && (d > caps[DOUBLE_STAR_CAP] || popcount(nbr & c->leaves) > 1);
+    case STAR_PLUS:
+        return c->m - 1 >= 3 && (d > caps[STAR_PLUS_CAP] || popcount(nbr & c->leaves) > 1 ||
+                                 ((nbr >> c->center & 1) && d != 1));
+    case C4_PLUS: /* two contacts must be the degree-two pair */
+        return d > caps[C4_PLUS_CAP] || (d == 2 && (nbr & c->deg3));
+    case K4:
+        return d > caps[K4_CAP];
+    default: /* C4 carries no cap */
+        return 0;
+    }
+}
+
+/* Whether w, of adjacency row `row`, breaks claim 2 against the catalog
+ * components comps[0..count) of an apex whose isolated class is z0. */
+static int claim2_violated(uint64_t row, const component *comps, int count, uint64_t z0)
+{
+    const component *nonstar = NULL;
+    int hits = 0;
+    for (int i = 0; i < count; i++)
+        if (row & comps[i].mask) {
+            hits++;
+            if (comps[i].kind != STAR && nonstar == NULL)
+                nonstar = &comps[i];
+        }
+    if (nonstar == NULL)
+        return 0;
+    if (hits > 1) /* neighbours in a second component beside a non-star one */
+        return 1;
+    if (!(row & z0))
+        return 0;
+    switch (nonstar->kind) { /* an isolated-class neighbour next to ... */
+    case C4:
+    case C4_PLUS:
+    case K4: /* ... a quad-bearing component */
+        return 1;
+    case STAR_PLUS: /* ... an off-center contact with a big star plus an edge */
+        return nonstar->m - 1 >= 3 && !(row >> nonstar->center & 1);
+    case DOUBLE_STAR: /* ... a double-star leaf contact */
+        return (row & nonstar->leaves) != 0;
+    default:
+        return 0;
+    }
+}
+
+static PyObject *structural_violations(PyObject *self, PyObject *const *args,
+                                       Py_ssize_t nargs)
+{
+    uint64_t adj[MAXROWS], masks[MAXROWS];
+    component comps[MAXROWS];
+    long long caps[NCAPS], cap_viol = 0, catalog_viol = 0;
+    int n;
+    if (check_nargs("structural_violations", nargs, 2) || parse_rows(args[0], adj, &n))
+        return NULL;
+    if (!PyTuple_Check(args[1]) || PyTuple_GET_SIZE(args[1]) != NCAPS)
+        return PyErr_Format(PyExc_TypeError, "caps must be a tuple of %d ints, got %R", NCAPS,
+                            args[1]);
+    for (int i = 0; i < NCAPS; i++)
+        if (parse_int(PyTuple_GET_ITEM(args[1], i), cap_names[i], 0, MAXROWS, 1, &caps[i]))
+            return NULL;
+    for (int z = 0; z < n; z++) {
+        uint64_t zbits = adj[z], z0 = 0;
+        for (uint64_t t = zbits; t; t &= t - 1)
+            if (!(adj[lowest_bit(t)] & zbits))
+                z0 |= t & (~t + 1);
+        int count = 0, found = components(adj, zbits & ~z0, masks);
+        for (int i = 0; i < found; i++) {
+            if (catalog_type(adj, masks[i], &comps[count]))
+                count++;
+            else
+                catalog_viol++;
+        }
+        for (uint64_t w = all_vertices(n) & ~zbits & ~((uint64_t)1 << z); w; w &= w - 1) {
+            uint64_t row = adj[lowest_bit(w)];
+            for (int i = 0; i < count; i++)
+                cap_viol += claim1_violated(row, &comps[i], caps);
+            cap_viol += claim2_violated(row, comps, count, z0);
+        }
+    }
+    return Py_BuildValue("(LL)", cap_viol, catalog_viol);
+}
+
 /* -- module ---------------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
@@ -867,6 +1075,14 @@ static PyMethodDef methods[] = {
      "perron_order(rows, u, v) -> 1, -1 or 0\n\n"
      "The certified sign of x_u - x_v for the Perron vector x of Q, or 0;\n"
      "see _sweep_py.perron_order."},
+    {"random_rows", (PyCFunction)(void (*)(void))random_rows, METH_FASTCALL,
+     "random_rows(n, rand, p) -> rows\n\n"
+     "The rows of a graph on n vertices whose edge slots, in index_pairs\n"
+     "order, are each an edge when one call rand() is below p."},
+    {"structural_violations", (PyCFunction)(void (*)(void))structural_violations,
+     METH_FASTCALL,
+     "structural_violations(rows, caps) -> (cap_violations, catalog_violations)\n\n"
+     "The structural claims' violations over every apex; see _sweep_py."},
     {NULL, NULL, 0, NULL},
 };
 

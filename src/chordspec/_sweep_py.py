@@ -7,7 +7,10 @@ weight; degree_skips applies classify's degree filter (``_degree_skip``) to
 a list of labeled masks; the per-graph calls take adjacency rows and defer
 to the reference searchers in chords.py, and perron_order certifies numpy
 ``eigh``'s top pair by the rule the compiled kernel applies to its Jacobi
-pair.
+pair. random_rows is the property suite's per-slot draw loop, and
+structural_violations holds the checks of its structural claims
+(classify_component and the two claims), which the compiled kernel restates
+on 64-bit rows.
 
 Soundness contract: a graph may only be dropped when its signless Laplacian
 index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
@@ -25,7 +28,7 @@ import operator
 import numpy as np
 
 from . import chords
-from .graphs import Graph, arrangement_count, bits_to_vertices, graph_from_mask
+from .graphs import Graph, apex_partition, arrangement_count, bits_to_vertices, graph_from_mask
 from .spectral import q_indices, signless_laplacian
 
 IS_COMPILED = False
@@ -54,14 +57,17 @@ def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
     index below lo_cut - CUT_MARGIN are dropped, and rest lists every other
     sorted mask, ascending. So over a whole order no_isolated is the number
     of labeled graphs without isolated vertices. ValueError when a cut is
-    NaN, TypeError for a malformed test; n, lo and hi are read by ``_int``.
+    NaN, TypeError for a malformed test or a cut that is not a real number
+    (``_real``); n, lo and hi are read by ``_int``.
     """
     n = _int(n, "n", 1, MAXN)
     total = 1 << n * (n - 1) // 2
     lo = _int(lo, "lo", 0, total)
     hi = _int(hi, "hi", lo, total)
-    if not lo_cut <= hi_cut:
+    cuts = _real(lo_cut), _real(hi_cut)
+    if not cuts[0] <= cuts[1]:
         raise ValueError(f"need lo_cut <= hi_cut, got {lo_cut!r} > {hi_cut!r}")
+    lo_cut, hi_cut = cuts
     detector = k = None
     if test is not None:
         if not (isinstance(test, tuple) and len(test) == 2 and isinstance(test[0], str)):
@@ -217,6 +223,15 @@ def _int(x, what: str, lo: int, hi: int | None = None) -> int:
     return i
 
 
+def _real(x) -> float:
+    """x as a float by the compiled kernel's rule (CPython's
+    ``PyFloat_AsDouble``, which ``math.ldexp`` applies to its first
+    argument): a float, an int, or an object with ``__float__`` or
+    ``__index__``; anything else, a str included, is a TypeError with the
+    compiled kernel's message."""
+    return math.ldexp(x, 0)
+
+
 def _has_apex(g: Graph, k: int) -> bool:
     return chords.find_k_chords_at_apex(g, k) is not None
 
@@ -244,7 +259,11 @@ def chorded_has(rows, min_chords: int) -> bool:
 def _graph_of_rows(rows) -> Graph:
     """The graph whose adjacency rows (vertex bitmasks) these are; ValueError
     unless they are the rows of a simple graph on at most MAXROWS vertices
-    (TypeError for a row that is not an int)."""
+    (TypeError for rows that are not iterable or a row that is not an int)."""
+    try:
+        rows = iter(rows)
+    except TypeError:  # the compiled kernel's message
+        raise TypeError("rows must be a sequence") from None
     rows = tuple(rows)
     n = len(rows)
     if n > MAXROWS:
@@ -329,3 +348,168 @@ def _certified_order(q: np.ndarray, y: np.ndarray, upper2: float, u: int, v: int
     if not abs(d) > 2 * eta + PERRON_MARGIN:
         return 0
     return 1 if d > 0 else -1
+
+
+def random_rows(n: int, rand, p) -> tuple[int, ...]:
+    """The adjacency rows of a random graph on n vertices, n in [0, MAXROWS]:
+    one call ``rand()`` per edge slot, in ``index_pairs`` order, and the slot
+    is an edge when the value, which must be a float, is below p. An error
+    rand raises propagates; a rand that is not callable, a value that is not
+    a float or a p that is not a real number is a TypeError."""
+    n = _int(n, "n", 0, MAXROWS)
+    if not callable(rand):
+        raise TypeError(f"rand must be callable, got {rand!r}")
+    p = _real(p)
+    adj = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            x = rand()
+            if not isinstance(x, float):
+                raise TypeError(f"rand must return a float, got {x!r}")
+            if x < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return tuple(adj)
+
+
+# the claim-1 caps, in the order structural_violations takes them
+CLAIM_CAPS = ("big_star_center", "double_star", "star_plus", "c4_plus", "k4")
+
+
+def classify_component(g: Graph, comp: int) -> dict | None:
+    """Catalog type of the connected subgraph induced on the vertex mask comp
+    (vertices keep their labels): star, double_star, star_plus, c4, c4_plus
+    or k4; None when the component falls outside the catalog. A single
+    vertex (center) is named by its label, a vertex group by its mask."""
+    m = comp.bit_count()
+    by_deg = [0] * m  # by_deg[d]: the vertices with d neighbours in comp
+    e = 0
+    for v in bits_to_vertices(comp):
+        d = (g.rows[v] & comp).bit_count()
+        by_deg[d] |= 1 << v
+        e += d
+    e //= 2
+    top = by_deg[m - 1]  # the vertices joined to every other one
+    center = (top & -top).bit_length() - 1  # the least of them, if any
+
+    if e == m - 1:  # tree
+        if top:
+            return {"kind": "star", "s": m - 1, "center": center,
+                    "leaves": comp & ~(1 << center)}
+        centers = comp & ~by_deg[1]  # a tree on m >= 2 vertices has none isolated
+        if centers.bit_count() == 2 and g.has_edge(*bits_to_vertices(centers)):
+            return {"kind": "double_star", "centers": centers,
+                    "leaves": by_deg[1], "total_leaves": m - 2}
+        return None
+    if e == m:  # unicyclic
+        if m == 3:
+            return {"kind": "star_plus", "s": 2, "center": None, "pendants": 0}
+        if m == 4 and by_deg[2] == comp:
+            return {"kind": "c4"}
+        pair = by_deg[2]  # m >= 4, so a center (m - 1 neighbours) is not in it
+        if top and pair.bit_count() == 2 and g.has_edge(*bits_to_vertices(pair)):
+            return {"kind": "star_plus", "s": m - 1, "center": center,
+                    "pair": pair, "pendants": by_deg[1]}
+        return None
+    if m == 4 and e == 5:
+        return {"kind": "c4_plus", "deg2": by_deg[2], "deg3": by_deg[3]}
+    if m == 4 and e == 6:
+        return {"kind": "k4"}
+    return None
+
+
+def _claim1_violation(g: Graph, w: int, comp: int, info: dict, caps: dict) -> str | None:
+    """The first violated degree cap for w against this component, if any."""
+    nbr = g.rows[w] & comp
+    d = nbr.bit_count()
+    if d == 0:
+        return None
+    kind = info["kind"]
+    if kind == "star":
+        if info["s"] >= 3 and nbr >> info["center"] & 1:
+            if d > caps["big_star_center"]:
+                return f"big star with center hit: degree {d}"
+        return None
+    if kind == "double_star":
+        if info["total_leaves"] < 3:
+            return None
+        if d > caps["double_star"]:
+            return f"double star: degree {d}"
+        leaf_hits = (nbr & info["leaves"]).bit_count()
+        if leaf_hits > 1:
+            return f"double star: {leaf_hits} leaf neighbors"
+        return None
+    if kind == "star_plus":
+        if info["s"] < 3:
+            return None
+        if d > caps["star_plus"]:
+            return f"star-plus: degree {d}"
+        pendant_hits = (nbr & info["pendants"]).bit_count()
+        if pendant_hits > 1:
+            return f"star-plus: {pendant_hits} pendant neighbors"
+        if nbr >> info["center"] & 1 and d != 1:
+            return f"star-plus: center hit with degree {d}"
+        return None
+    if kind == "c4_plus":
+        if d > caps["c4_plus"]:
+            return f"c4-plus: degree {d}"
+        if d == 2 and nbr & info["deg3"]:
+            return "c4-plus: degree-2 contact off the degree-two pair"
+        return None
+    if kind == "k4":
+        if d > caps["k4"]:
+            return f"k4: degree {d}"
+        return None
+    return None  # c4 and small stars carry no cap
+
+
+def _claim2_violation(g: Graph, w: int, comps: list[tuple[int, dict]], z0: int) -> str | None:
+    row = g.rows[w]
+    hits = [info for comp, info in comps if row & comp]
+    nonstar = [info for info in hits if info["kind"] != "star"]
+    if not nonstar:
+        return None
+    if len(hits) > 1:
+        return "neighbors in a second component beside a non-star one"
+    if not row & z0:
+        return None
+    info = nonstar[0]
+    kind = info["kind"]
+    if kind in ("c4", "c4_plus", "k4"):
+        return "isolated-class neighbor next to a quad-bearing component"
+    if kind == "star_plus" and info["s"] >= 3 and not row >> info["center"] & 1:
+        return "isolated-class neighbor next to an off-center star-plus contact"
+    if kind == "double_star" and row & info["leaves"]:
+        return "isolated-class neighbor next to a double-star leaf contact"
+    return None
+
+
+def structural_violations(rows, caps) -> tuple[int, int]:
+    """(cap violations, catalog violations) of the structural claims over
+    every apex of the graph: each component of G[Z+] must be a catalog type,
+    and each vertex of W must respect the claim-1 caps and claim 2. caps
+    holds the claim-1 caps in CLAIM_CAPS order, a tuple of ints of at least
+    0: TypeError for another length or type, ValueError for a negative cap
+    or rows that are not those of a simple graph."""
+    g = _graph_of_rows(rows)
+    if not (isinstance(caps, tuple) and len(caps) == len(CLAIM_CAPS)):
+        raise TypeError(f"caps must be a tuple of {len(CLAIM_CAPS)} ints, got {caps!r}")
+    caps = {name: _int(cap, name, 0) for name, cap in zip(CLAIM_CAPS, caps)}
+    cap_viol = 0
+    catalog_viol = 0
+    for z in range(g.n):
+        z0, zplus, w_mask = apex_partition(g, z)
+        comps = []
+        for comp in g.component_masks(within=zplus):
+            info = classify_component(g, comp)
+            if info is None:
+                catalog_viol += 1
+                continue
+            comps.append((comp, info))
+        for w in bits_to_vertices(w_mask):
+            for comp, info in comps:
+                if _claim1_violation(g, w, comp, info, caps) is not None:
+                    cap_viol += 1
+            if _claim2_violation(g, w, comps, z0) is not None:
+                cap_viol += 1
+    return cap_viol, catalog_viol

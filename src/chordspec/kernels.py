@@ -18,15 +18,27 @@ for min_chords <= 3), the searches ``longest_cycle`` and
 ``max_path_order``, and ``perron_order(rows, u, v)``: the sign of
 x_u - x_v for the Perron vector x of Q(G) as 1 or -1 when a Davis-Kahan
 bound certifies it, else 0 (on a tie or a small gap, for a disconnected
-graph and above 16 vertices). ``sweep_range`` below is the pass with no
-test.
+graph and above 16 vertices); and, for the property suite,
+``random_rows(n, rand, p)``, the rows of a random graph on n vertices that
+calls ``rand()`` (a generator's bound ``random`` method) once per edge slot
+in ``graphs.index_pairs`` order and sets the slot when the value is below p,
+so the generator makes the calls of the same loop in Python, and
+``structural_violations(rows, caps)``, the (cap, catalog) violation counts
+of the structural claims over every apex, with caps the claim-1 caps as a
+tuple in ``verifier.DEFAULT_CLAIM_CAPS`` order. ``sweep_range`` below is
+the pass with no test.
 
-Both read every int argument by one rule: n in [1, 11], a range's lo in
-[0, 2^C(n,2)] and its hi in [lo, 2^C(n,2)], a listed mask in
-[0, 2^C(n,2)), a vertex in [0, n) and a chord count of at least 1 (a
-count above every graph's chords answers no); anything else is a ValueError,
-and an argument that is not an int a TypeError, with the same message
-from both.
+Both read every int argument by one rule: n in [1, 11] for a sweep and in
+[0, 64] for ``random_rows``, a range's lo in [0, 2^C(n,2)] and its hi in
+[lo, 2^C(n,2)], a listed mask in [0, 2^C(n,2)), a vertex in [0, n), a chord
+count of at least 1 (a count above every graph's chords answers no) and a
+claim cap of at least 0; anything else is a ValueError, and an argument that
+is not an int a TypeError, with the same message from both. So is every
+other bad argument: rows that are not a sequence (TypeError) or not those of
+a simple graph on at most 64 vertices (ValueError), a cut or p that is not
+a real number, caps that are not a tuple of five, a rand that is not
+callable or returns something other than a float (TypeError). An error that
+rand raises propagates.
 
 The compiled ``classify`` releases the GIL for its pass, so threads that
 classify different ranges run at once; it holds the GIL again only to build
@@ -132,6 +144,8 @@ degree_skips = _impl.degree_skips
 longest_cycle = _impl.longest_cycle
 max_path_order = _impl.max_path_order
 perron_order = _impl.perron_order
+random_rows = _impl.random_rows
+structural_violations = _impl.structural_violations
 
 
 def sweep_range(n: int, lo: int, hi: int, q_floor: float):

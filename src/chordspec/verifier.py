@@ -57,11 +57,9 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    apex_partition,
     arrangement_count,
     arrangement_images,
     automorphism_count,
-    bits_to_vertices,
     disjoint_union,
     edge_counts,
     graph6_decode,
@@ -646,6 +644,7 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
 # -- randomized property suites ---------------------------------------------------
 
 
+# the claim-1 caps, in the order kernels.structural_violations takes them
 DEFAULT_CLAIM_CAPS = {
     "big_star_center": 2,  # w adjacent to the center of a star with >= 3 leaves
     "double_star": 3,
@@ -660,151 +659,10 @@ _P_STRATA = (0.2, 0.4, 0.6, 0.8)
 def _sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     """A graph of order n_lo..n_hi whose edges are present with a probability
     drawn from _P_STRATA: one ``rng.random()`` per edge slot, in
-    ``index_pairs`` order. The adjacency rows are built as the slots are
-    drawn, not from an edge mask afterwards: the property suite draws
-    thousands of graphs, and going through ``graph_from_mask`` takes about
-    twice as long a draw."""
+    ``index_pairs`` order, made by ``kernels.random_rows``."""
     n = rng.randint(n_lo, n_hi)
     p = rng.choice(_P_STRATA)
-    rand = rng.random
-    adj = [0] * n
-    for i, j in index_pairs(n):
-        if rand() < p:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
-
-
-def classify_component(g: Graph, comp: int) -> dict | None:
-    """Catalog type of the connected subgraph induced on the vertex mask comp
-    (vertices keep their labels): star, double_star, star_plus, c4, c4_plus
-    or k4; None when the component falls outside the catalog. A single
-    vertex (center) is named by its label, a vertex group by its mask."""
-    m = comp.bit_count()
-    by_deg = [0] * m  # by_deg[d]: the vertices with d neighbours in comp
-    e = 0
-    for v in bits_to_vertices(comp):
-        d = (g.rows[v] & comp).bit_count()
-        by_deg[d] |= 1 << v
-        e += d
-    e //= 2
-    top = by_deg[m - 1]  # the vertices joined to every other one
-    center = (top & -top).bit_length() - 1  # the least of them, if any
-
-    if e == m - 1:  # tree
-        if top:
-            return {"kind": "star", "s": m - 1, "center": center,
-                    "leaves": comp & ~(1 << center)}
-        centers = comp & ~by_deg[1]  # a tree on m >= 2 vertices has none isolated
-        if centers.bit_count() == 2 and g.has_edge(*bits_to_vertices(centers)):
-            return {"kind": "double_star", "centers": centers,
-                    "leaves": by_deg[1], "total_leaves": m - 2}
-        return None
-    if e == m:  # unicyclic
-        if m == 3:
-            return {"kind": "star_plus", "s": 2, "center": None, "pendants": 0}
-        if m == 4 and by_deg[2] == comp:
-            return {"kind": "c4"}
-        pair = by_deg[2]  # m >= 4, so a center (m - 1 neighbours) is not in it
-        if top and pair.bit_count() == 2 and g.has_edge(*bits_to_vertices(pair)):
-            return {"kind": "star_plus", "s": m - 1, "center": center,
-                    "pair": pair, "pendants": by_deg[1]}
-        return None
-    if m == 4 and e == 5:
-        return {"kind": "c4_plus", "deg2": by_deg[2], "deg3": by_deg[3]}
-    if m == 4 and e == 6:
-        return {"kind": "k4"}
-    return None
-
-
-def _claim1_violation(g: Graph, w: int, comp: int, info: dict, caps: dict) -> str | None:
-    """The first violated degree cap for w against this component, if any."""
-    nbr = g.rows[w] & comp
-    d = nbr.bit_count()
-    if d == 0:
-        return None
-    kind = info["kind"]
-    if kind == "star":
-        if info["s"] >= 3 and nbr >> info["center"] & 1:
-            if d > caps["big_star_center"]:
-                return f"big star with center hit: degree {d}"
-        return None
-    if kind == "double_star":
-        if info["total_leaves"] < 3:
-            return None
-        if d > caps["double_star"]:
-            return f"double star: degree {d}"
-        leaf_hits = (nbr & info["leaves"]).bit_count()
-        if leaf_hits > 1:
-            return f"double star: {leaf_hits} leaf neighbors"
-        return None
-    if kind == "star_plus":
-        if info["s"] < 3:
-            return None
-        if d > caps["star_plus"]:
-            return f"star-plus: degree {d}"
-        pendant_hits = (nbr & info["pendants"]).bit_count()
-        if pendant_hits > 1:
-            return f"star-plus: {pendant_hits} pendant neighbors"
-        if nbr >> info["center"] & 1 and d != 1:
-            return f"star-plus: center hit with degree {d}"
-        return None
-    if kind == "c4_plus":
-        if d > caps["c4_plus"]:
-            return f"c4-plus: degree {d}"
-        if d == 2 and nbr & info["deg3"]:
-            return "c4-plus: degree-2 contact off the degree-two pair"
-        return None
-    if kind == "k4":
-        if d > caps["k4"]:
-            return f"k4: degree {d}"
-        return None
-    return None  # c4 and small stars carry no cap
-
-
-def _claim2_violation(g: Graph, w: int, comps: list[tuple[int, dict]], z0: int) -> str | None:
-    row = g.rows[w]
-    hits = [info for comp, info in comps if row & comp]
-    nonstar = [info for info in hits if info["kind"] != "star"]
-    if not nonstar:
-        return None
-    if len(hits) > 1:
-        return "neighbors in a second component beside a non-star one"
-    if not row & z0:
-        return None
-    info = nonstar[0]
-    kind = info["kind"]
-    if kind in ("c4", "c4_plus", "k4"):
-        return "isolated-class neighbor next to a quad-bearing component"
-    if kind == "star_plus" and info["s"] >= 3 and not row >> info["center"] & 1:
-        return "isolated-class neighbor next to an off-center star-plus contact"
-    if kind == "double_star" and row & info["leaves"]:
-        return "isolated-class neighbor next to a double-star leaf contact"
-    return None
-
-
-def _structural_violations(g: Graph, caps: dict) -> tuple[int, int]:
-    """(cap violations, catalog violations) of the structural claims over
-    every apex of g: each component of G[Z+] must be a catalog type, and
-    each vertex of W must respect the claim-1 caps and claim 2."""
-    cap_viol = 0
-    catalog_viol = 0
-    for z in range(g.n):
-        z0, zplus, w_mask = apex_partition(g, z)
-        comps = []
-        for comp in g.component_masks(within=zplus):
-            info = classify_component(g, comp)
-            if info is None:
-                catalog_viol += 1
-                continue
-            comps.append((comp, info))
-        for w in bits_to_vertices(w_mask):
-            for comp, info in comps:
-                if _claim1_violation(g, w, comp, info, caps) is not None:
-                    cap_viol += 1
-            if _claim2_violation(g, w, comps, z0) is not None:
-                cap_viol += 1
-    return cap_viol, catalog_viol
+    return Graph(n, kernels.random_rows(n, rng.random, p))
 
 
 # -- Claim-1 boundary probes ---------------------------------------------------------
@@ -915,6 +773,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
     caps = dict(DEFAULT_CLAIM_CAPS)
     if claim_caps:
         caps.update(claim_caps)
+    cap_values = tuple(caps[name] for name in DEFAULT_CLAIM_CAPS)
     t0 = time.perf_counter()
     details: list[dict] = []
     counterexamples: list[str] = []
@@ -1122,7 +981,7 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         nonlocal claim_viol, catalog_viol
         bad = []
         for g in samples:
-            cap_here, catalog_here = _structural_violations(g, caps)
+            cap_here, catalog_here = kernels.structural_violations(g.rows, cap_values)
             claim_viol += cap_here
             catalog_viol += catalog_here
             if cap_here or catalog_here:

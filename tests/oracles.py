@@ -45,6 +45,8 @@ fixture table that decides them now.
 mask after another with unweighted counts, the reference for the
 degree-sorted weighted ``kernels.classify``; ``sorted_mask`` relabels a
 mask onto its degree-sorted form by a stable sort of its degrees.
+``oracle_sample`` is the property suite's earlier per-slot sampler in
+Python, the reference for ``kernels.random_rows``.
 ``count_roots_above`` and ``count_roots_in_interval`` are Sturm root counts
 on the package's own integer chains; they check the float index against the
 exact roots and are not themselves under test.
@@ -701,6 +703,25 @@ def oracle_classify_labeled(n: int, lo: int, hi: int, lo_cut: float, hi_cut: flo
             else:
                 rest.append(mask)
     return no_isolated, hits, rest
+
+
+def oracle_sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
+    """The property suite's earlier sampler, a per-slot loop in Python: an
+    order drawn from n_lo..n_hi, an edge probability p from the strata 0.2,
+    0.4, 0.6 and 0.8 (``verifier._P_STRATA``), then one ``rng.random()`` per
+    edge slot, in ``index_pairs`` order, each slot an edge when the value is
+    below p. The reference for ``verifier._sample`` and
+    ``kernels.random_rows``, which must give the same graph and leave the
+    generator in the same state."""
+    n = rng.randint(n_lo, n_hi)
+    p = rng.choice((0.2, 0.4, 0.6, 0.8))
+    rand = rng.random
+    adj = [0] * n
+    for i, j in index_pairs(n):
+        if rand() < p:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
 
 
 def sorted_mask(n: int, mask: int) -> int:

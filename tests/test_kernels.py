@@ -38,6 +38,7 @@ from oracles import (
     oracle_degree_vector_bounds,
     oracle_longest_path_order,
     oracle_q,
+    oracle_sample,
     sorted_mask,
 )
 
@@ -239,6 +240,9 @@ BAD_ROWS = [
 RING64 = [1 << (v + 1) % 64 | 1 << (v - 1) % 64 for v in range(64)]
 FAN64 = [row | (v in (10, 20, 30)) for v, row in enumerate(RING64)]
 FAN64[0] |= 1 << 10 | 1 << 20 | 1 << 30
+# K4 on 0..3 joined to vertex 4, and a pendant on vertex v % 4 at each v >= 5
+K4_FRINGE64 = make_graph(64, [(i, j) for i in range(5) for j in range(i + 1, 5)]
+                         + [(v, v % 4) for v in range(5, 64)]).rows
 
 
 @pytest.mark.parametrize(
@@ -259,7 +263,7 @@ def test_kernel_guards(impl):
         for rows in BAD_ROWS:
             with pytest.raises(ValueError):
                 detector(rows, 3)
-        for rows in ([0.0], [0, None]):  # a row that is not an int
+        for rows in ([0.0], [0, None], 5, None):  # a row that is not an int, no rows
             with pytest.raises(TypeError):
                 detector(rows, 3)
         # k below 1 is refused before any search, also on K6, which has
@@ -562,6 +566,10 @@ def test_classify_guards(impl):
             impl.classify(5, 1023, 1024, 5.0, 5.0, test)
     with pytest.raises(TypeError):
         impl.classify(5, 1023, 1024, 5.0, 5.0, "apex_has_config")
+    # cuts that are not real numbers, also on an empty range
+    for lo_cut, hi_cut in (("5", "6"), ("5", 6.0), (5.0, None)):
+        with pytest.raises(TypeError):
+            impl.classify(5, 7, 7, lo_cut, hi_cut, None)
     # K6 (q = 10) has three chords at a vertex: a hit above the cuts, a drop
     # below them and left over on a tie; an empty range is empty
     k6 = (1 << 15) - 1
@@ -653,18 +661,18 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
     # classify benches on order 5 (classify also in pieces over 1 and 2
-    # threads) and its apex detector bench on 200 graphs, whose asserts
-    # compare the implementations or the thread counts, one call of its
-    # order-6 sweep with 1 and 2 jobs, whose asserts compare the job counts,
-    # its Perron entry order bench on 200 graphs, whose asserts check each
-    # decided sign against eigh, one pass of its order-6 and order-8 tie
-    # tails, whose asserts check the verdicts, two calls of its spot check
-    # (the first drawing the sample, the second reusing it) at orders 6, 7
-    # and 8 through each kernel, whose asserts check that the check passes
-    # and that the kernels and the calls agree, one call each of its
-    # order-6 CLI timings, whose asserts check the exit codes and verdicts,
-    # one pass of its exact order-6 ties, which must reach the gcd, and
-    # expand its appendix templates at orders 7..8
+    # threads), its apex detector, random graph and structural claim benches
+    # on 200 graphs, whose asserts compare the implementations or the thread
+    # counts, one call of its order-6 sweep with 1 and 2 jobs, whose asserts
+    # compare the job counts, its Perron entry order bench on 200 graphs,
+    # whose asserts check each decided sign against eigh, one pass of its
+    # order-6 and order-8 tie tails, whose asserts check the verdicts, two
+    # calls of its spot check (the first drawing the sample, the second
+    # reusing it) at orders 6, 7 and 8 through each kernel, whose asserts
+    # check that the check passes and that the kernels and the calls agree,
+    # one call each of its order-6 CLI timings, whose asserts check the exit
+    # codes and verdicts, one pass of its exact order-6 ties, which must
+    # reach the gcd, and expand its appendix templates at orders 7..8
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -673,9 +681,11 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     bench.bench_classify(IMPLEMENTATIONS, 5, 0, 1 << 10, 6.0)
     bench.bench_detector(IMPLEMENTATIONS, trials=200)
     bench.bench_perron_order(IMPLEMENTATIONS, draws=200)
+    bench.bench_random_rows(IMPLEMENTATIONS, draws=200)
+    bench.bench_structural(IMPLEMENTATIONS, draws=200)
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
-        assert out.count(f"  {label} ") == 4, out
+        assert out.count(f"  {label} ") == 6, out
     for label, impl in IMPLEMENTATIONS:
         bench.bench_classify_threads(label, impl, 5, 0, 1 << 10, 6.0)
     bench.bench_sweep_jobs(6, min_seconds=0)
@@ -758,6 +768,10 @@ def test_row_kernel_guards(impl):
                 search(rows)
     with pytest.raises(ValueError):
         impl.max_path_order([])
+    for rows in (None, 5, [None]):
+        for search in (impl.longest_cycle, impl.max_path_order):
+            with pytest.raises(TypeError):
+                search(rows)
     assert impl.longest_cycle([]) is None
     # the bound itself is accepted: the 64-cycle, and a tuple of rows
     assert impl.longest_cycle(RING64) == (64, tuple(range(64)))
@@ -789,6 +803,76 @@ def test_perron_order_guards(impl):
     assert impl.perron_order(path(17).rows, 8, 0) == 0
     assert impl.perron_order(RING64, 0, 1) == impl.perron_order(FAN64, 0, 1) == 0
     assert impl.perron_order(path(16).rows, 7, 0) == 1
+
+
+def _boom():
+    raise ZeroDivisionError("rand failed")
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_random_rows_guards(impl):
+    # an order in [0, 64], a callable rand that returns floats, a real p;
+    # an error rand raises propagates
+    half = lambda: 0.5  # noqa: E731
+    for n in (-1, 65, 1 << 70):
+        with pytest.raises(ValueError):
+            impl.random_rows(n, half, 0.6)
+    for args in ((3.0, half, 0.6), (3, None, 0.6), (3, 0.5, 0.6), (3, half, "0.6"),
+                 (3, half, None), (3, int, 0.6), (3, lambda: "0.5", 0.6),
+                 (3, lambda: np.float32(0.5), 0.6)):
+        with pytest.raises(TypeError):
+            impl.random_rows(*args)
+    with pytest.raises(ZeroDivisionError, match="rand failed"):
+        impl.random_rows(2, _boom, 0.6)
+    # no slot below order 2, so rand is not called there
+    assert impl.random_rows(0, _boom, 0.6) == ()
+    assert impl.random_rows(1, _boom, 0.6) == (0,)
+    # float() is 0.0: every slot is an edge above p = 0, none at 0; the
+    # bounds are accepted, and p may be an int or a numpy float
+    k64 = tuple(((1 << 64) - 1) ^ (1 << v) for v in range(64))
+    assert impl.random_rows(64, float, 0.5) == k64
+    assert impl.random_rows(64, float, 0) == (0,) * 64
+    assert impl.random_rows(3, half, 1) == (0b110, 0b101, 0b011)
+    assert impl.random_rows(3, half, np.float64(0.5)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_structural_violations_guards(impl):
+    # the rows of a simple graph on at most 64 vertices; caps a tuple of
+    # five ints of at least 0
+    caps = (2, 3, 3, 2, 1)
+    for rows in BAD_ROWS:
+        with pytest.raises(ValueError):
+            impl.structural_violations(rows, caps)
+    for rows in (5, None, [0.0]):
+        with pytest.raises(TypeError):
+            impl.structural_violations(rows, caps)
+    k6 = complete(6).rows
+    for bad in ((2, 3, 3, 2), caps + (1,), list(caps), None, dict.fromkeys(range(5), 1),
+                (2, 3, 3, 2, 1.0), (2, 3, 3, None, 1)):
+        with pytest.raises(TypeError):
+            impl.structural_violations(k6, bad)
+    for bad in ((2, 3, 3, 2, -1), (-(1 << 70), 3, 3, 2, 1)):
+        with pytest.raises(ValueError):
+            impl.structural_violations(k6, bad)
+    # the bounds are accepted: no vertex, 64 vertices, caps past every degree.
+    # K4 on 0..3 joined to 4, with 59 pendants on the K4: at 4 and at each
+    # K4 vertex G[Z+] is a K4 and the pendants off it touch it once, which
+    # only a k4 cap of 0 forbids
+    assert impl.structural_violations([], caps) == (0, 0)
+    assert impl.structural_violations(RING64, caps) == (0, 0)
+    assert impl.structural_violations(FAN64, (1 << 70,) * 5) == (0, 0)
+    assert impl.structural_violations(K4_FRINGE64, caps) == (0, 0)
+    assert impl.structural_violations(K4_FRINGE64, (1, 1, 1, 1, 0)) == (236, 0)
+    # K6: at every apex G[Z+] is one K5, outside the catalog, and W is empty
+    assert impl.structural_violations(k6, caps) == (0, 6)
+    assert impl.structural_violations(k6, (0,) * 5) == (0, 6)
 
 
 class _Twins:
@@ -823,7 +907,8 @@ def test_guards_raise_the_same_error_on_both_kernels(compiled):
     # type with the same message on both kernels, or returns the same value
     twins = _Twins(compiled)
     for guards in (test_kernel_guards, test_classify_guards, test_degree_skips_guards,
-                   test_row_kernel_guards, test_perron_order_guards):
+                   test_row_kernel_guards, test_perron_order_guards,
+                   test_random_rows_guards, test_structural_violations_guards):
         guards(twins)
     assert twins.calls > 100
     assert twins.differ == [], "\n".join(map(repr, twins.differ))
@@ -914,17 +999,24 @@ def test_kernel_builds_without_warnings(compiled, tmp_path):
 # Loads the kernel built at argv[1] and prints what each call listed in the
 # file argv[2], one (name, args) a line, returns, or the name of the error it
 # raises; a call named "interleaved" is _interleaved over the kernel's
-# classify. The spot check's draws are too long for one argument, and a line
-# at a time keeps the parse small.
+# classify, and one named "seeded_rows" (seed, n, p) is random_rows(n, rand,
+# p) with rand the random method of random.Random(seed), which also prints
+# the generator's next draw. The spot check's draws are too long for one
+# argument, and a line at a time keeps the parse small.
 SANITIZED_CHILD = inspect.getsource(_interleaved) + """
-import ast, importlib.util, sys
+import ast, importlib.util, random, sys
 spec = importlib.util.spec_from_file_location("_sweep", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
+
+def seeded_rows(seed, n, p):
+    rng = random.Random(seed)
+    return kernel.random_rows(n, rng.random, p), rng.random()
+
 for line in open(sys.argv[2]):
     name, args = ast.literal_eval(line)
     call = (lambda *a: _interleaved(kernel.classify, *a)) if name == "interleaved" \
-        else getattr(kernel, name)
+        else seeded_rows if name == "seeded_rows" else getattr(kernel, name)
     try:
         print(repr(call(*args)))
     except (TypeError, ValueError) as exc:
@@ -973,6 +1065,23 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
     for n, lo, hi in ((12, 0, 1), (5.0, 0, 1024), (5, 3, 2)):
         calls.append(("classify", (n, lo, hi, 5.0, 5.0, None)))
     calls += [("perron_order", (path(5).rows, -1, 0)), ("perron_order", (path(5).rows, 0, 5))]
+    # the structural claims on the 64-vertex graphs, the bad rows and the
+    # seeded draws of the pinned counts, at the default caps and every cap
+    # 0, 1 and 2, and bad caps
+    rng = random.Random(20261019)
+    draws = [oracle_sample(rng, 3, 11).rows for _ in range(300)]
+    for caps in ((2, 3, 3, 2, 1), (0,) * 5, (1,) * 5, (2,) * 5):
+        for rows in (RING64, FAN64, K4_FRINGE64, *BAD_ROWS, *draws):
+            calls.append(("structural_violations", (rows, caps)))
+    for caps in ((2, 3, 3, 2), (2, 3, 3, 2, -1), (1 << 70,) * 5, (2, 3, 3, 2, 1.0)):
+        calls.append(("structural_violations", (complete(6).rows, caps)))
+    # random graphs through a seeded generator at orders 0..12 and 64, each
+    # stratum, and bad orders and edge probabilities
+    for seed in range(20):
+        for n in (*range(13), 64):
+            calls.append(("seeded_rows", (seed, n, (0.2, 0.4, 0.6, 0.8)[seed % 4])))
+    for n, p in ((-1, 0.5), (65, 0.5), (3, "0.5"), (3.0, 0.5)):
+        calls.append(("seeded_rows", (1, n, p)))
     listed = tmp_path / "calls.txt"
     listed.write_text("".join(f"{call!r}\n" for call in calls))
     runs = [_python(SANITIZED_CHILD, path, listed)

@@ -41,10 +41,9 @@ from chordspec.verifier import (
     DEFAULT_CLAIM_CAPS,
     Report,
     VerifierError,
+    _P_STRATA,
     _prefilter_spot_check,
-    _structural_violations,
     build_claim_probe,
-    classify_component,
     property_suite,
     replay_counterexample,
     report_diff,
@@ -56,8 +55,13 @@ from oracles import (
     mask_from_graph,
     oracle_degree_vector_bounds,
     oracle_prefilter_spot_check,
+    oracle_sample,
     oracle_spot_check_solving_all,
 )
+
+IMPLEMENTATIONS = kernels.implementations()
+DEFAULT_CAPS = tuple(DEFAULT_CLAIM_CAPS.values())
+classify_component = _sweep_py.classify_component
 
 
 def labeled_graphs(n):
@@ -550,8 +554,8 @@ def _mutant_classify(kernel, mutation, tmp_path):
         return kernels.build(mutant, tmp_path / "cache").classify
     source = Path(_sweep_py.__file__).read_text()
     if callable(edit):
-        edit = ("from .graphs import Graph, arrangement_count, bits_to_vertices",
-                "from .graphs import Graph, bits_to_vertices")
+        edit = ("from .graphs import Graph, apex_partition, arrangement_count,",
+                "from .graphs import Graph, apex_partition,")
     assert edit[0] in source
     module = SimpleNamespace(__name__="chordspec._sweep_mutant", __package__="chordspec",
                              arrangement_count=MUTANTS[kernel, mutation])
@@ -608,6 +612,24 @@ def test_theorem_rejects_bad_order():
         verify_corollary(6)
 
 
+def _claims_agree_with_the_twin(g, comp):
+    """The graph g with a new apex z joined to the vertex mask comp, so that
+    comp is a component of G[Z+] at z when it has an edge, with a vertex of W
+    on each vertex of comp and one on all of comp. Each kernel's structural
+    violations of that graph, at the default caps and at every cap 0, 1 and
+    2, equal those of the python twin, whose classify_component the catalog
+    tests pin."""
+    z, ws = g.n, range(g.n + 1, g.n + 2 + comp.bit_count())
+    edges = g.edges() + [(z, v) for v in bits_to_vertices(comp)]
+    edges += zip(ws, bits_to_vertices(comp))
+    edges += [(ws[-1], v) for v in bits_to_vertices(comp)]
+    rows = make_graph(ws[-1] + 1, edges).rows
+    for caps in (DEFAULT_CAPS, (0,) * 5, (1,) * 5, (2,) * 5):
+        for label, impl in IMPLEMENTATIONS:
+            assert impl.structural_violations(rows, caps) == \
+                _sweep_py.structural_violations(rows, caps), (label, g.rows, comp, caps)
+
+
 def test_classify_component_catalog():
     g = star(4)
     info = classify_component(g, 0b11111)
@@ -643,6 +665,12 @@ def test_classify_component_catalog():
     assert classify_component(cycle(5), 0b11111) is None
     bull = make_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)])
     assert classify_component(bull, 0b11111) is None
+    # each kernel reads each of these components as the twin does
+    for g, comp in ((star(4), 0b11111), (ds, 0b1111111), (sp, 0b11111),
+                    (complete(3), 0b111), (cycle(4), 0b1111), (c4_plus(), 0b1111),
+                    (complete(4), 0b1111), (make_graph(3, [(1, 2)]), 0b110),
+                    (path(5), 0b11111), (cycle(5), 0b11111), (bull, 0b11111)):
+        _claims_agree_with_the_twin(g, comp)
 
 
 def test_classify_component_keeps_labels():
@@ -650,6 +678,7 @@ def test_classify_component_keeps_labels():
     info = classify_component(g, 0b111100)
     assert info["kind"] == "star_plus" and info["center"] == 2
     assert info["pair"] == 0b011000 and info["pendants"] == 0b100000
+    _claims_agree_with_the_twin(g, 0b111100)
 
 
 def test_claim_probes_match_hand_analysis():
@@ -661,11 +690,17 @@ def test_claim_probes_match_hand_analysis():
         assert find_k_chords_at_apex(build_claim_probe(kind, cap + 1), 3) is not None
 
 
+def test_default_caps_are_in_the_kernels_order():
+    assert tuple(DEFAULT_CLAIM_CAPS) == _sweep_py.CLAIM_CAPS
+
+
 def test_structural_claims_hold_on_threshold_graph():
     """All neighborhood caps hold on the threshold graph itself, vacuously at
-    a universal apex (empty W) and substantively at low-degree apexes."""
+    a universal apex (empty W) and substantively at low-degree apexes, on
+    both kernels."""
     g = k11n2_plus(7).graph
-    assert _structural_violations(g, DEFAULT_CLAIM_CAPS) == (0, 0)
+    for label, impl in IMPLEMENTATIONS:
+        assert impl.structural_violations(g.rows, DEFAULT_CAPS) == (0, 0), label
     assert not apex_partition(g, 0)[2] and not apex_partition(g, 1)[2]  # universal
     assert any(apex_partition(g, z)[2] for z in range(g.n))
 
@@ -676,16 +711,45 @@ STRUCTURAL_COUNTS = "1beabc5aaf92bf3667ee6d9e13cb016c8f76dcb6fe047011d87bf9c4a80
 
 
 def test_structural_violation_counts_are_pinned():
-    """The claim checks, counted on 1,500 seeded draws of order 3..11 under
-    the default caps and under every cap at 0, 1 and 2; the tighter caps
-    make nearly every claim-1 and claim-2 branch fire."""
-    settings = [dict(DEFAULT_CLAIM_CAPS)] + [
-        dict.fromkeys(DEFAULT_CLAIM_CAPS, cap) for cap in (0, 1, 2)]
+    """The claim checks of each kernel, counted on 1,500 seeded draws of
+    order 3..11 under the default caps and under every cap at 0, 1 and 2;
+    the tighter caps make nearly every claim-1 and claim-2 branch fire."""
+    settings = [DEFAULT_CAPS, (0,) * 5, (1,) * 5, (2,) * 5]
     rng = random.Random(20261019)
-    graphs = [verifier._sample(rng, 3, 11) for _ in range(1500)]
-    counts = [[_structural_violations(g, caps) for g in graphs] for caps in settings]
-    assert sum(a + b for row in counts for a, b in row) == 18658
-    assert hashlib.sha256(json.dumps(counts).encode()).hexdigest() == STRUCTURAL_COUNTS
+    graphs = [oracle_sample(rng, 3, 11) for _ in range(1500)]
+    for label, impl in IMPLEMENTATIONS:
+        counts = [[impl.structural_violations(g.rows, caps) for g in graphs]
+                  for caps in settings]
+        assert sum(a + b for row in counts for a, b in row) == 18658, label
+        digest = hashlib.sha256(json.dumps(counts).encode()).hexdigest()
+        assert digest == STRUCTURAL_COUNTS, label
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_sample_draws_as_the_per_slot_loop(impl, monkeypatch):
+    # _sample through each kernel's random_rows against the per-slot loop it
+    # replaced: the same graph and the same generator state after every
+    # draw, over 300 seeds, two draws at each order 1..12, whose edge
+    # probabilities cover every stratum at every order
+    seen = set()
+
+    def random_rows(n, rand, p):
+        seen.add((n, p))
+        return impl.random_rows(n, rand, p)
+
+    monkeypatch.setattr(kernels, "random_rows", random_rows)
+    for seed in range(300):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 13):
+            for _ in range(2):
+                assert verifier._sample(rng, n, n) == oracle_sample(ref, n, n), (seed, n)
+                assert rng.getstate() == ref.getstate(), (seed, n)
+        assert verifier._sample(rng, 3, 11) == oracle_sample(ref, 3, 11), seed
+        assert rng.getstate() == ref.getstate(), seed
+    assert seen == {(n, p) for n in range(1, 13) for p in _P_STRATA}
 
 
 def test_property_suite_deterministic():
