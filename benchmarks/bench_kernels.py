@@ -12,7 +12,8 @@ sample, against the later ones), exact characteristic polynomials (one matrix a 
 batched), the exact largest-root comparison (with the pairs its sign certificate settles and
 those left to the Sturm chains, and exact ties between distinct
 polynomials at orders 6 and 7, with the bracket halvings they take), and
-one end-to-end property suite at 10,000 trials.
+one end-to-end property suite at 10,000 trials, then each of its lemmas and
+fixed checks on its own.
 
 The sweeps visit only the degree-sorted masks of their range (852 at order
 6, 15,822 at order 7 and 585,786 at order 8), so their rates are sorted
@@ -71,6 +72,7 @@ from chordspec.verifier import (
     TIE_BAND,
     _P_STRATA,
     _prefilter_spot_check,
+    _run_lemma,
     _sample,
     _spot_check_draws,
     _sweep_classified,
@@ -78,7 +80,26 @@ from chordspec.verifier import (
     _tail,
     _threshold_constants,
     _usable_cpus,
+    check_configured,
+    check_eta,
+    check_longest_cycle,
+    check_monotone,
+    check_path_free,
+    check_shift,
+    check_structure,
+    claim_boundary_battery,
+    draw_any,
+    draw_cyclic,
+    draw_dense,
+    draw_free,
+    draw_shift,
+    draw_with_non_edge,
+    draw_without_isolated,
+    equitable_quotient_fixtures,
+    eta_equality_failures,
+    path_free_equality_failures,
     property_suite,
+    threshold_family_lower_bound,
     verify_theorem_main,
 )
 
@@ -293,11 +314,41 @@ def bench_structural(impls, draws=10000, seed=7):
 
 
 def bench_property_suite(seed=7, trials=10000):
-    """One whole property suite, as `verify properties` runs it."""
+    """One whole property suite, as `verify properties` runs it, then each of
+    its details on its own: the same module-level lemma runs and fixed
+    checks, with the same generator seeds, in the suite's order, whose
+    details must equal the suite's."""
     dt, report = time_call(property_suite, seed, trials)
     print(f"property suite seed={seed} trials={trials}: {dt:.2f}s  "
           f"graphs examined={report.graphs_examined}")
     assert report.passed
+    base, caps = seed * 37, tuple(DEFAULT_CLAIM_CAPS.values())
+    calls = [
+        lambda: _run_lemma("edge_monotonicity", base + 101, trials, draw_with_non_edge,
+                           check_monotone),
+        lambda: _run_lemma("perron_shift", base + 202, trials, draw_shift, check_shift),
+        equitable_quotient_fixtures,
+        lambda: _run_lemma("eta_upper_bound", base + 303, trials, draw_without_isolated,
+                           check_eta, equality_failures=eta_equality_failures()),
+        lambda: _run_lemma("longest_cycle_edge_bound", base + 404, trials, draw_cyclic,
+                           check_longest_cycle),
+        lambda: _run_lemma("edge_count_forces_configuration", base + 505, trials,
+                           draw_dense, check_configured),
+        lambda: _run_lemma("path_free_edge_bound", base + 606, trials, draw_any,
+                           check_path_free, equality_failures=path_free_equality_failures()),
+        threshold_family_lower_bound,
+        lambda: _run_lemma("structural_claims", base + 707, trials, draw_free,
+                           functools.partial(check_structure, caps=caps),
+                           tally={"cap_violations": 0, "catalog_violations": 0}),
+        lambda: claim_boundary_battery(dict(DEFAULT_CLAIM_CAPS)),
+    ]
+    details = []
+    for call in calls:
+        dt, out = time_call(call)
+        detail = out if isinstance(out, dict) else out[0]
+        details.append(detail)
+        print(f"  {detail['name']:32s} {dt:8.3f}s")
+    assert details == report.details, "the lemmas alone disagree with the suite"
 
 
 def repeat_for(min_seconds, fn):

@@ -774,9 +774,12 @@ static PyObject *degree_skips(PyObject *self, PyObject *const *args, Py_ssize_t 
     n = (int)order;
     if (isnan(cut))
         return PyErr_Format(PyExc_ValueError, "cut is NaN");
-    if (!PyList_Check(args[1]))
+    if (!PyList_Check(args[1])) {
+        /* the type's __name__: tp_name after its last dot */
+        const char *name = Py_TYPE(args[1])->tp_name, *dot = strrchr(name, '.');
         return PyErr_Format(PyExc_TypeError, "masks must be a list, got %.200s",
-                            Py_TYPE(args[1])->tp_name);
+                            dot ? dot + 1 : name);
+    }
     /* ints only: reading one runs no Python code that could change the list */
     Py_ssize_t count = PyList_GET_SIZE(args[1]), skipped = 0, candidates = 0;
     typedef struct { uint64_t mask; long long num, den; } skip; /* U = num / den */

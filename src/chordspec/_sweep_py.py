@@ -418,70 +418,47 @@ def classify_component(g: Graph, comp: int) -> dict | None:
     return None
 
 
-def _claim1_violation(g: Graph, w: int, comp: int, info: dict, caps: dict) -> str | None:
-    """The first violated degree cap for w against this component, if any."""
+def _claim1_violated(g: Graph, w: int, comp: int, info: dict, caps: dict) -> bool:
+    """Whether w breaks a claim-1 cap against this component."""
     nbr = g.rows[w] & comp
     d = nbr.bit_count()
     if d == 0:
-        return None
+        return False
     kind = info["kind"]
-    if kind == "star":
-        if info["s"] >= 3 and nbr >> info["center"] & 1:
-            if d > caps["big_star_center"]:
-                return f"big star with center hit: degree {d}"
-        return None
+    if kind == "star":  # a big star whose center w reaches
+        return (info["s"] >= 3 and bool(nbr >> info["center"] & 1)
+                and d > caps["big_star_center"])
     if kind == "double_star":
-        if info["total_leaves"] < 3:
-            return None
-        if d > caps["double_star"]:
-            return f"double star: degree {d}"
-        leaf_hits = (nbr & info["leaves"]).bit_count()
-        if leaf_hits > 1:
-            return f"double star: {leaf_hits} leaf neighbors"
-        return None
+        return info["total_leaves"] >= 3 and (
+            d > caps["double_star"] or (nbr & info["leaves"]).bit_count() > 1)
     if kind == "star_plus":
-        if info["s"] < 3:
-            return None
-        if d > caps["star_plus"]:
-            return f"star-plus: degree {d}"
-        pendant_hits = (nbr & info["pendants"]).bit_count()
-        if pendant_hits > 1:
-            return f"star-plus: {pendant_hits} pendant neighbors"
-        if nbr >> info["center"] & 1 and d != 1:
-            return f"star-plus: center hit with degree {d}"
-        return None
-    if kind == "c4_plus":
-        if d > caps["c4_plus"]:
-            return f"c4-plus: degree {d}"
-        if d == 2 and nbr & info["deg3"]:
-            return "c4-plus: degree-2 contact off the degree-two pair"
-        return None
-    if kind == "k4":
-        if d > caps["k4"]:
-            return f"k4: degree {d}"
-        return None
-    return None  # c4 and small stars carry no cap
+        return info["s"] >= 3 and (
+            d > caps["star_plus"] or (nbr & info["pendants"]).bit_count() > 1
+            or (bool(nbr >> info["center"] & 1) and d != 1))
+    if kind == "c4_plus":  # two contacts must be the degree-two pair
+        return d > caps["c4_plus"] or (d == 2 and nbr & info["deg3"] != 0)
+    return kind == "k4" and d > caps["k4"]  # c4 carries no cap
 
 
-def _claim2_violation(g: Graph, w: int, comps: list[tuple[int, dict]], z0: int) -> str | None:
+def _claim2_violated(g: Graph, w: int, comps: list[tuple[int, dict]], z0: int) -> bool:
+    """Whether w breaks claim 2 against the catalog components comps of an
+    apex whose isolated class is z0."""
     row = g.rows[w]
     hits = [info for comp, info in comps if row & comp]
     nonstar = [info for info in hits if info["kind"] != "star"]
     if not nonstar:
-        return None
-    if len(hits) > 1:
-        return "neighbors in a second component beside a non-star one"
+        return False
+    if len(hits) > 1:  # neighbours in a second component beside a non-star one
+        return True
     if not row & z0:
-        return None
-    info = nonstar[0]
-    kind = info["kind"]
-    if kind in ("c4", "c4_plus", "k4"):
-        return "isolated-class neighbor next to a quad-bearing component"
-    if kind == "star_plus" and info["s"] >= 3 and not row >> info["center"] & 1:
-        return "isolated-class neighbor next to an off-center star-plus contact"
-    if kind == "double_star" and row & info["leaves"]:
-        return "isolated-class neighbor next to a double-star leaf contact"
-    return None
+        return False
+    info = nonstar[0]  # an isolated-class neighbour next to ...
+    if info["kind"] in ("c4", "c4_plus", "k4"):  # ... a quad-bearing component
+        return True
+    if info["kind"] == "star_plus":  # ... an off-center contact with a big star-plus
+        return info["s"] >= 3 and not row >> info["center"] & 1
+    # ... a double-star leaf contact
+    return info["kind"] == "double_star" and row & info["leaves"] != 0
 
 
 def structural_violations(rows, caps) -> tuple[int, int]:
@@ -508,8 +485,6 @@ def structural_violations(rows, caps) -> tuple[int, int]:
             comps.append((comp, info))
         for w in bits_to_vertices(w_mask):
             for comp, info in comps:
-                if _claim1_violation(g, w, comp, info, caps) is not None:
-                    cap_viol += 1
-            if _claim2_violation(g, w, comps, z0) is not None:
-                cap_viol += 1
+                cap_viol += _claim1_violated(g, w, comp, info, caps)
+            cap_viol += _claim2_violated(g, w, comps, z0)
     return cap_viol, catalog_viol

@@ -690,7 +690,7 @@ def build_claim_probe(kind: str, w_degree: int) -> Graph:
     return g.add_edges((w, 1 + priority[t]) for t in range(w_degree))
 
 
-def _battery_details(caps: dict) -> dict:
+def claim_boundary_battery(caps: dict) -> dict:
     """At the stated cap the probe must be configuration-free; one past the
     cap the detector must find the configuration."""
     failures = []
@@ -720,7 +720,13 @@ def _battery_details(caps: dict) -> dict:
     }
 
 
-# -- the suite runner ------------------------------------------------------------------
+# -- the suite's lemmas ----------------------------------------------------------------
+#
+# Each randomized lemma is a draw and a check. draw(rng) makes every
+# generator call of one trial and returns its sample, or None to redraw;
+# check(samples) takes the samples of up to _TRIAL_BATCH trials, in draw
+# order, so that it can batch their eigensolves, and returns the violating
+# graphs among them.
 
 
 def _eta_violated(g: Graph, q: float) -> bool:
@@ -740,18 +746,186 @@ def _eta_violated(g: Graph, q: float) -> bool:
     return q > num / den + 1e-10
 
 
+# Adding an edge never lowers the index, and strictly raises it when the
+# larger graph is connected.
+def draw_with_non_edge(rng: random.Random):
+    g = _sample(rng, 4, 10)
+    non_edges = [
+        (i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)
+    ]
+    return (g, g.add_edges([rng.choice(non_edges)])) if non_edges else None
+
+
+def check_monotone(samples) -> list[Graph]:
+    qs = q_indices([g for g, _ in samples] + [bigger for _, bigger in samples])
+    bad = []
+    for (g, bigger), q0, q1 in zip(samples, qs, qs[len(samples):]):
+        ok = q1 >= q0 - 1e-10
+        if ok and bigger.is_connected():
+            ok = _order(g, q0, bigger, q1) == LESS
+        if not ok:
+            bad.append(g)
+    return bad
+
+
+# Shifting a neighbor set from v onto a vertex with the larger Perron entry
+# strictly raises the index.
+def draw_shift(rng: random.Random):
+    # redraw until the trial admits a nonempty shift set
+    g = _sample(rng, 4, 10)
+    if not g.is_connected():
+        return None
+    u, v = rng.sample(range(g.n), 2)
+    rows = g.rows
+    if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
+        # twins: N(u) - v = N(v) - u leaves no shift set either way
+        return None
+    # u takes the larger Perron entry: the kernel's certified order, else
+    # the order of eigh's vector
+    order = kernels.perron_order(rows, u, v)
+    if order == 0:
+        x = q_index(g).vector
+        order = -1 if x[u] < x[v] else 1
+    if order < 0:
+        u, v = v, u
+    pool = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
+    if not pool:
+        return None
+    moved = rng.sample(pool, rng.randint(1, len(pool)))
+    return g, g.remove_edges((v, w) for w in moved).add_edges((u, w) for w in moved)
+
+
+def check_shift(samples) -> list[Graph]:
+    qs = q_indices([h for pair in samples for h in pair])
+    return [g for (g, shifted), q0, q1 in zip(samples, qs[::2], qs[1::2])
+            if _order(g, q0, shifted, q1) != LESS]
+
+
+# The index is at most the largest degree-average eta(v), with equality on
+# cycles, cliques and complete bipartite graphs. Also the counting form:
+# eta(v) <= n + 2 e(neighborhood) / d(v).
+def draw_without_isolated(rng: random.Random):
+    g = _sample(rng, 4, 10)
+    return g if g.min_degree > 0 else None
+
+
+def check_eta(samples) -> list[Graph]:
+    return [g for g, q in zip(samples, q_indices(samples)) if _eta_violated(g, q)]
+
+
+def eta_equality_failures() -> list[str]:
+    """The graphs on which the eta bound should be an equality and is not."""
+    equalities = [("cycle9", cycle(9)), ("cycle6", cycle(6)), ("clique7", complete(7)),
+                  ("bipartite3x4", complete_multipartite(3, 4)),
+                  ("bipartite2x5", complete_multipartite(2, 5))]
+    return [label for (label, g), qv in zip(equalities, q_indices([g for _, g in equalities]))
+            if abs(qv - float(max_eta(g))) > 1e-9]
+
+
+# At most c(n-c)/2 edges avoid a longest cycle (c its length).
+def draw_cyclic(rng: random.Random):
+    g = _sample(rng, 4, 12)
+    # quick cyclicity screen before the heavier search
+    if g.edge_count > g.n - len(g.component_masks()):
+        found = kernels.longest_cycle(g.rows)
+        if found is not None:
+            c, cyc = found
+            # the kernel's cycle is a witness: check it before using it
+            if c != len(cyc) or not chords.verify_certificate(
+                    g, chords.Certificate(cyc, ()), 0, False):
+                raise VerifierError(
+                    f"longest_cycle kernel returned {found!r}, not a cycle of "
+                    f"{graph6_encode(g)}")
+            return g, found
+    return None
+
+
+def check_longest_cycle(samples) -> list[Graph]:
+    return [g for g, (c, cyc) in samples
+            if 2 * (g.edge_count - edge_counts(g, cyc, cyc)) > c * (g.n - c)]
+
+
+# Above 4n - 16 edges the three-chord apex configuration is unavoidable
+# (orders 10..14).
+def draw_dense(rng: random.Random) -> Graph:
+    n = rng.randint(10, 14)
+    pairs = index_pairs(n)
+    e = rng.randint(4 * n - 15, len(pairs))
+    adj = [0] * n
+    for b in rng.sample(range(len(pairs)), e):
+        i, j = pairs[b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+def check_configured(samples) -> list[Graph]:
+    bad = []
+    for g in samples:
+        cert = chords.find_k_chords_at_apex(g, 3)
+        if cert is None or not chords.verify_certificate(g, cert, 3, True):
+            bad.append(g)
+    return bad
+
+
+# Without a path on k+2 vertices there are at most nk/2 edges, with equality
+# on disjoint unions of (k+1)-cliques.
+def draw_any(rng: random.Random) -> Graph:
+    return _sample(rng, 3, 12)
+
+
+def check_path_free(samples) -> list[Graph]:
+    bad = []
+    for g in samples:
+        k = kernels.max_path_order(g.rows) - 1
+        if k >= 1 and 2 * g.edge_count > g.n * k:
+            bad.append(g)
+    return bad
+
+
+def path_free_equality_failures() -> list[str]:
+    """The clique unions on which the path bound should be an equality and is
+    not."""
+    bad = []
+    for k, copies in ((2, 3), (3, 2), (4, 2)):
+        g = complete(k + 1)
+        for _ in range(copies - 1):
+            g = disjoint_union(g, complete(k + 1))
+        if 2 * g.edge_count != g.n * k or kernels.max_path_order(g.rows) != k + 1:
+            bad.append(f"{copies}x clique{k + 1}")
+    return bad
+
+
+# The structural claims on configuration-free samples; check_structure also
+# adds each sample's counts to the runner's tally.
+def draw_free(rng: random.Random):
+    g = _sample(rng, 4, 10)
+    return None if kernels.apex_has_config(g.rows, 3) else g
+
+
+def check_structure(samples, tally: dict, caps: tuple[int, ...]) -> list[Graph]:
+    """caps: the claim-1 caps, in DEFAULT_CLAIM_CAPS order."""
+    bad = []
+    for g in samples:
+        cap_here, catalog_here = kernels.structural_violations(g.rows, caps)
+        tally["cap_violations"] += cap_here
+        tally["catalog_violations"] += catalog_here
+        if cap_here or catalog_here:
+            bad.append(g)
+    return bad
+
+
 _TRIAL_BATCH = 1024  # samples checked at once; bounds the samples a run holds
 
 
-def _trials(rng: random.Random, trials: int, draw, check):
-    """Run seeded trials: draw(rng) makes every generator call of one trial
-    and returns its sample, or None to redraw (the trial is skipped after 30
-    draws in a row return None). check(samples) takes the samples
-    of up to _TRIAL_BATCH trials, in draw order, so that it can batch their
-    eigensolves, and returns the violating graphs among them. Returns
-    (trials run, violating graphs)."""
-    used = 0
-    bad = []
+def _run_lemma(name: str, rng_seed: int, trials: int, draw, check,
+               tally: dict | None = None, **equality_failures):
+    """One lemma's seeded trials, as (its detail, trials run, violating
+    graphs). A trial is skipped after 30 draws in a row return None. The
+    detail counts the violating graphs, or, with a tally, holds the tally's
+    counts, which check(samples, tally) adds to. A lemma fails on a
+    violating graph or on any equality failure."""
+    rng, used, bad = random.Random(rng_seed), 0, []
     for start in range(0, trials, _TRIAL_BATCH):
         samples = []
         for _ in range(min(_TRIAL_BATCH, trials - start)):
@@ -761,95 +935,18 @@ def _trials(rng: random.Random, trials: int, draw, check):
                     samples.append(sample)
                     break
         used += len(samples)
-        bad += check(samples)
-    return used, bad
+        bad += check(samples) if tally is None else check(samples, tally)
+    counts = {"violations": len(bad)} if tally is None else tally
+    return ({"name": name, "passed": not bad and not any(equality_failures.values()),
+             "trials": used, **counts, **equality_failures}, used, bad)
 
 
-def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) -> Report:
-    """Randomized checks of the supporting lemmas plus the structural claims
-    on configuration-free samples. Seeded and deterministic."""
-    if trials < 1:
-        raise VerifierError("trials must be >= 1")
-    caps = dict(DEFAULT_CLAIM_CAPS)
-    if claim_caps:
-        caps.update(claim_caps)
-    cap_values = tuple(caps[name] for name in DEFAULT_CLAIM_CAPS)
-    t0 = time.perf_counter()
-    details: list[dict] = []
-    counterexamples: list[str] = []
-    examined = 0
+# -- the suite's fixed checks ----------------------------------------------------------
 
-    def lemma(name: str, salt: int, draw, check, **equality_failures) -> None:
-        """One lemma's seeded trials, recorded as its detail entry."""
-        nonlocal examined
-        used, bad = _trials(random.Random(seed * 37 + salt), trials, draw, check)
-        examined += used
-        counterexamples.extend(graph6_encode(g) for g in bad)
-        details.append(
-            {"name": name, "passed": not bad and not any(equality_failures.values()),
-             "trials": used, "violations": len(bad), **equality_failures}
-        )
 
-    # Adding an edge never lowers the index, and strictly raises it when
-    # the larger graph is connected.
-    def draw_with_non_edge(rng):
-        g = _sample(rng, 4, 10)
-        non_edges = [
-            (i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)
-        ]
-        return (g, g.add_edges([rng.choice(non_edges)])) if non_edges else None
-
-    def check_monotone(samples):
-        qs = q_indices([g for g, _ in samples] + [bigger for _, bigger in samples])
-        bad = []
-        for (g, bigger), q0, q1 in zip(samples, qs, qs[len(samples):]):
-            ok = q1 >= q0 - 1e-10
-            if ok and bigger.is_connected():
-                ok = _order(g, q0, bigger, q1) == LESS
-            if not ok:
-                bad.append(g)
-        return bad
-
-    lemma("edge_monotonicity", 101, draw_with_non_edge, check_monotone)
-
-    # Shifting a neighbor set from v onto a vertex with the larger Perron
-    # entry strictly raises the index.
-    def draw_shift(rng):
-        # redraw until the trial admits a nonempty shift set
-        g = _sample(rng, 4, 10)
-        if not g.is_connected():
-            return None
-        u, v = rng.sample(range(g.n), 2)
-        rows = g.rows
-        if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-            # twins: N(u) - v = N(v) - u leaves no shift set either way
-            return None
-        # u takes the larger Perron entry: the kernel's certified order,
-        # else the order of eigh's vector
-        order = kernels.perron_order(rows, u, v)
-        if order == 0:
-            x = q_index(g).vector
-            order = -1 if x[u] < x[v] else 1
-        if order < 0:
-            u, v = v, u
-        pool = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
-        if not pool:
-            return None
-        moved = rng.sample(pool, rng.randint(1, len(pool)))
-        shifted = g.remove_edges((v, w) for w in moved).add_edges(
-            (u, w) for w in moved
-        )
-        return g, shifted
-
-    def check_shift(samples):
-        qs = q_indices([h for pair in samples for h in pair])
-        return [g for (g, shifted), q0, q1 in zip(samples, qs[::2], qs[1::2])
-                if _order(g, q0, shifted, q1) != LESS]
-
-    lemma("perron_shift", 202, draw_shift, check_shift)
-
-    # Equitable quotient fixtures share the index (smallest valid order of
-    # every catalog fixture, plus the threshold family partition).
+def equitable_quotient_fixtures() -> dict:
+    """Equitable quotient fixtures share the index: the smallest valid order
+    of every catalog fixture, plus the threshold family partition."""
     cases = [
         (fx.item, g, fx.partition(n, s))
         for fx in FIXTURES
@@ -863,149 +960,62 @@ def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) ->
         qm = quotient_matrix(g, blocks)
         if qm is None or abs(perron_root(qm) - qv) > 1e-8:
             bad.append(label)
-    details.append(
-        {"name": "equitable_quotient_fixtures", "passed": not bad,
-         "checked": len(cases), "failures": bad}
-    )
+    return {"name": "equitable_quotient_fixtures", "passed": not bad,
+            "checked": len(cases), "failures": bad}
 
-    # The index is at most the largest degree-average eta(v), with equality
-    # on cycles, cliques and complete bipartite graphs. Also the counting
-    # form: eta(v) <= n + 2 e(neighborhood) / d(v).
-    def draw_without_isolated(rng):
-        g = _sample(rng, 4, 10)
-        return g if g.min_degree > 0 else None
 
-    def check_eta(samples):
-        return [g for g, q in zip(samples, q_indices(samples)) if _eta_violated(g, q)]
-
-    eq_bad = []
-    equalities = [("cycle9", cycle(9)), ("cycle6", cycle(6)), ("clique7", complete(7)),
-                  ("bipartite3x4", complete_multipartite(3, 4)),
-                  ("bipartite2x5", complete_multipartite(2, 5))]
-    for (label, g), qv in zip(equalities, q_indices([g for _, g in equalities])):
-        if abs(qv - float(max_eta(g))) > 1e-9:
-            eq_bad.append(label)
-    lemma("eta_upper_bound", 303, draw_without_isolated, check_eta,
-          equality_failures=eq_bad)
-
-    # At most c(n-c)/2 edges avoid a longest cycle (c its length).
-    def draw_cyclic(rng):
-        g = _sample(rng, 4, 12)
-        # quick cyclicity screen before the heavier search
-        if g.edge_count > g.n - len(g.component_masks()):
-            found = kernels.longest_cycle(g.rows)
-            if found is not None:
-                c, cyc = found
-                # the kernel's cycle is a witness: check it before using it
-                if c != len(cyc) or not chords.verify_certificate(
-                        g, chords.Certificate(cyc, ()), 0, False):
-                    raise VerifierError(
-                        f"longest_cycle kernel returned {found!r}, not a cycle of "
-                        f"{graph6_encode(g)}")
-                return g, found
-        return None
-
-    def check_longest_cycle(samples):
-        bad = []
-        for g, (c, cyc) in samples:
-            if 2 * (g.edge_count - edge_counts(g, cyc, cyc)) > c * (g.n - c):
-                bad.append(g)
-        return bad
-
-    lemma("longest_cycle_edge_bound", 404, draw_cyclic, check_longest_cycle)
-
-    # Above 4n - 16 edges the three-chord apex configuration is
-    # unavoidable (orders 10..14).
-    def draw_dense(rng):
-        n = rng.randint(10, 14)
-        pairs = index_pairs(n)
-        e = rng.randint(4 * n - 15, len(pairs))
-        adj = [0] * n
-        for b in rng.sample(range(len(pairs)), e):
-            i, j = pairs[b]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return Graph(n, tuple(adj))
-
-    def check_configured(samples):
-        bad = []
-        for g in samples:
-            cert = chords.find_k_chords_at_apex(g, 3)
-            if cert is None or not chords.verify_certificate(g, cert, 3, True):
-                bad.append(g)
-        return bad
-
-    lemma("edge_count_forces_configuration", 505, draw_dense, check_configured)
-
-    # Without a path on k+2 vertices there are at most nk/2 edges, with
-    # equality on disjoint unions of (k+1)-cliques.
-    def check_path_free(samples):
-        bad = []
-        for g in samples:
-            k = kernels.max_path_order(g.rows) - 1
-            if k >= 1 and 2 * g.edge_count > g.n * k:
-                bad.append(g)
-        return bad
-
-    eq_bad2 = []
-    for k, copies in ((2, 3), (3, 2), (4, 2)):
-        g = complete(k + 1)
-        for _ in range(copies - 1):
-            g = disjoint_union(g, complete(k + 1))
-        if 2 * g.edge_count != g.n * k or kernels.max_path_order(g.rows) != k + 1:
-            eq_bad2.append(f"{copies}x clique{k + 1}")
-    lemma("path_free_edge_bound", 606, lambda rng: _sample(rng, 3, 12), check_path_free,
-          equality_failures=eq_bad2)
-
-    # Threshold family beats n + 2 - 4/(n+2) for 6 <= n <= 40.
-    bound_bad = []
+def threshold_family_lower_bound() -> dict:
+    """The threshold family beats n + 2 - 4/(n+2) for 6 <= n <= 40."""
+    bad = []
     for n, qv in zip(range(6, 41), q_indices([k11n2_plus(n).graph for n in range(6, 41)])):
         pt = _threshold_bound_fraction(n)
         if not qv > float(pt):
-            bound_bad.append(n)
+            bad.append(n)
         if appendix_polynomial("g", n)(pt) >= 0:
-            bound_bad.append((n, "sign"))
-    details.append(
-        {"name": "threshold_family_lower_bound", "passed": not bound_bad,
-         "range": [6, 40], "failures": bound_bad}
-    )
+            bad.append((n, "sign"))
+    return {"name": "threshold_family_lower_bound", "passed": not bad,
+            "range": [6, 40], "failures": bad}
 
-    # Structural claims on configuration-free samples.
-    def draw_free(rng):
-        g = _sample(rng, 4, 10)
-        return None if kernels.apex_has_config(g.rows, 3) else g
 
-    claim_viol = catalog_viol = 0
-
-    def check_structure(samples):
-        nonlocal claim_viol, catalog_viol
-        bad = []
-        for g in samples:
-            cap_here, catalog_here = kernels.structural_violations(g.rows, cap_values)
-            claim_viol += cap_here
-            catalog_viol += catalog_here
-            if cap_here or catalog_here:
-                bad.append(g)
-        return bad
-
-    used, bad = _trials(random.Random(seed * 37 + 707), trials, draw_free, check_structure)
-    examined += used
-    counterexamples.extend(graph6_encode(g) for g in bad)
-    details.append(
-        {"name": "structural_claims", "passed": claim_viol == 0 and catalog_viol == 0,
-         "trials": used, "cap_violations": claim_viol,
-         "catalog_violations": catalog_viol}
-    )
-    details.append(_battery_details(caps))
-
+def property_suite(seed: int, trials: int, *, claim_caps: dict | None = None) -> Report:
+    """Randomized checks of the supporting lemmas plus the structural claims
+    on configuration-free samples, and three fixed checks. Seeded and
+    deterministic. Each randomized lemma is a module-level draw and check
+    that _run_lemma runs on a generator of its own, seeded seed * 37 + the
+    lemma's salt; each fixed check is a module-level function that returns
+    its detail. The report's details are theirs, in this order, its graphs
+    examined the trials run and its counterexamples the violating graphs."""
+    if trials < 1:
+        raise VerifierError("trials must be >= 1")
+    caps = {**DEFAULT_CLAIM_CAPS, **(claim_caps or {})}
+    t0 = time.perf_counter()
+    base, cap_values = seed * 37, tuple(caps[name] for name in DEFAULT_CLAIM_CAPS)
+    runs = [
+        _run_lemma("edge_monotonicity", base + 101, trials, draw_with_non_edge, check_monotone),
+        _run_lemma("perron_shift", base + 202, trials, draw_shift, check_shift),
+        (equitable_quotient_fixtures(), 0, []),
+        _run_lemma("eta_upper_bound", base + 303, trials, draw_without_isolated, check_eta,
+                   equality_failures=eta_equality_failures()),
+        _run_lemma("longest_cycle_edge_bound", base + 404, trials, draw_cyclic,
+                   check_longest_cycle),
+        _run_lemma("edge_count_forces_configuration", base + 505, trials, draw_dense,
+                   check_configured),
+        _run_lemma("path_free_edge_bound", base + 606, trials, draw_any, check_path_free,
+                   equality_failures=path_free_equality_failures()),
+        (threshold_family_lower_bound(), 0, []),
+        _run_lemma("structural_claims", base + 707, trials, draw_free,
+                   functools.partial(check_structure, caps=cap_values),
+                   tally={"cap_violations": 0, "catalog_violations": 0}),
+        (claim_boundary_battery(caps), 0, []),
+    ]
     params: dict = {"seed": seed, "trials": trials}
     if claim_caps:
         params["claim_caps"] = dict(sorted(caps.items()))
     return Report(
         task="properties",
         params=params,
-        graphs_examined=examined,
-        counterexamples=sorted(set(counterexamples)),
-        details=details,
+        graphs_examined=sum(used for _, used, _ in runs),
+        counterexamples=sorted({graph6_encode(g) for *_, bad in runs for g in bad}),
+        details=[detail for detail, *_ in runs],
         wall_time_ms=(time.perf_counter() - t0) * 1000,
     )

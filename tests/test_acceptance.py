@@ -6,6 +6,7 @@ tolerance and runtime budget is pinned here.
 
 import random
 import time
+from pathlib import Path
 
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.families import (
@@ -23,8 +24,10 @@ from chordspec.graphs import make_graph
 from chordspec.graphs import disjoint_union, graph_from_mask, join
 from chordspec.spectral import q_index
 from chordspec.verifier import (
+    Report,
     property_suite,
     replay_counterexample,
+    report_diff,
     verify_appendix,
     verify_corollary,
     verify_theorem_main,
@@ -32,6 +35,13 @@ from chordspec.verifier import (
 from oracles import oracle_apex_chords, oracle_chorded
 
 SEED = 20260810
+# report bodies of the property suite runs below, compared by report_diff's
+# rule: every key but wall_time_ms
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_diff(rep, stored: str) -> list[str]:
+    return report_diff(Report.from_json((GOLDEN / stored).read_text()), rep)
 
 
 def _line(name: str, ok: bool, extra: str = "") -> None:
@@ -192,6 +202,7 @@ def test_criterion_6_lemma_property_suites():
     for d in rep.details:
         assert d["passed"], d
     assert not rep.counterexamples
+    assert _golden_diff(rep, "properties-seed20260810-trials10000.json") == []
 
 
 def test_criterion_7_mutation_sensitivity():
@@ -221,3 +232,4 @@ def test_criterion_7_mutation_sensitivity():
     assert not lowered.passed and lowered.counterexamples and replays
     assert not corrupted.passed
     assert clean.passed
+    assert _golden_diff(corrupted, "properties-seed20260810-trials200-k4cap2.json") == []

@@ -28,6 +28,7 @@ from chordspec.verifier import (
     _spot_check_draws,
     _threshold_constants,
     _without_isolated_vertices,
+    property_suite,
     verify_appendix,
 )
 from oracles import (
@@ -639,8 +640,13 @@ def test_degree_skips_guards(impl):
             impl.degree_skips(5, masks, 5.0)
     with pytest.raises(ValueError):
         impl.degree_skips(5, [1023], math.nan)
-    for masks in ((1023,), range(4), 1023, None):
-        with pytest.raises(TypeError):
+    class Masks:
+        pass
+
+    # a numpy array and an instance of a class of its own too: both kernels
+    # name the type by its __name__
+    for masks in ((1023,), range(4), 1023, None, np.array([1]), Masks()):
+        with pytest.raises(TypeError, match=f"got {type(masks).__name__}$"):
             impl.degree_skips(5, masks, 5.0)
     for masks in ([1.0], [1023, "1"], [np.int64(1023)]):
         with pytest.raises(TypeError):
@@ -672,7 +678,8 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # check that the check passes and that the kernels and the calls agree,
     # one call each of its order-6 CLI timings, whose asserts check the exit
     # codes and verdicts, one pass of its exact order-6 ties, which must
-    # reach the gcd, and expand its appendix templates at orders 7..8
+    # reach the gcd, expand its appendix templates at orders 7..8 and time
+    # the property suite's details one by one
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -718,6 +725,13 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     checked = next(d["checked"] for d in verify_appendix(7, 8).details
                    if d["name"] == "template_charpoly_identities")
     assert len(bench.appendix_templates(7, 8)) == checked + 2
+    # the property suite at 50 trials, then each detail of it on its own,
+    # whose assert compares the details with the suite's: one line a detail
+    capsys.readouterr()
+    bench.bench_property_suite(7, 50)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:]] == [
+        d["name"] for d in property_suite(7, 50).details], lines
 
 
 # -- longest cycle and longest path on adjacency rows ------------------------------

@@ -811,7 +811,7 @@ def _property_draws_digest(monkeypatch):
     configuration searcher too, untraced, so both kernels give one digest."""
     trace, shifts = hashlib.sha256(), hashlib.sha256()
     sample = verifier._sample
-    trials = verifier._trials
+    check_shift = verifier.check_shift
     apex_has_config = kernels.apex_has_config
     find = chords.find_k_chords_at_apex
 
@@ -831,17 +831,13 @@ def _property_draws_digest(monkeypatch):
         trace.update(f"find {graph6_encode(g)} {k}".encode())
         return find(g, k)
 
-    def traced_trials(rng, count, draw, check, *args):
-        def traced_check(samples):
-            for g, shifted in samples:
-                shifts.update(f"{graph6_encode(g)} {graph6_encode(shifted)}\n".encode())
-            return check(samples)
-
-        shift = draw.__name__ == "draw_shift"
-        return trials(rng, count, draw, traced_check if shift else check, *args)
+    def traced_check_shift(samples):
+        for g, shifted in samples:
+            shifts.update(f"{graph6_encode(g)} {graph6_encode(shifted)}\n".encode())
+        return check_shift(samples)
 
     monkeypatch.setattr(verifier, "_sample", traced_sample)
-    monkeypatch.setattr(verifier, "_trials", traced_trials)
+    monkeypatch.setattr(verifier, "check_shift", traced_check_shift)
     monkeypatch.setattr(kernels, "apex_has_config", traced_apex)
     monkeypatch.setattr(verifier, "chords", SimpleNamespace(
         **{**vars(chords), "find_k_chords_at_apex": traced_find}))
@@ -926,6 +922,42 @@ def test_property_suite_cap_mutation_flips():
     battery = next(d for d in rep.details if d["name"] == "claim_boundary_battery")
     assert not battery["passed"]
     assert rep.params["claim_caps"]["k4"] == 2
+
+
+# (check, a sample that violates its lemma, a patch that makes it violate)
+LEMMA_VIOLATIONS = [
+    # the larger graph first: K4 and K4 minus an edge
+    ("check_monotone", (complete(4), complete(4).remove_edges([(0, 1)])), None),
+    ("check_shift", (cycle(5), cycle(5)), None),  # nothing shifted
+    # eta(v) = 4 on C5, below a patched index of 25
+    ("check_eta", cycle(5), (verifier, "q_indices", lambda graphs: [25.0] * len(graphs))),
+    ("check_longest_cycle", (complete(5), (3, (0, 1, 2))), None),  # a triangle of K5
+    ("check_configured", cycle(10), None),
+    # K3 read as holding no path on three vertices
+    ("check_path_free", complete(3), (kernels, "max_path_order", lambda rows: 2)),
+    # the outside vertex, in W of the hub, meets the K4 once: over a k4 cap of 0
+    ("check_structure", build_claim_probe("k4", 1), None),
+]
+
+
+@pytest.mark.parametrize("check, sample, patch", LEMMA_VIOLATIONS,
+                         ids=[case[0] for case in LEMMA_VIOLATIONS])
+def test_each_lemma_check_returns_a_violating_sample(check, sample, patch, monkeypatch):
+    # each randomized lemma's check, called outside the suite on one sample
+    # that violates the lemma, returns the sample's graph. Where the lemma
+    # holds on every graph, a patched index or path order makes it violate
+    if patch:
+        monkeypatch.setattr(*patch)
+    graph = sample[0] if isinstance(sample, tuple) else sample
+    if check != "check_structure":
+        assert getattr(verifier, check)([sample]) == [graph]
+        return
+    tally = {"cap_violations": 0, "catalog_violations": 0}
+    assert verifier.check_structure([sample], tally, DEFAULT_CAPS) == []
+    assert tally == {"cap_violations": 0, "catalog_violations": 0}
+    caps = tuple({**DEFAULT_CLAIM_CAPS, "k4": 0}.values())
+    assert verifier.check_structure([sample], tally, caps) == [graph]
+    assert tally["cap_violations"] > 0 and tally["catalog_violations"] == 0
 
 
 def test_appendix_report_structure():
