@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
 apex detector, longest cycle, longest path, Perron entry order, the property
-suite's random graphs and its structural claims) against the pure-Python
+suite's random graphs, its dense draws' edge slot rows, component counts and
+its structural claims) against the pure-Python
 fallback, the theorem's prefilter spot check at orders 6 to
 8 (with the skipped graphs it eigensolves; its first call, which draws the
 sample, against the later ones), the theorem's and the corollary's Python
@@ -286,6 +287,50 @@ def bench_random_rows(impls, draws=10000, seed=7):
             base = out, rng.getstate()
         else:
             assert base == (out, rng.getstate()), "implementations disagree"
+
+
+def bench_slot_rows(impls, draws=10000, seed=7):
+    """slot_rows on the dense draws' own slot lists: an order of 10..14 and
+    4n - 15 to C(n,2) slots from rng.sample, as draw_dense draws them for
+    property_suite(seed); both implementations must give the same graphs."""
+    rng = random.Random(seed * 37 + 505)
+    cases = []
+    for _ in range(draws):
+        n = rng.randint(10, 14)
+        slots = n * (n - 1) // 2
+        cases.append((n, rng.sample(range(slots), rng.randint(4 * n - 15, slots))))
+    print(f"edge slot rows, {draws} dense order-10..14 draws "
+          f"({sum(len(drawn) for _, drawn in cases)} slots)")
+    base = None
+    for label, impl in impls:
+        t0 = time.perf_counter()
+        out = [impl.slot_rows(n, drawn) for n, drawn in cases]
+        dt = time.perf_counter() - t0
+        print(f"  {label:9s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s")
+        if base is None:
+            base = out
+        else:
+            assert base == out, "implementations disagree"
+
+
+def bench_component_count(impls, draws=10000, seed=7):
+    """component_count on the property suite's own random graphs of orders
+    4..12, those of the Perron shift, edge monotonicity and the longest-cycle
+    bound, which test connectivity; both implementations must agree."""
+    rng = random.Random(seed)
+    rows = [_sample(rng, 4, 12).rows for _ in range(draws)]
+    print(f"component counts, {draws} random order-4..12 graphs")
+    base = None
+    for label, impl in impls:
+        t0 = time.perf_counter()
+        out = [impl.component_count(r) for r in rows]
+        dt = time.perf_counter() - t0
+        print(f"  {label:9s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s  "
+              f"connected={out.count(1) / draws:.1%}")
+        if base is None:
+            base = out
+        else:
+            assert base == out, "implementations disagree"
 
 
 def bench_structural(impls, draws=10000, seed=7):
@@ -613,6 +658,8 @@ def main() -> None:
     bench_row_searches(impls)
     bench_perron_order(impls)
     bench_random_rows(impls)
+    bench_slot_rows(impls)
+    bench_component_count(impls)
     bench_structural(impls)
     bench_spot_check(impls)
     bench_tie_tail(6)

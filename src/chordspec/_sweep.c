@@ -2,8 +2,9 @@
  * edge-bitmask range that sorts each graph by its signless Laplacian index
  * against two cuts and tests the ones above them for a chord configuration,
  * the chord tests on one graph, and for the property suite its random
- * graphs, its longest-cycle and longest-path searches, the certified Perron
- * entry order of its Perron shift and the checks of its structural claims.
+ * graphs, the rows of a list of edge slots, component counts, its
+ * longest-cycle and longest-path searches, the certified Perron entry order
+ * of its Perron shift and the checks of its structural claims.
  *
  * Same interface and soundness contract as the pure-Python twin _sweep_py:
  * classify drops a graph only when its index is provably below lo_cut, and
@@ -128,9 +129,10 @@ static int degree_skip(int n, const uint64_t *adj, const int *degs, double cut)
  * ValueError, and TypeError for anything that is not an int. A sweep's n
  * lies in [1, MAXN], its lo in [0, 2^C(n,2)] and its hi in [lo, 2^C(n,2)],
  * a listed mask in [0, 2^C(n,2)), a vertex in [0, n), a chord count is
- * at least 1, a random graph's order lies in [0, MAXROWS] and a claim cap is
- * at least 0. Rows are those of a simple graph, and cuts are numbers, not
- * NaN. The messages are those of _sweep_py. */
+ * at least 1, a random graph's order lies in [0, MAXROWS], an edge slot in
+ * [0, C(n,2)) and a claim cap is at least 0. Rows are those of a simple
+ * graph, and cuts are numbers, not NaN. The messages are those of
+ * _sweep_py. */
 
 /* An int in [lo, hi] into *out, else ValueError (TypeError for an argument
  * that is not an int). With saturate, an int above hi reads as hi: a chord
@@ -191,6 +193,18 @@ static int parse_cuts(PyObject *lo_arg, PyObject *hi_arg, double *lo_cut, double
         return 0;
     PyErr_Format(PyExc_ValueError, "need lo_cut <= hi_cut, got %R > %R", lo_arg, hi_arg);
     return -1;
+}
+
+/* TypeError for an arg that is not a list, naming its type by its __name__,
+ * as type(arg).__name__ does (a heap type's tp_name may hold a dot). */
+static PyObject *not_a_list(const char *what, PyObject *arg)
+{
+    PyObject *name = PyObject_GetAttrString((PyObject *)Py_TYPE(arg), "__name__");
+    if (name != NULL) {
+        PyErr_Format(PyExc_TypeError, "%s must be a list, got %S", what, name);
+        Py_DECREF(name);
+    }
+    return NULL;
 }
 
 static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
@@ -376,6 +390,16 @@ static int components(const uint64_t *adj, uint64_t left, uint64_t *comps)
         left &= ~comp;
     }
     return count;
+}
+
+/* component_count(rows): the number of connected components. */
+static PyObject *component_count(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t adj[MAXROWS], comps[MAXROWS];
+    int n;
+    if (check_nargs("component_count", nargs, 1) || parse_rows(args[0], adj, &n))
+        return NULL;
+    return PyLong_FromLong(components(adj, all_vertices(n), comps));
 }
 
 typedef struct {
@@ -774,12 +798,8 @@ static PyObject *degree_skips(PyObject *self, PyObject *const *args, Py_ssize_t 
     n = (int)order;
     if (isnan(cut))
         return PyErr_Format(PyExc_ValueError, "cut is NaN");
-    if (!PyList_Check(args[1])) {
-        /* the type's __name__: tp_name after its last dot */
-        const char *name = Py_TYPE(args[1])->tp_name, *dot = strrchr(name, '.');
-        return PyErr_Format(PyExc_TypeError, "masks must be a list, got %.200s",
-                            dot ? dot + 1 : name);
-    }
+    if (!PyList_Check(args[1]))
+        return not_a_list("masks", args[1]);
     /* ints only: reading one runs no Python code that could change the list */
     Py_ssize_t count = PyList_GET_SIZE(args[1]), skipped = 0, candidates = 0;
     typedef struct { uint64_t mask; long long num, den; } skip; /* U = num / den */
@@ -846,6 +866,20 @@ fail:
 
 /* -- the property suite's random graphs -------------------------------------- */
 
+/* The rows adj[0..n) as a tuple of ints. */
+static PyObject *rows_tuple(int n, const uint64_t *adj)
+{
+    PyObject *rows = PyTuple_New(n);
+    for (int v = 0; rows != NULL && v < n; v++) {
+        PyObject *row = PyLong_FromUnsignedLongLong(adj[v]);
+        if (row == NULL)
+            Py_CLEAR(rows);
+        else
+            PyTuple_SET_ITEM(rows, v, row);
+    }
+    return rows;
+}
+
 /* random_rows(n, rand, p): the adjacency rows of a random graph on n
  * vertices. The edge slots are drawn in index_pairs order, (0,1), (0,2),
  * (1,2), ...: one call rand() a slot, which must return a float, and the
@@ -881,15 +915,35 @@ static PyObject *random_rows(PyObject *self, PyObject *const *args, Py_ssize_t n
             }
             Py_DECREF(x);
         }
-    PyObject *rows = PyTuple_New((Py_ssize_t)n);
-    for (int v = 0; rows != NULL && v < n; v++) {
-        PyObject *row = PyLong_FromUnsignedLongLong(adj[v]);
-        if (row == NULL)
-            Py_CLEAR(rows);
-        else
-            PyTuple_SET_ITEM(rows, v, row);
+    return rows_tuple((int)n, adj);
+}
+
+/* slot_rows(n, slots): the rows of the graph on n vertices whose edges are
+ * the listed edge slots, a list of ints in [0, C(n,2)) in index_pairs order:
+ * slot b is the pair (i, j), i < j, with b = C(j,2) + i. */
+static PyObject *slot_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long n, b;
+    if (check_nargs("slot_rows", nargs, 2) || parse_int(args[0], "n", 0, MAXROWS, 0, &n))
+        return NULL;
+    if (!PyList_Check(args[1]))
+        return not_a_list("slots", args[1]);
+    /* ints only: reading one runs no Python code that could change the list */
+    uint64_t adj[MAXROWS] = {0};
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(args[1]); k++) {
+        PyObject *item = PyList_GET_ITEM(args[1], k);
+        if (!PyLong_Check(item))
+            return PyErr_Format(PyExc_TypeError, "slot %zd is not an int: %R", k, item);
+        if (parse_int(item, "slot", 0, n * (n - 1) / 2 - 1, 0, &b))
+            return NULL;
+        int j = 1;
+        while (j * (j + 1) / 2 <= b)
+            j++;
+        int i = (int)(b - j * (j - 1) / 2);
+        adj[i] |= (uint64_t)1 << j;
+        adj[j] |= (uint64_t)1 << i;
     }
-    return rows;
+    return rows_tuple((int)n, adj);
 }
 
 /* -- structural claims ---------------------------------------------------------
@@ -1064,6 +1118,8 @@ static PyMethodDef methods[] = {
      "Sort the degree-sorted edge bitmasks in [lo, hi) by index against two\n"
      "cuts, with weighted counts; test is (name, k) or None. The pass\n"
      "releases the GIL. See _sweep_py.classify."},
+    {"component_count", (PyCFunction)(void (*)(void))component_count, METH_FASTCALL,
+     "component_count(rows) -> int\n\nThe number of connected components."},
     {"degree_skips", (PyCFunction)(void (*)(void))degree_skips, METH_FASTCALL,
      "degree_skips(n, masks, cut) -> (skipped, candidates)\n\n"
      "Count the labeled masks classify's degree filter skips at cut, and\n"
@@ -1082,6 +1138,10 @@ static PyMethodDef methods[] = {
      "random_rows(n, rand, p) -> rows\n\n"
      "The rows of a graph on n vertices whose edge slots, in index_pairs\n"
      "order, are each an edge when one call rand() is below p."},
+    {"slot_rows", (PyCFunction)(void (*)(void))slot_rows, METH_FASTCALL,
+     "slot_rows(n, slots) -> rows\n\n"
+     "The rows of the graph on n vertices whose edges are the listed slots\n"
+     "in index_pairs order."},
     {"structural_violations", (PyCFunction)(void (*)(void))structural_violations,
      METH_FASTCALL,
      "structural_violations(rows, caps) -> (cap_violations, catalog_violations)\n\n"

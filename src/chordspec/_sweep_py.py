@@ -7,7 +7,8 @@ weight; degree_skips applies classify's degree filter (``_degree_skip``) to
 a list of labeled masks; the per-graph calls take adjacency rows and defer
 to the reference searchers in chords.py, and perron_order certifies numpy
 ``eigh``'s top pair by the rule the compiled kernel applies to its Jacobi
-pair. random_rows is the property suite's per-slot draw loop, and
+pair. random_rows is the property suite's per-slot draw loop, slot_rows
+reads a list of edge slots, component_count counts components, and
 structural_violations holds the checks of its structural claims
 (classify_component and the two claims), which the compiled kernel restates
 on 64-bit rows.
@@ -280,6 +281,11 @@ def _graph_of_rows(rows) -> Graph:
     return Graph(n, rows)
 
 
+def component_count(rows) -> int:
+    """The number of connected components."""
+    return len(_graph_of_rows(rows).component_masks())
+
+
 def longest_cycle(rows) -> tuple[int, tuple[int, ...]] | None:
     """The first longest cycle in search order as (length, vertex sequence);
     None for forests."""
@@ -304,7 +310,7 @@ def perron_order(rows, u, v) -> int:
     u, v = _int(u, "u", 0, g.n - 1), _int(v, "v", 0, g.n - 1)
     if u == v:
         raise ValueError(f"need u != v, got {u} twice")
-    if g.n > PERRON_MAXN or not g.is_connected():
+    if g.n > PERRON_MAXN or component_count(g.rows) > 1:
         return 0
     q = signless_laplacian(g).astype(float)
     w, vecs = np.linalg.eigh(q)
@@ -370,6 +376,22 @@ def random_rows(n: int, rand, p) -> tuple[int, ...]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return tuple(adj)
+
+
+def slot_rows(n: int, slots: list) -> tuple[int, ...]:
+    """The adjacency rows of the graph on n vertices, n in [0, MAXROWS], whose
+    edges are the listed edge slots, each an int in [0, C(n,2)): the graph of
+    the edge bitmask with those bits set. TypeError when slots is not a list
+    of ints."""
+    n = _int(n, "n", 0, MAXROWS)
+    if not isinstance(slots, list):
+        raise TypeError(f"slots must be a list, got {type(slots).__name__}")
+    mask = 0
+    for k, b in enumerate(slots):
+        if not isinstance(b, int):  # as the compiled kernel, which reads ints only
+            raise TypeError(f"slot {k} is not an int: {b!r}")
+        mask |= 1 << _int(b, "slot", 0, n * (n - 1) // 2 - 1)
+    return graph_from_mask(n, mask).rows
 
 
 # the claim-1 caps, in the order structural_violations takes them

@@ -22,23 +22,28 @@ graph and above 16 vertices); and, for the property suite,
 ``random_rows(n, rand, p)``, the rows of a random graph on n vertices that
 calls ``rand()`` (a generator's bound ``random`` method) once per edge slot
 in ``graphs.index_pairs`` order and sets the slot when the value is below p,
-so the generator makes the calls of the same loop in Python, and
+so the generator makes the calls of the same loop in Python,
+``slot_rows(n, slots)``, the rows of the graph on n vertices whose edges
+are the listed edge slots (bit positions of an edge bitmask),
+``component_count(rows)``, a graph's number of connected components, and
 ``structural_violations(rows, caps)``, the (cap, catalog) violation counts
 of the structural claims over every apex, with caps the claim-1 caps as a
 tuple in ``verifier.DEFAULT_CLAIM_CAPS`` order. ``sweep_range`` below is
 the pass with no test.
 
 Both read every int argument by one rule: n in [1, 11] for a sweep and in
-[0, 64] for ``random_rows``, a range's lo in [0, 2^C(n,2)] and its hi in
-[lo, 2^C(n,2)], a listed mask in [0, 2^C(n,2)), a vertex in [0, n), a chord
-count of at least 1 (a count above every graph's chords answers no) and a
-claim cap of at least 0; anything else is a ValueError, and an argument that
-is not an int a TypeError, with the same message from both. So is every
-other bad argument: rows that are not a sequence (TypeError) or not those of
-a simple graph on at most 64 vertices (ValueError), a cut or p that is not
-a real number, caps that are not a tuple of five, a rand that is not
-callable or returns something other than a float (TypeError). An error that
-rand raises propagates.
+[0, 64] for ``random_rows`` and ``slot_rows``, a range's lo in [0,
+2^C(n,2)] and its hi in [lo, 2^C(n,2)], a listed mask in [0, 2^C(n,2)), an
+edge slot in [0, C(n,2)), a vertex in [0, n), a chord count of at least 1 (a
+count above every graph's chords answers no) and a claim cap of at least 0;
+anything else is a ValueError, and an argument that is not an int a
+TypeError, with the same message from both. So is every other bad argument:
+rows that are not a sequence (TypeError) or not those of a simple graph on
+at most 64 vertices (ValueError), masks or slots that are not a list, a cut
+or p that is not a real number, caps that are not a tuple of five, a rand
+that is not callable or returns something other than a float (TypeError),
+where a type is named by its ``__name__``. An error that rand raises
+propagates.
 
 The compiled ``classify`` releases the GIL for its pass, so threads that
 classify different ranges run at once; it holds the GIL again only to build
@@ -140,11 +145,13 @@ IS_COMPILED: bool = _impl.IS_COMPILED
 apex_has_config = _impl.apex_has_config
 chorded_has = _impl.chorded_has
 classify = _impl.classify
+component_count = _impl.component_count
 degree_skips = _impl.degree_skips
 longest_cycle = _impl.longest_cycle
 max_path_order = _impl.max_path_order
 perron_order = _impl.perron_order
 random_rows = _impl.random_rows
+slot_rows = _impl.slot_rows
 structural_violations = _impl.structural_violations
 
 

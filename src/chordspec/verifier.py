@@ -60,12 +60,12 @@ from .graphs import (
     arrangement_count,
     arrangement_images,
     automorphism_count,
+    bits_to_vertices,
     disjoint_union,
     edge_counts,
     graph6_decode,
     graph6_encode,
     graph_from_mask,
-    index_pairs,
     is_isomorphic,
     join,
     make_graph,
@@ -750,9 +750,9 @@ def _eta_violated(g: Graph, q: float) -> bool:
 # larger graph is connected.
 def draw_with_non_edge(rng: random.Random):
     g = _sample(rng, 4, 10)
-    non_edges = [
-        (i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.has_edge(i, j)
-    ]
+    # (i, j), i < j, ascending: the bits of i's complemented row above i
+    non_edges = [(i, j) for i, row in enumerate(g.rows)
+                 for j in bits_to_vertices(~row & ((1 << g.n) - (2 << i)))]
     return (g, g.add_edges([rng.choice(non_edges)])) if non_edges else None
 
 
@@ -761,7 +761,7 @@ def check_monotone(samples) -> list[Graph]:
     bad = []
     for (g, bigger), q0, q1 in zip(samples, qs, qs[len(samples):]):
         ok = q1 >= q0 - 1e-10
-        if ok and bigger.is_connected():
+        if ok and kernels.component_count(bigger.rows) <= 1:
             ok = _order(g, q0, bigger, q1) == LESS
         if not ok:
             bad.append(g)
@@ -773,10 +773,10 @@ def check_monotone(samples) -> list[Graph]:
 def draw_shift(rng: random.Random):
     # redraw until the trial admits a nonempty shift set
     g = _sample(rng, 4, 10)
-    if not g.is_connected():
+    rows = g.rows
+    if kernels.component_count(rows) > 1:
         return None
     u, v = rng.sample(range(g.n), 2)
-    rows = g.rows
     if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
         # twins: N(u) - v = N(v) - u leaves no shift set either way
         return None
@@ -788,7 +788,7 @@ def draw_shift(rng: random.Random):
         order = -1 if x[u] < x[v] else 1
     if order < 0:
         u, v = v, u
-    pool = [w for w in g.neighbors(v) if w != u and not g.has_edge(u, w)]
+    pool = list(bits_to_vertices(rows[v] & ~rows[u] & ~(1 << u)))
     if not pool:
         return None
     moved = rng.sample(pool, rng.randint(1, len(pool)))
@@ -826,7 +826,7 @@ def eta_equality_failures() -> list[str]:
 def draw_cyclic(rng: random.Random):
     g = _sample(rng, 4, 12)
     # quick cyclicity screen before the heavier search
-    if g.edge_count > g.n - len(g.component_masks()):
+    if g.edge_count > g.n - kernels.component_count(g.rows):
         found = kernels.longest_cycle(g.rows)
         if found is not None:
             c, cyc = found
@@ -849,14 +849,9 @@ def check_longest_cycle(samples) -> list[Graph]:
 # (orders 10..14).
 def draw_dense(rng: random.Random) -> Graph:
     n = rng.randint(10, 14)
-    pairs = index_pairs(n)
-    e = rng.randint(4 * n - 15, len(pairs))
-    adj = [0] * n
-    for b in rng.sample(range(len(pairs)), e):
-        i, j = pairs[b]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    slots = n * (n - 1) // 2
+    e = rng.randint(4 * n - 15, slots)
+    return Graph(n, kernels.slot_rows(n, rng.sample(range(slots), e)))
 
 
 def check_configured(samples) -> list[Graph]:

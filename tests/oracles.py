@@ -46,7 +46,11 @@ mask after another with unweighted counts, the reference for the
 degree-sorted weighted ``kernels.classify``; ``sorted_mask`` relabels a
 mask onto its degree-sorted form by a stable sort of its degrees.
 ``oracle_sample`` is the property suite's earlier per-slot sampler in
-Python, the reference for ``kernels.random_rows``.
+Python, the reference for ``kernels.random_rows``, and ``oracle_slot_rows``
+the dense draw's earlier per-slot loop, the reference for
+``kernels.slot_rows``.
+``body_text`` is a stored report body's JSON text without its wall time,
+keys in the order they were written, so that comparing two pins key order.
 ``count_roots_above`` and ``count_roots_in_interval`` are Sturm root counts
 on the package's own integer chains; they check the float index against the
 exact roots and are not themselves under test.
@@ -55,6 +59,7 @@ exact roots and are not themselves under test.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -722,6 +727,26 @@ def oracle_sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return Graph(n, tuple(adj))
+
+
+def oracle_slot_rows(n: int, slots) -> tuple[int, ...]:
+    """The rows of the graph on n vertices whose edges are the edge slots
+    listed, ``index_pairs(n)[b]`` for each slot b: the per-slot loop of the
+    property suite's earlier dense draw."""
+    pairs = index_pairs(n)
+    adj = [0] * n
+    for b in slots:
+        i, j = pairs[b]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def body_text(report_json: str) -> str:
+    """A report's JSON text without its wall_time_ms, keys in their order."""
+    body = json.loads(report_json)
+    body.pop("wall_time_ms", None)
+    return json.dumps(body, indent=2)
 
 
 def sorted_mask(n: int, mask: int) -> int:

@@ -32,16 +32,17 @@ from chordspec.verifier import (
     verify_corollary,
     verify_theorem_main,
 )
-from oracles import oracle_apex_chords, oracle_chorded
+from oracles import body_text, oracle_apex_chords, oracle_chorded
 
 SEED = 20260810
-# report bodies of the property suite runs below, compared by report_diff's
-# rule: every key but wall_time_ms
+# report bodies of the property suite runs below, compared as JSON text
+# without wall_time_ms, so that a moved key fails as a changed value does
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _golden_diff(rep, stored: str) -> list[str]:
-    return report_diff(Report.from_json((GOLDEN / stored).read_text()), rep)
+def _assert_golden(rep, stored: str) -> None:
+    text = (GOLDEN / stored).read_text()
+    assert body_text(rep.to_json()) == body_text(text), report_diff(Report.from_json(text), rep)
 
 
 def _line(name: str, ok: bool, extra: str = "") -> None:
@@ -202,7 +203,7 @@ def test_criterion_6_lemma_property_suites():
     for d in rep.details:
         assert d["passed"], d
     assert not rep.counterexamples
-    assert _golden_diff(rep, "properties-seed20260810-trials10000.json") == []
+    _assert_golden(rep, "properties-seed20260810-trials10000.json")
 
 
 def test_criterion_7_mutation_sensitivity():
@@ -232,4 +233,4 @@ def test_criterion_7_mutation_sensitivity():
     assert not lowered.passed and lowered.counterexamples and replays
     assert not corrupted.passed
     assert clean.passed
-    assert _golden_diff(corrupted, "properties-seed20260810-trials200-k4cap2.json") == []
+    _assert_golden(corrupted, "properties-seed20260810-trials200-k4cap2.json")

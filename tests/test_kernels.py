@@ -40,6 +40,7 @@ from oracles import (
     oracle_longest_path_order,
     oracle_q,
     oracle_sample,
+    oracle_slot_rows,
     sorted_mask,
 )
 
@@ -237,6 +238,8 @@ BAD_ROWS = [
     [1 << 64],
     [0b010, 0b101, 0b000],  # 1 lists 2, 2 lists nothing
 ]
+# arguments that are not lists, whose type a kernel names by its __name__
+NOT_LISTS = (np.array([1]), type("Masks", (), {})(), type("a.b", (), {})())
 # the 64-cycle, and the 64-cycle with three chords at vertex 0
 RING64 = [1 << (v + 1) % 64 | 1 << (v - 1) % 64 for v in range(64)]
 FAN64 = [row | (v in (10, 20, 30)) for v, row in enumerate(RING64)]
@@ -640,13 +643,10 @@ def test_degree_skips_guards(impl):
             impl.degree_skips(5, masks, 5.0)
     with pytest.raises(ValueError):
         impl.degree_skips(5, [1023], math.nan)
-    class Masks:
-        pass
-
-    # a numpy array and an instance of a class of its own too: both kernels
-    # name the type by its __name__
-    for masks in ((1023,), range(4), 1023, None, np.array([1]), Masks()):
-        with pytest.raises(TypeError, match=f"got {type(masks).__name__}$"):
+    # a numpy array and instances of classes of their own too, one whose
+    # __name__ holds a dot: both kernels name the type by its __name__
+    for masks in ((1023,), range(4), 1023, None, *NOT_LISTS):
+        with pytest.raises(TypeError, match=f"got {re.escape(type(masks).__name__)}$"):
             impl.degree_skips(5, masks, 5.0)
     for masks in ([1.0], [1023, "1"], [np.int64(1023)]):
         with pytest.raises(TypeError):
@@ -667,11 +667,12 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
     # classify benches on order 5 (classify also in pieces over 1 and 2
-    # threads), its apex detector, random graph and structural claim benches
-    # on 200 graphs, whose asserts compare the implementations or the thread
-    # counts, one call of its order-6 sweep with 1 and 2 jobs, whose asserts
-    # compare the job counts, its Perron entry order bench on 200 graphs,
-    # whose asserts check each decided sign against eigh, one pass of its
+    # threads), its apex detector, random graph, edge slot, component count
+    # and structural claim benches on 200 graphs, whose asserts compare the
+    # implementations or the thread counts, one call of its order-6 sweep
+    # with 1 and 2 jobs, whose asserts compare the job counts, its Perron
+    # entry order bench on 200 graphs, whose asserts check each decided sign
+    # against eigh, one pass of its
     # order-6 and order-8 tie tails, whose asserts check the verdicts, two
     # calls of its spot check (the first drawing the sample, the second
     # reusing it) at orders 6, 7 and 8 through each kernel, whose asserts
@@ -689,10 +690,14 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     bench.bench_detector(IMPLEMENTATIONS, trials=200)
     bench.bench_perron_order(IMPLEMENTATIONS, draws=200)
     bench.bench_random_rows(IMPLEMENTATIONS, draws=200)
+    bench.bench_slot_rows(IMPLEMENTATIONS, draws=200)
+    bench.bench_component_count(IMPLEMENTATIONS, draws=200)
     bench.bench_structural(IMPLEMENTATIONS, draws=200)
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
-        assert out.count(f"  {label} ") == 6, out
+        assert out.count(f"  {label} ") == 8, out
+    assert "edge slot rows, 200 dense order-10..14 draws" in out, out
+    assert "component counts, 200 random order-4..12 graphs" in out, out
     for label, impl in IMPLEMENTATIONS:
         bench.bench_classify_threads(label, impl, 5, 0, 1 << 10, 6.0)
     bench.bench_sweep_jobs(6, min_seconds=0)
@@ -776,20 +781,23 @@ def test_row_kernels_match_the_python_twin(compiled):
 )
 def test_row_kernel_guards(impl):
     # at most 64 vertices; every row a set of other vertices, symmetric
+    searches = (impl.longest_cycle, impl.max_path_order, impl.component_count)
     for rows in BAD_ROWS:
-        for search in (impl.longest_cycle, impl.max_path_order):
+        for search in searches:
             with pytest.raises(ValueError):
                 search(rows)
     with pytest.raises(ValueError):
         impl.max_path_order([])
     for rows in (None, 5, [None]):
-        for search in (impl.longest_cycle, impl.max_path_order):
+        for search in searches:
             with pytest.raises(TypeError):
                 search(rows)
     assert impl.longest_cycle([]) is None
+    assert impl.component_count([]) == 0 and impl.component_count([0]) == 1
     # the bound itself is accepted: the 64-cycle, and a tuple of rows
     assert impl.longest_cycle(RING64) == (64, tuple(range(64)))
     assert impl.max_path_order(tuple(RING64)) == 64
+    assert impl.component_count(RING64) == 1 and impl.component_count((0,) * 64) == 64
 
 
 @pytest.mark.parametrize(
@@ -851,6 +859,70 @@ def test_random_rows_guards(impl):
     assert impl.random_rows(64, float, 0) == (0,) * 64
     assert impl.random_rows(3, half, 1) == (0b110, 0b101, 0b011)
     assert impl.random_rows(3, half, np.float64(0.5)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_slot_rows_guards(impl):
+    # an order in [0, 64] and a list of ints in [0, C(n,2)); a repeated slot
+    # is one edge
+    for n in (-1, 65, 1 << 70):
+        with pytest.raises(ValueError):
+            impl.slot_rows(n, [])
+    for n, slots in ((3, [3]), (3, [0, -1]), (3, [1 << 70]), (0, [0]), (1, [0]),
+                     (64, [2016])):
+        with pytest.raises(ValueError):
+            impl.slot_rows(n, slots)
+    for n, slots in ((3.0, []), (3, [1.0]), (3, [0, "1"]), (3, [np.int64(1)]), (3, [None])):
+        with pytest.raises(TypeError):
+            impl.slot_rows(n, slots)
+    for slots in ((0,), range(3), None, *NOT_LISTS):
+        with pytest.raises(TypeError, match=f"got {re.escape(type(slots).__name__)}$"):
+            impl.slot_rows(3, slots)
+    # the bounds are accepted: no vertex, one vertex, every slot of order 64
+    assert impl.slot_rows(0, []) == () and impl.slot_rows(1, []) == (0,)
+    assert impl.slot_rows(3, [0, 1, 2]) == (0b110, 0b101, 0b011)
+    assert impl.slot_rows(3, [2, 2]) == (0, 0b100, 0b010)
+    assert impl.slot_rows(64, list(range(2016))) == complete(64).rows
+    assert impl.slot_rows(64, [2015]) == (0,) * 62 + (1 << 63, 1 << 62)
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_slot_rows_match_the_per_slot_loop(impl):
+    # over seeds and orders 0..14 (the dense draws take 10..14): no slot,
+    # every slot and a random number of them, in random order
+    for seed in range(40):
+        rng = random.Random(seed)
+        for n in range(15):
+            slots = n * (n - 1) // 2
+            for e in (0, rng.randint(0, slots), slots):
+                drawn = rng.sample(range(slots), e)
+                assert impl.slot_rows(n, drawn) == oracle_slot_rows(n, drawn), (seed, n)
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_component_count_is_the_number_of_component_masks(impl):
+    # every graph of the networkx atlas (orders 1..7), then seeded graphs of
+    # orders 1..64, sparse ones with many components and forests (order 0
+    # is a guard case)
+    nx = pytest.importorskip("networkx")
+    graphs = [make_graph(a.number_of_nodes(), list(a.edges()))
+              for a in nx.graph_atlas_g() if a.number_of_nodes()]
+    rng = random.Random(64)
+    for n in range(1, 65):
+        for p in (0.0, 1 / n, 2 / n, 0.3):
+            graphs.append(random_graph(rng, n, p))
+        graphs.append(random_forest(rng, n))
+    for g in graphs:
+        assert impl.component_count(g.rows) == len(g.component_masks()), g.rows
 
 
 @pytest.mark.parametrize(
@@ -922,7 +994,8 @@ def test_guards_raise_the_same_error_on_both_kernels(compiled):
     twins = _Twins(compiled)
     for guards in (test_kernel_guards, test_classify_guards, test_degree_skips_guards,
                    test_row_kernel_guards, test_perron_order_guards,
-                   test_random_rows_guards, test_structural_violations_guards):
+                   test_random_rows_guards, test_slot_rows_guards,
+                   test_structural_violations_guards):
         guards(twins)
     assert twins.calls > 100
     assert twins.differ == [], "\n".join(map(repr, twins.differ))
@@ -1056,7 +1129,7 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
         for name in ("apex_has_config", "chorded_has"):
             calls.append((name, (rows, 3)))
         calls += [("longest_cycle", (rows,)), ("max_path_order", (rows,)),
-                  ("perron_order", (rows, 0, 1))]
+                  ("perron_order", (rows, 0, 1)), ("component_count", (rows,))]
     # graphs the Jacobi eigensolve runs on, up to its 16 vertices
     for rows in (path(16).rows, complete(7).rows, extremal_graph(10).graph.rows):
         calls.append(("perron_order", (rows, 0, 5)))
@@ -1089,6 +1162,16 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
             calls.append(("structural_violations", (rows, caps)))
     for caps in ((2, 3, 3, 2), (2, 3, 3, 2, -1), (1 << 70,) * 5, (2, 3, 3, 2, 1.0)):
         calls.append(("structural_violations", (complete(6).rows, caps)))
+    # component counts of the same draws and of orders 0 and 1; edge slots
+    # at orders 0 and 1, the dense draws' 10..14 and 64, and bad slots
+    calls += [("component_count", (rows,)) for rows in ([], [0], *draws)]
+    for n in (0, 1, *range(10, 15), 64):
+        slots = n * (n - 1) // 2
+        calls += [("slot_rows", (n, rng.sample(range(slots), rng.randint(0, slots)))),
+                  ("slot_rows", (n, list(range(slots))))]
+    for args in ((0, [0]), (1, [0]), (64, [2016]), (64, [2015, -1]), (3, [1 << 70]),
+                 (65, []), (3.0, []), (3, (0,)), (3, [0, 1.0])):
+        calls.append(("slot_rows", args))
     # random graphs through a seeded generator at orders 0..12 and 64, each
     # stratum, and bad orders and edge probabilities
     for seed in range(20):

@@ -52,6 +52,7 @@ from chordspec.verifier import (
     verify_theorem_main,
 )
 from oracles import (
+    body_text,
     mask_from_graph,
     oracle_degree_vector_bounds,
     oracle_prefilter_spot_check,
@@ -203,6 +204,12 @@ def test_report_json_roundtrip_and_diff():
     other = verify_theorem_main(6, threshold_offset=-0.5)
     diffs = report_diff(rep, other)
     assert diffs and any("counterexamples" in d for d in diffs)
+    # report_diff compares values, so a body whose keys moved reads clean
+    # there; the stored-body tests compare body_text, which sees the move
+    moved = Report.from_json(rep.to_json())
+    moved.details[0] = dict(reversed(moved.details[0].items()))
+    assert report_diff(rep, moved) == []
+    assert body_text(moved.to_json()) != body_text(rep.to_json())
 
 
 def _without_isolated_vertices(n):
@@ -764,6 +771,10 @@ def test_property_suite_deterministic():
 PROPERTY_DRAWS_SEED7 = "9628d6accc6326b31cbd86288bc339409a727d82b76a1bb4074171c7bae98e61"
 # sha256 of the Perron shift's (graph, shifted graph) pairs in the same run
 PERRON_SHIFTS_SEED7 = "42f61ae22628055178ffe02ce3e11e48de3704718bc8331fb4d79a0ea2de1188"
+# sha256 of edge monotonicity's (graph, graph plus one edge) pairs in the same
+# run: rng.choice makes the same generator calls whatever order the non-edges
+# are listed in, so only this pins which edge the lemma adds
+MONOTONE_PAIRS_SEED7 = "3d16d480b50a9757ecb5c073584f68f4f853a78487113bed7a591f8de0bc5426"
 
 
 def test_property_suite_draws_are_pinned(monkeypatch):
@@ -772,9 +783,9 @@ def test_property_suite_draws_are_pinned(monkeypatch):
     every `_sample` call (the structural claims' draws included), every
     graph the structural claims' apex test sees and every graph the
     verifier hands the configuration searcher; and a digest of the pairs the
-    Perron shift checks."""
+    Perron shift checks and of those edge monotonicity checks."""
     assert _property_draws_digest(monkeypatch) == (
-        True, PROPERTY_DRAWS_SEED7, PERRON_SHIFTS_SEED7)
+        True, PROPERTY_DRAWS_SEED7, PERRON_SHIFTS_SEED7, MONOTONE_PAIRS_SEED7)
 
 
 def test_a_flipped_perron_order_moves_the_draw_digest(monkeypatch):
@@ -798,20 +809,21 @@ def test_a_flipped_perron_order_moves_the_draw_digest(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "perron_order", flip_one)
-            _, draws, shifts = _property_draws_digest(patch)
+            _, draws, shifts, _ = _property_draws_digest(patch)
         assert len(certified) > target
         assert shifts != PERRON_SHIFTS_SEED7, target
         assert target or draws != PROPERTY_DRAWS_SEED7
 
 
 def _property_draws_digest(monkeypatch):
-    """(passed, the digests that PROPERTY_DRAWS_SEED7 and PERRON_SHIFTS_SEED7
-    pin) of property_suite(seed=7, trials=25). Only the verifier's
-    own calls are traced: the python kernel's apex test reaches the
-    configuration searcher too, untraced, so both kernels give one digest."""
-    trace, shifts = hashlib.sha256(), hashlib.sha256()
+    """(passed, the digests that PROPERTY_DRAWS_SEED7, PERRON_SHIFTS_SEED7
+    and MONOTONE_PAIRS_SEED7 pin) of property_suite(seed=7, trials=25). Only
+    the verifier's own calls are traced: the python kernel's apex test
+    reaches the configuration searcher too, untraced, so both kernels give
+    one digest."""
+    trace, shifts, monotone = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     sample = verifier._sample
-    check_shift = verifier.check_shift
+    check_shift, check_monotone = verifier.check_shift, verifier.check_monotone
     apex_has_config = kernels.apex_has_config
     find = chords.find_k_chords_at_apex
 
@@ -831,18 +843,21 @@ def _property_draws_digest(monkeypatch):
         trace.update(f"find {graph6_encode(g)} {k}".encode())
         return find(g, k)
 
-    def traced_check_shift(samples):
-        for g, shifted in samples:
-            shifts.update(f"{graph6_encode(g)} {graph6_encode(shifted)}\n".encode())
-        return check_shift(samples)
+    def traced(check, digest):
+        def check_pairs(samples):
+            for g, h in samples:
+                digest.update(f"{graph6_encode(g)} {graph6_encode(h)}\n".encode())
+            return check(samples)
+        return check_pairs
 
     monkeypatch.setattr(verifier, "_sample", traced_sample)
-    monkeypatch.setattr(verifier, "check_shift", traced_check_shift)
+    monkeypatch.setattr(verifier, "check_shift", traced(check_shift, shifts))
+    monkeypatch.setattr(verifier, "check_monotone", traced(check_monotone, monotone))
     monkeypatch.setattr(kernels, "apex_has_config", traced_apex)
     monkeypatch.setattr(verifier, "chords", SimpleNamespace(
         **{**vars(chords), "find_k_chords_at_apex": traced_find}))
     passed = property_suite(seed=7, trials=25).passed
-    return passed, trace.hexdigest(), shifts.hexdigest()
+    return passed, trace.hexdigest(), shifts.hexdigest(), monotone.hexdigest()
 
 
 def test_property_suite_rejects_a_longest_cycle_that_is_not_a_cycle(monkeypatch):
@@ -1192,8 +1207,7 @@ def test_benchmark_layers_resolve():
     ("theorem-n6.json", lambda: verify_theorem_main(6)),
 ], ids=["properties-seed7", "appendix-7-22", "theorem-n6"])
 def test_reports_reproduce_stored_bodies(stored, run):
-    # every key of the stored benchmark report except wall_time_ms, so a
-    # moved RNG draw or a changed count fails here, not only in a benchmark run
-    got = json.loads(run().to_json())
-    got.pop("wall_time_ms")
-    assert got == json.loads((EXPECTED / stored).read_text())
+    # the stored benchmark report's JSON text, keys in order, except
+    # wall_time_ms, so a moved RNG draw, a changed count or a moved key fails
+    # here, not only in a benchmark run
+    assert body_text(run().to_json()) == body_text((EXPECTED / stored).read_text())
