@@ -12,8 +12,9 @@ parser and the order's threshold constants and draws the spot check's
 sample, against the later ones), exact characteristic polynomials (one matrix a call and
 batched), the exact largest-root comparison (with the pairs its sign certificate settles and
 those left to the Sturm chains, and exact ties between distinct
-polynomials at orders 6 and 7, with the bracket halvings they take), and
-one end-to-end property suite at 10,000 trials, then each of its lemmas and
+polynomials at orders 6 and 7, with the bracket halvings they take),
+`verify appendix` over orders 7..22 whole and then block by block, and one
+end-to-end property suite at 10,000 trials, then each of its lemmas and
 fixed checks on its own.
 
 The sweeps visit only the degree-sorted masks of their range (852 at order
@@ -68,9 +69,11 @@ from chordspec.spectral import (
 )
 from chordspec.verifier import (
     _SWEPT_ORDERS,
+    APPENDIX_BLOCKS,
     CHUNK,
     DEFAULT_CLAIM_CAPS,
     TIE_BAND,
+    AppendixRun,
     _P_STRATA,
     _prefilter_spot_check,
     _run_lemma,
@@ -101,6 +104,7 @@ from chordspec.verifier import (
     path_free_equality_failures,
     property_suite,
     threshold_family_lower_bound,
+    verify_appendix,
     verify_theorem_main,
 )
 
@@ -251,7 +255,7 @@ def bench_perron_order(impls, draws=3000, seed=7):
     while len(cases) < draws:
         g = _sample(rng, 4, 10)
         u, v = rng.sample(range(g.n), 2)
-        if g.is_connected() and g.rows[u] & ~(1 << v) != g.rows[v] & ~(1 << u):
+        if kernels.component_count(g.rows) <= 1 and g.rows[u] & ~(1 << v) != g.rows[v] & ~(1 << u):
             cases.append((g, u, v))
     print(f"Perron entry order, {draws} connected random order-4..10 graphs")
     for label, impl in impls:
@@ -394,6 +398,39 @@ def bench_property_suite(seed=7, trials=10000):
         details.append(detail)
         print(f"  {detail['name']:32s} {dt:8.3f}s")
     assert details == report.details, "the lemmas alone disagree with the suite"
+
+
+def bench_appendix(n_lo=7, n_hi=22, min_seconds=1.0):
+    """`verify appendix` over orders n_lo..n_hi, whole (verify_appendix) and
+    block by block: the same module-level blocks run in order on one fresh
+    AppendixRun, whose details must equal the whole call's. Medians over
+    repeated calls for at least min_seconds each."""
+    times = []
+
+    def one_call():
+        t0 = time.perf_counter()
+        report = verify_appendix(n_lo, n_hi)
+        times.append(time.perf_counter() - t0)
+        return report
+
+    calls, _, report = repeat_for(min_seconds, one_call)
+    print(f"appendix {n_lo}..{n_hi}: whole call {statistics.median(times) * 1e3:.2f} ms "
+          f"(median of {calls}), graphs examined={report.graphs_examined}")
+    block_times = {block.__name__: [] for block in APPENDIX_BLOCKS}
+
+    def one_run():
+        run, details = AppendixRun(n_lo, n_hi), []
+        for block in APPENDIX_BLOCKS:
+            dt, out = time_call(block, run)
+            block_times[block.__name__].append(dt)
+            details += out
+        return run, details
+
+    _, _, (run, details) = repeat_for(min_seconds, one_run)
+    for name, dts in block_times.items():
+        print(f"  {name:26s} {statistics.median(dts) * 1e3:8.2f} ms")
+    assert details == report.details, "the blocks alone disagree with the whole call"
+    assert sorted(set(run.counterexamples)) == report.counterexamples
 
 
 def repeat_for(min_seconds, fn):
@@ -692,6 +729,7 @@ def main() -> None:
         ties, counts = bench_exact(f"order-{n} ties", tie_pairs(n))
         assert ties == Counter({EQUAL: copies}) and counts["_divide"] > 0, (ties, counts)
 
+    bench_appendix()
     bench_property_suite()
 
 

@@ -165,49 +165,62 @@ def threshold_partition(n: int) -> list[list[int]]:
 
 
 def quotient_template(item: int, n: int, s: int | None = None) -> list[list[int]]:
-    """Integer quotient template for fixture ``item`` (1..18) at order n."""
-    t = {
-        1: [[n - 2, 4, n - 6, 0], [1, 6, 0, 1], [1, 0, 7, 0], [0, 4, 0, 4]],
-        2: [[n - 2, 3, 4, n - 9, 0], [1, 5, 0, 0, 0], [1, 0, 6, 0, 1],
-            [1, 0, 0, 7, 0], [0, 0, 4, 0, 4]],
-        3: [[n - 2, 2, 2, n - 6, 0], [1, 5, 2, 0, 0], [1, 2, 4, 0, 1],
-            [1, 0, 0, 7, 0], [0, 0, 2, 0, 2]],
-        4: [[n - 2, 1, 2, 2, n - 7, 0], [1, 1, 0, 0, 0, 0], [1, 0, 5, 2, 0, 0],
-            [1, 0, 2, 4, 0, 1], [1, 0, 0, 0, 7, 0], [0, 0, 0, 2, 0, 2]],
-        5: [[n - 2, 1, 4, n - 7, 0], [1, 1, 0, 0, 0], [1, 0, 6, 0, 1],
-            [1, 0, 0, 7, 0], [0, 0, 4, 0, 4]],
-        6: [[n - 2, 3, 2, 2, n - 9, 0], [1, 5, 0, 0, 0, 0], [1, 0, 4, 2, 0, 1],
-            [1, 0, 2, 5, 0, 0], [1, 0, 0, 0, 7, 0], [0, 0, 2, 0, 0, 2]],
-        7: [[n - 2, 3, 3, n - 8, 0], [1, 6, 0, 0, 1], [1, 0, 5, 0, 0],
-            [1, 0, 0, 7, 0], [0, 3, 0, 0, 3]],
-        8: [[n - 2, 1, 3, n - 6, 0], [1, 2, 0, 0, 1], [1, 0, 6, 0, 1],
-            [1, 0, 0, 7, 0], [0, 1, 3, 0, 4]],
-        9: [[n - 2, 2, 1, 1, n - 6, 0], [1, 5, 1, 0, 0, 1], [1, 2, 4, 1, 0, 0],
-            [1, 0, 1, 3, 0, 1], [1, 0, 0, 0, 7, 0], [0, 2, 0, 1, 0, 3]],
-        10: [[n - 2, 2, 1, 1, 1, n - 7, 0], [1, 5, 1, 0, 0, 0, 1],
-             [1, 2, 5, 1, 1, 0, 0], [1, 0, 1, 2, 0, 0, 0], [1, 0, 1, 0, 3, 0, 1],
-             [1, 0, 0, 0, 0, 7, 0], [0, 2, 0, 0, 1, 0, 3]],
-        11: [[n - 2, 2, 1, 2, 1, n - 8, 0], [1, 5, 1, 0, 0, 0, 1],
-             [1, 2, 6, 2, 1, 0, 0], [1, 0, 1, 2, 0, 0, 0], [1, 0, 1, 0, 3, 0, 1],
-             [1, 0, 0, 0, 0, 7, 0], [0, 2, 0, 0, 1, 0, 3]],
-        13: [[n - 2, n - 3, 1, 0], [1, 3, 1, 1], [1, n - 3, n - 2, 0],
-             [0, n - 3, 0, n - 3]],
-        14: [[n - 1, n - 1], [1, 7]],
-        15: [[n - 1, 1, n - 2], [1, 1, 0], [1, 0, 7]],
-        16: [[n - 1, 2, n - 3], [1, 3, 0], [1, 0, 7]],
-        17: [[n - 1, 3, n - 4], [1, 5, 0], [1, 0, 7]],
-    }
+    """Integer quotient template for fixture ``item`` (1..18) at order n;
+    only the asked-for template is built."""
+    if item == 1:
+        return [[n - 2, 4, n - 6, 0], [1, 6, 0, 1], [1, 0, 7, 0], [0, 4, 0, 4]]
+    if item == 2:
+        return [[n - 2, 3, 4, n - 9, 0], [1, 5, 0, 0, 0], [1, 0, 6, 0, 1],
+                [1, 0, 0, 7, 0], [0, 0, 4, 0, 4]]
+    if item == 3:
+        return [[n - 2, 2, 2, n - 6, 0], [1, 5, 2, 0, 0], [1, 2, 4, 0, 1],
+                [1, 0, 0, 7, 0], [0, 0, 2, 0, 2]]
+    if item == 4:
+        return [[n - 2, 1, 2, 2, n - 7, 0], [1, 1, 0, 0, 0, 0], [1, 0, 5, 2, 0, 0],
+                [1, 0, 2, 4, 0, 1], [1, 0, 0, 0, 7, 0], [0, 0, 0, 2, 0, 2]]
+    if item == 5:
+        return [[n - 2, 1, 4, n - 7, 0], [1, 1, 0, 0, 0], [1, 0, 6, 0, 1],
+                [1, 0, 0, 7, 0], [0, 0, 4, 0, 4]]
+    if item == 6:
+        return [[n - 2, 3, 2, 2, n - 9, 0], [1, 5, 0, 0, 0, 0], [1, 0, 4, 2, 0, 1],
+                [1, 0, 2, 5, 0, 0], [1, 0, 0, 0, 7, 0], [0, 0, 2, 0, 0, 2]]
+    if item == 7:
+        return [[n - 2, 3, 3, n - 8, 0], [1, 6, 0, 0, 1], [1, 0, 5, 0, 0],
+                [1, 0, 0, 7, 0], [0, 3, 0, 0, 3]]
+    if item == 8:
+        return [[n - 2, 1, 3, n - 6, 0], [1, 2, 0, 0, 1], [1, 0, 6, 0, 1],
+                [1, 0, 0, 7, 0], [0, 1, 3, 0, 4]]
+    if item == 9:
+        return [[n - 2, 2, 1, 1, n - 6, 0], [1, 5, 1, 0, 0, 1], [1, 2, 4, 1, 0, 0],
+                [1, 0, 1, 3, 0, 1], [1, 0, 0, 0, 7, 0], [0, 2, 0, 1, 0, 3]]
+    if item == 10:
+        return [[n - 2, 2, 1, 1, 1, n - 7, 0], [1, 5, 1, 0, 0, 0, 1],
+                [1, 2, 5, 1, 1, 0, 0], [1, 0, 1, 2, 0, 0, 0], [1, 0, 1, 0, 3, 0, 1],
+                [1, 0, 0, 0, 0, 7, 0], [0, 2, 0, 0, 1, 0, 3]]
+    if item == 11:
+        return [[n - 2, 2, 1, 2, 1, n - 8, 0], [1, 5, 1, 0, 0, 0, 1],
+                [1, 2, 6, 2, 1, 0, 0], [1, 0, 1, 2, 0, 0, 0], [1, 0, 1, 0, 3, 0, 1],
+                [1, 0, 0, 0, 0, 7, 0], [0, 2, 0, 0, 1, 0, 3]]
     if item == 12:
         _rng(s is not None and s >= 3, "item 12 needs s >= 3")
         return [[n - 2, s, 1, n - s - 3, 0], [1, 3, 1, 0, 1], [1, s, s + 1, 0, 0],
                 [1, 0, 0, 7, 0], [0, s, 0, 0, s]]
+    if item == 13:
+        return [[n - 2, n - 3, 1, 0], [1, 3, 1, 1], [1, n - 3, n - 2, 0],
+                [0, n - 3, 0, n - 3]]
+    if item == 14:
+        return [[n - 1, n - 1], [1, 7]]
+    if item == 15:
+        return [[n - 1, 1, n - 2], [1, 1, 0], [1, 0, 7]]
+    if item == 16:
+        return [[n - 1, 2, n - 3], [1, 3, 0], [1, 0, 7]]
+    if item == 17:
+        return [[n - 1, 3, n - 4], [1, 5, 0], [1, 0, 7]]
     if item == 18:
         _rng(s is not None and s >= 3, "item 18 needs s >= 3")
         return [[n - 1, 1, 2, s - 2, n - s - 2], [1, s + 1, 2, s - 2, 0],
                 [1, 1, 4, 0, 0], [1, 1, 0, 2, 0], [1, 0, 0, 0, 7]]
-    if item not in t:
-        raise AppendixError(f"no quotient template for item {item}")
-    return t[item]
+    raise AppendixError(f"no quotient template for item {item}")
 
 
 # -- fixtures: family <-> partition <-> template <-> polynomial ----------------------

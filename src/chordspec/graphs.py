@@ -116,9 +116,6 @@ class Graph:
             left &= ~comp
         return comps
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.component_masks()) == 1
-
 
 def bits_to_vertices(bits: int) -> Iterator[int]:
     while bits:

@@ -17,9 +17,10 @@ off it, so isolating intervals have non-root ends.
 
 Before any chain, a comparison tries a sign certificate at the point x
 halfway between float estimates of the two largest roots (Newton's method in
-plain floats, a hint that never decides anything): by Descartes' rule of
-signs, a Taylor shift of p at x without sign variations leaves p no root in
-[x, oo). Pairs it does not settle go to the chains.
+plain floats, or estimates the caller passes in, such as Perron roots: a
+hint that never decides anything): by Descartes' rule of signs, a Taylor
+shift of p at x without sign variations leaves p no root in [x, oo). Pairs
+it does not settle go to the chains.
 """
 
 from __future__ import annotations
@@ -381,7 +382,8 @@ def _apart(bp: _Bracket, bq: _Bracket) -> int | None:
     return None
 
 
-def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
+def compare_largest_roots(p: IntPolynomial, q: IntPolynomial,
+                          estimates: tuple[float, float] | None = None) -> int:
     """Exact ordering of the largest real roots of p and q.
 
     Both must have at least one real root (true for characteristic polynomials
@@ -391,11 +393,21 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     other pair is bisected from the root bounds until the brackets are
     disjoint or share a root of gcd(p*, q*), the common-root factor of the
     squarefree parts, so exact ties terminate.
+
+    ``estimates``, when given, is a pair of floats (rp, rq) used in place of
+    the Newton estimates of p's and q's largest roots; a caller that has
+    them already, such as the Perron roots of the matrices whose
+    characteristic polynomials p and q are, saves the Newton steps. Any pair
+    is safe, nan, inf or wrong ones included: the estimates only place the
+    certificate's test point, whose integer checks decide, so a wrong pair
+    makes the certificate decline and the pair goes to the Sturm chains.
     """
     if p == q:
         _bracket_largest_root(p)
         return EQUAL
-    rp, rq = _largest_root_estimate(p), _largest_root_estimate(q)
+    if estimates is None:
+        estimates = _largest_root_estimate(p), _largest_root_estimate(q)
+    rp, rq = estimates
     if rp < rq and _certified_below(p, q, rp, rq):
         return LESS
     if rq < rp and _certified_below(q, p, rq, rp):

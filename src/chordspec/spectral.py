@@ -11,12 +11,18 @@ thresholds, the masks the sweep kernel leaves for the exact rules, the
 graphs the prefilter spot check re-checks, the appendix fixtures, the
 property suite's lemmas). ``q_index`` is one dense ``eigh`` of the whole Q
 for a vector as well: the absolute value of the top eigenvector, which is
-the Perron vector when the graph is connected. Exact route: integer
-characteristic polynomials by the Faddeev-LeVerrier recurrence, for many
-matrices at once (``charpoly_int_matrices``: one loop per matrix size over
-the stacked matrices, in int64 where a proven bound rules out overflow, else
-on Python ints), and Sturm-chain root isolation, used to resolve orderings
-that floats cannot.
+the Perron vector when the graph is connected.
+
+Quotients: ``quotient_matrix`` reads an equitable quotient's row sums off
+the adjacency bit rows, with no matrix built, and ``perron_roots`` gives the
+Perron roots of many small nonnegative matrices, quotients or templates,
+from one batched ``eigvals`` per matrix size.
+
+Exact route: integer characteristic polynomials by the Faddeev-LeVerrier
+recurrence, for many matrices at once (``charpoly_int_matrices``: one loop
+per matrix size over the stacked matrices, in int64 where a proven bound
+rules out overflow, else on Python ints), and Sturm-chain root isolation,
+used to resolve orderings that floats cannot.
 """
 
 from __future__ import annotations
@@ -147,8 +153,11 @@ def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> list[list[int]
 
     Equitable means every vertex of block i has the same Q row sum into block
     j, for all i, j; that sum is entry (i, j), and the quotient then shares
-    the index q(G). All those row sums come from one integer product of Q
-    with the 0/1 block-membership matrix.
+    the index q(G). The row sums are read off the adjacency bit rows: for u
+    in block i, entry j is the number of u's neighbours in block j, plus
+    d(u) when j = i (the degree part of Q). Vertices of one block with the
+    same neighbour counts have the same degree, so only the counts are
+    compared with those of the block's first vertex.
     """
     tblocks = tuple(tuple(sorted(b)) for b in blocks)
     seen: set[int] = set()
@@ -161,17 +170,33 @@ def quotient_matrix(g: Graph, blocks: Sequence[Iterable[int]]) -> list[list[int]
     if count != g.n or seen != set(range(g.n)):
         raise GraphError("blocks do not partition the vertex set")
 
-    member = np.zeros((g.n, len(tblocks)), dtype=np.int64)
-    for j, b in enumerate(tblocks):
-        member[b, j] = 1
-    into = signless_laplacian(g) @ member  # into[u, j]: row sum of u into block j
-    firsts = into[[b[0] for b in tblocks]]
-    return firsts.tolist() if (into == member @ firsts).all() else None
+    rows = g.rows
+    masks = [sum(1 << v for v in b) for b in tblocks]
+    out = []
+    for i, b in enumerate(tblocks):
+        first = [(rows[b[0]] & mask).bit_count() for mask in masks]
+        for u in b[1:]:
+            if [(rows[u] & mask).bit_count() for mask in masks] != first:
+                return None
+        first[i] += rows[b[0]].bit_count()  # the degree part of Q
+        out.append(first)
+    return out
 
 
-def perron_root(matrix: Sequence[Sequence[int]]) -> float:
-    """Perron root of a nonnegative square matrix, such as a quotient."""
-    return float(np.linalg.eigvals(np.array(matrix, dtype=float)).real.max())
+def perron_roots(matrices: Sequence[Sequence[Sequence[int]]]) -> list[float]:
+    """The Perron root of each nonnegative square matrix, such as a
+    quotient, in input order: the largest real part among its eigenvalues,
+    from one ``eigvals`` per matrix size over the stacked floats. Each value
+    is the one an ``eigvals`` call on that matrix alone gives."""
+    out = [0.0] * len(matrices)
+    groups: dict[int, list[int]] = {}
+    for t, rows in enumerate(matrices):
+        groups.setdefault(len(rows), []).append(t)
+    for slots in groups.values():
+        stack = np.array([matrices[t] for t in slots], dtype=float)
+        for t, root in zip(slots, np.linalg.eigvals(stack).real.max(axis=1).tolist()):
+            out[t] = root
+    return out
 
 
 # -- exact characteristic polynomials ---------------------------------------------
@@ -279,7 +304,7 @@ __all__ = [
     "charpoly_int_matrix",
     "eta",
     "max_eta",
-    "perron_root",
+    "perron_roots",
     "q_exact_compare",
     "q_index",
     "q_indices",

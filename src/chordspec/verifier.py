@@ -74,7 +74,7 @@ from .polynomials import EQUAL, GREATER, LESS, compare_largest_roots
 from .spectral import (
     charpoly_int_matrices,
     max_eta,
-    perron_root,
+    perron_roots,
     q_exact_compare,
     q_index,
     q_indices,
@@ -479,103 +479,127 @@ def _threshold_bound_fraction(n: int) -> Fraction:
     return Fraction(n + 2) - Fraction(4, n + 2)
 
 
-def verify_appendix(n_lo: int, n_hi: int) -> Report:
-    """Quotient fixtures for all catalog families across a range of orders:
-    equitable partitions, template identities, closed-form characteristic
-    polynomials, strict index inequalities against the threshold family, and
-    the fan-width monotone chains."""
-    if not (7 <= n_lo <= n_hi <= 30):
-        raise VerifierError("verify_appendix needs 7 <= n_lo <= n_hi <= 30")
-    t0 = time.perf_counter()
-    details: list[dict] = []
-    counterexamples: list[str] = []
-    examined = 0
+class AppendixRun:
+    """What the blocks of ``verify_appendix`` share over the orders n_lo..n_hi.
 
-    # the threshold family's graph, once per order, and the quotient
-    # template of each fixture graph, once per (item, n, s)
-    orders = range(n_lo, n_hi + 1)
-    thr_graph = {n: k11n2_plus(n).graph for n in orders}
-    template = functools.cache(quotient_template)
+    Each block is a module-level function of the run, in ``APPENDIX_BLOCKS``
+    order, that returns its details, adds to ``examined`` and
+    ``counterexamples``, and fills in what the later blocks read.
+    """
 
-    # (b) template/polynomial identities, for every integer order in range;
-    # one batched call gives these polynomials and those of (d)'s threshold
-    # templates. The closed forms, keyed by (item, n, s), serve (e) too
-    poly_keys = [(fx, n, s) for fx in FIXTURES for n, s in template_keys(fx, n_lo, n_hi)]
-    closed_form = {(fx.item, n, s): appendix_polynomial(fx.poly_id, n, s)
-                   for fx, n, s in poly_keys}
-    thr_template = {n: threshold_quotient_template(n) for n in orders}
+    def __init__(self, n_lo: int, n_hi: int):
+        self.n_lo, self.n_hi = n_lo, n_hi
+        self.orders = range(n_lo, n_hi + 1)
+        self.examined = 0
+        self.counterexamples: list[str] = []
+        # the threshold family's graph, once per order, and the quotient
+        # template of each fixture graph, once per (item, n, s)
+        self.thr_graph = {n: k11n2_plus(n).graph for n in self.orders}
+        self.template = functools.cache(quotient_template)
+        # from appendix_identities: the closed forms by (item, n, s), and the
+        # threshold templates and their characteristic polynomials by order
+        self.closed_form: dict = {}
+        self.thr_template: dict[int, list[list[int]]] = {}
+        self.thr_charpoly: dict = {}
+        # from appendix_fixtures: each fixture graph with its index by
+        # (item, n, s), and by order the threshold, the threshold graph's
+        # quotient (None when not equitable) and the quotient's Perron root
+        self.fixture_q: dict = {}
+        self.thr: dict[int, float] = {}
+        self.thr_quotient: dict[int, list[list[int]] | None] = {}
+        self.thr_radius: dict[int, float] = {}
+
+
+def appendix_identities(run: AppendixRun) -> list[dict]:
+    """(b) template/polynomial identities, for every integer order in range.
+    One batched call gives these polynomials and those of the threshold
+    templates, which appendix_threshold_bound checks; the closed forms serve
+    appendix_fan_chains too."""
+    poly_keys = [(fx, n, s) for fx in FIXTURES
+                 for n, s in template_keys(fx, run.n_lo, run.n_hi)]
+    run.closed_form = {(fx.item, n, s): appendix_polynomial(fx.poly_id, n, s)
+                       for fx, n, s in poly_keys}
+    run.thr_template = {n: threshold_quotient_template(n) for n in run.orders}
     polys = charpoly_int_matrices(
-        [template(fx.item, n, s) for fx, n, s in poly_keys] + list(thr_template.values())
+        [run.template(fx.item, n, s) for fx, n, s in poly_keys]
+        + list(run.thr_template.values())
     )
-    poly_bad = [key for key, got in zip(closed_form, polys) if got != closed_form[key]]
-    thr_charpoly = dict(zip(orders, polys[len(poly_keys):]))
-    details.append(
+    poly_bad = [key for key, got in zip(run.closed_form, polys) if got != run.closed_form[key]]
+    run.thr_charpoly = dict(zip(run.orders, polys[len(poly_keys):]))
+    return [
         {
             "name": "template_charpoly_identities",
             "passed": not poly_bad,
             "checked": len(poly_keys),
             "failures": poly_bad[:10],
         }
-    )
-
-    # (a) + (c): graph-level checks at every valid order in range; one
-    # batched call gives every fixture graph's index and each order's
-    # threshold, and (e) reuses each graph with its index
-    fixtures = [
-        (fx, n, s, g) for fx in FIXTURES for n, s, g in fixture_graphs(fx, n_lo, n_hi)
     ]
-    qs = q_indices([g for *_, g in fixtures] + list(thr_graph.values()))
-    thr = dict(zip(orders, qs[len(fixtures):]))
-    fixture_q = {(fx.item, n, s): (g, qv) for (fx, n, s, g), qv in zip(fixtures, qs)}
+
+
+def appendix_fixtures(run: AppendixRun) -> list[dict]:
+    """(a) + (c): graph-level checks at every valid order in range. One
+    batched call gives every fixture graph's index and each order's
+    threshold, and one more the Perron roots of the fixture graphs' and the
+    threshold graphs' equitable quotients; appendix_fan_chains reuses each
+    graph with its index, and appendix_threshold_bound each order's
+    threshold, quotient and root."""
+    fixtures = [(fx, n, s, g) for fx in FIXTURES
+                for n, s, g in fixture_graphs(fx, run.n_lo, run.n_hi)]
+    qs = q_indices([g for *_, g in fixtures] + list(run.thr_graph.values()))
+    run.thr = dict(zip(run.orders, qs[len(fixtures):]))
+    run.fixture_q = {(fx.item, n, s): (g, qv) for (fx, n, s, g), qv in zip(fixtures, qs)}
+    quotients = [quotient_matrix(g, fx.partition(n, s)) for fx, n, s, g in fixtures]
+    run.thr_quotient = {n: quotient_matrix(run.thr_graph[n], threshold_partition(n))
+                        for n in run.orders}
+    # the Perron roots of the equitable quotients, read in this order below
+    radii = iter(perron_roots(
+        [qm for qm in quotients + list(run.thr_quotient.values()) if qm is not None]))
     equit_bad = []
     ineq_bad = []
     lam_bad = []
-    for (fx, n, s, g), qv in zip(fixtures, qs):
-        examined += 1
-        blocks = fx.partition(n, s)
-        qm = quotient_matrix(g, blocks)
+    for (fx, n, s, g), qv, qm in zip(fixtures, qs, quotients):
+        run.examined += 1
         if qm is None:
             equit_bad.append((fx.item, n, s))
-            counterexamples.append(graph6_encode(g))
+            run.counterexamples.append(graph6_encode(g))
             continue
-        tmpl = template(fx.item, n, s)
-        if len(blocks) == len(tmpl) and qm != tmpl:
+        tmpl = run.template(fx.item, n, s)
+        if len(qm) == len(tmpl) and qm != tmpl:
             equit_bad.append((fx.item, n, s, "template-mismatch"))
-        lam = perron_root(qm)
+        lam = next(radii)
         if abs(lam - qv) > 1e-8:
             lam_bad.append((fx.item, n, s, lam - qv))
         # strict index inequality against the threshold family
-        if _order(g, qv, thr_graph[n], thr[n]) != LESS:
+        if _order(g, qv, run.thr_graph[n], run.thr[n]) != LESS:
             ineq_bad.append((fx.item, n, s))
-            counterexamples.append(graph6_encode(g))
-    details.append(
+            run.counterexamples.append(graph6_encode(g))
+    run.thr_radius = {n: next(radii) for n, qm in run.thr_quotient.items() if qm is not None}
+    return [
         {
             "name": "equitable_partitions",
             "passed": not equit_bad,
             "checked": len(fixtures),
             "failures": equit_bad[:10],
-        }
-    )
-    details.append(
+        },
         {
             "name": "quotient_radius_matches_index",
             "passed": not lam_bad,
             "tolerance": 1e-8,
             "failures": lam_bad[:10],
-        }
-    )
-    details.append(
+        },
         {
             "name": "index_below_threshold_family",
             "passed": not ineq_bad,
             "failures": ineq_bad[:10],
-        }
-    )
+        },
+    ]
 
-    # (d) threshold family lower bound, exact rational identity included
+
+def appendix_threshold_bound(run: AppendixRun) -> list[dict]:
+    """(d) threshold family lower bound, exact rational identity included."""
     bound_bad = []
-    for n in orders:
-        examined += 1
+    for n in run.orders:
+        run.examined += 1
         pt = _threshold_bound_fraction(n)
         gpoly = appendix_polynomial("g", n)
         val = gpoly(pt)
@@ -584,43 +608,53 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
         )
         if val != want or val >= 0:
             bound_bad.append((n, "g-value"))
-        tq = thr_template[n]
-        if thr_charpoly[n] != gpoly:
+        if run.thr_charpoly[n] != gpoly:
             bound_bad.append((n, "template"))
-        qm = quotient_matrix(thr_graph[n], threshold_partition(n))
-        if qm != tq:
+        qm = run.thr_quotient[n]
+        if qm != run.thr_template[n]:
             bound_bad.append((n, "partition"))
-        if not thr[n] > float(pt):
+        if not run.thr[n] > float(pt):
             bound_bad.append((n, "bound"))
-        if qm is None or abs(perron_root(qm) - thr[n]) > 1e-8:
+        if qm is None or abs(run.thr_radius[n] - run.thr[n]) > 1e-8:
             bound_bad.append((n, "radius"))
-    details.append(
+    return [
         {
             "name": "threshold_family_bound",
             "passed": not bound_bad,
-            "checked": n_hi - n_lo + 1,
+            "checked": run.n_hi - run.n_lo + 1,
             "failures": bound_bad[:10],
         }
-    )
+    ]
 
-    # (e) fan-width monotone chains, exact on the closed forms and by _order
-    # on the fixture graphs whose width s + 4 exists too. The two families
-    # get separate entries: the star-fan chain (g12) holds on the whole
-    # range, while the hub-star-pack chain (g18) is genuinely false for
-    # small s, and the report says so rather than papering over it.
-    for fx in FIXTURES:
-        if fx.s_gap is None:
-            continue
+
+def appendix_fan_chains(run: AppendixRun) -> list[dict]:
+    """(e) fan-width monotone chains, exact on the closed forms and by _order
+    on the fixture graphs whose width s + 4 exists too. The two families get
+    separate entries: the star-fan chain (g12) holds on the whole range,
+    while the hub-star-pack chain (g18) is genuinely false for small s, and
+    the report says so rather than papering over it.
+
+    One batched call gives the Perron roots of the templates whose closed
+    forms a chain compares, and they serve as the comparison's float
+    estimates: appendix_identities checks each closed form against its
+    template's characteristic polynomial, and a wrong estimate would only
+    send a pair to the Sturm chains."""
+    chains = [(fx, fan_chain(template_keys(fx, run.n_lo, run.n_hi)))
+              for fx in FIXTURES if fx.s_gap is not None]
+    keys = list(dict.fromkeys(
+        (fx.item, n, t) for fx, closed in chains for n, s in closed for t in (s, s + 4)))
+    root = dict(zip(keys, perron_roots([run.template(*key) for key in keys])))
+    details = []
+    for fx, closed in chains:
         chain_bad = []
-        closed = fan_chain(template_keys(fx, n_lo, n_hi))
         for n, s in closed:
-            a = closed_form[fx.item, n, s]
-            b = closed_form[fx.item, n, s + 4]
-            if compare_largest_roots(a, b) != LESS:
+            a = run.closed_form[fx.item, n, s]
+            b = run.closed_form[fx.item, n, s + 4]
+            if compare_largest_roots(a, b, (root[fx.item, n, s], root[fx.item, n, s + 4])) != LESS:
                 chain_bad.append([n, s])
-        graphs = fan_chain((n, s) for item, n, s in fixture_q if item == fx.item)
+        graphs = fan_chain((n, s) for item, n, s in run.fixture_q if item == fx.item)
         for n, s in graphs:
-            if _order(*fixture_q[fx.item, n, s], *fixture_q[fx.item, n, s + 4]) != LESS:
+            if _order(*run.fixture_q[fx.item, n, s], *run.fixture_q[fx.item, n, s + 4]) != LESS:
                 chain_bad.append([n, s, "graphs"])
         details.append(
             {
@@ -630,12 +664,29 @@ def verify_appendix(n_lo: int, n_hi: int) -> Report:
                 "violations": chain_bad,
             }
         )
+    return details
 
+
+APPENDIX_BLOCKS = (appendix_identities, appendix_fixtures, appendix_threshold_bound,
+                   appendix_fan_chains)
+
+
+def verify_appendix(n_lo: int, n_hi: int) -> Report:
+    """Quotient fixtures for all catalog families across a range of orders:
+    equitable partitions, template identities, closed-form characteristic
+    polynomials, strict index inequalities against the threshold family, and
+    the fan-width monotone chains. The details are those of the
+    ``APPENDIX_BLOCKS``, run in order on one ``AppendixRun``."""
+    if not (7 <= n_lo <= n_hi <= 30):
+        raise VerifierError("verify_appendix needs 7 <= n_lo <= n_hi <= 30")
+    t0 = time.perf_counter()
+    run = AppendixRun(n_lo, n_hi)
+    details = [detail for block in APPENDIX_BLOCKS for detail in block(run)]
     return Report(
         task="appendix",
         params={"n_lo": n_lo, "n_hi": n_hi},
-        graphs_examined=examined,
-        counterexamples=sorted(set(counterexamples)),
+        graphs_examined=run.examined,
+        counterexamples=sorted(set(run.counterexamples)),
         details=details,
         wall_time_ms=(time.perf_counter() - t0) * 1000,
     )
@@ -950,11 +1001,12 @@ def equitable_quotient_fixtures() -> dict:
         (("threshold", n), k11n2_plus(n).graph, threshold_partition(n))
         for n in (7, 12, 19)
     ]
-    bad = []
-    for (label, g, blocks), qv in zip(cases, q_indices([g for _, g, _ in cases])):
-        qm = quotient_matrix(g, blocks)
-        if qm is None or abs(perron_root(qm) - qv) > 1e-8:
-            bad.append(label)
+    quotients = [quotient_matrix(g, blocks) for _, g, blocks in cases]
+    # the Perron roots of the equitable quotients, read in case order
+    radii = iter(perron_roots([qm for qm in quotients if qm is not None]))
+    bad = [label for (label, _, _), qm, qv in zip(cases, quotients,
+                                                  q_indices([g for _, g, _ in cases]))
+           if qm is None or abs(next(radii) - qv) > 1e-8]
     return {"name": "equitable_quotient_fixtures", "passed": not bad,
             "checked": len(cases), "failures": bad}
 

@@ -256,6 +256,20 @@ def oracle_graph6_decode(text: str) -> Graph:
     return make_graph(n, edges)
 
 
+def is_connected(g: Graph) -> bool:
+    """Whether g is connected, a graph on at most one vertex included: a
+    walk from vertex 0 over ``g.neighbors`` reaches every vertex."""
+    if g.n <= 1:
+        return True
+    seen, todo = {0}, [0]
+    while todo:
+        for v in g.neighbors(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return len(seen) == g.n
+
+
 def oracle_q_index(g: Graph) -> SpectralResult:
     """q(G), Perron vector and residual with one eigensolve per component,
     each component cut out of Q and its vector embedded in R^n."""

@@ -16,7 +16,7 @@ from chordspec.appendix import (
 )
 from chordspec.families import k11n2_plus
 from chordspec.polynomials import LESS, IntPolynomial, _Bracket, compare_largest_roots
-from chordspec.spectral import charpoly_int_matrix, perron_root, q_index, quotient_matrix
+from chordspec.spectral import charpoly_int_matrix, perron_roots, q_index, quotient_matrix
 from oracles import (
     oracle_compare_largest_roots,
     oracle_fan_chain,
@@ -120,7 +120,7 @@ def test_fixture_partitions_are_equitable():
         for n, s, g in orders:
             qm = quotient_matrix(g, fx.partition(n, s))
             assert qm is not None, (fx.item, n, s)
-            assert abs(perron_root(qm) - q_index(g).q) < 1e-8
+            assert abs(perron_roots([qm])[0] - q_index(g).q) < 1e-8
 
 
 def test_fixture_full_templates_match_graph_quotients():
@@ -169,7 +169,7 @@ def test_threshold_quotient_of_actual_graph():
         qm = quotient_matrix(g, threshold_partition(n))
         assert qm is not None
         assert qm == threshold_quotient_template(n)
-        assert abs(perron_root(qm) - q_index(g).q) < 1e-8
+        assert abs(perron_roots([qm])[0] - q_index(g).q) < 1e-8
 
 
 def test_fan_width_chains_agree_with_fraction_oracle(monkeypatch):

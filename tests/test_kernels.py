@@ -34,6 +34,7 @@ from chordspec.verifier import (
 from oracles import (
     MaskBatch,
     cycles_by_dfs,
+    is_connected,
     oracle_apex_chords,
     oracle_classify_labeled,
     oracle_degree_vector_bounds,
@@ -679,8 +680,9 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # check that the check passes and that the kernels and the calls agree,
     # one call each of its order-6 CLI timings, whose asserts check the exit
     # codes and verdicts, one pass of its exact order-6 ties, which must
-    # reach the gcd, expand its appendix templates at orders 7..8 and time
-    # the property suite's details one by one
+    # reach the gcd, expand its appendix templates at orders 7..8, time
+    # verify_appendix(7, 8) block by block and the property suite's details
+    # one by one
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -730,6 +732,16 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     checked = next(d["checked"] for d in verify_appendix(7, 8).details
                    if d["name"] == "template_charpoly_identities")
     assert len(bench.appendix_templates(7, 8)) == checked + 2
+    # verify_appendix(7, 8) whole, then block by block, whose assert compares
+    # the blocks' details with the whole call's: one line a block
+    capsys.readouterr()
+    bench.bench_appendix(7, 8, min_seconds=0)
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"appendix 7\.\.8: whole call [0-9.]+ ms \(median of 1\), "
+                        r"graphs examined=11", lines[0]), lines
+    assert [line.split()[0] for line in lines[1:]] == [
+        "appendix_identities", "appendix_fixtures", "appendix_threshold_bound",
+        "appendix_fan_chains"], lines
     # the property suite at 50 trials, then each detail of it on its own,
     # whose assert compares the details with the suite's: one line a detail
     capsys.readouterr()
@@ -1047,7 +1059,7 @@ def test_longest_cycle_is_the_first_longest_in_search_order(impl):
     checked = 0
     while checked < 200:
         g = random_graph(rng, rng.randint(3, 10), rng.choice((0.3, 0.45, 0.6)))
-        if not g.is_connected():
+        if not is_connected(g):
             continue
         cycles = list(cycles_by_dfs(g))
         want = max(cycles, key=len) if cycles else None

@@ -1,7 +1,10 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -361,6 +364,49 @@ def test_certificate_settles_every_appendix_fan_chain_pair(monkeypatch):
     assert got == [compare_largest_roots(a, b) for a, b in pairs]
     assert len(calls) == 2 * len(pairs)
     assert got.count(GREATER) == got.count(LESS) and EQUAL not in got
+
+
+def _load_bench():
+    """benchmarks/bench_kernels.py as a module, without running its main."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def _float_largest_root(p):
+    """The largest real root of p by numpy's companion-matrix eigenvalues."""
+    return max(r.real for r in np.roots(p.coeffs[::-1]) if abs(r.imag) < 1e-7)
+
+
+def test_passed_estimates_never_change_a_verdict(monkeypatch):
+    # every fan-width chain pair verify_appendix compares at orders 7..30 and
+    # the order-6 exact ties, in both argument orders, with estimates passed
+    # in: nan, the true roots swapped, both equal, and each 1 off either way.
+    # Each gives the Fraction oracle's verdict, so a certificate that trusted
+    # the estimates' order without its integer checks fails here. With the
+    # true roots the certificate settles every chain pair with no Sturm chain,
+    # so the swapped ones do reach it
+    bench = _load_bench()
+    chain_pairs = bench.appendix_pairs(7, 30)
+    pairs = chain_pairs + list(dict.fromkeys(bench.tie_pairs(6)))
+    assert len(chain_pairs) == 484 and len(pairs) == 485
+    calls = _bracketed(monkeypatch)
+    for a, b in pairs:
+        want = oracle_compare_largest_roots(a, b)
+        ra, rb = _float_largest_root(a), _float_largest_root(b)
+        for ea, eb in [(math.nan, math.nan), (rb, ra), (ra, ra), (rb, rb)] + [
+                (ra + da, rb + db) for da in (-1, 1) for db in (-1, 1)]:
+            assert compare_largest_roots(a, b, (ea, eb)) == want, (a, b, ea, eb)
+            assert compare_largest_roots(b, a, (eb, ea)) == -want, (b, a, eb, ea)
+    assert calls
+    calls.clear()
+    for a, b in chain_pairs:
+        ra, rb = _float_largest_root(a), _float_largest_root(b)
+        compare_largest_roots(a, b, (ra, rb))
+        compare_largest_roots(b, a, (rb, ra))
+    assert calls == []
 
 
 def _random_factor(rng):

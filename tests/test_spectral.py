@@ -31,7 +31,7 @@ from chordspec.spectral import (
     charpoly_int_matrix,
     eta,
     max_eta,
-    perron_root,
+    perron_roots,
     q_exact_compare,
     q_index,
     q_indices,
@@ -43,6 +43,7 @@ from oracles import (
     MaskBatch,
     count_roots_above,
     count_roots_in_interval,
+    is_connected,
     oracle_charpoly_int_matrix,
     oracle_q,
     oracle_q_index,
@@ -128,7 +129,7 @@ def test_q_index_matches_the_per_component_route_bit_for_bit():
     for _ in range(400):
         g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
         want = oracle_q_index(g)
-        if g.is_connected():
+        if is_connected(g):
             connected += 1
             assert q_index(g) == want
         else:
@@ -151,7 +152,7 @@ def test_q_indices_match_q_index():
         want = [q_index(g).q for g in batch]
         assert q_indices(batch) == pytest.approx(want, rel=0, abs=1e-12)
         graphs += batch
-    assert sum(not g.is_connected() for g in graphs) >= 50
+    assert sum(not is_connected(g) for g in graphs) >= 50
     assert sum(0 in g.degrees() for g in graphs) >= 50
     rng.shuffle(graphs)
     got = q_indices(graphs)
@@ -187,10 +188,21 @@ def test_quotient_matrix_examples():
 
 
 def test_perron_root_examples():
-    assert perron_root([[8]]) == 8.0
-    assert perron_root([[1, 1], [2, 2]]) == pytest.approx(3.0)
+    assert perron_roots([[[8]]])[0] == 8.0
+    assert perron_roots([[[1, 1], [2, 2]]])[0] == pytest.approx(3.0)
     b = quotient_matrix(k11n2_plus(7).graph, [[0, 1], [2, 3], [4, 5, 6]])
-    assert abs(perron_root(b) - q_index(k11n2_plus(7).graph).q) < 1e-8
+    assert abs(perron_roots([b])[0] - q_index(k11n2_plus(7).graph).q) < 1e-8
+    # mixed sizes, shuffled, and no matrix at all: each root is the one
+    # eigvals gives on that matrix alone, bit for bit, in input order
+    matrices = [quotient_template(fx.item, n, s) for n in (7, 15, 22)
+                for fx in FIXTURES for _, s in template_keys(fx, n, n)]
+    matrices += [[[8]], [[1, 1], [2, 2]], [[0, 1], [1, 0]], b]
+    random.Random(5).shuffle(matrices)
+    assert len({len(m) for m in matrices}) >= 5
+    want = [np.linalg.eigvals(np.array(m, dtype=float)).real.max() for m in matrices]
+    got = perron_roots(matrices)
+    assert got == want and all(type(r) is float for r in got)
+    assert perron_roots([]) == []
 
 
 def _random_partition(rng, n):
@@ -407,7 +419,7 @@ def test_q_index_agrees_with_exact_roots():
     for _ in range(trials):
         n = rng.randint(2, 7)
         g = random_graph(rng, n, rng.choice((0.3, 0.5, 0.8)))
-        if not g.is_connected():
+        if not is_connected(g):
             continue
         qv = q_index(g).q
         sf = polynomials._squarefree_chain(charpoly_graph(g))[0]
@@ -517,7 +529,7 @@ def test_mask_batch_matches_per_graph_routines():
             g = graph_from_mask(n, mask)
             degs = g.degrees()
             isolated += min(degs) == 0
-            disconnected += not g.is_connected()
+            disconnected += not is_connected(g)
             assert tuple(batch.degrees[r].tolist()) == degs
             assert esums[r] == max((degs[u] + degs[v] for u, v in g.edges()), default=0)
             assert np.array_equal(stacked[r], signless_laplacian(g))

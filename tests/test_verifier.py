@@ -53,6 +53,7 @@ from chordspec.verifier import (
 )
 from oracles import (
     body_text,
+    is_connected,
     mask_from_graph,
     oracle_degree_vector_bounds,
     oracle_prefilter_spot_check,
@@ -455,9 +456,9 @@ def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
     bracketed = []
     calls = []  # (p == q, brackets built) per comparison
 
-    def counted(p, q):
+    def counted(p, q, estimates=None):
         before = len(bracketed)
-        verdict = compare(p, q)
+        verdict = compare(p, q, estimates)
         calls.append((p == q, len(bracketed) - before))
         return verdict
 
@@ -909,7 +910,7 @@ def test_q_index_serves_only_the_perron_shift_fallback(monkeypatch):
     assert indexed
     for caller, g, order in indexed:
         assert caller == "draw_shift"
-        assert g.is_connected()
+        assert is_connected(g)
         assert order == [(g.rows, 0)]
 
 
@@ -1017,26 +1018,41 @@ def test_appendix_builds_each_template_once(monkeypatch):
 
 
 def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
-    # every template polynomial comes from at most two batched calls, and
-    # every fixture graph's index and each order's threshold from one
-    # q_indices call; q_index is not called
-    batches, index_batches, single = [], [], []
-    charpolys, q_indices, q_index_ = (
-        verifier.charpoly_int_matrices, verifier.q_indices, verifier.q_index)
+    # every template polynomial comes from at most two batched calls, every
+    # fixture graph's index and each order's threshold from one q_indices
+    # call, and every Perron root from at most two perron_roots calls; the
+    # fan-width chains take their estimates from those roots, so neither
+    # q_index nor the Newton estimate is called
+    batches, index_batches, root_batches, single, newton = [], [], [], [], []
+    charpolys, q_indices, q_index_, perron_roots = (
+        verifier.charpoly_int_matrices, verifier.q_indices, verifier.q_index,
+        verifier.perron_roots)
+    estimate = polynomials._largest_root_estimate
     monkeypatch.setattr(verifier, "charpoly_int_matrices",
                         lambda ms: batches.append(len(ms)) or charpolys(ms))
     monkeypatch.setattr(verifier, "q_indices",
                         lambda gs: index_batches.append(list(gs)) or q_indices(gs))
     monkeypatch.setattr(verifier, "q_index", lambda g: single.append(g) or q_index_(g))
-    report = verify_appendix(7, 14)
+    monkeypatch.setattr(verifier, "perron_roots",
+                        lambda ms: root_batches.append(list(ms)) or perron_roots(ms))
+    monkeypatch.setattr(polynomials, "_largest_root_estimate",
+                        lambda p: newton.append(p) or estimate(p))
+    report = verify_appendix(7, 22)
     assert 1 <= len(batches) <= 2
-    # (b)'s templates and (d)'s eight threshold templates
+    # (b)'s templates and (d)'s sixteen threshold templates
     checked = next(d["checked"] for d in report.details
                    if d["name"] == "template_charpoly_identities")
-    assert sum(batches) == checked + 8
-    fixtures = [g for fx in FIXTURES for *_, g in fixture_graphs(fx, 7, 14)]
-    assert index_batches == [fixtures + [k11n2_plus(n).graph for n in range(7, 15)]]
-    assert single == []
+    assert sum(batches) == checked + 16
+    fixtures = [g for fx in FIXTURES for *_, g in fixture_graphs(fx, 7, 22)]
+    assert index_batches == [fixtures + [k11n2_plus(n).graph for n in range(7, 23)]]
+    assert single == [] and newton == []
+    assert 1 <= len(root_batches) <= 2
+    # each fixture graph's and each threshold graph's quotient is equitable,
+    # and its Perron root comes from those calls
+    assert sum(map(len, root_batches)) >= len(fixtures) + 16
+    root_batches.clear()
+    assert verifier.equitable_quotient_fixtures()["passed"]
+    assert len(root_batches) == 1
 
 
 def test_appendix_builds_each_closed_form_once(monkeypatch):
