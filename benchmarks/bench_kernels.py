@@ -46,6 +46,7 @@ from chordspec.appendix import (
     FIXTURES,
     appendix_polynomial,
     fan_chain,
+    fixture_graphs,
     quotient_template,
     template_keys,
     threshold_quotient_template,
@@ -403,8 +404,11 @@ def bench_property_suite(seed=7, trials=10000):
 def bench_appendix(n_lo=7, n_hi=22, min_seconds=1.0):
     """`verify appendix` over orders n_lo..n_hi, whole (verify_appendix) and
     block by block: the same module-level blocks run in order on one fresh
-    AppendixRun, whose details must equal the whole call's. Medians over
-    repeated calls for at least min_seconds each."""
+    AppendixRun, whose details must equal the whole call's. Then two layers
+    alone: building every fixture graph of the range (fixture_graphs), and
+    the characteristic polynomials of the identity block's templates (one
+    charpoly_int_matrices call). Medians over repeated calls for at least
+    min_seconds each."""
     times = []
 
     def one_call():
@@ -431,6 +435,22 @@ def bench_appendix(n_lo=7, n_hi=22, min_seconds=1.0):
         print(f"  {name:26s} {statistics.median(dts) * 1e3:8.2f} ms")
     assert details == report.details, "the blocks alone disagree with the whole call"
     assert sorted(set(run.counterexamples)) == report.counterexamples
+    templates = appendix_templates(n_lo, n_hi)
+    for label, size, layer in (
+        ("fixture_graphs", "graphs", lambda: [g for fx in FIXTURES
+                                              for *_, g in fixture_graphs(fx, n_lo, n_hi)]),
+        ("charpoly_int_matrices", "templates", lambda: charpoly_int_matrices(templates)),
+    ):
+        dts = []
+
+        def one_layer_call():
+            dt, out = time_call(layer)
+            dts.append(dt)
+            return out
+
+        calls, _, out = repeat_for(min_seconds, one_layer_call)
+        print(f"  {label:26s} {statistics.median(dts) * 1e3:8.2f} ms "
+              f"({len(out)} {size}, median of {calls})")
 
 
 def repeat_for(min_seconds, fn):

@@ -2,13 +2,14 @@
 the catalog families.
 
 ``FIXTURES`` is the one table of catalog items 1..18. Each entry ties a
-catalog family builder to the block partition of its vertex set (under the
+catalog family to the block partition of its vertex set (under the
 builders' fixed vertex layout), whose integer quotient matrix is
 ``quotient_template`` in n (and the fan width s), and whose characteristic
-polynomial is the closed form ``g<item>``. The builders alone decide at
-which orders (n, s) a graph exists, and ``fixture_graphs`` yields the graphs
-they accept. The template/polynomial identities hold at every integer order,
-not just those, and are checked at the ``template_keys``: every order from
+polynomial is the closed form ``g<item>``. The family's order rule
+(``families.has_order``) alone decides at which orders (n, s) a graph
+exists, and ``fixture_graphs`` builds the graphs at those orders only. The
+template/polynomial identities hold at every integer order, not just those,
+and are checked at the ``template_keys``: every order from
 the entry's ``template_min_n`` on, at the widths ``Fixture.widths`` gives.
 The fan-width chains compare (n, s) with (n, s + 4), over ``fan_chain`` of
 either set of keys. ``threshold_partition`` and
@@ -25,16 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .families import (
-    BuiltFamily,
-    FamilyError,
-    g_graph,
-    k1_join_k1_k4s,
-    k1_join_k2_k4s,
-    k1_join_k4s,
-    k1_join_star_plus_k4s,
-    u_graph,
-)
+from .families import catalog_graph, has_order, u_graph
 from .polynomials import IntPolynomial
 
 
@@ -228,20 +220,23 @@ def quotient_template(item: int, n: int, s: int | None = None) -> list[list[int]
 
 @dataclass(frozen=True)
 class Fixture:
-    """Catalog item ``item``: ``build(n, s)`` is its graph and ``partition(n, s)``
-    the nonempty blocks of its equitable partition, in template order. The
-    orders at which the graph exists are the builder's to decide; the
-    template identities are checked at every order from ``template_min_n``
-    on, at fan widths 3..n - s_gap for the two fan families."""
+    """Catalog item ``item``: its graph at (n, s) is the catalog family
+    ``family``'s at order n and fan width s (``family_s`` for a family whose
+    width the item fixes), and ``partition(n, s)`` the nonempty blocks of its
+    equitable partition, in template order. The orders at which the graph
+    exists are the family's to decide; the template identities are checked
+    at every order from ``template_min_n`` on, at fan widths 3..n - s_gap for
+    the two fan families."""
 
     item: int
-    build: Callable[[int, int | None], BuiltFamily]
+    family: str
     partition: Callable[[int, int | None], list[list[int]]]
     # first order whose graph has every template block nonempty (one K4 pack,
     # at fan width 3 for the fan families), and at least 7, where the closed
     # forms start; item 13 has no pack block
     template_min_n: int
     s_gap: int | None = None
+    family_s: int | None = None
 
     @property
     def poly_id(self) -> str:
@@ -261,19 +256,19 @@ def _seed(item: int, seed: int, *groups: list[int]) -> Fixture:
     """G_seed: the seed's groups with the pack block just before w's, the last."""
     order = u_graph(seed).graph.n
     return Fixture(
-        item, lambda n, s: g_graph(seed, n),
+        item, f"G{seed}",
         lambda n, s: [list(b) for b in (*groups[:-1], *_packs(order, n), groups[-1])],
         template_min_n=order + 4,
     )
 
 
-def _hub(item: int, build: Callable[[int], BuiltFamily], *groups: list[int]) -> Fixture:
+def _hub(item: int, family: str, *groups: list[int], family_s: int | None = None) -> Fixture:
     """A hub joined to K4 packs and a small remainder: its groups, then the packs."""
     order = sum(map(len, groups))
     return Fixture(
-        item, lambda n, s: build(n),
+        item, family,
         lambda n, s: [list(b) for b in (*groups, *_packs(order, n))],
-        template_min_n=max(order + 4, 7),
+        template_min_n=max(order + 4, 7), family_s=family_s,
     )
 
 
@@ -293,18 +288,18 @@ FIXTURES: list[Fixture] = [
     _seed(10, 10, [0], [3, 4], [2], [6], [5], [1]),
     _seed(11, 11, [0], [3, 4], [2], [6, 7], [5], [1]),
     # z, the s leaves, the star center, the packs, w
-    Fixture(12, lambda n, s: g_graph(12, n, s),
+    Fixture(12, "G12",
             lambda n, s: [[0], list(range(3, s + 3)), [2], *_packs(s + 3, n), [1]],
             template_min_n=10, s_gap=3),
     # the 3-class {0, 1, 2} with edge 0-1, and the big class 3..n-1
-    Fixture(13, lambda n, s: g_graph(13, n),
+    Fixture(13, "G13",
             lambda n, s: [[0], list(range(3, n)), [1], [2]], template_min_n=7),
-    _hub(14, k1_join_k4s, [0]),
-    _hub(15, k1_join_k1_k4s, [0], [1]),
-    _hub(16, k1_join_k2_k4s, [0], [1, 2]),
-    _hub(17, lambda n: k1_join_star_plus_k4s(n, 2), [0], [1, 2, 3]),
+    _hub(14, "K1JoinK4s", [0]),
+    _hub(15, "K1JoinK1K4s", [0], [1]),
+    _hub(16, "K1JoinK2K4s", [0], [1, 2]),
+    _hub(17, "K1JoinStarPlusK4s", [0], [1, 2, 3], family_s=2),
     # apex, star center, the edge pair, the plain leaves, the packs
-    Fixture(18, k1_join_star_plus_k4s,
+    Fixture(18, "K1JoinStarPlusK4s",
             lambda n, s: [[0], [1], [2, 3], list(range(4, s + 2)), *_packs(s + 2, n)],
             template_min_n=9, s_gap=2),
 ]
@@ -326,12 +321,11 @@ def fan_chain(keys) -> list[tuple[int, int]]:
 
 def fixture_graphs(fx: Fixture, n_lo: int, n_hi: int):
     """Yield (n, s, graph) for every order n in [n_lo, n_hi] and width s in
-    fx.widths(n) at which fx's builder accepts, ascending, building each
-    graph once."""
+    fx.widths(n) at which fx's family has a graph, ascending, building each
+    graph once. The family's order rule is asked first, so an order it
+    refuses builds nothing and raises nothing."""
     for n in range(n_lo, n_hi + 1):
         for s in fx.widths(n):
-            try:
-                built = fx.build(n, s)
-            except FamilyError:
-                continue
-            yield n, s, built.graph
+            width = fx.family_s if s is None else s
+            if has_order(fx.family, n, width):
+                yield n, s, catalog_graph(fx.family, n, width)

@@ -19,7 +19,7 @@ import sys
 from . import chords, verifier
 from .families import build_family, family_names
 from .graphs import Graph, Graph6Error, GraphError, graph6_decode, graph6_encode
-from .spectral import q_indices
+from .spectral import q_index_texts
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -52,8 +52,8 @@ class _InputError(Exception):
 
 
 def _cmd_q(args) -> int:
-    for q in q_indices(_read_graphs(args.input)):
-        print(f"{q:.12f}")
+    for text in q_index_texts(_read_graphs(args.input)):
+        print(text)
     return EXIT_OK
 
 
@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("q", help="print the signless Laplacian index per graph")
+    q = sub.add_parser("q", help="print the signless Laplacian index per graph, correctly rounded "
+                       "to 12 decimals")
     q.add_argument("input", nargs="?", default=None, help="graph6 file (default stdin)")
     q.set_defaults(fn=_cmd_q)
 

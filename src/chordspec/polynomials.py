@@ -254,6 +254,35 @@ def _variations_at_inf(chain: Sequence[IntPolynomial]) -> int:
     return _variations(0 if q.is_zero else q.leading for q in chain)
 
 
+def round_largest_root(p: IntPolynomial, estimate: float, places: int) -> int:
+    """The largest real root of a monic p times 10^places, correctly rounded
+    to an integer k: the root lies in ((2k - 1) / d, (2k + 1) / d), with
+    d = 2 10^places.
+
+    k starts at the rounded ``estimate`` and steps by one until the Sturm
+    chain of p's squarefree part counts a root above the lower point and
+    none above the upper one. Neither point can be a root: a rational root
+    of a monic integer polynomial is an integer. So the count is exact and
+    the rounding has no tie. Each step moves k towards the root, so a wrong
+    estimate costs steps, never a wrong k.
+    """
+    chain = _squarefree_chain(p)
+    den = 2 * 10**places
+    at_inf = _variations_at_inf(chain)
+
+    def above(num: int) -> int:
+        return _variations(_values_at(chain, num, den)) - at_inf
+
+    k = round(estimate * 10**places)
+    while True:
+        if above(2 * k + 1):
+            k += 1
+        elif not above(2 * k - 1):
+            k -= 1
+        else:
+            return k
+
+
 def root_bound(p: IntPolynomial) -> Fraction:
     """Cauchy bound: all real roots lie in (-B, B)."""
     lead = abs(p.leading)

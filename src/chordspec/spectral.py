@@ -9,9 +9,10 @@ The python sweep kernel uses it for the graphs its degree bounds keep, and
 the verifier and the CLI for every index they compare, report or print (the
 thresholds, the masks the sweep kernel leaves for the exact rules, the
 graphs the prefilter spot check re-checks, the appendix fixtures, the
-property suite's lemmas). ``q_index`` is one dense ``eigh`` of the whole Q
-for a vector as well: the absolute value of the top eigenvector, which is
-the Perron vector when the graph is connected.
+property suite's lemmas); ``q_index_texts`` takes the CLI's printed digits
+from it and settles the last one exactly. ``q_index`` is one dense ``eigh``
+of the whole Q for a vector as well: the absolute value of the top
+eigenvector, which is the Perron vector when the graph is connected.
 
 Quotients: ``quotient_matrix`` reads an equitable quotient's row sums off
 the adjacency bit rows, with no matrix built, and ``perron_roots`` gives the
@@ -22,7 +23,7 @@ Exact route: integer characteristic polynomials by the Faddeev-LeVerrier
 recurrence, for many matrices at once (``charpoly_int_matrices``: one loop
 per matrix size over the stacked matrices, in int64 where a proven bound
 rules out overflow, else on Python ints), and Sturm-chain root isolation,
-used to resolve orderings that floats cannot.
+used to resolve orderings and roundings that floats cannot.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .polynomials import (
     LESS,
     IntPolynomial,
     compare_largest_roots,
+    round_largest_root,
 )
 
 
@@ -215,6 +217,24 @@ def _int_entries(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         raise ValueError("matrix entries must be integers") from None
 
 
+def _int_stack(stack: Sequence[Sequence[Sequence[int]]], m: int) -> tuple[np.ndarray, int]:
+    """The group of m x m matrices as one (k, m, m) integer array, int64 or
+    Python ints, with the largest absolute row sum B in it (at least 1), by
+    the per-group validation ``charpoly_int_matrices`` describes."""
+    try:
+        A = np.array(stack)
+    except (ValueError, TypeError, OverflowError):
+        A = None
+    if (A is not None and A.shape == (len(stack), m, m) and A.size
+            and A.dtype.kind in "biu"
+            and max(-int(A.min()), int(A.max())) * m < 2**62):
+        A = A.astype(np.int64)
+        return A, max(1, int(np.abs(A).sum(axis=2).max()))
+    entries = [_int_entries(rows) for rows in stack]
+    bound = max([1] + [sum(map(abs, r)) for rows in entries for r in rows])
+    return np.array(entries, dtype=object).reshape(len(stack), m, m), bound
+
+
 def _faddeev_leverrier(A: np.ndarray) -> np.ndarray:
     """Coefficients, ascending, of det(xI - A) for each matrix of a stacked
     (k, m, m) integer array: row t holds those of A[t]. One loop over the
@@ -242,28 +262,35 @@ def charpoly_int_matrices(matrices: Sequence[Sequence[Sequence[int]]]) -> list[I
     over its stacked (k, m, m) array: M_1 = I, c_(m-j) = -tr(A M_j) / j (an
     exact division, asserted), M_(j+1) = A M_j + c_(m-j) I.
 
+    Each group is validated by one ``np.array`` call, not entry by entry: a
+    stack of shape (k, m, m) with an integer or bool dtype and every |entry|
+    below 2^62/m is used as it is. Any other group (object, float or str
+    entries, a ragged or non-square member, entries at or above 2^62/m) goes
+    through ``_int_entries`` matrix by matrix, so a float or a Fraction is
+    refused with the same ValueError, and big ints stay exact.
+
     A group runs in int64 when m 2^(m+1) B^m < 2^63, where B is the largest
     absolute row sum in the group, or 1 if that is smaller; otherwise it runs
-    on Python ints (``dtype=object``). The bound covers every intermediate
-    value. Each eigenvalue has |lambda| <= B, so |c_(m-i)| = |e_i(lambda)| <=
-    C(m, i) B^i, and each entry of A^p is at most B^p in absolute value.
-    M_j = sum over i < j of c_(m-i) A^(j-1-i), so each entry of M_j is at
-    most B^(j-1) sum_i C(m, i) = 2^m B^(j-1). An entry of A M_j sums
-    A_at (M_j)_tb over t: each product and partial sum is at most
-    sum_t |A_at| 2^m B^(j-1) <= 2^m B^j. The trace and its partial sums are
-    at most m 2^m B^j, and a diagonal entry plus c_(m-j) at most
+    on Python ints (``dtype=object``). B itself cannot overflow: on the int64
+    path every |entry| is below 2^62/m, so every absolute row sum is below
+    2^62, and on the other path it is a Python int. Either path finds the
+    same B, so the int64/object choice does not depend on the path. The
+    bound covers every intermediate value. Each eigenvalue has |lambda| <= B,
+    so |c_(m-i)| = |e_i(lambda)| <= C(m, i) B^i, and each entry of A^p is at
+    most B^p in absolute value. M_j = sum over i < j of c_(m-i) A^(j-1-i), so
+    each entry of M_j is at most B^(j-1) sum_i C(m, i) = 2^m B^(j-1). An
+    entry of A M_j sums A_at (M_j)_tb over t: each product and partial sum is
+    at most sum_t |A_at| 2^m B^(j-1) <= 2^m B^j. The trace and its partial
+    sums are at most m 2^m B^j, and a diagonal entry plus c_(m-j) at most
     2^(m+1) B^j. As j <= m and B >= 1, all are at most m 2^(m+1) B^m.
     """
     out: list[IntPolynomial | None] = [None] * len(matrices)
     groups: dict[int, list[int]] = {}
-    entries = [_int_entries(rows) for rows in matrices]
-    for t, rows in enumerate(entries):
+    for t, rows in enumerate(matrices):
         groups.setdefault(len(rows), []).append(t)
     for m, slots in groups.items():
-        stack = [entries[t] for t in slots]
-        bound = max([1] + [sum(map(abs, r)) for rows in stack for r in rows])
-        exact = m * 2 ** (m + 1) * bound**m >= 2**63
-        A = np.array(stack, dtype=object if exact else np.int64).reshape(len(slots), m, m)
+        A, bound = _int_stack([matrices[t] for t in slots], m)
+        A = A.astype(object if m * 2 ** (m + 1) * bound**m >= 2**63 else np.int64)
         for t, cs in zip(slots, _faddeev_leverrier(A).tolist()):
             out[t] = IntPolynomial(cs)
     return out
@@ -278,6 +305,22 @@ def charpoly_graph(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial of Q(G)."""
     Q = signless_laplacian(g)
     return charpoly_int_matrix(Q.tolist())
+
+
+def q_index_texts(graphs: Sequence[Graph], places: int = 12) -> list[str]:
+    """Every graph's index as decimal text, correctly rounded to ``places``
+    decimals, in input order: the float from ``q_indices`` gives the first
+    guess, and ``round_largest_root`` settles the last digit on the exact
+    characteristic polynomial of Q (one batched ``charpoly_int_matrices``
+    call), which a float solve cannot do when the index lies close to a
+    rounding midpoint."""
+    scale = 10**places
+    polys = charpoly_int_matrices([signless_laplacian(g) for g in graphs])
+    texts = []
+    for p, q in zip(polys, q_indices(graphs)):
+        k = round_largest_root(p, q, places)
+        texts.append(f"{k // scale}.{k % scale:0{places}d}")
+    return texts
 
 
 def q_exact_compare(g: Graph, h: Graph) -> int:
@@ -307,6 +350,7 @@ __all__ = [
     "perron_roots",
     "q_exact_compare",
     "q_index",
+    "q_index_texts",
     "q_indices",
     "quotient_matrix",
     "signless_laplacian",

@@ -448,8 +448,8 @@ def _frac_halve(p: IntPolynomial, chain, lo: Fraction, hi: Fraction):
     return lo, mid
 
 
-def _frac_isolate(p: IntPolynomial, width: Fraction):
-    chain = oracle_sturm_chain(p)
+def _frac_isolate(p: IntPolynomial, width: Fraction, chain=None):
+    chain = oracle_sturm_chain(p) if chain is None else chain
     bound = root_bound(p)
     lo, hi = -bound, bound
     if _frac_count_between(chain, lo, hi) == 0:
@@ -485,15 +485,26 @@ def count_roots_in_interval(p: IntPolynomial, a, b) -> int:
     return between - (chain[0](b) == 0)
 
 
+@functools.cache
+def _oracle_isolated(coeffs: tuple[int, ...]):
+    """(p*, its Sturm chain, a bracket of its largest root no wider than
+    1/1024, or None) for the polynomial p with these coefficients, p* its
+    squarefree part. Cached for the test process by coefficient tuple, so a
+    polynomial shared by several compared pairs is isolated once; the
+    bracket is a tuple of Fractions, which each comparison narrows in local
+    copies only."""
+    sp = oracle_squarefree_part(IntPolynomial(coeffs))
+    chain = oracle_sturm_chain(sp)
+    return sp, chain, _frac_isolate(sp, Fraction(1, 1024), chain)
+
+
 def oracle_compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     """Exact ordering of the largest real roots of p and q, deciding
     equality through the common-root factor gcd(p*, q*)."""
-    sp, sq = oracle_squarefree_part(p), oracle_squarefree_part(q)
+    sp, cp, bp = _oracle_isolated(p.coeffs)
+    sq, cq, bq = _oracle_isolated(q.coeffs)
     g = oracle_poly_gcd(sp, sq)
     gchain = oracle_sturm_chain(g) if g.degree >= 1 else None
-    cp, cq = oracle_sturm_chain(sp), oracle_sturm_chain(sq)
-    bp = _frac_isolate(sp, Fraction(1, 1024))
-    bq = _frac_isolate(sq, Fraction(1, 1024))
     if bp is None or bq is None:
         raise ValueError("polynomial without real roots")
     (ap, hp), (aq, hq) = bp, bq

@@ -41,6 +41,15 @@ def test_q_formats_12_decimals(capsys, monkeypatch):
     assert out.strip() == "4.000000000000"
 
 
+def test_q_prints_indices_next_to_a_midpoint_correctly_rounded(capsys, monkeypatch):
+    # mpmath at 40 digits: 6.84963406038749939... and 5.09362761511050009...;
+    # eigvalsh gives 6.8496340603875 and 5.0936276151105, whose 12-decimal
+    # print rounds the other way. An edgeless graph's 0 is zero-padded
+    code, out, _ = run(capsys, "q", stdin="Flfc?\nFko`?\nB?\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert out.split() == ["6.849634060387", "5.093627615111", "0.000000000000"]
+
+
 def test_detect_apex_on_k5_prints_none(capsys, monkeypatch):
     g6 = graph6_encode(build_family("Complete:n=5").graph)
     code, out, _ = run(

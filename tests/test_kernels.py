@@ -681,8 +681,8 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # one call each of its order-6 CLI timings, whose asserts check the exit
     # codes and verdicts, one pass of its exact order-6 ties, which must
     # reach the gcd, expand its appendix templates at orders 7..8, time
-    # verify_appendix(7, 8) block by block and the property suite's details
-    # one by one
+    # verify_appendix(7, 8) block by block, then its fixture graphs and its
+    # template polynomials alone, and the property suite's details one by one
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -741,7 +741,14 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
                         r"graphs examined=11", lines[0]), lines
     assert [line.split()[0] for line in lines[1:]] == [
         "appendix_identities", "appendix_fixtures", "appendix_threshold_bound",
-        "appendix_fan_chains"], lines
+        "appendix_fan_chains", "fixture_graphs", "charpoly_int_matrices"], lines
+    # the two layers alone: the 9 fixture graphs (the 11 graphs examined less
+    # the two threshold graphs), and the identity block's templates with one
+    # threshold template per order
+    assert re.fullmatch(r"  fixture_graphs +[0-9.]+ ms \(9 graphs, median of 1\)",
+                        lines[5]), lines
+    assert re.fullmatch(rf"  charpoly_int_matrices +[0-9.]+ ms \({checked + 2} templates, "
+                        rf"median of 1\)", lines[6]), lines
     # the property suite at 50 trials, then each detail of it on its own,
     # whose assert compares the details with the suite's: one line a detail
     capsys.readouterr()

@@ -21,6 +21,7 @@ from chordspec.polynomials import (
     compare_largest_roots,
     poly_gcd,
     root_bound,
+    round_largest_root,
     sturm_chain,
 )
 from oracles import (
@@ -536,3 +537,21 @@ def test_zero_and_constant_guards():
         squarefree_part(poly(5))
     with pytest.raises(ValueError):
         poly().leading
+
+
+def test_round_largest_root_steps_to_the_correct_rounding():
+    # sqrt(2) = 1.41421356237309504880...; estimates a few units off in the
+    # last place step back to the correctly rounded value
+    p = poly(-2, 0, 1)
+    for est in (math.sqrt(2), 1.414213562370, 1.414213562377):
+        assert round_largest_root(p, est, 12) == 1414213562373
+    assert round_largest_root(p, 1.41, 3) == 1414
+    # only the largest root counts, and an integer root is never an end point
+    p = poly(-6, 1) * poly(-1, 1) * poly(1, 1)
+    for est in (6.0, 5.999999999998, 6.000000000003):
+        assert round_largest_root(p, est, 12) == 6 * 10**12
+    # a repeated largest root goes through the squarefree part
+    assert round_largest_root(poly(-3, 1) * poly(-3, 1) * poly(0, 1), 3.0, 12) == 3 * 10**12
+    # the midpoint of 0.5 and 0.5 + 10^-12 is no root of a monic integer
+    # polynomial; x^2 - x - 1 has (1 + sqrt 5)/2 = 1.6180339887498948482...
+    assert round_largest_root(poly(-1, -1, 1), 1.618033988749895, 12) == 1618033988750

@@ -23,7 +23,7 @@ from chordspec.families import (
     path,
     star,
 )
-from chordspec.graphs import disjoint_union, graph_from_mask, join, make_graph
+from chordspec.graphs import disjoint_union, graph6_encode, graph_from_mask, join, make_graph
 from chordspec.polynomials import EQUAL, GREATER, LESS
 from chordspec.spectral import (
     charpoly_graph,
@@ -34,6 +34,7 @@ from chordspec.spectral import (
     perron_roots,
     q_exact_compare,
     q_index,
+    q_index_texts,
     q_indices,
     quotient_matrix,
     signless_laplacian,
@@ -365,6 +366,20 @@ def test_charpoly_int_matrices_reject_non_square_and_non_integer_members():
     assert charpoly_int_matrices([np.array(good, dtype=np.int32), good]) == [want, want]
 
 
+def test_charpoly_int_matrices_keep_entries_an_int64_stack_cannot_hold_exact():
+    # a group whose entries reach 2^62/m, or that numpy stacks as uint64 or
+    # as float64 (2^63 beside a negative entry), goes entry by entry on
+    # Python ints; just below 2^62/m the group is summed in int64
+    for m in (1, 2, 3, 5):
+        edge = -(-(2**62) // m)  # the least |entry| sent entry by entry
+        for x in (edge - 1, edge, -edge, 2**63 - 1, 2**63, -(2**63), 2**64 + 1):
+            rows = [[x if i == j else (-1) ** (i + j) for j in range(m)] for i in range(m)]
+            assert charpoly_int_matrices([rows]) == [oracle_charpoly_int_matrix(rows)], (m, x)
+    big = np.array([[2**64 - 1, 1], [1, 0]], dtype=np.uint64)
+    assert charpoly_int_matrix(big) == oracle_charpoly_int_matrix([[2**64 - 1, 1], [1, 0]])
+    assert charpoly_int_matrix(np.eye(2, dtype=bool)) == oracle_charpoly_int_matrix([[1, 0], [0, 1]])
+
+
 def test_charpoly_matches_numpy_roots():
     rng = random.Random(23)
     for _ in range(30):
@@ -540,3 +555,27 @@ def test_mask_batch_matches_per_graph_routines():
         assert np.array_equal(part.bits, batch.bits[keep])
         assert np.array_equal(part.degrees, batch.degrees[keep])
     assert isolated > 1000 and disconnected > 1000
+
+
+def test_q_index_texts_round_the_atlas_indices_near_a_midpoint_as_mpmath_does():
+    # the atlas graphs whose float index lies within 0.05 of a unit in the
+    # 12th decimal of a rounding midpoint, where a float's rounding can go
+    # either way: each printed index is the 40-digit mpmath value rounded
+    nx = pytest.importorskip("networkx")
+    mpmath = pytest.importorskip("mpmath")
+    graphs = [make_graph(a.number_of_nodes(), list(a.edges()))
+              for a in nx.graph_atlas_g() if a.number_of_nodes()]
+    near = [g for g, q in zip(graphs, q_indices(graphs))
+            if abs((q * 10**12) % 1 - 0.5) < 0.05]
+    assert len(near) >= 20
+    texts = q_index_texts(near)
+    with mpmath.workdps(40):
+        for g, text in zip(near, texts):
+            exact = max(mpmath.eigsy(mpmath.matrix(signless_laplacian(g).tolist()),
+                                     eigvals_only=True))
+            k = int(mpmath.floor(exact * 10**12 + mpmath.mpf(1) / 2))
+            assert text == f"{k // 10**12}.{k % 10**12:012d}", (graph6_encode(g), text, exact)
+    # and every atlas index the float rounds unambiguously prints as before
+    for g, q, text in zip(graphs, q_indices(graphs), q_index_texts(graphs)):
+        if abs((q * 10**12) % 1 - 0.5) > 0.05:
+            assert text == f"{q:.12f}", graph6_encode(g)
