@@ -3,16 +3,17 @@ catalog of hub-plus-clique-pack competitors used by the verifier.
 
 Every catalog family but G13 is a small base graph plus (n - |base|)/4 K4
 packs, each joined fully to vertex 0, and exists exactly at the orders
-n >= its minimum with n == |base| (mod 4). ``_PACK_SHAPES`` gives each
-family's base order and minimum, and ``has_order`` states the rule once:
-``_with_k4_packs`` refuses by it before the base is built, and the appendix
-asks it before it builds a fixture graph, so no refused order builds or
-raises anything there. The packs are written into the adjacency rows in one
-pass: row 0 gains every pack vertex, and each pack vertex's row is its own
-K4 minus itself, plus vertex 0. For U1..U12 and G1..G12, vertex 0 is the
-designated hub z, vertex 1 is the outside vertex w, the seed body follows,
-and the packs come last. The seed edge lists are fixture data transcribed
-once here; the test suite pins their orders, sizes and degree sequences.
+n >= its minimum with n == |base| (mod 4). ``has_order`` states that rule
+once, reading |base| off the family's base graph, which ``_pack_base``
+builds once per fan width: ``_with_k4_packs`` refuses by it before any pack
+is built, and the appendix asks it before it builds a fixture graph, so no
+refused order builds or raises anything there. The packs are written into
+the adjacency rows in one pass: row 0 gains every pack vertex, and each
+pack vertex's row is its own K4 minus itself, plus vertex 0. For U1..U12
+and G1..G12, vertex 0 is the designated hub z, vertex 1 is the outside
+vertex w, the seed body follows, and the packs come last. The seed edge
+lists are fixture data transcribed once here; the test suite pins their
+orders, sizes and degree sequences.
 
 ``_REGISTRY`` has one row per family name, U_i and G_i included: its builder
 and the parameters it takes. ``build_family``, ``family_names`` and
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
-from typing import Callable
 
 from .graphs import MAX_VERTICES, Graph, GraphError, disjoint_union, join, make_graph
 
@@ -193,34 +193,53 @@ def u_graph(i: int, s: int | None = None) -> BuiltFamily:
     return BuiltFamily(make_graph(n, edges))
 
 
-def _with_k4_packs(name: str, n: int, s: int | None,
-                   base: Callable[[], Graph]) -> BuiltFamily:
-    """``base()`` plus (n - |base|)/4 K4 packs joined to vertex 0, refusing
-    every n that ``has_order`` refuses before ``base`` is called.
+@cache  # the appendix asks for each family's rule at every order it tries
+def _pack_base(name: str, s: int | None) -> tuple[Graph, int]:
+    """(base graph, least order) of the K4-pack family ``name`` at fan width
+    s, the base built once. Building it checks i and s as the family's
+    builder always has, before any order is looked at."""
+    if name.startswith("G"):
+        i = int(name[1:])
+        base = u_graph(i, s).graph
+        return base, base.n + 4 if i == 12 else max(7, base.n)
+    if name == "K1JoinStarPlusK4s":
+        base = join(make_graph(1), star_plus(s))
+    else:
+        base = {"K1JoinK4s": make_graph(1), "K1JoinK1K4s": complete(2),
+                "K1JoinK2K4s": complete(3)}[name]
+    return base, base.n + 4
+
+
+def has_order(name: str, n: int, s: int | None = None) -> bool:
+    """Whether the catalog family ``name`` (G1..G13 or one of the K1Join
+    ...K4s) has a graph at order n and fan width s, by the rule its builder
+    refuses by, with no pack built. s must be a width the family takes."""
+    if name == "G13":
+        return n >= 7
+    base, min_n = _pack_base(name, s)
+    return n >= min_n and (n - base.n) % 4 == 0
+
+
+def _with_k4_packs(name: str, n: int, s: int | None = None) -> BuiltFamily:
+    """The family's base plus (n - |base|)/4 K4 packs joined to vertex 0,
+    refusing every n that ``has_order`` refuses.
 
     The rows are written in one pass: row 0 gains every pack vertex, and the
     row of each pack vertex is its own K4 minus itself, plus vertex 0.
     """
-    base_n, min_n = _PACK_SHAPES[name](s)
+    base, min_n = _pack_base(name, s)
     _need(has_order(name, n, s),
-          f"{name} needs n >= {min_n} and n == {base_n % 4} (mod 4), got {n}")
-    rows = list(base().rows)
+          f"{name} needs n >= {min_n} and n == {base.n % 4} (mod 4), got {n}")
+    rows = list(base.rows)
     if n > MAX_VERTICES:
         # the first pack end past the cap, as one pack at a time reached it
         raise GraphError(f"union order {MAX_VERTICES + 1 + (n - MAX_VERTICES - 1) % 4} "
                          f"exceeds {MAX_VERTICES}")
-    rows[0] |= (1 << n) - (1 << base_n)
-    for first in range(base_n, n, 4):
+    rows[0] |= (1 << n) - (1 << base.n)
+    for first in range(base.n, n, 4):
         pack = (15 << first) | 1
         rows += [pack ^ (1 << v) for v in range(first, first + 4)]
     return BuiltFamily(Graph(n, tuple(rows)))
-
-
-def _g_shape(i: int, s: int | None) -> tuple[int, int]:
-    """(|U_i|, least order) of G_i, i in 1..12: at least 7, and s + 7 for G12.
-    Asking ``u_graph`` checks i and s as the builder does."""
-    base_n = u_graph(i, s).graph.n
-    return base_n, base_n + 4 if i == 12 else max(7, base_n)
 
 
 def g_graph(i: int, n: int, s: int | None = None) -> BuiltFamily:
@@ -234,8 +253,7 @@ def g_graph(i: int, n: int, s: int | None = None) -> BuiltFamily:
         _need(s is None, "G13 takes no s parameter")
         _need(has_order("G13", n), f"G13 needs n >= 7, got {n}")
         return BuiltFamily(complete_multipartite(3, n - 3).add_edges([(0, 1)]))
-    base = u_graph(i, s).graph
-    return _with_k4_packs(f"G{i}", n, s, lambda: base)
+    return _with_k4_packs(f"G{i}", n, s)
 
 
 # -- hub joined to K4 packs plus a small remainder ------------------------------
@@ -243,55 +261,27 @@ def g_graph(i: int, n: int, s: int | None = None) -> BuiltFamily:
 
 def k1_join_k4s(n: int) -> BuiltFamily:
     """K1 v ((n-1)/4) K4; requires n == 1 (mod 4), n >= 5."""
-    return _with_k4_packs("K1JoinK4s", n, None, lambda: make_graph(1))
+    return _with_k4_packs("K1JoinK4s", n)
 
 
 def k1_join_k1_k4s(n: int) -> BuiltFamily:
     """K1 v (K1 u ((n-2)/4) K4); requires n == 2 (mod 4), n >= 6."""
-    return _with_k4_packs("K1JoinK1K4s", n, None, lambda: complete(2))
+    return _with_k4_packs("K1JoinK1K4s", n)
 
 
 def k1_join_k2_k4s(n: int) -> BuiltFamily:
     """K1 v (K2 u ((n-3)/4) K4); requires n == 3 (mod 4), n >= 7."""
-    return _with_k4_packs("K1JoinK2K4s", n, None, lambda: complete(3))
+    return _with_k4_packs("K1JoinK2K4s", n)
 
 
 def k1_join_star_plus_k4s(n: int, s: int) -> BuiltFamily:
     """K1 v (K+_{1,s} u ((n-s-2)/4) K4); requires s >= 2, n >= s + 6 and
-    n == s + 2 (mod 4). The order is checked before the base is built.
+    n == s + 2 (mod 4). The base K1 v K+_{1,s} is built once per s.
 
     Layout: apex 0; star center 1; leaves 2..s+1 with extra edge 2-3;
     K4 packs appended.
     """
-    return _with_k4_packs("K1JoinStarPlusK4s", n, s,
-                          lambda: join(make_graph(1), star_plus(s)))
-
-
-def _star_plus_shape(s: int) -> tuple[int, int]:
-    """(|K1 v K+_{1,s}|, least order) = (s + 2, s + 6). Asking ``star_plus``
-    (cached) checks s as the builder does."""
-    base_n = star_plus(s).n + 1
-    return base_n, base_n + 4
-
-
-# family name -> (|base|, least order) at fan width s, for every K4-pack family
-_PACK_SHAPES: dict[str, Callable[[int | None], tuple[int, int]]] = {
-    "K1JoinK4s": lambda s: (1, 5),
-    "K1JoinK1K4s": lambda s: (2, 6),
-    "K1JoinK2K4s": lambda s: (3, 7),
-    "K1JoinStarPlusK4s": _star_plus_shape,
-}
-_PACK_SHAPES |= {f"G{i}": partial(_g_shape, i) for i in range(1, 13)}
-
-
-def has_order(name: str, n: int, s: int | None = None) -> bool:
-    """Whether the catalog family ``name`` (G1..G13 or one of the K1Join
-    ...K4s) has a graph at order n and fan width s, by the rule its builder
-    refuses by, with nothing built. s must be a width the family takes."""
-    if name == "G13":
-        return n >= 7
-    base_n, min_n = _PACK_SHAPES[name](s)
-    return n >= min_n and (n - base_n) % 4 == 0
+    return _with_k4_packs("K1JoinStarPlusK4s", n, s)
 
 
 def _need(cond: bool, msg: str) -> None:

@@ -6,13 +6,16 @@ Numeric route: ``q_indices`` is the one float index routine, for graphs
 given as ``Graph`` values of any orders: one batched ``eigvalsh`` per order
 over Q stacked from the adjacency rows, as ``signless_laplacian`` builds it.
 The python sweep kernel uses it for the graphs its degree bounds keep, and
-the verifier and the CLI for every index they compare, report or print (the
-thresholds, the masks the sweep kernel leaves for the exact rules, the
-graphs the prefilter spot check re-checks, the appendix fixtures, the
-property suite's lemmas); ``q_index_texts`` takes the CLI's printed digits
-from it and settles the last one exactly. ``q_index`` is one dense ``eigh``
-of the whole Q for a vector as well: the absolute value of the top
-eigenvector, which is the Perron vector when the graph is connected.
+the verifier for every index it compares or reports (the thresholds, the
+masks the sweep kernel leaves for the exact rules, the graphs the prefilter
+spot check re-checks, the appendix fixtures, the property suite's lemmas).
+``q_index`` is one dense ``eigh`` of the whole Q for a vector as well: the
+absolute value of the top eigenvector, which is the Perron vector when the
+graph is connected. ``q_index_texts``, the CLI's printed digits, takes one
+``eigh`` per component and makes an exact Collatz-Wielandt enclosure of
+the index from the refined top eigenvector; the enclosure settles the
+correct rounding unless a rounding midpoint lies inside it, and only then
+is the characteristic polynomial built.
 
 Quotients: ``quotient_matrix`` reads an equitable quotient's row sums off
 the adjacency bit rows, with no matrix built, and ``perron_roots`` gives the
@@ -307,20 +310,90 @@ def charpoly_graph(g: Graph) -> IntPolynomial:
     return charpoly_int_matrix(Q.tolist())
 
 
+def _dyadic(values: Iterable[float]) -> tuple[list[int], int]:
+    """Integers N and a shift e with values[i] = N[i] / 2^e exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (e + 1 - den.bit_length()) for num, den in ratios], e
+
+
+def _enclosed_rounding(Q: list[list[int]], w: np.ndarray, V: np.ndarray,
+                       places: int) -> int | None:
+    """The largest eigenvalue rho of the nonnegative symmetric integer
+    matrix Q times 10^places, correctly rounded to an integer k, from the
+    float eigenpairs (w ascending, V by columns) of Q; None when the
+    enclosure below cannot settle it.
+
+    For any positive x, min_i (Qx)_i / x_i <= rho <= max_i (Qx)_i / x_i
+    (Collatz-Wielandt). x = X / 2^e with X integer, so every ratio is exact.
+    With d = 10^places, k = floor(rho d + 1/2) has no tie, since rho is an
+    integer or irrational; so min_i floor(r_i d + 1/2) <= k <= max_i
+    ceil(r_i d + 1/2) - 1, and the two ends agree exactly when no rounding
+    midpoint lies in the enclosure. x starts as |top eigenvector|, whose
+    float error widens the enclosure by about its own size over its least
+    entry; each of up to two refinements takes the exact residual
+    r = Qx - w_top x to floats and subtracts the sum over the other
+    eigenpairs of v_j (v_j . r) / (w_j - w_top), which shrinks that error by
+    a factor of about the float precision times ||Q|| over the spectral
+    gap. Whatever the floats did, the enclosure is exact; they only decide
+    its width.
+    """
+    theta = float(w[-1])
+    tn, td = theta.as_integer_ratio()
+    others, gaps = V[:, :-1], w[:-1] - theta
+    if len(gaps) and gaps.max() >= 0:
+        return None
+    X, e = _dyadic(np.abs(V[:, -1]).tolist())
+    twice_d = 2 * 10**places
+    for step in range(3):
+        Y = [sum(map(operator.mul, row, X)) for row in Q]
+        if min(X) > 0:
+            nums = [twice_d * y + x for y, x in zip(Y, X)]
+            low = min(num // (2 * x) for num, x in zip(nums, X))
+            if low == max((num - 1) // (2 * x) for num, x in zip(nums, X)):
+                return low
+        if step == 2:
+            return None
+        r = np.array([(y * td - tn * x) / (td << e) for y, x in zip(Y, X)])
+        C, f = _dyadic((others @ ((others.T @ r) / gaps)).tolist())
+        e, X = max(e, f), [(x << max(0, f - e)) - (c << max(0, e - f)) for x, c in zip(X, C)]
+
+
 def q_index_texts(graphs: Sequence[Graph], places: int = 12) -> list[str]:
     """Every graph's index as decimal text, correctly rounded to ``places``
-    decimals, in input order: the float from ``q_indices`` gives the first
-    guess, and ``round_largest_root`` settles the last digit on the exact
-    characteristic polynomial of Q (one batched ``charpoly_int_matrices``
-    call), which a float solve cannot do when the index lies close to a
-    rounding midpoint."""
+    decimals, in input order.
+
+    The index of a graph is the largest of its components' (0 for a single
+    vertex), and rounding is monotone, so the rounded index is the largest
+    rounded component index. Each component of two or more vertices gets one
+    dense ``eigh`` (batched per order) of its Q; ``_enclosed_rounding`` turns
+    the top eigenvector into an exact enclosure of the index, which settles
+    the digits unless a rounding midpoint lies inside it. Only the
+    components left then go to the exact characteristic polynomial (one
+    ``charpoly_int_matrices`` call for all of them), on which
+    ``round_largest_root`` steps from the float to the correct rounding."""
+    ks = [0] * len(graphs)
+    parts: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for t, g in enumerate(graphs):
+        Q = signless_laplacian(g)
+        for mask in g.component_masks():
+            if mask & (mask - 1):
+                vs = list(bits_to_vertices(mask))
+                parts.setdefault(len(vs), []).append((t, Q[np.ix_(vs, vs)]))
+    left = []
+    for items in parts.values():
+        ws, vs = np.linalg.eigh(np.array([Q for _, Q in items], dtype=float))
+        for (t, Q), w, V in zip(items, ws, vs):
+            rows = Q.tolist()
+            k = _enclosed_rounding(rows, w, V, places)
+            if k is None:
+                left.append((t, rows, float(w[-1])))
+            else:
+                ks[t] = max(ks[t], k)
+    for (t, _, q), p in zip(left, charpoly_int_matrices([rows for _, rows, _ in left])):
+        ks[t] = max(ks[t], round_largest_root(p, q, places))
     scale = 10**places
-    polys = charpoly_int_matrices([signless_laplacian(g) for g in graphs])
-    texts = []
-    for p, q in zip(polys, q_indices(graphs)):
-        k = round_largest_root(p, q, places)
-        texts.append(f"{k // scale}.{k % scale:0{places}d}")
-    return texts
+    return [f"{k // scale}.{k % scale:0{places}d}" for k in ks]
 
 
 def q_exact_compare(g: Graph, h: Graph) -> int:

@@ -521,6 +521,18 @@ def oracle_compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
         aq, hq = _frac_halve(sq, cq, aq, hq)
 
 
+def oracle_round_largest_root(p: IntPolynomial, places: int) -> int:
+    """The largest real root of p times 10^places, rounded to the nearest
+    integer: the cached Fraction bracket is halved until both its ends
+    round to the same integer, which then is the root's rounding too."""
+    sp, chain, bracket = _oracle_isolated(p.coeffs)
+    lo, hi = bracket
+    d, half = 10**places, Fraction(1, 2)
+    while math.floor(lo * d + half) != math.floor(hi * d + half):
+        lo, hi = _frac_halve(sp, chain, lo, hi)
+    return math.floor(lo * d + half)
+
+
 def oracle_charpoly_int_matrix(rows) -> IntPolynomial:
     """det(xI - A) by Faddeev-LeVerrier over nested lists of Python ints."""
     m = len(rows)

@@ -49,6 +49,7 @@ from oracles import (
     oracle_q,
     oracle_q_index,
     oracle_quotient_matrix,
+    oracle_round_largest_root,
     oracle_signless_laplacian,
 )
 
@@ -377,7 +378,8 @@ def test_charpoly_int_matrices_keep_entries_an_int64_stack_cannot_hold_exact():
             assert charpoly_int_matrices([rows]) == [oracle_charpoly_int_matrix(rows)], (m, x)
     big = np.array([[2**64 - 1, 1], [1, 0]], dtype=np.uint64)
     assert charpoly_int_matrix(big) == oracle_charpoly_int_matrix([[2**64 - 1, 1], [1, 0]])
-    assert charpoly_int_matrix(np.eye(2, dtype=bool)) == oracle_charpoly_int_matrix([[1, 0], [0, 1]])
+    identity = oracle_charpoly_int_matrix([[1, 0], [0, 1]])
+    assert charpoly_int_matrix(np.eye(2, dtype=bool)) == identity
 
 
 def test_charpoly_matches_numpy_roots():
@@ -557,25 +559,54 @@ def test_mask_batch_matches_per_graph_routines():
     assert isolated > 1000 and disconnected > 1000
 
 
-def test_q_index_texts_round_the_atlas_indices_near_a_midpoint_as_mpmath_does():
+def test_q_index_texts_round_the_atlas_indices_near_a_midpoint_exactly(monkeypatch):
     # the atlas graphs whose float index lies within 0.05 of a unit in the
     # 12th decimal of a rounding midpoint, where a float's rounding can go
-    # either way: each printed index is the 40-digit mpmath value rounded
+    # either way: each printed index is the exact largest root of the
+    # oracle's characteristic polynomial rounded, on the enclosure route and
+    # on the characteristic polynomial route alike
     nx = pytest.importorskip("networkx")
-    mpmath = pytest.importorskip("mpmath")
     graphs = [make_graph(a.number_of_nodes(), list(a.edges()))
               for a in nx.graph_atlas_g() if a.number_of_nodes()]
-    near = [g for g, q in zip(graphs, q_indices(graphs))
-            if abs((q * 10**12) % 1 - 0.5) < 0.05]
+    floats = q_indices(graphs)
+    near = [t for t, q in enumerate(floats) if abs((q * 10**12) % 1 - 0.5) < 0.05]
     assert len(near) >= 20
-    texts = q_index_texts(near)
-    with mpmath.workdps(40):
-        for g, text in zip(near, texts):
-            exact = max(mpmath.eigsy(mpmath.matrix(signless_laplacian(g).tolist()),
-                                     eigvals_only=True))
-            k = int(mpmath.floor(exact * 10**12 + mpmath.mpf(1) / 2))
-            assert text == f"{k // 10**12}.{k % 10**12:012d}", (graph6_encode(g), text, exact)
+    expected = []
+    for t in near:
+        q = oracle_charpoly_int_matrix(oracle_signless_laplacian(graphs[t]).tolist())
+        k = oracle_round_largest_root(q, 12)
+        expected.append(f"{k // 10**12}.{k % 10**12:012d}")
+    exact_calls = []
+    monkeypatch.setattr(spectral, "round_largest_root",
+                        lambda *a: exact_calls.append(a) or polynomials.round_largest_root(*a))
+    texts = q_index_texts(graphs)
+    assert exact_calls == []  # the refined enclosure settles the whole atlas
+    assert [texts[t] for t in near] == expected
     # and every atlas index the float rounds unambiguously prints as before
-    for g, q, text in zip(graphs, q_indices(graphs), q_index_texts(graphs)):
+    for g, q, text in zip(graphs, floats, texts):
         if abs((q * 10**12) % 1 - 0.5) > 0.05:
             assert text == f"{q:.12f}", graph6_encode(g)
+    monkeypatch.setattr(spectral, "_enclosed_rounding", lambda *a: None)
+    assert q_index_texts([graphs[t] for t in near]) == expected
+    assert len(exact_calls) >= len(near)
+
+
+def test_q_index_texts_settle_large_graphs_without_the_polynomial(monkeypatch):
+    # orders whose characteristic polynomial takes seconds: the refined
+    # enclosure settles each index, within a unit of the float, and a
+    # disconnected graph prints its largest component's index
+    def no_polynomial(*args):
+        raise AssertionError("characteristic polynomial route taken")
+
+    monkeypatch.setattr(spectral, "round_largest_root", no_polynomial)
+    rng = random.Random(20261020)
+    graphs = [random_graph(rng, n, p) for n, p in
+              ((60, 0.5), (120, 0.05), (120, 0.5), (256, 0.02), (256, 0.9))]
+    texts = q_index_texts(graphs)
+    for q, text in zip(q_indices(graphs), texts):
+        assert abs(Fraction(text) - Fraction(q)) <= Fraction(1, 10**11)
+    small = random_graph(rng, 30, 0.3)
+    pair = [disjoint_union(small, graphs[0]), disjoint_union(graphs[0], small)]
+    assert q_index_texts(pair) == [texts[0]] * 2
+    sparse = [make_graph(5, [(3, 4)]), make_graph(3)]
+    assert q_index_texts(sparse) == ["2.000000000000", "0.000000000000"]
