@@ -65,6 +65,7 @@ from chordspec.spectral import (
     charpoly_graph,
     charpoly_int_matrices,
     charpoly_int_matrix,
+    perron_roots,
     q_index,
     signless_laplacian,
 )
@@ -609,12 +610,16 @@ def bench_charpoly(label, matrices, min_seconds=1.0):
 
 
 def appendix_pairs(n_lo=7, n_hi=22):
-    """The fan-width chain pairs verify_appendix compares, g12 then g18."""
-    return [
-        (appendix_polynomial(fx.poly_id, n, s), appendix_polynomial(fx.poly_id, n, s + 4))
-        for fx in FIXTURES if fx.s_gap is not None
-        for n, s in fan_chain(template_keys(fx, n_lo, n_hi))
-    ]
+    """The fan-width chain pairs verify_appendix compares, g12 then g18, and
+    the estimates it passes with each: the Perron roots of the two
+    templates, from one batched call."""
+    keys = [(fx, n, s) for fx in FIXTURES if fx.s_gap is not None
+            for n, s in fan_chain(template_keys(fx, n_lo, n_hi))]
+    pairs = [(appendix_polynomial(fx.poly_id, n, s), appendix_polynomial(fx.poly_id, n, s + 4))
+             for fx, n, s in keys]
+    roots = perron_roots([quotient_template(fx.item, n, t)
+                          for fx, n, s in keys for t in (s, s + 4)])
+    return pairs, list(zip(roots[::2], roots[1::2]))
 
 
 def tie_graphs(n=6):
@@ -665,27 +670,29 @@ def count_calls(fn, names):
     return counts
 
 
-def bench_exact(label, pairs, min_seconds=1.0):
+def bench_exact(label, pairs, estimates=None, min_seconds=1.0):
     """Whole passes of compare_largest_roots over the pairs for at least
-    min_seconds, and the polynomial evaluations (``_values_at``, the sign
-    certificate's and the Sturm chains'), pseudo-divisions (``_divide``) and
-    bracket halvings (``_Bracket.halve``) of one pass; every pass starts
-    from cold caches. Also counts the pairs the sign certificate settles and
-    those that go to the Sturm bracket path (``_bracket_largest_root``),
-    which takes identical polynomials too.
+    min_seconds, each pair with its float estimates when a list of them is
+    given, as its caller passes them, and the polynomial evaluations
+    (``_values_at``, the sign certificate's and the Sturm chains'),
+    pseudo-divisions (``_divide``) and bracket halvings (``_Bracket.halve``)
+    of one pass; every pass starts from cold caches. Also counts the pairs
+    the sign certificate settles and those that go to the Sturm bracket
+    path (``_bracket_largest_root``), which takes identical polynomials too.
     Returns the verdict counts of one pass and the pass's call counts."""
+    compared = list(zip(pairs, estimates or [None] * len(pairs)))
 
     def one_pass():
         cold_caches()
-        return Counter(compare_largest_roots(a, b) for a, b in pairs)
+        return Counter(compare_largest_roots(a, b, e) for (a, b), e in compared)
 
     passes, dt, verdicts = repeat_for(min_seconds, one_pass)
     counts = count_calls(one_pass, ("_values_at", "_divide", "_Bracket.halve"))
     cold_caches()
     chained = sum(
-        count_calls(lambda: compare_largest_roots(a, b), ("_bracket_largest_root",))[
+        count_calls(lambda: compare_largest_roots(a, b, e), ("_bracket_largest_root",))[
             "_bracket_largest_root"] > 0
-        for a, b in pairs
+        for (a, b), e in compared
     )
     print(f"  {label:18s} {len(pairs):4d} pairs  {passes * len(pairs) / dt:9.1f} pairs/s"
           f"  ({passes} passes, {dt:.2f}s)  per pair: "
@@ -738,12 +745,14 @@ def main() -> None:
     bench_charpoly("order-7 threshold graph", [signless_laplacian(extremal_graph(7).graph)])
 
     print("exact largest-root comparison (compare_largest_roots)")
-    pairs = appendix_pairs()
-    appendix, _ = bench_exact("appendix 7..22", pairs)
+    # the appendix pairs with the Perron roots verify_appendix passes, the
+    # ties with no estimates, as q_exact_compare passes none
+    pairs, estimates = appendix_pairs()
+    appendix, _ = bench_exact("appendix 7..22", pairs, estimates)
     # the g18 chain fails at (n, 3) for n = 19..22, as verify appendix pins
     assert len(pairs) == 196 and len(pairs) - appendix[LESS] == 4, appendix
-    pairs = appendix_pairs(7, 30)
-    appendix, _ = bench_exact("appendix 7..30", pairs)
+    pairs, estimates = appendix_pairs(7, 30)
+    appendix, _ = bench_exact("appendix 7..30", pairs, estimates)
     assert len(pairs) == 484 and sum(appendix.values()) == 484, appendix
     for n, copies in ((6, 30), (7, 210)):
         ties, counts = bench_exact(f"order-{n} ties", tie_pairs(n))

@@ -15,12 +15,14 @@ root. A bracket of the largest root starts at the Cauchy root bound and is
 halved while two brackets overlap. A midpoint that lands on a root is moved
 off it, so isolating intervals have non-root ends.
 
-Before any chain, a comparison tries a sign certificate at the point x
-halfway between float estimates of the two largest roots (Newton's method in
-plain floats, or estimates the caller passes in, such as Perron roots: a
-hint that never decides anything): by Descartes' rule of signs, a Taylor
-shift of p at x without sign variations leaves p no root in [x, oo). Pairs
-it does not settle go to the chains.
+A caller that holds float estimates of the two largest roots, such as the
+Perron roots of the matrices whose characteristic polynomials they are, may
+pass them to a comparison, which then tries a sign certificate before any
+chain: at the point x halfway between the estimates, by Descartes' rule of
+signs, a Taylor shift of p at x without sign variations leaves p no root in
+[x, oo). The estimates are a hint that never decides anything, and the
+module computes none of its own. Pairs without estimates, or that the
+certificate does not settle, go to the chains.
 """
 
 from __future__ import annotations
@@ -197,9 +199,9 @@ def _squarefree_chain(p: IntPolynomial) -> tuple[IntPolynomial, ...]:
     that end is constant, p is squarefree and the chain is used as it is.
     Otherwise p is divided by it and the quotient gets its own chain.
     Memoised on p (polynomials are immutable): a polynomial compared with
-    itself, or in several pairs the sign certificate declines, is checked
-    and isolated through one chain. The appendix's fan-width chain builds
-    none, since the certificate decides each of its pairs.
+    itself, or in several pairs the sign certificate does not settle, is
+    checked and isolated through one chain. The appendix's fan-width chain
+    builds none, since the certificate decides each of its pairs.
     """
     if p.degree <= 0:
         raise ValueError("constant polynomial has no squarefree part")
@@ -288,33 +290,6 @@ def root_bound(p: IntPolynomial) -> Fraction:
     lead = abs(p.leading)
     m = max((abs(c) for c in p.coeffs[:-1]), default=0)
     return Fraction(m, lead) + 1
-
-
-def _largest_root_estimate(p: IntPolynomial) -> float:
-    """A float guess at the largest real root of p.
-
-    Newton's method in plain floats from 2 max_k |c_(d-k) / c_d|^(1/k), at
-    least Fujiwara's bound on the roots, from which it descends to the
-    largest root of a real-rooted p. It only places the sign certificate's
-    test point, whose integer checks decide, so it may be wrong, and it
-    never raises: coefficients or iterates beyond the float range give nan
-    or inf.
-    """
-    try:
-        cs = [float(c) for c in reversed(p.coeffs)]
-        x = 2 * max((abs(c / cs[0]) ** (1 / k) for k, c in enumerate(cs) if k), default=0.0)
-        for _ in range(100):
-            f = df = 0.0
-            for c in cs:
-                df = df * x + f
-                f = f * x + c
-            step = f / df
-            x -= step
-            if not abs(step) > 1e-12 * abs(x):
-                break
-        return x
-    except (OverflowError, ZeroDivisionError):
-        return float("nan")
 
 
 class _Bracket:
@@ -417,30 +392,29 @@ def compare_largest_roots(p: IntPolynomial, q: IntPolynomial,
 
     Both must have at least one real root (true for characteristic polynomials
     of symmetric matrices); identical polynomials are EQUAL once p is checked.
-    Otherwise a sign certificate halfway between float estimates of the two
-    roots decides pairs whose roots are well apart, with no Sturm chain. Any
-    other pair is bisected from the root bounds until the brackets are
+    Any other pair is bisected from the root bounds until the brackets are
     disjoint or share a root of gcd(p*, q*), the common-root factor of the
     squarefree parts, so exact ties terminate.
 
-    ``estimates``, when given, is a pair of floats (rp, rq) used in place of
-    the Newton estimates of p's and q's largest roots; a caller that has
-    them already, such as the Perron roots of the matrices whose
-    characteristic polynomials p and q are, saves the Newton steps. Any pair
-    is safe, nan, inf or wrong ones included: the estimates only place the
-    certificate's test point, whose integer checks decide, so a wrong pair
-    makes the certificate decline and the pair goes to the Sturm chains.
+    ``estimates``, when given, is a pair of floats (rp, rq) near p's and q's
+    largest roots that the caller holds already, such as the Perron roots of
+    the matrices whose characteristic polynomials p and q are. Only then is
+    a sign certificate halfway between them tried first, which decides pairs
+    whose roots are well apart with no Sturm chain; no Newton step or other
+    float root-finding runs here. Any pair is safe, nan, inf or wrong ones
+    included: the estimates only place the certificate's test point, whose
+    integer checks decide, so a wrong pair makes the certificate decline and
+    the pair goes to the Sturm chains.
     """
     if p == q:
         _bracket_largest_root(p)
         return EQUAL
-    if estimates is None:
-        estimates = _largest_root_estimate(p), _largest_root_estimate(q)
-    rp, rq = estimates
-    if rp < rq and _certified_below(p, q, rp, rq):
-        return LESS
-    if rq < rp and _certified_below(q, p, rq, rp):
-        return GREATER
+    if estimates is not None:
+        rp, rq = estimates
+        if rp < rq and _certified_below(p, q, rp, rq):
+            return LESS
+        if rq < rp and _certified_below(q, p, rq, rp):
+            return GREATER
     bp = _bracket_largest_root(p)
     bq = _bracket_largest_root(q)
     g = poly_gcd(bp.chain[0], bq.chain[0])

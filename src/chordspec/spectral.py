@@ -403,7 +403,9 @@ def q_exact_compare(g: Graph, h: Graph) -> int:
     isolation of the largest roots, so exact ties (including equality between
     non-isomorphic graphs) are decided correctly. Equal graphs (the same
     adjacency rows, hence the same Q) are EQUAL with no polynomial built; a
-    relabelled copy still goes through the polynomials.
+    relabelled copy still goes through the polynomials. No float estimates
+    are passed: the sweeps call this only on pairs inside the tie band, where
+    a sign certificate between the two roots would have to decline.
     """
     if g == h:
         return EQUAL

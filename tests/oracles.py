@@ -35,8 +35,6 @@ bit-by-bit graph6 codec, the reference for ``graphs.graph6_encode`` and
 ``graphs.graph_from_mask`` by the closed-form bit position of each edge, and
 ``induced_subgraph`` relabels an induced subgraph; both check the package's
 own mask and component routines.
-``oracle_isolate_largest_root`` is the Fraction bisection that
-``oracle_compare_largest_roots`` runs, to a requested width.
 ``oracle_fixture_orders``, ``oracle_template_keys`` and ``oracle_fan_chain``
 restate, per catalog item, the orders and fan widths that the appendix
 fixtures once spelled out field by field, as references for the single
@@ -425,12 +423,6 @@ def _frac_count_between(chain, a: Fraction, b: Fraction) -> int:
     return _frac_variations(chain, a) - _frac_variations(chain, b)
 
 
-def _frac_count_above(chain, a: Fraction) -> int:
-    signs = [s for s in ((q.leading > 0) - (q.leading < 0) for q in chain) if s]
-    at_inf = sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-    return _frac_variations(chain, a) - at_inf
-
-
 def _frac_nonroot(p: IntPolynomial, x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     step = (hi - lo) / (1 << 20)
     while p(x) == 0:
@@ -441,28 +433,29 @@ def _frac_nonroot(p: IntPolynomial, x: Fraction, lo: Fraction, hi: Fraction) -> 
     return x
 
 
-def _frac_halve(p: IntPolynomial, chain, lo: Fraction, hi: Fraction):
+def _frac_halve(p: IntPolynomial, chain, bracket):
+    """The half of the bracket (lo, hi, V(lo), V(hi)) of the largest root of
+    the squarefree p that holds it, with the variation counts of its ends.
+    No root lies above hi, so a midpoint with more variations than hi has
+    one above it; the chain is evaluated once, at the midpoint moved off
+    any root."""
+    lo, hi, vlo, vhi = bracket
     mid = _frac_nonroot(p, (lo + hi) / 2, lo, hi)
-    if _frac_count_above(chain, mid) > 0:
-        return mid, hi
-    return lo, mid
+    vmid = _frac_variations(chain, mid)
+    return (mid, hi, vmid, vhi) if vmid > vhi else (lo, mid, vlo, vmid)
 
 
-def _frac_isolate(p: IntPolynomial, width: Fraction, chain=None):
-    chain = oracle_sturm_chain(p) if chain is None else chain
+def _frac_isolate(p: IntPolynomial, width: Fraction, chain):
+    """(lo, hi, V(lo), V(hi)) around the largest root of the squarefree p,
+    no wider than width and with no other root inside, bisected from the
+    Cauchy bound; None when p has no real root."""
     bound = root_bound(p)
-    lo, hi = -bound, bound
-    if _frac_count_between(chain, lo, hi) == 0:
+    bracket = (-bound, bound, _frac_variations(chain, -bound), _frac_variations(chain, bound))
+    if bracket[2] == bracket[3]:
         return None
-    while _frac_count_between(chain, lo, hi) > 1 or hi - lo > width:
-        lo, hi = _frac_halve(p, chain, lo, hi)
-    return lo, hi
-
-
-def oracle_isolate_largest_root(p: IntPolynomial, width: Fraction):
-    """Open rational interval (a, b) no wider than width around the largest
-    real root of p, with no other root in it; None when p has no real root."""
-    return _frac_isolate(oracle_squarefree_part(p), width)
+    while bracket[2] - bracket[3] > 1 or bracket[1] - bracket[0] > width:
+        bracket = _frac_halve(p, chain, bracket)
+    return bracket
 
 
 def _sturm_variations(chain, x: Fraction) -> int:
@@ -491,8 +484,8 @@ def _oracle_isolated(coeffs: tuple[int, ...]):
     1/1024, or None) for the polynomial p with these coefficients, p* its
     squarefree part. Cached for the test process by coefficient tuple, so a
     polynomial shared by several compared pairs is isolated once; the
-    bracket is a tuple of Fractions, which each comparison narrows in local
-    copies only."""
+    bracket is a tuple (lo, hi, V(lo), V(hi)) of two Fractions and their
+    variation counts, which each comparison narrows in local copies only."""
     sp = oracle_squarefree_part(IntPolynomial(coeffs))
     chain = oracle_sturm_chain(sp)
     return sp, chain, _frac_isolate(sp, Fraction(1, 1024), chain)
@@ -507,8 +500,8 @@ def oracle_compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
     gchain = oracle_sturm_chain(g) if g.degree >= 1 else None
     if bp is None or bq is None:
         raise ValueError("polynomial without real roots")
-    (ap, hp), (aq, hq) = bp, bq
     while True:
+        (ap, hp, *_), (aq, hq, *_) = bp, bq
         if hp <= aq:
             return LESS
         if hq <= ap:
@@ -517,8 +510,8 @@ def oracle_compare_largest_roots(p: IntPolynomial, q: IntPolynomial) -> int:
         if gchain is not None and lo < hi:
             if _frac_count_between(gchain, lo, hi) >= 1:
                 return EQUAL
-        ap, hp = _frac_halve(sp, cp, ap, hp)
-        aq, hq = _frac_halve(sq, cq, aq, hq)
+        bp = _frac_halve(sp, cp, bp)
+        bq = _frac_halve(sq, cq, bq)
 
 
 def oracle_round_largest_root(p: IntPolynomial, places: int) -> int:
@@ -526,11 +519,10 @@ def oracle_round_largest_root(p: IntPolynomial, places: int) -> int:
     integer: the cached Fraction bracket is halved until both its ends
     round to the same integer, which then is the root's rounding too."""
     sp, chain, bracket = _oracle_isolated(p.coeffs)
-    lo, hi = bracket
     d, half = 10**places, Fraction(1, 2)
-    while math.floor(lo * d + half) != math.floor(hi * d + half):
-        lo, hi = _frac_halve(sp, chain, lo, hi)
-    return math.floor(lo * d + half)
+    while math.floor(bracket[0] * d + half) != math.floor(bracket[1] * d + half):
+        bracket = _frac_halve(sp, chain, bracket)
+    return math.floor(bracket[0] * d + half)
 
 
 def oracle_charpoly_int_matrix(rows) -> IntPolynomial:

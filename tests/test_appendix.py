@@ -174,21 +174,25 @@ def test_threshold_quotient_of_actual_graph():
 
 def test_fan_width_chains_agree_with_fraction_oracle(monkeypatch):
     # every g12/g18 pair verify_appendix compares at orders 7..22; the sign
-    # certificate at the float estimates decides each of them without bisection
+    # certificate at the templates' Perron roots, the estimates
+    # verify_appendix passes, decides each of them without bisection
     halvings = []
     halve = _Bracket.halve
     monkeypatch.setattr(_Bracket, "halve", lambda self: halvings.append(1) or halve(self))
     pairs = [
-        (fx.poly_id, n, s)
+        (fx, n, s)
         for fx in FIXTURES if fx.s_gap is not None
         for n, s in fan_chain(template_keys(fx, 7, 22))
     ]
     assert len(pairs) == 196
+    roots = iter(perron_roots([quotient_template(fx.item, n, t)
+                               for fx, n, s in pairs for t in (s, s + 4)]))
     not_less = []
-    for pid, n, s in pairs:
+    for fx, n, s in pairs:
+        pid = fx.poly_id
         a = appendix_polynomial(pid, n, s)
         b = appendix_polynomial(pid, n, s + 4)
-        got = compare_largest_roots(a, b)
+        got = compare_largest_roots(a, b, (next(roots), next(roots)))
         assert got == oracle_compare_largest_roots(a, b), (pid, n, s)
         if got != LESS:
             not_less.append((pid, n, s))

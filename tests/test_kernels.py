@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chordspec import _sweep_py, kernels
+from chordspec import _sweep_py, kernels, verifier
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.families import complete, extremal_graph, path
 from chordspec.graphs import arrangement_count, disjoint_union, graph_from_mask, make_graph
@@ -664,7 +664,7 @@ def test_degree_skips_guards(impl):
     assert impl.degree_skips(5, [1023], math.inf) == (1, [1023])
 
 
-def test_kernel_benchmark_runs_on_order_5(capsys):
+def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
     # classify benches on order 5 (classify also in pieces over 1 and 2
@@ -680,7 +680,9 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
     # check that the check passes and that the kernels and the calls agree,
     # one call each of its order-6 CLI timings, whose asserts check the exit
     # codes and verdicts, one pass of its exact order-6 ties, which must
-    # reach the gcd, expand its appendix templates at orders 7..8, time
+    # reach the gcd, one pass of its appendix pairs at orders 7..12 with the
+    # estimates verify_appendix passes, which the certificate must settle
+    # with no chain, expand its appendix templates at orders 7..8, time
     # verify_appendix(7, 8) block by block, then its fixture graphs and its
     # template polynomials alone, and the property suite's details one by one
     spec = importlib.util.spec_from_file_location(
@@ -727,6 +729,17 @@ def test_kernel_benchmark_runs_on_order_5(capsys):
                         r"[0-9.]+ ms \(median of 1\)\n", out), out
     ties, counts = bench.bench_exact("order-6 ties", bench.tie_pairs(6), min_seconds=0)
     assert ties == {EQUAL: 30} and counts["_divide"] > 0, (ties, counts)
+    pairs, estimates = bench.appendix_pairs(7, 12)
+    compared = []
+    compare = verifier.compare_largest_roots
+    with monkeypatch.context() as patch:
+        patch.setattr(verifier, "compare_largest_roots",
+                      lambda a, b, e: compared.append(((a, b), e)) or compare(a, b, e))
+        verify_appendix(7, 12)
+    assert compared == list(zip(pairs, estimates)) and len(pairs) == 16
+    capsys.readouterr()
+    bench.bench_exact("appendix 7..12", pairs, estimates, min_seconds=0)
+    assert "settled by the certificate: 16, to the chain: 0" in capsys.readouterr().out
     # the templates it times are verify_appendix's, plus one threshold
     # template per order
     checked = next(d["checked"] for d in verify_appendix(7, 8).details

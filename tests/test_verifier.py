@@ -36,6 +36,7 @@ from chordspec.graphs import (
     make_graph,
     mask_of,
 )
+from chordspec.polynomials import EQUAL
 from chordspec.spectral import q_index
 from chordspec.verifier import (
     DEFAULT_CLAIM_CAPS,
@@ -55,6 +56,7 @@ from oracles import (
     body_text,
     is_connected,
     mask_from_graph,
+    oracle_compare_largest_roots,
     oracle_degree_vector_bounds,
     oracle_prefilter_spot_check,
     oracle_sample,
@@ -481,6 +483,46 @@ def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
         assert all(same for same, built in calls if built), (task, calls)
     assert traffic["theorem"] == []
     assert traffic["appendix"] == [(False, 0)] * 196
+
+
+def test_sweep_ties_are_identical_pairs_or_the_order_8_tie(monkeypatch):
+    # the traffic that q_exact_compare's passing no estimates rests on: the
+    # theorem at orders 6, 7 and 8 and the corollary at 7 and 8 make 7 exact
+    # comparisons. Five are of the threshold graph with itself, settled by
+    # equal rows; the other two, one per task at order 8, are of the
+    # threshold graph with the tie band's graph of degrees
+    # 5,5,5,5,5,5,1,1, whose index equals the threshold's. No pair is
+    # separated, so no sign certificate could settle one, and none is tried.
+    # A change that sends separated pairs into the tie band fails here,
+    # rather than bisecting them
+    compare = verifier.q_exact_compare
+    compared, certified = [], []
+
+    def counted(g, h):
+        verdict = compare(g, h)
+        compared.append((g, h, verdict))
+        return verdict
+
+    monkeypatch.setattr(verifier, "q_exact_compare", counted)
+    certify = polynomials._certified_below
+    monkeypatch.setattr(polynomials, "_certified_below",
+                        lambda *args: certified.append(args) or certify(*args))
+    for n in (6, 7, 8):
+        assert verify_theorem_main(n).passed
+    for n in (7, 8):
+        assert verify_corollary(n).passed
+    assert certified == []
+    assert len(compared) == 7
+    assert [g.n for g, h, _ in compared if g == h] == [6, 7, 8, 7, 8]
+    ties = [(g, h, verdict) for g, h, verdict in compared if g != h]
+    assert len(ties) == 2
+    ext = extremal_graph(8).graph
+    for g, h, verdict in ties:
+        assert sorted([g.degrees(), h.degrees()]) == [
+            (5, 5, 5, 5, 5, 5, 1, 1), (7, 7, 3, 3, 2, 2, 2, 2)]
+        assert ext in (g, h)
+        assert verdict == EQUAL == oracle_compare_largest_roots(
+            spectral.charpoly_graph(g), spectral.charpoly_graph(h))
 
 
 @pytest.mark.parametrize("offset", [0.0, -0.5, -2.0])
@@ -1021,13 +1063,12 @@ def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
     # every template polynomial comes from at most two batched calls, every
     # fixture graph's index and each order's threshold from one q_indices
     # call, and every Perron root from at most two perron_roots calls; the
-    # fan-width chains take their estimates from those roots, so neither
-    # q_index nor the Newton estimate is called
-    batches, index_batches, root_batches, single, newton = [], [], [], [], []
+    # fan-width chains take their estimates from those roots, so q_index is
+    # not called
+    batches, index_batches, root_batches, single = [], [], [], []
     charpolys, q_indices, q_index_, perron_roots = (
         verifier.charpoly_int_matrices, verifier.q_indices, verifier.q_index,
         verifier.perron_roots)
-    estimate = polynomials._largest_root_estimate
     monkeypatch.setattr(verifier, "charpoly_int_matrices",
                         lambda ms: batches.append(len(ms)) or charpolys(ms))
     monkeypatch.setattr(verifier, "q_indices",
@@ -1035,8 +1076,6 @@ def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
     monkeypatch.setattr(verifier, "q_index", lambda g: single.append(g) or q_index_(g))
     monkeypatch.setattr(verifier, "perron_roots",
                         lambda ms: root_batches.append(list(ms)) or perron_roots(ms))
-    monkeypatch.setattr(polynomials, "_largest_root_estimate",
-                        lambda p: newton.append(p) or estimate(p))
     report = verify_appendix(7, 22)
     assert 1 <= len(batches) <= 2
     # (b)'s templates and (d)'s sixteen threshold templates
@@ -1045,7 +1084,7 @@ def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
     assert sum(batches) == checked + 16
     fixtures = [g for fx in FIXTURES for *_, g in fixture_graphs(fx, 7, 22)]
     assert index_batches == [fixtures + [k11n2_plus(n).graph for n in range(7, 23)]]
-    assert single == [] and newton == []
+    assert single == []
     assert 1 <= len(root_batches) <= 2
     # each fixture graph's and each threshold graph's quotient is equitable,
     # and its Perron root comes from those calls
