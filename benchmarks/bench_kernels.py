@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
 apex detector, longest cycle, longest path, Perron entry order, the property
-suite's random graphs, its dense draws' edge slot rows, component counts and
-its structural claims) against the pure-Python
-fallback, the theorem's prefilter spot check at orders 6 to
+suite's random graphs, its samples of a range (against random.sample too),
+its dense draws' edge slot rows, component counts and its structural claims)
+against the pure-Python fallback, the theorem's prefilter spot check at orders 6 to
 8 (with the skipped graphs it eigensolves; its first call, which draws the
 sample, against the later ones), the theorem's and the corollary's Python
 tails on the tie band the kernel leaves at orders 6 to 8, `verify theorem
@@ -249,17 +249,20 @@ def bench_row_searches(impls, draws=3000, seed=7):
 
 
 def bench_perron_order(impls, draws=3000, seed=7):
-    """perron_order on the Perron shift's own draws: connected random graphs
-    of orders 4..10 and a random pair of vertices that are not twins. Every
-    decided sign must be the order of eigh's Perron entries (q_index)."""
+    """perron_order on the pairs the Perron shift sends it: connected random
+    graphs of orders 4..10 and a random pair of vertices that is not nested
+    (neither of N(u) - v and N(v) - u holds the other). Every decided sign
+    must be the order of eigh's Perron entries (q_index)."""
     rng = random.Random(seed)
     cases = []
     while len(cases) < draws:
         g = _sample(rng, 4, 10)
         u, v = rng.sample(range(g.n), 2)
-        if kernels.component_count(g.rows) <= 1 and g.rows[u] & ~(1 << v) != g.rows[v] & ~(1 << u):
+        su, sv = g.rows[u] & ~(1 << v), g.rows[v] & ~(1 << u)
+        if kernels.component_count(g.rows) <= 1 and su & sv not in (su, sv):
             cases.append((g, u, v))
-    print(f"Perron entry order, {draws} connected random order-4..10 graphs")
+    print(f"Perron entry order, {draws} connected random order-4..10 graphs, "
+          f"pairs not nested")
     for label, impl in impls:
         t0 = time.perf_counter()
         out = [impl.perron_order(g.rows, u, v) for g, u, v in cases]
@@ -270,6 +273,39 @@ def bench_perron_order(impls, draws=3000, seed=7):
             if order:
                 x = q_index(g).vector
                 assert order == (1 if x[u] > x[v] else -1), (g.rows, u, v, order)
+
+
+def bench_sample_range(impls, draws=10000, seed=7):
+    """sample_range on the suite's own samples, against random.sample on a
+    generator seeded alike: the dense draws' edge slots (4n - 15 to C(n,2) of
+    C(n,2), n in 10..14), the Perron shift's pair of 4..10 vertices and a
+    moved set of 1..10 from a pool of 1..10. Each must give random.sample's
+    samples and leave its generator in the same state."""
+    picks = random.Random(seed)
+    cases = []
+    for _ in range(draws):
+        n = picks.randint(10, 14)
+        slots = n * (n - 1) // 2
+        pool = picks.randint(1, 10)
+        cases += [(slots, picks.randint(4 * n - 15, slots)), (picks.randint(4, 10), 2),
+                  (pool, picks.randint(1, pool))]
+    print(f"range samples, {len(cases)} dense-slot, pair and moved-set samples "
+          f"({sum(k for _, k in cases)} values)")
+    rng = random.Random(seed)
+    sample = rng.sample
+    t0 = time.perf_counter()
+    base = [sample(range(n), k) for n, k in cases]
+    dt = time.perf_counter() - t0
+    print(f"  {'random.sample':13s} {dt:8.3f}s  {len(cases) / dt:9.0f} samples/s")
+    base = base, rng.getstate()
+    for label, impl in impls:
+        rng = random.Random(seed)
+        getrandbits, sample_range = rng.getrandbits, impl.sample_range
+        t0 = time.perf_counter()
+        out = [sample_range(getrandbits, n, k) for n, k in cases]
+        dt = time.perf_counter() - t0
+        print(f"  {label:13s} {dt:8.3f}s  {len(cases) / dt:9.0f} samples/s")
+        assert base == (out, rng.getstate()), "sample_range is not random.sample"
 
 
 def bench_random_rows(impls, draws=10000, seed=7):
@@ -722,6 +758,7 @@ def main() -> None:
     bench_row_searches(impls)
     bench_perron_order(impls)
     bench_random_rows(impls)
+    bench_sample_range(impls)
     bench_slot_rows(impls)
     bench_component_count(impls)
     bench_structural(impls)

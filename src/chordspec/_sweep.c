@@ -2,9 +2,10 @@
  * edge-bitmask range that sorts each graph by its signless Laplacian index
  * against two cuts and tests the ones above them for a chord configuration,
  * the chord tests on one graph, and for the property suite its random
- * graphs, the rows of a list of edge slots, component counts, its
- * longest-cycle and longest-path searches, the certified Perron entry order
- * of its Perron shift and the checks of its structural claims.
+ * graphs, its samples of a range, the rows of a list of edge slots,
+ * component counts, its longest-cycle and longest-path searches, the
+ * certified Perron entry order of its Perron shift and the checks of its
+ * structural claims.
  *
  * Same interface and soundness contract as the pure-Python twin _sweep_py:
  * classify drops a graph only when its index is provably below lo_cut, and
@@ -130,7 +131,8 @@ static int degree_skip(int n, const uint64_t *adj, const int *degs, double cut)
  * lies in [1, MAXN], its lo in [0, 2^C(n,2)] and its hi in [lo, 2^C(n,2)],
  * a listed mask in [0, 2^C(n,2)), a vertex in [0, n), a chord count is
  * at least 1, a random graph's order lies in [0, MAXROWS], an edge slot in
- * [0, C(n,2)) and a claim cap is at least 0. Rows are those of a simple
+ * [0, C(n,2)), a sampled range's n in [0, C(MAXROWS,2)] and its k in
+ * [0, n], and a claim cap is at least 0. Rows are those of a simple
  * graph, and cuts are numbers, not NaN. The messages are those of
  * _sweep_py. */
 
@@ -505,16 +507,17 @@ static PyObject *max_path_order(PyObject *self, PyObject *const *args,
  * _sweep_py._certified_order, which states the Davis-Kahan argument. Only
  * the bound on the second eigenvalue differs: there it is eigh's second
  * value, here the second largest diagonal entry theta_2 of the rotated
- * matrix plus the Frobenius norm omega of its off-diagonal part when the
- * sweeps stop (Weyl: each eigenvalue lies within omega of the sorted
- * diagonal). The rotations are backward stable, so the rounding they add is
- * within the rule's slack. */
+ * matrix plus the Frobenius norm omega of its off-diagonal part (Weyl: each
+ * eigenvalue lies within omega of the sorted diagonal). That bound holds
+ * after every sweep, not only at convergence, so the rule may certify the
+ * sign after any sweep, and the sweeps left are skipped. The rotations are
+ * backward stable, so the rounding they add is within the rule's slack. */
 
 #define PERRON_MAXN 16 /* perron_order decides on graphs of at most this order */
 #define PERRON_MARGIN 1e-9 /* a Perron entry order must clear its bound by this */
 #define JACOBI_SWEEPS 30
 
-/* The two functions below are built at -O2, not at the -O3 of the rest:
+/* The three functions below are built at -O2, not at the -O3 of the rest:
  * at -O3 gcc 12 unrolls and vectorises their loops, which raises the
  * compiler's peak memory on the first import from 52 to 59 MB (53 MB at
  * -O2) and gains about a tenth of perron_order's own time, about a
@@ -531,46 +534,16 @@ PERRON_OPT static void rotate(int n, double *x, double *y, int stride, double c,
     }
 }
 
-/* The certified sign of x_u - x_v (0 on doubt) for a connected graph of
- * n <= PERRON_MAXN vertices. Cyclic Jacobi on Q rotates each nonzero
- * off-diagonal entry to zero (Golub and Van Loan, Matrix Computations,
- * sec. 8.5) until the off-diagonal part is below 1e-13 |Q|_F or
- * JACOBI_SWEEPS sweeps have run; y is the column of the accumulated
- * rotations at the largest diagonal entry. */
-PERRON_OPT static int perron_sign(int n, const uint64_t *adj, int u, int v)
+/* The rule of _sweep_py._certified_order on the Jacobi state: y is the
+ * column of the accumulated rotations vec at the largest diagonal entry of
+ * the rotated matrix a, and lambda_2 <= theta2 + omega, with omega^2 = off2
+ * the squared Frobenius norm of a's off-diagonal part. Weyl's bound holds at
+ * every sweep, so the rule is sound on the state of any sweep. */
+PERRON_OPT static int perron_certify(int n, const uint64_t *adj, const int *degs,
+                                     double qnorm2, double (*a)[PERRON_MAXN],
+                                     double (*vec)[PERRON_MAXN], double off2, int u, int v)
 {
-    double a[PERRON_MAXN][PERRON_MAXN], vec[PERRON_MAXN][PERRON_MAXN], y[PERRON_MAXN];
-    double qnorm2 = 0.0, off2;
-    int degs[PERRON_MAXN];
-    for (int i = 0; i < n; i++) {
-        degs[i] = popcount(adj[i]);
-        qnorm2 += (double)degs[i] * degs[i] + degs[i];
-        for (int j = 0; j < n; j++) {
-            a[i][j] = i == j ? degs[i] : (double)(adj[i] >> j & 1);
-            vec[i][j] = i == j;
-        }
-    }
-    for (int sweep = 0;; sweep++) {
-        off2 = 0.0;
-        for (int i = 0; i < n; i++)
-            for (int j = 0; j < n; j++)
-                if (i != j)
-                    off2 += a[i][j] * a[i][j];
-        if (off2 <= 1e-26 * qnorm2 || sweep == JACOBI_SWEEPS)
-            break;
-        for (int p = 0; p < n - 1; p++)
-            for (int r = p + 1; r < n; r++) {
-                if (a[p][r] == 0.0)
-                    continue;
-                double tau = (a[r][r] - a[p][p]) / (2.0 * a[p][r]);
-                double t = (tau >= 0 ? 1.0 : -1.0) / (fabs(tau) + sqrt(1.0 + tau * tau));
-                double c = 1.0 / sqrt(1.0 + t * t), s = t * c;
-                rotate(n, &a[0][p], &a[0][r], PERRON_MAXN, c, s); /* a <- a J */
-                rotate(n, &vec[0][p], &vec[0][r], PERRON_MAXN, c, s); /* vec <- vec J */
-                rotate(n, a[p], a[r], 1, c, s); /* a <- J' a */
-                a[p][r] = a[r][p] = 0.0;
-            }
-    }
+    double y[PERRON_MAXN];
     int top = 0;
     for (int i = 1; i < n; i++)
         if (a[i][i] > a[top][top])
@@ -583,7 +556,6 @@ PERRON_OPT static int perron_sign(int n, const uint64_t *adj, int u, int v)
         yy += y[i] * y[i];
         sum += y[i];
     }
-    /* the rule of _sweep_py._certified_order, with lambda_2 <= theta2 + omega */
     double slack = 1e-12 * (1.0 + sqrt(qnorm2)), scale = (sum < 0 ? -1.0 : 1.0) / sqrt(yy);
     double qy[PERRON_MAXN], rho = 0.0, rr = 0.0;
     for (int i = 0; i < n; i++)
@@ -606,6 +578,55 @@ PERRON_OPT static int perron_sign(int n, const uint64_t *adj, int u, int v)
     if (!(fabs(d) > 2 * eta + PERRON_MARGIN))
         return 0;
     return d > 0 ? 1 : -1;
+}
+
+/* The certified sign of x_u - x_v (0 on doubt) for a connected graph of
+ * n <= PERRON_MAXN vertices. Cyclic Jacobi on Q rotates each nonzero
+ * off-diagonal entry to zero (Golub and Van Loan, Matrix Computations,
+ * sec. 8.5) and tries perron_certify after every sweep: the first sign it
+ * certifies is returned, on the Perron shift's pairs most often after two
+ * or three sweeps (convergence takes five or six). Otherwise the sweeps
+ * run until the off-diagonal part is below 1e-13 |Q|_F or JACOBI_SWEEPS
+ * have run, and the certificate is tried once more on that state. */
+PERRON_OPT static int perron_sign(int n, const uint64_t *adj, int u, int v)
+{
+    double a[PERRON_MAXN][PERRON_MAXN], vec[PERRON_MAXN][PERRON_MAXN];
+    double qnorm2 = 0.0, off2;
+    int degs[PERRON_MAXN];
+    for (int i = 0; i < n; i++) {
+        degs[i] = popcount(adj[i]);
+        qnorm2 += (double)degs[i] * degs[i] + degs[i];
+        for (int j = 0; j < n; j++) {
+            a[i][j] = i == j ? degs[i] : (double)(adj[i] >> j & 1);
+            vec[i][j] = i == j;
+        }
+    }
+    for (int sweep = 0;; sweep++) {
+        off2 = 0.0;
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++)
+                if (i != j)
+                    off2 += a[i][j] * a[i][j];
+        if (off2 <= 1e-26 * qnorm2 || sweep == JACOBI_SWEEPS)
+            break;
+        /* before the first sweep y is a unit vector, which never certifies */
+        int sign = sweep ? perron_certify(n, adj, degs, qnorm2, a, vec, off2, u, v) : 0;
+        if (sign)
+            return sign;
+        for (int p = 0; p < n - 1; p++)
+            for (int r = p + 1; r < n; r++) {
+                if (a[p][r] == 0.0)
+                    continue;
+                double tau = (a[r][r] - a[p][p]) / (2.0 * a[p][r]);
+                double t = (tau >= 0 ? 1.0 : -1.0) / (fabs(tau) + sqrt(1.0 + tau * tau));
+                double c = 1.0 / sqrt(1.0 + t * t), s = t * c;
+                rotate(n, &a[0][p], &a[0][r], PERRON_MAXN, c, s); /* a <- a J */
+                rotate(n, &vec[0][p], &vec[0][r], PERRON_MAXN, c, s); /* vec <- vec J */
+                rotate(n, a[p], a[r], 1, c, s); /* a <- J' a */
+                a[p][r] = a[r][p] = 0.0;
+            }
+    }
+    return perron_certify(n, adj, degs, qnorm2, a, vec, off2, u, v);
 }
 
 static PyObject *perron_order(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -946,6 +967,103 @@ static PyObject *slot_rows(PyObject *self, PyObject *const *args, Py_ssize_t nar
     return rows_tuple((int)n, adj);
 }
 
+#define SAMPLE_MAXN (MAXROWS * (MAXROWS - 1) / 2) /* the edge slots of 64 vertices */
+
+/* A draw from [0, n), n >= 1, by CPython's Random._randbelow_with_getrandbits:
+ * getrandbits(n.bit_length()) until the value is below n, into *out.
+ * TypeError for a value that is not an int, ValueError for one outside
+ * [0, 2^bits); an error getrandbits raises propagates. */
+static int randbelow(PyObject *getrandbits, long long n, long long *out)
+{
+    int bits = 64 - __builtin_clzll((unsigned long long)n);
+    PyObject *arg = PyLong_FromLong(bits);
+    if (arg == NULL)
+        return -1;
+    for (;;) {
+        PyObject *r = PyObject_CallOneArg(getrandbits, arg);
+        if (r == NULL)
+            break;
+        if (!PyLong_Check(r)) {
+            PyErr_Format(PyExc_TypeError, "getrandbits must return an int, got %R", r);
+            Py_DECREF(r);
+            break;
+        }
+        int overflow;
+        *out = PyLong_AsLongLongAndOverflow(r, &overflow);
+        if (overflow || *out < 0 || *out >> bits) {
+            PyErr_Format(PyExc_ValueError, "need getrandbits(%d) in [0, %lld], got %R", bits,
+                         (1LL << bits) - 1, r);
+            Py_DECREF(r);
+            break;
+        }
+        Py_DECREF(r);
+        if (*out < n) {
+            Py_DECREF(arg);
+            return 0;
+        }
+    }
+    Py_DECREF(arg);
+    return -1;
+}
+
+/* sample_range(getrandbits, n, k): Random.sample(range(n), k) of the
+ * generator whose bound getrandbits method this is, n in [0, SAMPLE_MAXN]
+ * and k in [0, n], by CPython's algorithm with the same randbelow draws, so
+ * the sample and the generator's state afterwards are those of the call
+ * (_sweep_py.sample_range). CPython keeps a pool of the n values when n is
+ * at most setsize = 21, plus 4^ceil(log_4(3k)) for k > 5, else a set of the
+ * values drawn; 3k is never a power of 4, so that ceiling is the least m
+ * with 4^m > 3k, found here in integers. */
+static PyObject *sample_range(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long n, k, j;
+    if (check_nargs("sample_range", nargs, 3))
+        return NULL;
+    PyObject *getrandbits = args[0];
+    if (!PyCallable_Check(getrandbits))
+        return PyErr_Format(PyExc_TypeError, "getrandbits must be callable, got %R",
+                            getrandbits);
+    if (parse_int(args[1], "n", 0, SAMPLE_MAXN, 0, &n) || parse_int(args[2], "k", 0, n, 0, &k))
+        return NULL;
+    long long setsize = 21, table = 1;
+    if (k > 5) {
+        while (table <= 3 * k)
+            table *= 4;
+        setsize += table;
+    }
+    PyObject *result = PyList_New(k);
+    if (result == NULL)
+        return NULL;
+    int pool[SAMPLE_MAXN];
+    uint64_t selected[(SAMPLE_MAXN + 63) / 64] = {0};
+    for (int i = 0; i < n; i++)
+        pool[i] = i;
+    for (long long i = 0; i < k; i++) {
+        long long value;
+        if (n <= setsize) { /* the pool holds the values not drawn in [0, n - i) */
+            if (randbelow(getrandbits, n - i, &j))
+                goto fail;
+            value = pool[j];
+            pool[j] = pool[n - i - 1];
+        } else {
+            do {
+                if (randbelow(getrandbits, n, &j))
+                    goto fail;
+            } while (selected[j / 64] >> (j % 64) & 1);
+            selected[j / 64] |= (uint64_t)1 << (j % 64);
+            value = j;
+        }
+        PyObject *item = PyLong_FromLongLong(value);
+        if (item == NULL)
+            goto fail;
+        PyList_SET_ITEM(result, i, item);
+    }
+    return result;
+fail:
+    Py_DECREF(result);
+    return NULL;
+}
+
 /* -- structural claims ---------------------------------------------------------
  * structural_violations(rows, caps): the checks that
  * _sweep_py.structural_violations states, over every apex z of the graph:
@@ -1138,6 +1256,10 @@ static PyMethodDef methods[] = {
      "random_rows(n, rand, p) -> rows\n\n"
      "The rows of a graph on n vertices whose edge slots, in index_pairs\n"
      "order, are each an edge when one call rand() is below p."},
+    {"sample_range", (PyCFunction)(void (*)(void))sample_range, METH_FASTCALL,
+     "sample_range(getrandbits, n, k) -> list\n\n"
+     "Random.sample(range(n), k) of the generator whose getrandbits this is,\n"
+     "by the same draws; see _sweep_py.sample_range."},
     {"slot_rows", (PyCFunction)(void (*)(void))slot_rows, METH_FASTCALL,
      "slot_rows(n, slots) -> rows\n\n"
      "The rows of the graph on n vertices whose edges are the listed slots\n"

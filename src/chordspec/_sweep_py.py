@@ -7,8 +7,9 @@ weight; degree_skips applies classify's degree filter (``_degree_skip``) to
 a list of labeled masks; the per-graph calls take adjacency rows and defer
 to the reference searchers in chords.py, and perron_order certifies numpy
 ``eigh``'s top pair by the rule the compiled kernel applies to its Jacobi
-pair. random_rows is the property suite's per-slot draw loop, slot_rows
-reads a list of edge slots, component_count counts components, and
+pair. random_rows is the property suite's per-slot draw loop, sample_range
+replays ``random.Random.sample`` over a range, slot_rows reads a list of
+edge slots, component_count counts components, and
 structural_violations holds the checks of its structural claims
 (classify_component and the two claims), which the compiled kernel restates
 on 64-bit rows.
@@ -39,6 +40,7 @@ MAXROWS = 64  # adjacency rows fit 64 bits, as in the compiled kernel
 CUT_MARGIN = 1e-9  # a cut decides only when the index clears it by this
 PERRON_MAXN = 16  # perron_order decides on graphs of at most this order
 PERRON_MARGIN = 1e-9  # a Perron entry order must clear its bound by this
+SAMPLE_MAXN = MAXROWS * (MAXROWS - 1) // 2  # sample_range's largest range: 64 vertices' slots
 _BLOCK = 1 << 14  # graphs per batched eigensolve
 
 
@@ -376,6 +378,56 @@ def random_rows(n: int, rand, p) -> tuple[int, ...]:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return tuple(adj)
+
+
+def _randbelow(getrandbits, n: int) -> int:
+    """A draw from [0, n), n >= 1, by CPython's
+    ``Random._randbelow_with_getrandbits``: getrandbits(n.bit_length())
+    until the value is below n. TypeError for a value that is not an int,
+    ValueError for one outside [0, 2^bits)."""
+    bits = n.bit_length()
+    while True:
+        r = getrandbits(bits)
+        if not isinstance(r, int):
+            raise TypeError(f"getrandbits must return an int, got {r!r}")
+        if not 0 <= r < 1 << bits:
+            raise ValueError(f"need getrandbits({bits}) in [0, {(1 << bits) - 1}], got {r!r}")
+        if r < n:
+            return r
+
+
+def sample_range(getrandbits, n: int, k: int) -> list[int]:
+    """``Random.sample(range(n), k)`` of the generator whose bound
+    ``getrandbits`` method this is, n in [0, SAMPLE_MAXN] and k in [0, n]:
+    CPython's algorithm with the same ``_randbelow`` draws, so the sample
+    and the generator's state afterwards are those of the call. A pool of
+    the n values when n is at most the set size rule's bound, else a set of
+    the values drawn so far. An error getrandbits raises propagates; one that
+    is not callable or returns something other than an int is a
+    TypeError."""
+    if not callable(getrandbits):
+        raise TypeError(f"getrandbits must be callable, got {getrandbits!r}")
+    n = _int(n, "n", 0, SAMPLE_MAXN)
+    k = _int(k, "k", 0, n)
+    setsize = 21  # CPython's rule: a small set less an empty list, plus a big set's table
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = _randbelow(getrandbits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    selected = set()
+    for _ in range(k):
+        j = _randbelow(getrandbits, n)
+        while j in selected:
+            j = _randbelow(getrandbits, n)
+        selected.add(j)
+        result.append(j)
+    return result
 
 
 def slot_rows(n: int, slots: list) -> tuple[int, ...]:

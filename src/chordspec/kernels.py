@@ -23,8 +23,13 @@ graph and above 16 vertices); and, for the property suite,
 calls ``rand()`` (a generator's bound ``random`` method) once per edge slot
 in ``graphs.index_pairs`` order and sets the slot when the value is below p,
 so the generator makes the calls of the same loop in Python,
-``slot_rows(n, slots)``, the rows of the graph on n vertices whose edges
-are the listed edge slots (bit positions of an edge bitmask),
+``sample_range(getrandbits, n, k)``, which returns ``Random.sample(range(n),
+k)`` of the generator whose bound ``getrandbits`` method it is, by the same
+``_randbelow`` draws on the same path (a pool of the n values, or a set of
+those drawn, by CPython's set size rule), so the sample and the generator's
+state afterwards are those of the call, ``slot_rows(n, slots)``, the rows
+of the graph on n vertices whose edges are the listed edge slots (bit
+positions of an edge bitmask),
 ``component_count(rows)``, a graph's number of connected components, and
 ``structural_violations(rows, caps)``, the (cap, catalog) violation counts
 of the structural claims over every apex, with caps the claim-1 caps as a
@@ -34,16 +39,19 @@ the pass with no test.
 Both read every int argument by one rule: n in [1, 11] for a sweep and in
 [0, 64] for ``random_rows`` and ``slot_rows``, a range's lo in [0,
 2^C(n,2)] and its hi in [lo, 2^C(n,2)], a listed mask in [0, 2^C(n,2)), an
-edge slot in [0, C(n,2)), a vertex in [0, n), a chord count of at least 1 (a
-count above every graph's chords answers no) and a claim cap of at least 0;
+edge slot in [0, C(n,2)), a sampled range's n in [0, C(64,2)] and its k in
+[0, n], a vertex in [0, n), a chord count of at least 1 (a count above
+every graph's chords answers no) and a claim cap of at least 0;
 anything else is a ValueError, and an argument that is not an int a
 TypeError, with the same message from both. So is every other bad argument:
 rows that are not a sequence (TypeError) or not those of a simple graph on
 at most 64 vertices (ValueError), masks or slots that are not a list, a cut
 or p that is not a real number, caps that are not a tuple of five, a rand
-that is not callable or returns something other than a float (TypeError),
-where a type is named by its ``__name__``. An error that rand raises
-propagates.
+that is not callable or returns something other than a float, and a
+getrandbits that is not callable or returns something other than an int
+(TypeError), where a type is named by its ``__name__``; a getrandbits(b)
+value outside [0, 2^b) is a ValueError. An error that rand or getrandbits
+raises propagates.
 
 The compiled ``classify`` releases the GIL for its pass, so threads that
 classify different ranges run at once; it holds the GIL again only to build
@@ -151,6 +159,7 @@ longest_cycle = _impl.longest_cycle
 max_path_order = _impl.max_path_order
 perron_order = _impl.perron_order
 random_rows = _impl.random_rows
+sample_range = _impl.sample_range
 slot_rows = _impl.slot_rows
 structural_violations = _impl.structural_violations
 

@@ -827,9 +827,12 @@ def draw_shift(rng: random.Random):
     rows = g.rows
     if kernels.component_count(rows) > 1:
         return None
-    u, v = rng.sample(range(g.n), 2)
-    if rows[u] & ~(1 << v) == rows[v] & ~(1 << u):
-        # twins: N(u) - v = N(v) - u leaves no shift set either way
+    u, v = kernels.sample_range(rng.getrandbits, g.n, 2)
+    su, sv = rows[u] & ~(1 << v), rows[v] & ~(1 << u)
+    if su & sv in (su, sv):
+        # nested: when N(v) - u lies inside N(u) - v, x_u >= x_v (equal on
+        # twins), so u takes the shift and v has no neighbour off N[u] to
+        # give; the same holds the other way round
         return None
     # u takes the larger Perron entry: the kernel's certified order, else
     # the order of eigh's vector
@@ -839,10 +842,10 @@ def draw_shift(rng: random.Random):
         order = -1 if x[u] < x[v] else 1
     if order < 0:
         u, v = v, u
+    # nonempty, since neither side's set holds the other's
     pool = list(bits_to_vertices(rows[v] & ~rows[u] & ~(1 << u)))
-    if not pool:
-        return None
-    moved = rng.sample(pool, rng.randint(1, len(pool)))
+    moved = [pool[j] for j in kernels.sample_range(rng.getrandbits, len(pool),
+                                                   rng.randint(1, len(pool)))]
     return g, g.remove_edges((v, w) for w in moved).add_edges((u, w) for w in moved)
 
 
@@ -902,7 +905,7 @@ def draw_dense(rng: random.Random) -> Graph:
     n = rng.randint(10, 14)
     slots = n * (n - 1) // 2
     e = rng.randint(4 * n - 15, slots)
-    return Graph(n, kernels.slot_rows(n, rng.sample(range(slots), e)))
+    return Graph(n, kernels.slot_rows(n, kernels.sample_range(rng.getrandbits, slots, e)))
 
 
 def check_configured(samples) -> list[Graph]:

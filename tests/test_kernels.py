@@ -670,11 +670,12 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     # classify benches on order 5 (classify also in pieces over 1 and 2
     # threads), its apex detector, random graph, edge slot, component count
     # and structural claim benches on 200 graphs, whose asserts compare the
-    # implementations or the thread counts, one call of its order-6 sweep
-    # with 1 and 2 jobs, whose asserts compare the job counts, its Perron
-    # entry order bench on 200 graphs, whose asserts check each decided sign
-    # against eigh, one pass of its
-    # order-6 and order-8 tie tails, whose asserts check the verdicts, two
+    # implementations or the thread counts, its range sample bench on 600
+    # samples, whose assert compares each implementation with random.sample,
+    # one call of its order-6 sweep with 1 and 2 jobs, whose asserts compare
+    # the job counts, its Perron entry order bench on 200 graphs, whose
+    # asserts check each decided sign against eigh, one pass of its order-6
+    # and order-8 tie tails, whose asserts check the verdicts, two
     # calls of its spot check (the first drawing the sample, the second
     # reusing it) at orders 6, 7 and 8 through each kernel, whose asserts
     # check that the check passes and that the kernels and the calls agree,
@@ -694,12 +695,15 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     bench.bench_detector(IMPLEMENTATIONS, trials=200)
     bench.bench_perron_order(IMPLEMENTATIONS, draws=200)
     bench.bench_random_rows(IMPLEMENTATIONS, draws=200)
+    bench.bench_sample_range(IMPLEMENTATIONS, draws=200)
     bench.bench_slot_rows(IMPLEMENTATIONS, draws=200)
     bench.bench_component_count(IMPLEMENTATIONS, draws=200)
     bench.bench_structural(IMPLEMENTATIONS, draws=200)
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
-        assert out.count(f"  {label} ") == 8, out
+        assert out.count(f"  {label} ") == 9, out
+    assert "range samples, 600 dense-slot, pair and moved-set samples" in out, out
+    assert out.count("  random.sample ") == 1, out
     assert "edge slot rows, 200 dense order-10..14 draws" in out, out
     assert "component counts, 200 random order-4..12 graphs" in out, out
     for label, impl in IMPLEMENTATIONS:
@@ -859,7 +863,7 @@ def test_perron_order_guards(impl):
     assert impl.perron_order(path(16).rows, 7, 0) == 1
 
 
-def _boom():
+def _boom(*bits):
     raise ZeroDivisionError("rand failed")
 
 
@@ -891,6 +895,71 @@ def test_random_rows_guards(impl):
     assert impl.random_rows(64, float, 0) == (0,) * 64
     assert impl.random_rows(3, half, 1) == (0b110, 0b101, 0b011)
     assert impl.random_rows(3, half, np.float64(0.5)) == (0, 0, 0)
+
+
+# (n, k) of the sample_range cases: k = 0 and k = n; the Perron shift's
+# pairs and moved sets and the dense draws' slots; CPython's set size rule
+# at k <= 5 (21) and at k = 6, 22 and 86 (85, 277 and 1,045), with n on
+# both sides, where n <= the bound draws from a pool and n above it from a
+# set; and the largest n, C(64, 2)
+SAMPLE_CASES = ((0, 0), (1, 0), (1, 1), (7, 7), (10, 2), (9, 4), (45, 25), (91, 91),
+                (21, 5), (22, 5), (30, 1), (2016, 3), (85, 6), (86, 6), (277, 22),
+                (278, 22), (1045, 86), (1046, 86), (2016, 2016))
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_sample_range_replays_random_sample(impl):
+    # the sample and the generator's state afterwards are those of
+    # random.Random(seed).sample(range(n), k), over 200 seeds; a Python
+    # release that changes sample's algorithm fails here
+    for seed in range(200):
+        for n, k in SAMPLE_CASES:
+            if n > 300 and seed % 20:  # the large cases at every 20th seed
+                continue
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert impl.sample_range(rng.getrandbits, n, k) == ref.sample(range(n), k), \
+                (seed, n, k)
+            assert rng.getstate() == ref.getstate(), (seed, n, k)
+    # the pool path draws from [0, n - i) with (n - i).bit_length() bits; a
+    # value at or above the bound is drawn again, and the set path draws
+    # again a value it holds
+    asked = []
+    assert impl.sample_range(lambda bits: asked.append(bits) or 0, 5, 5) == [0, 4, 3, 2, 1]
+    assert asked == [3, 3, 2, 2, 1]
+    values = iter((7, 6, 2, 5, 31, 5, 9))
+    assert impl.sample_range(lambda bits: next(values), 7, 2) == [6, 2]
+    assert impl.sample_range(lambda bits: next(values), 30, 2) == [5, 9]
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_sample_range_guards(impl):
+    # n in [0, C(64,2)], k in [0, n], a callable getrandbits that returns an
+    # int in [0, 2^bits); an error getrandbits raises propagates
+    zero = lambda bits: 0  # noqa: E731
+    for n, k in ((-1, 0), (2017, 0), (1 << 70, 0), (3, 4), (3, -1), (0, 1), (3, 1 << 70)):
+        with pytest.raises(ValueError):
+            impl.sample_range(zero, n, k)
+    for args in ((zero, 3.0, 1), (zero, 3, 1.0), (None, 3, 1), (5, 3, 1),
+                 (lambda bits: 0.0, 3, 1), (lambda bits: "0", 3, 1),
+                 (lambda bits: np.int64(0), 3, 1), (lambda bits: None, 3, 1)):
+        with pytest.raises(TypeError):
+            impl.sample_range(*args)
+    for value in (-1, 4, 1 << 70):
+        with pytest.raises(ValueError):
+            impl.sample_range(lambda bits: value, 3, 1)
+    with pytest.raises(ZeroDivisionError, match="rand failed"):
+        impl.sample_range(_boom, 3, 1)
+    # no draw for k = 0; the bounds are accepted. Each pool draw is the
+    # first value, and the last value moves into its vacancy
+    assert impl.sample_range(_boom, 0, 0) == [] and impl.sample_range(_boom, 5, 0) == []
+    assert impl.sample_range(zero, 5, 5) == [0, 4, 3, 2, 1]
+    assert impl.sample_range(zero, 2016, 2016)[:3] == [0, 2015, 2014]
 
 
 @pytest.mark.parametrize(
@@ -1026,8 +1095,8 @@ def test_guards_raise_the_same_error_on_both_kernels(compiled):
     twins = _Twins(compiled)
     for guards in (test_kernel_guards, test_classify_guards, test_degree_skips_guards,
                    test_row_kernel_guards, test_perron_order_guards,
-                   test_random_rows_guards, test_slot_rows_guards,
-                   test_structural_violations_guards):
+                   test_random_rows_guards, test_sample_range_guards,
+                   test_slot_rows_guards, test_structural_violations_guards):
         guards(twins)
     assert twins.calls > 100
     assert twins.differ == [], "\n".join(map(repr, twins.differ))
@@ -1118,9 +1187,11 @@ def test_kernel_builds_without_warnings(compiled, tmp_path):
 # Loads the kernel built at argv[1] and prints what each call listed in the
 # file argv[2], one (name, args) a line, returns, or the name of the error it
 # raises; a call named "interleaved" is _interleaved over the kernel's
-# classify, and one named "seeded_rows" (seed, n, p) is random_rows(n, rand,
-# p) with rand the random method of random.Random(seed), which also prints
-# the generator's next draw. The spot check's draws are too long for one
+# classify, one named "seeded_rows" (seed, n, p) is random_rows(n, rand, p)
+# with rand the random method of random.Random(seed), and one named
+# "seeded_sample" (seed, n, k) is sample_range(getrandbits, n, k) with the
+# getrandbits method of random.Random(seed); both also print the
+# generator's next draw. The spot check's draws are too long for one
 # argument, and a line at a time keeps the parse small.
 SANITIZED_CHILD = inspect.getsource(_interleaved) + """
 import ast, importlib.util, random, sys
@@ -1132,10 +1203,15 @@ def seeded_rows(seed, n, p):
     rng = random.Random(seed)
     return kernel.random_rows(n, rng.random, p), rng.random()
 
+def seeded_sample(seed, n, k):
+    rng = random.Random(seed)
+    return kernel.sample_range(rng.getrandbits, n, k), rng.random()
+
+seeded = {"seeded_rows": seeded_rows, "seeded_sample": seeded_sample}
 for line in open(sys.argv[2]):
     name, args = ast.literal_eval(line)
     call = (lambda *a: _interleaved(kernel.classify, *a)) if name == "interleaved" \
-        else seeded_rows if name == "seeded_rows" else getattr(kernel, name)
+        else seeded.get(name) or getattr(kernel, name)
     try:
         print(repr(call(*args)))
     except (TypeError, ValueError) as exc:
@@ -1211,6 +1287,12 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
             calls.append(("seeded_rows", (seed, n, (0.2, 0.4, 0.6, 0.8)[seed % 4])))
     for n, p in ((-1, 0.5), (65, 0.5), (3, "0.5"), (3.0, 0.5)):
         calls.append(("seeded_rows", (1, n, p)))
+    # samples of a range through a seeded generator on both paths, and bad
+    # ranges and sizes
+    for seed in range(10):
+        calls += [("seeded_sample", (seed, n, k)) for n, k in SAMPLE_CASES]
+    for n, k in ((-1, 0), (2017, 0), (3, 4), (3, -1), (3.0, 1), (3, 1 << 70)):
+        calls.append(("seeded_sample", (1, n, k)))
     listed = tmp_path / "calls.txt"
     listed.write_text("".join(f"{call!r}\n" for call in calls))
     runs = [_python(SANITIZED_CHILD, path, listed)

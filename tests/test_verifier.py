@@ -833,13 +833,27 @@ def test_property_suite_draws_are_pinned(monkeypatch):
 
 def test_a_flipped_perron_order_moves_the_draw_digest(monkeypatch):
     # the Perron shift takes its orientation from kernels.perron_order when
-    # that certifies one. Either orientation of a non-twin pair moves a
-    # different edge set (or, on one side, none, and the draw is redrawn), so
-    # flipping any one certified sign changes the pairs the shift checks; the
-    # first one also changes the generator state of every later draw. A
-    # flipped shift may lower the index, so the suite may fail
+    # that certifies one. The pairs it is asked about are not nested, so each
+    # orientation moves a nonempty edge set of its own, and flipping any one
+    # certified sign changes the pairs the shift checks; the first one also
+    # changes the generator state of every later draw. Every certified call
+    # of the unflipped run is flipped in turn. A flipped shift may lower the
+    # index, so the suite may fail
     perron_order = kernels.perron_order
-    for target in range(40):
+    certified = []
+
+    def record(rows, u, v):
+        order = perron_order(rows, u, v)
+        if order:
+            certified.append((rows, u, v))
+        return order
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "perron_order", record)
+        _property_draws_digest(patch)
+    calls = len(certified)
+    assert calls > 0
+    for target in range(calls):
         certified = []
 
         def flip_one(rows, u, v):
@@ -954,6 +968,54 @@ def test_q_index_serves_only_the_perron_shift_fallback(monkeypatch):
         assert caller == "draw_shift"
         assert is_connected(g)
         assert order == [(g.rows, 0)]
+
+
+def test_a_nested_pair_has_the_larger_perron_entry_on_the_larger_side():
+    # the rule draw_shift skips its eigensolve on: for S = N(u) - v and T =
+    # N(v) - u with T a proper subset of S on a connected graph,
+    # (q + [uv] - d_u)(x_u - x_v) = (d_u - d_v) x_v + sum over S - T of x_w
+    # > 0 and q > d_u, so x_u > x_v. Every connected graph of the networkx
+    # atlas (orders 2..7), every ordered pair of that kind
+    nx = pytest.importorskip("networkx")
+    nested = 0
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if n < 2 or not nx.is_connected(atlas_graph):
+            continue
+        g = make_graph(n, list(atlas_graph.edges()))
+        x = q_index(g).vector
+        for u in range(n):
+            for v in range(n):
+                su, sv = g.rows[u] & ~(1 << v), g.rows[v] & ~(1 << u)
+                if u != v and su & sv == sv != su:
+                    assert x[u] > x[v], (g.rows, u, v)
+                    nested += 1
+    assert nested == 7838
+
+
+def test_perron_shift_sends_no_nested_pair_to_perron_order(monkeypatch):
+    # draw_shift redraws a nested pair (one of N(u) - v and N(v) - u holds
+    # the other) before any eigensolve, so perron_order sees none; the pairs
+    # it leaves undecided, and so the q_index fallbacks, are those of the
+    # draws before the nested pairs skipped it: one at seed 7, 25 trials
+    perron_order = kernels.perron_order
+    seen = []
+
+    def recorded_order(rows, u, v):
+        order = perron_order(rows, u, v)
+        seen.append((rows, u, v, order))
+        return order
+
+    index = verifier.q_index
+    indexed = []
+    monkeypatch.setattr(kernels, "perron_order", recorded_order)
+    monkeypatch.setattr(verifier, "q_index", lambda g: indexed.append(g) or index(g))
+    assert property_suite(7, 25).passed
+    assert len(seen) == 25
+    for rows, u, v, _ in seen:
+        su, sv = rows[u] & ~(1 << v), rows[v] & ~(1 << u)
+        assert su & sv not in (su, sv), (rows, u, v)
+    assert len(indexed) == sum(order == 0 for *_, order in seen) == 1
 
 
 def test_property_suite_passes_and_counts():
