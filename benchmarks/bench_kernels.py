@@ -22,9 +22,9 @@ The sweeps visit only the degree-sorted masks of their range (852 at order
 graphs per second. The sweep and the theorem's classify pass run over the
 whole of orders 7 and 8 on both implementations, whose results must agree,
 and on 1 and 2 worker threads, next to the CPUs this process may use, with
-the order cut into pieces; so does the theorem's whole order-6 sweep
-(`_sweep_classified` with 1 and 2 jobs). The fallback takes about 20 s a
-pass at order 8.
+the order cut into the verifier's top-row units; so does the theorem's
+whole order-8 sweep (`_sweep_classified` with 1 and 2 jobs). The fallback
+takes about 20 s a pass at order 8.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -72,7 +72,6 @@ from chordspec.spectral import (
 from chordspec.verifier import (
     _SWEPT_ORDERS,
     APPENDIX_BLOCKS,
-    CHUNK,
     DEFAULT_CLAIM_CAPS,
     TIE_BAND,
     AppendixRun,
@@ -85,6 +84,7 @@ from chordspec.verifier import (
     _sweep_rule,
     _tail,
     _threshold_constants,
+    _top_row_units,
     _usable_cpus,
     check_configured,
     check_eta,
@@ -154,41 +154,41 @@ def bench_classify(impls, n, lo, hi, thr):
             assert base == out, "implementations disagree"
 
 
-def bench_classify_threads(label, impl, n, lo, hi, thr, pieces=8):
-    """classify on the masks in [lo, hi), as the theorem runs it, cut into
-    pieces that 1 and then 2 worker threads take in turn: wall and CPU time
-    of each, and the speed-up of 2 threads over 1."""
+def bench_classify_threads(label, impl, n, thr):
+    """classify on the whole of order n, as the theorem runs it, cut into
+    its top-row units, which 1 and then 2 worker threads take in turn: wall
+    and CPU time of each, and the speed-up of 2 threads over 1."""
     cuts = thr - TIE_BAND, thr + TIE_BAND
-    bounds = [lo + (hi - lo) * i // pieces for i in range(pieces + 1)]
+    units = _top_row_units(n)
 
-    def piece(b):
-        return impl.classify(n, b[0], b[1], *cuts, ("apex_has_config", 3))
+    def unit(bounds):
+        return impl.classify(n, *bounds, *cuts, ("apex_has_config", 3))
 
-    print(f"classify n={n} masks=[{lo}, {hi}) in {pieces} pieces, {label}, "
+    print(f"classify n={n} in {len(units)} top-row units, {label}, "
           f"usable CPUs={_usable_cpus()}")
     base = None
     for workers in (1, 2):
         cpu0, t0 = time.process_time(), time.perf_counter()
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(piece, zip(bounds, bounds[1:])))
+            out = list(pool.map(unit, units))
         dt, cpu = time.perf_counter() - t0, time.process_time() - cpu0
         if base is None:
             base = dt, out
         else:
             assert base[1] == out, "thread counts disagree"
         print(f"  threads={workers} {dt:8.3f}s  cpu {cpu:6.2f}s  "
-              f"{sorted_count(n, lo, hi) / dt:10.0f} sorted graphs/s  speed-up {base[0] / dt:4.2f}")
+              f"{sorted_count(n, 0, 1 << n * (n - 1) // 2) / dt:10.0f} sorted graphs/s  "
+              f"speed-up {base[0] / dt:4.2f}")
 
 
-def bench_sweep_jobs(n=7, min_seconds=1.0):
+def bench_sweep_jobs(n=8, min_seconds=1.0):
     """The theorem's whole kernel sweep at order n (_sweep_classified) with 1
-    and 2 jobs, repeated for min_seconds each: median time a call. Order 7
-    spans two chunks of CHUNK masks, so its jobs=2 line times the threads;
-    a one-chunk order (n <= 6) runs serially at any job count."""
+    and 2 jobs, repeated for min_seconds each: median time a call. Above
+    order 6 its jobs=2 line times the threads, one kernel pass a top-row
+    unit; order 6 runs serially at any job count."""
     thr = _threshold_constants(n)[1]
-    chunks = len(range(0, 1 << n * (n - 1) // 2, CHUNK))
-    print(f"theorem sweep n={n} (_sweep_classified), {chunks} chunk(s) of {CHUNK} masks, "
-          f"usable CPUs={_usable_cpus()}")
+    split = f"{len(_top_row_units(n))} top-row units" if n > 6 else "one call at any jobs"
+    print(f"theorem sweep n={n} (_sweep_classified), {split}, usable CPUs={_usable_cpus()}")
     base = None
     for jobs in (1, 2):
         times = []
@@ -752,7 +752,7 @@ def main() -> None:
         bench_sweep(impls, n, 0, total, thr - TIE_BAND)
         bench_classify(impls, n, 0, total, thr)
         for label, impl in impls:
-            bench_classify_threads(label, impl, n, 0, total, thr)
+            bench_classify_threads(label, impl, n, thr)
     bench_sweep_jobs()
     bench_detector(impls)
     bench_row_searches(impls)

@@ -137,16 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification task (JSON report)")
     vsub = v.add_subparsers(dest="what", required=True)
+    jobs_help = "worker threads of the sweep, capped at the usable CPUs; order 6 sweeps serially"
     vt = vsub.add_parser("theorem")
     vt.add_argument("--n", type=int, required=True,
                     choices=verifier._SWEPT_ORDERS["theorem"])
     vt.add_argument("--threshold-offset", type=float, default=0.0)
-    vt.add_argument("--jobs", type=int, default=1)
+    vt.add_argument("--jobs", type=int, default=1, help=jobs_help)
     vc = vsub.add_parser("corollary")
     vc.add_argument("--n", type=int, required=True,
                     choices=verifier._SWEPT_ORDERS["corollary"])
     vc.add_argument("--min-chords", type=int, default=3)
-    vc.add_argument("--jobs", type=int, default=1)
+    vc.add_argument("--jobs", type=int, default=1, help=jobs_help)
     va = vsub.add_parser("appendix")
     va.add_argument("--n-lo", type=int, required=True)
     va.add_argument("--n-hi", type=int, required=True)

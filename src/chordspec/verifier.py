@@ -1,20 +1,20 @@
 """Exhaustive and randomized verification runs with machine-readable reports.
 
 The exhaustive tasks sweep every graph on n vertices without isolated
-vertices through one kernel pass per chunk of the edge-bitmask range. The
-kernel visits only the degree-sorted masks, d(0) >= ... >= d(n-1) >= 1, and
-counts each with its weight n! / prod_d m_d!, the labeled graphs it stands
-for: every count a report holds is invariant under relabelling, so the
-weighted counts are those of every labeled graph, which the sweep checks
-against the closed form. The kernel drops a graph only when its index is
-provably below the 1e-8 tie band around the threshold, and counts one whose
-index is provably above the band and that passes the task's chord test.
-Only the sorted masks left over reach Python, which decides each once and
-counts its verdict with its weight: float eigenvalues (one batched
-eigensolve over all of them) away from the threshold, exact
-characteristic-polynomial comparison inside the band, the reference
-searchers when the kernel's test finds nothing. A counterexample is listed
-as every labeled graph it stands for.
+vertices through one kernel pass over the edge-bitmask range, or one pass
+per value of the top row on worker threads. The kernel visits only the
+degree-sorted masks, d(0) >= ... >= d(n-1) >= 1, and counts each with its
+weight n! / prod_d m_d!, the labeled graphs it stands for: every count a
+report holds is invariant under relabelling, so the weighted counts are
+those of every labeled graph, which the sweep checks against the closed
+form. The kernel drops a graph only when its index is provably below the
+1e-8 tie band around the threshold, and counts one whose index is provably
+above the band and that passes the task's chord test. Only the sorted masks
+left over reach Python, which decides each once and counts its verdict with
+its weight: float eigenvalues (one batched eigensolve over all of them) away
+from the threshold, exact characteristic-polynomial comparison inside the
+band, the reference searchers when the kernel's test finds nothing. A
+counterexample is listed as every labeled graph it stands for.
 
 The randomized suites are seeded and stratified over edge probabilities
 {0.2, 0.4, 0.6, 0.8}; identical (task, params, seed) inputs produce identical
@@ -183,11 +183,6 @@ def report_diff(a: Report, b: Report) -> list[str]:
     return out
 
 
-# masks per kernel pass: the unit of work of a sweep's worker threads, and
-# the size up to which an order (n <= 6) is one chunk, swept serially
-CHUNK = 1 << 20
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -200,36 +195,40 @@ def _without_isolated_vertices(n: int) -> int:
     return sum((-1) ** k * math.comb(n, k) * 2 ** math.comb(n - k, 2) for k in range(n + 1))
 
 
+def _top_row_units(n: int) -> list[tuple[int, int]]:
+    """The mask ranges a threaded sweep of order n classifies, one for each
+    value r >= 1 of row n-1, in ascending r: [r, r + 1) * 2^C(n-1,2). Row
+    n-1 = 0 leaves vertex n-1 isolated, so its range holds no sorted mask."""
+    size = 1 << (n - 1) * (n - 2) // 2
+    return [(r * size, (r + 1) * size) for r in range(1, 1 << n - 1)]
+
+
 def _sweep_classified(n: int, thr: float, test: tuple[str, int], jobs: int):
     """Every mask of order n through kernels.classify, cut at the tie band
-    around thr, in chunks of CHUNK masks: (graphs without isolated vertices,
-    hits, the ascending degree-sorted masks left for the Python rules), the
-    counts weighted. The chunks go to jobs worker threads when jobs > 1 and
-    the order spans more than one chunk; a one-chunk order (n <= 6) runs in
-    the calling thread, as a pool would cost more than its sweep. The
-    compiled classify releases the GIL for its pass, so the threads sweep at
-    once; the python twin holds the GIL outside numpy, so its threads mostly
-    take turns. jobs is capped at the CPUs this process may run on.
-    VerifierError for jobs below 1, and when the weighted count of graphs
-    without isolated vertices is not the closed form's: a range, chunking,
-    prune or weight fault."""
+    around thr: (graphs without isolated vertices, hits, the ascending
+    degree-sorted masks left for the Python rules), the counts weighted.
+    With jobs > 1 an order above 6 is swept by jobs worker threads, one
+    kernel pass for each of its _top_row_units, whose leftovers, joined in
+    unit order, stay ascending. The compiled classify releases the GIL for
+    its pass, so the threads sweep at once; the python twin holds the GIL
+    outside numpy, so its threads mostly take turns. jobs is capped at the
+    CPUs this process may run on. VerifierError for jobs below 1, and when
+    the weighted count of graphs without isolated vertices is not the closed
+    form's: a range, unit, prune or weight fault."""
     if jobs < 1:
         raise VerifierError(f"jobs must be >= 1, got {jobs}")
     jobs = min(jobs, _usable_cpus())
-    total = 1 << n * (n - 1) // 2
-    lo_cut, hi_cut = thr - TIE_BAND, thr + TIE_BAND
-
-    def classify_chunk(lo):
-        return kernels.classify(n, lo, min(lo + CHUNK, total), lo_cut, hi_cut, test)
-
-    starts = range(0, total, CHUNK)
-    if jobs <= 1 or len(starts) <= 1:
-        results = [classify_chunk(lo) for lo in starts]
+    cuts = thr - TIE_BAND, thr + TIE_BAND
+    # order 6 sweeps in the calling thread at any jobs: one call takes about
+    # 0.15 ms, its 31 units on a pool of two threads about 0.9 ms
+    if jobs == 1 or n <= 6:
+        results = [kernels.classify(n, 0, 1 << n * (n - 1) // 2, *cuts, test)]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(classify_chunk, starts))
+            results = list(pool.map(lambda unit: kernels.classify(n, *unit, *cuts, test),
+                                    _top_row_units(n)))
     no_isolated, expected = sum(r[0] for r in results), _without_isolated_vertices(n)
     if no_isolated != expected:
         raise VerifierError(f"the order-{n} sweep counted {no_isolated} graphs "

@@ -181,6 +181,13 @@ def test_jobs_below_one_exits_2(capsys, monkeypatch):
         assert "jobs" in err, argv
 
 
+def test_jobs_help_names_the_cpu_cap_and_the_serial_order(capsys):
+    for task in ("theorem", "corollary"):
+        code, out, _ = run(capsys, "verify", task, "--help")
+        assert code == 0 and ("--jobs JOBS worker threads of the sweep, capped at the "
+                              "usable CPUs; order 6 sweeps serially") in " ".join(out.split()), out
+
+
 def test_broken_pipe_exits_0_quietly(capsys, monkeypatch):
     # a reader that stops early (`chordspec verify ... | head -1`)
     class ClosedPipe:

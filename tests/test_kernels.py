@@ -439,6 +439,35 @@ def test_classify_over_a_range_equals_its_pieces(compiled, n, lo, hi, edge):
         assert _in_pieces(compiled, n, bounds, *cuts, test) == whole
 
 
+def _units_equal_the_whole_order(impl, n):
+    # the threaded sweep's top-row units follow each other up to the end of
+    # the order; the range they skip, row n-1 = 0, holds no sorted mask, so
+    # their counts added up and their leftovers joined in unit order are the
+    # one pass over the whole order
+    units = verifier._top_row_units(n)
+    bounds = [lo for lo, _ in units] + [1 << n * (n - 1) // 2]
+    assert units == list(zip(bounds, bounds[1:])) and bounds[0] == 1 << (n - 1) * (n - 2) // 2
+    cuts = _theorem_cuts(n)
+    for test in (("apex_has_config", 3), ("chorded_has", 3), None):
+        whole = impl.classify(n, 0, bounds[-1], *cuts, test)
+        assert whole[0] > 0 and whole[1] + len(whole[2]) > 0
+        assert impl.classify(n, 0, bounds[0], *cuts, test) == (0, 0, [])
+        assert _in_pieces(impl, n, bounds, *cuts, test) == whole
+
+
+@pytest.mark.parametrize("n", (6, 7))
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_top_row_units_equal_the_whole_order(impl, n):
+    _units_equal_the_whole_order(impl, n)
+
+
+def test_top_row_units_equal_the_whole_of_order_8(compiled):
+    _units_equal_the_whole_order(compiled, 8)
+
+
 def _interleaved(classify, n, lo, hi, lo_cut, hi_cut, test, pieces=8):
     """classify over [lo, hi) cut into pieces, the even ones on one thread
     and the odd ones on another, started at once; the results added up in
@@ -667,25 +696,25 @@ def test_degree_skips_guards(impl):
 def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     # benchmarks/bench_kernels.py uses private verifier names and the kernel
     # signatures: load it without running main, then run its sweep and
-    # classify benches on order 5 (classify also in pieces over 1 and 2
-    # threads), its apex detector, random graph, edge slot, component count
-    # and structural claim benches on 200 graphs, whose asserts compare the
-    # implementations or the thread counts, its range sample bench on 600
+    # classify benches on order 5 (classify also in its 15 top-row units over
+    # 1 and 2 threads), its apex detector, random graph, edge slot, component
+    # count and structural claim benches on 200 graphs, whose asserts compare
+    # the implementations or the thread counts, its range sample bench on 600
     # samples, whose assert compares each implementation with random.sample,
     # one call of its order-6 sweep with 1 and 2 jobs, whose asserts compare
     # the job counts, its Perron entry order bench on 200 graphs, whose
     # asserts check each decided sign against eigh, one pass of its order-6
-    # and order-8 tie tails, whose asserts check the verdicts, two
-    # calls of its spot check (the first drawing the sample, the second
-    # reusing it) at orders 6, 7 and 8 through each kernel, whose asserts
-    # check that the check passes and that the kernels and the calls agree,
-    # one call each of its order-6 CLI timings, whose asserts check the exit
-    # codes and verdicts, one pass of its exact order-6 ties, which must
-    # reach the gcd, one pass of its appendix pairs at orders 7..12 with the
-    # estimates verify_appendix passes, which the certificate must settle
-    # with no chain, expand its appendix templates at orders 7..8, time
-    # verify_appendix(7, 8) block by block, then its fixture graphs and its
-    # template polynomials alone, and the property suite's details one by one
+    # and order-8 tie tails, whose asserts check the verdicts, two calls of
+    # its spot check (the first drawing the sample, the second reusing it) at
+    # orders 6, 7 and 8 through each kernel, whose asserts check that the
+    # check passes and that the kernels and the calls agree, one call each of
+    # its order-6 CLI timings, whose asserts check the exit codes and
+    # verdicts, one pass of its exact order-6 ties, which must reach the gcd,
+    # one pass of its appendix pairs at orders 7..12 with the estimates
+    # verify_appendix passes, which the certificate must settle with no chain,
+    # expand its appendix templates at orders 7..8, time verify_appendix(7, 8)
+    # block by block, then its fixture graphs and its template polynomials
+    # alone, and the property suite's details one by one
     spec = importlib.util.spec_from_file_location(
         "bench_kernels", PACKAGE.parents[1] / "benchmarks" / "bench_kernels.py")
     bench = importlib.util.module_from_spec(spec)
@@ -707,10 +736,12 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     assert "edge slot rows, 200 dense order-10..14 draws" in out, out
     assert "component counts, 200 random order-4..12 graphs" in out, out
     for label, impl in IMPLEMENTATIONS:
-        bench.bench_classify_threads(label, impl, 5, 0, 1 << 10, 6.0)
+        bench.bench_classify_threads(label, impl, 5, 6.0)
     bench.bench_sweep_jobs(6, min_seconds=0)
     out = capsys.readouterr().out
     assert out.count("  threads=2 ") == len(IMPLEMENTATIONS) and "  jobs=2 " in out, out
+    assert out.count("classify n=5 in 15 top-row units, ") == len(IMPLEMENTATIONS), out
+    assert "theorem sweep n=6 (_sweep_classified), one call at any jobs, " in out, out
     bench.bench_tie_tail(6, min_seconds=0)
     assert "theorem tie tail n=6: 30 masks" in capsys.readouterr().out
     bench.bench_tie_tail(8, min_seconds=0)

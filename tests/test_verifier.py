@@ -235,9 +235,9 @@ def test_theorem_n6_fixture():
     ("corollary", 7, 2),
 ])
 def test_sweeps_examine_every_graph_without_isolated_vertices(task, n, jobs):
-    # a chunking or range bug in the sweep would miss or double-count
-    # masks: order 6 is one chunk, so it runs serially at any job count,
-    # order 7 serially at jobs 1 and as two chunks on threads at jobs 2
+    # a unit or range bug in the sweep would miss or double-count masks:
+    # order 6 runs serially at any job count, order 7 serially at jobs 1 and
+    # as its 63 top-row units on threads at jobs 2
     assert [_without_isolated_vertices(k) for k in (6, 7, 8)] == [27449, 1887284, 252522481]
     run = verify_theorem_main if task == "theorem" else verify_corollary
     rep = run(n, jobs=jobs)
@@ -1240,7 +1240,7 @@ def test_corollary_counterexamples_replay():
 
 
 def test_jobs_parallel_matches_serial():
-    # order 7 spans two chunks, so jobs=2 sweeps them on threads
+    # jobs=2 sweeps the 63 top-row units of order 7 on threads
     a = verify_theorem_main(7).to_json_dict()
     b = verify_theorem_main(7, jobs=2).to_json_dict()
     a.pop("wall_time_ms")
@@ -1250,10 +1250,11 @@ def test_jobs_parallel_matches_serial():
 
 def _fake_pool(monkeypatch):
     """Replace the sweep's thread pool by one that maps in the calling
-    thread and starts none; returns the max_workers of each pool built."""
+    thread and starts none; returns the max_workers of each pool built and
+    the items each map call is given."""
     import concurrent.futures
 
-    workers = []
+    workers, mapped = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -1266,19 +1267,21 @@ def _fake_pool(monkeypatch):
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
+            mapped.append(list(items))
+            return map(fn, mapped[-1])
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakePool)
-    return workers
+    return workers, mapped
 
 
 def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
     """A job count far above the CPUs asks the pool for no more worker
-    threads than there are CPUs, as more cannot sweep at once. Order 7 spans
-    two chunks, so it still builds a pool when there is more than one CPU."""
+    threads than there are CPUs, as more cannot sweep at once. Order 7 is
+    swept by top-row units, so it still builds a pool when there is more
+    than one CPU."""
     import os
 
-    workers = _fake_pool(monkeypatch)
+    workers, _ = _fake_pool(monkeypatch)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     a = verify_theorem_main(7).to_json_dict()
@@ -1289,16 +1292,62 @@ def test_jobs_are_capped_at_the_usable_cpus(monkeypatch):
     assert all(1 < w <= cpus for w in workers) and len(workers) == (cpus > 1)
 
 
-def test_a_one_chunk_order_builds_no_pool(monkeypatch):
-    # order 6 is 2^15 masks, one chunk: jobs=2 sweeps it in the calling
-    # thread and gives the serial body
-    workers = _fake_pool(monkeypatch)
+def _counted_classify(monkeypatch):
+    """Wrap kernels.classify; returns the (lo, hi) of each call."""
+    ranges, classify = [], kernels.classify
+
+    def counted(n, lo, hi, *rest):
+        ranges.append((lo, hi))
+        return classify(n, lo, hi, *rest)
+
+    monkeypatch.setattr(kernels, "classify", counted)
+    return ranges
+
+
+def test_order_6_sweeps_in_one_call_and_builds_no_pool(monkeypatch):
+    # order 6 is swept in one classify call in the calling thread at any job
+    # count, even with CPUs to spare, and gives the serial body
+    workers, _ = _fake_pool(monkeypatch)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 8)
+    ranges = _counted_classify(monkeypatch)
     a = verify_theorem_main(6).to_json_dict()
-    b = verify_theorem_main(6, jobs=2).to_json_dict()
     a.pop("wall_time_ms")
-    b.pop("wall_time_ms")
-    assert a == b
+    for jobs in (2, 10**6):
+        b = verify_theorem_main(6, jobs=jobs).to_json_dict()
+        b.pop("wall_time_ms")
+        assert a == b
     assert workers == []
+    assert ranges == [(0, 1 << 15)] * 3
+
+
+def test_order_7_pool_maps_the_top_row_units_in_order(monkeypatch):
+    # unit r covers the masks whose row 6 is r: [r, r + 1) * 2^15 for
+    # r = 1 .. 63, handed to the pool in ascending r; row 6 = 0 is skipped
+    workers, mapped = _fake_pool(monkeypatch)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    ranges = _counted_classify(monkeypatch)
+    thr = verifier._threshold_constants(7)[1]
+    serial = verifier._sweep_classified(7, thr, ("apex_has_config", 3), 1)
+    assert verifier._sweep_classified(7, thr, ("apex_has_config", 3), 2) == serial
+    units = [(r << 15, r + 1 << 15) for r in range(1, 64)]
+    assert workers == [2] and mapped == [units]
+    assert ranges == [(0, 1 << 21)] + units
+
+
+def test_a_dropped_unit_fails_the_closed_form_count(monkeypatch):
+    # a unit whose result is lost (here the last, where vertex 6 meets every
+    # other vertex) leaves the weighted count short of the closed form
+    classify = kernels.classify
+
+    def dropping(n, lo, hi, *rest):
+        out = classify(n, lo, hi, *rest)
+        return (0, 0, []) if hi == 1 << 21 else out
+
+    monkeypatch.setattr(kernels, "classify", dropping)
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 2)
+    thr = verifier._threshold_constants(7)[1]
+    with pytest.raises(VerifierError, match="without isolated vertices"):
+        verifier._sweep_classified(7, thr, ("apex_has_config", 3), 2)
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
