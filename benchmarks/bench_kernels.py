@@ -43,13 +43,18 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from chordspec import cli, kernels, polynomials
 from chordspec.appendix import (
+    APPENDIX_BLOCKS,
     FIXTURES,
+    AppendixRun,
     appendix_polynomial,
+    equitable_quotient_fixtures,
     fan_chain,
     fixture_graphs,
     quotient_template,
     template_keys,
+    threshold_family_lower_bound,
     threshold_quotient_template,
+    verify_appendix,
 )
 from chordspec.families import extremal_graph
 from chordspec.graphs import (
@@ -61,31 +66,11 @@ from chordspec.graphs import (
     make_graph,
 )
 from chordspec.polynomials import EQUAL, LESS, compare_largest_roots
-from chordspec.spectral import (
-    charpoly_graph,
-    charpoly_int_matrices,
-    charpoly_int_matrix,
-    perron_roots,
-    q_index,
-    signless_laplacian,
-)
-from chordspec.verifier import (
-    _SWEPT_ORDERS,
-    APPENDIX_BLOCKS,
+from chordspec.properties import (
     DEFAULT_CLAIM_CAPS,
-    TIE_BAND,
-    AppendixRun,
     _P_STRATA,
-    _prefilter_spot_check,
     _run_lemma,
     _sample,
-    _spot_check_draws,
-    _sweep_classified,
-    _sweep_rule,
-    _tail,
-    _threshold_constants,
-    _top_row_units,
-    _usable_cpus,
     check_configured,
     check_eta,
     check_longest_cycle,
@@ -101,12 +86,29 @@ from chordspec.verifier import (
     draw_shift,
     draw_with_non_edge,
     draw_without_isolated,
-    equitable_quotient_fixtures,
     eta_equality_failures,
     path_free_equality_failures,
     property_suite,
-    threshold_family_lower_bound,
-    verify_appendix,
+)
+from chordspec.spectral import (
+    charpoly_graph,
+    charpoly_int_matrices,
+    charpoly_int_matrix,
+    perron_roots,
+    q_index,
+    signless_laplacian,
+)
+from chordspec.verifier import (
+    _SWEPT_ORDERS,
+    TIE_BAND,
+    _prefilter_spot_check,
+    _spot_check_draws,
+    _sweep_classified,
+    _sweep_rule,
+    _tail,
+    _threshold_constants,
+    _top_row_units,
+    _usable_cpus,
     verify_theorem_main,
 )
 

@@ -1,6 +1,7 @@
 """chordspec: signless Laplacian index thresholds and chorded-cycle
 certificates for small graphs, with a desk-scale exhaustive verifier."""
 
+from .appendix import verify_appendix
 from .chords import (
     Certificate,
     find_chorded_cycle,
@@ -24,6 +25,7 @@ from .graphs import (
     make_graph,
 )
 from .polynomials import EQUAL, GREATER, LESS, IntPolynomial
+from .properties import property_suite
 from .spectral import (
     SpectralResult,
     charpoly_graph,
@@ -33,13 +35,7 @@ from .spectral import (
     quotient_matrix,
     signless_laplacian,
 )
-from .verifier import (
-    Report,
-    property_suite,
-    verify_appendix,
-    verify_corollary,
-    verify_theorem_main,
-)
+from .verifier import Report, verify_corollary, verify_theorem_main
 
 __version__ = "0.1.0"
 

@@ -1072,7 +1072,7 @@ fail:
  * neighbourhood), the components of G[Z+] and the catalog type of each
  * (_sweep_py.classify_component), then for each w in W the claim-1 caps
  * against each catalog component and claim 2. caps is a tuple of NCAPS
- * ints of at least 0, in the order of cap_names (verifier.DEFAULT_CLAIM_CAPS);
+ * ints of at least 0, in the order of cap_names (properties.DEFAULT_CLAIM_CAPS);
  * a cap above MAXROWS reads as MAXROWS, which no degree exceeds. */
 
 enum { BIG_STAR_CENTER, DOUBLE_STAR_CAP, STAR_PLUS_CAP, C4_PLUS_CAP, K4_CAP, NCAPS };

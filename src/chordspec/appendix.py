@@ -19,15 +19,25 @@ Polynomial ids: ``g`` (threshold family K+_{1,1,n-2}), ``g1``..``g18``
 (catalog quotients), ``f`` (the degree-4 cofactor of g7), ``h1`` and ``h2``
 (the fan-width difference polynomials g12(x,s) - g12(x,s+4) and
 g18(x,s) - g18(x,s+4), computed as differences).
+
+The checks of this data live here too: ``verify_appendix`` runs the
+``APPENDIX_BLOCKS`` over a range of orders, and ``equitable_quotient_fixtures``
+and ``threshold_family_lower_bound`` are the property suite's fixed checks.
 """
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
-from .families import catalog_graph, has_order, u_graph
-from .polynomials import IntPolynomial
+from .families import catalog_graph, has_order, k11n2_plus, u_graph
+from .graphs import graph6_encode
+from .polynomials import LESS, IntPolynomial, compare_largest_roots
+from .spectral import charpoly_int_matrices, perron_roots, q_indices, quotient_matrix
+from .verifier import Report, VerifierError, _order
 
 
 class AppendixError(ValueError):
@@ -329,3 +339,262 @@ def fixture_graphs(fx: Fixture, n_lo: int, n_hi: int):
             width = fx.family_s if s is None else s
             if has_order(fx.family, n, width):
                 yield n, s, catalog_graph(fx.family, n, width)
+
+
+# -- the appendix checks -----------------------------------------------------------
+
+
+def _threshold_bound_fraction(n: int) -> Fraction:
+    return Fraction(n + 2) - Fraction(4, n + 2)
+
+
+def _quotient_roots(quotients: list) -> list[float | None]:
+    """The Perron root of each quotient, from one batched call, aligned with
+    quotients: None where the quotient is None (a partition not equitable)."""
+    roots = iter(perron_roots([qm for qm in quotients if qm is not None]))
+    return [None if qm is None else next(roots) for qm in quotients]
+
+
+class AppendixRun:
+    """What the blocks of ``verify_appendix`` share over the orders n_lo..n_hi.
+
+    Each block is a module-level function of the run, in ``APPENDIX_BLOCKS``
+    order, that returns its details, adds to ``examined`` and
+    ``counterexamples``, and fills in what the later blocks read.
+    """
+
+    def __init__(self, n_lo: int, n_hi: int):
+        self.n_lo, self.n_hi = n_lo, n_hi
+        self.orders = range(n_lo, n_hi + 1)
+        self.examined = 0
+        self.counterexamples: list[str] = []
+        # the threshold family's graph, once per order, and the quotient
+        # template of each fixture graph, once per (item, n, s)
+        self.thr_graph = {n: k11n2_plus(n).graph for n in self.orders}
+        self.template = functools.cache(quotient_template)
+        # from appendix_identities: the closed forms by (item, n, s), and the
+        # threshold templates and their characteristic polynomials by order
+        self.closed_form: dict = {}
+        self.thr_template: dict[int, list[list[int]]] = {}
+        self.thr_charpoly: dict = {}
+        # from appendix_fixtures: each fixture graph with its index by
+        # (item, n, s), and by order the threshold, the threshold graph's
+        # quotient and the quotient's Perron root (both None when not equitable)
+        self.fixture_q: dict = {}
+        self.thr: dict[int, float] = {}
+        self.thr_quotient: dict[int, list[list[int]] | None] = {}
+        self.thr_radius: dict[int, float | None] = {}
+
+
+def appendix_identities(run: AppendixRun) -> list[dict]:
+    """(b) template/polynomial identities, for every integer order in range.
+    One batched call gives these polynomials and those of the threshold
+    templates, which appendix_threshold_bound checks; the closed forms serve
+    appendix_fan_chains too."""
+    poly_keys = [(fx, n, s) for fx in FIXTURES
+                 for n, s in template_keys(fx, run.n_lo, run.n_hi)]
+    run.closed_form = {(fx.item, n, s): appendix_polynomial(fx.poly_id, n, s)
+                       for fx, n, s in poly_keys}
+    run.thr_template = {n: threshold_quotient_template(n) for n in run.orders}
+    polys = charpoly_int_matrices(
+        [run.template(fx.item, n, s) for fx, n, s in poly_keys]
+        + list(run.thr_template.values())
+    )
+    poly_bad = [key for key, got in zip(run.closed_form, polys) if got != run.closed_form[key]]
+    run.thr_charpoly = dict(zip(run.orders, polys[len(poly_keys):]))
+    return [
+        {
+            "name": "template_charpoly_identities",
+            "passed": not poly_bad,
+            "checked": len(poly_keys),
+            "failures": poly_bad[:10],
+        }
+    ]
+
+
+def appendix_fixtures(run: AppendixRun) -> list[dict]:
+    """(a) + (c): graph-level checks at every valid order in range. One
+    batched call gives every fixture graph's index and each order's
+    threshold, and one more the Perron roots of the fixture graphs' and the
+    threshold graphs' equitable quotients; appendix_fan_chains reuses each
+    graph with its index, and appendix_threshold_bound each order's
+    threshold, quotient and root."""
+    fixtures = [(fx, n, s, g) for fx in FIXTURES
+                for n, s, g in fixture_graphs(fx, run.n_lo, run.n_hi)]
+    qs = q_indices([g for *_, g in fixtures] + list(run.thr_graph.values()))
+    run.thr = dict(zip(run.orders, qs[len(fixtures):]))
+    run.fixture_q = {(fx.item, n, s): (g, qv) for (fx, n, s, g), qv in zip(fixtures, qs)}
+    quotients = [quotient_matrix(g, fx.partition(n, s)) for fx, n, s, g in fixtures]
+    run.thr_quotient = {n: quotient_matrix(run.thr_graph[n], threshold_partition(n))
+                        for n in run.orders}
+    roots = _quotient_roots(quotients + list(run.thr_quotient.values()))
+    equit_bad = []
+    ineq_bad = []
+    lam_bad = []
+    for (fx, n, s, g), qv, qm, lam in zip(fixtures, qs, quotients, roots):
+        run.examined += 1
+        if qm is None:
+            equit_bad.append((fx.item, n, s))
+            run.counterexamples.append(graph6_encode(g))
+            continue
+        tmpl = run.template(fx.item, n, s)
+        if len(qm) == len(tmpl) and qm != tmpl:
+            equit_bad.append((fx.item, n, s, "template-mismatch"))
+        if abs(lam - qv) > 1e-8:
+            lam_bad.append((fx.item, n, s, lam - qv))
+        # strict index inequality against the threshold family
+        if _order(g, qv, run.thr_graph[n], run.thr[n]) != LESS:
+            ineq_bad.append((fx.item, n, s))
+            run.counterexamples.append(graph6_encode(g))
+    run.thr_radius = dict(zip(run.orders, roots[len(fixtures):]))
+    return [
+        {
+            "name": "equitable_partitions",
+            "passed": not equit_bad,
+            "checked": len(fixtures),
+            "failures": equit_bad[:10],
+        },
+        {
+            "name": "quotient_radius_matches_index",
+            "passed": not lam_bad,
+            "tolerance": 1e-8,
+            "failures": lam_bad[:10],
+        },
+        {
+            "name": "index_below_threshold_family",
+            "passed": not ineq_bad,
+            "failures": ineq_bad[:10],
+        },
+    ]
+
+
+def appendix_threshold_bound(run: AppendixRun) -> list[dict]:
+    """(d) threshold family lower bound, exact rational identity included."""
+    bound_bad = []
+    for n in run.orders:
+        run.examined += 1
+        pt = _threshold_bound_fraction(n)
+        gpoly = appendix_polynomial("g", n)
+        val = gpoly(pt)
+        want = -Fraction(
+            8 * n**3 + 32 * n**2 + 96 * n + 192, n**3 + 6 * n**2 + 12 * n + 8
+        )
+        if val != want or val >= 0:
+            bound_bad.append((n, "g-value"))
+        if run.thr_charpoly[n] != gpoly:
+            bound_bad.append((n, "template"))
+        qm = run.thr_quotient[n]
+        if qm != run.thr_template[n]:
+            bound_bad.append((n, "partition"))
+        if not run.thr[n] > float(pt):
+            bound_bad.append((n, "bound"))
+        if qm is None or abs(run.thr_radius[n] - run.thr[n]) > 1e-8:
+            bound_bad.append((n, "radius"))
+    return [
+        {
+            "name": "threshold_family_bound",
+            "passed": not bound_bad,
+            "checked": run.n_hi - run.n_lo + 1,
+            "failures": bound_bad[:10],
+        }
+    ]
+
+
+def appendix_fan_chains(run: AppendixRun) -> list[dict]:
+    """(e) fan-width monotone chains, exact on the closed forms and by _order
+    on the fixture graphs whose width s + 4 exists too. The two families get
+    separate entries: the star-fan chain (g12) holds on the whole range,
+    while the hub-star-pack chain (g18) is genuinely false for small s, and
+    the report says so rather than papering over it.
+
+    One batched call gives the Perron roots of the templates whose closed
+    forms a chain compares, and they serve as the comparison's float
+    estimates: appendix_identities checks each closed form against its
+    template's characteristic polynomial, and a wrong estimate would only
+    send a pair to the Sturm chains."""
+    chains = [(fx, fan_chain(template_keys(fx, run.n_lo, run.n_hi)))
+              for fx in FIXTURES if fx.s_gap is not None]
+    keys = list(dict.fromkeys(
+        (fx.item, n, t) for fx, closed in chains for n, s in closed for t in (s, s + 4)))
+    root = dict(zip(keys, perron_roots([run.template(*key) for key in keys])))
+    details = []
+    for fx, closed in chains:
+        chain_bad = []
+        for n, s in closed:
+            a = run.closed_form[fx.item, n, s]
+            b = run.closed_form[fx.item, n, s + 4]
+            if compare_largest_roots(a, b, (root[fx.item, n, s], root[fx.item, n, s + 4])) != LESS:
+                chain_bad.append([n, s])
+        graphs = fan_chain((n, s) for item, n, s in run.fixture_q if item == fx.item)
+        for n, s in graphs:
+            if _order(*run.fixture_q[fx.item, n, s], *run.fixture_q[fx.item, n, s + 4]) != LESS:
+                chain_bad.append([n, s, "graphs"])
+        details.append(
+            {
+                "name": f"fan_width_monotone_chain_{fx.poly_id}",
+                "passed": not chain_bad,
+                "checked": len(closed) + len(graphs),
+                "violations": chain_bad,
+            }
+        )
+    return details
+
+
+APPENDIX_BLOCKS = (appendix_identities, appendix_fixtures, appendix_threshold_bound,
+                   appendix_fan_chains)
+
+
+def verify_appendix(n_lo: int, n_hi: int) -> Report:
+    """Quotient fixtures for all catalog families across a range of orders:
+    equitable partitions, template identities, closed-form characteristic
+    polynomials, strict index inequalities against the threshold family, and
+    the fan-width monotone chains. The details are those of the
+    ``APPENDIX_BLOCKS``, run in order on one ``AppendixRun``."""
+    if not (7 <= n_lo <= n_hi <= 30):
+        raise VerifierError("verify_appendix needs 7 <= n_lo <= n_hi <= 30")
+    t0 = time.perf_counter()
+    run = AppendixRun(n_lo, n_hi)
+    details = [detail for block in APPENDIX_BLOCKS for detail in block(run)]
+    return Report(
+        task="appendix",
+        params={"n_lo": n_lo, "n_hi": n_hi},
+        graphs_examined=run.examined,
+        counterexamples=sorted(set(run.counterexamples)),
+        details=details,
+        wall_time_ms=(time.perf_counter() - t0) * 1000,
+    )
+
+
+# -- the property suite's fixed checks on the appendix data ---------------------------
+
+
+def equitable_quotient_fixtures() -> dict:
+    """Equitable quotient fixtures share the index: the smallest valid order
+    of every catalog fixture, plus the threshold family partition."""
+    cases = [
+        (fx.item, g, fx.partition(n, s))
+        for fx in FIXTURES
+        for n, s, g in [next(fixture_graphs(fx, 7, 30))]
+    ] + [
+        (("threshold", n), k11n2_plus(n).graph, threshold_partition(n))
+        for n in (7, 12, 19)
+    ]
+    roots = _quotient_roots([quotient_matrix(g, blocks) for _, g, blocks in cases])
+    bad = [label for (label, _, _), lam, qv in zip(cases, roots,
+                                                   q_indices([g for _, g, _ in cases]))
+           if lam is None or abs(lam - qv) > 1e-8]
+    return {"name": "equitable_quotient_fixtures", "passed": not bad,
+            "checked": len(cases), "failures": bad}
+
+
+def threshold_family_lower_bound() -> dict:
+    """The threshold family beats n + 2 - 4/(n+2) for 6 <= n <= 40."""
+    bad = []
+    for n, qv in zip(range(6, 41), q_indices([k11n2_plus(n).graph for n in range(6, 41)])):
+        pt = _threshold_bound_fraction(n)
+        if not qv > float(pt):
+            bad.append(n)
+        if appendix_polynomial("g", n)(pt) >= 0:
+            bad.append((n, "sign"))
+    return {"name": "threshold_family_lower_bound", "passed": not bad,
+            "range": [6, 40], "failures": bad}

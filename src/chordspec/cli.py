@@ -16,7 +16,7 @@ import argparse
 import functools
 import sys
 
-from . import chords, verifier
+from . import appendix, chords, properties, verifier
 from .families import build_family, family_names
 from .graphs import Graph, Graph6Error, GraphError, graph6_decode, graph6_encode
 from .spectral import q_index_texts
@@ -89,9 +89,9 @@ def _cmd_verify(args) -> int:
             args.n, min_chords=args.min_chords, jobs=args.jobs
         )
     elif args.what == "appendix":
-        report = verifier.verify_appendix(args.n_lo, args.n_hi)
+        report = appendix.verify_appendix(args.n_lo, args.n_hi)
     else:
-        report = verifier.property_suite(args.seed, args.trials)
+        report = properties.property_suite(args.seed, args.trials)
     print(report.to_json())
     print(report.to_table(), file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_FAIL

@@ -33,7 +33,7 @@ positions of an edge bitmask),
 ``component_count(rows)``, a graph's number of connected components, and
 ``structural_violations(rows, caps)``, the (cap, catalog) violation counts
 of the structural claims over every apex, with caps the claim-1 caps as a
-tuple in ``verifier.DEFAULT_CLAIM_CAPS`` order. ``sweep_range`` below is
+tuple in ``properties.DEFAULT_CLAIM_CAPS`` order. ``sweep_range`` below is
 the pass with no test.
 
 Both read every int argument by one rule: n in [1, 11] for a sweep and in

@@ -5,10 +5,11 @@ characteristic polynomials.
 Numeric route: ``q_indices`` is the one float index routine, for graphs
 given as ``Graph`` values of any orders: one batched ``eigvalsh`` per order
 over Q stacked from the adjacency rows, as ``signless_laplacian`` builds it.
-The python sweep kernel uses it for the graphs its degree bounds keep, and
-the verifier for every index it compares or reports (the thresholds, the
-masks the sweep kernel leaves for the exact rules, the graphs the prefilter
-spot check re-checks, the appendix fixtures, the property suite's lemmas).
+The python sweep kernel uses it for the graphs its degree bounds keep; the
+verifier for every index it compares or reports (the thresholds, the masks
+the sweep kernel leaves for the exact rules, the graphs the prefilter spot
+check re-checks); ``appendix`` for its fixture and threshold graphs; and
+``properties`` for the samples of the suite's lemmas.
 ``q_index`` is one dense ``eigh`` of the whole Q for a vector as well: the
 absolute value of the top eigenvector, which is the Perron vector when the
 graph is connected. ``q_index_texts``, the CLI's printed digits, takes one

@@ -742,9 +742,9 @@ def oracle_classify_labeled(n: int, lo: int, hi: int, lo_cut: float, hi_cut: flo
 def oracle_sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     """The property suite's earlier sampler, a per-slot loop in Python: an
     order drawn from n_lo..n_hi, an edge probability p from the strata 0.2,
-    0.4, 0.6 and 0.8 (``verifier._P_STRATA``), then one ``rng.random()`` per
+    0.4, 0.6 and 0.8 (``properties._P_STRATA``), then one ``rng.random()`` per
     edge slot, in ``index_pairs`` order, each slot an edge when the value is
-    below p. The reference for ``verifier._sample`` and
+    below p. The reference for ``properties._sample`` and
     ``kernels.random_rows``, which must give the same graph and leave the
     generator in the same state."""
     n = rng.randint(n_lo, n_hi)

@@ -8,6 +8,7 @@ import random
 import time
 from pathlib import Path
 
+from chordspec.appendix import verify_appendix
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.families import (
     c4_plus,
@@ -22,13 +23,12 @@ from chordspec.families import (
 )
 from chordspec.graphs import make_graph
 from chordspec.graphs import disjoint_union, graph_from_mask, join
+from chordspec.properties import property_suite
 from chordspec.spectral import q_index
 from chordspec.verifier import (
     Report,
-    property_suite,
     replay_counterexample,
     report_diff,
-    verify_appendix,
     verify_corollary,
     verify_theorem_main,
 )

@@ -17,19 +17,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chordspec import _sweep_py, kernels, verifier
+from chordspec import _sweep_py, appendix, kernels, verifier
+from chordspec.appendix import verify_appendix
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.families import complete, extremal_graph, path
 from chordspec.graphs import arrangement_count, disjoint_union, graph_from_mask, make_graph
 from chordspec.polynomials import EQUAL
+from chordspec.properties import property_suite
 from chordspec.spectral import q_index
 from chordspec.verifier import (
     TIE_BAND,
     _spot_check_draws,
     _threshold_constants,
     _without_isolated_vertices,
-    property_suite,
-    verify_appendix,
 )
 from oracles import (
     MaskBatch,
@@ -694,10 +694,10 @@ def test_degree_skips_guards(impl):
 
 
 def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
-    # benchmarks/bench_kernels.py uses private verifier names and the kernel
-    # signatures: load it without running main, then run its sweep and
-    # classify benches on order 5 (classify also in its 15 top-row units over
-    # 1 and 2 threads), its apex detector, random graph, edge slot, component
+    # benchmarks/bench_kernels.py uses private verifier, appendix and
+    # property-suite names and the kernel signatures: load it without
+    # running main, then run its sweep and classify benches on order 5
+    # (classify also in its 15 top-row units over 1 and 2 threads), its apex detector, random graph, edge slot, component
     # count and structural claim benches on 200 graphs, whose asserts compare
     # the implementations or the thread counts, its range sample bench on 600
     # samples, whose assert compares each implementation with random.sample,
@@ -766,9 +766,9 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     assert ties == {EQUAL: 30} and counts["_divide"] > 0, (ties, counts)
     pairs, estimates = bench.appendix_pairs(7, 12)
     compared = []
-    compare = verifier.compare_largest_roots
+    compare = appendix.compare_largest_roots
     with monkeypatch.context() as patch:
-        patch.setattr(verifier, "compare_largest_roots",
+        patch.setattr(appendix, "compare_largest_roots",
                       lambda a, b, e: compared.append(((a, b), e)) or compare(a, b, e))
         verify_appendix(7, 12)
     assert compared == list(zip(pairs, estimates)) and len(pairs) == 16

@@ -25,6 +25,7 @@ from chordspec.families import (
 )
 from chordspec.graphs import disjoint_union, graph6_encode, graph_from_mask, join, make_graph
 from chordspec.polynomials import EQUAL, GREATER, LESS
+from chordspec.properties import _eta_violated
 from chordspec.spectral import (
     charpoly_graph,
     charpoly_int_matrices,
@@ -39,7 +40,6 @@ from chordspec.spectral import (
     quotient_matrix,
     signless_laplacian,
 )
-from chordspec.verifier import _eta_violated
 from oracles import (
     MaskBatch,
     count_roots_above,

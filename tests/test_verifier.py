@@ -11,8 +11,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from chordspec import _sweep_py, chords, kernels, polynomials, spectral, verifier
-from chordspec.appendix import FIXTURES, fan_chain, fixture_graphs
+from chordspec import (
+    _sweep_py,
+    appendix,
+    chords,
+    kernels,
+    polynomials,
+    properties,
+    spectral,
+    verifier,
+)
+from chordspec.appendix import FIXTURES, fan_chain, fixture_graphs, verify_appendix
 from chordspec.families import (
     complete,
     cycle,
@@ -38,17 +47,18 @@ from chordspec.graphs import (
 )
 from chordspec.polynomials import EQUAL
 from chordspec.spectral import q_index
-from chordspec.verifier import (
+from chordspec.properties import (
     DEFAULT_CLAIM_CAPS,
-    Report,
-    VerifierError,
     _P_STRATA,
-    _prefilter_spot_check,
     build_claim_probe,
     property_suite,
+)
+from chordspec.verifier import (
+    Report,
+    VerifierError,
+    _prefilter_spot_check,
     replay_counterexample,
     report_diff,
-    verify_appendix,
     verify_corollary,
     verify_theorem_main,
 )
@@ -288,14 +298,24 @@ def test_threshold_leftover_reads_the_threshold_bit_for_bit(monkeypatch):
         assert [qv.hex() for qv in own] == [verifier._threshold_constants(n)[1].hex()]
 
 
+def _patch_bindings(monkeypatch, fn, wrapper):
+    """Patch every chordspec module global bound to fn with wrapper, so that
+    a call is seen whichever module makes it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chordspec"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
 def test_no_sweep_or_appendix_call_reaches_q_index(monkeypatch):
     # every float index a sweep or the appendix compares comes from
     # q_indices, the thresholds too: with the threshold constants emptied,
-    # no call reaches q_index
+    # no call reaches q_index, through any module's binding
     verifier._threshold_constants.cache_clear()
-    index = verifier.q_index
+    index = spectral.q_index
     indexed = []
-    monkeypatch.setattr(verifier, "q_index", lambda g: indexed.append(g) or index(g))
+    _patch_bindings(monkeypatch, index, lambda g: indexed.append(g) or index(g))
     assert verify_theorem_main(6).passed
     assert verify_corollary(7).passed
     verify_appendix(7, 14)
@@ -466,11 +486,7 @@ def test_only_identical_pairs_reach_the_sturm_brackets(monkeypatch):
 
     monkeypatch.setattr(polynomials, "_bracket_largest_root",
                         lambda p: bracketed.append(p) or bracket(p))
-    callers = [module for name, module in list(sys.modules.items())
-               if name.startswith("chordspec")
-               and getattr(module, "compare_largest_roots", None) is compare]
-    for module in callers:
-        monkeypatch.setattr(module, "compare_largest_roots", counted)
+    _patch_bindings(monkeypatch, compare, counted)
     traffic = {}
     for task, run in (("theorem", lambda: verify_theorem_main(6)),
                       ("appendix", lambda: verify_appendix(7, 22)),
@@ -795,9 +811,9 @@ def test_sample_draws_as_the_per_slot_loop(impl, monkeypatch):
         rng, ref = random.Random(seed), random.Random(seed)
         for n in range(1, 13):
             for _ in range(2):
-                assert verifier._sample(rng, n, n) == oracle_sample(ref, n, n), (seed, n)
+                assert properties._sample(rng, n, n) == oracle_sample(ref, n, n), (seed, n)
                 assert rng.getstate() == ref.getstate(), (seed, n)
-        assert verifier._sample(rng, 3, 11) == oracle_sample(ref, 3, 11), seed
+        assert properties._sample(rng, 3, 11) == oracle_sample(ref, 3, 11), seed
         assert rng.getstate() == ref.getstate(), seed
     assert seen == {(n, p) for n in range(1, 13) for p in _P_STRATA}
 
@@ -879,8 +895,8 @@ def _property_draws_digest(monkeypatch):
     reaches the configuration searcher too, untraced, so both kernels give
     one digest."""
     trace, shifts, monotone = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    sample = verifier._sample
-    check_shift, check_monotone = verifier.check_shift, verifier.check_monotone
+    sample = properties._sample
+    check_shift, check_monotone = properties.check_shift, properties.check_monotone
     apex_has_config = kernels.apex_has_config
     find = chords.find_k_chords_at_apex
 
@@ -907,11 +923,11 @@ def _property_draws_digest(monkeypatch):
             return check(samples)
         return check_pairs
 
-    monkeypatch.setattr(verifier, "_sample", traced_sample)
-    monkeypatch.setattr(verifier, "check_shift", traced(check_shift, shifts))
-    monkeypatch.setattr(verifier, "check_monotone", traced(check_monotone, monotone))
+    monkeypatch.setattr(properties, "_sample", traced_sample)
+    monkeypatch.setattr(properties, "check_shift", traced(check_shift, shifts))
+    monkeypatch.setattr(properties, "check_monotone", traced(check_monotone, monotone))
     monkeypatch.setattr(kernels, "apex_has_config", traced_apex)
-    monkeypatch.setattr(verifier, "chords", SimpleNamespace(
+    monkeypatch.setattr(properties, "chords", SimpleNamespace(
         **{**vars(chords), "find_k_chords_at_apex": traced_find}))
     passed = property_suite(seed=7, trials=25).passed
     return passed, trace.hexdigest(), shifts.hexdigest(), monotone.hexdigest()
@@ -953,7 +969,7 @@ def test_q_index_serves_only_the_perron_shift_fallback(monkeypatch):
         last_order[:] = [(rows, order)]
         return order
 
-    index = verifier.q_index
+    index = spectral.q_index
     indexed = []
 
     def recorded_index(g):
@@ -961,7 +977,7 @@ def test_q_index_serves_only_the_perron_shift_fallback(monkeypatch):
         return index(g)
 
     monkeypatch.setattr(kernels, "perron_order", recorded_order)
-    monkeypatch.setattr(verifier, "q_index", recorded_index)
+    _patch_bindings(monkeypatch, index, recorded_index)
     assert property_suite(7, 25).passed
     assert indexed
     for caller, g, order in indexed:
@@ -1006,10 +1022,10 @@ def test_perron_shift_sends_no_nested_pair_to_perron_order(monkeypatch):
         seen.append((rows, u, v, order))
         return order
 
-    index = verifier.q_index
+    index = spectral.q_index
     indexed = []
     monkeypatch.setattr(kernels, "perron_order", recorded_order)
-    monkeypatch.setattr(verifier, "q_index", lambda g: indexed.append(g) or index(g))
+    _patch_bindings(monkeypatch, index, lambda g: indexed.append(g) or index(g))
     assert property_suite(7, 25).passed
     assert len(seen) == 25
     for rows, u, v, _ in seen:
@@ -1050,7 +1066,7 @@ LEMMA_VIOLATIONS = [
     ("check_monotone", (complete(4), complete(4).remove_edges([(0, 1)])), None),
     ("check_shift", (cycle(5), cycle(5)), None),  # nothing shifted
     # eta(v) = 4 on C5, below a patched index of 25
-    ("check_eta", cycle(5), (verifier, "q_indices", lambda graphs: [25.0] * len(graphs))),
+    ("check_eta", cycle(5), (properties, "q_indices", lambda graphs: [25.0] * len(graphs))),
     ("check_longest_cycle", (complete(5), (3, (0, 1, 2))), None),  # a triangle of K5
     ("check_configured", cycle(10), None),
     # K3 read as holding no path on three vertices
@@ -1070,13 +1086,13 @@ def test_each_lemma_check_returns_a_violating_sample(check, sample, patch, monke
         monkeypatch.setattr(*patch)
     graph = sample[0] if isinstance(sample, tuple) else sample
     if check != "check_structure":
-        assert getattr(verifier, check)([sample]) == [graph]
+        assert getattr(properties, check)([sample]) == [graph]
         return
     tally = {"cap_violations": 0, "catalog_violations": 0}
-    assert verifier.check_structure([sample], tally, DEFAULT_CAPS) == []
+    assert properties.check_structure([sample], tally, DEFAULT_CAPS) == []
     assert tally == {"cap_violations": 0, "catalog_violations": 0}
     caps = tuple({**DEFAULT_CLAIM_CAPS, "k4": 0}.values())
-    assert verifier.check_structure([sample], tally, caps) == [graph]
+    assert properties.check_structure([sample], tally, caps) == [graph]
     assert tally["cap_violations"] > 0 and tally["catalog_violations"] == 0
 
 
@@ -1099,8 +1115,8 @@ def test_appendix_computes_each_index_once(monkeypatch):
     # the threshold graphs and the fixture graphs each reach q_indices once
     # per call, also where the fan-width chains revisit a fixture graph
     seen = []
-    index = verifier.q_indices
-    monkeypatch.setattr(verifier, "q_indices", lambda gs: seen.extend(gs) or index(gs))
+    index = appendix.q_indices
+    monkeypatch.setattr(appendix, "q_indices", lambda gs: seen.extend(gs) or index(gs))
     for _ in range(2):
         seen.clear()
         verify_appendix(7, 14)
@@ -1111,9 +1127,9 @@ def test_appendix_builds_each_template_once(monkeypatch):
     # the identity block and the equitable-partition block share one
     # template per (item, n, s) within a call
     seen = []
-    template = verifier.quotient_template
+    template = appendix.quotient_template
     monkeypatch.setattr(
-        verifier, "quotient_template", lambda *key: seen.append(key) or template(*key)
+        appendix, "quotient_template", lambda *key: seen.append(key) or template(*key)
     )
     for _ in range(2):
         seen.clear()
@@ -1129,14 +1145,14 @@ def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
     # not called
     batches, index_batches, root_batches, single = [], [], [], []
     charpolys, q_indices, q_index_, perron_roots = (
-        verifier.charpoly_int_matrices, verifier.q_indices, verifier.q_index,
-        verifier.perron_roots)
-    monkeypatch.setattr(verifier, "charpoly_int_matrices",
+        appendix.charpoly_int_matrices, appendix.q_indices, spectral.q_index,
+        appendix.perron_roots)
+    monkeypatch.setattr(appendix, "charpoly_int_matrices",
                         lambda ms: batches.append(len(ms)) or charpolys(ms))
-    monkeypatch.setattr(verifier, "q_indices",
+    monkeypatch.setattr(appendix, "q_indices",
                         lambda gs: index_batches.append(list(gs)) or q_indices(gs))
-    monkeypatch.setattr(verifier, "q_index", lambda g: single.append(g) or q_index_(g))
-    monkeypatch.setattr(verifier, "perron_roots",
+    _patch_bindings(monkeypatch, q_index_, lambda g: single.append(g) or q_index_(g))
+    monkeypatch.setattr(appendix, "perron_roots",
                         lambda ms: root_batches.append(list(ms)) or perron_roots(ms))
     report = verify_appendix(7, 22)
     assert 1 <= len(batches) <= 2
@@ -1152,16 +1168,16 @@ def test_appendix_batches_its_polynomials_and_fixture_indices(monkeypatch):
     # and its Perron root comes from those calls
     assert sum(map(len, root_batches)) >= len(fixtures) + 16
     root_batches.clear()
-    assert verifier.equitable_quotient_fixtures()["passed"]
+    assert appendix.equitable_quotient_fixtures()["passed"]
     assert len(root_batches) == 1
 
 
 def test_appendix_builds_each_closed_form_once(monkeypatch):
     # the fan-width chains read their closed forms from the identity block
     seen = []
-    closed_form = verifier.appendix_polynomial
+    closed_form = appendix.appendix_polynomial
     monkeypatch.setattr(
-        verifier, "appendix_polynomial", lambda *key: seen.append(key) or closed_form(*key)
+        appendix, "appendix_polynomial", lambda *key: seen.append(key) or closed_form(*key)
     )
     verify_appendix(7, 14)
     assert seen and len(seen) == len(set(seen))
@@ -1175,14 +1191,14 @@ def test_appendix_graph_chain_decides_float_ties_exactly(monkeypatch):
     built = {(n, s): g for n, s, g in fixture_graphs(fx, 14, 14)}
     n, s = fan_chain(built)[0]
     narrow, wide = built[n, s], built[n, s + 4]
-    indices = verifier.q_indices
+    indices = appendix.q_indices
 
     def forced(graphs):
         qs = indices(graphs)
         q_narrow = qs[graphs.index(narrow)]
         return [q_narrow - 5e-10 if g == wide else q for g, q in zip(graphs, qs)]
 
-    monkeypatch.setattr(verifier, "q_indices", forced)
+    monkeypatch.setattr(appendix, "q_indices", forced)
     by_name = {d["name"]: d for d in verify_appendix(14, 14).details}
     assert not by_name["quotient_radius_matches_index"]["passed"]  # forced indeed
     assert by_name["fan_width_monotone_chain_g12"]["passed"]
