@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the compiled sweep kernels (sweep, survivor classification,
 apex detector, longest cycle, longest path, Perron entry order, the property
-suite's random graphs, its samples of a range (against random.sample too),
-its dense draws' edge slot rows, component counts and its structural claims)
-against the pure-Python fallback, the theorem's prefilter spot check at orders 6 to
+suite's random graphs (against the random.Random loop they replay too), its
+samples of a range (against random.sample too), its dense draws' edge slot
+rows, component counts, its eta checks and its structural claims) against
+the pure-Python fallback, the theorem's prefilter spot check at orders 6 to
 8 (with the skipped graphs it eigensolves; its first call, which draws the
 sample, against the later ones), the theorem's and the corollary's Python
 tails on the tie band the kernel leaves at orders 6 to 8, `verify theorem
@@ -23,8 +24,9 @@ graphs per second. The sweep and the theorem's classify pass run over the
 whole of orders 7 and 8 on both implementations, whose results must agree,
 and on 1 and 2 worker threads, next to the CPUs this process may use, with
 the order cut into the verifier's top-row units; so does the theorem's
-whole order-8 sweep (`_sweep_classified` with 1 and 2 jobs). The fallback
-takes about 20 s a pass at order 8.
+whole order-8 sweep (`_sweep_classified` with 1 and 2 jobs). On a 2-vCPU
+VM the fallback takes 10.8 to 11.4 s for each order-8 pass (`sweep_range`
+and `classify`) and 12.8 to 12.9 s for the threaded-units pass.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -310,27 +312,62 @@ def bench_sample_range(impls, draws=10000, seed=7):
         assert base == (out, rng.getstate()), "sample_range is not random.sample"
 
 
-def bench_random_rows(impls, draws=10000, seed=7):
-    """random_rows on the property suite's own draws: orders 4..10 and edge
-    probabilities from _P_STRATA, as _sample picks them, each implementation
-    drawing its slots from a generator of its own seeded alike; both must
-    give the same graphs and leave their generators in the same state."""
-    picks = random.Random(seed)
-    orders = [(picks.randint(4, 10), picks.choice(_P_STRATA)) for _ in range(draws)]
+def bench_sample_rows(impls, draws=10000, seed=7):
+    """sample_rows on the property suite's own draws, _sample's orders 4..10
+    and edge probabilities from _P_STRATA, against the loop of random.Random
+    calls it replays (randint, choice, then one random() per edge slot in
+    index_pairs order) on a generator seeded alike: each implementation must
+    give the loop's graphs and leave its generator in the same state."""
+    rng = random.Random(seed)
+    randint, choice, rand = rng.randint, rng.choice, rng.random
+    t0 = time.perf_counter()
+    base = []
+    for _ in range(draws):
+        n, p = randint(4, 10), choice(_P_STRATA)
+        adj = [0] * n
+        for j in range(1, n):
+            for i in range(j):
+                if rand() < p:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        base.append(tuple(adj))
+    dt = time.perf_counter() - t0
     print(f"random graphs, {draws} draws of orders 4..10 "
-          f"({sum(n * (n - 1) // 2 for n, _ in orders)} edge slots)")
-    base = None
+          f"({sum(len(r) * (len(r) - 1) // 2 for r in base)} edge slots)")
+    print(f"  {'random.Random':13s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s")
+    base = base, rng.getstate()
     for label, impl in impls:
         rng = random.Random(seed)
-        rand = rng.random
+        getrandbits, sample_rows = rng.getrandbits, impl.sample_rows
         t0 = time.perf_counter()
-        out = [impl.random_rows(n, rand, p) for n, p in orders]
+        out = [sample_rows(getrandbits, 4, 10, _P_STRATA) for _ in range(draws)]
         dt = time.perf_counter() - t0
-        print(f"  {label:9s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s")
+        print(f"  {label:13s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s")
+        assert base == (out, rng.getstate()), "sample_rows is not the random.Random loop"
+
+
+def bench_eta_check(impls, draws=10000, seed=7):
+    """eta_check on the eta bound's own samples: the graphs of orders 4..10
+    without isolated vertices that property_suite(seed) draws for it; both
+    implementations must agree."""
+    rng = random.Random(seed * 37 + 303)
+    rows = []
+    while len(rows) < draws:
+        g = draw_without_isolated(rng)
+        if g is not None:
+            rows.append(g.rows)
+    print(f"eta checks, {draws} order-4..10 graphs without isolated vertices")
+    base = None
+    for label, impl in impls:
+        t0 = time.perf_counter()
+        out = [impl.eta_check(r) for r in rows]
+        dt = time.perf_counter() - t0
+        print(f"  {label:9s} {dt:8.3f}s  {draws / dt:9.0f} graphs/s  "
+              f"violated={sum(v for v, _, _ in out)}")
         if base is None:
-            base = out, rng.getstate()
+            base = out
         else:
-            assert base == (out, rng.getstate()), "implementations disagree"
+            assert base == out, "implementations disagree"
 
 
 def bench_slot_rows(impls, draws=10000, seed=7):
@@ -759,10 +796,11 @@ def main() -> None:
     bench_detector(impls)
     bench_row_searches(impls)
     bench_perron_order(impls)
-    bench_random_rows(impls)
+    bench_sample_rows(impls)
     bench_sample_range(impls)
     bench_slot_rows(impls)
     bench_component_count(impls)
+    bench_eta_check(impls)
     bench_structural(impls)
     bench_spot_check(impls)
     bench_tie_tail(6)

@@ -3,9 +3,9 @@
  * against two cuts and tests the ones above them for a chord configuration,
  * the chord tests on one graph, and for the property suite its random
  * graphs, its samples of a range, the rows of a list of edge slots,
- * component counts, its longest-cycle and longest-path searches, the
- * certified Perron entry order of its Perron shift and the checks of its
- * structural claims.
+ * component counts, its eta checks, its longest-cycle and longest-path
+ * searches, the certified Perron entry order of its Perron shift and the
+ * checks of its structural claims.
  *
  * Same interface and soundness contract as the pure-Python twin _sweep_py:
  * classify drops a graph only when its index is provably below lo_cut, and
@@ -402,6 +402,37 @@ static PyObject *component_count(PyObject *self, PyObject *const *args, Py_ssize
     if (check_nargs("component_count", nargs, 1) || parse_rows(args[0], adj, &n))
         return NULL;
     return PyLong_FromLong(components(adj, all_vertices(n), comps));
+}
+
+/* eta_check(rows): (violated, num, den), the one eta rule of
+ * spectral._eta_counts and _largest_eta (_sweep_py.eta_check). With d = d(v),
+ * S the sum of v's neighbour degrees and 2 e(N(v)) twice the edges among
+ * them, eta(v) = (d^2 + S) / d; violated is whether n d + 2 e(N(v)) <
+ * d^2 + S at some v, where the counting form eta(v) <= n + 2 e(N(v)) / d
+ * fails, and num / den = (d^2 + S) / d is the largest eta over the
+ * vertices with d > 0, the first of the largest by cross-multiplication,
+ * (0, 0) when there is none. */
+static PyObject *eta_check(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    uint64_t adj[MAXROWS];
+    int n, violated = 0;
+    long long best_num = 0, best_den = 0;
+    if (check_nargs("eta_check", nargs, 1) || parse_rows(args[0], adj, &n))
+        return NULL;
+    for (int v = 0; v < n; v++) {
+        long long d = popcount(adj[v]), degree_sum = 0, twice_inner = 0;
+        for (uint64_t nb = adj[v]; nb; nb &= nb - 1) {
+            degree_sum += popcount(adj[lowest_bit(nb)]);
+            twice_inner += popcount(adj[lowest_bit(nb)] & adj[v]);
+        }
+        long long num = d * d + degree_sum;
+        violated |= n * d + twice_inner < num;
+        if (d && (!best_den || num * best_den > best_num * d)) {
+            best_num = num;
+            best_den = d;
+        }
+    }
+    return Py_BuildValue("(NLL)", PyBool_FromLong(violated), best_num, best_den);
 }
 
 typedef struct {
@@ -901,44 +932,6 @@ static PyObject *rows_tuple(int n, const uint64_t *adj)
     return rows;
 }
 
-/* random_rows(n, rand, p): the adjacency rows of a random graph on n
- * vertices. The edge slots are drawn in index_pairs order, (0,1), (0,2),
- * (1,2), ...: one call rand() a slot, which must return a float, and the
- * slot is an edge when the value is below p. With rand a generator's bound
- * random method, the graph and the generator's state afterwards are those
- * of the same loop in Python (_sweep_py.random_rows); an error rand raises
- * propagates. */
-static PyObject *random_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    long long n;
-    double p;
-    if (check_nargs("random_rows", nargs, 3) || parse_int(args[0], "n", 0, MAXROWS, 0, &n))
-        return NULL;
-    PyObject *rand = args[1];
-    if (!PyCallable_Check(rand))
-        return PyErr_Format(PyExc_TypeError, "rand must be callable, got %R", rand);
-    if (parse_double(args[2], &p))
-        return NULL;
-    uint64_t adj[MAXROWS] = {0};
-    for (int j = 1; j < n; j++)
-        for (int i = 0; i < j; i++) {
-            PyObject *x = PyObject_CallNoArgs(rand);
-            if (x == NULL)
-                return NULL;
-            if (!PyFloat_Check(x)) {
-                PyErr_Format(PyExc_TypeError, "rand must return a float, got %R", x);
-                Py_DECREF(x);
-                return NULL;
-            }
-            if (PyFloat_AS_DOUBLE(x) < p) {
-                adj[i] |= (uint64_t)1 << j;
-                adj[j] |= (uint64_t)1 << i;
-            }
-            Py_DECREF(x);
-        }
-    return rows_tuple((int)n, adj);
-}
-
 /* slot_rows(n, slots): the rows of the graph on n vertices whose edges are
  * the listed edge slots, a list of ints in [0, C(n,2)) in index_pairs order:
  * slot b is the pair (i, j), i < j, with b = C(j,2) + i. */
@@ -991,8 +984,8 @@ static int randbelow(PyObject *getrandbits, long long n, long long *out)
         int overflow;
         *out = PyLong_AsLongLongAndOverflow(r, &overflow);
         if (overflow || *out < 0 || *out >> bits) {
-            PyErr_Format(PyExc_ValueError, "need getrandbits(%d) in [0, %lld], got %R", bits,
-                         (1LL << bits) - 1, r);
+            PyErr_Format(PyExc_ValueError, "getrandbits(%d) returned a value outside "
+                         "[0, 2^%d)", bits, bits);
             Py_DECREF(r);
             break;
         }
@@ -1062,6 +1055,98 @@ static PyObject *sample_range(PyObject *self, PyObject *const *args, Py_ssize_t 
 fail:
     Py_DECREF(result);
     return NULL;
+}
+
+/* int.to_bytes and "little", looked up once at import. */
+static PyObject *int_to_bytes, *little;
+
+/* getrandbits(8 size) as a bytes object of its size bytes, least
+ * significant first: TypeError for a value that is not an int, ValueError
+ * for one outside [0, 2^(8 size)); an error getrandbits raises propagates.
+ * int.to_bytes, not a subclass's own, reads the value. */
+static PyObject *random_bytes(PyObject *getrandbits, Py_ssize_t size)
+{
+    PyObject *bits = PyLong_FromSsize_t(8 * size);
+    PyObject *r = bits ? PyObject_CallOneArg(getrandbits, bits) : NULL;
+    Py_XDECREF(bits);
+    if (r == NULL)
+        return NULL;
+    if (!PyLong_Check(r)) {
+        PyErr_Format(PyExc_TypeError, "getrandbits must return an int, got %R", r);
+        Py_DECREF(r);
+        return NULL;
+    }
+    PyObject *args[3] = {r, PyLong_FromSsize_t(size), little};
+    PyObject *bytes = args[1] ? PyObject_Vectorcall(int_to_bytes, args, 3, NULL) : NULL;
+    Py_XDECREF(args[1]);
+    Py_DECREF(r);
+    if (bytes == NULL && PyErr_ExceptionMatches(PyExc_OverflowError)) /* negative, or wide */
+        PyErr_Format(PyExc_ValueError, "getrandbits(%zd) returned a value outside [0, 2^%zd)",
+                     8 * size, 8 * size);
+    return bytes;
+}
+
+/* The 32-bit word of buf at byte offset at, least significant byte first. */
+static uint32_t word_at(const unsigned char *buf, int at)
+{
+    return (uint32_t)buf[at] | (uint32_t)buf[at + 1] << 8 | (uint32_t)buf[at + 2] << 16 |
+           (uint32_t)buf[at + 3] << 24;
+}
+
+/* sample_rows(getrandbits, n_lo, n_hi, strata): the rows of the random graph
+ * of properties._sample, drawn by the generator whose bound getrandbits
+ * method this is with the draws of its Python loop (_sweep_py.sample_rows),
+ * so the graph and the generator's state afterwards are the loop's. The
+ * order is n_lo + randbelow(n_hi - n_lo + 1), as randint(n_lo, n_hi) draws
+ * it, 0 <= n_lo <= n_hi <= 64; the edge probability p is
+ * strata[randbelow(len(strata))], as choice(strata) draws it, from a
+ * nonempty tuple of reals read as doubles. Then each edge slot, in
+ * index_pairs order, takes one random() value and is an edge when the value
+ * is below p. random() makes its double from two 32-bit outputs, a then b,
+ * as ((a >> 5) 2^26 + (b >> 6)) / 2^53, and getrandbits(64 slots) lays the
+ * outputs out least significant first, so one such call holds every slot's
+ * pair: slot t's are the low and high words of its bits [64t, 64t + 64). */
+static PyObject *sample_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    long long n_lo, n_hi, n, k;
+    double p;
+    if (check_nargs("sample_rows", nargs, 4))
+        return NULL;
+    PyObject *getrandbits = args[0], *strata = args[3];
+    if (!PyCallable_Check(getrandbits))
+        return PyErr_Format(PyExc_TypeError, "getrandbits must be callable, got %R",
+                            getrandbits);
+    if (parse_int(args[1], "n_lo", 0, MAXROWS, 0, &n_lo) ||
+        parse_int(args[2], "n_hi", n_lo, MAXROWS, 0, &n_hi))
+        return NULL;
+    if (!PyTuple_Check(strata) || PyTuple_GET_SIZE(strata) == 0)
+        return PyErr_Format(PyExc_TypeError, "strata must be a nonempty tuple of reals, "
+                            "got %R", strata);
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(strata); i++)
+        if (parse_double(PyTuple_GET_ITEM(strata, i), &p))
+            return NULL;
+    if (randbelow(getrandbits, n_hi - n_lo + 1, &n) ||
+        randbelow(getrandbits, PyTuple_GET_SIZE(strata), &k) ||
+        parse_double(PyTuple_GET_ITEM(strata, k), &p))
+        return NULL;
+    n += n_lo;
+    int slots = (int)(n * (n - 1) / 2);
+    uint64_t adj[MAXROWS] = {0};
+    PyObject *bytes = NULL;
+    if (slots && (bytes = random_bytes(getrandbits, 8 * slots)) == NULL)
+        return NULL;
+    const unsigned char *bits = bytes ? (const unsigned char *)PyBytes_AS_STRING(bytes) : NULL;
+    for (int j = 1, t = 0; j < n; j++)
+        for (int i = 0; i < j; i++, t++) {
+            double x = ((word_at(bits, 8 * t) >> 5) * 67108864.0 +
+                        (word_at(bits, 8 * t + 4) >> 6)) * (1.0 / 9007199254740992.0);
+            if (x < p) {
+                adj[i] |= (uint64_t)1 << j;
+                adj[j] |= (uint64_t)1 << i;
+            }
+        }
+    Py_XDECREF(bytes);
+    return rows_tuple((int)n, adj);
 }
 
 /* -- structural claims ---------------------------------------------------------
@@ -1242,6 +1327,10 @@ static PyMethodDef methods[] = {
      "degree_skips(n, masks, cut) -> (skipped, candidates)\n\n"
      "Count the labeled masks classify's degree filter skips at cut, and\n"
      "list those that can hold their largest index; see _sweep_py."},
+    {"eta_check", (PyCFunction)(void (*)(void))eta_check, METH_FASTCALL,
+     "eta_check(rows) -> (violated, num, den)\n\n"
+     "The counting form's verdict and the largest eta as num / den; see\n"
+     "_sweep_py.eta_check."},
     {"longest_cycle", (PyCFunction)(void (*)(void))longest_cycle, METH_FASTCALL,
      "longest_cycle(rows) -> (length, cycle) or None\n\n"
      "The first longest cycle in search order; see chords.longest_cycle."},
@@ -1252,14 +1341,14 @@ static PyMethodDef methods[] = {
      "perron_order(rows, u, v) -> 1, -1 or 0\n\n"
      "The certified sign of x_u - x_v for the Perron vector x of Q, or 0;\n"
      "see _sweep_py.perron_order."},
-    {"random_rows", (PyCFunction)(void (*)(void))random_rows, METH_FASTCALL,
-     "random_rows(n, rand, p) -> rows\n\n"
-     "The rows of a graph on n vertices whose edge slots, in index_pairs\n"
-     "order, are each an edge when one call rand() is below p."},
     {"sample_range", (PyCFunction)(void (*)(void))sample_range, METH_FASTCALL,
      "sample_range(getrandbits, n, k) -> list\n\n"
      "Random.sample(range(n), k) of the generator whose getrandbits this is,\n"
      "by the same draws; see _sweep_py.sample_range."},
+    {"sample_rows", (PyCFunction)(void (*)(void))sample_rows, METH_FASTCALL,
+     "sample_rows(getrandbits, n_lo, n_hi, strata) -> rows\n\n"
+     "The rows of properties._sample's random graph, by the generator whose\n"
+     "getrandbits this is, with the same draws; see _sweep_py.sample_rows."},
     {"slot_rows", (PyCFunction)(void (*)(void))slot_rows, METH_FASTCALL,
      "slot_rows(n, slots) -> rows\n\n"
      "The rows of the graph on n vertices whose edges are the listed slots\n"
@@ -1281,6 +1370,11 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__sweep(void)
 {
+    if (int_to_bytes == NULL &&
+        (int_to_bytes = PyObject_GetAttrString((PyObject *)&PyLong_Type, "to_bytes")) == NULL)
+        return NULL;
+    if (little == NULL && (little = PyUnicode_InternFromString("little")) == NULL)
+        return NULL;
     PyObject *m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddObjectRef(m, "IS_COMPILED", Py_True) < 0)
         Py_CLEAR(m);

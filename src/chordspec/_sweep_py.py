@@ -7,12 +7,12 @@ weight; degree_skips applies classify's degree filter (``_degree_skip``) to
 a list of labeled masks; the per-graph calls take adjacency rows and defer
 to the reference searchers in chords.py, and perron_order certifies numpy
 ``eigh``'s top pair by the rule the compiled kernel applies to its Jacobi
-pair. random_rows is the property suite's per-slot draw loop, sample_range
-replays ``random.Random.sample`` over a range, slot_rows reads a list of
-edge slots, component_count counts components, and
-structural_violations holds the checks of its structural claims
-(classify_component and the two claims), which the compiled kernel restates
-on 64-bit rows.
+pair. sample_rows replays the property suite's random graph draw,
+sample_range replays ``random.Random.sample`` over a range, slot_rows reads
+a list of edge slots, component_count counts components, eta_check applies
+spectral's eta rule, and structural_violations holds the checks of its
+structural claims (classify_component and the two claims), which the
+compiled kernel restates on 64-bit rows.
 
 Soundness contract: a graph may only be dropped when its signless Laplacian
 index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
@@ -26,10 +26,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 
 import numpy as np
 
-from . import chords
+from . import chords, spectral
 from .graphs import Graph, apex_partition, arrangement_count, bits_to_vertices, graph_from_mask
 from .spectral import q_indices, signless_laplacian
 
@@ -288,6 +289,18 @@ def component_count(rows) -> int:
     return len(_graph_of_rows(rows).component_masks())
 
 
+def eta_check(rows) -> tuple[bool, int, int]:
+    """(violated, num, den) by the one eta rule, ``spectral._eta_counts`` at
+    every vertex and ``spectral._largest_eta`` over them: whether some v has
+    n d + 2 e(N(v)) < d^2 + S (d = d(v), S its neighbours' degree sum), where
+    the counting form eta(v) <= n + 2 e(N(v)) / d fails, and the largest eta
+    (d^2 + S) / d as num / den, (0, 0) on an edgeless graph."""
+    g = _graph_of_rows(rows)
+    counts = [spectral._eta_counts(g, v) for v in range(g.n)]
+    return (any(g.n * d + twice_inner < d * d + degree_sum
+                for d, degree_sum, twice_inner in counts), *spectral._largest_eta(counts))
+
+
 def longest_cycle(rows) -> tuple[int, tuple[int, ...]] | None:
     """The first longest cycle in search order as (length, vertex sequence);
     None for forests."""
@@ -358,42 +371,25 @@ def _certified_order(q: np.ndarray, y: np.ndarray, upper2: float, u: int, v: int
     return 1 if d > 0 else -1
 
 
-def random_rows(n: int, rand, p) -> tuple[int, ...]:
-    """The adjacency rows of a random graph on n vertices, n in [0, MAXROWS]:
-    one call ``rand()`` per edge slot, in ``index_pairs`` order, and the slot
-    is an edge when the value, which must be a float, is below p. An error
-    rand raises propagates; a rand that is not callable, a value that is not
-    a float or a p that is not a real number is a TypeError."""
-    n = _int(n, "n", 0, MAXROWS)
-    if not callable(rand):
-        raise TypeError(f"rand must be callable, got {rand!r}")
-    p = _real(p)
-    adj = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            x = rand()
-            if not isinstance(x, float):
-                raise TypeError(f"rand must return a float, got {x!r}")
-            if x < p:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return tuple(adj)
+def _getrandbits(getrandbits, bits: int) -> int:
+    """getrandbits(bits); TypeError for a value that is not an int, ValueError
+    for one outside [0, 2^bits)."""
+    r = getrandbits(bits)
+    if not isinstance(r, int):
+        raise TypeError(f"getrandbits must return an int, got {r!r}")
+    if not 0 <= r < 1 << bits:
+        raise ValueError(f"getrandbits({bits}) returned a value outside [0, 2^{bits})")
+    return r
 
 
 def _randbelow(getrandbits, n: int) -> int:
     """A draw from [0, n), n >= 1, by CPython's
     ``Random._randbelow_with_getrandbits``: getrandbits(n.bit_length())
-    until the value is below n. TypeError for a value that is not an int,
-    ValueError for one outside [0, 2^bits)."""
-    bits = n.bit_length()
-    while True:
-        r = getrandbits(bits)
-        if not isinstance(r, int):
-            raise TypeError(f"getrandbits must return an int, got {r!r}")
-        if not 0 <= r < 1 << bits:
-            raise ValueError(f"need getrandbits({bits}) in [0, {(1 << bits) - 1}], got {r!r}")
-        if r < n:
-            return r
+    until the value is below n."""
+    r = n
+    while r >= n:
+        r = _getrandbits(getrandbits, n.bit_length())
+    return r
 
 
 def sample_range(getrandbits, n: int, k: int) -> list[int]:
@@ -428,6 +424,30 @@ def sample_range(getrandbits, n: int, k: int) -> list[int]:
         selected.add(j)
         result.append(j)
     return result
+
+
+def sample_rows(getrandbits, n_lo: int, n_hi: int, strata) -> tuple[int, ...]:
+    """The rows of ``properties._sample``'s graph by the generator draws of
+    its loop: randint(n_lo, n_hi) as n_lo + _randbelow(n_hi - n_lo + 1),
+    choice(strata) as p = strata[_randbelow(len(strata))], and the random()
+    values of the slots, in ``index_pairs`` order, from one getrandbits(64
+    slots): slot t's from the low and high words a and b of its bits [64t,
+    64t + 64), as ((a >> 5) 2^26 + (b >> 6)) / 2^53, an edge below p."""
+    if not callable(getrandbits):
+        raise TypeError(f"getrandbits must be callable, got {getrandbits!r}")
+    n_lo = _int(n_lo, "n_lo", 0, MAXROWS)
+    n_hi = _int(n_hi, "n_hi", n_lo, MAXROWS)
+    if not isinstance(strata, tuple) or not strata:
+        raise TypeError(f"strata must be a nonempty tuple of reals, got {strata!r}")
+    strata = [_real(p) for p in strata]
+    n = n_lo + _randbelow(getrandbits, n_hi - n_lo + 1)
+    p = strata[_randbelow(getrandbits, len(strata))]
+    mask, bits = 0, 32 * n * (n - 1)
+    if bits:
+        words = _getrandbits(getrandbits, bits).to_bytes(bits // 8, "little")
+        mask = sum(1 << t for t, (a, b) in enumerate(struct.iter_unpack("<II", words))
+                   if ((a >> 5) * 67108864 + (b >> 6)) / 9007199254740992 < p)
+    return graph_from_mask(n, mask).rows
 
 
 def slot_rows(n: int, slots: list) -> tuple[int, ...]:

@@ -18,40 +18,41 @@ for min_chords <= 3), the searches ``longest_cycle`` and
 ``max_path_order``, and ``perron_order(rows, u, v)``: the sign of
 x_u - x_v for the Perron vector x of Q(G) as 1 or -1 when a Davis-Kahan
 bound certifies it, else 0 (on a tie or a small gap, for a disconnected
-graph and above 16 vertices); and, for the property suite,
-``random_rows(n, rand, p)``, the rows of a random graph on n vertices that
-calls ``rand()`` (a generator's bound ``random`` method) once per edge slot
-in ``graphs.index_pairs`` order and sets the slot when the value is below p,
-so the generator makes the calls of the same loop in Python,
-``sample_range(getrandbits, n, k)``, which returns ``Random.sample(range(n),
-k)`` of the generator whose bound ``getrandbits`` method it is, by the same
-``_randbelow`` draws on the same path (a pool of the n values, or a set of
-those drawn, by CPython's set size rule), so the sample and the generator's
-state afterwards are those of the call, ``slot_rows(n, slots)``, the rows
-of the graph on n vertices whose edges are the listed edge slots (bit
-positions of an edge bitmask),
-``component_count(rows)``, a graph's number of connected components, and
+graph and above 16 vertices); and, for the property suite, with
+getrandbits a generator's bound ``getrandbits`` method, and each draw
+leaving the generator as the Python calls it replays leave it,
+``sample_rows(getrandbits, n_lo, n_hi, strata)``, the rows of
+``properties._sample``'s graph: its order drawn as ``randint(n_lo, n_hi)``,
+p as ``choice(strata)``, and each edge slot, in ``graphs.index_pairs``
+order, an edge when its ``random()`` value, all read from one
+``getrandbits(64 * slots)``, is below p, ``sample_range(getrandbits, n,
+k)``, ``Random.sample(range(n), k)`` by the same path and ``_randbelow``
+draws, ``slot_rows(n, slots)``, the rows of the graph on n vertices whose
+edges are the listed edge slots (bit positions of an edge bitmask),
+``component_count(rows)``, a graph's number of connected components,
+``eta_check(rows)``, (violated, num, den) by the one eta rule of
+``spectral._eta_counts`` and ``_largest_eta`` (violated: some v has
+n d + 2 e(N(v)) < d^2 + S; num / den: the largest eta), and
 ``structural_violations(rows, caps)``, the (cap, catalog) violation counts
 of the structural claims over every apex, with caps the claim-1 caps as a
 tuple in ``properties.DEFAULT_CLAIM_CAPS`` order. ``sweep_range`` below is
 the pass with no test.
 
 Both read every int argument by one rule: n in [1, 11] for a sweep and in
-[0, 64] for ``random_rows`` and ``slot_rows``, a range's lo in [0,
-2^C(n,2)] and its hi in [lo, 2^C(n,2)], a listed mask in [0, 2^C(n,2)), an
-edge slot in [0, C(n,2)), a sampled range's n in [0, C(64,2)] and its k in
-[0, n], a vertex in [0, n), a chord count of at least 1 (a count above
-every graph's chords answers no) and a claim cap of at least 0;
-anything else is a ValueError, and an argument that is not an int a
-TypeError, with the same message from both. So is every other bad argument:
-rows that are not a sequence (TypeError) or not those of a simple graph on
-at most 64 vertices (ValueError), masks or slots that are not a list, a cut
-or p that is not a real number, caps that are not a tuple of five, a rand
-that is not callable or returns something other than a float, and a
-getrandbits that is not callable or returns something other than an int
-(TypeError), where a type is named by its ``__name__``; a getrandbits(b)
-value outside [0, 2^b) is a ValueError. An error that rand or getrandbits
-raises propagates.
+[0, 64] for ``slot_rows``, n_lo in [0, 64] and n_hi in [n_lo, 64], a
+range's lo in [0, 2^C(n,2)] and its hi in [lo, 2^C(n,2)], a listed mask in
+[0, 2^C(n,2)), an edge slot in [0, C(n,2)), a sampled range's n in [0,
+C(64,2)] and its k in [0, n], a vertex in [0, n), a chord count of at
+least 1 (a count above every graph's chords answers no) and a claim cap of
+at least 0; anything else is a ValueError, and an argument that is not an
+int a TypeError, with the same message from both. So is every other bad
+argument: rows that are not a sequence (TypeError) or not those of a
+simple graph on at most 64 vertices (ValueError), masks or slots that are
+not a list, a cut or a stratum that is not a real number, strata that are
+not a nonempty tuple, caps that are not a tuple of five, and a getrandbits
+that is not callable or returns something other than an int (TypeError),
+where a type is named by its ``__name__``; a getrandbits(b) value outside
+[0, 2^b) is a ValueError. An error that getrandbits raises propagates.
 
 The compiled ``classify`` releases the GIL for its pass, so threads that
 classify different ranges run at once; it holds the GIL again only to build
@@ -155,11 +156,12 @@ chorded_has = _impl.chorded_has
 classify = _impl.classify
 component_count = _impl.component_count
 degree_skips = _impl.degree_skips
+eta_check = _impl.eta_check
 longest_cycle = _impl.longest_cycle
 max_path_order = _impl.max_path_order
 perron_order = _impl.perron_order
-random_rows = _impl.random_rows
 sample_range = _impl.sample_range
+sample_rows = _impl.sample_rows
 slot_rows = _impl.slot_rows
 structural_violations = _impl.structural_violations
 

@@ -13,7 +13,7 @@ import functools
 import random
 import time
 
-from . import chords, kernels, spectral
+from . import chords, kernels
 from .appendix import equitable_quotient_fixtures, threshold_family_lower_bound
 from .families import (
     c4_plus,
@@ -50,12 +50,11 @@ _P_STRATA = (0.2, 0.4, 0.6, 0.8)
 
 
 def _sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
-    """A graph of order n_lo..n_hi whose edges are present with a probability
-    drawn from _P_STRATA: one ``rng.random()`` per edge slot, in
-    ``index_pairs`` order, made by ``kernels.random_rows``."""
-    n = rng.randint(n_lo, n_hi)
-    p = rng.choice(_P_STRATA)
-    return Graph(n, kernels.random_rows(n, rng.random, p))
+    """A graph of order rng.randint(n_lo, n_hi) whose edge slots, in
+    ``index_pairs`` order, are each an edge when one rng.random() is below p
+    = rng.choice(_P_STRATA): the draws ``kernels.sample_rows`` replays."""
+    rows = kernels.sample_rows(rng.getrandbits, n_lo, n_hi, _P_STRATA)
+    return Graph(len(rows), rows)
 
 
 # -- Claim-1 boundary probes ---------------------------------------------------------
@@ -123,20 +122,13 @@ def claim_boundary_battery(caps: dict) -> dict:
 
 
 def _eta_violated(g: Graph, q: float) -> bool:
-    """Whether g, of float index q, breaks the eta bound or its counting form.
-
-    With d = d(v) and S the sum of v's neighbour degrees, eta(v) = (d^2 + S)
-    / d. The bound is q <= max eta(v) over the non-isolated v, up to 1e-10;
-    the largest term is the one ``max_eta`` picks, and num / den rounds the
-    same quotient as float(max_eta(g)). The counting form, eta(v) <= n +
-    2 e(N(v)) / d, holds at v exactly when n d + 2 e(N(v)) >= d^2 + S. Each
-    neighbourhood is walked once.
+    """Whether g, of float index q, breaks the eta bound or its counting form
+    eta(v) <= n + 2 e(N(v)) / d(v). ``kernels.eta_check`` decides the form
+    and gives the largest eta(v) as num / den, which rounds the same quotient
+    as float(max_eta(g)); the bound is q <= num / den, up to 1e-10.
     """
-    counts = [spectral._eta_counts(g, v) for v in range(g.n)]
-    if any(g.n * d + twice_inner < d * d + degree_sum for d, degree_sum, twice_inner in counts):
-        return True
-    num, den = spectral._largest_eta(counts)
-    return q > num / den + 1e-10
+    violated, num, den = kernels.eta_check(g.rows)
+    return violated or q > num / den + 1e-10
 
 
 # Adding an edge never lowers the index, and strictly raises it when the

@@ -44,7 +44,7 @@ mask after another with unweighted counts, the reference for the
 degree-sorted weighted ``kernels.classify``; ``sorted_mask`` relabels a
 mask onto its degree-sorted form by a stable sort of its degrees.
 ``oracle_sample`` is the property suite's earlier per-slot sampler in
-Python, the reference for ``kernels.random_rows``, and ``oracle_slot_rows``
+Python, the reference for ``kernels.sample_rows``, and ``oracle_slot_rows``
 the dense draw's earlier per-slot loop, the reference for
 ``kernels.slot_rows``.
 ``body_text`` is a stored report body's JSON text without its wall time,
@@ -745,7 +745,7 @@ def oracle_sample(rng: random.Random, n_lo: int, n_hi: int) -> Graph:
     0.4, 0.6 and 0.8 (``properties._P_STRATA``), then one ``rng.random()`` per
     edge slot, in ``index_pairs`` order, each slot an edge when the value is
     below p. The reference for ``properties._sample`` and
-    ``kernels.random_rows``, which must give the same graph and leave the
+    ``kernels.sample_rows``, which must give the same graph and leave the
     generator in the same state."""
     n = rng.randint(n_lo, n_hi)
     p = rng.choice((0.2, 0.4, 0.6, 0.8))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chordspec import _sweep_py, appendix, kernels, verifier
+from chordspec import _sweep_py, appendix, kernels, spectral, verifier
 from chordspec.appendix import verify_appendix
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
 from chordspec.families import complete, extremal_graph, path
@@ -697,10 +697,12 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     # benchmarks/bench_kernels.py uses private verifier, appendix and
     # property-suite names and the kernel signatures: load it without
     # running main, then run its sweep and classify benches on order 5
-    # (classify also in its 15 top-row units over 1 and 2 threads), its apex detector, random graph, edge slot, component
-    # count and structural claim benches on 200 graphs, whose asserts compare
-    # the implementations or the thread counts, its range sample bench on 600
-    # samples, whose assert compares each implementation with random.sample,
+    # (classify also in its 15 top-row units over 1 and 2 threads), its apex
+    # detector, edge slot, component count, eta check and structural claim
+    # benches on 200 graphs, whose asserts compare the implementations or
+    # the thread counts, its random graph bench on 200 draws and its range
+    # sample bench on 600 samples, whose asserts compare each implementation
+    # with the random.Random calls it replays,
     # one call of its order-6 sweep with 1 and 2 jobs, whose asserts compare
     # the job counts, its Perron entry order bench on 200 graphs, whose
     # asserts check each decided sign against eigh, one pass of its order-6
@@ -723,16 +725,17 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     bench.bench_classify(IMPLEMENTATIONS, 5, 0, 1 << 10, 6.0)
     bench.bench_detector(IMPLEMENTATIONS, trials=200)
     bench.bench_perron_order(IMPLEMENTATIONS, draws=200)
-    bench.bench_random_rows(IMPLEMENTATIONS, draws=200)
+    bench.bench_sample_rows(IMPLEMENTATIONS, draws=200)
     bench.bench_sample_range(IMPLEMENTATIONS, draws=200)
     bench.bench_slot_rows(IMPLEMENTATIONS, draws=200)
     bench.bench_component_count(IMPLEMENTATIONS, draws=200)
+    bench.bench_eta_check(IMPLEMENTATIONS, draws=200)
     bench.bench_structural(IMPLEMENTATIONS, draws=200)
     out = capsys.readouterr().out
     for label, _ in IMPLEMENTATIONS:
-        assert out.count(f"  {label} ") == 9, out
+        assert out.count(f"  {label} ") == 10, out
     assert "range samples, 600 dense-slot, pair and moved-set samples" in out, out
-    assert out.count("  random.sample ") == 1, out
+    assert out.count("  random.sample ") == 1 and out.count("  random.Random ") == 1, out
     assert "edge slot rows, 200 dense order-10..14 draws" in out, out
     assert "component counts, 200 random order-4..12 graphs" in out, out
     for label, impl in IMPLEMENTATIONS:
@@ -848,7 +851,7 @@ def test_row_kernels_match_the_python_twin(compiled):
 )
 def test_row_kernel_guards(impl):
     # at most 64 vertices; every row a set of other vertices, symmetric
-    searches = (impl.longest_cycle, impl.max_path_order, impl.component_count)
+    searches = (impl.longest_cycle, impl.max_path_order, impl.component_count, impl.eta_check)
     for rows in BAD_ROWS:
         for search in searches:
             with pytest.raises(ValueError):
@@ -865,6 +868,8 @@ def test_row_kernel_guards(impl):
     assert impl.longest_cycle(RING64) == (64, tuple(range(64)))
     assert impl.max_path_order(tuple(RING64)) == 64
     assert impl.component_count(RING64) == 1 and impl.component_count((0,) * 64) == 64
+    assert impl.eta_check([]) == (False, 0, 0) and impl.eta_check((0,) * 64) == (False, 0, 0)
+    assert impl.eta_check(RING64) == (False, 8, 2)
 
 
 @pytest.mark.parametrize(
@@ -902,30 +907,53 @@ def _boom(*bits):
     "impl", [impl for _, impl in IMPLEMENTATIONS],
     ids=[label for label, _ in IMPLEMENTATIONS],
 )
-def test_random_rows_guards(impl):
-    # an order in [0, 64], a callable rand that returns floats, a real p;
-    # an error rand raises propagates
-    half = lambda: 0.5  # noqa: E731
-    for n in (-1, 65, 1 << 70):
+def test_sample_rows_guards(impl):
+    # orders 0 <= n_lo <= n_hi <= 64, a nonempty tuple of real strata, a
+    # callable getrandbits that returns an int in [0, 2^bits), for the
+    # order's and the stratum's draws and for the slots' one draw; an error
+    # getrandbits raises propagates
+    zero = lambda bits: 0  # noqa: E731
+    strata = (0.2, 0.4, 0.6, 0.8)
+    for n_lo, n_hi in ((-1, 3), (0, 65), (4, 3), (65, 65), (1 << 70, 1 << 70), (3, 1 << 70)):
         with pytest.raises(ValueError):
-            impl.random_rows(n, half, 0.6)
-    for args in ((3.0, half, 0.6), (3, None, 0.6), (3, 0.5, 0.6), (3, half, "0.6"),
-                 (3, half, None), (3, int, 0.6), (3, lambda: "0.5", 0.6),
-                 (3, lambda: np.float32(0.5), 0.6)):
+            impl.sample_rows(zero, n_lo, n_hi, strata)
+    slots_only = lambda value: lambda bits: value if bits > 8 else 0  # noqa: E731
+    for args in ((None, 3, 3, strata), (5, 3, 3, strata), (zero, 3.0, 3, strata),
+                 (zero, 3, 3.0, strata), (zero, 3, 3, ()), (zero, 3, 3, [0.5]),
+                 (zero, 3, 3, 0.5), (zero, 3, 3, None), (zero, 3, 3, ("0.5",)),
+                 (zero, 3, 3, (0.5, None)), (lambda bits: 0.0, 3, 3, strata),
+                 (lambda bits: "0", 3, 3, strata), (lambda bits: np.int64(0), 3, 3, strata),
+                 (slots_only(0.0), 3, 3, strata), (slots_only(None), 3, 3, strata)):
         with pytest.raises(TypeError):
-            impl.random_rows(*args)
+            impl.sample_rows(*args)
+    for value in (-1, 2, 1 << 70):
+        with pytest.raises(ValueError):
+            impl.sample_rows(lambda bits: value, 3, 3, strata)
+    for value in (-1, 1 << 192):
+        with pytest.raises(ValueError):
+            impl.sample_rows(slots_only(value), 3, 3, strata)
     with pytest.raises(ZeroDivisionError, match="rand failed"):
-        impl.random_rows(2, _boom, 0.6)
-    # no slot below order 2, so rand is not called there
-    assert impl.random_rows(0, _boom, 0.6) == ()
-    assert impl.random_rows(1, _boom, 0.6) == (0,)
-    # float() is 0.0: every slot is an edge above p = 0, none at 0; the
-    # bounds are accepted, and p may be an int or a numpy float
+        impl.sample_rows(_boom, 3, 3, strata)
+    boom_on_slots = lambda bits: _boom() if bits > 8 else 0  # noqa: E731
+    with pytest.raises(ZeroDivisionError, match="rand failed"):
+        impl.sample_rows(boom_on_slots, 3, 3, strata)
+    # orders 0 and 1 draw no slots
+    assert impl.sample_rows(boom_on_slots, 0, 0, strata) == ()
+    assert impl.sample_rows(boom_on_slots, 1, 1, strata) == (0,)
+    # every slot's value is 0.0 on a zero draw: an edge above p = 0, none at
+    # p = 0, at the bounds; p may be an int or a numpy float
     k64 = tuple(((1 << 64) - 1) ^ (1 << v) for v in range(64))
-    assert impl.random_rows(64, float, 0.5) == k64
-    assert impl.random_rows(64, float, 0) == (0,) * 64
-    assert impl.random_rows(3, half, 1) == (0b110, 0b101, 0b011)
-    assert impl.random_rows(3, half, np.float64(0.5)) == (0, 0, 0)
+    assert impl.sample_rows(zero, 64, 64, (0.5,)) == k64
+    assert impl.sample_rows(zero, 64, 64, (0,)) == (0,) * 64
+    assert impl.sample_rows(zero, 3, 3, (np.float64(1e-300),)) == (0b110, 0b101, 0b011)
+    # a slot's low 32-bit word gives its value's high 27 bits: its bit 31 is
+    # 0.5, an edge only above p = 0.5; bit 31 of the high word is 2^-28, an
+    # edge at p = 0.5. The largest value, 1 - 2^-53, is an edge at p = 1
+    # and not at the float below it
+    for value, p, edge in ((1 << 31, 0.5, False), (1 << 31, np.nextafter(0.5, 1), True),
+                           (1 << 63, 0.5, True), (1 << 63, 2.0 ** -28, False),
+                           ((1 << 64) - 1, 1, True), ((1 << 64) - 1, np.nextafter(1, 0), False)):
+        assert impl.sample_rows(slots_only(value), 2, 2, (p,)) == ((2, 1) if edge else (0, 0))
 
 
 # (n, k) of the sample_range cases: k = 0 and k = n; the Perron shift's
@@ -1126,7 +1154,7 @@ def test_guards_raise_the_same_error_on_both_kernels(compiled):
     twins = _Twins(compiled)
     for guards in (test_kernel_guards, test_classify_guards, test_degree_skips_guards,
                    test_row_kernel_guards, test_perron_order_guards,
-                   test_random_rows_guards, test_sample_range_guards,
+                   test_sample_rows_guards, test_sample_range_guards,
                    test_slot_rows_guards, test_structural_violations_guards):
         guards(twins)
     assert twins.calls > 100
@@ -1203,6 +1231,34 @@ def test_max_path_order(impl):
         assert impl.max_path_order(g.rows) == oracle_longest_path_order(g)
 
 
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_eta_check_is_the_spectral_eta_rule(impl):
+    # (violated, num, den) from spectral._eta_counts and _largest_eta, on
+    # every graph of the networkx atlas (1 to 7 vertices), on seeded graphs
+    # of 1..64 vertices and on the cliques K1..K64, where the counting form
+    # n d + 2 e(N(v)) >= d^2 + S holds with equality at every vertex, so
+    # that a strict comparison turned lax fails here
+    nx = pytest.importorskip("networkx")
+    graphs = [make_graph(a.number_of_nodes(), list(a.edges()))
+              for a in nx.graph_atlas_g() if a.number_of_nodes()]
+    rng = random.Random(44)
+    graphs += [random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8)))
+               for n in range(1, 65) for _ in range(3)]
+    graphs += [complete(n) for n in range(1, 65)]
+    tight = 0
+    for g in graphs:
+        counts = [spectral._eta_counts(g, v) for v in range(g.n)]
+        slack = [g.n * d + twice_inner - d * d - degree_sum
+                 for d, degree_sum, twice_inner in counts]
+        tight += sum(s == 0 and d > 0 for s, (d, _, _) in zip(slack, counts))
+        want = (min(slack, default=0) < 0, *spectral._largest_eta(counts))
+        assert impl.eta_check(g.rows) == want, g.rows
+    assert tight == 2775  # tight vertices, 2,079 of them in the cliques
+
+
 def test_kernel_builds_without_warnings(compiled, tmp_path):
     # the build command of the first import with gcc's common warnings as
     # errors; unused parameters are the `self` of each module function
@@ -1218,10 +1274,10 @@ def test_kernel_builds_without_warnings(compiled, tmp_path):
 # Loads the kernel built at argv[1] and prints what each call listed in the
 # file argv[2], one (name, args) a line, returns, or the name of the error it
 # raises; a call named "interleaved" is _interleaved over the kernel's
-# classify, one named "seeded_rows" (seed, n, p) is random_rows(n, rand, p)
-# with rand the random method of random.Random(seed), and one named
-# "seeded_sample" (seed, n, k) is sample_range(getrandbits, n, k) with the
-# getrandbits method of random.Random(seed); both also print the
+# classify, one named "seeded_rows" (seed, n_lo, n_hi, strata) is
+# sample_rows(getrandbits, n_lo, n_hi, strata) and one named
+# "seeded_sample" (seed, n, k) is sample_range(getrandbits, n, k), each with
+# the getrandbits method of random.Random(seed); both also print the
 # generator's next draw. The spot check's draws are too long for one
 # argument, and a line at a time keeps the parse small.
 SANITIZED_CHILD = inspect.getsource(_interleaved) + """
@@ -1230,9 +1286,9 @@ spec = importlib.util.spec_from_file_location("_sweep", sys.argv[1])
 kernel = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(kernel)
 
-def seeded_rows(seed, n, p):
+def seeded_rows(seed, n_lo, n_hi, strata):
     rng = random.Random(seed)
-    return kernel.random_rows(n, rng.random, p), rng.random()
+    return kernel.sample_rows(rng.getrandbits, n_lo, n_hi, strata), rng.random()
 
 def seeded_sample(seed, n, k):
     rng = random.Random(seed)
@@ -1311,13 +1367,18 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
     for args in ((0, [0]), (1, [0]), (64, [2016]), (64, [2015, -1]), (3, [1 << 70]),
                  (65, []), (3.0, []), (3, (0,)), (3, [0, 1.0])):
         calls.append(("slot_rows", args))
-    # random graphs through a seeded generator at orders 0..12 and 64, each
-    # stratum, and bad orders and edge probabilities
+    # random graphs through a seeded generator at orders 0..12 and 64 and
+    # the suite's ranges, and bad orders and strata
+    strata = (0.2, 0.4, 0.6, 0.8)
     for seed in range(20):
-        for n in (*range(13), 64):
-            calls.append(("seeded_rows", (seed, n, (0.2, 0.4, 0.6, 0.8)[seed % 4])))
-    for n, p in ((-1, 0.5), (65, 0.5), (3, "0.5"), (3.0, 0.5)):
-        calls.append(("seeded_rows", (1, n, p)))
+        for n_lo, n_hi in (*((n, n) for n in (*range(13), 64)), (3, 12), (0, 64)):
+            calls.append(("seeded_rows", (seed, n_lo, n_hi, strata)))
+    for n_lo, n_hi, p in ((-1, 3, strata), (0, 65, strata), (4, 3, strata), (3.0, 3, strata),
+                          (3, 3, ()), (3, 3, [0.5]), (3, 3, ("0.5",))):
+        calls.append(("seeded_rows", (1, n_lo, n_hi, p)))
+    # the eta rule on the 64-vertex graphs, the bad rows and the draws
+    calls += [("eta_check", (rows,)) for rows in (RING64, FAN64, K4_FRINGE64, *BAD_ROWS,
+                                                  complete(64).rows, [], *draws)]
     # samples of a range through a seeded generator on both paths, and bad
     # ranges and sizes
     for seed in range(10):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chordspec import polynomials, spectral
+from chordspec import _sweep_py, kernels, polynomials, spectral
 from chordspec.appendix import (
     FIXTURES,
     fixture_graphs,
@@ -514,7 +514,9 @@ def test_eta_check_matches_the_fraction_route(monkeypatch):
             assert _eta_violated(g, float(q)) == want, (g, q)
             flagged += want
     assert flagged == len(cases)  # only the step above the edge breaks the bound
-    # a vertex that breaks the counting form is a violation at any index
+    # a vertex that breaks the counting form is a violation at any index:
+    # mutations of the one eta rule, which the twin kernel calls
+    monkeypatch.setattr(kernels, "eta_check", _sweep_py.eta_check)
     g = cycle(5)
     monkeypatch.setattr(spectral, "_eta_counts", lambda g, v: (1, g.n, 0))
     assert _eta_violated(g, 0.0)

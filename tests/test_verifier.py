@@ -796,26 +796,39 @@ def test_structural_violation_counts_are_pinned():
     ids=[label for label, _ in IMPLEMENTATIONS],
 )
 def test_sample_draws_as_the_per_slot_loop(impl, monkeypatch):
-    # _sample through each kernel's random_rows against the per-slot loop it
-    # replaced: the same graph and the same generator state after every
-    # draw, over 300 seeds, two draws at each order 1..12, whose edge
-    # probabilities cover every stratum at every order
+    # _sample through each kernel's sample_rows against the per-slot loop it
+    # replays: the same graph and the same generator state after every draw,
+    # over 300 seeds, two draws at each order 1..12, whose edge probabilities
+    # cover every stratum at every order
+    class Logged(random.Random):
+        def choice(self, seq):
+            self.chosen = super().choice(seq)
+            return self.chosen
+
     seen = set()
-
-    def random_rows(n, rand, p):
-        seen.add((n, p))
-        return impl.random_rows(n, rand, p)
-
-    monkeypatch.setattr(kernels, "random_rows", random_rows)
+    monkeypatch.setattr(kernels, "sample_rows", impl.sample_rows)
     for seed in range(300):
-        rng, ref = random.Random(seed), random.Random(seed)
+        rng, ref = random.Random(seed), Logged(seed)
         for n in range(1, 13):
             for _ in range(2):
                 assert properties._sample(rng, n, n) == oracle_sample(ref, n, n), (seed, n)
                 assert rng.getstate() == ref.getstate(), (seed, n)
+                seen.add((n, ref.chosen))
         assert properties._sample(rng, 3, 11) == oracle_sample(ref, 3, 11), seed
         assert rng.getstate() == ref.getstate(), seed
     assert seen == {(n, p) for n in range(1, 13) for p in _P_STRATA}
+    # and orders 0 to 64, whose slots take up to 129,024 bits in one draw
+    rng, ref = random.Random(64), random.Random(64)
+    for _ in range(40):
+        assert properties._sample(rng, 0, 64) == oracle_sample(ref, 0, 64)
+        assert rng.getstate() == ref.getstate()
+    # the order's draw and the stratum's take randint's and choice's bit
+    # counts and draw again a value at or above the bound; order 3 draws
+    # its three slots' 192 bits at once
+    asked, values = [], iter((3, 1, 3, 2, 0))
+    take = lambda bits: asked.append(bits) or next(values)  # noqa: E731
+    assert impl.sample_rows(take, 2, 4, (0.2, 0.4, 0.6)) == (0b110, 0b101, 0b011)
+    assert asked == [2, 2, 2, 2, 192]
 
 
 def test_property_suite_deterministic():
