@@ -3,9 +3,10 @@
 apex detector, longest cycle, longest path, Perron entry order, the property
 suite's random graphs (against the random.Random loop they replay too), its
 samples of a range (against random.sample too), its dense draws' edge slot
-rows, component counts, its eta checks and its structural claims) against
-the pure-Python fallback, the theorem's prefilter spot check at orders 6 to
-8 (with the skipped graphs it eigensolves; its first call, which draws the
+rows, component counts, its eta checks and its structural claims, and the
+float indices of batches of random graphs) against the pure-Python
+fallback, the theorem's prefilter spot check at orders 6 to 8 (with the
+skipped graphs it eigensolves; its first call, which draws the
 sample, against the later ones), the theorem's and the corollary's Python
 tails on the tie band the kernel leaves at orders 6 to 8, `verify theorem
 --n 6` through the CLI in one process (its first call, which builds the
@@ -368,6 +369,26 @@ def bench_eta_check(impls, draws=10000, seed=7):
             base = out
         else:
             assert base == out, "implementations disagree"
+
+
+def bench_q_indices(impls, graphs=300, seed=7, orders=(6, 10, 22, 40)):
+    """q_indices on a batch of random graphs of each order (p drawn from the
+    property suite's strata), one call a batch, best of five; both
+    implementations must agree within 1e-12."""
+    rng = random.Random(seed * 37 + 909)
+    print(f"float indices, {graphs} random graphs an order, one call a batch")
+    for n in orders:
+        rows = [kernels.sample_rows(rng.getrandbits, n, n, _P_STRATA) for _ in range(graphs)]
+        base = None
+        for label, impl in impls:
+            dt = min(time_call(impl.q_indices, rows)[0] for _ in range(5))
+            out = impl.q_indices(rows)
+            print(f"  {label:9s} n={n:<3d} {dt * 1e3:8.3f} ms  {graphs / dt:9.0f} graphs/s")
+            if base is None:
+                base = out
+            else:
+                assert max(abs(a - b) for a, b in zip(base, out)) <= 1e-12, \
+                    "implementations disagree"
 
 
 def bench_slot_rows(impls, draws=10000, seed=7):
@@ -801,6 +822,7 @@ def main() -> None:
     bench_slot_rows(impls)
     bench_component_count(impls)
     bench_eta_check(impls)
+    bench_q_indices(impls)
     bench_structural(impls)
     bench_spot_check(impls)
     bench_tie_tail(6)

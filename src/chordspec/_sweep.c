@@ -1,11 +1,11 @@
 /* Compiled sweep kernels: one pass over the degree-sorted graphs of an
  * edge-bitmask range that sorts each graph by its signless Laplacian index
  * against two cuts and tests the ones above them for a chord configuration,
- * the chord tests on one graph, and for the property suite its random
- * graphs, its samples of a range, the rows of a list of edge slots,
- * component counts, its eta checks, its longest-cycle and longest-path
- * searches, the certified Perron entry order of its Perron shift and the
- * checks of its structural claims.
+ * the chord tests on one graph, the float indices of a list of graphs, and
+ * for the property suite its random graphs, its samples of a range, the
+ * rows of a list of edge slots, component counts, its eta checks, its
+ * longest-cycle and longest-path searches, the certified Perron entry order
+ * of its Perron shift and the checks of its structural claims.
  *
  * Same interface and soundness contract as the pure-Python twin _sweep_py:
  * classify drops a graph only when its index is provably below lo_cut, and
@@ -38,6 +38,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -673,6 +674,224 @@ static PyObject *perron_order(PyObject *self, PyObject *const *args, Py_ssize_t 
     if (n > PERRON_MAXN || components(adj, all_vertices(n), comps) > 1)
         return PyLong_FromLong(0);
     return PyLong_FromLong(perron_sign(n, adj, (int)u, (int)v));
+}
+
+/* -- float index --------------------------------------------------------------
+ * The index q, the largest eigenvalue of Q = A + D, of each graph of a list,
+ * from its adjacency rows. Householder reflections reduce Q to a symmetric
+ * tridiagonal T (Golub and Van Loan, Matrix Computations, sec. 8.3.1), a
+ * backward stable reduction: T is exactly similar to Q + E with |E| a small
+ * multiple of n eps |Q|. T's top eigenvalue is then bracketed between the
+ * degree bounds Delta + 1 <= q <= 2 Delta (Delta the largest degree; q = 0
+ * without an edge) by Sturm counts: the number of T's eigenvalues below x is
+ * the number of negative pivots of T - xI = LDL' (Sylvester's inertia), by
+ * the recurrence of Barth, Martin and Wilkinson (Numer. Math. 9, 1967) in
+ * ratio form, a pivot below pivmin in size taken as -pivmin, as LAPACK's
+ * dstebz does. Each count is exact for a tridiagonal matrix within a few
+ * ulps of T entrywise, so the value is eigvalsh's to rounding. The two
+ * solver functions are not inlined, like the recursive searches above,
+ * which keeps about 0.3 MB off the compiler's peak memory on the first
+ * import. */
+
+/* Reduce the symmetric n x n matrix a, n >= 2, row-major with stride n, of
+ * which only the lower triangle is read and updated, to T: diagonal
+ * d[0..n), off-diagonal e[0..n-1). Step k reflects column k below the
+ * diagonal onto e[k] times the first unit vector with H = I - tau v v'
+ * (LAPACK's dlarfg) and applies H to the trailing block A22 as a rank-two
+ * update, A22 - v w' - w v' with p = tau A22 v and w = p - (tau / 2) (p'v) v
+ * (dsytd2). */
+__attribute__((noinline)) static void tridiagonalize(int n, double *a, double *d, double *e)
+{
+    double v[MAXROWS], p[MAXROWS];
+    for (int k = 0; k < n - 2; k++) {
+        double alpha = a[(k + 1) * n + k], sigma = 0.0;
+        for (int i = k + 2; i < n; i++)
+            sigma += a[i * n + k] * a[i * n + k];
+        d[k] = a[k * n + k];
+        e[k] = alpha;
+        if (sigma == 0.0) /* the column is reduced already */
+            continue;
+        double mu = sqrt(alpha * alpha + sigma), beta = alpha > 0 ? -mu : mu;
+        double tau = (beta - alpha) / beta, scale = 1.0 / (alpha - beta), pv = 0.0;
+        e[k] = beta;
+        v[k + 1] = 1.0;
+        for (int i = k + 2; i < n; i++)
+            v[i] = a[i * n + k] * scale;
+        for (int i = k + 1; i < n; i++)
+            p[i] = 0.0;
+        for (int i = k + 1; i < n; i++) { /* p = A22 v, one pass over the lower triangle */
+            const double *row = a + i * n;
+            double s = row[i] * v[i];
+            for (int j = k + 1; j < i; j++) {
+                s += row[j] * v[j];
+                p[j] += row[j] * v[i];
+            }
+            p[i] += s;
+        }
+        for (int i = k + 1; i < n; i++) {
+            p[i] *= tau;
+            pv += p[i] * v[i];
+        }
+        for (int i = k + 1; i < n; i++) /* p becomes w */
+            p[i] -= 0.5 * tau * pv * v[i];
+        for (int i = k + 1; i < n; i++) {
+            double *row = a + i * n;
+            for (int j = k + 1; j <= i; j++)
+                row[j] -= v[i] * p[j] + p[i] * v[j];
+        }
+    }
+    d[n - 2] = a[(n - 2) * n + n - 2];
+    d[n - 1] = a[(n - 1) * n + n - 1];
+    e[n - 2] = a[(n - 1) * n + n - 2];
+}
+
+/* The number of eigenvalues below x of the tridiagonal matrix with diagonal
+ * d[0..n) and squared off-diagonal e2[0..n-1), and in *dx the Newton
+ * correction f / f' of f(x) = det(T - xI), the product of the pivots p_i:
+ * f' / f is the sum of p_i' / p_i, with p_0' = -1 and p_i' = -1 +
+ * e2[i-1] p_(i-1)' / p_(i-1)^2. */
+static int eigenvalues_below(int n, const double *d, const double *e2, double pivmin,
+                             double x, double *dx)
+{
+    double pivot = d[0] - x;
+    pivot = fabs(pivot) < pivmin ? -pivmin : pivot;
+    double ratio = -1.0 / pivot, sum = ratio; /* p_i' / p_i */
+    int count = pivot < 0.0;
+    for (int i = 1; i < n; i++) {
+        double r = e2[i - 1] / pivot;
+        pivot = d[i] - x - r;
+        pivot = fabs(pivot) < pivmin ? -pivmin : pivot;
+        count += pivot < 0.0;
+        ratio = (r * ratio - 1.0) / pivot;
+        sum += ratio;
+    }
+    /* a pivot within rounding of 0 can make the sum NaN (inf - inf): read
+     * as no correction, whose confirming count costs one step at worst */
+    *dx = isnan(sum) ? 0.0 : 1.0 / sum;
+    return count;
+}
+
+#define NEWTON_COUNTS 60 /* Sturm counts that may take a Newton step */
+
+/* The index of the connected graph on the vertex mask comp, of largest
+ * degree top, that is not a star: the stars are the graphs at the lower
+ * degree bound Delta + 1, so here it is strict, and comp has at least three
+ * vertices. Q is shifted by -Delta, which is exact and halves its norm and
+ * with it the rounding of the reduction, so that the top eigenvalue of the
+ * tridiagonal form lies in (1, Delta], and is simple (Perron and
+ * Frobenius). The bracket [lo, hi] shrinks by one Sturm count a step, at a
+ * point chosen as rtsafe chooses it (Numerical Recipes, sec. 9.4): the
+ * Newton step from hi, which stays above a simple top root and
+ * converges to it quadratically, when it lands inside the bracket and is
+ * under half the step before; else the midpoint. A Newton step under tol,
+ * about an ulp of the index, is lengthened by tol to land below the root;
+ * a Newton step that overshoots by rounding is followed by a point tol
+ * above it. Once the bracket is 2 tol wide, the Newton estimate from hi
+ * is returned when it lies in the bracket, else the midpoint. A component
+ * takes 9.8 counts on average on the atlas (at most 17) and 13.1 on random
+ * graphs of up to 64 vertices (at most 26, on a path); after NEWTON_COUNTS
+ * only bisection runs, which bounds every component's counts. */
+__attribute__((noinline)) static double connected_index(const uint64_t *adj, uint64_t comp,
+                                                        int top)
+{
+    double a[MAXROWS * MAXROWS], d[MAXROWS], e[MAXROWS];
+    int vs[MAXROWS], m = 0;
+    for (uint64_t left = comp; left; left &= left - 1)
+        vs[m++] = lowest_bit(left);
+    for (int i = 0; i < m; i++) {
+        for (int j = 0; j < i; j++)
+            a[i * m + j] = (double)(adj[vs[i]] >> vs[j] & 1);
+        a[i * m + i] = popcount(adj[vs[i]]) - top;
+    }
+    tridiagonalize(m, a, d, e);
+    double pivmin = 1.0;
+    for (int i = 0; i < m - 1; i++) {
+        e[i] *= e[i];
+        if (e[i] > pivmin)
+            pivmin = e[i];
+    }
+    pivmin *= DBL_MIN; /* LAPACK's dstebz: the safe minimum times the largest e^2 */
+    double tol = 2.0 * DBL_EPSILON * top, lo = 1.0, hi = top, x = hi, step = hi - lo, dx;
+    double root = NAN; /* the Newton estimate from hi */
+    for (int newton = 0, counts = 1;; counts++) {
+        int above = eigenvalues_below(m, d, e, pivmin, x, &dx) == m;
+        if (above)
+            hi = x, root = x - dx;
+        else
+            lo = x;
+        if (hi - lo <= 2.0 * tol)
+            return (root >= lo && root <= hi ? root : 0.5 * (lo + hi)) + top;
+        double next = x - dx - (fabs(dx) < tol ? tol : 0.0);
+        if (above && counts < NEWTON_COUNTS && next > lo && next < hi &&
+            fabs(dx) < 0.5 * step)
+            newton = 1;
+        else if (!above && newton)
+            next = x + tol, newton = 0;
+        else
+            next = 0.5 * (lo + hi), newton = 0;
+        step = fabs(next - x);
+        x = next;
+    }
+}
+
+/* The index of the graph with the rows adj[0..n): the largest of its
+ * components' indices. With Delta the largest degree, q >= Delta + 1 on a
+ * graph with an edge. A component of m vertices and largest degree Delta_c
+ * has its index in [Delta_c + 1, 2 Delta_c], computed values included, and
+ * at Delta_c + 1 = m when it is a star (m - 1 edges at one vertex), so only
+ * the components with 2 Delta_c > Delta + 1 that are not stars are solved. */
+static double graph_index(int n, const uint64_t *adj)
+{
+    uint64_t comps[MAXROWS];
+    int top = 0, count = components(adj, all_vertices(n), comps);
+    for (int v = 0; v < n; v++)
+        top = popcount(adj[v]) > top ? popcount(adj[v]) : top;
+    double q = top ? top + 1.0 : 0.0;
+    for (int c = 0; c < count; c++) {
+        int comp_top = 0, twice_edges = 0, m = popcount(comps[c]);
+        for (uint64_t left = comps[c]; left; left &= left - 1) {
+            int deg = popcount(adj[lowest_bit(left)]);
+            twice_edges += deg;
+            comp_top = deg > comp_top ? deg : comp_top;
+        }
+        if (2 * comp_top > top + 1 && !(comp_top == m - 1 && twice_edges == 2 * comp_top))
+            q = fmax(q, connected_index(adj, comps[c], comp_top));
+    }
+    return q;
+}
+
+/* q_indices(rows_list): the index of each graph, a list of floats in input
+ * order. rows_list is copied into a tuple first, so that Python code run by
+ * reading one graph's rows cannot change the list under the loop; each
+ * graph's rows go through parse_rows and need at least one vertex. */
+static PyObject *q_indices(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_nargs("q_indices", nargs, 1))
+        return NULL;
+    PyObject *seq = PySequence_Fast(args[0], "rows_list must be a sequence");
+    PyObject *graphs = seq ? PySequence_Tuple(seq) : NULL;
+    Py_XDECREF(seq);
+    if (graphs == NULL)
+        return NULL;
+    Py_ssize_t count = PyTuple_GET_SIZE(graphs);
+    PyObject *out = PyList_New(count);
+    for (Py_ssize_t t = 0; out != NULL && t < count; t++) {
+        uint64_t adj[MAXROWS];
+        int n;
+        PyObject *q = NULL;
+        if (parse_rows(PyTuple_GET_ITEM(graphs, t), adj, &n) == 0) {
+            if (n == 0)
+                PyErr_Format(PyExc_ValueError, "graph %zd has no vertices", t);
+            else
+                q = PyFloat_FromDouble(graph_index(n, adj));
+        }
+        if (q == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, t, q);
+    }
+    Py_DECREF(graphs);
+    return out;
 }
 
 /* -- sorted sweep and classification --------------------------------------- */
@@ -1341,6 +1560,11 @@ static PyMethodDef methods[] = {
      "perron_order(rows, u, v) -> 1, -1 or 0\n\n"
      "The certified sign of x_u - x_v for the Perron vector x of Q, or 0;\n"
      "see _sweep_py.perron_order."},
+    {"q_indices", (PyCFunction)(void (*)(void))q_indices, METH_FASTCALL,
+     "q_indices(rows_list) -> list\n\n"
+     "The index q of each graph, from its adjacency rows, in input order:\n"
+     "a Householder tridiagonal form of Q, then Sturm counts bracket its top\n"
+     "eigenvalue; see _sweep_py.q_indices."},
     {"sample_range", (PyCFunction)(void (*)(void))sample_range, METH_FASTCALL,
      "sample_range(getrandbits, n, k) -> list\n\n"
      "Random.sample(range(n), k) of the generator whose getrandbits this is,\n"

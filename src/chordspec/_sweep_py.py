@@ -17,8 +17,9 @@ compiled kernel restates on 64-bit rows.
 Soundness contract: a graph may only be dropped when its signless Laplacian
 index is provably below the lower cut. Cheap degree bounds (q <= 2*maxdeg
 and q <= max over edges of d(u)+d(v)) go first; the graphs that pass them
-get one batched dense eigenvalue computation (``spectral.q_indices``) per
-block, and a cut decides only when the index clears it by CUT_MARGIN.
+get one batched dense eigenvalue computation (``_stacked_indices``, which
+q_indices runs on the rows it checks) per block, and a cut decides only
+when the index clears it by CUT_MARGIN.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ import struct
 
 import numpy as np
 
-from . import chords, spectral
+from . import chords, spectral  # a module only: spectral imports kernels, which imports this
 from .graphs import Graph, apex_partition, arrangement_count, bits_to_vertices, graph_from_mask
-from .spectral import q_indices, signless_laplacian
 
 IS_COMPILED = False
 
@@ -86,7 +86,7 @@ def classify(n: int, lo: int, hi: int, lo_cut: float, hi_cut: float, test):
 
     def decide_pending():
         nonlocal hits
-        for (mask, g, weight), q in zip(pending, q_indices([g for _, g, _ in pending])):
+        for (mask, g, weight), q in zip(pending, _stacked_indices([g for _, g, _ in pending])):
             if q < lo_cut - CUT_MARGIN:
                 continue
             if detector is not None and q > hi_cut + CUT_MARGIN and detector(g, k):
@@ -284,6 +284,35 @@ def _graph_of_rows(rows) -> Graph:
     return Graph(n, rows)
 
 
+def q_indices(rows_list) -> list[float]:
+    """The index q of each graph, in input order: ``_stacked_indices`` of the
+    graphs ``_graph_of_rows`` reads, each of at least one vertex."""
+    try:
+        rows_list = tuple(iter(rows_list))
+    except TypeError:  # the compiled kernel's message
+        raise TypeError("rows_list must be a sequence") from None
+    graphs = []
+    for t, rows in enumerate(rows_list):
+        graphs.append(_graph_of_rows(rows))
+        if not graphs[-1].n:
+            raise ValueError(f"graph {t} has no vertices")
+    return _stacked_indices(graphs)
+
+
+def _stacked_indices(graphs: list[Graph]) -> list[float]:
+    """The index of each graph, of any order but at least one vertex, from one
+    batched ``eigvalsh`` per order, which solves each stacked Q on its own."""
+    out = [0.0] * len(graphs)
+    by_order: dict[int, list[int]] = {}
+    for t, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(t)
+    for n, slots in by_order.items():
+        stack = spectral._stacked_laplacians(n, [graphs[t] for t in slots])
+        for t, q in zip(slots, np.linalg.eigvalsh(stack)[:, -1].tolist()):
+            out[t] = q
+    return out
+
+
 def component_count(rows) -> int:
     """The number of connected components."""
     return len(_graph_of_rows(rows).component_masks())
@@ -327,7 +356,7 @@ def perron_order(rows, u, v) -> int:
         raise ValueError(f"need u != v, got {u} twice")
     if g.n > PERRON_MAXN or component_count(g.rows) > 1:
         return 0
-    q = signless_laplacian(g).astype(float)
+    q = spectral.signless_laplacian(g).astype(float)
     w, vecs = np.linalg.eigh(q)
     # eigh's values are those of a matrix within rounding of Q, which the
     # certificate's slack covers: lambda_2 <= w[-2] + slack

@@ -35,7 +35,7 @@ from typing import Callable
 
 from .families import catalog_graph, has_order, k11n2_plus, u_graph
 from .graphs import graph6_encode
-from .polynomials import LESS, IntPolynomial, compare_largest_roots
+from .polynomials import LESS, IntPolynomial, _values_at, compare_largest_roots
 from .spectral import charpoly_int_matrices, perron_roots, q_indices, quotient_matrix
 from .verifier import Report, VerifierError, _order
 
@@ -344,10 +344,6 @@ def fixture_graphs(fx: Fixture, n_lo: int, n_hi: int):
 # -- the appendix checks -----------------------------------------------------------
 
 
-def _threshold_bound_fraction(n: int) -> Fraction:
-    return Fraction(n + 2) - Fraction(4, n + 2)
-
-
 def _quotient_roots(quotients: list) -> list[float | None]:
     """The Perron root of each quotient, from one batched call, aligned with
     quotients: None where the quotient is None (a partition not equitable)."""
@@ -473,12 +469,10 @@ def appendix_threshold_bound(run: AppendixRun) -> list[dict]:
     bound_bad = []
     for n in run.orders:
         run.examined += 1
-        pt = _threshold_bound_fraction(n)
+        pt = Fraction(n * (n + 4), n + 2)  # n + 2 - 4/(n+2)
         gpoly = appendix_polynomial("g", n)
         val = gpoly(pt)
-        want = -Fraction(
-            8 * n**3 + 32 * n**2 + 96 * n + 192, n**3 + 6 * n**2 + 12 * n + 8
-        )
+        want = -Fraction(8 * n**3 + 32 * n**2 + 96 * n + 192, n**3 + 6 * n**2 + 12 * n + 8)
         if val != want or val >= 0:
             bound_bad.append((n, "g-value"))
         if run.thr_charpoly[n] != gpoly:
@@ -588,13 +582,13 @@ def equitable_quotient_fixtures() -> dict:
 
 
 def threshold_family_lower_bound() -> dict:
-    """The threshold family beats n + 2 - 4/(n+2) for 6 <= n <= 40."""
+    """The threshold family beats n + 2 - 4/(n+2) = n(n+4)/(n+2) for 6 <= n
+    <= 40; g's sign there is that of the integer (n+2)^3 g(n(n+4)/(n+2))."""
     bad = []
     for n, qv in zip(range(6, 41), q_indices([k11n2_plus(n).graph for n in range(6, 41)])):
-        pt = _threshold_bound_fraction(n)
-        if not qv > float(pt):
+        if not qv > n * (n + 4) / (n + 2):  # correctly rounded, as float(Fraction) is
             bad.append(n)
-        if appendix_polynomial("g", n)(pt) >= 0:
+        if _values_at([appendix_polynomial("g", n)], n * (n + 4), n + 2)[0] >= 0:
             bad.append((n, "sign"))
     return {"name": "threshold_family_lower_bound", "passed": not bad,
             "range": [6, 40], "failures": bad}

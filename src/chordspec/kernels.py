@@ -18,7 +18,9 @@ for min_chords <= 3), the searches ``longest_cycle`` and
 ``max_path_order``, and ``perron_order(rows, u, v)``: the sign of
 x_u - x_v for the Perron vector x of Q(G) as 1 or -1 when a Davis-Kahan
 bound certifies it, else 0 (on a tie or a small gap, for a disconnected
-graph and above 16 vertices); and, for the property suite, with
+graph and above 16 vertices); ``q_indices(rows_list)``, the index q of each
+graph of a sequence of adjacency rows, a list of floats in input order, each
+graph solved on its own; and, for the property suite, with
 getrandbits a generator's bound ``getrandbits`` method, and each draw
 leaving the generator as the Python calls it replays leave it,
 ``sample_rows(getrandbits, n_lo, n_hi, strata)``, the rows of
@@ -46,13 +48,14 @@ C(64,2)] and its k in [0, n], a vertex in [0, n), a chord count of at
 least 1 (a count above every graph's chords answers no) and a claim cap of
 at least 0; anything else is a ValueError, and an argument that is not an
 int a TypeError, with the same message from both. So is every other bad
-argument: rows that are not a sequence (TypeError) or not those of a
-simple graph on at most 64 vertices (ValueError), masks or slots that are
-not a list, a cut or a stratum that is not a real number, strata that are
-not a nonempty tuple, caps that are not a tuple of five, and a getrandbits
-that is not callable or returns something other than an int (TypeError),
-where a type is named by its ``__name__``; a getrandbits(b) value outside
-[0, 2^b) is a ValueError. An error that getrandbits raises propagates.
+argument: rows or a rows_list that are not a sequence (TypeError), rows
+not those of a simple graph on at most 64 vertices, or on none in a
+rows_list (ValueError), masks or slots that are not a list, a cut or a
+stratum that is not a real number, strata that are not a nonempty tuple,
+caps that are not a tuple of five, and a getrandbits that is not callable
+or returns something other than an int (TypeError), where a type is named
+by its ``__name__``; a getrandbits(b) value outside [0, 2^b) is a
+ValueError. An error that getrandbits raises propagates.
 
 The compiled ``classify`` releases the GIL for its pass, so threads that
 classify different ranges run at once; it holds the GIL again only to build
@@ -160,6 +163,7 @@ eta_check = _impl.eta_check
 longest_cycle = _impl.longest_cycle
 max_path_order = _impl.max_path_order
 perron_order = _impl.perron_order
+q_indices = _impl.q_indices
 sample_range = _impl.sample_range
 sample_rows = _impl.sample_rows
 slot_rows = _impl.slot_rows

@@ -3,13 +3,13 @@ eta bound, equitable quotient matrices and their Perron roots, and exact
 characteristic polynomials.
 
 Numeric route: ``q_indices`` is the one float index routine, for graphs
-given as ``Graph`` values of any orders: one batched ``eigvalsh`` per order
-over Q stacked from the adjacency rows, as ``signless_laplacian`` builds it.
-The python sweep kernel uses it for the graphs its degree bounds keep; the
-verifier for every index it compares or reports (the thresholds, the masks
-the sweep kernel leaves for the exact rules, the graphs the prefilter spot
-check re-checks); ``appendix`` for its fixture and threshold graphs; and
-``properties`` for the samples of the suite's lemmas.
+given as ``Graph`` values of any orders: one ``kernels.q_indices`` call, and
+the python kernel's batched ``eigvalsh`` above the kernels' 64 vertices.
+The verifier uses it for every index it compares or reports (the
+thresholds, the masks the sweep kernel leaves for the exact rules, the
+graphs the prefilter spot check re-checks); ``appendix`` for its fixture
+and threshold graphs; and ``properties`` for the samples of the suite's
+lemmas.
 ``q_index`` is one dense ``eigh`` of the whole Q for a vector as well: the
 absolute value of the top eigenvector, which is the Perron vector when the
 graph is connected. ``q_index_texts``, the CLI's printed digits, takes one
@@ -39,15 +39,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _sweep_py, kernels
 from .graphs import Graph, GraphError, bits_to_vertices
-from .polynomials import (
-    EQUAL,
-    GREATER,
-    LESS,
-    IntPolynomial,
-    compare_largest_roots,
-    round_largest_root,
-)
+from .polynomials import EQUAL, IntPolynomial, compare_largest_roots, round_largest_root
 
 
 @dataclass(frozen=True)
@@ -95,18 +89,16 @@ def q_index(g: Graph) -> SpectralResult:
 
 
 def q_indices(graphs: Sequence[Graph]) -> list[float]:
-    """The index q of every graph, in input order, from one batched
-    ``eigvalsh`` per order over the graphs' stacked Q. Agrees with
+    """The index q of every graph, in input order: ``kernels.q_indices`` on
+    the rows of the graphs of at most 64 vertices, the kernels' row limit,
+    and ``_sweep_py._stacked_indices`` on larger ones. Agrees with
     ``q_index(g).q`` to rounding; a graph needs at least one vertex."""
-    out = [0.0] * len(graphs)
-    by_order: dict[int, list[int]] = {}
-    for t, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(t)
-    for n, slots in by_order.items():
-        stack = _stacked_laplacians(n, [graphs[t] for t in slots])
-        for t, q in zip(slots, np.linalg.eigvalsh(stack)[:, -1].tolist()):
-            out[t] = q
-    return out
+    small = [g.rows for g in graphs if g.n <= _sweep_py.MAXROWS]
+    if len(small) == len(graphs):
+        return kernels.q_indices(small)
+    qs, big = iter(kernels.q_indices(small)), iter(_sweep_py._stacked_indices(
+        [g for g in graphs if g.n > _sweep_py.MAXROWS]))
+    return [next(big) if g.n > _sweep_py.MAXROWS else next(qs) for g in graphs]
 
 
 def _eta_counts(g: Graph, v: int) -> tuple[int, int, int]:
@@ -412,22 +404,3 @@ def q_exact_compare(g: Graph, h: Graph) -> int:
         return EQUAL
     return compare_largest_roots(charpoly_graph(g), charpoly_graph(h))
 
-
-__all__ = [
-    "EQUAL",
-    "GREATER",
-    "LESS",
-    "SpectralResult",
-    "charpoly_graph",
-    "charpoly_int_matrices",
-    "charpoly_int_matrix",
-    "eta",
-    "max_eta",
-    "perron_roots",
-    "q_exact_compare",
-    "q_index",
-    "q_index_texts",
-    "q_indices",
-    "quotient_matrix",
-    "signless_laplacian",
-]

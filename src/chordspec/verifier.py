@@ -236,8 +236,8 @@ def _prefilter_spot_check(n: int, thr: float) -> dict:
     their largest index. The kernel that ran the sweep applies its own
     degree filter to the draws (``kernels.degree_skips``) and returns the
     skipped graphs that can hold their largest index; only those are
-    eigensolved, in one batch. eigvalsh decides each matrix on its own, so
-    the maximum is the float a solve over every skipped graph gives. The
+    eigensolved, in one batch. ``q_indices`` decides each graph on its own,
+    so the maximum is the float a solve over every skipped graph gives. The
     sample is drawn once per process (``_spot_check_draws``); every call
     checks it afresh at its own cut."""
     skipped, candidates = kernels.degree_skips(n, list(_spot_check_draws(n)), thr)

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from chordspec.verifier import (
 )
 from oracles import (
     MaskBatch,
+    count_roots_above,
     cycles_by_dfs,
     is_connected,
     oracle_apex_chords,
@@ -699,8 +701,9 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     # running main, then run its sweep and classify benches on order 5
     # (classify also in its 15 top-row units over 1 and 2 threads), its apex
     # detector, edge slot, component count, eta check and structural claim
-    # benches on 200 graphs, whose asserts compare the implementations or
-    # the thread counts, its random graph bench on 200 draws and its range
+    # benches on 200 graphs and its float index bench on 20 graphs an order,
+    # whose asserts compare the implementations or the thread counts, its
+    # random graph bench on 200 draws and its range
     # sample bench on 600 samples, whose asserts compare each implementation
     # with the random.Random calls it replays,
     # one call of its order-6 sweep with 1 and 2 jobs, whose asserts compare
@@ -738,6 +741,11 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     assert out.count("  random.sample ") == 1 and out.count("  random.Random ") == 1, out
     assert "edge slot rows, 200 dense order-10..14 draws" in out, out
     assert "component counts, 200 random order-4..12 graphs" in out, out
+    # one float index line an order and implementation
+    bench.bench_q_indices(IMPLEMENTATIONS, graphs=20)
+    out = capsys.readouterr().out
+    for label, _ in IMPLEMENTATIONS:
+        assert [int(n) for n in re.findall(rf"^  {label} +n=(\d+) ", out, re.M)] == [6, 10, 22, 40]
     for label, impl in IMPLEMENTATIONS:
         bench.bench_classify_threads(label, impl, 5, 6.0)
     bench.bench_sweep_jobs(6, min_seconds=0)
@@ -1155,7 +1163,8 @@ def test_guards_raise_the_same_error_on_both_kernels(compiled):
     for guards in (test_kernel_guards, test_classify_guards, test_degree_skips_guards,
                    test_row_kernel_guards, test_perron_order_guards,
                    test_sample_rows_guards, test_sample_range_guards,
-                   test_slot_rows_guards, test_structural_violations_guards):
+                   test_slot_rows_guards, test_structural_violations_guards,
+                   test_q_indices_guards):
         guards(twins)
     assert twins.calls > 100
     assert twins.differ == [], "\n".join(map(repr, twins.differ))
@@ -1257,6 +1266,66 @@ def test_eta_check_is_the_spectral_eta_rule(impl):
         want = (min(slack, default=0) < 0, *spectral._largest_eta(counts))
         assert impl.eta_check(g.rows) == want, g.rows
     assert tight == 2775  # tight vertices, 2,079 of them in the cliques
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_q_indices_match_the_eigensolver_and_the_exact_root(impl):
+    # every graph of the networkx atlas (1 to 7 vertices), then seeded
+    # graphs of each order 1..64: edgeless, random, with an isolated vertex,
+    # disconnected (two random parts) and complete, up to K64; all in one
+    # call, each within 1e-12 of oracle_q and the value it gets in a call of
+    # its own. On the atlas each value is also within 1e-12 of the largest
+    # root of the exact characteristic polynomial: the Sturm chain of its
+    # squarefree part counts a root above q - 1e-12 and none above q + 1e-12
+    nx = pytest.importorskip("networkx")
+    atlas = [make_graph(a.number_of_nodes(), list(a.edges()))
+             for a in nx.graph_atlas_g() if a.number_of_nodes()]
+    rng = random.Random(45)
+    seeded = []
+    for n in range(1, 65):
+        seeded += [make_graph(n), random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.8))),
+                   complete(n)]
+        if n > 1:
+            cut = rng.randint(1, n - 1)
+            seeded += [disjoint_union(make_graph(1), random_graph(rng, n - 1, 0.5)),
+                       disjoint_union(random_graph(rng, cut, 0.6),
+                                      random_graph(rng, n - cut, 0.6))]
+    graphs = atlas + seeded
+    got = impl.q_indices([g.rows for g in graphs])
+    assert got == pytest.approx([oracle_q(g) for g in graphs], rel=0, abs=1e-12)
+    assert got == [impl.q_indices([g.rows])[0] for g in graphs]
+    tol = Fraction(1, 10**12)
+    polys = spectral.charpoly_int_matrices([spectral.signless_laplacian(g).tolist()
+                                            for g in atlas])
+    for g, q, p in zip(atlas, got, polys):
+        assert count_roots_above(p, Fraction(q) - tol) >= 1, g.rows
+        assert count_roots_above(p, Fraction(q) + tol) == 0, g.rows
+
+
+@pytest.mark.parametrize(
+    "impl", [impl for _, impl in IMPLEMENTATIONS],
+    ids=[label for label, _ in IMPLEMENTATIONS],
+)
+def test_q_indices_guards(impl):
+    # a sequence of the rows of simple graphs of 1 to 64 vertices, each
+    # graph's rows read by the rule of every per-graph call
+    for rows_list in (None, 5):
+        with pytest.raises(TypeError):
+            impl.q_indices(rows_list)
+    for rows in BAD_ROWS:  # asymmetric rows, a vertex's own bit, 65 vertices
+        with pytest.raises(ValueError):
+            impl.q_indices([[0], rows])
+    for rows in ([0.0], [0, None], 5, None):  # a row that is not an int, no rows
+        with pytest.raises(TypeError):
+            impl.q_indices([[0], rows])
+    with pytest.raises(ValueError):  # a graph without a vertex has no index
+        impl.q_indices([[0], []])
+    assert impl.q_indices([]) == [] and impl.q_indices(()) == []
+    # exact indices: no edge, 64 isolated vertices, and two disjoint edges
+    assert impl.q_indices([[0], (0,) * 64, (2, 1, 8, 4)]) == [0.0, 0.0, 2.0]
 
 
 def test_kernel_builds_without_warnings(compiled, tmp_path):
@@ -1385,6 +1454,14 @@ def test_kernel_has_no_undefined_behaviour(compiled, tmp_path):
         calls += [("seeded_sample", (seed, n, k)) for n, k in SAMPLE_CASES]
     for n, k in ((-1, 0), (2017, 0), (3, 4), (3, -1), (3.0, 1), (3, 1 << 70)):
         calls.append(("seeded_sample", (1, n, k)))
+    # float indices: the seeded draws, seeded graphs of up to 64 vertices,
+    # the 64-vertex graphs and K64 in one call, and bad rows lists
+    rng = random.Random(20261022)
+    graphs = [oracle_sample(rng, 1, 64).rows for _ in range(60)]
+    calls.append(("q_indices", ([*draws, *graphs, RING64, FAN64, K4_FRINGE64,
+                                 complete(64).rows, [0]],)))
+    for rows_list in (None, [[0], []], *([[0], rows] for rows in BAD_ROWS)):
+        calls.append(("q_indices", (rows_list,)))
     listed = tmp_path / "calls.txt"
     listed.write_text("".join(f"{call!r}\n" for call in calls))
     runs = [_python(SANITIZED_CHILD, path, listed)

@@ -141,27 +141,38 @@ def test_q_index_matches_the_per_component_route_bit_for_bit():
     assert connected >= 200 and 400 - connected >= 100
 
 
-def test_q_indices_match_q_index():
-    # seeded graphs at orders 1..12, edgeless, sparse (disconnected, with
-    # isolated vertices) and dense; one call per order, then one batch that
-    # spans every order in shuffled order
-    rng = random.Random(59)
-    graphs = []
-    for n in range(1, 13):
-        batch = [make_graph(n), disjoint_union(make_graph(1), complete(n - 1)) if n > 1
-                 else make_graph(1)]
-        batch += [random_graph(rng, n, rng.choice((0.1, 0.2, 0.5, 0.8))) for _ in range(25)]
-        want = [q_index(g).q for g in batch]
-        assert q_indices(batch) == pytest.approx(want, rel=0, abs=1e-12)
-        graphs += batch
-    assert sum(not is_connected(g) for g in graphs) >= 50
-    assert sum(0 in g.degrees() for g in graphs) >= 50
-    rng.shuffle(graphs)
-    got = q_indices(graphs)
-    assert got == pytest.approx([q_index(g).q for g in graphs], rel=0, abs=1e-12)
-    # q_index shares the stacked Q with q_indices; the oracle builds its own
-    assert got == pytest.approx([oracle_q(g) for g in graphs], rel=0, abs=1e-12)
-    assert q_indices([]) == []
+def test_q_indices_match_q_index(monkeypatch):
+    # through each kernel: seeded graphs at orders 1..12, edgeless, sparse
+    # (disconnected, with isolated vertices) and dense; one call per order,
+    # then one batch that spans every order in shuffled order, then one
+    # across the kernels' 64-vertex row limit, at 64, 65 and 256 vertices
+    for _, impl in kernels.implementations():
+        monkeypatch.setattr(kernels, "q_indices", impl.q_indices)
+        rng = random.Random(59)
+        graphs = []
+        for n in range(1, 13):
+            batch = [make_graph(n), disjoint_union(make_graph(1), complete(n - 1)) if n > 1
+                     else make_graph(1)]
+            batch += [random_graph(rng, n, rng.choice((0.1, 0.2, 0.5, 0.8))) for _ in range(25)]
+            want = [q_index(g).q for g in batch]
+            assert q_indices(batch) == pytest.approx(want, rel=0, abs=1e-12)
+            graphs += batch
+        assert sum(not is_connected(g) for g in graphs) >= 50
+        assert sum(0 in g.degrees() for g in graphs) >= 50
+        rng.shuffle(graphs)
+        got = q_indices(graphs)
+        assert got == pytest.approx([q_index(g).q for g in graphs], rel=0, abs=1e-12)
+        # the oracle builds its own Q, one edge at a time
+        assert got == pytest.approx([oracle_q(g) for g in graphs], rel=0, abs=1e-12)
+        assert q_indices([]) == []
+        large = [random_graph(rng, n, p)
+                 for n, p in ((64, 0.5), (65, 0.5), (65, 0.05), (256, 0.1))]
+        mixed = large + [complete(64), complete(65)] + graphs[:30]
+        rng.shuffle(mixed)
+        want = [q_index(g).q for g in mixed]
+        assert q_indices(mixed) == pytest.approx(want, rel=0, abs=1e-12)
+        want = [oracle_q(g) for g in large[2:]]
+        assert q_indices(large[2:]) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_eta_examples():
