@@ -11,7 +11,9 @@ sample, against the later ones), the theorem's and the corollary's Python
 tails on the tie band the kernel leaves at orders 6 to 8, `verify theorem
 --n 6` through the CLI in one process (its first call, which builds the
 parser and the order's threshold constants and draws the spot check's
-sample, against the later ones), exact characteristic polynomials (one matrix a call and
+sample, against the later ones), start-up alone in fresh processes (`import
+chordspec.cli`, and the wall time of `verify theorem --n 7`, each with
+whether numpy was loaded), exact characteristic polynomials (one matrix a call and
 batched), the exact largest-root comparison (with the pairs its sign certificate settles and
 those left to the Sturm chains, and exact ties between distinct
 polynomials at orders 6 and 7, with the bracket halvings they take),
@@ -37,8 +39,11 @@ from __future__ import annotations
 import functools
 import io
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -675,6 +680,53 @@ def bench_cli(min_seconds=1.0):
           f"{statistics.median(times) * 1e3:.2f} ms (median of {verify_calls})")
 
 
+# fresh processes for bench_startup: the import alone, timed inside, and a
+# CLI run through cli.main; each tells whether it had loaded numpy
+_IMPORT_CLI = """
+import sys, time
+t0 = time.perf_counter()
+import chordspec.cli
+print(time.perf_counter() - t0, "numpy" in sys.modules)
+"""
+_RUN_CLI = """
+import sys
+from chordspec import cli
+code = cli.main(sys.argv[1:])
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
+
+def bench_startup(runs=11):
+    """Start-up alone: the median over `runs` fresh processes of `import
+    chordspec.cli`, timed inside each, and of the wall time of `verify
+    theorem --n 7` through ``cli.main``, timed around each process with its
+    report discarded, each with how many of the processes loaded numpy. The
+    processes take the kernel this one built and selected (the build is
+    cached), so none pays for a compile."""
+    package_root = os.path.dirname(os.path.dirname(kernels.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    env["CHORDSPEC_NO_EXT"] = "" if kernels.IS_COMPILED else "1"
+    imports, walls, numpy_loaded = [], [], Counter()
+    for _ in range(runs):
+        out = subprocess.run([sys.executable, "-c", _IMPORT_CLI], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout.split()
+        imports.append(float(out[0]))
+        numpy_loaded["import"] += out[1] == "True"
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", _RUN_CLI, "verify", "theorem", "--n", "7"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        walls.append(time.perf_counter() - t0)
+        assert proc.returncode == 0, proc.stderr  # 0: the theorem passed
+        numpy_loaded["cli"] += proc.stdout.splitlines()[-1] == "True"
+    print(f"start-up ({'compiled' if kernels.IS_COMPILED else 'python'} kernel): "
+          f"import chordspec.cli {statistics.median(imports) * 1e3:.1f} ms "
+          f"(median of {runs}, numpy loaded in {numpy_loaded['import']}), "
+          f"cli verify theorem --n 7 {statistics.median(walls) * 1e3:.1f} ms wall "
+          f"(median of {runs}, numpy loaded in {numpy_loaded['cli']})")
+
+
 def appendix_templates(n_lo=7, n_hi=22):
     """The integer quotient templates verify_appendix expands: the threshold
     template and every fixture's template (each fan width s) per order."""
@@ -829,6 +881,7 @@ def main() -> None:
     bench_tie_tail(7)
     bench_tie_tail(8)
     bench_cli()
+    bench_startup()
 
     print("exact characteristic polynomials (charpoly_int_matrix, charpoly_int_matrices)")
     templates = appendix_templates()

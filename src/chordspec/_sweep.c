@@ -1600,7 +1600,8 @@ PyMODINIT_FUNC PyInit__sweep(void)
     if (little == NULL && (little = PyUnicode_InternFromString("little")) == NULL)
         return NULL;
     PyObject *m = PyModule_Create(&module);
-    if (m != NULL && PyModule_AddObjectRef(m, "IS_COMPILED", Py_True) < 0)
+    if (m != NULL && (PyModule_AddObjectRef(m, "IS_COMPILED", Py_True) < 0 ||
+                      PyModule_AddIntMacro(m, MAXROWS) < 0))
         Py_CLEAR(m);
     return m;
 }

@@ -29,9 +29,7 @@ import math
 import operator
 import struct
 
-import numpy as np
-
-from . import chords, spectral  # a module only: spectral imports kernels, which imports this
+from . import chords, spectral  # a module only: spectral imports kernels, which may import this
 from .graphs import Graph, apex_partition, arrangement_count, bits_to_vertices, graph_from_mask
 
 IS_COMPILED = False
@@ -302,13 +300,14 @@ def q_indices(rows_list) -> list[float]:
 def _stacked_indices(graphs: list[Graph]) -> list[float]:
     """The index of each graph, of any order but at least one vertex, from one
     batched ``eigvalsh`` per order, which solves each stacked Q on its own."""
+    eigvalsh = spectral._numpy().linalg.eigvalsh
     out = [0.0] * len(graphs)
     by_order: dict[int, list[int]] = {}
     for t, g in enumerate(graphs):
         by_order.setdefault(g.n, []).append(t)
     for n, slots in by_order.items():
         stack = spectral._stacked_laplacians(n, [graphs[t] for t in slots])
-        for t, q in zip(slots, np.linalg.eigvalsh(stack)[:, -1].tolist()):
+        for t, q in zip(slots, eigvalsh(stack)[:, -1].tolist()):
             out[t] = q
     return out
 
@@ -357,7 +356,7 @@ def perron_order(rows, u, v) -> int:
     if g.n > PERRON_MAXN or component_count(g.rows) > 1:
         return 0
     q = spectral.signless_laplacian(g).astype(float)
-    w, vecs = np.linalg.eigh(q)
+    w, vecs = spectral._numpy().linalg.eigh(q)
     # eigh's values are those of a matrix within rounding of Q, which the
     # certificate's slack covers: lambda_2 <= w[-2] + slack
     return _certified_order(q, vecs[:, -1], float(w[-2]), u, v)
@@ -381,6 +380,7 @@ def _certified_order(q: np.ndarray, y: np.ndarray, upper2: float, u: int, v: int
     lambda_2 against rounding; the sign counts once it clears 2 eta by
     PERRON_MARGIN. The compiled kernel applies the same rule to its Jacobi
     pair."""
+    np = spectral._numpy()
     n = len(y)
     slack = 1e-12 * (1.0 + float(np.sqrt((q * q).sum())))
     y = y / np.sqrt(y @ y)

@@ -70,6 +70,17 @@ load is compiled again. A fresh build removes the builds of other sources.
 This is the only way the compiled kernel is built: without a compiler, or
 when the build fails, the twin runs and nothing is raised. Set
 CHORDSPEC_NO_EXT=1 to force the twin.
+
+Importing this module imports the twin only when the twin runs (no compiled
+kernel, or CHORDSPEC_NO_EXT=1); ``implementations()`` imports it on its
+call. No module of the package imports numpy at import time: ``spectral``
+and the twin reach it through ``spectral._numpy``, on their first call that
+needs it. So on the compiled kernel ``verify theorem`` and ``verify
+corollary`` at orders up to 7, ``detect`` and ``family`` load neither numpy
+nor the twin, while the property suite, the appendix, ``chordspec q`` and,
+at order 8, the exact comparison of the one tie class (``charpoly_graph``)
+load numpy on first use; the twin loads it on its first eigensolve.
+``MAXROWS`` is the kernel's row limit, 64 vertices in both.
 """
 
 from __future__ import annotations
@@ -82,8 +93,6 @@ import os
 import shutil
 import zlib
 from pathlib import Path
-
-from . import _sweep_py
 
 SOURCE = Path(__file__).with_name("_sweep.c")
 CACHE = Path(__file__).resolve().parents[2] / "build" / "kernel"
@@ -150,10 +159,18 @@ def build(source: Path = SOURCE, cache: Path = CACHE):
         return None
 
 
+def _twin():
+    """The pure-Python twin ``_sweep_py``, imported on the first call."""
+    from . import _sweep_py
+
+    return _sweep_py
+
+
 _compiled = functools.cache(build)
-_impl = _sweep_py if os.environ.get("CHORDSPEC_NO_EXT") else _compiled() or _sweep_py
+_impl = (None if os.environ.get("CHORDSPEC_NO_EXT") else _compiled()) or _twin()
 
 IS_COMPILED: bool = _impl.IS_COMPILED
+MAXROWS: int = _impl.MAXROWS
 apex_has_config = _impl.apex_has_config
 chorded_has = _impl.chorded_has
 classify = _impl.classify
@@ -183,7 +200,7 @@ def sweep_range(n: int, lo: int, hi: int, q_floor: float):
 def implementations():
     """Both kernel implementations, labelled; compiled is absent when it
     does not build."""
-    out = [("python", _sweep_py)]
+    out = [("python", _twin())]
     if _compiled() is not None:
         out.insert(0, ("compiled", _compiled()))
     return out

@@ -4,7 +4,8 @@ characteristic polynomials.
 
 Numeric route: ``q_indices`` is the one float index routine, for graphs
 given as ``Graph`` values of any orders: one ``kernels.q_indices`` call, and
-the python kernel's batched ``eigvalsh`` above the kernels' 64 vertices.
+the python kernel's batched ``eigvalsh`` above the kernels' 64 vertices and
+whenever the python kernel runs.
 The verifier uses it for every index it compares or reports (the
 thresholds, the masks the sweep kernel leaves for the exact rules, the
 graphs the prefilter spot check re-checks); ``appendix`` for its fixture
@@ -37,11 +38,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import _sweep_py, kernels
+from . import kernels
 from .graphs import Graph, GraphError, bits_to_vertices
 from .polynomials import EQUAL, IntPolynomial, compare_largest_roots, round_largest_root
+
+
+def _numpy():
+    """numpy, imported on the first call: the package's one numpy import.
+    Importing numpy takes about 60 ms, and neither the compiled kernel's
+    theorem nor its corollary at orders up to 7 calls a numpy function, so
+    only the code that does pays for it."""
+    import numpy
+
+    return numpy
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,7 @@ def _stacked_laplacians(n: int, graphs: Sequence[Graph]) -> np.ndarray:
     all of them unpacked to bits in one numpy call (rows fit in 32 bytes up
     to ``MAX_VERTICES = 256``); D is the row sums of A.
     """
+    np = _numpy()
     width = (n + 7) // 8
     data = b"".join([row.to_bytes(width, "little") for g in graphs for row in g.rows])
     bits = np.frombuffer(data, dtype=np.uint8).reshape(len(graphs), n, width)
@@ -81,6 +91,7 @@ def q_index(g: Graph) -> SpectralResult:
     nonnegative top eigenvector, which may spread over the components that
     share the index.
     """
+    np = _numpy()
     Q = signless_laplacian(g).astype(float)
     w, v = np.linalg.eigh(Q)
     q, x = float(w[-1]), np.abs(v[:, -1])
@@ -90,15 +101,20 @@ def q_index(g: Graph) -> SpectralResult:
 
 def q_indices(graphs: Sequence[Graph]) -> list[float]:
     """The index q of every graph, in input order: ``kernels.q_indices`` on
-    the rows of the graphs of at most 64 vertices, the kernels' row limit,
-    and ``_sweep_py._stacked_indices`` on larger ones. Agrees with
-    ``q_index(g).q`` to rounding; a graph needs at least one vertex."""
-    small = [g.rows for g in graphs if g.n <= _sweep_py.MAXROWS]
+    the rows of the graphs of at most ``kernels.MAXROWS`` (64) vertices, and
+    the python kernel's ``_sweep_py._stacked_indices`` on larger ones, and
+    on every graph when the python kernel runs: its ``q_indices`` would only
+    check again the rows of each ``Graph``, valid by construction. Agrees
+    with ``q_index(g).q`` to rounding; a graph needs at least one vertex."""
+    limit = kernels.MAXROWS if kernels.IS_COMPILED else 0
+    small = [g.rows for g in graphs if g.n <= limit]
     if len(small) == len(graphs):
         return kernels.q_indices(small)
-    qs, big = iter(kernels.q_indices(small)), iter(_sweep_py._stacked_indices(
-        [g for g in graphs if g.n > _sweep_py.MAXROWS]))
-    return [next(big) if g.n > _sweep_py.MAXROWS else next(qs) for g in graphs]
+    from . import _sweep_py  # only for the python kernel or a graph above the row limit
+
+    qs = iter(kernels.q_indices(small))
+    big = iter(_sweep_py._stacked_indices([g for g in graphs if g.n > limit]))
+    return [next(big) if g.n > limit else next(qs) for g in graphs]
 
 
 def _eta_counts(g: Graph, v: int) -> tuple[int, int, int]:
@@ -186,6 +202,7 @@ def perron_roots(matrices: Sequence[Sequence[Sequence[int]]]) -> list[float]:
     quotient, in input order: the largest real part among its eigenvalues,
     from one ``eigvals`` per matrix size over the stacked floats. Each value
     is the one an ``eigvals`` call on that matrix alone gives."""
+    np = _numpy()
     out = [0.0] * len(matrices)
     groups: dict[int, list[int]] = {}
     for t, rows in enumerate(matrices):
@@ -217,6 +234,7 @@ def _int_stack(stack: Sequence[Sequence[Sequence[int]]], m: int) -> tuple[np.nda
     """The group of m x m matrices as one (k, m, m) integer array, int64 or
     Python ints, with the largest absolute row sum B in it (at least 1), by
     the per-group validation ``charpoly_int_matrices`` describes."""
+    np = _numpy()
     try:
         A = np.array(stack)
     except (ValueError, TypeError, OverflowError):
@@ -235,6 +253,7 @@ def _faddeev_leverrier(A: np.ndarray) -> np.ndarray:
     """Coefficients, ascending, of det(xI - A) for each matrix of a stacked
     (k, m, m) integer array: row t holds those of A[t]. One loop over the
     stack, in the array's own dtype; M_1 = I, so A M_1 is A itself."""
+    np = _numpy()
     k, m, _ = A.shape
     coeffs = np.zeros((k, m + 1), dtype=A.dtype)
     coeffs[:, m] = 1
@@ -280,6 +299,7 @@ def charpoly_int_matrices(matrices: Sequence[Sequence[Sequence[int]]]) -> list[I
     sums are at most m 2^m B^j, and a diagonal entry plus c_(m-j) at most
     2^(m+1) B^j. As j <= m and B >= 1, all are at most m 2^(m+1) B^m.
     """
+    np = _numpy()
     out: list[IntPolynomial | None] = [None] * len(matrices)
     groups: dict[int, list[int]] = {}
     for t, rows in enumerate(matrices):
@@ -331,6 +351,7 @@ def _enclosed_rounding(Q: list[list[int]], w: np.ndarray, V: np.ndarray,
     gap. Whatever the floats did, the enclosure is exact; they only decide
     its width.
     """
+    np = _numpy()
     theta = float(w[-1])
     tn, td = theta.as_integer_ratio()
     others, gaps = V[:, :-1], w[:-1] - theta
@@ -365,6 +386,7 @@ def q_index_texts(graphs: Sequence[Graph], places: int = 12) -> list[str]:
     components left then go to the exact characteristic polynomial (one
     ``charpoly_int_matrices`` call for all of them), on which
     ``round_largest_root`` steps from the float to the correct rounding."""
+    np = _numpy()
     ks = [0] * len(graphs)
     parts: dict[int, list[tuple[int, np.ndarray]]] = {}
     for t, g in enumerate(graphs):

@@ -40,7 +40,6 @@ from .graphs import (
     arrangement_count,
     arrangement_images,
     automorphism_count,
-    graph6_decode,
     graph6_encode,
     graph_from_mask,
     is_isomorphic,
@@ -425,14 +424,3 @@ def verify_corollary(n: int, *, min_chords: int = 3, jobs: int = 1) -> Report:
         details=details,
         wall_time_ms=(time.perf_counter() - t0) * 1000,
     )
-
-
-def replay_counterexample(task: str, g6: str, params: dict) -> bool:
-    """Re-check a recorded counterexample in isolation through the rule of
-    the sweep that reported it; True means it still violates the condition
-    it was reported for. VerifierError for a task or order no sweep runs."""
-    g = graph6_decode(g6)
-    ext, _, _, rule = _sweep_rule(task, g.n, params)
-    # the sweeps skip graphs with an isolated vertex; the index is the
-    # sweep's own float, from the batched eigensolve the tail uses
-    return g.min_degree > 0 and rule(g, q_indices([g])[0], ext) == "counterexample"

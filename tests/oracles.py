@@ -47,6 +47,8 @@ mask onto its degree-sorted form by a stable sort of its degrees.
 Python, the reference for ``kernels.sample_rows``, and ``oracle_slot_rows``
 the dense draw's earlier per-slot loop, the reference for
 ``kernels.slot_rows``.
+``replay_counterexample`` re-checks one recorded counterexample through the
+rule of the sweep that reported it, on the verifier's own float index.
 ``body_text`` is a stored report body's JSON text without its wall time,
 keys in the order they were written, so that comparing two pins key order.
 ``count_roots_above`` and ``count_roots_in_interval`` are Sturm root counts
@@ -68,8 +70,15 @@ from math import gcd, lcm
 import numpy as np
 
 from chordspec.chords import find_chorded_cycle, find_k_chords_at_apex
-from chordspec.graphs import Graph, bits_to_vertices, graph_from_mask, index_pairs, make_graph
-from chordspec import polynomials
+from chordspec.graphs import (
+    Graph,
+    bits_to_vertices,
+    graph6_decode,
+    graph_from_mask,
+    index_pairs,
+    make_graph,
+)
+from chordspec import polynomials, verifier
 from chordspec.polynomials import EQUAL, GREATER, LESS, IntPolynomial, root_bound
 from chordspec.spectral import SpectralResult, q_index, signless_laplacian
 
@@ -776,6 +785,17 @@ def body_text(report_json: str) -> str:
     body = json.loads(report_json)
     body.pop("wall_time_ms", None)
     return json.dumps(body, indent=2)
+
+
+def replay_counterexample(task: str, g6: str, params: dict) -> bool:
+    """Re-check a recorded counterexample in isolation through the rule of
+    the sweep that reported it; True means it still violates the condition
+    it was reported for. VerifierError for a task or order no sweep runs."""
+    g = graph6_decode(g6)
+    ext, _, _, rule = verifier._sweep_rule(task, g.n, params)
+    # the sweeps skip graphs with an isolated vertex; the index is the
+    # sweep's own float, from the batched eigensolve the tail uses
+    return g.min_degree > 0 and rule(g, verifier.q_indices([g])[0], ext) == "counterexample"
 
 
 def sorted_mask(n: int, mask: int) -> int:

@@ -27,12 +27,11 @@ from chordspec.properties import property_suite
 from chordspec.spectral import q_index
 from chordspec.verifier import (
     Report,
-    replay_counterexample,
     report_diff,
     verify_corollary,
     verify_theorem_main,
 )
-from oracles import body_text, oracle_apex_chords, oracle_chorded
+from oracles import body_text, oracle_apex_chords, oracle_chorded, replay_counterexample
 
 SEED = 20260810
 # report bodies of the property suite runs below, compared as JSON text

@@ -84,6 +84,46 @@ def test_no_ext_setting_forces_the_python_kernel():
     assert (proc.communicate(timeout=300), proc.returncode) == (("False\n", ""), 0)
 
 
+def test_both_kernels_have_the_row_limit_of_64():
+    assert kernels.MAXROWS == 64
+    assert [impl.MAXROWS for _, impl in IMPLEMENTATIONS] == [64] * len(IMPLEMENTATIONS)
+
+
+# a fresh process that imports the CLI, runs each verify command of its
+# arguments with the report discarded, and prints after the import and after
+# each command which of numpy and the python twin it has loaded, then its
+# kernel and row limit
+_LOADED = """
+import contextlib, io, sys
+from chordspec import cli, kernels
+def loaded():
+    return [name for name in ("numpy", "chordspec._sweep_py") if name in sys.modules]
+print("import", loaded())
+for args in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", *args.split()])
+    print(args, code, loaded())
+print(kernels.IS_COMPILED, kernels.MAXROWS)
+"""
+
+
+def test_compiled_theorem_and_corollary_at_order_7_load_neither_numpy_nor_the_twin(compiled):
+    # importing numpy takes about 60 ms, more than either run; neither calls it
+    proc = _python(_LOADED, "theorem --n 7", "corollary --n 7", CHORDSPEC_NO_EXT="")
+    assert proc.communicate(timeout=300) == (
+        "import []\ntheorem --n 7 0 []\ncorollary --n 7 0 []\nTrue 64\n", "")
+    assert proc.returncode == 0
+
+
+def test_no_ext_theorem_passes_on_the_twin():
+    # the twin is bound at import, numpy on its first eigensolve
+    proc = _python(_LOADED, "theorem --n 6", CHORDSPEC_NO_EXT="1")
+    assert proc.communicate(timeout=300) == (
+        "import ['chordspec._sweep_py']\n"
+        "theorem --n 6 0 ['numpy', 'chordspec._sweep_py']\nFalse 64\n", "")
+    assert proc.returncode == 0
+
+
 def test_edited_source_gets_a_new_cache_entry(compiled, tmp_path):
     source, cache = tmp_path / "_sweep.c", tmp_path / "cache"
     shutil.copy(kernels.SOURCE, source)
@@ -714,9 +754,11 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     # orders 6, 7 and 8 through each kernel, whose asserts check that the
     # check passes and that the kernels and the calls agree, one call each of
     # its order-6 CLI timings, whose asserts check the exit codes and
-    # verdicts, one pass of its exact order-6 ties, which must reach the gcd,
-    # one pass of its appendix pairs at orders 7..12 with the estimates
-    # verify_appendix passes, which the certificate must settle with no chain,
+    # verdicts, one run of its start-up timings in fresh processes, whose
+    # asserts check the theorem's verdict, one pass of its exact order-6
+    # ties, which must reach the gcd, one pass of its appendix pairs at
+    # orders 7..12 with the estimates verify_appendix passes, which the
+    # certificate must settle with no chain,
     # expand its appendix templates at orders 7..8, time verify_appendix(7, 8)
     # block by block, then its fixture graphs and its template polynomials
     # alone, and the property suite's details one by one
@@ -773,6 +815,11 @@ def test_kernel_benchmark_runs_on_order_5(capsys, monkeypatch):
     assert re.fullmatch(r"cli verify theorem --n 6: first call [0-9.]+ ms, later calls "
                         r"[0-9.]+ ms \(median of 1\), verify_theorem_main\(6\) alone "
                         r"[0-9.]+ ms \(median of 1\)\n", out), out
+    bench.bench_startup(runs=1)
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"start-up \((compiled|python) kernel\): import chordspec\.cli [0-9.]+ ms "
+                        r"\(median of 1, numpy loaded in [01]\), cli verify theorem --n 7 "
+                        r"[0-9.]+ ms wall \(median of 1, numpy loaded in [01]\)\n", out), out
     ties, counts = bench.bench_exact("order-6 ties", bench.tie_pairs(6), min_seconds=0)
     assert ties == {EQUAL: 30} and counts["_divide"] > 0, (ties, counts)
     pairs, estimates = bench.appendix_pairs(7, 12)

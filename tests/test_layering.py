@@ -57,6 +57,52 @@ def test_only_the_appendix_module_reads_its_data():
             assert not named, (path.name, named)
 
 
+def _scoped_imports(tree: ast.Module) -> list[tuple[str | None, str]]:
+    """(the function it runs in, None at import time, the module) for every
+    import of a module and every call of a function named ``_numpy``: an
+    absolute import gives its top-level package, ``from . import x`` gives
+    x, ``from .x import ...`` gives x, and a ``_numpy`` call gives
+    "_numpy()". A class body runs at import time, so it has no scope of its
+    own."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                out.extend((scope, alias.name.split(".")[0]) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                if child.module:
+                    out.append((scope, child.module.split(".")[0]))
+                else:
+                    out.extend((scope, alias.name) for alias in child.names)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "_numpy":
+                    out.append((scope, "_numpy()"))
+            functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            visit(child, getattr(child, "name", "<lambda>") if isinstance(child, functions)
+                  else scope)
+
+    visit(tree, None)
+    return out
+
+
+def test_numpy_and_the_python_twin_load_only_when_called():
+    # importing numpy takes about 60 ms and the twin about 10 ms more, while
+    # the compiled theorem and corollary at orders up to 7 call neither: the
+    # package's one numpy import is spectral's accessor, no module calls it
+    # at import time, and no module imports the twin at import time
+    found = {path.name: _scoped_imports(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    numpy_imports = [(name, scope) for name, imports in found.items()
+                     for scope, module in imports if module == "numpy"]
+    assert numpy_imports == [("spectral.py", "_numpy")]
+    at_import = [(name, module) for name, imports in found.items()
+                 for scope, module in imports
+                 if scope is None and module in ("_numpy()", "_sweep_py")]
+    assert at_import == []
+
+
 # the perfbench selftest's failing checks, each a `.calls = 0` on a layer its
 # workload no longer calls: the compiled kernel's, and the python twin's,
 # which calls chords.longest_cycle and chords.max_path_order itself

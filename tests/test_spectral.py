@@ -148,6 +148,7 @@ def test_q_indices_match_q_index(monkeypatch):
     # across the kernels' 64-vertex row limit, at 64, 65 and 256 vertices
     for _, impl in kernels.implementations():
         monkeypatch.setattr(kernels, "q_indices", impl.q_indices)
+        monkeypatch.setattr(kernels, "IS_COMPILED", impl.IS_COMPILED)
         rng = random.Random(59)
         graphs = []
         for n in range(1, 13):
@@ -173,6 +174,28 @@ def test_q_indices_match_q_index(monkeypatch):
         assert q_indices(mixed) == pytest.approx(want, rel=0, abs=1e-12)
         want = [oracle_q(g) for g in large[2:]]
         assert q_indices(large[2:]) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_q_indices_on_the_python_kernel_check_no_rows(monkeypatch):
+    # a Graph's rows are valid by construction, so on the python kernel
+    # q_indices solves the graphs without the kernel's q_indices, which reads
+    # every graph back through _graph_of_rows first, and gives its floats bit
+    # for bit; above 64 vertices, those _stacked_indices gives alone
+    rng = random.Random(60)
+    small = [random_graph(rng, n, p) for n in (1, 2, 5, 8, 12, 30, 64) for p in (0.1, 0.5, 0.9)]
+    large = [random_graph(rng, n, 0.3) for n in (65, 65, 90)]
+    graphs = small + large
+    rng.shuffle(graphs)
+    want = dict(zip(small, _sweep_py.q_indices([g.rows for g in small])))
+    want.update((g, _sweep_py._stacked_indices([g])[0]) for g in large)
+    monkeypatch.setattr(kernels, "IS_COMPILED", False)
+    monkeypatch.setattr(kernels, "q_indices", _sweep_py.q_indices)
+
+    def no_row_check(rows):
+        raise AssertionError("q_indices re-checked a Graph's rows")
+
+    monkeypatch.setattr(_sweep_py, "_graph_of_rows", no_row_check)
+    assert [q.hex() for q in q_indices(graphs)] == [want[g].hex() for g in graphs]
 
 
 def test_eta_examples():

@@ -57,7 +57,6 @@ from chordspec.verifier import (
     Report,
     VerifierError,
     _prefilter_spot_check,
-    replay_counterexample,
     report_diff,
     verify_corollary,
     verify_theorem_main,
@@ -71,6 +70,7 @@ from oracles import (
     oracle_prefilter_spot_check,
     oracle_sample,
     oracle_spot_check_solving_all,
+    replay_counterexample,
 )
 
 IMPLEMENTATIONS = kernels.implementations()
